@@ -307,15 +307,6 @@ type Options struct {
 	// which inject a fault.DiskInjector to exercise disk-failure paths
 	// deterministically.
 	fs fault.FS
-	// Pipeline enables staged pipeline-parallel execution inside the
-	// engine (inside each shard, for sharded engines): join pipelines are
-	// split into bounded-buffer stages overlapping probe work, cache
-	// maintenance, and result emission across Workers goroutines. Results,
-	// window and cache contents, and simulated cost totals are bit-identical
-	// to serial execution; only wall-clock time changes. The zero value
-	// keeps the serial path. Engines built with workers should be Closed
-	// when no longer needed.
-	Pipeline PipelineOptions
 	// Tier enables tiered slab storage: relation-window pages and cache-entry
 	// payloads past a hot-bytes watermark spill to memory-mapped files under
 	// Tier.Dir, with access-tracked promotion back to the hot tier. Results,
@@ -337,16 +328,6 @@ type TierOptions struct {
 	// PageBytes is the spill page size (≤ 0 uses a default; rounded up to
 	// the OS page granularity).
 	PageBytes int
-}
-
-// PipelineOptions configure staged pipeline-parallel execution.
-type PipelineOptions struct {
-	// Workers is the number of stage workers per engine (0 = serial).
-	Workers int
-	// StageBuffer is the capacity, in chunks, of the bounded buffers
-	// connecting stages (0 = default). Smaller buffers apply backpressure
-	// sooner; Stats.StageStalls counts blocked hand-offs.
-	StageBuffer int
 }
 
 // Engine executes a built query. It is not safe for concurrent use: updates
@@ -384,10 +365,6 @@ func (opts Options) coreConfig(q *Query) (core.Config, error) {
 		ReoptOffset:    opts.ReoptOffset,
 
 		FilterAwareCostModel: opts.FilterAwareCostModel,
-		Pipeline: join.PipelineOptions{
-			Workers:     opts.Pipeline.Workers,
-			StageBuffer: opts.Pipeline.StageBuffer,
-		},
 		Tier: tier.Options{
 			Dir:       opts.Tier.Dir,
 			HotBytes:  opts.Tier.HotBytes,
@@ -742,16 +719,6 @@ type Stats struct {
 	// missed anyway (the cuckoo false-positive tail).
 	FilterFalsePositives uint64
 
-	// PipelineWorkers is the staged-pipeline worker count in effect
-	// (per shard, for sharded engines); 0 means serial execution.
-	PipelineWorkers int
-	// StageStalls counts blocked hand-offs between pipeline stages —
-	// backpressure events where a stage's bounded buffer was full.
-	StageStalls uint64
-	// StageOverlapRatio is the fraction of updates whose join pass executed
-	// with stage overlap (ineligible pipelines fall back to serial).
-	StageOverlapRatio float64
-
 	// WindowBytes is the tuple footprint of the relation window stores
 	// (shared stores counted at full size in every sharer's Stats; see
 	// SharedBytesSaved for the server-scope discount).
@@ -827,11 +794,13 @@ type Stats struct {
 	DegradeLevel int
 }
 
-// Stats returns a snapshot of counters and the current plan.
-func (e *Engine) Stats() Stats {
-	snap := e.core.Snapshot()
-	s := Stats{
-		Updates:          e.seq,
+// statsFromSnapshot renders the Stats fields a core snapshot backs — the one
+// conversion behind Engine.Stats, ShardedEngine.Stats and ShardStats. Updates
+// is the engine's processed-update count; the aggregate views overwrite it
+// with their ingress count.
+func statsFromSnapshot(snap core.Snapshot) Stats {
+	return Stats{
+		Updates:          uint64(snap.Updates),
 		Outputs:          snap.Outputs,
 		WorkSeconds:      cost.Seconds(snap.Work),
 		Reopts:           snap.Reopts,
@@ -846,9 +815,6 @@ func (e *Engine) Stats() Stats {
 		FilterBytes:          snap.FilterBytes,
 		FilteredProbes:       snap.FilteredProbes,
 		FilterFalsePositives: snap.FilterFalsePositives,
-		PipelineWorkers:      snap.PipelineWorkers,
-		StageStalls:          snap.StageStalls,
-		StageOverlapRatio:    snap.StageOverlapRatio,
 		WindowBytes:          snap.WindowBytes,
 		SharedStores:         snap.SharedStores,
 		TierHotBytes:         snap.TierHotBytes,
@@ -858,6 +824,12 @@ func (e *Engine) Stats() Stats {
 		TierWriteErrors:      snap.TierWriteErrors,
 		DurabilityDegraded:   snap.DurDegraded,
 	}
+}
+
+// Stats returns a snapshot of counters and the current plan.
+func (e *Engine) Stats() Stats {
+	s := statsFromSnapshot(e.core.Snapshot())
+	s.Updates = e.seq
 	if d := e.dur; d != nil {
 		s.WALErrors = d.walErrs
 		s.WALRecordsReplayed = d.recsReplayed
@@ -897,11 +869,9 @@ func (q *Query) describeSpec(spec *planner.Spec) string {
 	return b.String()
 }
 
-// Close releases the engine's staged-pipeline workers and tiered-storage
-// spill files, if any. Engines built with Options.Pipeline and Options.Tier
-// zero-valued need no Close; calling it is a harmless no-op. Idempotent.
-// Updates processed after Close fall back to the serial path (same results,
-// no overlap). For durable engines Close discards the on-disk state
+// Close releases the engine's tiered-storage spill files, if any. Engines
+// built with Options.Tier zero-valued need no Close; calling it is a harmless
+// no-op. Idempotent. For durable engines Close discards the on-disk state
 // (checkpoint, WAL, spills) — use CloseKeep to preserve it for a warm
 // restart.
 func (e *Engine) Close() {

@@ -4,9 +4,9 @@
 //
 // Usage:
 //
-//	acache-bench [-experiment all|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|sharding|hotpath|adaptivity|batch|filter|overload|pipeline|tiering|recovery|multiquery]
+//	acache-bench [-experiment all|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|sharding|hotpath|adaptivity|batch|filter|overload|tiering|recovery|multiquery]
 //	             [-scale quick|medium|full] [-seed N] [-shards 1,2,4,8] [-batch N]
-//	             [-procs 1,2,4] [-workers 1,2,4]
+//	             [-procs 1,2,4]
 //	             [-cpuprofile FILE] [-memprofile FILE]
 //
 // The full scale matches the paper's horizons and takes a few minutes; quick
@@ -16,15 +16,12 @@
 // measures append throughput of the hash-partitioned engine at each
 // (GOMAXPROCS, shard count) pair of -procs × -shards (with -batch setting
 // the ingress batch size; -procs values above the host's CPU count are
-// skipped) and writes BENCH_sharding.json; pipeline measures staged
-// pipeline-parallel execution inside one engine at each stage worker count
-// of -workers against the serial path and writes BENCH_pipeline.json;
-// hotpath measures the warm per-update ns/op, B/op, and
-// allocs/op of the n-way insert path (n = 3, 5, 7), with a per-phase
-// probe/cache-maintenance/profiler/re-optimizer breakdown, and writes
-// BENCH_hotpath.json; adaptivity measures the per-update cost of being
-// adaptive — plain MJoin vs exact profiling vs sampled profiling at
-// strides 4 and 16 — plus the re-optimizer's amortized wall clock, runs
+// skipped) and writes BENCH_sharding.json; hotpath measures the warm
+// per-update ns/op, B/op, and allocs/op of the n-way insert path
+// (n = 3, 5, 7) and writes BENCH_hotpath.json; adaptivity measures the
+// per-update cost of being adaptive — plain MJoin vs exact profiling vs
+// sampled profiling at strides 4 and 16 — plus the re-optimizer's amortized
+// wall clock, runs
 // the stride-1 decision-identity differential against the reference
 // implementation, and writes BENCH_adaptivity.json; batch measures the vectorized ProcessBatch path against
 // the per-update loop at batch sizes 1, 8, 64, 256 and writes
@@ -76,7 +73,7 @@ func writeSVG(dir string, e *bench.Experiment) error {
 }
 
 // parseCounts parses a comma-separated positive-integer list flag, e.g.
-// "1,2,4,8" for -shards, -procs, or -workers.
+// "1,2,4,8" for -shards or -procs.
 func parseCounts(flagName, s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
@@ -93,7 +90,6 @@ func main() {
 	experiment := flag.String("experiment", "all", "experiment id (fig6..fig13), 'ablations', 'extensions', 'sharding', or 'all'")
 	shards := flag.String("shards", "1,2,4,8", "comma-separated shard counts for the sharding experiment")
 	procs := flag.String("procs", "1,2,4", "comma-separated GOMAXPROCS sweep for the sharding experiment (points above NumCPU are skipped)")
-	workers := flag.String("workers", "1,2,4", "comma-separated stage worker counts for the pipeline experiment")
 	batch := flag.Int("batch", 0, "sharding experiment ingress batch size (0 = default)")
 	scale := flag.String("scale", "medium", "run scale: quick, medium, or full")
 	seed := flag.Int64("seed", 42, "workload seed")
@@ -206,19 +202,6 @@ func main() {
 		}
 		fmt.Println(render(rep.Experiment()))
 		fmt.Println("wrote BENCH_sharding.json")
-	case "pipeline":
-		wlist, err := parseCounts("-workers", *workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		rep := bench.RunPipeline(4, wlist, cfg)
-		if err := os.WriteFile("BENCH_pipeline.json", rep.JSON(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "BENCH_pipeline.json:", err)
-			os.Exit(1)
-		}
-		fmt.Println(render(rep.Experiment()))
-		fmt.Println("wrote BENCH_pipeline.json")
 	case "batch":
 		rep := bench.RunBatch(4, []int{1, 8, 64, 256}, cfg)
 		if err := os.WriteFile("BENCH_batch.json", rep.JSON(), 0o644); err != nil {
@@ -294,7 +277,7 @@ func main() {
 	default:
 		run, ok := runners[*experiment]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (want %s, ablations, extensions, sharding, pipeline, hotpath, adaptivity, batch, filter, overload, tiering, recovery, multiquery, or all)\n",
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (want %s, ablations, extensions, sharding, hotpath, adaptivity, batch, filter, overload, tiering, recovery, multiquery, or all)\n",
 				*experiment, strings.Join(order, "|"))
 			os.Exit(2)
 		}

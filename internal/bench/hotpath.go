@@ -24,17 +24,6 @@ type HotpathPoint struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	Iterations  int     `json:"iterations"`
-
-	// Per-phase breakdown of the per-update wall clock, measured on a
-	// separate instrumented engine (Config.InstrumentPhases) over the same
-	// workload so the headline NsPerOp above stays un-instrumented: probe
-	// execution, cache-maintenance (shadow estimator) taps, profiler
-	// bookkeeping, and the re-optimizer. See core.PhaseNanos for the
-	// bucket semantics and the probe/cache-maintenance approximation.
-	ProbeNsPerOp      float64 `json:"probe_ns_per_op"`
-	CacheMaintNsPerOp float64 `json:"cache_maint_ns_per_op"`
-	ProfilerNsPerOp   float64 `json:"profiler_ns_per_op"`
-	ReoptNsPerOp      float64 `json:"reopt_ns_per_op"`
 }
 
 // HotpathReport is the full run, JSON-ready for BENCH_hotpath.json.
@@ -89,7 +78,7 @@ func runHotpathPoint(n int, caching bool, cfg RunConfig) HotpathPoint {
 			en.Process(src.Next())
 		}
 	})
-	pt := HotpathPoint{
+	return HotpathPoint{
 		Relations:   n,
 		Caching:     caching,
 		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
@@ -97,9 +86,6 @@ func runHotpathPoint(n int, caching bool, cfg RunConfig) HotpathPoint {
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		Iterations:  r.N,
 	}
-	pt.ProbeNsPerOp, pt.CacheMaintNsPerOp, pt.ProfilerNsPerOp, pt.ReoptNsPerOp =
-		hotpathPhases(w, c, cfg)
-	return pt
 }
 
 // benchMedian runs testing.Benchmark three times and returns the run with
@@ -123,34 +109,6 @@ func benchMedian(fn func(b *testing.B)) testing.BenchmarkResult {
 
 func nsPerOp(r testing.BenchmarkResult) float64 {
 	return float64(r.T.Nanoseconds()) / float64(r.N)
-}
-
-// hotpathPhases reruns the point's workload on a phase-instrumented engine
-// and returns the steady-state (post-warmup) per-update nanoseconds spent in
-// probe execution, cache maintenance, profiling, and re-optimization. A
-// separate engine keeps the clock reads out of the headline measurement.
-func hotpathPhases(w *workload, c core.Config, cfg RunConfig) (probe, maint, prof, reopt float64) {
-	c.InstrumentPhases = true
-	en, err := core.NewEngine(w.q, nil, c)
-	if err != nil {
-		panic(err)
-	}
-	src := w.source()
-	for src.TotalAppends() < uint64(cfg.Warmup) {
-		en.Process(src.Next())
-	}
-	p0, m0, f0, r0 := en.PhaseNanos()
-	updates := 0
-	for src.TotalAppends() < uint64(cfg.Warmup+cfg.Measure) {
-		en.Process(src.Next())
-		updates++
-	}
-	p1, m1, f1, r1 := en.PhaseNanos()
-	if updates == 0 {
-		return 0, 0, 0, 0
-	}
-	d := float64(updates)
-	return float64(p1-p0) / d, float64(m1-m0) / d, float64(f1-f0) / d, float64(r1-r0) / d
 }
 
 // JSON renders the report for BENCH_hotpath.json.
@@ -184,22 +142,7 @@ func (r *HotpathReport) Experiment() *Experiment {
 			{Label: "MJoin (ns/op)", X: x, Y: mjoinNs},
 			{Label: "With caches (allocs/op)", X: x, Y: cacheAllocs},
 		},
-		Notes: r.notes(),
+		Notes: []string{fmt.Sprintf("GOMAXPROCS=%d, NumCPU=%d, %s (wall-clock measurement)",
+			r.GOMAXPROCS, r.NumCPU, r.GoVersion)},
 	}
-}
-
-func (r *HotpathReport) notes() []string {
-	notes := []string{
-		fmt.Sprintf("GOMAXPROCS=%d, NumCPU=%d, %s (wall-clock measurement)",
-			r.GOMAXPROCS, r.NumCPU, r.GoVersion),
-	}
-	for _, pt := range r.Points {
-		if pt.Caching {
-			notes = append(notes, fmt.Sprintf(
-				"n=%d phases (ns/op): probe %.0f, cache-maint %.0f, profiler %.0f, reopt %.0f",
-				pt.Relations, pt.ProbeNsPerOp, pt.CacheMaintNsPerOp,
-				pt.ProfilerNsPerOp, pt.ReoptNsPerOp))
-		}
-	}
-	return notes
 }

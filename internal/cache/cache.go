@@ -115,14 +115,6 @@ func New(nbuckets, keyBytes, budget int, meter *cost.Meter) *Cache {
 	}
 }
 
-// SetMeter redirects the cache's cost charges to m. The staged executor uses
-// this to route one pass's probe/create charges into a stage group's journal
-// meter and back; callers must guarantee the cache is quiescent across the
-// swap (the staged pass swaps before launching its groups and restores at
-// the barrier, with the channel hand-offs providing the happens-before
-// edges).
-func (c *Cache) SetMeter(m *cost.Meter) { c.meter = m }
-
 // initialFilterCapacity sizes a fresh cache filter; filAdd rebuilds at
 // doubled capacity on overflow, so footprint tracks resident entries rather
 // than the (possibly much larger) bucket count.

@@ -214,8 +214,9 @@ func (ck *Checkpoint) UnmarshalBinary(data []byte) error {
 
 // AddSnapshot accumulates another snapshot's cumulative counters into s —
 // the supervisor-side merge when totals span engine rebuilds.
-// CacheMemoryBytes and FilterBytes are point-in-time gauges, not cumulative
-// counters, so they are not summed.
+// CacheMemoryBytes, FilterBytes, WindowBytes, SharedStores, TierHotBytes and
+// TierColdBytes are point-in-time gauges, not cumulative counters, so they
+// are not summed.
 func (s *Snapshot) AddSnapshot(o Snapshot) {
 	s.Updates += o.Updates
 	s.Outputs += o.Outputs
@@ -224,8 +225,6 @@ func (s *Snapshot) AddSnapshot(o Snapshot) {
 	s.SkippedReopts += o.SkippedReopts
 	s.FilteredProbes += o.FilteredProbes
 	s.FilterFalsePositives += o.FilterFalsePositives
-	s.StagedUpdates += o.StagedUpdates
-	s.StageStalls += o.StageStalls
 	s.TierPromotions += o.TierPromotions
 	s.TierDemotions += o.TierDemotions
 	s.TierWriteErrors += o.TierWriteErrors
@@ -234,12 +233,6 @@ func (s *Snapshot) AddSnapshot(o Snapshot) {
 	s.SampledUpdates += o.SampledUpdates
 	s.CandidateRescores += o.CandidateRescores
 	s.ReoptsSuppressed += o.ReoptsSuppressed
-	if o.PipelineWorkers > s.PipelineWorkers {
-		s.PipelineWorkers = o.PipelineWorkers // config gauge, not a counter
-	}
-	if s.Updates > 0 {
-		s.StageOverlapRatio = float64(s.StagedUpdates) / float64(s.Updates)
-	}
 }
 
 // DropCaches detaches every used (or suspended) cache immediately — the

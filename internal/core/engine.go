@@ -139,10 +139,6 @@ type Config struct {
 	Seed int64
 	// ScanOnly forwards index-free attributes to the executor (Figure 10).
 	ScanOnly []tuple.Attr
-	// Pipeline enables staged pipeline-parallel execution inside the
-	// executor (join.PipelineOptions); the zero value keeps the serial path
-	// byte-identical. Engines built with workers must be Closed.
-	Pipeline join.PipelineOptions
 	// StoreProvider, when non-nil, lets a host (the Server) substitute
 	// cross-query shared window stores for this engine's relations at build
 	// time. See join.Options.StoreProvider.
@@ -173,12 +169,6 @@ type Config struct {
 	// way; this exists (like DisableFilters) for differential testing and
 	// the adaptivity experiment's decision-identity cross-check.
 	ReferenceAdaptivity bool
-	// InstrumentPhases wall-clock-instruments the per-update path into
-	// probe / cache-maintenance / profiler buckets (PhaseNanos). Off by
-	// default: the instrumentation itself costs two clock reads per update,
-	// so headline throughput runs leave it off and the bench harness takes
-	// a second instrumented pass.
-	InstrumentPhases bool
 }
 
 func (c Config) withDefaults() Config {
@@ -344,10 +334,6 @@ type Engine struct {
 	reoptNanos       int64
 	candRescores     uint64
 	reoptsSuppressed int
-	// Instrumented phase buckets (Config.InstrumentPhases): wall nanos in
-	// unprofiled executor passes and in profiled passes + tick bookkeeping.
-	execNanos     int64
-	profilerNanos int64
 
 	outputs uint64
 	// Reopts counts selection runs; SkippedReopts counts p-threshold skips.
@@ -373,7 +359,7 @@ func NewEngine(q *query.Query, ord planner.Ordering, cfg Config) (*Engine, error
 		ord = ordering.InitialOrdering(q.N())
 	}
 	meter := &cost.Meter{}
-	exec, err := join.NewExec(q, ord, meter, join.Options{ScanOnly: cfg.ScanOnly, Pipeline: cfg.Pipeline, StoreProvider: cfg.StoreProvider, Tier: cfg.Tier})
+	exec, err := join.NewExec(q, ord, meter, join.Options{ScanOnly: cfg.ScanOnly, StoreProvider: cfg.StoreProvider, Tier: cfg.Tier})
 	if err != nil {
 		return nil, err
 	}
@@ -395,9 +381,6 @@ func NewEngine(q *query.Query, ord planner.Ordering, cfg Config) (*Engine, error
 		cands:       make(map[string]*cand),
 		instances:   make(map[string]*join.Instance),
 		unreadyPipe: -1,
-	}
-	if cfg.InstrumentPhases {
-		pf.SetInstrument(true)
 	}
 	if len(cfg.ForcedCaches) > 0 {
 		if err := en.attachForced(); err != nil {
@@ -568,11 +551,6 @@ func (en *Engine) Process(u stream.Update) int {
 // exactly the per-update order.
 func (en *Engine) processUpdate(u stream.Update, profiled bool) int {
 	var outputs int
-	inst := en.cfg.InstrumentPhases
-	var t0 time.Time
-	if inst {
-		t0 = time.Now()
-	}
 	if profiled {
 		res, prof := en.exec.ProcessProfiled(u)
 		en.pf.Observe(u.Rel, prof)
@@ -580,19 +558,7 @@ func (en *Engine) processUpdate(u stream.Update, profiled bool) int {
 	} else {
 		outputs = en.exec.Process(u).Outputs
 	}
-	if inst {
-		el := time.Since(t0).Nanoseconds()
-		if profiled {
-			en.profilerNanos += el
-		} else {
-			en.execNanos += el
-		}
-		t0 = time.Now()
-	}
 	en.pf.Tick(u.Rel)
-	if inst {
-		en.profilerNanos += time.Since(t0).Nanoseconds()
-	}
 	en.updates++
 	en.outputs += uint64(outputs)
 
@@ -635,24 +601,6 @@ func (en *Engine) processUpdate(u stream.Update, profiled bool) int {
 	return outputs
 }
 
-// PhaseNanos reports the wall-clock adaptivity breakdown. reopt (the
-// re-optimizer: monitoring, profiling-phase transitions, selection) is
-// always measured — its clock reads amortize over whole intervals. The
-// per-update buckets require Config.InstrumentPhases: probe is the
-// unprofiled executor pass net of shadow-tap time, cacheMaint the shadow
-// estimators' tap time, profiler the profiled passes plus tick bookkeeping.
-// The probe/cacheMaint split is approximate by one subtlety: shadow taps
-// firing inside profiled passes are subtracted from the probe bucket rather
-// than the profiler bucket (taps do not know which pass invoked them).
-func (en *Engine) PhaseNanos() (probe, cacheMaint, profiler, reopt int64) {
-	cacheMaint = en.pf.ShadowNanos()
-	probe = en.execNanos - cacheMaint
-	if probe < 0 {
-		probe = 0
-	}
-	return probe, cacheMaint, en.profilerNanos, en.reoptNanos
-}
-
 // Snapshot is an aggregate of the engine's headline counters. Sharded
 // execution reads one Snapshot per shard and sums them; the single-engine
 // Stats API is a rendering of the same numbers.
@@ -675,17 +623,6 @@ type Snapshot struct {
 	// FilterFalsePositives counts filter-passed checks that then missed.
 	FilteredProbes       uint64
 	FilterFalsePositives uint64
-	// PipelineWorkers is the configured staged-pipeline worker count
-	// (0 = serial execution).
-	PipelineWorkers int
-	// StagedUpdates counts updates whose join pass ran on the staged
-	// pipeline; StageStalls counts blocked inter-stage hand-offs
-	// (backpressure events between stage groups).
-	StagedUpdates uint64
-	StageStalls   uint64
-	// StageOverlapRatio is StagedUpdates / Updates: the fraction of the
-	// stream that executed with stage overlap.
-	StageOverlapRatio float64
 	// WindowBytes is the tuple footprint of the relation window stores.
 	WindowBytes int
 	// SharedStores is the number of relations whose window store is
@@ -736,7 +673,6 @@ type Snapshot struct {
 // same quiescence themselves.
 func (en *Engine) Snapshot() Snapshot {
 	sc, fp := en.FilterTelemetry()
-	workers, stalls, _, stagedUpd := en.exec.PipelineStats()
 	s := Snapshot{
 		Updates:              en.updates,
 		Outputs:              en.outputs,
@@ -747,9 +683,6 @@ func (en *Engine) Snapshot() Snapshot {
 		FilterBytes:          en.FilterMemoryBytes(),
 		FilteredProbes:       sc,
 		FilterFalsePositives: fp,
-		PipelineWorkers:      workers,
-		StagedUpdates:        stagedUpd,
-		StageStalls:          stalls,
 		WindowBytes:          en.WindowBytes(),
 		SharedStores:         en.exec.SharedStores(),
 	}
@@ -759,9 +692,6 @@ func (en *Engine) Snapshot() Snapshot {
 	s.SampledUpdates = en.pf.SampledUpdates()
 	s.CandidateRescores = en.candRescores
 	s.ReoptsSuppressed = en.reoptsSuppressed
-	if s.Updates > 0 {
-		s.StageOverlapRatio = float64(s.StagedUpdates) / float64(s.Updates)
-	}
 	return s
 }
 
@@ -815,13 +745,11 @@ func (en *Engine) DurabilityStats() (writeErrors uint64, degraded bool) {
 	return writeErrors, degraded
 }
 
-// Close releases the executor's staged-pipeline workers, if any, and — when
-// tiering is enabled — unmaps and removes every spill file (relation stores
-// and the shared cache spill). Engines built with the zero Config need no
+// Close unmaps and removes every spill file (relation stores and the shared
+// cache spill) when tiering is enabled. Engines built without tiering need no
 // Close; calling it is a no-op. Idempotent.
 func (en *Engine) Close() {
 	en.exec.Close()
-	en.exec.CloseTiers()
 	if en.cacheTier != nil {
 		en.cacheTier.Close()
 	}
@@ -832,7 +760,6 @@ func (en *Engine) Close() {
 // the cache spill is still removed — caches restart cold by design
 // (consistency without completeness keeps results exact).
 func (en *Engine) CloseKeep() {
-	en.exec.Close()
 	en.exec.CloseTiersKeep()
 	if en.cacheTier != nil {
 		en.cacheTier.Close()

@@ -545,7 +545,7 @@ func (inst *Instance) Prime(e *Exec) {
 			at[tuple.Encode(t)] = len(tuples)
 			tuples = append(tuples, t)
 			mults = append(mults, 1)
-			supports = append(supports, inst.countY(e, t, e.meter, &e.arena))
+			supports = append(supports, inst.countY(e, t))
 		}
 		kept := tuples[:0]
 		var km, ks []int
@@ -562,15 +562,12 @@ func (inst *Instance) Prime(e *Exec) {
 
 // countY returns the number of Y-join combinations supporting the canonical
 // segment tuple t: the multiplicity used when a GC cache entry is created on
-// a miss. All probe work is charged to meter as part of miss population;
-// serial callers pass the executor meter and arena, staged miss population
-// passes its group's journal and arena (the group owns the Y stores — the
-// staged partition keeps a counted lookup and its reduction-set steps in one
-// group).
-func (inst *Instance) countY(e *Exec, t tuple.Tuple, meter *cost.Meter, arena *valueArena) int {
+// a miss. All probe work is charged to the executor meter as part of miss
+// population.
+func (inst *Instance) countY(e *Exec, t tuple.Tuple) int {
 	batch := []tuple.Tuple{t}
 	for _, st := range inst.ySteps {
-		batch = st.run(batch, e.stores[st.rel], meter, arena, nil)
+		batch = st.run(batch, e.stores[st.rel], e.meter, &e.arena, nil)
 		if len(batch) == 0 {
 			return 0
 		}

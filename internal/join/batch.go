@@ -47,17 +47,12 @@ import (
 // serial per-update path for that relation; results are identical either way.
 func (e *Exec) Batchable(rel int) bool { return e.pipes[rel].batchable }
 
-// refreshBatchable recomputes every pipeline's batch and staged eligibility.
-// It runs when the attachment or maintenance configuration changes —
-// reoptimization frequency, never per update — so it favors clarity over
-// speed.
+// refreshBatchable recomputes every pipeline's batch eligibility. It runs
+// when the attachment or maintenance configuration changes — reoptimization
+// frequency, never per update — so it favors clarity over speed.
 func (e *Exec) refreshBatchable() {
 	for _, p := range e.pipes {
 		p.batchable = p.computeBatchable()
-		// The staged path has no exclusions of its own: self-maintained
-		// maintenance is barrier-deferred and counted (GC) lookups pin
-		// their reduction-set steps into their own stage group (staged.go).
-		p.stageable = p.batchable
 	}
 }
 
@@ -197,20 +192,6 @@ func (e *Exec) ProcessRun(ups []stream.Update) Result {
 	sw := cost.NewStopwatch(e.meter)
 	rel := ups[0].Rel
 	op := ups[0].Op
-	if e.stagedActive(rel) {
-		outputs := e.stagedPass(rel, op, ups)
-		st := e.stores[rel]
-		if op == stream.Insert {
-			for _, u := range ups {
-				st.Insert(u.Tuple)
-			}
-		} else {
-			for _, u := range ups {
-				st.Delete(u.Tuple)
-			}
-		}
-		return Result{Outputs: outputs, Units: sw.Elapsed()}
-	}
 	p := e.pipes[rel]
 	nsteps := len(p.steps)
 	if p.arrivals == nil {

@@ -21,9 +21,6 @@ type Options struct {
 	// a hash index on that attribute: joins touching them use nested-loop
 	// scans. This reproduces Figure 10, which drops the hash index on S.B.
 	ScanOnly []tuple.Attr
-	// Pipeline configures staged pipeline-parallel execution (see staged.go).
-	// The zero value keeps the serial path, byte-identical to before.
-	Pipeline PipelineOptions
 	// StoreProvider, when non-nil, is consulted for each relation before a
 	// private store is created: returning a store adopts it as a shared
 	// window (the executor registers itself as a sharer and routes window
@@ -93,12 +90,6 @@ type Exec struct {
 	// dupReplays counts replayed duplicate-update step segments (telemetry).
 	dupReplays uint64
 
-	// pool holds the staged-execution workers when Options.Pipeline enabled
-	// them (nil otherwise); oneUp adapts a single update to the run-shaped
-	// staged pass without allocating.
-	pool  *stagePool
-	oneUp [1]stream.Update
-
 	// sharerIDs[r] is this executor's sharer id on relation r's store when
 	// that store is cross-query shared (−1 otherwise); sharedCount is the
 	// number of shared relations. preApplied marks the in-flight update as
@@ -128,9 +119,6 @@ func NewExec(q *query.Query, ord planner.Ordering, meter *cost.Meter, opts Optio
 	for _, a := range opts.ScanOnly {
 		e.scanOnly[a] = true
 	}
-	if opts.Pipeline.Workers > 0 {
-		e.pool = newStagePool(opts.Pipeline)
-	}
 	e.stores = make([]*relation.Store, q.N())
 	e.sharerIDs = make([]int, q.N())
 	for i := 0; i < q.N(); i++ {
@@ -146,7 +134,7 @@ func NewExec(q *query.Query, ord planner.Ordering, meter *cost.Meter, opts Optio
 		st := relation.NewStore(i, q.Schema(i), meter)
 		if opts.Tier.Enabled() {
 			if err := st.EnableTier(opts.Tier, filepath.Join(opts.Tier.Dir, fmt.Sprintf("rel%d.spill", i))); err != nil {
-				e.CloseTiers()
+				e.Close()
 				return nil, err
 			}
 		}
@@ -157,20 +145,18 @@ func NewExec(q *query.Query, ord planner.Ordering, meter *cost.Meter, opts Optio
 	return e, nil
 }
 
-// CloseTiers unmaps and removes every private store's spill file (transient
-// teardown). Idempotent; a no-op for untired executors. Shared provider
+// Close unmaps and removes every private store's spill file (transient
+// teardown). Idempotent; a no-op for untiered executors. Shared provider
 // stores are untouched.
-func (e *Exec) CloseTiers() error {
-	var err error
+func (e *Exec) Close() {
 	for r, st := range e.stores {
 		if st == nil || e.sharerIDs[r] >= 0 {
 			continue
 		}
-		if cerr := st.CloseTier(); err == nil {
-			err = cerr
-		}
+		// The spill is scratch state being discarded: a failed unmap or
+		// remove leaves nothing the caller could act on.
+		_ = st.CloseTier()
 	}
-	return err
 }
 
 // CloseTiersKeep unmaps every private store's spill but keeps the files on
@@ -389,13 +375,7 @@ func (e *Exec) Process(u stream.Update) Result {
 		e.beginSharedPass(u)
 	}
 	sw := cost.NewStopwatch(e.meter)
-	var outputs int
-	if e.stagedActive(u.Rel) {
-		e.oneUp[0] = u
-		outputs = e.stagedPass(u.Rel, u.Op, e.oneUp[:])
-	} else {
-		outputs = e.run(u, false, nil)
-	}
+	outputs := e.run(u, false, nil)
 	e.applyStoreUpdate(u)
 	return Result{Outputs: outputs, Units: sw.Elapsed()}
 }
@@ -598,7 +578,7 @@ func (e *Exec) runMissSegment(p *pipeline, att *attachment, misses []tuple.Tuple
 			at[tuple.Encode(t)] = len(tuples)
 			tuples = append(tuples, t)
 			mults = append(mults, 1)
-			supports = append(supports, att.inst.countY(e, t, e.meter, &e.arena))
+			supports = append(supports, att.inst.countY(e, t))
 		}
 		kept := tuples[:0]
 		var km, ks []int

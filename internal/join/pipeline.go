@@ -126,10 +126,6 @@ type pipeline struct {
 	// attachment or maintenance configuration changes. See computeBatchable
 	// for the exclusions.
 	batchable bool
-	// stageable reports whether the staged pipeline-parallel path may
-	// execute passes through this pipeline (batchable plus the exclusions of
-	// computeStageable); maintained alongside batchable.
-	stageable bool
 }
 
 func buildPipeline(q *query.Query, rel int, order []int, stores []*relation.Store, scanOnly map[tuple.Attr]bool) *pipeline {
@@ -150,7 +146,6 @@ func buildPipeline(q *query.Query, rel int, order []int, stores []*relation.Stor
 	p.maint = make([][]*maintOp, n)
 	p.taps = make([][]tapEntry, n)
 	p.batchable = true
-	p.stageable = true
 	return p
 }
 

@@ -9,7 +9,6 @@ package profiler
 
 import (
 	"math/rand"
-	"time"
 
 	"acache/internal/bloom"
 	"acache/internal/cost"
@@ -126,11 +125,6 @@ type Profiler struct {
 	colsMemo   map[string]colsEntry
 	// scopeBuf is Estimate's scratch for the widened GC maintenance scope.
 	scopeBuf []int
-	// instrument enables wall-clock attribution of shadow-tap work
-	// (shadowNanos) for the per-phase cost breakdown; off on the default
-	// hot path.
-	instrument  bool
-	shadowNanos int64
 
 	// Observed fingerprint-filter effectiveness, fed by the engine's
 	// monitor from structure counter deltas (ObserveFilter): what fraction
@@ -206,20 +200,9 @@ func (pf *Profiler) SampledUpdates() uint64 { return pf.sampledUpdates }
 // Equal epochs guarantee every windowed statistic is unchanged.
 func (pf *Profiler) StatsEpoch() int64 { return pf.statsEpoch }
 
-// SetInstrument toggles wall-clock attribution of shadow-tap maintenance;
-// ShadowNanos returns the accumulated total.
-func (pf *Profiler) SetInstrument(on bool) { pf.instrument = on }
-
-// ShadowNanos returns the wall-clock nanoseconds spent in shadow-estimator
-// taps since construction (0 unless SetInstrument(true)).
-func (pf *Profiler) ShadowNanos() int64 { return pf.shadowNanos }
-
 // Tick records one update to rel for rate estimation. Call it for every
-// update, profiled or not, after processing. Span boundaries read the shared
-// cost meter, so "after processing" includes staged pipeline execution's
-// barrier: the executor folds every stage journal into the meter before
-// Process/ProcessRun return, which keeps the simulated seconds a boundary
-// observes identical to serial execution at any worker count.
+// update, profiled or not, after processing: span boundaries read the shared
+// cost meter.
 func (pf *Profiler) Tick(rel int) {
 	pf.totalTicks++
 	pf.relTicks[rel]++
@@ -263,11 +246,7 @@ func (pf *Profiler) TicksToSpan(rel int) int {
 	return pf.cfg.RateSpan - pf.pipes[rel].spanN
 }
 
-// Observe feeds one profiled update's per-operator measurements. Profiled
-// updates always execute on the serial path — ProcessProfiled never stages —
-// so the per-operator span splits (StepInputs, StepUnits) remain exactly
-// attributable even when the engine runs staged pipelines for the unprofiled
-// stream.
+// Observe feeds one profiled update's per-operator measurements.
 func (pf *Profiler) Observe(rel int, prof join.Profile) {
 	ps := pf.pipes[rel]
 	for j, d := range prof.StepInputs {
@@ -472,10 +451,6 @@ func (pf *Profiler) StartShadow(spec *planner.Spec) {
 		pf.colsMemo[key] = colsEntry{pipe: spec.Pipeline, cols: sh.keyCols}
 	}
 	sh.tapID = pf.e.Tap(spec.Pipeline, spec.Start, func(batch []tuple.Tuple, _ stream.Op) {
-		var t0 time.Time
-		if pf.instrument {
-			t0 = time.Now()
-		}
 		// One hash per key feeds both filters (their probe positions derive
 		// from the same base pair), and the whole batch's hash work is
 		// charged in one ChargeN: no meter read can interleave inside a tap
@@ -516,9 +491,6 @@ func (pf *Profiler) StartShadow(spec *planner.Spec) {
 		}
 		if hashed > 0 {
 			pf.meter.ChargeN(cost.BloomHash, perKey*hashed)
-		}
-		if pf.instrument {
-			pf.shadowNanos += time.Since(t0).Nanoseconds()
 		}
 	})
 	pf.shadows[key] = sh

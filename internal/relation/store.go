@@ -409,11 +409,9 @@ func NewStore(rel int, schema *tuple.Schema, meter *cost.Meter) *Store {
 	}
 }
 
-// SetMeter redirects the store's cost charges to m. The staged executor uses
-// this to route one pass's charges into a stage group's journal meter and
-// back; callers must guarantee the store is quiescent across the swap (the
-// staged pass swaps before launching its groups and restores at the barrier,
-// with the channel hand-offs providing the happens-before edges).
+// SetMeter redirects the store's cost charges to m. A cross-query shared
+// store is rebound to the executor about to run a pass over it, so each
+// sharer charges its own tariff against the common structure.
 func (s *Store) SetMeter(m *cost.Meter) { s.meter = m }
 
 // Rel returns the relation index this store holds.

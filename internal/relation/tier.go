@@ -24,9 +24,9 @@ import (
 // the memory allocator — and wall-clock time change.
 //
 // Concurrency: a page move rewrites s.tuples headers in place, so moves are
-// only legal from the goroutine owning the store (the staged executor's
-// ownership discipline). Headers are always re-fetched through s.tuples[id]
-// at use time, and a page keeps its spill slot for life once assigned —
+// only legal from the goroutine owning the store. Headers are always
+// re-fetched through s.tuples[id] at use time, and a page keeps its spill
+// slot for life once assigned —
 // demoting page P only ever rewrites P's own slot — so a header value read
 // before a move stays readable until the same page cycles through another
 // promote+demote, which cannot happen within one store operation.

@@ -10,7 +10,6 @@ import (
 
 	"acache/internal/core"
 	"acache/internal/fault"
-	"acache/internal/join"
 	"acache/internal/query"
 	"acache/internal/stream"
 	"acache/internal/tier"
@@ -18,7 +17,7 @@ import (
 )
 
 // checkGoroutines waits for the goroutine count to return to the baseline,
-// failing the test if shard workers or their engines' stage workers leak.
+// failing the test if shard workers leak.
 func checkGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -58,36 +57,6 @@ func mkTieredEngine(q *query.Query, dir string) func(int) (*core.Engine, error) 
 			},
 		})
 	}
-}
-
-// mkStagedEngine is mkEngine with staged pipeline workers enabled, so every
-// shard owns a stage-worker pool on top of its mailbox goroutine.
-func mkStagedEngine(q *query.Query) func(int) (*core.Engine, error) {
-	return func(i int) (*core.Engine, error) {
-		return core.NewEngine(q, nil, core.Config{
-			Seed:     int64(1 + i),
-			Pipeline: join.PipelineOptions{Workers: 2},
-		})
-	}
-}
-
-// TestCloseReleasesStageWorkers: closing a sharded engine whose shards run
-// staged pipelines must stop the mailbox workers AND each engine's stage
-// workers — including on repeated Close.
-func TestCloseReleasesStageWorkers(t *testing.T) {
-	base := runtime.NumGoroutine()
-	q := starQuery(t, 3)
-	sharded, err := New(PlanPartitions(q, 4), Options{BatchSize: 8}, mkStagedEngine(q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		sharded.Offer(stream.Update{Op: stream.Insert, Rel: i % 3, Tuple: tuple.Tuple{int64(i % 10)}, Seq: uint64(i + 1)})
-	}
-	sharded.Flush()
-	sharded.Close()
-	sharded.Close() // idempotent-Close path
-	checkGoroutines(t, base)
 }
 
 // TestCloseReleasesTierFDs: closing a sharded engine whose shards spill to
@@ -163,31 +132,5 @@ func TestRecoveryReleasesTierFDs(t *testing.T) {
 	if spills, _ := filepath.Glob(filepath.Join(dir, "shard*", "*.spill")); len(spills) != 0 {
 		t.Fatalf("Close left spill files behind: %v", spills)
 	}
-	checkGoroutines(t, base)
-}
-
-// TestRecoveryReleasesStageWorkers: a panic-recovery rebuild replaces a
-// shard's engine mid-stream; the replaced engine's stage workers must be
-// stopped by the rebuild, and Close must release the replacement's.
-func TestRecoveryReleasesStageWorkers(t *testing.T) {
-	base := runtime.NumGoroutine()
-	q := starQuery(t, 3)
-	inj := fault.New().PanicAt(1, 50)
-	sharded, err := New(PlanPartitions(q, 4), Options{
-		BatchSize:       8,
-		CheckpointEvery: 16,
-		Injector:        inj,
-	}, mkStagedEngine(q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 600; i++ {
-		sharded.Offer(stream.Update{Op: stream.Insert, Rel: i % 3, Tuple: tuple.Tuple{int64(i % 10)}, Seq: uint64(i + 1)})
-	}
-	sharded.Flush()
-	if sharded.Recoveries() != 1 {
-		t.Fatalf("Recoveries() = %d, want 1", sharded.Recoveries())
-	}
-	sharded.Close()
 	checkGoroutines(t, base)
 }

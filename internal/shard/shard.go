@@ -359,7 +359,7 @@ func (e *Engine) worker(i int) {
 	defer e.wg.Done()
 	en := e.shards[i]
 	ws := e.states[i]
-	defer en.Close() // release staged-pipeline workers when the mailbox drains
+	defer en.Close() // unmap and remove spill files when the mailbox drains
 	for m := range e.mail[i] {
 		ups := m.ups
 		for len(ups) > 0 {
@@ -476,33 +476,22 @@ func (e *Engine) Snapshots() []core.Snapshot {
 }
 
 // Snapshot flushes and returns the sum of all shards' counters.
-func (e *Engine) Snapshot() core.Snapshot {
+func (e *Engine) Snapshot() core.Snapshot { return sumSnapshots(e.Snapshots()) }
+
+// sumSnapshots folds per-shard snapshots into the engine total: cumulative
+// counters through core.Snapshot.AddSnapshot, plus the point-in-time gauges
+// AddSnapshot leaves alone — each shard holds its own stores and caches, so
+// the engine's footprint is the sum.
+func sumSnapshots(snaps []core.Snapshot) core.Snapshot {
 	var total core.Snapshot
-	for _, s := range e.Snapshots() {
-		total.Updates += s.Updates
-		total.Outputs += s.Outputs
-		total.Work += s.Work
-		total.Reopts += s.Reopts
-		total.SkippedReopts += s.SkippedReopts
+	for _, s := range snaps {
+		total.AddSnapshot(s)
 		total.CacheMemoryBytes += s.CacheMemoryBytes
 		total.FilterBytes += s.FilterBytes
-		total.FilteredProbes += s.FilteredProbes
-		total.FilterFalsePositives += s.FilterFalsePositives
-		total.StagedUpdates += s.StagedUpdates
-		total.StageStalls += s.StageStalls
 		total.WindowBytes += s.WindowBytes
+		total.SharedStores += s.SharedStores
 		total.TierHotBytes += s.TierHotBytes
 		total.TierColdBytes += s.TierColdBytes
-		total.TierPromotions += s.TierPromotions
-		total.TierDemotions += s.TierDemotions
-		total.TierWriteErrors += s.TierWriteErrors
-		total.DurDegraded = total.DurDegraded || s.DurDegraded
-		if s.PipelineWorkers > total.PipelineWorkers {
-			total.PipelineWorkers = s.PipelineWorkers
-		}
-	}
-	if total.Updates > 0 {
-		total.StageOverlapRatio = float64(total.StagedUpdates) / float64(total.Updates)
 	}
 	return total
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -233,5 +234,48 @@ func TestFlushQuiescesAndSumsSnapshots(t *testing.T) {
 	}
 	if got := sharded.Shard(0).Snapshot().Updates + sharded.Shard(1).Snapshot().Updates; got != 100 {
 		t.Fatalf("per-shard updates sum to %d, want 100", got)
+	}
+}
+
+// TestSumSnapshotsCoversEveryField guards the shard total against silently
+// dropping a core.Snapshot field: two snapshots carry a distinct non-zero
+// value in every field, and each must come out of sumSnapshots as the sum
+// (counters, and the per-shard footprint gauges) or the disjunction (flags).
+// A field of a new kind fails the test until it is given a rule here.
+func TestSumSnapshotsCoversEveryField(t *testing.T) {
+	var a, b core.Snapshot
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		switch fa, fb := va.Field(i), vb.Field(i); fa.Kind() {
+		case reflect.Int, reflect.Int64:
+			fa.SetInt(int64(i + 1))
+			fb.SetInt(int64(1000 + i))
+		case reflect.Uint64:
+			fa.SetUint(uint64(i + 1))
+			fb.SetUint(uint64(1000 + i))
+		case reflect.Bool:
+			fb.SetBool(true)
+		default:
+			t.Fatalf("core.Snapshot.%s has kind %s: give it a summation rule in sumSnapshots and here",
+				va.Type().Field(i).Name, fa.Kind())
+		}
+	}
+	total := reflect.ValueOf(sumSnapshots([]core.Snapshot{a, b}))
+	for i := 0; i < total.NumField(); i++ {
+		name, fa, fb, f := total.Type().Field(i).Name, va.Field(i), vb.Field(i), total.Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			if f.Int() != fa.Int()+fb.Int() {
+				t.Errorf("%s = %d, want the sum %d", name, f.Int(), fa.Int()+fb.Int())
+			}
+		case reflect.Uint64:
+			if f.Uint() != fa.Uint()+fb.Uint() {
+				t.Errorf("%s = %d, want the sum %d", name, f.Uint(), fa.Uint()+fb.Uint())
+			}
+		case reflect.Bool:
+			if !f.Bool() {
+				t.Errorf("%s = false, want true (set in one shard)", name)
+			}
+		}
 	}
 }

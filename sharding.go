@@ -7,8 +7,6 @@ import (
 	"strings"
 
 	"acache/internal/core"
-	"acache/internal/cost"
-	"acache/internal/join"
 	"acache/internal/query"
 	"acache/internal/shard"
 	"acache/internal/stream"
@@ -33,11 +31,6 @@ type ShardOptions struct {
 	// the degradation ladder, checkpoint/replay panic recovery, and the
 	// watchdog. The zero value keeps the exact plain execution path.
 	Resilience ResilienceOptions
-	// Pipeline, when non-zero, overrides Options.Pipeline for every shard
-	// engine: each shard runs staged pipeline-parallel execution with this
-	// worker count, multiplying the two parallelism axes (P shards ×
-	// Workers stages). Results and cost totals are unchanged either way.
-	Pipeline PipelineOptions
 	// ReoptStagger offsets shard i's first post-startup re-optimization by
 	// i×ReoptStagger updates (added to Options.ReoptOffset), so the shards'
 	// re-optimization work is spread across the interval instead of landing
@@ -105,12 +98,6 @@ func (q *Query) BuildSharded(opts Options, sopts ShardOptions) (*ShardedEngine, 
 		cfg.MemoryBudget /= plan.Shards
 		if cfg.MemoryBudget < 1 {
 			cfg.MemoryBudget = 1
-		}
-	}
-	if sopts.Pipeline != (PipelineOptions{}) {
-		cfg.Pipeline = join.PipelineOptions{
-			Workers:     sopts.Pipeline.Workers,
-			StageBuffer: sopts.Pipeline.StageBuffer,
 		}
 	}
 	r := sopts.Resilience
@@ -336,34 +323,8 @@ func (e *ShardedEngine) OnResult(f func(insert bool, row []int64)) {
 // shards run concurrently), and UsedCaches lists each distinct cache
 // placement annotated with how many shards currently use it.
 func (e *ShardedEngine) Stats() Stats {
-	snap := e.sh.Snapshot() // flushes
-	s := Stats{
-		Updates:          e.seq,
-		Outputs:          snap.Outputs,
-		WorkSeconds:      cost.Seconds(snap.Work),
-		Reopts:           snap.Reopts,
-		SkippedReopts:    snap.SkippedReopts,
-		CacheMemoryBytes: snap.CacheMemoryBytes,
-
-		ReoptNanos:        snap.ReoptNanos,
-		SampledUpdates:    snap.SampledUpdates,
-		CandidateRescores: snap.CandidateRescores,
-		ReoptsSuppressed:  snap.ReoptsSuppressed,
-
-		FilterBytes:          snap.FilterBytes,
-		FilteredProbes:       snap.FilteredProbes,
-		FilterFalsePositives: snap.FilterFalsePositives,
-		PipelineWorkers:      snap.PipelineWorkers,
-		StageStalls:          snap.StageStalls,
-		StageOverlapRatio:    snap.StageOverlapRatio,
-		WindowBytes:          snap.WindowBytes,
-		TierHotBytes:         snap.TierHotBytes,
-		TierColdBytes:        snap.TierColdBytes,
-		TierPromotions:       snap.TierPromotions,
-		TierDemotions:        snap.TierDemotions,
-		TierWriteErrors:      snap.TierWriteErrors,
-		DurabilityDegraded:   snap.DurDegraded,
-	}
+	s := statsFromSnapshot(e.sh.Snapshot()) // flushes
+	s.Updates = e.seq
 	counts := make(map[string]int)
 	for i := 0; i < e.sh.NumShards(); i++ {
 		for _, spec := range e.sh.Shard(i).UsedCaches() {
@@ -426,18 +387,7 @@ func (e *ShardedEngine) ShardStats() []Stats {
 	}
 	out := make([]Stats, len(snaps))
 	for i, snap := range snaps {
-		s := Stats{
-			Updates:          uint64(snap.Updates),
-			Outputs:          snap.Outputs,
-			WorkSeconds:      cost.Seconds(snap.Work),
-			Reopts:           snap.Reopts,
-			SkippedReopts:    snap.SkippedReopts,
-			CacheMemoryBytes: snap.CacheMemoryBytes,
-
-			FilterBytes:          snap.FilterBytes,
-			FilteredProbes:       snap.FilteredProbes,
-			FilterFalsePositives: snap.FilterFalsePositives,
-		}
+		s := statsFromSnapshot(snap)
 		if health != nil {
 			s.Shedded = health[i].Shed
 			s.QueueDepth = health[i].Pending

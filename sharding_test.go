@@ -214,3 +214,43 @@ func TestShardedPlanShapes(t *testing.T) {
 		t.Fatalf("P=1 Partitioning = %q", desc)
 	}
 }
+
+// TestShardedStatsCarryAdaptivityCounters: the adaptivity counters survive
+// both aggregation routes — the flushed total behind Stats and the per-shard
+// ShardStats — instead of being dropped by a hand-copied field list. The
+// per-shard sums must also agree with the total, field by field.
+func TestShardedStatsCarryAdaptivityCounters(t *testing.T) {
+	eng, err := fiveWayStar().BuildSharded(
+		Options{ReoptInterval: 200, Seed: 31},
+		ShardOptions{Shards: 2, BatchSize: 16},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	rels := []string{"R0", "R1", "R2", "R3", "R4"}
+	for _, op := range randomOps(131, 6000, rels, []int{2, 2, 2, 2, 2}, 12) {
+		eng.Append(op.rel, op.vals...)
+	}
+	total := eng.Stats()
+	if total.Reopts == 0 {
+		t.Fatalf("workload never re-optimized: %+v", total)
+	}
+	if total.ReoptNanos == 0 || total.SampledUpdates == 0 || total.CandidateRescores == 0 || total.WindowBytes == 0 {
+		t.Errorf("Stats: Reopts=%d but ReoptNanos=%d SampledUpdates=%d CandidateRescores=%d WindowBytes=%d",
+			total.Reopts, total.ReoptNanos, total.SampledUpdates, total.CandidateRescores, total.WindowBytes)
+	}
+	pick := func(s Stats) [5]int64 {
+		return [5]int64{int64(s.Reopts), s.ReoptNanos, int64(s.SampledUpdates), int64(s.CandidateRescores), int64(s.WindowBytes)}
+	}
+	var sum [5]int64
+	for _, s := range eng.ShardStats() {
+		for i, v := range pick(s) {
+			sum[i] += v
+		}
+	}
+	if sum != pick(total) {
+		t.Errorf("ShardStats do not add up to Stats (Reopts, ReoptNanos, SampledUpdates, CandidateRescores, WindowBytes): sum %v, total %v",
+			sum, pick(total))
+	}
+}

@@ -124,39 +124,6 @@ func TestTieredMatchesInMemoryAcrossWatermarks(t *testing.T) {
 	}
 }
 
-// TestTieredStagedMatchesInMemory combines tiering with staged
-// pipeline-parallel execution: spilled stores owned by stage groups must
-// still produce the serial in-memory engine's outputs and work totals.
-func TestTieredStagedMatchesInMemory(t *testing.T) {
-	ctrl, err := durQuery().Build(Options{ReoptInterval: 100, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	tiered, err := durQuery().Build(Options{
-		ReoptInterval: 100,
-		Seed:          7,
-		Pipeline:      PipelineOptions{Workers: 2, StageBuffer: 2},
-		Tier:          TierOptions{Dir: t.TempDir(), HotBytes: 4096, PageBytes: 4096},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tiered.Close()
-	var want, got resultLog
-	want.attach(ctrl)
-	got.attach(tiered)
-	driveLockstep(t, ctrl, tiered, rand.New(rand.NewSource(41)), 700)
-	sameDeltas(t, &got, &want)
-	sc, st := ctrl.Stats(), tiered.Stats()
-	if sc.WorkSeconds != st.WorkSeconds || sc.Outputs != st.Outputs {
-		t.Fatalf("stats diverge: control %+v, tiered+staged %+v", sc, st)
-	}
-	if st.TierDemotions == 0 {
-		t.Fatalf("staged tiered run never demoted: %+v", st)
-	}
-}
-
 // FuzzTieredMatchesInMemory lets the fuzzer pick workload size, seed, and
 // watermark; any divergence between the tiered and in-memory engines is a
 // correctness bug.
