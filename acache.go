@@ -259,42 +259,15 @@ type Options struct {
 	// NoIndex lists "Rel.Attr" references that must not use hash indexes
 	// (joins on them fall back to nested-loop scans).
 	NoIndex []string
-	// Incremental enables the incremental re-optimizer and the
-	// unimportant-statistics tracker (the paper's Section 8 future work)
-	// instead of from-scratch selection at every re-optimization.
-	Incremental bool
 	// BudgetAware integrates the memory budget into cache selection itself
 	// rather than the paper's modular select-then-allocate pipeline. Only
 	// meaningful with a finite MemoryBudget.
 	BudgetAware bool
-	// TwoWayCaches switches plain caches to 2-way set-associative
-	// replacement (Section 3.3's planned replacement-scheme experiment).
-	TwoWayCaches bool
-	// PrimeCaches eagerly populates freshly selected caches instead of
-	// filling them through misses.
-	PrimeCaches bool
 	// DisableFilters turns off the fingerprint filters in front of the
 	// relation indexes and cache tables (for ablation and differential
 	// testing). Results and simulated cost are identical either way; the
 	// filters only short-circuit real slot searches on guaranteed misses.
 	DisableFilters bool
-	// FilterAwareCostModel makes the profiler's probe-cost estimates use
-	// the observed filter effectiveness (the filtered-miss / hit-path cost
-	// split) instead of the unfiltered tariff. Off by default so published
-	// cost figures stay byte-identical with and without filters.
-	FilterAwareCostModel bool
-	// SampleStride makes the profiler observe 1 in SampleStride updates
-	// (with unbiased scaling) instead of every update, cutting hot-path
-	// profiling overhead at the price of statistics that converge
-	// SampleStride× slower and carry sampling noise. ≤ 1 keeps the exact,
-	// every-update profiler; results are identical either way — only the
-	// measured statistics (and therefore adaptation timing) can differ.
-	SampleStride int
-	// ReoptOffset delays the engine's first post-startup re-optimization
-	// by the given number of updates. Used by sharded builds to stagger
-	// shards' re-optimization work (see ShardOptions.ReoptStagger); single
-	// engines rarely need it. Steady-state cadence is unaffected.
-	ReoptOffset int
 	// storeProvider and relTokens are injected by Server.Register before it
 	// builds a hosted engine: the provider lets equivalent relations attach
 	// to the server's shared window stores, and the tokens give cache specs
@@ -354,17 +327,11 @@ func (opts Options) coreConfig(q *Query) (core.Config, error) {
 		MemoryBudget:   opts.MemoryBudget,
 		DisableCaching: opts.DisableCaching,
 		AdaptOrdering:  opts.AdaptOrdering,
-		Incremental:    opts.Incremental,
 		BudgetAware:    opts.BudgetAware,
-		TwoWayCaches:   opts.TwoWayCaches,
-		PrimeCaches:    opts.PrimeCaches,
 		Seed:           opts.Seed,
 		DisableFilters: opts.DisableFilters,
 		StoreProvider:  opts.storeProvider,
 		RelTokens:      opts.relTokens,
-		ReoptOffset:    opts.ReoptOffset,
-
-		FilterAwareCostModel: opts.FilterAwareCostModel,
 		Tier: tier.Options{
 			Dir:       opts.Tier.Dir,
 			HotBytes:  opts.Tier.HotBytes,
@@ -372,7 +339,6 @@ func (opts Options) coreConfig(q *Query) (core.Config, error) {
 			FS:        opts.fs,
 		},
 	}
-	cfg.Profiler.SampleStride = opts.SampleStride
 	if cfg.MemoryBudget <= 0 {
 		cfg.MemoryBudget = -1
 	}
@@ -696,17 +662,12 @@ type Stats struct {
 	// plan application) — the adaptivity work that is not probe execution
 	// or cache maintenance.
 	ReoptNanos int64
-	// SampledUpdates counts the updates on which the profiler actually
-	// drew a profiling decision: every update with Options.SampleStride
-	// ≤ 1, roughly Updates/SampleStride otherwise.
+	// SampledUpdates counts the updates on which the profiler drew a
+	// profiling decision: every update of an adaptive engine.
 	SampledUpdates uint64
 	// CandidateRescores counts candidate cost-model evaluations across all
-	// re-optimizations — the work Options.Incremental's rescore suppression
-	// avoids.
+	// re-optimizations.
 	CandidateRescores uint64
-	// ReoptsSuppressed counts skipped re-optimization rounds in which the
-	// unimportant-statistics filter silenced at least one candidate.
-	ReoptsSuppressed int
 	// CacheMemoryBytes is the total bytes held by used caches.
 	CacheMemoryBytes int
 	// FilterBytes is the memory resident in fingerprint filters (store
@@ -810,7 +771,6 @@ func statsFromSnapshot(snap core.Snapshot) Stats {
 		ReoptNanos:        snap.ReoptNanos,
 		SampledUpdates:    snap.SampledUpdates,
 		CandidateRescores: snap.CandidateRescores,
-		ReoptsSuppressed:  snap.ReoptsSuppressed,
 
 		FilterBytes:          snap.FilterBytes,
 		FilteredProbes:       snap.FilteredProbes,

@@ -2,6 +2,7 @@ package acache
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -406,7 +407,7 @@ func TestNoIndexOption(t *testing.T) {
 }
 
 func TestAdvancedOptionsEndToEnd(t *testing.T) {
-	// Incremental + two-way + budget-aware together, oracle-checked.
+	// Budget-aware selection under a finite budget, oracle-checked.
 	eng, err := NewQuery().
 		WindowedRelation("R", 40, "A").
 		WindowedRelation("S", 40, "A", "B").
@@ -416,9 +417,7 @@ func TestAdvancedOptionsEndToEnd(t *testing.T) {
 		Build(Options{
 			ReoptInterval: 500,
 			MemoryBudget:  4096,
-			Incremental:   true,
 			BudgetAware:   true,
-			TwoWayCaches:  true,
 			Seed:          31,
 		})
 	if err != nil {
@@ -654,5 +653,58 @@ func TestPartitionedRelation(t *testing.T) {
 	}
 	if _, err := q.Build(Options{}); err != nil {
 		t.Fatalf("Build parsed partitioned query: %v", err)
+	}
+}
+
+// TestOptionsReachCoreConfig guards the hand-copied Options → core.Config
+// mapping: setting any exported Options field (and any TierOptions field) to
+// a non-zero value must change what coreConfig returns, so a field added or
+// kept without its mapping line fails here instead of being silently ignored.
+func TestOptionsReachCoreConfig(t *testing.T) {
+	q := NewQuery().Relation("R", "A").Relation("S", "A").Join("R.A", "S.A")
+	base, err := Options{}.coreConfig(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setNonZero := func(name string, f reflect.Value) {
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.String:
+			f.SetString("spill")
+		case reflect.Slice: // NoIndex: "Rel.Attr" references
+			f.Set(reflect.ValueOf([]string{"R.A"}))
+		default:
+			t.Fatalf("%s has kind %s: give it a non-zero value here", name, f.Kind())
+		}
+	}
+	check := func(name string, opts Options) {
+		cfg, err := opts.coreConfig(q)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if reflect.DeepEqual(cfg, base) {
+			t.Errorf("Options.%s does not reach core.Config", name)
+		}
+	}
+	ot := reflect.TypeOf(Options{})
+	for i := 0; i < ot.NumField(); i++ {
+		sf := ot.Field(i)
+		if !sf.IsExported() {
+			continue
+		}
+		if sf.Type == reflect.TypeOf(TierOptions{}) {
+			for j := 0; j < sf.Type.NumField(); j++ {
+				var opts Options
+				setNonZero("Tier."+sf.Type.Field(j).Name, reflect.ValueOf(&opts.Tier).Elem().Field(j))
+				check("Tier."+sf.Type.Field(j).Name, opts)
+			}
+			continue
+		}
+		var opts Options
+		setNonZero(sf.Name, reflect.ValueOf(&opts).Elem().Field(i))
+		check(sf.Name, opts)
 	}
 }

@@ -169,8 +169,7 @@ func TestShardedAppendBatchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// MaxBatch smaller than the ingress batch exercises worker chunking.
-	sharded, err := q().BuildSharded(Options{Seed: 3}, ShardOptions{Shards: 4, BatchSize: 32, MaxBatch: 5})
+	sharded, err := q().BuildSharded(Options{Seed: 3}, ShardOptions{Shards: 4, BatchSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,10 @@
 // skipped) and writes BENCH_sharding.json; hotpath measures the warm
 // per-update ns/op, B/op, and allocs/op of the n-way insert path
 // (n = 3, 5, 7) and writes BENCH_hotpath.json; adaptivity measures the
-// per-update cost of being adaptive — plain MJoin vs exact profiling vs
-// sampled profiling at strides 4 and 16 — plus the re-optimizer's amortized
-// wall clock, runs
-// the stride-1 decision-identity differential against the reference
-// implementation, and writes BENCH_adaptivity.json; batch measures the vectorized ProcessBatch path against
+// per-update cost of being adaptive — plain MJoin vs the adaptive engine —
+// plus the re-optimizer's amortized wall clock, runs the decision-identity
+// differential against the reference implementation, and writes
+// BENCH_adaptivity.json; batch measures the vectorized ProcessBatch path against
 // the per-update loop at batch sizes 1, 8, 64, 256 and writes
 // BENCH_batch.json; filter measures the fingerprint-filtered probe path
 // against unfiltered execution on miss-heavy and hit-heavy workloads and
@@ -227,7 +226,7 @@ func main() {
 		fmt.Println(render(rep.Experiment()))
 		fmt.Println("wrote BENCH_hotpath.json")
 	case "adaptivity":
-		rep := bench.RunAdaptivity([]int{3, 5}, []int{4, 16}, cfg)
+		rep := bench.RunAdaptivity([]int{3, 5}, cfg)
 		if err := os.WriteFile("BENCH_adaptivity.json", rep.JSON(), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "BENCH_adaptivity.json:", err)
 			os.Exit(1)

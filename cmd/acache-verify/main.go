@@ -1,7 +1,7 @@
 // Command acache-verify fuzzes the adaptive engine against the naive
 // recomputation oracle: random queries, random plans and adaptivity
-// settings, random insert/delete streams — every result delta compared,
-// update by update. It is the repository's standalone correctness gate
+// settings, random insert/delete streams — every update's result-delta
+// multiset compared. It is the repository's standalone correctness gate
 // (the same oracle the test suite uses), usable for long soak runs:
 //
 //	acache-verify -trials 200 -updates 2000 -seed 1
@@ -17,6 +17,7 @@ import (
 
 	"acache/internal/core"
 	"acache/internal/oracle"
+	"acache/internal/profiler"
 	"acache/internal/query"
 	"acache/internal/stream"
 	"acache/internal/tuple"
@@ -81,15 +82,18 @@ func trial(seed int64, updates int, verbose bool) error {
 	rng := rand.New(rand.NewSource(seed))
 	q := buildQuery(rng)
 	cfg := core.Config{
-		ReoptInterval: 100 + rng.Intn(400),
-		GCQuota:       rng.Intn(8),
-		AdaptOrdering: rng.Intn(2) == 0,
-		Incremental:   rng.Intn(2) == 0,
-		TwoWayCaches:  rng.Intn(2) == 0,
-		BudgetAware:   rng.Intn(3) == 0,
-		PrimeCaches:   rng.Intn(2) == 0,
-		MemoryBudget:  -1,
-		Seed:          seed,
+		ReoptInterval:  100 + rng.Intn(400),
+		GCQuota:        rng.Intn(8),
+		AdaptOrdering:  rng.Intn(2) == 0,
+		BudgetAware:    rng.Intn(3) == 0,
+		DisableFilters: rng.Intn(2) == 0,
+		Selection:      core.SelectionMode(rng.Intn(4)),
+		MemoryBudget:   -1,
+		Seed:           seed,
+		// Short statistics windows: at the defaults (W=10, 50-update rate
+		// spans, Wd=100) no estimate is ready within a 1500-update trial and
+		// no trial ever adopts a cache; with these, 20 of the default 50 do.
+		Profiler: profiler.Config{W: 4, RateSpan: 10, Wd: 20},
 	}
 	if rng.Intn(4) == 0 {
 		cfg.MemoryBudget = 1024 * (1 + rng.Intn(8))
@@ -98,6 +102,16 @@ func trial(seed int64, updates int, verbose bool) error {
 	if err != nil {
 		return fmt.Errorf("seed %d: NewEngine: %v", seed, err)
 	}
+	var got []tuple.Tuple
+	wrongSign := false
+	var cur stream.Update
+	peak := 0 // most caches in use at once
+	en.OnResult(func(insert bool, result []tuple.Value) {
+		got = append(got, result)
+		if insert != (cur.Op == stream.Insert) {
+			wrongSign = true
+		}
+	})
 	o := oracle.New(q)
 	live := make([][]tuple.Tuple, q.N())
 	domain := int64(3 + rng.Intn(8))
@@ -117,17 +131,21 @@ func trial(seed int64, updates int, verbose bool) error {
 			u = stream.Update{Op: stream.Insert, Rel: rel, Tuple: tp}
 		}
 		u.Seq = uint64(i)
-		got := en.Process(u)
-		want := len(o.Process(u))
-		if got != want {
-			return fmt.Errorf("seed %d update %d (%v): engine %d deltas, oracle %d\nconfig: %+v\nplan: %+v",
-				seed, i, u, got, want, cfg, en.Plan())
+		if k := len(en.UsedCaches()); k > peak {
+			peak = k
+		}
+		cur, got = u, got[:0]
+		n := en.Process(u)
+		want := o.Process(u)
+		if n != len(got) || wrongSign || !oracle.MultisetEqual(oracle.Multiset(got), oracle.Multiset(want)) {
+			return fmt.Errorf("seed %d update %d (%v): engine counted %d deltas and emitted %v (sign mismatch: %v), oracle %v\nconfig: %+v\nplan: %+v",
+				seed, i, u, n, got, wrongSign, want, cfg, en.Plan())
 		}
 	}
 	if verbose {
 		re, sk := en.Reopts()
-		fmt.Printf("seed %d: n=%d ok (%d reopts, %d skipped, %d caches at end)\n",
-			seed, q.N(), re, sk, len(en.UsedCaches()))
+		fmt.Printf("seed %d: n=%d ok (%d reopts, %d skipped, %d caches at peak)\n",
+			seed, q.N(), re, sk, peak)
 	}
 	return nil
 }

@@ -129,84 +129,11 @@ func AblationProfilingRate(cfg RunConfig) *Experiment {
 	}
 }
 
-// AblationReplacement compares the paper's direct-mapped cache replacement
-// against 2-way set-associative replacement (Section 3.3's planned
-// experiment) end to end, at equal cache capacity, under a tight memory
-// budget where collisions matter most.
-func AblationReplacement(cfg RunConfig) *Experiment {
-	xs := []float64{1}
-	var series []Series
-	for _, m := range []struct {
-		label  string
-		twoWay bool
-	}{
-		{"Direct-mapped (paper)", false},
-		{"2-way set-associative", true},
-	} {
-		s := defaultThreeWay()
-		w := s.workload()
-		en, err := core.NewEngine(w.q, threeWayOrdering(), core.Config{
-			ReoptInterval: cfg.Measure / 8,
-			TwoWayCaches:  m.twoWay,
-			Seed:          cfg.Seed,
-		})
-		if err != nil {
-			panic(err)
-		}
-		rate := measureEngine(en, w.source(), cfg)
-		series = append(series, Series{Label: m.label, X: xs, Y: []float64{rate}})
-	}
-	return &Experiment{
-		ID:     "ablation-replacement",
-		Title:  "Cache replacement scheme: direct-mapped vs 2-way set-associative",
-		XLabel: "-",
-		YLabel: "avg processing rate (tuples/sec)",
-		Series: series,
-	}
-}
-
-// AblationPriming compares the paper's incremental miss-population against
-// eager warm-start priming of freshly selected caches. Priming's win is the
-// cold period: it shows most on shorter runs and larger key populations.
-func AblationPriming(cfg RunConfig) *Experiment {
-	xs := []float64{1}
-	var series []Series
-	for _, m := range []struct {
-		label string
-		prime bool
-	}{
-		{"Incremental population (paper)", false},
-		{"Primed (warm start)", true},
-	} {
-		s := defaultThreeWay()
-		w := s.workload()
-		en, err := core.NewEngine(w.q, threeWayOrdering(), core.Config{
-			ReoptInterval: cfg.Measure / 8,
-			PrimeCaches:   m.prime,
-			Seed:          cfg.Seed,
-		})
-		if err != nil {
-			panic(err)
-		}
-		rate := measureEngine(en, w.source(), cfg)
-		series = append(series, Series{Label: m.label, X: xs, Y: []float64{rate}})
-	}
-	return &Experiment{
-		ID:     "ablation-priming",
-		Title:  "Cache population: incremental (miss-driven) vs primed (warm start)",
-		XLabel: "-",
-		YLabel: "avg processing rate (tuples/sec)",
-		Series: series,
-	}
-}
-
 // Ablations runs all ablation experiments.
 func Ablations(cfg RunConfig) []*Experiment {
 	return []*Experiment{
 		AblationSelection(cfg),
 		AblationMissEstimator(cfg),
 		AblationProfilingRate(cfg),
-		AblationReplacement(cfg),
-		AblationPriming(cfg),
 	}
 }

@@ -7,14 +7,12 @@ import (
 	"testing"
 
 	"acache/internal/core"
-	"acache/internal/profiler"
 )
 
 // The adaptivity experiment isolates what this layer of the system costs:
-// the wall-clock price of being adaptive at all (exact profiling plus
-// re-optimization over a plain MJoin) and how far sampled profiling
-// (Profiler.SampleStride) cuts it. It also runs the exactness differential
-// inline — the stride-1 fast paths (epoch-gated readiness, memoized
+// the wall-clock price of being adaptive at all (profiling plus
+// re-optimization over a plain MJoin). It also runs the exactness
+// differential inline — the fast paths (epoch-gated readiness, memoized
 // candidate enumeration, reused selection buffers) must reproduce the
 // reference implementation's decisions bit-for-bit — so the published
 // overhead numbers are backed by a decision-identity check on the same
@@ -23,21 +21,16 @@ import (
 // AdaptivityPoint is one measured (relations, mode) configuration.
 type AdaptivityPoint struct {
 	Relations int `json:"relations"`
-	// Mode: "mjoin" (caching disabled), "exact" (stride 1), or "strideN".
-	Mode         string  `json:"mode"`
-	SampleStride int     `json:"sample_stride"`
-	NsPerOp      float64 `json:"ns_per_op"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-	Iterations   int     `json:"iterations"`
-	// SampledFrac is the fraction of updates that drew a profiling
-	// decision over the whole run (1.0 in exact mode).
-	SampledFrac float64 `json:"sampled_frac"`
+	// Mode: "mjoin" (caching disabled) or "exact" (the adaptive engine).
+	Mode        string  `json:"mode"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
+	Iterations  int     `json:"iterations"`
 	// ReoptNsPerOp amortizes the re-optimizer's wall clock over every
 	// update of the run (zero for mjoin).
 	ReoptNsPerOp float64 `json:"reopt_ns_per_op"`
-	// CandidateRescores and ReoptsSuppressed are the run's totals.
+	// CandidateRescores is the run's total.
 	CandidateRescores uint64 `json:"candidate_rescores"`
-	ReoptsSuppressed  int    `json:"reopts_suppressed"`
 }
 
 // AdaptivityReport is the full run, JSON-ready for BENCH_adaptivity.json.
@@ -48,16 +41,15 @@ type AdaptivityReport struct {
 	GoVersion  string `json:"go_version"`
 	// DecisionsIdentical is the inline differential: true when the
 	// fast-path engine's snapshot and cache states match the
-	// ReferenceAdaptivity engine's exactly in stride-1 mode.
+	// ReferenceAdaptivity engine's exactly.
 	DecisionsIdentical bool              `json:"decisions_identical"`
 	Points             []AdaptivityPoint `json:"points"`
 }
 
 // RunAdaptivity measures the warm per-update cost of the Fig9 n-way
-// workload as a plain MJoin, with exact adaptivity, and with sampled
-// profiling at the given strides, and runs the stride-1 decision-identity
-// differential.
-func RunAdaptivity(ns []int, strides []int, cfg RunConfig) *AdaptivityReport {
+// workload as a plain MJoin and with adaptivity, and runs the
+// decision-identity differential.
+func RunAdaptivity(ns []int, cfg RunConfig) *AdaptivityReport {
 	rep := &AdaptivityReport{
 		Warmup:     cfg.Warmup,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -66,34 +58,26 @@ func RunAdaptivity(ns []int, strides []int, cfg RunConfig) *AdaptivityReport {
 	}
 	rep.DecisionsIdentical = adaptivityDifferential(ns[0], cfg)
 	for _, n := range ns {
-		rep.Points = append(rep.Points, runAdaptivityPoint(n, "mjoin", 0, cfg))
-		rep.Points = append(rep.Points, runAdaptivityPoint(n, "exact", 1, cfg))
-		for _, s := range strides {
-			if s <= 1 {
-				continue
-			}
-			rep.Points = append(rep.Points,
-				runAdaptivityPoint(n, fmt.Sprintf("stride%d", s), s, cfg))
-		}
+		rep.Points = append(rep.Points,
+			runAdaptivityPoint(n, "mjoin", cfg), runAdaptivityPoint(n, "exact", cfg))
 	}
 	return rep
 }
 
-func adaptivityConfig(stride int, cfg RunConfig) core.Config {
+func adaptivityConfig(mode string, cfg RunConfig) core.Config {
 	c := core.Config{Seed: cfg.Seed}
-	if stride == 0 {
+	if mode == "mjoin" {
 		c.DisableCaching = true
 		return c
 	}
 	c.ReoptInterval = cfg.Measure / 8
 	c.GCQuota = 6
-	c.Profiler = profiler.Config{SampleStride: stride}
 	return c
 }
 
-func runAdaptivityPoint(n int, mode string, stride int, cfg RunConfig) AdaptivityPoint {
+func runAdaptivityPoint(n int, mode string, cfg RunConfig) AdaptivityPoint {
 	w := nWayWorkload(n)
-	en, err := core.NewEngine(w.q, nil, adaptivityConfig(stride, cfg))
+	en, err := core.NewEngine(w.q, nil, adaptivityConfig(mode, cfg))
 	if err != nil {
 		panic(err)
 	}
@@ -111,30 +95,27 @@ func runAdaptivityPoint(n int, mode string, stride int, cfg RunConfig) Adaptivit
 	pt := AdaptivityPoint{
 		Relations:         n,
 		Mode:              mode,
-		SampleStride:      stride,
 		NsPerOp:           float64(r.T.Nanoseconds()) / float64(r.N),
 		AllocsPerOp:       r.AllocsPerOp(),
 		Iterations:        r.N,
 		CandidateRescores: snap.CandidateRescores,
-		ReoptsSuppressed:  snap.ReoptsSuppressed,
 	}
 	if snap.Updates > 0 {
-		pt.SampledFrac = float64(snap.SampledUpdates) / float64(snap.Updates)
 		pt.ReoptNsPerOp = float64(snap.ReoptNanos) / float64(snap.Updates)
 	}
 	return pt
 }
 
 // adaptivityDifferential drives the identical update sequence through a
-// fast-path engine and a ReferenceAdaptivity engine (both exact, stride 1)
-// and reports whether every decision-bearing counter and cache state came
-// out identical. Wall-clock fields are excluded; everything else must match.
+// fast-path engine and a ReferenceAdaptivity engine and reports whether
+// every decision-bearing counter and cache state came out identical.
+// Wall-clock fields are excluded; everything else must match.
 func adaptivityDifferential(n int, cfg RunConfig) bool {
 	// Two independent workload instances: the value generators are
 	// stateful, so both engines need their own copy of the same stream.
 	wA, wB := nWayWorkload(n), nWayWorkload(n)
 	mk := func(w *workload, ref bool) *core.Engine {
-		c := adaptivityConfig(1, cfg)
+		c := adaptivityConfig("exact", cfg)
 		c.ReferenceAdaptivity = ref
 		en, err := core.NewEngine(w.q, nil, c)
 		if err != nil {
@@ -186,20 +167,12 @@ func (r *AdaptivityReport) Experiment() *Experiment {
 		Notes: []string{
 			fmt.Sprintf("GOMAXPROCS=%d, NumCPU=%d, %s (wall-clock measurement)",
 				r.GOMAXPROCS, r.NumCPU, r.GoVersion),
-			fmt.Sprintf("stride-1 decision identity vs reference implementation: %v",
+			fmt.Sprintf("decision identity vs reference implementation: %v",
 				r.DecisionsIdentical),
 		},
 	}
 	for _, m := range order {
 		e.Series = append(e.Series, *series[m])
-	}
-	for _, pt := range r.Points {
-		if pt.SampleStride > 1 {
-			e.Notes = append(e.Notes, fmt.Sprintf(
-				"n=%d %s: sampled %.1f%% of updates, reopt %.1f ns/op, %d rescores",
-				pt.Relations, pt.Mode, 100*pt.SampledFrac, pt.ReoptNsPerOp,
-				pt.CandidateRescores))
-		}
 	}
 	return e
 }

@@ -6,26 +6,19 @@ import "testing"
 // asserts the published decision-identity differential actually holds.
 func TestAdaptivityReport(t *testing.T) {
 	cfg := RunConfig{Warmup: 1500, Measure: 3000, Seed: 42}
-	rep := RunAdaptivity([]int{3}, []int{4}, cfg)
+	rep := RunAdaptivity([]int{3}, cfg)
 	if !rep.DecisionsIdentical {
-		t.Fatal("stride-1 fast paths diverged from the reference implementation")
+		t.Fatal("fast paths diverged from the reference implementation")
 	}
-	if len(rep.Points) != 3 {
-		t.Fatalf("got %d points, want 3 (mjoin, exact, stride4)", len(rep.Points))
+	if len(rep.Points) != 2 {
+		t.Fatalf("got %d points, want 2 (mjoin, exact)", len(rep.Points))
 	}
 	for _, pt := range rep.Points {
 		if pt.NsPerOp <= 0 {
 			t.Errorf("%s: ns/op = %v", pt.Mode, pt.NsPerOp)
 		}
 	}
-	exact, stride := rep.Points[1], rep.Points[2]
-	if exact.SampledFrac != 1.0 {
-		t.Errorf("exact mode sampled %.2f of updates, want 1.0", exact.SampledFrac)
-	}
-	if stride.SampledFrac >= 0.5 {
-		t.Errorf("stride-4 mode sampled %.2f of updates, sampling inactive", stride.SampledFrac)
-	}
-	if got := rep.Experiment(); got.ID != "adaptivity" || len(got.Series) != 3 {
+	if got := rep.Experiment(); got.ID != "adaptivity" || len(got.Series) != 2 {
 		t.Errorf("experiment rendering wrong: id=%q series=%d", got.ID, len(got.Series))
 	}
 }

@@ -40,45 +40,6 @@ func ExtSkew(cfg RunConfig) *Experiment {
 	}
 }
 
-// ExtIncremental compares from-scratch re-optimization against the
-// Section 8 future-work incremental re-optimizer on the bursty Figure 12
-// style workload — same adaptivity demands, different re-optimizer.
-func ExtIncremental(cfg RunConfig) *Experiment {
-	xs := []float64{1}
-	var series []Series
-	for _, m := range []struct {
-		label string
-		inc   bool
-	}{
-		{"From-scratch selection", false},
-		{"Incremental (Section 8)", true},
-	} {
-		s := defaultThreeWay()
-		w := s.workload()
-		en, err := core.NewEngine(w.q, threeWayOrdering(), core.Config{
-			ReoptInterval: cfg.Measure / 10,
-			GCQuota:       6,
-			Incremental:   m.inc,
-			Seed:          cfg.Seed,
-		})
-		if err != nil {
-			panic(err)
-		}
-		rate := measureEngine(en, w.source(), cfg)
-		reopts, skipped := en.Reopts()
-		series = append(series, Series{Label: m.label, X: xs, Y: []float64{rate}})
-		series = append(series, Series{Label: m.label + " reopts", X: xs, Y: []float64{float64(reopts)}})
-		_ = skipped
-	}
-	return &Experiment{
-		ID:     "ext-incremental",
-		Title:  "Extension: incremental re-optimization (Section 8 future work)",
-		XLabel: "-",
-		YLabel: "avg processing rate (tuples/sec)",
-		Series: series,
-	}
-}
-
 // ExtBudgetAware compares the paper's modular select-then-allocate pipeline
 // against the integrated budget-aware selection (the future work the paper
 // defers) across a sweep of tight memory budgets on the D8 workload.
@@ -156,5 +117,5 @@ func ExtAdaptivityOverhead(cfg RunConfig) *Experiment {
 
 // Extensions runs the extension experiments.
 func Extensions(cfg RunConfig) []*Experiment {
-	return []*Experiment{ExtSkew(cfg), ExtIncremental(cfg), ExtBudgetAware(cfg), ExtAdaptivityOverhead(cfg)}
+	return []*Experiment{ExtSkew(cfg), ExtBudgetAware(cfg), ExtAdaptivityOverhead(cfg)}
 }

@@ -47,9 +47,8 @@ type ShardingReport struct {
 	Measure   int `json:"measure_appends"`
 	// BatchSize is the ingress→mailbox batch size in effect (the mailbox
 	// batch is also what each shard's vectorized ProcessBatch digests per
-	// call, up to MaxBatch); MaxBatch ≤ 0 means uncapped.
+	// call).
 	BatchSize  int             `json:"batch_size"`
-	MaxBatch   int             `json:"max_batch"`
 	GOMAXPROCS int             `json:"gomaxprocs"`
 	NumCPU     int             `json:"num_cpu"`
 	Points     []ShardingPoint `json:"points"`
@@ -74,7 +73,6 @@ func RunSharding(n int, shardCounts, procs []int, sopts shard.Options, cfg RunCo
 		Warmup:     cfg.Warmup,
 		Measure:    cfg.Measure,
 		BatchSize:  batchSize,
-		MaxBatch:   sopts.MaxBatch,
 		GOMAXPROCS: prev,
 		NumCPU:     runtime.NumCPU(),
 	}

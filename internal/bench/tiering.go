@@ -62,16 +62,16 @@ type TieringPoint struct {
 
 // TieringReport is the full run, JSON-ready for BENCH_tiering.json.
 type TieringReport struct {
-	Relations int   `json:"relations"`
-	Width     int   `json:"width"`
-	Window    int   `json:"window"`
-	Burst     int   `json:"burst"`
-	Domain    int64 `json:"domain"`
-	Batch     int   `json:"batch"`
-	PageBytes int   `json:"page_bytes"`
-	Warmup    int   `json:"warmup_appends"`
-	Measure   int   `json:"measure_appends"`
-	NumCPU    int   `json:"num_cpu"`
+	Relations int    `json:"relations"`
+	Width     int    `json:"width"`
+	Window    int    `json:"window"`
+	Burst     int    `json:"burst"`
+	Domain    int64  `json:"domain"`
+	Batch     int    `json:"batch"`
+	PageBytes int    `json:"page_bytes"`
+	Warmup    int    `json:"warmup_appends"`
+	Measure   int    `json:"measure_appends"`
+	NumCPU    int    `json:"num_cpu"`
 	GoVersion string `json:"go_version"`
 	// Identical reports whether Outputs and WorkUnits agreed across every
 	// point — the charge-identity contract, verified on the bench workload.

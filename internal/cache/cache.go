@@ -48,13 +48,6 @@ type Cache struct {
 	slots    []slot
 	meter    *cost.Meter
 
-	// Two-way set-associative mode (NewAssociative): assoc is 2, slots2
-	// holds the second way, and lru tracks each set's least-recently-used
-	// way. assoc 0 is the paper's direct-mapped scheme.
-	assoc  int
-	slots2 []slot
-	lru    []uint8
-
 	keyBytes   int // packed key size, constant per cache
 	budget     int // memory budget in bytes; <0 = unlimited
 	usedBytes  int
@@ -166,14 +159,9 @@ func (c *Cache) rebuildFilter(capacity int) {
 	for {
 		nf := filter.New(capacity)
 		ok := true
-		for _, ss := range [][]slot{c.slots, c.slots2} {
-			for i := range ss {
-				if ss[i].occupied && !nf.Insert(hashOf(ss[i].key)) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+		for i := range c.slots {
+			if c.slots[i].occupied && !nf.Insert(hashOf(c.slots[i].key)) {
+				ok = false
 				break
 			}
 		}
@@ -204,19 +192,12 @@ func (c *Cache) noteMiss() {
 	}
 }
 
-// residentSlot returns the slot currently holding key u, or nil — the
-// mode-independent lookup for Insert/Delete/Drop. The filter answers the
-// absent case first; the unfiltered lookup returns the same nil, so callers
-// behave identically either way.
+// residentSlot returns the slot currently holding key u, or nil — the lookup
+// for Insert/Delete/Drop. The filter answers the absent case first; the
+// unfiltered lookup returns the same nil, so callers behave identically
+// either way.
 func (c *Cache) residentSlot(u tuple.Key) *slot {
 	if c.filterAbsent(hashOf(u)) {
-		return nil
-	}
-	if c.assoc == 2 {
-		if s := c.slotForAssoc(u); s != nil {
-			c.touchSlot(s)
-			return s
-		}
 		return nil
 	}
 	s := c.slotOf(u)
@@ -230,13 +211,6 @@ func (c *Cache) residentSlot(u tuple.Key) *slot {
 // residentSlotBytes is residentSlot for packed key bytes.
 func (c *Cache) residentSlotBytes(k []byte) *slot {
 	if c.filterAbsent(tuple.HashBytes(k, cacheSeed)) {
-		return nil
-	}
-	if c.assoc == 2 {
-		if s := c.slotForAssocBytes(k); s != nil {
-			c.touchSlot(s)
-			return s
-		}
 		return nil
 	}
 	s := c.slotOfBytes(k)
@@ -255,9 +229,6 @@ func entryBytes(keyBytes int, val []tuple.Tuple) int {
 // an empty set, which is still a hit — it asserts no segment tuples join
 // with u. On a miss it returns (nil, false).
 func (c *Cache) Probe(u tuple.Key) ([]tuple.Tuple, bool) {
-	if c.assoc == 2 {
-		return c.probeAssoc(u)
-	}
 	c.meter.Charge(cost.HashProbe)
 	c.stats.Probes++
 	h := hashOf(u)
@@ -279,9 +250,6 @@ func (c *Cache) Probe(u tuple.Key) ([]tuple.Tuple, bool) {
 // filled by tuple.AppendKey). It allocates nothing: hashing and comparison
 // work directly on the bytes. Charges and statistics match Probe exactly.
 func (c *Cache) ProbeBytes(k []byte) ([]tuple.Tuple, bool) {
-	if c.assoc == 2 {
-		return c.probeAssocBytes(k)
-	}
 	c.meter.Charge(cost.HashProbe)
 	c.stats.Probes++
 	h := tuple.HashBytes(k, cacheSeed)
@@ -305,10 +273,6 @@ func (c *Cache) ProbeBytes(k []byte) ([]tuple.Tuple, bool) {
 // new entry does not fit in the remaining budget the create is dropped; the
 // resident entry, if any, is kept.
 func (c *Cache) Create(u tuple.Key, v []tuple.Tuple) {
-	if c.assoc == 2 {
-		c.createAssoc(u, v)
-		return
-	}
 	c.meter.Charge(cost.HashInsert)
 	c.meter.ChargeN(cost.CacheInsertTuple, len(v))
 	size := entryBytes(c.keyBytes, v)
@@ -494,9 +458,6 @@ func (c *Cache) Clear() {
 	for i := range c.slots {
 		c.dropSlot(&c.slots[i])
 	}
-	for i := range c.slots2 {
-		c.dropSlot(&c.slots2[i])
-	}
 }
 
 // SetBudget changes the memory budget. Shrinking below current usage evicts
@@ -513,12 +474,6 @@ func (c *Cache) SetBudget(budget int) {
 		}
 		c.dropSlot(&c.slots[i])
 	}
-	for i := range c.slots2 {
-		if c.usedBytes <= budget {
-			return
-		}
-		c.dropSlot(&c.slots2[i])
-	}
 }
 
 // Budget returns the current byte budget (<0 = unlimited).
@@ -529,7 +484,7 @@ func (c *Cache) Budget() int { return c.budget }
 func (c *Cache) UsedBytes() int { return c.usedBytes }
 
 // FixedBytes returns the bucket array overhead, charged once at allocation.
-func (c *Cache) FixedBytes() int { return (c.nbuckets + len(c.slots2)) * BucketBytes }
+func (c *Cache) FixedBytes() int { return c.nbuckets * BucketBytes }
 
 // Entries returns the number of resident entries.
 func (c *Cache) Entries() int { return c.numEntries }
@@ -586,15 +541,14 @@ func (c *Cache) HitRate() float64 {
 // Each visits every resident entry; for tests and invariant checks. Cold
 // entries are promoted so the callback sees materialized values.
 func (c *Cache) Each(f func(u tuple.Key, v []tuple.Tuple)) {
-	for _, ss := range [][]slot{c.slots, c.slots2} {
-		for i := range ss {
-			if !ss[i].occupied {
-				continue
-			}
-			if ss[i].cold {
-				c.promoteSlot(&ss[i])
-			}
-			f(ss[i].key, ss[i].val)
+	for i := range c.slots {
+		s := &c.slots[i]
+		if !s.occupied {
+			continue
 		}
+		if s.cold {
+			c.promoteSlot(s)
+		}
+		f(s.key, s.val)
 	}
 }

@@ -39,9 +39,6 @@ const countedElemBytes = RefBytes * 3
 // supports[i] > 0. Semantics otherwise match Create, including direct-mapped
 // eviction and budget drops.
 func (c *Cache) CreateCounted(u tuple.Key, tuples []tuple.Tuple, mults, supports []int) {
-	if c.assoc != 0 {
-		panic("cache: counted entries require the direct-mapped scheme")
-	}
 	if len(tuples) != len(mults) || len(tuples) != len(supports) {
 		panic("cache: tuples/mults/supports length mismatch")
 	}

@@ -34,7 +34,7 @@ type Tier struct {
 	sp        *tier.Spill
 	hotBytes  int
 	caches    []*Cache
-	ci, si    int // clock hand: cache index, slot index (slots then slots2)
+	ci, si    int // clock hand: cache index, slot index
 	promos    uint64
 	demos     uint64
 	writeErrs uint64 // failed spill writes (each one sets disabled)
@@ -58,11 +58,9 @@ func NewTier(path string, pageBytes, hotBytes int, fsys fault.FS) (*Tier, error)
 // engine teardown where the caches die too.
 func (t *Tier) Close() error {
 	for _, c := range t.caches {
-		for _, ss := range [][]slot{c.slots, c.slots2} {
-			for i := range ss {
-				if ss[i].cold {
-					c.dropSlot(&ss[i])
-				}
+		for i := range c.slots {
+			if c.slots[i].cold {
+				c.dropSlot(&c.slots[i])
 			}
 		}
 		c.tr = nil
@@ -111,11 +109,9 @@ func (c *Cache) DetachTier() {
 	if t == nil {
 		return
 	}
-	for _, ss := range [][]slot{c.slots, c.slots2} {
-		for i := range ss {
-			if ss[i].cold {
-				c.promoteSlot(&ss[i])
-			}
+	for i := range c.slots {
+		if c.slots[i].cold {
+			c.promoteSlot(&c.slots[i])
 		}
 	}
 	for i, o := range t.caches {
@@ -290,18 +286,13 @@ func (t *Tier) maintain() {
 	total := 0
 	for _, c := range t.caches {
 		hot += c.usedBytes - c.coldBytes
-		total += len(c.slots) + len(c.slots2)
+		total += len(c.slots)
 	}
 	for steps := 0; hot > t.hotBytes && steps < 2*total; steps++ {
 		c := t.caches[t.ci]
-		var s *slot
-		if t.si < len(c.slots) {
-			s = &c.slots[t.si]
-		} else {
-			s = &c.slots2[t.si-len(c.slots)]
-		}
+		s := &c.slots[t.si]
 		t.si++
-		if t.si >= len(c.slots)+len(c.slots2) {
+		if t.si >= len(c.slots) {
 			t.si = 0
 			t.ci = (t.ci + 1) % len(t.caches)
 		}

@@ -19,98 +19,96 @@ func tierKey(vals ...tuple.Value) tuple.Key {
 // and meter totals must be bit-identical; the constrained watermark must
 // produce real demotion traffic.
 func TestCacheTierDifferential(t *testing.T) {
-	for _, mode := range []Associativity{DirectMapped, TwoWay} {
-		dir := t.TempDir()
-		tr, err := NewTier(filepath.Join(dir, "cache.spill"), 4096, 2048, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var mt, mm cost.Meter
-		tc := NewAssociative(64, 16, -1, mode, &mt)
-		mc := NewAssociative(64, 16, -1, mode, &mm)
-		tc.AttachTier(tr)
-		rng := rand.New(rand.NewSource(7))
+	dir := t.TempDir()
+	tr, err := NewTier(filepath.Join(dir, "cache.spill"), 4096, 2048, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mt, mm cost.Meter
+	tc := New(64, 16, -1, &mt)
+	mc := New(64, 16, -1, &mm)
+	tc.AttachTier(tr)
+	rng := rand.New(rand.NewSource(7))
 
-		key := func() tuple.Key { return tierKey(tuple.Value(rng.Intn(200)), 0) }
-		val := func() []tuple.Tuple {
-			n := rng.Intn(12)
-			out := make([]tuple.Tuple, n)
-			for i := range out {
-				out[i] = tuple.Tuple{tuple.Value(rng.Intn(50)), tuple.Value(rng.Intn(50))}
-			}
-			return out
+	key := func() tuple.Key { return tierKey(tuple.Value(rng.Intn(200)), 0) }
+	val := func() []tuple.Tuple {
+		n := rng.Intn(12)
+		out := make([]tuple.Tuple, n)
+		for i := range out {
+			out[i] = tuple.Tuple{tuple.Value(rng.Intn(50)), tuple.Value(rng.Intn(50))}
 		}
-		for step := 0; step < 6000; step++ {
-			switch op := rng.Intn(100); {
-			case op < 35:
-				u, v := key(), val()
-				tc.Create(u, v)
-				mc.Create(u, v)
-			case op < 55:
-				u := key()
-				r := tuple.Tuple{tuple.Value(rng.Intn(50)), tuple.Value(rng.Intn(50))}
-				tc.Insert(u, r.Clone())
-				mc.Insert(u, r)
-			case op < 65:
-				u := key()
-				r := tuple.Tuple{tuple.Value(rng.Intn(50)), tuple.Value(rng.Intn(50))}
-				tc.Delete(u, r)
-				mc.Delete(u, r)
-			case op < 70:
-				u := key()
-				tc.Drop(u)
-				mc.Drop(u)
-			default:
-				u := key()
-				got, okG := tc.Probe(u)
-				want, okW := mc.Probe(u)
-				if okG != okW || len(got) != len(want) {
-					t.Fatalf("%v step %d: Probe (%d,%v) vs (%d,%v)", mode, step, len(got), okG, len(want), okW)
+		return out
+	}
+	for step := 0; step < 6000; step++ {
+		switch op := rng.Intn(100); {
+		case op < 35:
+			u, v := key(), val()
+			tc.Create(u, v)
+			mc.Create(u, v)
+		case op < 55:
+			u := key()
+			r := tuple.Tuple{tuple.Value(rng.Intn(50)), tuple.Value(rng.Intn(50))}
+			tc.Insert(u, r.Clone())
+			mc.Insert(u, r)
+		case op < 65:
+			u := key()
+			r := tuple.Tuple{tuple.Value(rng.Intn(50)), tuple.Value(rng.Intn(50))}
+			tc.Delete(u, r)
+			mc.Delete(u, r)
+		case op < 70:
+			u := key()
+			tc.Drop(u)
+			mc.Drop(u)
+		default:
+			u := key()
+			got, okG := tc.Probe(u)
+			want, okW := mc.Probe(u)
+			if okG != okW || len(got) != len(want) {
+				t.Fatalf("step %d: Probe (%d,%v) vs (%d,%v)", step, len(got), okG, len(want), okW)
+			}
+			for i := range got {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("step %d: Probe tuple %d: %v vs %v", step, i, got[i], want[i])
 				}
-				for i := range got {
-					if !got[i].Equal(want[i]) {
-						t.Fatalf("%v step %d: Probe tuple %d: %v vs %v", mode, step, i, got[i], want[i])
-					}
-				}
-			}
-			if tc.UsedBytes() != mc.UsedBytes() || tc.Entries() != mc.Entries() {
-				t.Fatalf("%v step %d: accounting diverged: used %d/%d entries %d/%d",
-					mode, step, tc.UsedBytes(), mc.UsedBytes(), tc.Entries(), mc.Entries())
 			}
 		}
-		if mt.Total() != mm.Total() {
-			t.Fatalf("%v: meter totals diverge: %v vs %v", mode, mt.Total(), mm.Total())
+		if tc.UsedBytes() != mc.UsedBytes() || tc.Entries() != mc.Entries() {
+			t.Fatalf("step %d: accounting diverged: used %d/%d entries %d/%d",
+				step, tc.UsedBytes(), mc.UsedBytes(), tc.Entries(), mc.Entries())
 		}
-		sg, sw := tc.Stats(), mc.Stats()
-		if sg != sw {
-			t.Fatalf("%v: stats diverge:\n%+v\n%+v", mode, sg, sw)
+	}
+	if mt.Total() != mm.Total() {
+		t.Fatalf("meter totals diverge: %v vs %v", mt.Total(), mm.Total())
+	}
+	sg, sw := tc.Stats(), mc.Stats()
+	if sg != sw {
+		t.Fatalf("stats diverge:\n%+v\n%+v", sg, sw)
+	}
+	promos, demos := tr.Counters()
+	if demos == 0 || promos == 0 {
+		t.Fatalf("no tier traffic (promos %d, demos %d)", promos, demos)
+	}
+	if tc.HotUsedBytes()+tc.ColdUsedBytes() != tc.UsedBytes() {
+		t.Fatalf("hot %d + cold %d != used %d", tc.HotUsedBytes(), tc.ColdUsedBytes(), tc.UsedBytes())
+	}
+	// Each must see identical contents.
+	seen := map[string]int{}
+	tc.Each(func(u tuple.Key, v []tuple.Tuple) { seen[string(u)] = len(v) })
+	mc.Each(func(u tuple.Key, v []tuple.Tuple) {
+		if n, ok := seen[string(u)]; !ok || n != len(v) {
+			t.Fatalf("Each mismatch at key %q: %d vs %d", u, n, len(v))
 		}
-		promos, demos := tr.Counters()
-		if demos == 0 || promos == 0 {
-			t.Fatalf("%v: no tier traffic (promos %d, demos %d)", mode, promos, demos)
-		}
-		if tc.HotUsedBytes()+tc.ColdUsedBytes() != tc.UsedBytes() {
-			t.Fatalf("%v: hot %d + cold %d != used %d", mode, tc.HotUsedBytes(), tc.ColdUsedBytes(), tc.UsedBytes())
-		}
-		// Each must see identical contents.
-		seen := map[string]int{}
-		tc.Each(func(u tuple.Key, v []tuple.Tuple) { seen[string(u)] = len(v) })
-		mc.Each(func(u tuple.Key, v []tuple.Tuple) {
-			if n, ok := seen[string(u)]; !ok || n != len(v) {
-				t.Fatalf("%v: Each mismatch at key %q: %d vs %d", mode, u, n, len(v))
-			}
-			delete(seen, string(u))
-		})
-		if len(seen) != 0 {
-			t.Fatalf("%v: tiered cache held %d extra keys", mode, len(seen))
-		}
-		path := filepath.Join(dir, "cache.spill")
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("Tier.Close left spill file: %v", err)
-		}
+		delete(seen, string(u))
+	})
+	if len(seen) != 0 {
+		t.Fatalf("tiered cache held %d extra keys", len(seen))
+	}
+	path := filepath.Join(dir, "cache.spill")
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("Tier.Close left spill file: %v", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"acache/internal/planner"
-	"acache/internal/profiler"
 	"acache/internal/query"
 )
 
@@ -23,12 +22,12 @@ func driveBoth(t *testing.T, q *query.Query, a, b *Engine, n int, window int, do
 	}
 }
 
-// TestReferenceAdaptivityDifferential: with SampleStride ≤ 1 (the exact
-// profiler) the adaptivity fast paths — the statistics-epoch readiness gate,
-// the memoized candidate enumeration, and the reused selection workspace —
-// must be invisible: every output, every simulated-cost figure, every
-// re-optimization decision, and every cache state is byte-identical to the
-// reference implementation that recomputes everything from scratch.
+// TestReferenceAdaptivityDifferential: the adaptivity fast paths — the
+// statistics-epoch readiness gate, the memoized candidate enumeration, and
+// the reused selection workspace — must be invisible: every output, every
+// simulated-cost figure, every re-optimization decision, and every cache
+// state is byte-identical to the reference implementation that recomputes
+// everything from scratch.
 func TestReferenceAdaptivityDifferential(t *testing.T) {
 	cases := []struct {
 		name string
@@ -89,106 +88,6 @@ func TestReferenceAdaptivityDifferential(t *testing.T) {
 	}
 }
 
-// TestSampledProfilerOutputTransparency: sampling only changes measured
-// statistics, never results — a strided engine stays oracle-exact.
-func TestSampledProfilerOutputTransparency(t *testing.T) {
-	q := threeWay(t)
-	en, err := NewEngine(q, planner.Ordering{{1, 2}, {2, 0}, {1, 0}}, Config{
-		ReoptInterval: 300,
-		Seed:          51,
-		Profiler:      profiler.Config{SampleStride: 4},
-	})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	runVsOracle(t, q, en, windowSource(q, 40, 10, 52), 8000)
-	snap := en.Snapshot()
-	if snap.SampledUpdates >= uint64(snap.Updates) {
-		t.Errorf("stride 4 profiled %d of %d updates; sampling inactive",
-			snap.SampledUpdates, snap.Updates)
-	}
-}
-
-// TestSampledProfilerEstimatorBounds: the property the sampling design
-// must preserve — unbiased scaling keeps the strided estimators (per-operator
-// selectivity-cost products D and C, and the shadow-derived miss
-// probabilities behind each candidate estimate) within a constant factor of
-// the exact profiler on a stationary workload, across seeds.
-func TestSampledProfilerEstimatorBounds(t *testing.T) {
-	ord := planner.Ordering{{1, 2}, {2, 0}, {1, 0}}
-	const n = 24000
-	for _, seed := range []int64{61, 67, 71} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			q := threeWay(t)
-			exact, err := NewEngine(q, ord, Config{ReoptInterval: 300, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sampled, err := NewEngine(q, ord, Config{
-				ReoptInterval: 300,
-				Seed:          seed,
-				Profiler:      profiler.Config{SampleStride: 4},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			driveBoth(t, q, exact, sampled, n, 40, 10, seed+1)
-
-			// The stride is deterministic: 1-in-4 updates draw a decision.
-			if got := sampled.Snapshot().SampledUpdates; got < n/4-1 || got > n/4+1 {
-				t.Errorf("SampledUpdates = %d, want ~%d", got, n/4)
-			}
-
-			// D and C per operator position, exact vs sampled.
-			pe, ps := exact.Profiler(), sampled.Profiler()
-			compared := 0
-			for pipe := 0; pipe < q.N(); pipe++ {
-				for pos := 0; pos < q.N()-1; pos++ {
-					for _, stat := range []struct {
-						name     string
-						ev, sv   float64
-						loR, hiR float64
-					}{
-						{"D", pe.D(pipe, pos), ps.D(pipe, pos), 0.4, 2.5},
-						{"C", pe.C(pipe, pos), ps.C(pipe, pos), 0.4, 2.5},
-					} {
-						if stat.ev <= 0 || stat.sv <= 0 {
-							continue
-						}
-						if r := stat.sv / stat.ev; r < stat.loR || r > stat.hiR {
-							t.Errorf("%s(%d,%d): sampled %.4f vs exact %.4f (ratio %.2f)",
-								stat.name, pipe, pos, stat.sv, stat.ev, r)
-						}
-						compared++
-					}
-				}
-			}
-			if compared < 4 {
-				t.Fatalf("only %d estimator pairs comparable; workload too short", compared)
-			}
-
-			// Candidate miss probabilities: sampling overestimates
-			// conservatively but must stay in the same regime.
-			missCompared := 0
-			for k, ce := range exact.cands {
-				cs, ok := sampled.cands[k]
-				if !ok || !ce.est.Ready || !cs.est.Ready {
-					continue
-				}
-				if d := cs.est.MissProb - ce.est.MissProb; d < -0.35 || d > 0.35 {
-					t.Errorf("cand %s: sampled miss prob %.3f vs exact %.3f", k,
-						cs.est.MissProb, ce.est.MissProb)
-				}
-				missCompared++
-			}
-			if missCompared == 0 {
-				t.Error("no candidate estimates comparable; workload too short")
-			}
-		})
-	}
-}
-
 // TestWarmReoptAllocFree pins the tentpole's allocation budget: once the
 // engine's buffers are warm, re-running selection and re-enumerating
 // candidates allocates nothing.
@@ -227,52 +126,5 @@ func TestWarmReoptAllocFree(t *testing.T) {
 		en.candidateSpecs(ordB)
 	}); allocs > 0 {
 		t.Errorf("warm candidateSpecs allocates %.1f objects/run, want 0", allocs)
-	}
-}
-
-// TestWarmIncrementalSelectAllocFree: the incremental re-optimizer's local
-// moves run out of reused engine buffers too.
-func TestWarmIncrementalSelectAllocFree(t *testing.T) {
-	q := threeWay(t)
-	en, err := NewEngine(q, planner.Ordering{{1, 2}, {2, 0}, {1, 0}}, Config{
-		ReoptInterval: 300,
-		Incremental:   true,
-		Seed:          83,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := windowSource(q, 40, 10, 84)
-	for i := 0; i < 9000; i++ {
-		en.Process(src.Next())
-	}
-	en.incrementalSelect()
-	if allocs := testing.AllocsPerRun(50, func() { en.incrementalSelect() }); allocs > 1 {
-		t.Errorf("warm incrementalSelect allocates %.1f objects/run, want ≤1", allocs)
-	}
-}
-
-// TestReoptOffsetDelaysFirstCycle: the configured offset pushes the first
-// post-startup re-optimization back without touching steady-state cadence.
-func TestReoptOffsetDelaysFirstCycle(t *testing.T) {
-	q := threeWay(t)
-	ord := planner.Ordering{{1, 2}, {2, 0}, {1, 0}}
-	base, err := NewEngine(q, ord, Config{ReoptInterval: 300, Seed: 91})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := NewEngine(q, ord, Config{ReoptInterval: 300, ReoptOffset: 150, Seed: 91})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := off.ReoptOffset(); got != 150 {
-		t.Fatalf("ReoptOffset() = %d, want 150", got)
-	}
-	// Outputs are unaffected — caches are transparent.
-	driveBoth(t, q, base, off, 6000, 40, 10, 92)
-	br, bs := base.Reopts()
-	or, os := off.Reopts()
-	if br+bs == 0 || or+os == 0 {
-		t.Fatalf("no re-optimization activity (base %d+%d, offset %d+%d)", br, bs, or, os)
 	}
 }

@@ -240,24 +240,6 @@ func TestProcessBatchMatchesSerialGC(t *testing.T) {
 	checkBatchEquivalence(t, mk, burstUpdates(q, 5000, 30, 12, 8, 6))
 }
 
-func TestProcessBatchMatchesSerialTwoWay(t *testing.T) {
-	// Two-way associative caches bypass the probe memo (LRU bits move on
-	// every probe); equivalence must hold regardless.
-	q := threeWay(t)
-	mk := func() *Engine {
-		en, err := NewEngine(q, planner.Ordering{{1, 2}, {2, 0}, {1, 0}}, Config{
-			ReoptInterval: 300,
-			TwoWayCaches:  true,
-			Seed:          7,
-		})
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		return en
-	}
-	checkBatchEquivalence(t, mk, burstUpdates(q, 5000, 40, 16, 10, 8))
-}
-
 func TestProcessBatchMatchesSerialForcedAndDisabled(t *testing.T) {
 	q := threeWay(t)
 	ord := planner.Ordering{{1, 2}, {2, 0}, {1, 0}}

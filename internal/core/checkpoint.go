@@ -39,7 +39,6 @@ func (en *Engine) Checkpoint() *Checkpoint {
 	ck.Snap.ReoptNanos = 0
 	ck.Snap.SampledUpdates = 0
 	ck.Snap.CandidateRescores = 0
-	ck.Snap.ReoptsSuppressed = 0
 	for rel := 0; rel < n; rel++ {
 		all := en.exec.Store(rel).All()
 		ts := make([]tuple.Tuple, len(all))
@@ -232,7 +231,6 @@ func (s *Snapshot) AddSnapshot(o Snapshot) {
 	s.ReoptNanos += o.ReoptNanos
 	s.SampledUpdates += o.SampledUpdates
 	s.CandidateRescores += o.CandidateRescores
-	s.ReoptsSuppressed += o.ReoptsSuppressed
 }
 
 // DropCaches detaches every used (or suspended) cache immediately — the

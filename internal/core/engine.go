@@ -87,8 +87,8 @@ type Config struct {
 	// globally-consistent caches are enabled (Section 6). 0 disables GC
 	// candidates.
 	GCQuota int
-	// MemoryBudget is the bytes available for caches; < 0 is unlimited
-	// (Section 5, Figure 13). 0 means no cache memory at all.
+	// MemoryBudget is the bytes available for caches; ≤ 0 is unlimited
+	// (Section 5, Figure 13) — withDefaults maps 0 to −1.
 	MemoryBudget int
 	// AdaptOrdering enables the A-Greedy-style ordering advisor.
 	AdaptOrdering bool
@@ -100,40 +100,19 @@ type Config struct {
 	ForcedCaches []*planner.Spec
 	// Selection picks the offline algorithm.
 	Selection SelectionMode
-	// Incremental enables the Section 8 future-work re-optimizer: local
-	// add/drop/swap moves over the candidates whose statistics changed,
-	// instead of from-scratch selection (which still runs periodically as
-	// a safety net), plus suppression of statistics whose changes never
-	// alter the selection.
-	Incremental bool
 	// BudgetAware integrates the memory budget into selection itself
 	// (choose the best cache set that fits) instead of the paper's modular
 	// select-then-allocate pipeline — the integrated problem the paper
 	// defers to future work. Only meaningful with a finite MemoryBudget.
 	BudgetAware bool
-	// TwoWayCaches switches plain caches to 2-way set-associative
-	// replacement — the "other low-overhead replacement schemes"
-	// experiment Section 3.3 plans; reduced X ⋉ Y caches stay
-	// direct-mapped.
-	TwoWayCaches bool
-	// PrimeCaches eagerly populates freshly selected caches with the full
-	// current segment join instead of the paper's incremental
-	// miss-population — trading a one-time bulk computation for the
-	// cold-start miss period (extension).
-	PrimeCaches bool
 	// DisableFilters turns off the fingerprint filters fronting store
 	// indexes and cache slots, and the adaptive knob that manages them.
 	// Results and simulated cost are identical either way (the filters
 	// short-circuit only real CPU work); this exists for differential
 	// testing and ablation.
 	DisableFilters bool
-	// FilterAwareCostModel makes the profiler's estimates use the
-	// filtered probe-cost split (cost.FilterProbe / observed FP rate)
-	// instead of the paper's probe_cost. Off by default so the paper's
-	// figures are unchanged by the filters' presence.
-	FilterAwareCostModel bool
 	// MaxProfilingUpdates bounds the profiling phase before selection runs
-	// with whatever statistics are available (default 4 × ReoptInterval).
+	// with whatever statistics are available (default 2 × ReoptInterval).
 	MaxProfilingUpdates int
 	// Seed drives sampling and randomized selection.
 	Seed int64
@@ -156,12 +135,6 @@ type Config struct {
 	// pools benefit accounting over; without them, cache groups are private
 	// to this engine.
 	RelTokens []string
-	// ReoptOffset delays the first post-startup re-optimization cycle by
-	// this many updates. A sharded host staggers its shards' offsets so they
-	// do not all pause to profile and re-optimize on the same tick; results
-	// are identical for any offset (cache selection never changes results,
-	// only cost).
-	ReoptOffset int
 	// ReferenceAdaptivity disables the adaptivity fast paths — the
 	// epoch-memoized readiness poll, the candidate-set memo, and reusable
 	// selection workspaces — so every poll and selection recomputes from
@@ -223,10 +196,6 @@ type cand struct {
 	suspended bool
 	monStat   monitorSnapshot
 	demotions int
-	// unimportant counts consecutive beyond-threshold changes of this
-	// candidate's statistics that produced no selection change (Section 8
-	// future work (ii)); high counts stop triggering re-optimizations.
-	unimportant int
 }
 
 type monitorSnapshot struct {
@@ -262,7 +231,6 @@ type Engine struct {
 	// a plain MJoin benefits from them the most.
 	sinceFilterAdapt int
 	filterSnaps      []filterSnap
-	filterObsPrev    filterObsSnap
 	// allocateMemory's and MemoryDemand's scratch, reused so a host
 	// server's periodic rebalance allocates nothing at steady state.
 	allocInfos  map[string]allocInfo
@@ -312,28 +280,20 @@ type Engine struct {
 
 	// Re-optimization scratch, reused across intervals so a warm
 	// re-optimization allocates nothing: the selection problem and
-	// workspace, the chosen/changed sets, and monitorUsed's group table.
+	// workspace, the chosen set, and monitorUsed's group table.
 	selWS       selection.Workspace
 	selProb     selection.Problem
 	selGroupIDs map[string]int
 	selList     []*cand
 	chosenBuf   []*cand
 	inChosenBuf map[*cand]bool
-	triggerBuf  []*cand
-	oscBuf      []*cand
-	incCur      map[*cand]bool
-	incMovable  []*cand
-	incGroups   map[string]float64
-	incOverlap  []*cand
 	monIdx      map[string]int
 	monEvals    []groupEval
 
 	// Adaptivity telemetry: cumulative wall nanos inside the re-optimizer
-	// (monitor + profiling-phase transitions), cost-model re-evaluations,
-	// and rounds suppressed by the learned-unimportance filter alone.
-	reoptNanos       int64
-	candRescores     uint64
-	reoptsSuppressed int
+	// (monitor + profiling-phase transitions) and cost-model re-evaluations.
+	reoptNanos   int64
+	candRescores uint64
 
 	outputs uint64
 	// Reopts counts selection runs; SkippedReopts counts p-threshold skips.
@@ -367,7 +327,6 @@ func NewEngine(q *query.Query, ord planner.Ordering, cfg Config) (*Engine, error
 		exec.SetStoreFilters(false)
 	}
 	cfg.Profiler.Seed = cfg.Seed + 1
-	cfg.Profiler.FilterAware = cfg.FilterAwareCostModel
 	pf := profiler.New(q, exec, meter, cfg.Profiler)
 	en := &Engine{
 		q:           q,
@@ -390,17 +349,8 @@ func NewEngine(q *query.Query, ord planner.Ordering, cfg Config) (*Engine, error
 		en.refreshCandidates()
 		en.startProfilingPhase()
 	}
-	if cfg.ReoptOffset > 0 {
-		// Counted off before sinceReopt can reach the interval: the first
-		// post-startup re-optimization lands ReoptOffset updates later.
-		en.sinceReopt = -cfg.ReoptOffset
-	}
 	return en, nil
 }
-
-// ReoptOffset returns the configured first-re-optimization delay (shard
-// stagger), for tests and hosts inspecting shard phase.
-func (en *Engine) ReoptOffset() int { return en.cfg.ReoptOffset }
 
 // Meter exposes the engine's cost meter.
 func (en *Engine) Meter() *cost.Meter { return en.meter }
@@ -490,12 +440,7 @@ func (en *Engine) instanceFor(spec *planner.Spec, buckets int) *join.Instance {
 	if inst, ok := en.instances[id]; ok {
 		return inst
 	}
-	assoc := cache.DirectMapped
-	if en.cfg.TwoWayCaches {
-		assoc = cache.TwoWay
-		buckets = (buckets + 1) / 2 // same total capacity: sets × 2 ways
-	}
-	inst := join.NewInstanceAssoc(en.q, spec, buckets, en.mem.Budget(), assoc, en.meter)
+	inst := join.NewInstance(en.q, spec, buckets, en.mem.Budget(), en.meter)
 	if en.cfg.DisableFilters {
 		inst.Cache().SetFilterEnabled(false)
 	}
@@ -648,18 +593,12 @@ type Snapshot struct {
 	// (used-cache monitoring, profiling-phase transitions, selection) —
 	// the adaptivity tax off the per-tuple path. Always measured.
 	ReoptNanos int64
-	// SampledUpdates counts updates that drew a profiling decision; under
-	// a sample stride S it advances once per S updates per relation stream.
+	// SampledUpdates counts updates that drew a profiling decision.
 	SampledUpdates uint64
 	// CandidateRescores counts cost-model re-evaluations of candidate
-	// caches; incremental re-optimization keeps it sublinear in
-	// re-optimizations × candidates.
+	// caches.
 	CandidateRescores uint64
-	// ReoptsSuppressed counts re-optimization rounds skipped only because
-	// every beyond-threshold change came from learned-unimportant
-	// statistics (Config.Incremental); always ≤ SkippedReopts.
-	ReoptsSuppressed int
-	// Like the tier gauges, the four adaptivity counters are not persisted
+	// Like the tier gauges, the three adaptivity counters are not persisted
 	// in binary checkpoints — a restored engine re-measures them.
 }
 
@@ -691,7 +630,6 @@ func (en *Engine) Snapshot() Snapshot {
 	s.ReoptNanos = en.reoptNanos
 	s.SampledUpdates = en.pf.SampledUpdates()
 	s.CandidateRescores = en.candRescores
-	s.ReoptsSuppressed = en.reoptsSuppressed
 	return s
 }
 

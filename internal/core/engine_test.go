@@ -150,6 +150,23 @@ func TestEngineUnderMemoryPressureMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestBudgetAwareMatchesOracle: the integrated budgeted selection must stay
+// oracle-correct under a tight, shifting budget.
+func TestBudgetAwareMatchesOracle(t *testing.T) {
+	q := threeWay(t)
+	en, err := NewEngine(q, planner.Ordering{{1, 2}, {2, 0}, {1, 0}}, Config{
+		ReoptInterval: 300,
+		MemoryBudget:  3 * 1024,
+		BudgetAware:   true,
+		GCQuota:       6,
+		Seed:          27,
+	})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	runVsOracle(t, q, en, windowSource(q, 50, 8, 28), 5000)
+}
+
 func TestEngineForcedCacheMatchesOracle(t *testing.T) {
 	q := threeWay(t)
 	ord := planner.Ordering{{1, 2}, {2, 0}, {1, 0}}

@@ -28,12 +28,6 @@ type filterSnap struct {
 	probes, misses, chainOps uint64
 }
 
-// filterObsSnap is the previous engine-wide telemetry snapshot, so the
-// profiler sees interval deltas rather than cumulative ratios.
-type filterObsSnap struct {
-	shortCircuits, falsePositives, misses uint64
-}
-
 // filterEnableNum/Den and filterDisableNum/Den encode the hysteresis
 // thresholds as integer ratios (gain : overhead).
 const (
@@ -44,13 +38,12 @@ const (
 )
 
 // adaptFilters re-decides the per-store filter knob from the last interval's
-// counters and feeds the profiler's filter-effectiveness observations.
+// counters.
 func (en *Engine) adaptFilters() {
 	n := en.q.N()
 	if en.filterSnaps == nil {
 		en.filterSnaps = make([]filterSnap, n)
 	}
-	var aggShort, aggFP, aggMisses uint64
 	for rel := 0; rel < n; rel++ {
 		s := en.exec.Store(rel)
 		fs := s.FilterStats()
@@ -60,10 +53,6 @@ func (en *Engine) adaptFilters() {
 		dMisses := fs.Misses - snap.misses
 		dOps := ops - snap.chainOps
 		*snap = filterSnap{probes: fs.Probes, misses: fs.Misses, chainOps: ops}
-
-		aggShort += fs.ShortCircuits
-		aggFP += fs.FalsePositives
-		aggMisses += fs.Misses
 
 		if dProbes == 0 && dOps == 0 {
 			continue // idle store: no evidence either way
@@ -82,16 +71,4 @@ func (en *Engine) adaptFilters() {
 			}
 		}
 	}
-	// Cache-side counters join the profiler observation (the caches keep
-	// their filters unless DisableFilters; their residency checks are
-	// hit-or-miss evidence for the filter-aware cost split).
-	for _, inst := range en.instances {
-		cs := inst.Cache().Stats()
-		aggShort += uint64(cs.FilterShortCircuits)
-		aggFP += uint64(cs.FilterFalsePositives)
-		aggMisses += uint64(cs.Misses)
-	}
-	prev := en.filterObsPrev
-	en.filterObsPrev = filterObsSnap{shortCircuits: aggShort, falsePositives: aggFP, misses: aggMisses}
-	en.pf.ObserveFilter(aggShort-prev.shortCircuits, aggFP-prev.falsePositives, aggMisses-prev.misses)
 }

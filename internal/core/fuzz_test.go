@@ -26,8 +26,6 @@ func TestFuzzEngineVsOracle(t *testing.T) {
 			ReoptInterval: 100 + rng.Intn(400),
 			GCQuota:       rng.Intn(8),
 			AdaptOrdering: rng.Intn(2) == 0,
-			Incremental:   rng.Intn(2) == 0,
-			TwoWayCaches:  rng.Intn(2) == 0,
 			BudgetAware:   rng.Intn(3) == 0,
 			MemoryBudget:  -1,
 			Seed:          seed,

@@ -256,49 +256,25 @@ func (en *Engine) finishReopt() {
 	en.profiling = false
 	en.readyCand = nil
 	en.readyEpochOK = false
-	rescoresSuppressed := false
 	for _, c := range en.cands {
 		if c.state == Used || c.shadowOn {
-			if en.cfg.Incremental && c.selSet && c.est.Ready && c.unimportant >= unimportantAfter {
-				// Learned-unimportant statistic (Section 8 future work (ii)
-				// extended into the scoring path): its movements have not
-				// changed the selection unimportantAfter times running, so
-				// skip the re-score itself; the estimate refreshes when any
-				// selection change rehabilitates the tracker.
-				rescoresSuppressed = true
-				continue
-			}
 			c.est = en.estimate(c)
 		}
 		// Candidates skipped by a light profile keep their previous
 		// estimate (possibly stale; the next full profile refreshes it).
 	}
-	triggers, oscillators, suppressed := en.changedBeyondThreshold()
-	if len(triggers) == 0 {
+	if !en.changedBeyondThreshold() {
 		en.skippedReopts++
-		if suppressed || rescoresSuppressed {
-			en.reoptsSuppressed++
-		}
 		en.stopShadows()
 		return
 	}
 	en.reopts++
-	var chosen []*cand
-	if en.cfg.Incremental && en.reopts%incrementalFullEvery != 0 {
-		chosen = en.incrementalSelect()
-	} else {
-		chosen = en.runSelection()
-	}
-	selectionChanged := en.selectionDiffers(chosen)
-	en.applySelection(chosen)
+	en.applySelection(en.runSelection())
 	en.stopShadows()
 	en.allocateMemory()
 	for _, c := range en.cands {
 		c.selEst = c.est
 		c.selSet = true
-	}
-	if en.cfg.Incremental {
-		en.noteSelectionOutcome(oscillators, selectionChanged)
 	}
 }
 
@@ -313,22 +289,6 @@ func (en *Engine) inChosen(chosen []*cand) map[*cand]bool {
 		en.inChosenBuf[c] = true
 	}
 	return en.inChosenBuf
-}
-
-// selectionDiffers reports whether the chosen set differs from the caches
-// currently in use.
-func (en *Engine) selectionDiffers(chosen []*cand) bool {
-	inChosen := en.inChosen(chosen)
-	used := 0
-	for _, c := range en.cands {
-		if c.state == Used {
-			used++
-			if !inChosen[c] {
-				return true
-			}
-		}
-	}
-	return used != len(chosen)
 }
 
 func (en *Engine) stopShadows() {
@@ -365,37 +325,20 @@ func (en *Engine) estimate(c *cand) profiler.Estimate {
 // changedBeyondThreshold implements the p-threshold of Section 4.5(c):
 // selection reruns only when some used or profiled cache's benefit or cost
 // moved more than the configured fraction since the last selection.
-// triggers holds every candidate justifying a re-optimization; oscillators
-// is the subset flagged for plain statistic movement (as opposed to
-// becoming estimable for the first time), the only kind the
-// unimportant-statistics tracker may learn to suppress — suppressing
-// readiness transitions could deadlock adoption outright. suppressed
-// reports whether the filter silenced at least one beyond-threshold change
-// this round. The returned slices are reused across rounds.
-func (en *Engine) changedBeyondThreshold() (triggers, oscillators []*cand, suppressed bool) {
+func (en *Engine) changedBeyondThreshold() bool {
 	p := en.cfg.ChangeThreshold
-	triggers = en.triggerBuf[:0]
-	oscillators = en.oscBuf[:0]
 	for _, c := range en.cands {
 		if !c.selSet || c.est.Ready != c.selEst.Ready {
 			// Never selected with this candidate known, or it became
 			// estimable (or lost its statistics) since the last selection.
-			triggers = append(triggers, c)
-			continue
+			return true
 		}
 		if relChange(c.est.Benefit, c.selEst.Benefit) > p ||
 			relChange(c.est.Cost, c.selEst.Cost) > p {
-			if en.cfg.Incremental && c.unimportant >= unimportantAfter {
-				suppressed = true
-				continue // learned-unimportant statistic
-			}
-			triggers = append(triggers, c)
-			oscillators = append(oscillators, c)
+			return true
 		}
 	}
-	en.triggerBuf = triggers
-	en.oscBuf = oscillators
-	return triggers, oscillators, suppressed
+	return false
 }
 
 func relChange(now, then float64) float64 {
@@ -588,12 +531,7 @@ func (en *Engine) applySelection(chosen []*cand) {
 			c.state = Unused
 			continue
 		}
-		if en.cfg.PrimeCaches && inst.Cache().Entries() == 0 {
-			inst.Prime(en.exec)
-			c.warmed = true // primed caches need no cold-start grace
-		} else {
-			c.warmed = false
-		}
+		c.warmed = false
 		c.inst = inst
 		c.state = Used
 		c.attachedAt = en.updates

@@ -13,9 +13,8 @@ package cost
 // touch" on the paper's hardware.
 type Units int64
 
-// Default per-operation charges. They are package-level variables (not
-// constants) so ablation benchmarks can recalibrate them; the engine reads
-// them through a Tariff snapshot so a run is internally consistent.
+// Default per-operation charges: package constants, read directly at every
+// charge site.
 const (
 	// IndexProbe is charged per join hash-index lookup: bucket-chain
 	// traversal plus predicate evaluation, the dominant cost of hash-join
@@ -49,10 +48,10 @@ const (
 	// meter never charges them — a filtered structure charges exactly what
 	// its unfiltered twin would, so simulated cost totals are bit-identical
 	// with filters on or off. They feed only the estimate side: the
-	// re-optimizer's filter on/off knob and the profiler's filter-aware
-	// probe-cost split weigh short-circuited misses (FilterProbe, two
-	// bucket-word loads) against maintenance mirrored on chain creation and
-	// clear (FilterMaint, a bounded cuckoo insert or a lane clear).
+	// re-optimizer's filter on/off knob weighs short-circuited misses
+	// (FilterProbe, two bucket-word loads) against maintenance mirrored on
+	// chain creation and clear (FilterMaint, a bounded cuckoo insert or a
+	// lane clear).
 
 	// FilterProbe is the advisory cost of one fingerprint-filter membership
 	// check.

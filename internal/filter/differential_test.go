@@ -131,7 +131,6 @@ func TestFilteredEngineMatchesUnfiltered(t *testing.T) {
 		{"adaptive-hitty", core.Config{ReoptInterval: 300, Seed: 2}, 8},
 		{"nocache", core.Config{DisableCaching: true, Seed: 3}, 50},
 		{"gc", core.Config{ReoptInterval: 300, GCQuota: 6, Seed: 4}, 30},
-		{"twoway", core.Config{ReoptInterval: 300, TwoWayCaches: true, Seed: 5}, 50},
 		{"budget", core.Config{ReoptInterval: 300, MemoryBudget: 2048, Seed: 6}, 50},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -41,16 +41,6 @@ type maintHookRef struct {
 // from the expected number of entries (Section 3.3); budget < 0 means
 // unlimited memory.
 func NewInstance(q *query.Query, spec *planner.Spec, nbuckets, budget int, meter *cost.Meter) *Instance {
-	return NewInstanceAssoc(q, spec, nbuckets, budget, cache.DirectMapped, meter)
-}
-
-// NewInstanceAssoc is NewInstance with an explicit replacement scheme (the
-// Section 3.3 future-work experiment). Counted (reduced X ⋉ Y) caches
-// require the direct-mapped scheme and ignore the parameter.
-func NewInstanceAssoc(q *query.Query, spec *planner.Spec, nbuckets, budget int, assoc cache.Associativity, meter *cost.Meter) *Instance {
-	if spec.GC && !spec.SelfMaint {
-		assoc = cache.DirectMapped
-	}
 	seg := append([]int(nil), spec.Segment...)
 	sort.Ints(seg)
 	var cols []tuple.Attr
@@ -58,7 +48,7 @@ func NewInstanceAssoc(q *query.Query, spec *planner.Spec, nbuckets, budget int, 
 		cols = append(cols, q.Schema(r).Cols()...)
 	}
 	inst := &Instance{
-		store:      cache.NewAssociative(nbuckets, 8*len(spec.KeyClasses), budget, assoc, meter),
+		store:      cache.New(nbuckets, 8*len(spec.KeyClasses), budget, meter),
 		segment:    seg,
 		keyClasses: append([]int(nil), spec.KeyClasses...),
 		gc:         spec.GC,
@@ -479,85 +469,6 @@ func (e *Exec) removeMaintenance(inst *Instance) {
 		}
 	}
 	inst.maintHooks = nil
-}
-
-// Prime eagerly populates the cache with the complete current segment join,
-// grouped by key — the warm-start extension: a freshly selected cache
-// normally fills through misses (the paper's "populated incrementally"),
-// which costs a cold period proportional to its key population; priming
-// pays one bulk computation instead, charged to the meter. Entries created
-// are exact key selections, so consistency is untouched; keys with empty
-// selections are not primed (they miss once and negative-cache then).
-func (inst *Instance) Prime(e *Exec) {
-	if len(inst.segment) == 0 {
-		return
-	}
-	// Build the segment join by scanning the first segment relation and
-	// mini-joining the rest, exactly like self-maintenance steps.
-	first := inst.segment[0]
-	cur := e.q.Schema(first)
-	prefix := []int{first}
-	var steps []*step
-	for _, r := range inst.segment[1:] {
-		st := buildStep(e.q, cur, prefix, r, e.stores[r], e.scanOnly)
-		steps = append(steps, st)
-		cur = st.out
-		prefix = append(prefix, r)
-	}
-	var batch []tuple.Tuple
-	e.stores[first].Scan(func(t tuple.Tuple) bool {
-		batch = append(batch, t)
-		return true
-	})
-	for _, st := range steps {
-		if len(batch) == 0 {
-			return
-		}
-		batch = st.run(batch, e.stores[st.rel], e.meter, &e.arena, nil)
-	}
-	keyCols := e.q.RepresentativeCols(cur, inst.keyClasses)
-	segCols := segExtractCols(cur, inst.segSchema)
-	grouped := make(map[tuple.Key][]tuple.Tuple)
-	var order []tuple.Key
-	for _, t := range batch {
-		e.meter.ChargeN(cost.KeyExtract, len(keyCols))
-		u := tuple.KeyOf(t, keyCols)
-		if _, ok := grouped[u]; !ok {
-			order = append(order, u)
-		}
-		grouped[u] = append(grouped[u], extract(t, segCols))
-	}
-	for _, u := range order {
-		vals := grouped[u]
-		if !inst.counted() {
-			inst.store.Create(u, vals)
-			continue
-		}
-		// Counted mode: distinct tuples with multiplicities and supports.
-		var tuples []tuple.Tuple
-		var mults, supports []int
-		at := make(map[tuple.Key]int)
-		for _, t := range vals {
-			if i, ok := at[tuple.Encode(t)]; ok {
-				mults[i]++
-				continue
-			}
-			at[tuple.Encode(t)] = len(tuples)
-			tuples = append(tuples, t)
-			mults = append(mults, 1)
-			supports = append(supports, inst.countY(e, t))
-		}
-		kept := tuples[:0]
-		var km, ks []int
-		for i, t := range tuples {
-			if supports[i] > 0 {
-				kept = append(kept, t)
-				km = append(km, mults[i])
-				ks = append(ks, mults[i]*supports[i])
-			}
-		}
-		inst.store.CreateCounted(u, kept, km, ks)
-	}
 }
 
 // countY returns the number of Y-join combinations supporting the canonical

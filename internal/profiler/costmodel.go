@@ -43,22 +43,6 @@ func ProbeCostPerTuple(nKeyAttrs int, missProb, avgEntryTuples float64) float64 
 		(1-missProb)*avgEntryTuples*secs(cost.OutputTuple)
 }
 
-// FilteredProbeCostPerTuple splits probe_cost(C) for a filtered structure
-// into its hit path and its filtered-miss path. A hit pays the filter check
-// on top of the full probe; a miss pays the filter check and then the bucket
-// probe only on a false positive. With fpRate near zero and missProb near
-// one this approaches secs(FilterProbe) — the source of the filtered
-// speedup — while at missProb zero it is the unfiltered cost plus the small
-// filter overhead. Advisory like the constants it reads: the meter charges
-// the unfiltered tariff regardless.
-func FilteredProbeCostPerTuple(nKeyAttrs int, missProb, avgEntryTuples, fpRate float64) float64 {
-	hit := secs(cost.FilterProbe) + secs(cost.HashProbe) +
-		float64(nKeyAttrs)*secs(cost.KeyExtract) + avgEntryTuples*secs(cost.OutputTuple)
-	miss := secs(cost.FilterProbe) +
-		fpRate*(secs(cost.HashProbe)+float64(nKeyAttrs)*secs(cost.KeyExtract))
-	return missProb*miss + (1-missProb)*hit
-}
-
 // UpdateCostPerTuple returns update_cost(C): seconds per maintenance (or
 // miss-population) tuple — key extraction, bucket lookup, and value edit.
 func UpdateCostPerTuple(nKeyAttrs int) float64 {
@@ -86,11 +70,6 @@ func (pf *Profiler) Estimate(spec *planner.Spec, missProb, distinct float64) Est
 	}
 	nKey := len(spec.KeyClasses)
 	probeCost := ProbeCostPerTuple(nKey, missProb, avgEntry)
-	if pf.cfg.FilterAware {
-		if _, fpRate, obsOK := pf.FilterEffectiveness(); obsOK {
-			probeCost = FilteredProbeCostPerTuple(nKey, missProb, avgEntry, fpRate)
-		}
-	}
 	updateCost := UpdateCostPerTuple(nKey)
 
 	// Section 4.1:

@@ -33,29 +33,12 @@ type Config struct {
 	// SampleProb is p_i: the probability of profiling a tuple's complete
 	// pipeline processing.
 	SampleProb float64
-	// SampleStride enables strided span sampling of the profiler itself:
-	// with stride S > 1 only every S-th update draws a profiling decision
-	// (with probability min(1, S × SampleProb), keeping the expected
-	// profiled fraction at SampleProb) and every shadow estimator hashes
-	// only every S-th probe of its key stream. Rates, δ/τ windows, and
-	// miss-probability estimates remain unbiased ratio estimators over the
-	// sampled substream; ShadowDistinct becomes a lower bound (a key's
-	// first occurrence may be skipped), and shadow windows take S times as
-	// many probes to fill. 0 or 1 keeps exact profiling: every statistic,
-	// random draw, and meter charge is bit-identical to the pre-stride
-	// profiler.
-	SampleStride int
 	// RateSpan is the number of updates per rate(R_i) measurement span.
 	RateSpan int
 	// PaperMissEstimator makes ShadowMissProb return the paper's
 	// Appendix-A per-window estimate instead of the retention-aware
 	// refinement — an ablation switch (see DESIGN.md deviation 2).
 	PaperMissEstimator bool
-	// FilterAware makes Estimate use the filtered probe-cost split
-	// (FilteredProbeCostPerTuple with the observed false-positive rate)
-	// instead of the paper's probe_cost. Off by default so the cost figures
-	// of the paper's experiments are byte-identical with filters present.
-	FilterAware bool
 	// Seed makes sampling reproducible.
 	Seed int64
 }
@@ -104,18 +87,15 @@ type Profiler struct {
 
 	// statsEpoch counts statistic observations: it is bumped whenever a
 	// value any readiness or estimate check reads can have changed — a
-	// rate-span boundary, a profiled-update Observe, a filter observation,
-	// a shadow window completing, a pipeline reset, or a shadow starting or
-	// stopping. Between equal epochs, every window-backed statistic is
+	// rate-span boundary, a profiled-update Observe, a shadow window
+	// completing, a pipeline reset, or a shadow starting or stopping.
+	// Between equal epochs, every window-backed statistic is
 	// bitwise unchanged, which lets the engine answer its per-update
 	// readiness poll from a memo instead of rescanning (the traffic-share
 	// early exit of PipelineReady is the one non-epoch input; the engine
 	// rechecks it separately).
 	statsEpoch int64
-	// strideN counts updates toward the next sampled one (SampleStride).
-	strideN int
-	// sampledUpdates counts updates that drew a profiling decision — all of
-	// them in exact mode, one in SampleStride otherwise.
+	// sampledUpdates counts updates that drew a profiling decision.
 	sampledUpdates uint64
 	// shadowPool recycles stopped shadow estimators (their Bloom filters
 	// and windows are the profiling phase's only per-phase allocations);
@@ -125,13 +105,6 @@ type Profiler struct {
 	colsMemo   map[string]colsEntry
 	// scopeBuf is Estimate's scratch for the widened GC maintenance scope.
 	scopeBuf []int
-
-	// Observed fingerprint-filter effectiveness, fed by the engine's
-	// monitor from structure counter deltas (ObserveFilter): what fraction
-	// of misses the filters answered without a bucket walk, and how often a
-	// filter-passed check missed anyway.
-	filterEff *stats.Window // short-circuited fraction of misses
-	filterFP  *stats.Window // false-positive rate among true misses
 }
 
 // New creates a profiler over the executor.
@@ -150,8 +123,6 @@ func New(q *query.Query, e *join.Exec, meter *cost.Meter, cfg Config) *Profiler 
 		pf.pipes[i] = newPipeStats(q.N(), cfg)
 	}
 	pf.relTicks = make([]int64, q.N())
-	pf.filterEff = stats.NewWindow(cfg.W)
-	pf.filterFP = stats.NewWindow(cfg.W)
 	return pf
 }
 
@@ -169,31 +140,14 @@ func newPipeStats(n int, cfg Config) *pipeStats {
 // W returns the configured estimation window.
 func (pf *Profiler) W() int { return pf.cfg.W }
 
-// ShouldProfile decides whether the next update to rel is profiled. In
-// exact mode every update draws; with SampleStride S > 1 only every S-th
-// update draws, with probability min(1, S × SampleProb), so the expected
-// profiled fraction stays SampleProb while S−1 of every S updates skip the
-// random-number generator entirely.
+// ShouldProfile decides whether the next update to rel is profiled: every
+// update draws, with probability SampleProb.
 func (pf *Profiler) ShouldProfile(rel int) bool {
-	if s := pf.cfg.SampleStride; s > 1 {
-		pf.strideN++
-		if pf.strideN < s {
-			return false
-		}
-		pf.strideN = 0
-		pf.sampledUpdates++
-		p := float64(s) * pf.cfg.SampleProb
-		if p > 1 {
-			p = 1
-		}
-		return pf.rng.Float64() < p
-	}
 	pf.sampledUpdates++
 	return pf.rng.Float64() < pf.cfg.SampleProb
 }
 
-// SampledUpdates returns how many updates drew a profiling decision: equal
-// to the update count in exact mode, roughly 1/SampleStride of it otherwise.
+// SampledUpdates returns how many updates drew a profiling decision.
 func (pf *Profiler) SampledUpdates() uint64 { return pf.sampledUpdates }
 
 // StatsEpoch returns the statistics-observation counter (see the field).
@@ -256,31 +210,6 @@ func (pf *Profiler) Observe(rel int, prof join.Profile) {
 		ps.tau[j].Observe(cost.Seconds(u))
 	}
 	pf.statsEpoch++
-}
-
-// ObserveFilter feeds one monitoring interval's filter counter deltas:
-// shortCircuits misses answered by a filter alone, falsePositives
-// filter-passed checks that then missed, and misses total misses (short-
-// circuited included). Intervals with no misses carry no signal and are
-// skipped.
-func (pf *Profiler) ObserveFilter(shortCircuits, falsePositives, misses uint64) {
-	if misses == 0 {
-		return
-	}
-	// Maintenance-path short-circuits are not probe misses, so the ratio
-	// can exceed one; clamp — it is "fraction of miss work avoided".
-	pf.filterEff.Observe(minF(1, float64(shortCircuits)/float64(misses)))
-	if trueAbsent := shortCircuits + falsePositives; trueAbsent > 0 {
-		pf.filterFP.Observe(float64(falsePositives) / float64(trueAbsent))
-	}
-	pf.statsEpoch++
-}
-
-// FilterEffectiveness returns the windowed filter observations: the fraction
-// of misses short-circuited, the false-positive rate among true-absent
-// checks, and whether a full window backs them.
-func (pf *Profiler) FilterEffectiveness() (shortCircuitFrac, fpRate float64, ok bool) {
-	return pf.filterEff.Mean(), pf.filterFP.Mean(), pf.filterEff.Full()
 }
 
 // Rate returns the estimated updates/second of ΔR_rel.
@@ -394,7 +323,6 @@ type shadow struct {
 	horizon     *bloom.Filter
 	seen        int
 	newKeys     int
-	strideN     int // probes since the last sampled one (SampleStride)
 	warm        bool
 	windows     int           // completed windows since shadow start
 	missWin     *stats.Window // retention-aware (decision) estimate
@@ -457,16 +385,7 @@ func (pf *Profiler) StartShadow(spec *planner.Spec) {
 		// callback, so simulated time at every observation point is
 		// identical to per-tuple charging.
 		perKey := sh.filter.Hashes() + sh.horizon.Hashes()
-		stride := pf.cfg.SampleStride
-		hashed := 0
 		for _, t := range batch {
-			if stride > 1 {
-				if sh.strideN++; sh.strideN < stride {
-					continue
-				}
-				sh.strideN = 0
-			}
-			hashed++
 			sh.keyBuf = tuple.AppendKey(sh.keyBuf[:0], t, sh.keyCols)
 			h1, h2 := bloom.HashBytes(sh.keyBuf)
 			sh.filter.AddHash(h1, h2)
@@ -489,9 +408,7 @@ func (pf *Profiler) StartShadow(spec *planner.Spec) {
 				pf.statsEpoch++
 			}
 		}
-		if hashed > 0 {
-			pf.meter.ChargeN(cost.BloomHash, perKey*hashed)
-		}
+		pf.meter.ChargeN(cost.BloomHash, perKey*len(batch))
 	})
 	pf.shadows[key] = sh
 	pf.statsEpoch++
@@ -520,7 +437,7 @@ func (pf *Profiler) StopShadow(spec *planner.Spec) {
 		sh.missWin.Reset()
 		sh.windowedWin.Reset()
 		sh.distinct.Reset()
-		sh.seen, sh.newKeys, sh.strideN, sh.windows = 0, 0, 0, 0
+		sh.seen, sh.newKeys, sh.windows = 0, 0, 0
 		sh.keyCols = nil
 		pf.shadowPool = append(pf.shadowPool, sh)
 		pf.statsEpoch++

@@ -218,9 +218,9 @@ type Store struct {
 // Outcomes are logged so replays charge exactly what the physical application
 // charged (a delete's tariff depends on whether the tuple was found).
 type sharedState struct {
-	baseSeq uint64       // log[0] records the outcome of op baseSeq+1
-	lastSeq uint64       // highest physically applied op sequence
-	log     []sharedOp   // outcomes of ops baseSeq+1 .. lastSeq
+	baseSeq uint64         // log[0] records the outcome of op baseSeq+1
+	lastSeq uint64         // highest physically applied op sequence
+	log     []sharedOp     // outcomes of ops baseSeq+1 .. lastSeq
 	cursors map[int]uint64 // sharer id -> last consumed op sequence
 	nextID  int
 }

@@ -594,9 +594,6 @@ func (e *Engine) processResilient(i int, ws *shardState, ups []stream.Update) {
 			return
 		}
 		n := len(ups) - pos
-		if e.maxBatch > 0 && n > e.maxBatch {
-			n = e.maxBatch
-		}
 		next := ws.admitted + 1 // 1-based index of the next update
 		if at, ok := e.inj.Next(i, next, next+uint64(n)); ok {
 			if pre := int(at - next); pre > 0 {

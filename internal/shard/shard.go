@@ -173,18 +173,13 @@ const mailboxDepth = 8
 const DefaultBatchSize = 128
 
 // Options tune the mailbox machinery between the ingress and the shards. The
-// zero value (plus BatchSize / MaxBatch) reproduces the non-resilient engine
+// zero value (plus BatchSize) reproduces the non-resilient engine
 // exactly; setting any of the remaining fields switches the workers to the
 // recoverable path (see resilience.go).
 type Options struct {
 	// BatchSize is how many updates the ingress buffers per shard before
 	// handing the batch to the shard's mailbox (≤ 0 uses DefaultBatchSize).
 	BatchSize int
-	// MaxBatch caps how many updates a worker passes to its engine's
-	// ProcessBatch per call (≤ 0: the whole mailbox batch at once). The
-	// engine's vectorized path gets faster with bigger batches, so the cap
-	// exists for experiments that bound batch effects, not for throughput.
-	MaxBatch int
 
 	// Admission selects the policy applied when a shard's mailbox is full
 	// (default AdmitBlock: block the ingress — classic backpressure).
@@ -238,7 +233,6 @@ type Engine struct {
 	shards    []*core.Engine
 	mail      []chan batchMsg
 	ing       *stream.Batcher
-	maxBatch  int
 	batchSize int
 	wg        sync.WaitGroup
 	resMu     sync.Mutex // serializes merged result callbacks
@@ -294,7 +288,6 @@ func New(plan Plan, opts Options, mk func(shard int) (*core.Engine, error)) (*En
 	}
 	e := &Engine{
 		plan:          plan,
-		maxBatch:      opts.MaxBatch,
 		batchSize:     batchSize,
 		res:           opts.resilient(),
 		admission:     opts.Admission,
@@ -361,16 +354,8 @@ func (e *Engine) worker(i int) {
 	ws := e.states[i]
 	defer en.Close() // unmap and remove spill files when the mailbox drains
 	for m := range e.mail[i] {
-		ups := m.ups
-		for len(ups) > 0 {
-			n := len(ups)
-			if e.maxBatch > 0 && n > e.maxBatch {
-				n = e.maxBatch
-			}
-			en.ProcessBatch(ups[:n])
-			ups = ups[n:]
-		}
 		if len(m.ups) > 0 {
+			en.ProcessBatch(m.ups)
 			if _, deg := en.DurabilityStats(); deg {
 				ws.durDegraded.Store(true)
 			}

@@ -255,8 +255,8 @@ func TestServerResilience(t *testing.T) {
 		t.Fatalf("server stats recoveries = %d, want 1", st.Recoveries)
 	}
 
-	eng.Close() // user closes first …
-	eng.Close() // … twice, even
+	eng.Close()         // user closes first …
+	eng.Close()         // … twice, even
 	srv.Deregister("q") // … and the server's own Close must still be safe
 	if srv.Sharded("q") != nil {
 		t.Fatal("query still registered after Deregister")

@@ -22,22 +22,10 @@ type ShardOptions struct {
 	// handing the batch to the shard's mailbox (≤ 0 uses a default sized to
 	// amortize channel traffic).
 	BatchSize int
-	// MaxBatch caps how many updates a shard hands to its engine's
-	// vectorized batch path per call (≤ 0: whole mailbox batches). Larger
-	// batches are faster; the cap exists for experiments that bound batch
-	// effects.
-	MaxBatch int
 	// Resilience enables overload and fault handling: bounded admission,
 	// the degradation ladder, checkpoint/replay panic recovery, and the
 	// watchdog. The zero value keeps the exact plain execution path.
 	Resilience ResilienceOptions
-	// ReoptStagger offsets shard i's first post-startup re-optimization by
-	// i×ReoptStagger updates (added to Options.ReoptOffset), so the shards'
-	// re-optimization work is spread across the interval instead of landing
-	// in the same ingress window. Cache adoption can shift in time by at
-	// most the offset, but caches are output-transparent: join results are
-	// identical with or without staggering. 0 disables staggering.
-	ReoptStagger int
 }
 
 // ShardedEngine executes a built query hash-partitioned across P worker
@@ -103,7 +91,6 @@ func (q *Query) BuildSharded(opts Options, sopts ShardOptions) (*ShardedEngine, 
 	r := sopts.Resilience
 	sh, err := shard.New(plan, shard.Options{
 		BatchSize:       sopts.BatchSize,
-		MaxBatch:        sopts.MaxBatch,
 		Admission:       r.Admission,
 		OfferTimeout:    r.OfferTimeout,
 		CheckpointEvery: r.CheckpointEvery,
@@ -118,9 +105,6 @@ func (q *Query) BuildSharded(opts Options, sopts ShardOptions) (*ShardedEngine, 
 		// Decorrelate per-shard sampling and randomized selection; shard 0
 		// keeps the caller's seed so P=1 reproduces the serial engine.
 		c.Seed = cfg.Seed + int64(i)*1_000_003
-		// Phase-shift each shard's first re-optimization so the shards'
-		// selection work does not land in the same ingress window.
-		c.ReoptOffset = cfg.ReoptOffset + i*sopts.ReoptStagger
 		// Each shard spills into its own subdirectory: shards are rebuilt
 		// independently on panic recovery, and a rebuild must be able to
 		// remove and recreate its spill files without touching its siblings'.
