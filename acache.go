@@ -314,7 +314,9 @@ type Engine struct {
 	partWins []*stream.PartitionedWindow // non-nil for partitioned relations
 	seq      uint64
 	server   *Server         // non-nil when hosted by a Server
+	clone    []cloner        // per relation: ingress rows → window tuples
 	upsBuf   []stream.Update // Append's window-update scratch, reused per call
+	tsBuf    []tuple.Tuple   // AppendBatch's cloned-row scratch, reused per call
 	dur      *durable        // non-nil for durable engines (BuildDurable)
 }
 
@@ -402,9 +404,33 @@ func (q *Query) allRelTokens() []string {
 	return out
 }
 
-// buildWindows constructs the per-relation ingress window operators shared
-// by Engine and ShardedEngine.
-func (q *Query) buildWindows() (wins []*stream.SlidingWindow, timeWins []*stream.TimeWindow, partWins []*stream.PartitionedWindow) {
+// cloneChunkTuples is how many tuples a cloner carves out of one chunk: large
+// enough that ingress costs 1/128 allocations per append, small enough that
+// the partly expired chunk at a window's tail and the partly filled one at
+// its head stay invisible next to the window itself.
+const cloneChunkTuples = 128
+
+// cloner copies ingress rows into tuples bump-allocated from chunks. A chunk
+// is never written again once carved and never recycled — the collector frees
+// it when no tuple in it is referenced — so a cloned tuple is immutable and
+// valid for as long as anyone holds it: the window ring, relation stores,
+// shard mailboxes and replay logs all keep them past the call.
+type cloner struct{ free []tuple.Value }
+
+func (c *cloner) clone(values []int64) tuple.Tuple {
+	n := len(values)
+	if len(c.free) < n {
+		c.free = make([]tuple.Value, cloneChunkTuples*n)
+	}
+	t := c.free[:n:n]
+	c.free = c.free[n:]
+	copy(t, values)
+	return t
+}
+
+// buildWindows constructs the per-relation ingress window operators and row
+// cloners shared by Engine and ShardedEngine.
+func (q *Query) buildWindows() (wins []*stream.SlidingWindow, timeWins []*stream.TimeWindow, partWins []*stream.PartitionedWindow, clone []cloner) {
 	wins = make([]*stream.SlidingWindow, len(q.windows))
 	timeWins = make([]*stream.TimeWindow, len(q.windows))
 	partWins = make([]*stream.PartitionedWindow, len(q.windows))
@@ -419,7 +445,7 @@ func (q *Query) buildWindows() (wins []*stream.SlidingWindow, timeWins []*stream
 			wins[i] = stream.NewSlidingWindow(w)
 		}
 	}
-	return wins, timeWins, partWins
+	return wins, timeWins, partWins, make([]cloner, len(q.windows))
 }
 
 // Build validates the query and constructs an Engine.
@@ -440,7 +466,7 @@ func (q *Query) Build(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{q: q, core: en}
-	e.windows, e.timeWins, e.partWins = q.buildWindows()
+	e.windows, e.timeWins, e.partWins, e.clone = q.buildWindows()
 	return e, nil
 }
 
@@ -533,9 +559,9 @@ func (e *Engine) windowUpdates(idx int, values []int64) []stream.Update {
 	var ups []stream.Update
 	switch {
 	case e.partWins[idx] != nil:
-		ups = e.partWins[idx].AppendInto(tuple.Tuple(values).Clone(), e.upsBuf[:0])
+		ups = e.partWins[idx].AppendInto(e.clone[idx].clone(values), e.upsBuf[:0])
 	case e.windows[idx] != nil:
-		ups = e.windows[idx].AppendInto(tuple.Tuple(values).Clone(), e.upsBuf[:0])
+		ups = e.windows[idx].AppendInto(e.clone[idx].clone(values), e.upsBuf[:0])
 	default:
 		panic(fmt.Sprintf("acache: relation %q is time-windowed; use AppendAt", e.q.names[idx]))
 	}
@@ -555,11 +581,12 @@ func (e *Engine) windowUpdates(idx int, values []int64) []stream.Update {
 // It returns the total join-result updates emitted.
 func (e *Engine) AppendBatch(rel string, rows [][]int64) int {
 	idx := e.relIndex(rel)
-	ts := make([]tuple.Tuple, len(rows))
-	for i, r := range rows {
+	ts := e.tsBuf[:0]
+	for _, r := range rows {
 		e.checkArity(idx, r)
-		ts[i] = tuple.Tuple(r).Clone()
+		ts = append(ts, e.clone[idx].clone(r))
 	}
+	e.tsBuf = ts
 	var ups []stream.Update
 	switch {
 	case e.partWins[idx] != nil:
@@ -600,7 +627,7 @@ func (e *Engine) AppendAt(rel string, ts int64, values ...int64) int {
 	}
 	e.checkArity(idx, values)
 	total := e.advanceTime(ts)
-	for _, u := range e.timeWins[idx].Append(tuple.Tuple(values).Clone(), ts) {
+	for _, u := range e.timeWins[idx].Append(e.clone[idx].clone(values), ts) {
 		u.Rel = idx
 		e.seq++
 		u.Seq = e.seq
@@ -869,8 +896,10 @@ func (q *Query) RelationNames() (names []string, arities []int) {
 
 // OnResult registers a callback receiving every join-result delta as a flat
 // row (see ResultColumns for the column labels), with insert = true for
-// additions and false for retractions. Callbacks run synchronously inside
-// update processing and must not call back into the engine.
+// additions and false for retractions. The row is the engine's buffer: it is
+// valid only for the duration of the callback and the next result overwrites
+// it, so a callback that keeps a row copies it. Callbacks run synchronously
+// inside update processing and must not call back into the engine.
 func (e *Engine) OnResult(f func(insert bool, row []int64)) {
 	e.core.OnResult(func(ins bool, vals []tuple.Value) { f(ins, vals) })
 }

@@ -1,6 +1,7 @@
 package acache
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -532,6 +533,72 @@ func TestOnResultDeltas(t *testing.T) {
 	eng.Delete("T", 2) // retraction
 	if len(got) != 2 || got[1].ins {
 		t.Fatalf("retraction missing: %+v", got)
+	}
+}
+
+// TestOnResultRowLifetime pins the row contract from both sides: a callback
+// that copies each row sees exactly the oracle's delta multiset, and one that
+// keeps the slices instead finds them sharing storage — the row is the
+// engine's buffer, refilled for the next result.
+func TestOnResultRowLifetime(t *testing.T) {
+	eng, err := NewQuery().
+		WindowedRelation("R", 40, "A").
+		WindowedRelation("S", 40, "A", "B").
+		WindowedRelation("T", 40, "B").
+		Join("R.A", "S.A").
+		Join("S.B", "T.B").
+		Build(Options{ReoptInterval: 500, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := oracle.New(eng.core.Exec().Query())
+	var kept [][]int64      // the slices as handed out
+	got := map[string]int{} // signed multiset of copies (formatted in the callback)
+	eng.OnResult(func(ins bool, row []int64) {
+		kept = append(kept, row)
+		if ins {
+			got[fmt.Sprint(row)]++
+		} else {
+			got[fmt.Sprint(row)]--
+		}
+	})
+	names := []string{"R", "S", "T"}
+	wins := []*stream.SlidingWindow{
+		stream.NewSlidingWindow(40), stream.NewSlidingWindow(40), stream.NewSlidingWindow(40),
+	}
+	rng := rand.New(rand.NewSource(32))
+	shared := 0
+	for i := 0; i < 2000; i++ {
+		rel := rng.Intn(3)
+		tp := make(tuple.Tuple, len(eng.q.schemas[rel].Cols()))
+		for c := range tp {
+			tp[c] = rng.Int63n(8)
+		}
+		kept = kept[:0]
+		clear(got)
+		eng.Append(names[rel], tp...)
+		want := map[string]int{}
+		for _, u := range wins[rel].Append(tp) {
+			u.Rel = rel
+			for _, d := range o.Process(u) {
+				if u.Op == stream.Insert {
+					want[fmt.Sprint([]int64(d))]++
+				} else {
+					want[fmt.Sprint([]int64(d))]--
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: copied rows %v, oracle %v", i, got, want)
+		}
+		for j := 1; j < len(kept); j++ {
+			if &kept[j][0] == &kept[j-1][0] {
+				shared++
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two successive callbacks shared a row buffer: rows are being cloned per result again")
 	}
 }
 

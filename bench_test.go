@@ -155,41 +155,74 @@ func BenchmarkEngineAdaptiveHotpath(b *testing.B) {
 	}
 }
 
-// TestEngineInsertAllocBudget pins the steady-state allocation count of the
-// warm three-way insert path. The slab store, open-addressing indexes, and
-// join arena exist to keep this near zero; the budget has slack so GC-timing
-// noise does not flake, but a regression back to per-update key/slice
-// allocations (tens per op) fails loudly.
+// TestEngineInsertAllocBudget pins the steady-state allocation count of a
+// warm three-way Append, API call to result callback, at zero: with a result
+// callback registered (the rows were most of the allocations), with caching
+// on and off, and through AppendBatch. A measured call is eight appends and
+// AllocsPerRun rounds down, so what gets through is what the engine keeps — a
+// window chunk every 128 appends, a cache entry's backing when it grows —
+// and anything per append, per result or per batch fails.
 func TestEngineInsertAllocBudget(t *testing.T) {
-	const budget = 12 // actual is ~2: the window clone + one cache-resident segment
-	eng, err := NewQuery().
-		WindowedRelation("R", 100, "A").
-		WindowedRelation("S", 100, "A", "B").
-		WindowedRelation("T", 100, "B").
-		Join("R.A", "S.A").
-		Join("S.B", "T.B").
-		Build(Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	step := func() {
-		switch v := rng.Int63n(100); rng.Intn(3) {
-		case 0:
-			eng.Append("R", v)
-		case 1:
-			eng.Append("S", v, rng.Int63n(100))
-		default:
-			eng.Append("T", v)
-		}
-	}
-	// Warm: fill every window past capacity so inserts, evictions, probes,
-	// and output emission are all exercised by the measured runs.
-	for i := 0; i < 2_000; i++ {
-		step()
-	}
-	if got := testing.AllocsPerRun(500, step); got > budget {
-		t.Fatalf("warm three-way insert: %.1f allocs/op, budget %d", got, budget)
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		batch bool
+	}{
+		{"caching", Options{Seed: 1}, false},
+		{"mjoin", Options{Seed: 1, DisableCaching: true}, false},
+		{"batch", Options{Seed: 1}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := NewQuery().
+				WindowedRelation("R", 100, "A").
+				WindowedRelation("S", 100, "A", "B").
+				WindowedRelation("T", 100, "B").
+				Join("R.A", "S.A").
+				Join("S.B", "T.B").
+				Build(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results := 0
+			eng.OnResult(func(bool, []int64) { results++ })
+			rng := rand.New(rand.NewSource(1))
+			rows := [][]int64{{0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}}
+			step := func() {
+				rel, arity := "S", 2
+				switch rng.Intn(3) {
+				case 0:
+					rel, arity = "R", 1
+				case 1:
+					rel, arity = "T", 1
+				}
+				for i := range rows {
+					rows[i] = rows[i][:arity]
+					for c := range rows[i] {
+						rows[i][c] = rng.Int63n(100)
+					}
+				}
+				if tc.batch {
+					eng.AppendBatch(rel, rows)
+					return
+				}
+				for _, r := range rows {
+					eng.Append(rel, r...)
+				}
+			}
+			// Warm: fill every window past capacity and let the engine settle
+			// on its caches, so inserts, expiries, probes, misses and output
+			// emission are all exercised by the measured runs.
+			for i := 0; i < 5_000; i++ {
+				step()
+			}
+			results = 0
+			if got := testing.AllocsPerRun(500, step); got != 0 {
+				t.Fatalf("warm three-way append: %.0f allocs per eight appends, want 0", got)
+			}
+			if results == 0 {
+				t.Fatal("the measured appends emitted no result")
+			}
+		})
 	}
 }
 

@@ -107,7 +107,7 @@ func trial(seed int64, updates int, verbose bool) error {
 	var cur stream.Update
 	peak := 0 // most caches in use at once
 	en.OnResult(func(insert bool, result []tuple.Value) {
-		got = append(got, result)
+		got = append(got, tuple.Tuple(result).Clone()) // the row is the engine's buffer
 		if insert != (cur.Op == stream.Insert) {
 			wrongSign = true
 		}

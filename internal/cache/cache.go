@@ -11,9 +11,10 @@ import (
 	"acache/internal/tuple"
 )
 
-// RefBytes is the accounted size of one cached tuple reference. The paper's
+// RefBytes is the accounted size of one cached tuple. The paper's
 // implementation stores sets of references to relation tuples rather than
-// copies; we account each value element at pointer size.
+// copies; entries here own copies of the values (see slot) but are accounted
+// the paper's way, each tuple at pointer size.
 const RefBytes = 8
 
 // BucketBytes is the accounted per-bucket overhead (hash pointer slot).
@@ -45,6 +46,7 @@ type Stats struct {
 // dropped at any time.
 type Cache struct {
 	nbuckets int
+	mask     uint64 // nbuckets−1 when nbuckets is a power of two ≥ 2, else 0
 	slots    []slot
 	meter    *cost.Meter
 
@@ -74,14 +76,12 @@ type Cache struct {
 	stats Stats
 }
 
+// slot is one bucket. The entry owns its storage: key, val and flat are
+// slot-owned buffers, and the cache copies every tuple it is given into
+// them, so callers may pass scratch- or arena-backed tuples. A create over a
+// resident entry refills the buffers in place; a drop releases them.
 type slot struct {
 	occupied bool
-	key      tuple.Key
-	val      []tuple.Tuple
-	// Counted-mode parallel slices (nil for plain entries): mult is each
-	// distinct tuple's X-join multiplicity, cnt its total Y-support.
-	mult []int
-	cnt  []int
 
 	// Tier state (see tier.go): a cold entry's payload lives in spill page
 	// cslot and accounts for cbytes of the logical entry size; ref is the
@@ -90,6 +90,74 @@ type slot struct {
 	ref    bool
 	cslot  int32
 	cbytes int
+
+	key []byte
+	// val holds the entry's tuples: val[i] aliases flat, in storage order and
+	// with no spare capacity, and all tuples of an entry share one width.
+	val  []tuple.Tuple
+	flat []tuple.Value
+	// ct is non-nil exactly for counted entries.
+	ct *counts
+}
+
+// counts are a counted entry's slices parallel to val: mult is each distinct
+// tuple's X-join multiplicity, cnt its total Y-support.
+type counts struct{ mult, cnt []int }
+
+// fill replaces the entry's tuples with copies of v. Only a first fill, or
+// one larger than any before it in this slot, allocates.
+func (s *slot) fill(v []tuple.Tuple) {
+	n := 0
+	for _, t := range v {
+		n += len(t)
+	}
+	if cap(s.flat) < n {
+		s.flat = make([]tuple.Value, 0, n)
+	}
+	if cap(s.val) < len(v) {
+		s.val = make([]tuple.Tuple, 0, len(v))
+	}
+	s.val, s.flat = s.val[:0], s.flat[:0]
+	for _, t := range v {
+		s.push(t, nil)
+	}
+}
+
+// push appends a copy of t — of t's columns cols, when cols is non-nil — to
+// the entry, doubling the backing (and re-pointing val into it) when full.
+func (s *slot) push(t tuple.Tuple, cols []int) {
+	w := len(t)
+	if cols != nil {
+		w = len(cols)
+	}
+	if len(s.val) > 0 && w != len(s.val[0]) {
+		panic("cache: tuples of one entry must share a width")
+	}
+	off := len(s.flat)
+	if off+w > cap(s.flat) {
+		grown := make([]tuple.Value, off, 2*(off+w))
+		copy(grown, s.flat)
+		for i := range s.val {
+			s.val[i] = grown[i*w : (i+1)*w : (i+1)*w]
+		}
+		s.flat = grown
+	}
+	if cols == nil {
+		s.flat = append(s.flat, t...)
+	} else {
+		for _, c := range cols {
+			s.flat = append(s.flat, t[c])
+		}
+	}
+	s.val = append(s.val, s.flat[off:off+w:off+w])
+}
+
+// remove deletes tuple i by moving the last tuple's values into its place.
+func (s *slot) remove(i int) {
+	last := len(s.val) - 1
+	copy(s.val[i], s.val[last])
+	s.flat = s.flat[:len(s.flat)-len(s.val[last])]
+	s.val = s.val[:last]
 }
 
 // New creates a cache with nbuckets direct-mapped buckets for keys of
@@ -98,7 +166,7 @@ func New(nbuckets, keyBytes, budget int, meter *cost.Meter) *Cache {
 	if nbuckets < 1 {
 		nbuckets = 1
 	}
-	return &Cache{
+	c := &Cache{
 		nbuckets: nbuckets,
 		slots:    make([]slot, nbuckets),
 		meter:    meter,
@@ -106,6 +174,10 @@ func New(nbuckets, keyBytes, budget int, meter *cost.Meter) *Cache {
 		budget:   budget,
 		fil:      filter.New(initialFilterCapacity),
 	}
+	if nbuckets&(nbuckets-1) == 0 {
+		c.mask = uint64(nbuckets - 1)
+	}
+	return c
 }
 
 // initialFilterCapacity sizes a fresh cache filter; filAdd rebuilds at
@@ -118,35 +190,36 @@ const initialFilterCapacity = 64
 // a fixed workload seed.
 const cacheSeed uint64 = 0x2545f4914f6cdd1d
 
-func hashOf(u tuple.Key) uint64 { return tuple.HashKey(u, cacheSeed) }
+func hashOf(k []byte) uint64 { return tuple.HashBytes(k, cacheSeed) }
 
-// keyEq compares a resident key against packed key bytes without
-// materializing a string (the compiler elides the conversion allocations in
-// a string==string comparison).
-func keyEq(key tuple.Key, k []byte) bool { return string(key) == string(k) }
+// keyEq compares a resident key against packed key bytes (the compiler
+// elides the conversion allocations in a string==string comparison).
+func keyEq(key, k []byte) bool { return string(key) == string(k) }
 
-func (c *Cache) slotOf(u tuple.Key) *slot {
-	return &c.slots[hashOf(u)%uint64(c.nbuckets)]
+// slotAt returns the bucket of key hash h. The engine only ever sizes caches
+// to powers of two, where the modulo is a mask; any other count (tests, the
+// benchmark's probes) places slots by the same h mod nbuckets.
+func (c *Cache) slotAt(h uint64) *slot {
+	if c.mask != 0 {
+		return &c.slots[h&c.mask]
+	}
+	return &c.slots[h%uint64(c.nbuckets)]
 }
 
-func (c *Cache) slotOfBytes(k []byte) *slot {
-	return &c.slots[tuple.HashBytes(k, cacheSeed)%uint64(c.nbuckets)]
-}
-
-// filAdd records a newly resident key in the filter. An overflowed cuckoo
-// insert invalidates the filter, so it is rebuilt larger from the slots —
-// which at this point already hold the new key.
-func (c *Cache) filAdd(u tuple.Key) {
-	if c.fil == nil || c.fil.Insert(hashOf(u)) {
+// filAdd records a newly resident key (by hash) in the filter. An overflowed
+// cuckoo insert invalidates the filter, so it is rebuilt larger from the
+// slots — which at this point already hold the new key.
+func (c *Cache) filAdd(h uint64) {
+	if c.fil == nil || c.fil.Insert(h) {
 		return
 	}
 	c.rebuildFilter(c.fil.Capacity() * 2)
 }
 
 // filDel removes a no-longer-resident key's fingerprint.
-func (c *Cache) filDel(u tuple.Key) {
+func (c *Cache) filDel(h uint64) {
 	if c.fil != nil {
-		c.fil.Delete(hashOf(u))
+		c.fil.Delete(h)
 	}
 }
 
@@ -192,28 +265,16 @@ func (c *Cache) noteMiss() {
 	}
 }
 
-// residentSlot returns the slot currently holding key u, or nil — the lookup
-// for Insert/Delete/Drop. The filter answers the absent case first; the
-// unfiltered lookup returns the same nil, so callers behave identically
+// residentSlot returns the slot currently holding packed key k, or nil — the
+// lookup for Insert/Delete/Drop. The filter answers the absent case first;
+// the unfiltered lookup returns the same nil, so callers behave identically
 // either way.
-func (c *Cache) residentSlot(u tuple.Key) *slot {
-	if c.filterAbsent(hashOf(u)) {
+func (c *Cache) residentSlot(k []byte) *slot {
+	h := hashOf(k)
+	if c.filterAbsent(h) {
 		return nil
 	}
-	s := c.slotOf(u)
-	if s.occupied && s.key == u {
-		c.touchSlot(s)
-		return s
-	}
-	return nil
-}
-
-// residentSlotBytes is residentSlot for packed key bytes.
-func (c *Cache) residentSlotBytes(k []byte) *slot {
-	if c.filterAbsent(tuple.HashBytes(k, cacheSeed)) {
-		return nil
-	}
-	s := c.slotOfBytes(k)
+	s := c.slotAt(h)
 	if s.occupied && keyEq(s.key, k) {
 		c.touchSlot(s)
 		return s
@@ -225,39 +286,27 @@ func entryBytes(keyBytes int, val []tuple.Tuple) int {
 	return keyBytes + RefBytes*len(val)
 }
 
+// Each operation below exists once, on the key packed as bytes (a scratch
+// buffer filled by tuple.AppendKey; hashing and comparison work directly on
+// the bytes, and nothing is allocated beyond entry growth), with a thin
+// tuple.Key form delegating to it.
+
 // Probe looks up key u. On a hit it returns (value, true); the value may be
 // an empty set, which is still a hit — it asserts no segment tuples join
-// with u. On a miss it returns (nil, false).
-func (c *Cache) Probe(u tuple.Key) ([]tuple.Tuple, bool) {
-	c.meter.Charge(cost.HashProbe)
-	c.stats.Probes++
-	h := hashOf(u)
-	if c.filterAbsent(h) {
-		c.stats.Misses++
-		return nil, false
-	}
-	s := &c.slots[h%uint64(c.nbuckets)]
-	if s.occupied && s.key == u {
-		c.stats.Hits++
-		c.touchSlot(s)
-		return s.val, true
-	}
-	c.noteMiss()
-	return nil, false
-}
+// with u. On a miss it returns (nil, false). The value is the entry's own
+// storage, valid until the cache is next modified.
+func (c *Cache) Probe(u tuple.Key) ([]tuple.Tuple, bool) { return c.ProbeBytes([]byte(u)) }
 
-// ProbeBytes is Probe for a packed key supplied as bytes (a scratch buffer
-// filled by tuple.AppendKey). It allocates nothing: hashing and comparison
-// work directly on the bytes. Charges and statistics match Probe exactly.
+// ProbeBytes is Probe for a packed key supplied as bytes.
 func (c *Cache) ProbeBytes(k []byte) ([]tuple.Tuple, bool) {
 	c.meter.Charge(cost.HashProbe)
 	c.stats.Probes++
-	h := tuple.HashBytes(k, cacheSeed)
+	h := hashOf(k)
 	if c.filterAbsent(h) {
 		c.stats.Misses++
 		return nil, false
 	}
-	s := &c.slots[h%uint64(c.nbuckets)]
+	s := c.slotAt(h)
 	if s.occupied && keyEq(s.key, k) {
 		c.stats.Hits++
 		c.touchSlot(s)
@@ -272,71 +321,70 @@ func (c *Cache) ProbeBytes(k []byte) ([]tuple.Tuple, bool) {
 // simply evict the resident entry, which never violates consistency). If the
 // new entry does not fit in the remaining budget the create is dropped; the
 // resident entry, if any, is kept.
-func (c *Cache) Create(u tuple.Key, v []tuple.Tuple) {
+func (c *Cache) Create(u tuple.Key, v []tuple.Tuple) { c.CreateBytes([]byte(u), v) }
+
+// CreateBytes is Create for a packed key supplied as bytes. The tuples of v
+// are copied, at the cost of at most one backing allocation for all of them.
+func (c *Cache) CreateBytes(k []byte, v []tuple.Tuple) {
 	c.meter.Charge(cost.HashInsert)
 	c.meter.ChargeN(cost.CacheInsertTuple, len(v))
-	size := entryBytes(c.keyBytes, v)
-	s := c.slotOf(u)
+	if s := c.claim(k, entryBytes(c.keyBytes, v)); s != nil {
+		s.fill(v)
+		s.ct = nil
+		c.maybeMaintain()
+	}
+}
+
+// claim makes the slot of key k hold a new entry of the given accounted size
+// for it, evicting the resident entry, and returns the slot for the caller to
+// fill; or it returns nil, the resident entry untouched, when the new entry
+// does not fit the budget.
+func (c *Cache) claim(k []byte, size int) *slot {
+	h := hashOf(k)
+	s := c.slotAt(h)
 	freed := 0
 	if s.occupied {
 		freed = c.slotBytes(s)
 	}
 	if c.budget >= 0 && c.usedBytes-freed+size > c.budget {
 		c.stats.MemoryDrops++
-		return
+		return nil
 	}
 	c.version++
 	if s.occupied {
-		if s.key != u {
+		if !keyEq(s.key, k) {
 			c.stats.Evictions++
 		}
-		c.filDel(s.key)
+		c.filDel(hashOf(s.key))
 		c.freeCold(s)
 		c.usedBytes -= freed
 		c.numEntries--
 	}
 	s.occupied = true
-	s.key = u
-	s.val = append([]tuple.Tuple(nil), v...)
-	s.cnt = nil
-	s.mult = nil
+	s.key = append(s.key[:0], k...)
 	s.ref = true
 	c.usedBytes += size
 	c.numEntries++
 	c.stats.Creates++
-	c.filAdd(u)
-	c.maybeMaintain()
+	c.filAdd(h)
+	return s
 }
 
 // Insert adds tuple r to the entry for key u, if present; otherwise it is
 // ignored (Section 3.2). If growing the entry would exceed the budget, the
 // entire entry is dropped instead — absence never violates consistency,
 // while a silently incomplete entry would.
-func (c *Cache) Insert(u tuple.Key, r tuple.Tuple) {
-	c.meter.Charge(cost.HashProbe)
-	s := c.residentSlot(u)
-	if s == nil {
-		return
-	}
-	c.meter.Charge(cost.CacheInsertTuple)
-	if c.budget >= 0 && c.usedBytes+RefBytes > c.budget {
-		c.dropSlot(s)
-		c.stats.MemoryDrops++
-		return
-	}
-	c.version++
-	s.val = append(s.val, r)
-	c.usedBytes += RefBytes
-	c.stats.Inserts++
-	c.maybeMaintain()
-}
+func (c *Cache) Insert(u tuple.Key, r tuple.Tuple) { c.InsertColsBytes([]byte(u), r, nil) }
 
-// InsertBytes is Insert for a packed key supplied as bytes. The tuple r is
-// retained by the cache, so callers passing arena-backed composites must
-// clone first (maintenance extracts already copy).
-func (c *Cache) InsertBytes(k []byte, r tuple.Tuple) {
+// InsertBytes is Insert for a packed key supplied as bytes.
+func (c *Cache) InsertBytes(k []byte, r tuple.Tuple) { c.InsertColsBytes(k, r, nil) }
+
+// InsertColsBytes is InsertBytes of t's projection on cols (nil: of t), which
+// is read only when the entry is resident and fits the budget — maintenance
+// never materializes the segment tuple on the absent path.
+func (c *Cache) InsertColsBytes(k []byte, t tuple.Tuple, cols []int) {
 	c.meter.Charge(cost.HashProbe)
-	s := c.residentSlotBytes(k)
+	s := c.residentSlot(k)
 	if s == nil {
 		return
 	}
@@ -347,7 +395,7 @@ func (c *Cache) InsertBytes(k []byte, r tuple.Tuple) {
 		return
 	}
 	c.version++
-	s.val = append(s.val, r)
+	s.push(t, cols)
 	c.usedBytes += RefBytes
 	c.stats.Inserts++
 	c.maybeMaintain()
@@ -355,52 +403,12 @@ func (c *Cache) InsertBytes(k []byte, r tuple.Tuple) {
 
 // Delete removes one tuple equal to r from the entry for key u, if the entry
 // is present; otherwise it is ignored.
-func (c *Cache) Delete(u tuple.Key, r tuple.Tuple) {
-	c.meter.Charge(cost.HashProbe)
-	s := c.residentSlot(u)
-	if s == nil {
-		return
-	}
-	c.meter.Charge(cost.CacheInsertTuple)
-	for i, t := range s.val {
-		if t.Equal(r) {
-			c.version++
-			s.val[i] = s.val[len(s.val)-1]
-			s.val = s.val[:len(s.val)-1]
-			c.usedBytes -= RefBytes
-			c.stats.Deletes++
-			return
-		}
-	}
-}
-
-// InsertBytesLazy is InsertBytes taking the tuple as a constructor, invoked
-// only when the entry is resident and fits the budget — maintenance avoids
-// materializing a heap copy of the segment tuple on the absent path. Charges
-// and statistics match Insert exactly.
-func (c *Cache) InsertBytesLazy(k []byte, mk func() tuple.Tuple) {
-	c.meter.Charge(cost.HashProbe)
-	s := c.residentSlotBytes(k)
-	if s == nil {
-		return
-	}
-	c.meter.Charge(cost.CacheInsertTuple)
-	if c.budget >= 0 && c.usedBytes+RefBytes > c.budget {
-		c.dropSlot(s)
-		c.stats.MemoryDrops++
-		return
-	}
-	c.version++
-	s.val = append(s.val, mk())
-	c.usedBytes += RefBytes
-	c.stats.Inserts++
-	c.maybeMaintain()
-}
+func (c *Cache) Delete(u tuple.Key, r tuple.Tuple) { c.DeleteBytes([]byte(u), r) }
 
 // DeleteBytes is Delete for a packed key supplied as bytes.
 func (c *Cache) DeleteBytes(k []byte, r tuple.Tuple) {
 	c.meter.Charge(cost.HashProbe)
-	s := c.residentSlotBytes(k)
+	s := c.residentSlot(k)
 	if s == nil {
 		return
 	}
@@ -408,8 +416,7 @@ func (c *Cache) DeleteBytes(k []byte, r tuple.Tuple) {
 	for i, t := range s.val {
 		if t.Equal(r) {
 			c.version++
-			s.val[i] = s.val[len(s.val)-1]
-			s.val = s.val[:len(s.val)-1]
+			s.remove(i)
 			c.usedBytes -= RefBytes
 			c.stats.Deletes++
 			return
@@ -421,33 +428,23 @@ func (c *Cache) dropSlot(s *slot) {
 	if !s.occupied {
 		return
 	}
-	c.filDel(s.key)
+	c.filDel(hashOf(s.key))
 	c.version++
 	c.usedBytes -= c.slotBytes(s)
 	c.freeCold(s)
 	c.numEntries--
-	s.occupied = false
-	s.key = ""
-	s.val = nil
-	s.cnt = nil
-	s.mult = nil
-	s.ref = false
+	*s = slot{}
 }
 
 // Drop removes the entry for key u, if resident. Invalidation-mode caches
 // use it when a segment update touches a cached key: absence never violates
 // consistency, so dropping is always safe.
-func (c *Cache) Drop(u tuple.Key) {
-	c.meter.Charge(cost.HashProbe)
-	if s := c.residentSlot(u); s != nil {
-		c.dropSlot(s)
-	}
-}
+func (c *Cache) Drop(u tuple.Key) { c.DropBytes([]byte(u)) }
 
 // DropBytes is Drop for a packed key supplied as bytes.
 func (c *Cache) DropBytes(k []byte) {
 	c.meter.Charge(cost.HashProbe)
-	if s := c.residentSlotBytes(k); s != nil {
+	if s := c.residentSlot(k); s != nil {
 		c.dropSlot(s)
 	}
 }
@@ -549,6 +546,6 @@ func (c *Cache) Each(f func(u tuple.Key, v []tuple.Tuple)) {
 		if s.cold {
 			c.promoteSlot(s)
 		}
-		f(s.key, s.val)
+		f(tuple.Key(s.key), s.val)
 	}
 }

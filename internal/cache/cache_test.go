@@ -239,3 +239,88 @@ func TestCountedBadLengthsPanic(t *testing.T) {
 	}()
 	newCache(4, -1).CreateCounted(tuple.KeyOfValues([]tuple.Value{1}), []tuple.Tuple{{1}}, []int{1}, nil)
 }
+
+// TestEntriesMatchDirectMappedModel replays random creates, inserts, deletes
+// and drops against a model that keeps what the cache is specified to keep:
+// per bucket hash mod nbuckets (24 buckets take the modulo path, 32 the
+// mask), the last key created there and its tuples in order, a delete moving
+// the last tuple into the hole. Every argument is scratch, overwritten after
+// the call, so an entry that aliases its inputs instead of copying them — or
+// whose refilled or regrown backing loses a tuple — diverges.
+func TestEntriesMatchDirectMappedModel(t *testing.T) {
+	type entry struct {
+		key  tuple.Key
+		vals []tuple.Tuple
+	}
+	for _, nbuckets := range []int{24, 32} {
+		c := newCache(nbuckets, -1)
+		model := make(map[uint64]*entry)
+		rng := rand.New(rand.NewSource(int64(nbuckets)))
+		key := make([]byte, 8)
+		wide := make(tuple.Tuple, 4)
+		for i := 0; i < 20_000; i++ {
+			key = tuple.AppendKeyValues(key[:0], []tuple.Value{rng.Int63n(60)})
+			u := tuple.Key(key)
+			b := tuple.HashBytes(key, cacheSeed) % uint64(nbuckets)
+			for j := range wide {
+				wide[j] = rng.Int63n(3)
+			}
+			r := tuple.Tuple{wide[1], wide[3]}
+			m := model[b]
+			switch rng.Intn(8) {
+			case 0:
+				v := make([]tuple.Tuple, rng.Intn(5))
+				e := &entry{key: u}
+				for j := range v {
+					v[j] = tuple.Tuple{rng.Int63n(3), rng.Int63n(3)}
+					e.vals = append(e.vals, v[j].Clone())
+				}
+				c.CreateBytes(key, v)
+				model[b] = e
+				for j := range v {
+					v[j][0], v[j][1] = -1, -1
+				}
+			case 1, 2, 3:
+				c.InsertColsBytes(key, wide, []int{1, 3})
+				if m != nil && m.key == u {
+					m.vals = append(m.vals, r)
+				}
+			case 4, 5, 6:
+				c.DeleteBytes(key, r)
+				if m != nil && m.key == u {
+					for j, v := range m.vals {
+						if v.Equal(r) {
+							m.vals[j] = m.vals[len(m.vals)-1]
+							m.vals = m.vals[:len(m.vals)-1]
+							break
+						}
+					}
+				}
+			case 7:
+				c.DropBytes(key)
+				if m != nil && m.key == u {
+					delete(model, b)
+				}
+			}
+			got, hit := c.ProbeBytes(key)
+			m = model[b]
+			if want := m != nil && m.key == u; hit != want {
+				t.Fatalf("%d buckets, step %d: hit = %v, model says %v", nbuckets, i, hit, want)
+			}
+			if !hit {
+				continue
+			}
+			if len(got) != len(m.vals) {
+				t.Fatalf("%d buckets, step %d: entry %v, model %v", nbuckets, i, got, m.vals)
+			}
+			for j := range got {
+				if !got[j].Equal(m.vals[j]) {
+					t.Fatalf("%d buckets, step %d: entry %v, model %v", nbuckets, i, got, m.vals)
+				}
+			}
+		}
+		if c.Stats().Evictions == 0 {
+			t.Fatalf("%d buckets: no create ever replaced a resident entry", nbuckets)
+		}
+	}
+}

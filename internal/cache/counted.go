@@ -44,73 +44,33 @@ func (c *Cache) CreateCounted(u tuple.Key, tuples []tuple.Tuple, mults, supports
 	}
 	c.meter.Charge(cost.HashInsert)
 	c.meter.ChargeN(cost.CacheInsertTuple, len(tuples))
-	size := c.keyBytes + countedElemBytes*len(tuples)
-	s := c.slotOf(u)
-	freed := 0
-	if s.occupied {
-		freed = c.slotBytes(s)
+	if s := c.claim([]byte(u), c.keyBytes+countedElemBytes*len(tuples)); s != nil {
+		s.fill(tuples)
+		s.ct = &counts{mult: append([]int(nil), mults...), cnt: append([]int(nil), supports...)}
+		c.maybeMaintain()
 	}
-	if c.budget >= 0 && c.usedBytes-freed+size > c.budget {
-		c.stats.MemoryDrops++
-		return
-	}
-	c.version++
-	if s.occupied {
-		if s.key != u {
-			c.stats.Evictions++
-		}
-		c.filDel(s.key)
-		c.freeCold(s)
-		c.usedBytes -= freed
-		c.numEntries--
-	}
-	s.occupied = true
-	s.key = u
-	s.val = append([]tuple.Tuple(nil), tuples...)
-	s.mult = append([]int(nil), mults...)
-	s.cnt = append([]int(nil), supports...)
-	s.ref = true
-	c.usedBytes += size
-	c.numEntries++
-	c.stats.Creates++
-	c.filAdd(u)
-	c.maybeMaintain()
 }
 
 // ProbeCounted looks up key u on a counted cache, returning the distinct
 // tuples and their multiplicities on a hit.
 func (c *Cache) ProbeCounted(u tuple.Key) (tuples []tuple.Tuple, mults []int, ok bool) {
-	c.meter.Charge(cost.HashProbe)
-	c.stats.Probes++
-	h := hashOf(u)
-	if c.filterAbsent(h) {
-		c.stats.Misses++
-		return nil, nil, false
-	}
-	s := &c.slots[h%uint64(c.nbuckets)]
-	if s.occupied && s.key == u {
-		c.stats.Hits++
-		c.touchSlot(s)
-		return s.val, s.mult, true
-	}
-	c.noteMiss()
-	return nil, nil, false
+	return c.ProbeCountedBytes([]byte(u))
 }
 
 // ProbeCountedBytes is ProbeCounted for a packed key supplied as bytes.
 func (c *Cache) ProbeCountedBytes(k []byte) (tuples []tuple.Tuple, mults []int, ok bool) {
 	c.meter.Charge(cost.HashProbe)
 	c.stats.Probes++
-	h := tuple.HashBytes(k, cacheSeed)
+	h := hashOf(k)
 	if c.filterAbsent(h) {
 		c.stats.Misses++
 		return nil, nil, false
 	}
-	s := &c.slots[h%uint64(c.nbuckets)]
+	s := c.slotAt(h)
 	if s.occupied && keyEq(s.key, k) {
 		c.stats.Hits++
 		c.touchSlot(s)
-		return s.val, s.mult, true
+		return s.val, s.ct.mult, true
 	}
 	c.noteMiss()
 	return nil, nil, false
@@ -125,15 +85,10 @@ func (c *Cache) ProbeCountedBytes(k []byte) (tuples []tuple.Tuple, mults []int, 
 // and removed when its support reaches zero.
 func (c *Cache) ApplyCountedDelta(u tuple.Key, r tuple.Tuple, n int, recomputeMult func() int) {
 	c.meter.Charge(cost.HashProbe)
-	h := hashOf(u)
-	if c.filterAbsent(h) {
-		return // absent entry: the unfiltered path would return just below
-	}
-	s := &c.slots[h%uint64(c.nbuckets)]
-	if !s.occupied || s.key != u {
+	s := c.residentSlot([]byte(u))
+	if s == nil {
 		return
 	}
-	c.touchSlot(s)
 	c.meter.Charge(cost.CacheInsertTuple)
 	c.version++
 	if n > 0 {
@@ -145,15 +100,17 @@ func (c *Cache) ApplyCountedDelta(u tuple.Key, r tuple.Tuple, n int, recomputeMu
 		if !t.Equal(r) {
 			continue
 		}
-		s.cnt[i] += n
-		if s.cnt[i] <= 0 {
+		ct := s.ct
+		ct.cnt[i] += n
+		if ct.cnt[i] <= 0 {
 			last := len(s.val) - 1
-			s.val[i], s.cnt[i], s.mult[i] = s.val[last], s.cnt[last], s.mult[last]
-			s.val, s.cnt, s.mult = s.val[:last], s.cnt[:last], s.mult[:last]
+			s.remove(i)
+			ct.cnt[i], ct.mult[i] = ct.cnt[last], ct.mult[last]
+			ct.cnt, ct.mult = ct.cnt[:last], ct.mult[:last]
 			c.usedBytes -= countedElemBytes
 			return
 		}
-		s.mult[i] = recomputeMult()
+		ct.mult[i] = recomputeMult()
 		return
 	}
 	if n <= 0 {
@@ -165,9 +122,9 @@ func (c *Cache) ApplyCountedDelta(u tuple.Key, r tuple.Tuple, n int, recomputeMu
 		return
 	}
 	m := recomputeMult()
-	s.val = append(s.val, r)
-	s.cnt = append(s.cnt, n)
-	s.mult = append(s.mult, m)
+	s.push(r, nil)
+	s.ct.cnt = append(s.ct.cnt, n)
+	s.ct.mult = append(s.ct.mult, m)
 	c.usedBytes += countedElemBytes
 	c.maybeMaintain()
 }
@@ -182,7 +139,7 @@ func (c *Cache) EachCounted(f func(u tuple.Key, v []tuple.Tuple, mults, supports
 		if c.slots[i].cold {
 			c.promoteSlot(&c.slots[i])
 		}
-		f(c.slots[i].key, c.slots[i].val, c.slots[i].mult, c.slots[i].cnt)
+		f(tuple.Key(c.slots[i].key), c.slots[i].val, c.slots[i].ct.mult, c.slots[i].ct.cnt)
 	}
 }
 
@@ -193,7 +150,7 @@ func (c *Cache) slotBytes(s *slot) int {
 	if s.cold {
 		return c.keyBytes + s.cbytes
 	}
-	if s.cnt != nil {
+	if s.ct != nil {
 		return c.keyBytes + countedElemBytes*len(s.val)
 	}
 	return entryBytes(c.keyBytes, s.val)

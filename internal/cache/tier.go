@@ -164,22 +164,15 @@ func (c *Cache) freeCold(s *slot) {
 
 // demoteSlot serializes a hot slot's payload into a fresh spill page and
 // drops the heap copies. Returns the logical bytes moved cold, or 0 if the
-// entry is not demotable (empty payload, oversized blob, ragged widths).
+// entry is not demotable (empty payload, oversized blob).
 func (c *Cache) demoteSlot(s *slot) int {
 	payload := c.slotBytes(s) - c.keyBytes
 	if payload <= 0 {
 		return 0
 	}
 	n := len(s.val)
-	w := 0
-	for i, u := range s.val {
-		if i == 0 {
-			w = len(u)
-		} else if len(u) != w {
-			return 0
-		}
-	}
-	counted := s.cnt != nil
+	w := len(s.val[0]) // payload > 0: there is one, and all share its width
+	counted := s.ct != nil
 	words := 2 + n*w
 	if counted {
 		words += 2 * n
@@ -208,11 +201,11 @@ func (c *Cache) demoteSlot(s *slot) int {
 		}
 	}
 	if counted {
-		for _, m := range s.mult {
+		for _, m := range s.ct.mult {
 			binary.LittleEndian.PutUint64(b[off:], uint64(m))
 			off += 8
 		}
-		for _, n := range s.cnt {
+		for _, n := range s.ct.cnt {
 			binary.LittleEndian.PutUint64(b[off:], uint64(n))
 			off += 8
 		}
@@ -220,9 +213,7 @@ func (c *Cache) demoteSlot(s *slot) int {
 	s.cold = true
 	s.cslot = slot
 	s.cbytes = payload
-	s.val = nil
-	s.mult = nil
-	s.cnt = nil
+	s.val, s.flat, s.ct = nil, nil, nil
 	c.coldBytes += payload
 	c.tr.demos++
 	return payload
@@ -246,16 +237,15 @@ func (c *Cache) promoteSlot(s *slot) {
 	for i := range val {
 		val[i] = tuple.Tuple(back[i*w : (i+1)*w : (i+1)*w])
 	}
-	s.val = val
+	s.val, s.flat = val, back
 	if counted {
-		s.mult = make([]int, n)
-		s.cnt = make([]int, n)
-		for i := range s.mult {
-			s.mult[i] = int(binary.LittleEndian.Uint64(b[off:]))
+		s.ct = &counts{mult: make([]int, n), cnt: make([]int, n)}
+		for i := range s.ct.mult {
+			s.ct.mult[i] = int(binary.LittleEndian.Uint64(b[off:]))
 			off += 8
 		}
-		for i := range s.cnt {
-			s.cnt[i] = int(binary.LittleEndian.Uint64(b[off:]))
+		for i := range s.ct.cnt {
+			s.ct.cnt[i] = int(binary.LittleEndian.Uint64(b[off:]))
 			off += 8
 		}
 	}

@@ -361,9 +361,11 @@ func (en *Engine) Exec() *join.Exec { return en.exec }
 // OnResult registers a callback receiving every join-result delta in
 // canonical column order (relations ascending, each relation's schema
 // order), with insert = true for additions and false for retractions. The
-// callback runs synchronously inside update processing and must not call
-// back into the engine. Reordering-induced pipeline rebuilds re-register
-// the taps automatically.
+// result slice is the engine's row buffer: it is valid only for the duration
+// of the callback and overwritten by the next result, so a callback that
+// keeps a row copies it. The callback runs synchronously inside update
+// processing and must not call back into the engine. Reordering-induced
+// pipeline rebuilds re-register the taps automatically.
 func (en *Engine) OnResult(f func(insert bool, result []tuple.Value)) {
 	en.resultSinks = append(en.resultSinks, f)
 	en.installResultTaps()
@@ -398,9 +400,9 @@ func (en *Engine) installResultTaps() {
 				cols = append(cols, schema.MustColOf(a))
 			}
 		}
+		out := make([]tuple.Value, len(cols)) // this tap's row buffer, refilled per result
 		en.resultTaps[i] = en.exec.Tap(pipe, en.q.N()-1, func(batch []tuple.Tuple, op stream.Op) {
 			for _, t := range batch {
-				out := make([]tuple.Value, len(cols))
 				for j, c := range cols {
 					out[j] = t[c]
 				}

@@ -53,6 +53,15 @@ func (a *valueArena) alloc(n int) []tuple.Value {
 	return out
 }
 
+// project builds t's projection on cols in the arena.
+func (a *valueArena) project(t tuple.Tuple, cols []int) tuple.Tuple {
+	out := a.alloc(len(cols))
+	for i, c := range cols {
+		out[i] = t[c]
+	}
+	return out
+}
+
 // concat builds t ++ u in the arena.
 func (a *valueArena) concat(t, u tuple.Tuple) tuple.Tuple {
 	out := a.alloc(len(t) + len(u))

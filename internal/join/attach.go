@@ -171,12 +171,7 @@ func (m *maintOp) apply(e *Exec, updRel int, batch []tuple.Tuple, op stream.Op) 
 			e.meter.ChargeN(cost.KeyExtract, len(m.keyCols))
 			e.keyBuf = tuple.AppendKey(e.keyBuf[:0], t, m.keyCols)
 			if op == stream.Insert {
-				// The inserted tuple is retained by the cache; the lazy
-				// variant materializes the copy only on the resident path.
-				t := t
-				m.inst.store.InsertBytesLazy(e.keyBuf, func() tuple.Tuple {
-					return extract(t, m.segCols)
-				})
+				m.inst.store.InsertColsBytes(e.keyBuf, t, m.segCols)
 			} else {
 				m.segBuf = extractInto(m.segBuf[:0], t, m.segCols)
 				m.inst.store.DeleteBytes(e.keyBuf, m.segBuf)

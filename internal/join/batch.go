@@ -123,34 +123,22 @@ func (e *Exec) runCharges(npos, k int) [][]cost.Units {
 	return c
 }
 
-// dupSlot is one entry of the run-duplicate hash table: the first update
-// index seen with this tuple hash. Entries are live only while their epoch
-// matches the executor's, making per-run reset O(1).
+// dupSlot is one entry of the duplicate-detection hash table: the first tuple
+// index offered with this hash. Entries are live only while their epoch
+// matches the executor's, making the per-use reset O(1).
 type dupSlot struct {
 	hash  uint64
 	epoch uint32
 	idx   int32
 }
 
-// dupHashSeed salts the run-duplicate table's tuple hashes.
+// dupHashSeed salts the duplicate table's tuple hashes.
 const dupHashSeed = 0x9e3779b97f4a7c15
 
-// runDups returns dup where dup[j] is the index of the first update in the
-// run whose tuple equals ups[j].Tuple, or −1 if ups[j] is the first
-// occurrence. Two updates of a run are interchangeable when their tuples are
-// value-equal: runs are same-relation same-operation, and a pipeline never
-// reads its own relation's store, so an update's pass is a pure function of
-// its tuple value and of state no update in the run mutates at join-step
-// positions. ProcessRun uses this to replay the first occurrence's recorded
-// output segments and meter deltas instead of re-probing.
-func (e *Exec) runDups(ups []stream.Update) []int32 {
-	k := len(ups)
-	if cap(e.dupOf) < k {
-		e.dupOf = make([]int32, k)
-	}
-	dup := e.dupOf[:k]
+// dupReset empties the duplicate table and sizes it for n tuples.
+func (e *Exec) dupReset(n int) {
 	want := 1
-	for want < 2*k {
+	for want < 2*n {
 		want <<= 1
 	}
 	if len(e.dupSlots) < want {
@@ -162,21 +150,59 @@ func (e *Exec) runDups(ups []stream.Update) []int32 {
 		clear(e.dupSlots)
 		e.dupEpoch = 1
 	}
+}
+
+// dupFirst offers ts[j] to the duplicate table and returns the index of the
+// first tuple offered since dupReset that equals it on cols (nil: on every
+// column) — j itself when there is none. All offers between two resets must
+// index the same ts and pass the same cols.
+func (e *Exec) dupFirst(ts []tuple.Tuple, j int, cols []int) int32 {
+	t := ts[j]
+	equal := func(o tuple.Tuple) bool {
+		if cols == nil {
+			return o.Equal(t)
+		}
+		for _, c := range cols {
+			if o[c] != t[c] {
+				return false
+			}
+		}
+		return true
+	}
+	h := tuple.HashTuple(t, dupHashSeed)
+	if cols != nil {
+		h = tuple.HashOf(t, cols, dupHashSeed)
+	}
 	mask := uint64(len(e.dupSlots) - 1)
-	for j := range ups {
-		t := ups[j].Tuple
-		h := tuple.HashTuple(t, dupHashSeed)
-		dup[j] = -1
-		for i := h & mask; ; i = (i + 1) & mask {
-			s := &e.dupSlots[i]
-			if s.epoch != e.dupEpoch {
-				*s = dupSlot{hash: h, epoch: e.dupEpoch, idx: int32(j)}
-				break
-			}
-			if s.hash == h && ups[s.idx].Tuple.Equal(t) {
-				dup[j] = s.idx
-				break
-			}
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := &e.dupSlots[i]
+		if s.epoch != e.dupEpoch {
+			*s = dupSlot{hash: h, epoch: e.dupEpoch, idx: int32(j)}
+			return int32(j)
+		}
+		if s.hash == h && equal(ts[s.idx]) {
+			return s.idx
+		}
+	}
+}
+
+// runDups returns dup where dup[j] is the index of the first update in the
+// run whose tuple equals ts[j], or −1 if ts[j] is the first occurrence. Two
+// updates of a run are interchangeable when their tuples are value-equal:
+// runs are same-relation same-operation, and a pipeline never reads its own
+// relation's store, so an update's pass is a pure function of its tuple value
+// and of state no update in the run mutates at join-step positions.
+// ProcessRun uses this to replay the first occurrence's recorded output
+// segments and meter deltas instead of re-probing.
+func (e *Exec) runDups(ts []tuple.Tuple) []int32 {
+	if cap(e.dupOf) < len(ts) {
+		e.dupOf = make([]int32, len(ts))
+	}
+	dup := e.dupOf[:len(ts)]
+	e.dupReset(len(ts))
+	for j := range ts {
+		if dup[j] = e.dupFirst(ts, j, nil); dup[j] == int32(j) {
+			dup[j] = -1
 		}
 	}
 	return dup
@@ -205,13 +231,13 @@ func (e *Exec) ProcessRun(ups []stream.Update) Result {
 	k := len(ups)
 	bounds := e.runBounds(nsteps+1, k)
 	charges := e.runCharges(nsteps+1, k)
-	var dup []int32
-	if k > 1 {
-		dup = e.runDups(ups)
-	}
 	for j, u := range ups {
 		arrivals[0] = append(arrivals[0], u.Tuple)
 		bounds[0][j] = int32(j + 1)
+	}
+	var dup []int32
+	if k > 1 {
+		dup = e.runDups(arrivals[0])
 	}
 	outputs := 0
 	for pos := 0; pos <= nsteps; pos++ {

@@ -14,7 +14,7 @@ import (
 // Wall-clock micro-benchmarks of the executor's hot paths. The simulated
 // cost model measures plan quality; these measure the implementation.
 
-func benchExec(b *testing.B, attach bool) (*Exec, []stream.Update) {
+func benchExec(b testing.TB, attach bool) (*Exec, []stream.Update) {
 	b.Helper()
 	q, err := threeWayBench()
 	if err != nil {
@@ -100,3 +100,27 @@ func BenchmarkProcessNoCaches(b *testing.B) { runBench(b, false, false) }
 func BenchmarkProcessWithCache(b *testing.B) { runBench(b, true, false) }
 
 func BenchmarkProcessProfiled(b *testing.B) { runBench(b, true, true) }
+
+// TestWarmExecAllocFree pins the executor's share of an allocation-free
+// Append: a warm Process (cache hits, misses and creates) and a warm
+// ProcessProfiled (Profile out of executor scratch) allocate nothing per
+// update. AllocsPerRun rounds down, which lets through a cache entry's
+// backing growing now and then.
+func TestWarmExecAllocFree(t *testing.T) {
+	e, ups := benchExec(t, true)
+	i := 0
+	step := func() {
+		if i%2 == 0 {
+			e.Process(ups[i])
+		} else if _, prof := e.ProcessProfiled(ups[i]); len(prof.StepUnits) != 2 {
+			t.Fatalf("profile of %d steps, want 2", len(prof.StepUnits))
+		}
+		i++
+	}
+	for i < 2000 {
+		step()
+	}
+	if got := testing.AllocsPerRun(2000, step); got != 0 {
+		t.Fatalf("warm Process/ProcessProfiled: %.0f allocs per update, want 0", got)
+	}
+}

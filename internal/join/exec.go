@@ -53,6 +53,7 @@ type Result struct {
 // (Appendix A): StepInputs[j] is δ_j, the tuples entering operator ⋈_ij
 // (index len(steps) holds the pipeline's output count, the paper's
 // d_{i,k+1} for k = n−2), and StepUnits[j] is τ_j, the work spent in ⋈_ij.
+// The slices are the executor's scratch: valid until its next ProcessProfiled.
 type Profile struct {
 	StepInputs []int
 	StepUnits  []cost.Units
@@ -76,13 +77,24 @@ type Exec struct {
 	arena  valueArena
 	keyBuf []byte
 
+	// Miss-path and profiling scratch, reused across updates: missBuf holds
+	// one (sub-)batch's cache-lookup misses; in runMissSegment seed is the
+	// one-tuple batch entering the segment, segBuf the step outputs
+	// (alternating, so a step never reads the buffer it writes), segAll the
+	// segment's collected output and segVals the value multiset of the entry
+	// being created. prof backs the Profile ProcessProfiled hands out.
+	missBuf []tuple.Tuple
+	seed    [1]tuple.Tuple
+	segBuf  [2][]tuple.Tuple
+	segAll  []tuple.Tuple
+	segVals []tuple.Tuple
+	prof    Profile
+
 	// ProcessRun scratch, reused across runs: bounds[pos][j] is the end
-	// offset of update j's sub-batch within arrivals[pos], and missBuf holds
-	// one sub-batch's cache-lookup misses. charges[pos][j] records the meter
-	// delta of update j's sub-batch at join-step position pos, and dupOf /
-	// dupSlots back the run's duplicate-update detection (see runDups).
+	// offset of update j's sub-batch within arrivals[pos], charges[pos][j]
+	// records the meter delta of update j's sub-batch at join-step position
+	// pos, and dupOf / dupSlots back duplicate detection (see dupFirst).
 	bounds   [][]int32
-	missBuf  []tuple.Tuple
 	charges  [][]cost.Units
 	dupOf    []int32
 	dupSlots []dupSlot
@@ -391,10 +403,11 @@ func (e *Exec) ProcessProfiled(u stream.Update) (Result, Profile) {
 	}
 	sw := cost.NewStopwatch(e.meter)
 	nsteps := len(e.pipes[u.Rel].steps)
-	prof := Profile{
-		StepInputs: make([]int, nsteps+1),
-		StepUnits:  make([]cost.Units, nsteps),
+	if cap(e.prof.StepInputs) <= nsteps {
+		e.prof = Profile{StepInputs: make([]int, nsteps+1), StepUnits: make([]cost.Units, nsteps)}
 	}
+	prof := Profile{StepInputs: e.prof.StepInputs[:nsteps+1], StepUnits: e.prof.StepUnits[:nsteps]}
+	clear(prof.StepUnits) // run writes every StepInputs entry, but only the steps that ran
 	outputs := e.run(u, true, &prof)
 	e.applyStoreUpdate(u)
 	return Result{Outputs: outputs, Units: sw.Elapsed()}, prof
@@ -479,9 +492,9 @@ func (e *Exec) run(u stream.Update, profiled bool, prof *Profile) int {
 
 // applyLookup probes the cache for each tuple of the batch. Hits emit their
 // continuation tuples directly into arrivals[end+1]; misses are returned for
-// regular segment processing.
+// regular segment processing (in missBuf, valid until the next lookup).
 func (e *Exec) applyLookup(p *pipeline, att *attachment, batch []tuple.Tuple, arrivals [][]tuple.Tuple) []tuple.Tuple {
-	var misses []tuple.Tuple
+	misses := e.missBuf[:0]
 	emit := func(r, s tuple.Tuple) {
 		e.meter.Charge(cost.OutputTuple)
 		out := e.arena.alloc(len(r) + len(att.permCols))
@@ -516,6 +529,7 @@ func (e *Exec) applyLookup(p *pipeline, att *attachment, batch []tuple.Tuple, ar
 			emit(r, s)
 		}
 	}
+	e.missBuf = misses[:0]
 	return misses
 }
 
@@ -533,11 +547,13 @@ func (e *Exec) applyLookup(p *pipeline, att *attachment, batch []tuple.Tuple, ar
 // passes true, where the memoized replay is charge-identical and the stores
 // it probes are guaranteed unchanged for the duration of the run.
 func (e *Exec) runMissSegment(p *pipeline, att *attachment, misses []tuple.Tuple, op stream.Op, useMemo bool) []tuple.Tuple {
-	created := make(map[tuple.Key]bool)
-	var all []tuple.Tuple
-	for _, r := range misses {
-		u := tuple.KeyOf(r, att.keyCols)
-		batch := []tuple.Tuple{r}
+	if len(misses) > 1 {
+		e.dupReset(len(misses))
+	}
+	all := e.segAll[:0]
+	for j, r := range misses {
+		e.seed[0] = r
+		batch := e.seed[:]
 		for pos := att.start; pos <= att.end; pos++ {
 			if pos > att.start && len(batch) > 0 {
 				for _, t := range p.taps[pos] {
@@ -545,37 +561,45 @@ func (e *Exec) runMissSegment(p *pipeline, att *attachment, misses []tuple.Tuple
 				}
 			}
 			st := p.steps[pos]
+			out := &e.segBuf[(pos-att.start)&1]
 			if useMemo {
-				batch = st.runMemo(batch, e.stores[st.rel], e.meter, &e.arena, nil)
+				*out = st.runMemo(batch, e.stores[st.rel], e.meter, &e.arena, (*out)[:0])
 			} else {
-				batch = st.run(batch, e.stores[st.rel], e.meter, &e.arena, nil)
+				*out = st.run(batch, e.stores[st.rel], e.meter, &e.arena, (*out)[:0])
 			}
+			batch = *out
 		}
 		all = append(all, batch...)
-		if created[u] {
+		// One create per probed key: a miss whose key an earlier miss of
+		// this call already carried is skipped, whatever became of that
+		// entry since.
+		if len(misses) > 1 && e.dupFirst(misses, j, att.keyCols) != int32(j) {
 			continue
 		}
-		created[u] = true
-		vals := make([]tuple.Tuple, len(batch))
-		for i, out := range batch {
-			vals[i] = extract(out, att.segCols)
+		vals := e.segVals[:0]
+		for _, out := range batch {
+			vals = append(vals, e.arena.project(out, att.segCols))
 		}
+		e.segVals = vals[:0]
 		if !att.inst.counted() {
-			att.inst.store.Create(u, vals)
+			e.keyBuf = tuple.AppendKey(e.keyBuf[:0], r, att.keyCols)
+			att.inst.store.CreateBytes(e.keyBuf, vals)
 			continue
 		}
+		u := tuple.KeyOf(r, att.keyCols)
 		// GC cache: collapse to distinct tuples with their multiplicities,
 		// keep only Y-supported ones, and record exact total support
 		// (multiplicity × per-instance Y combinations).
 		var tuples []tuple.Tuple
 		var mults, supports []int
-		at := make(map[tuple.Key]int)
+	collapse:
 		for _, t := range vals {
-			if i, ok := at[tuple.Encode(t)]; ok {
-				mults[i]++
-				continue
+			for i, d := range tuples {
+				if d.Equal(t) {
+					mults[i]++
+					continue collapse
+				}
 			}
-			at[tuple.Encode(t)] = len(tuples)
 			tuples = append(tuples, t)
 			mults = append(mults, 1)
 			supports = append(supports, att.inst.countY(e, t))
@@ -591,5 +615,6 @@ func (e *Exec) runMissSegment(p *pipeline, att *attachment, misses []tuple.Tuple
 		}
 		att.inst.store.CreateCounted(u, kept, km, ks)
 	}
+	e.segAll = all[:0]
 	return all
 }

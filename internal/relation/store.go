@@ -578,9 +578,22 @@ func (s *Store) Delete(t tuple.Tuple) bool {
 	if sl.head == id {
 		s.byVal.clearSlot(slot)
 	} else {
+		// The newest id goes, but the oldest storage: each remaining id takes
+		// over its successor's (value-equal) tuple. A window expires its
+		// oldest tuple, so store and window go on holding the same tuples,
+		// and a value that keeps recurring does not pin the ingress chunk
+		// (acache.cloner) its first occurrence was carved from. Tiered stores
+		// hold page copies, placed by id, and skip this.
 		prev := sl.head
-		for s.valNext[prev] != id {
-			prev = s.valNext[prev]
+		for {
+			next := s.valNext[prev]
+			if s.tier == nil {
+				s.tuples[prev] = s.tuples[next]
+			}
+			if next == id {
+				break
+			}
+			prev = next
 		}
 		s.valNext[prev] = nilID
 		sl.tail = prev

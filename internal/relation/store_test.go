@@ -50,6 +50,29 @@ func TestDuplicatesAreMultiset(t *testing.T) {
 	}
 }
 
+// TestDeleteLetsGoOfOldestStorage: among equal tuples a delete retires the
+// newest id but the oldest tuple's storage, the one a sliding window is
+// expiring — so a value that recurs forever cannot pin its first occurrence
+// (and the ingress chunk around it) in the store.
+func TestDeleteLetsGoOfOldestStorage(t *testing.T) {
+	s, _ := newTestStore()
+	dups := []tuple.Tuple{{1, 1}, {1, 1}, {1, 1}}
+	for _, d := range dups {
+		s.Insert(d)
+	}
+	for oldest := 0; oldest < len(dups)-1; oldest++ {
+		s.Delete(tuple.Tuple{1, 1})
+		for _, kept := range s.All() {
+			if &kept[0] == &dups[oldest][0] {
+				t.Fatalf("after %d deletes the store still holds duplicate %d's storage", oldest+1, oldest)
+			}
+		}
+	}
+	if s.Len() != 1 || &s.All()[0][0] != &dups[2][0] {
+		t.Fatal("the surviving tuple is not the newest duplicate")
+	}
+}
+
 func TestIndexProbe(t *testing.T) {
 	s, _ := newTestStore()
 	idx := s.CreateIndex("A")

@@ -117,9 +117,10 @@ type shardState struct {
 	ckpt      *core.Checkpoint
 	wal       []stream.Update // updates applied (and delivered) since ckpt
 	sinceCkpt int
-	admitted  uint64   // updates admitted to the engine, the fault-index clock
-	stage     []staged // results of the in-flight sub-batch
-	mute      bool     // discard results (checkpoint replay re-processing)
+	admitted  uint64        // updates admitted to the engine, the fault-index clock
+	stage     []staged      // results of the in-flight sub-batch
+	stageVals []tuple.Value // flat backing of stage's rows, reset with it
+	mute      bool          // discard results (checkpoint replay re-processing)
 	snapBase  core.Snapshot
 	// fragileFlag marks a shard that recovered since its last clean
 	// checkpoint (worker writes, watchdog reads → atomic).
@@ -639,7 +640,7 @@ func (e *Engine) applySeg(i int, ws *shardState, seg []stream.Update, fireAt uin
 		}
 		return true
 	}
-	ws.stage = ws.stage[:0]
+	ws.stage, ws.stageVals = ws.stage[:0], ws.stageVals[:0]
 	ws.lastErr.Store(err.Error())
 	if e.ckptEvery <= 0 || int(ws.recoveries.Load()) >= e.maxRecoveries {
 		ws.setHealth(Quarantined)
@@ -687,19 +688,23 @@ func (e *Engine) deliverStage(ws *shardState) {
 		e.safeCall(s.insert, s.vals)
 	}
 	e.resMu.Unlock()
-	ws.stage = ws.stage[:0]
+	ws.stage, ws.stageVals = ws.stage[:0], ws.stageVals[:0]
 }
 
 // attachSink wires a shard engine's result callback to the shard's stage
 // buffer (muted during checkpoint replay, whose results were already
-// delivered before the crash).
+// delivered before the crash). The engine's row is valid only during the
+// callback, so the stage copies it into stageVals; a row staged before
+// stageVals grew keeps pointing at the old backing, which still holds it.
 func (e *Engine) attachSink(i int, en *core.Engine) {
 	ws := e.states[i]
 	en.OnResult(func(ins bool, vals []tuple.Value) {
 		if ws.mute {
 			return
 		}
-		ws.stage = append(ws.stage, staged{insert: ins, vals: vals})
+		off, end := len(ws.stageVals), len(ws.stageVals)+len(vals)
+		ws.stageVals = append(ws.stageVals, vals...)
+		ws.stage = append(ws.stage, staged{insert: ins, vals: ws.stageVals[off:end:end]})
 	})
 }
 

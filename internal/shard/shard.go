@@ -489,8 +489,9 @@ func (e *Engine) Outputs() uint64 { return e.Snapshot().Outputs }
 // OnResult registers a merged result callback: every shard's join-result
 // deltas are funneled through one mutex into f. Per-shard emission order is
 // preserved; cross-shard interleaving is unspecified. Must be called before
-// the first Offer. f runs on shard goroutines and must not call back into
-// the engine. A panic in f is contained: it is swallowed, counted (see
+// the first Offer. The result slice is an engine buffer, valid only for the
+// duration of the call: f copies what it keeps. f runs on shard goroutines
+// and must not call back into the engine. A panic in f is contained: it is swallowed, counted (see
 // CallbackPanics), and processing continues.
 //
 // In resilient mode delivery is transactional: results are staged and handed

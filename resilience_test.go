@@ -12,7 +12,10 @@ import (
 // panic injected into 1 of 4 shards mid-stream. The engine must keep
 // serving, Health must report the recovery, and — because nothing was shed —
 // the result multiset and final window contents must match a serial
-// reference exactly.
+// reference exactly. Sub-batches here commit several results at a time, and
+// the bags format each row when it is delivered, so this is also the guard
+// that the resilient stage copies the engine's row buffer (aliasing it
+// delivers every staged row as the sub-batch's last).
 func TestShardedPanicRecoveryMatchesSerial(t *testing.T) {
 	n := 2500
 	if testing.Short() {

@@ -55,6 +55,7 @@ type ShardedEngine struct {
 	windows  []*stream.SlidingWindow
 	timeWins []*stream.TimeWindow
 	partWins []*stream.PartitionedWindow
+	clone    []cloner
 	seq      uint64
 	server   *Server // non-nil when hosted by a Server
 
@@ -130,7 +131,7 @@ func (q *Query) BuildSharded(opts Options, sopts ShardOptions) (*ShardedEngine, 
 	}
 	e := &ShardedEngine{q: q, plan: plan, sh: sh, resOn: r.enabled()}
 	e.ladder = newLadder(r, len(q.names), cfg.Seed)
-	e.windows, e.timeWins, e.partWins = q.buildWindows()
+	e.windows, e.timeWins, e.partWins, e.clone = q.buildWindows()
 	return e, nil
 }
 
@@ -209,9 +210,9 @@ func (e *ShardedEngine) Append(rel string, values ...int64) {
 func (e *ShardedEngine) windowAppend(idx int, values []int64, rel string) []stream.Update {
 	switch {
 	case e.partWins[idx] != nil:
-		return e.partWins[idx].Append(tuple.Tuple(values).Clone())
+		return e.partWins[idx].Append(e.clone[idx].clone(values))
 	case e.windows[idx] != nil:
-		return e.windows[idx].Append(tuple.Tuple(values).Clone())
+		return e.windows[idx].Append(e.clone[idx].clone(values))
 	default:
 		panic(fmt.Sprintf("acache: relation %q is time-windowed; use AppendAt", rel))
 	}
@@ -230,7 +231,7 @@ func (e *ShardedEngine) AppendBatch(rel string, rows [][]int64) {
 		if e.shedIngress(idx) {
 			continue
 		}
-		ts = append(ts, tuple.Tuple(r).Clone())
+		ts = append(ts, e.clone[idx].clone(r))
 	}
 	if len(ts) == 0 {
 		return
@@ -263,7 +264,7 @@ func (e *ShardedEngine) AppendAt(rel string, ts int64, values ...int64) {
 	if e.shedIngress(idx) {
 		return
 	}
-	for _, u := range e.timeWins[idx].Append(tuple.Tuple(values).Clone(), ts) {
+	for _, u := range e.timeWins[idx].Append(e.clone[idx].clone(values), ts) {
 		u.Rel = idx
 		e.route(u)
 	}
@@ -295,8 +296,10 @@ func (e *ShardedEngine) Close() { e.sh.Close() }
 // row (see Query.ResultColumns for the labels), with insert = true for
 // additions and false for retractions. Callbacks are merged across shards
 // under a mutex: per-shard emission order is preserved, cross-shard
-// interleaving is unspecified. Must be called before the first update; the
-// callback runs on shard goroutines and must not call back into the engine.
+// interleaving is unspecified. The row is an engine buffer, valid only for
+// the duration of the callback: a callback that keeps a row copies it. Must
+// be called before the first update; the callback runs on shard goroutines
+// and must not call back into the engine.
 func (e *ShardedEngine) OnResult(f func(insert bool, row []int64)) {
 	e.sh.OnResult(func(ins bool, vals []tuple.Value) { f(ins, vals) })
 }
