@@ -901,7 +901,7 @@ func (q *Query) RelationNames() (names []string, arities []int) {
 // it, so a callback that keeps a row copies it. Callbacks run synchronously
 // inside update processing and must not call back into the engine.
 func (e *Engine) OnResult(f func(insert bool, row []int64)) {
-	e.core.OnResult(func(ins bool, vals []tuple.Value) { f(ins, vals) })
+	e.core.OnResult(f)
 }
 
 // ResultColumns returns the labels of result-row columns, in the order

@@ -42,7 +42,7 @@ func (en *Engine) ProcessBatch(ups []stream.Update) int {
 		if carryProfiled {
 			profiled, carryProfiled = true, false
 		} else {
-			profiled = en.pf.ShouldProfile(u.Rel)
+			profiled = en.shouldProfile(u.Rel)
 		}
 		limit := en.runLimit(u.Rel)
 		if profiled || limit <= 1 {
@@ -54,7 +54,7 @@ func (en *Engine) ProcessBatch(ups []stream.Update) int {
 		}
 		j := i + 1
 		for j < len(ups) && j-i < limit && ups[j].Rel == u.Rel && ups[j].Op == u.Op {
-			if en.pf.ShouldProfile(ups[j].Rel) {
+			if en.shouldProfile(ups[j].Rel) {
 				carryProfiled = true
 				break
 			}
@@ -73,7 +73,9 @@ func (en *Engine) ProcessBatch(ups []stream.Update) int {
 		en.batchRunUpdates += uint64(k)
 		en.meter.ChargeN(cost.WindowMaint, k)
 		res := en.exec.ProcessRun(ups[i:j])
-		en.pf.TickN(u.Rel, k)
+		if !en.cfg.DisableCaching {
+			en.pf.TickN(u.Rel, k)
+		}
 		en.updates += k
 		en.outputs += uint64(res.Outputs)
 		total += res.Outputs
@@ -111,10 +113,11 @@ func (en *Engine) BatchStats() (runs, runUpdates, serial, dupReplays uint64) {
 
 // runLimit bounds the length of a batched run starting at an update to rel so
 // that no state observation point falls strictly inside the run. The profiler
-// caps it at the next rate-span boundary; outside the forced / caching-off
-// modes (which skip adaptivity entirely) the monitor and re-optimization
-// intervals cap it too, and profiling phases force fully serial processing so
-// every update's statsReady check happens at its per-update position.
+// caps it at the next rate-span boundary (a whole span away for a plain MJoin,
+// which never ticks); outside the forced / caching-off modes (which skip
+// adaptivity entirely) the monitor and re-optimization intervals cap it too,
+// and profiling phases force fully serial processing so every update's
+// statsReady check happens at its per-update position.
 func (en *Engine) runLimit(rel int) int {
 	if en.exec.SharedStores() > 0 {
 		// Cross-query shared stores require sharers to interleave per

@@ -488,7 +488,15 @@ func (en *Engine) releaseInstance(id string) {
 // updates emitted.
 func (en *Engine) Process(u stream.Update) int {
 	en.meter.Charge(cost.WindowMaint)
-	return en.processUpdate(u, en.pf.ShouldProfile(u.Rel))
+	return en.processUpdate(u, en.shouldProfile(u.Rel))
+}
+
+// shouldProfile draws the profiling decision for the next update to rel. A
+// plain MJoin (DisableCaching) never draws, observes or ticks: nothing reads
+// the profiler there — no candidates, no re-optimization, no ordering advice
+// — and a profiled update without caches charges what a plain one does.
+func (en *Engine) shouldProfile(rel int) bool {
+	return !en.cfg.DisableCaching && en.pf.ShouldProfile(rel)
 }
 
 // processUpdate is the serial per-update path with the window-maintenance
@@ -505,7 +513,9 @@ func (en *Engine) processUpdate(u stream.Update, profiled bool) int {
 	} else {
 		outputs = en.exec.Process(u).Outputs
 	}
-	en.pf.Tick(u.Rel)
+	if !en.cfg.DisableCaching {
+		en.pf.Tick(u.Rel)
+	}
 	en.updates++
 	en.outputs += uint64(outputs)
 

@@ -10,29 +10,37 @@ import (
 )
 
 // Differential property test: the slab/open-addressing Store against a
-// naive map-and-slice reference model, under randomized interleavings of
-// inserts (with duplicates), deletes (present and absent), probes, counts,
-// scans, and index create/drop mid-stream.
+// naive slice reference model, under randomized interleavings of inserts
+// (with duplicates), deletes (present and absent, of held tuples and of
+// copies), probes, counts, scans, and index create/drop mid-stream.
 
-// refStore is the obviously-correct model: a flat slice in insertion order.
-// Delete removes the newest duplicate, matching the Store's contract (the
-// last-inserted tuple of an identical-value group goes first).
+// refStore is the obviously-correct model: a flat slice in insertion order of
+// the very tuples the store was given. Delete follows the Store's contract:
+// the caller's own tuple if held, else the oldest equal one.
 type refStore struct {
 	tuples []tuple.Tuple
 }
 
 func (r *refStore) insert(t tuple.Tuple) {
-	r.tuples = append(r.tuples, t.Clone())
+	r.tuples = append(r.tuples, t)
 }
 
 func (r *refStore) delete(t tuple.Tuple) bool {
-	for i := len(r.tuples) - 1; i >= 0; i-- {
-		if r.tuples[i].Equal(t) {
-			r.tuples = append(r.tuples[:i:i], r.tuples[i+1:]...)
-			return true
+	at := -1
+	for i, u := range r.tuples {
+		if sameStorage(u, t) {
+			at = i
+			break
+		}
+		if at < 0 && u.Equal(t) {
+			at = i
 		}
 	}
-	return false
+	if at < 0 {
+		return false
+	}
+	r.tuples = append(r.tuples[:at:at], r.tuples[at+1:]...)
+	return true
 }
 
 func (r *refStore) countOf(t tuple.Tuple) int {
@@ -97,9 +105,55 @@ func sameOrdered(t *testing.T, label string, got, want []tuple.Tuple) {
 	}
 }
 
+// sameStorageSet checks that got and want are the same tuples — the same
+// backing arrays, not merely equal values — in any order.
+func sameStorageSet(t *testing.T, label string, got, want []tuple.Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d tuples, want %d", label, len(got), len(want))
+	}
+	held := make(map[*tuple.Value]bool, len(want))
+	for _, u := range want {
+		held[&u[0]] = true
+	}
+	for _, u := range got {
+		if !held[&u[0]] {
+			t.Fatalf("%s: holds a %v that is not the model's", label, u)
+		}
+		delete(held, &u[0])
+	}
+}
+
+// TestStoreDifferential runs the op mix against every shape of index set a
+// delete can meet. Indexes named steady are created before any data and live
+// forever: their chains are maintained purely incrementally, so probe order
+// must equal insertion order exactly — the contract the executor's
+// compile-time indexes rely on — and with a steady index first, "the oldest
+// equal tuple" is exact too, so store and model must hold the same storage.
+// The flip sets cycle mid-stream: their rebuilds reindex the slab (scan
+// order, deterministic but not insertion order), so they are held to
+// multiset equality, probe-path agreement, and determinism — and with no
+// steady index the store's first index, the one deletes resolve through,
+// keeps changing under a populated store, or is missing altogether.
 func TestStoreDifferential(t *testing.T) {
+	flips := [][]string{{"A"}, {"B", "C"}, {"A", "C"}}
+	for _, tc := range []struct {
+		name         string
+		steady, flip [][]string
+	}{
+		{"noIndex", nil, nil},
+		{"oneIndex", [][]string{{"B"}}, nil},
+		{"twoIndexes", [][]string{{"B"}, {"A", "C"}}, nil},
+		{"steadyFirst", [][]string{{"B"}}, flips},
+		{"flippingFirst", nil, flips},
+	} {
+		t.Run(tc.name, func(t *testing.T) { storeDifferential(t, tc.steady, tc.flip) })
+	}
+}
+
+func storeDifferential(t *testing.T, steadySets, indexSets [][]string) {
 	const (
-		steps  = 20_000
+		steps  = 8_000
 		domain = 4 // small domain → heavy duplication
 	)
 	attrs := []string{"A", "B", "C"}
@@ -116,14 +170,10 @@ func TestStoreDifferential(t *testing.T) {
 		return out
 	}
 
-	// steady is created before any data and lives forever: its chains are
-	// maintained purely incrementally, so probe order must equal insertion
-	// order exactly — the contract the executor's compile-time indexes rely
-	// on. The other index sets cycle mid-stream: their rebuilds reindex the
-	// slab (scan order, deterministic but not insertion order), so they are
-	// held to multiset equality, probe-path agreement, and determinism.
-	steady := s.CreateIndex("B")
-	indexSets := [][]string{{"A"}, {"B", "C"}, {"A", "C"}}
+	var steady []*HashIndex
+	for _, set := range steadySets {
+		steady = append(steady, s.CreateIndex(set...))
+	}
 	live := map[int]*HashIndex{}
 
 	checkIndex := func(idx *HashIndex, ordered bool) {
@@ -157,8 +207,16 @@ func TestStoreDifferential(t *testing.T) {
 			u := randTuple()
 			s.Insert(u)
 			ref.insert(u)
-		case op < 75: // delete a random tuple; often absent
+		case op < 75:
+			// Delete a random tuple, often absent; or a held tuple, as a
+			// window does; or a copy of one, as an explicit delete does.
 			u := randTuple()
+			if kind := rng.Intn(3); kind > 0 && len(ref.tuples) > 0 {
+				u = ref.tuples[rng.Intn(len(ref.tuples))]
+				if kind == 2 {
+					u = u.Clone()
+				}
+			}
 			got, want := s.Delete(u), ref.delete(u)
 			if got != want {
 				t.Fatalf("step %d: Delete(%v) = %v, want %v", step, u, got, want)
@@ -168,18 +226,22 @@ func TestStoreDifferential(t *testing.T) {
 			if got, want := s.CountOf(u), ref.countOf(u); got != want {
 				t.Fatalf("step %d: CountOf(%v) = %d, want %d", step, u, got, want)
 			}
-		case op < 90: // probe the always-live index: exact insertion order
-			checkIndex(steady, true)
+		case op < 90: // probe an always-live index: exact insertion order
+			if len(steady) > 0 {
+				checkIndex(steady[rng.Intn(len(steady))], true)
+			}
 		case op < 95: // probe a mid-stream index, if any
 			for _, idx := range live {
 				checkIndex(idx, false)
 				break
 			}
 		default: // flip an index: create if absent, drop if present
+			if len(indexSets) == 0 {
+				break
+			}
 			which := rng.Intn(len(indexSets))
-			if idx, ok := live[which]; ok {
+			if _, ok := live[which]; ok {
 				s.DropIndex(indexSets[which]...)
-				_ = idx
 				delete(live, which)
 			} else {
 				live[which] = s.CreateIndex(indexSets[which]...)
@@ -187,6 +249,9 @@ func TestStoreDifferential(t *testing.T) {
 		}
 		if s.Len() != len(ref.tuples) {
 			t.Fatalf("step %d: Len = %d, want %d", step, s.Len(), len(ref.tuples))
+		}
+		if len(steady) > 0 && step%500 == 0 {
+			sameStorageSet(t, "All", s.All(), ref.tuples)
 		}
 	}
 
@@ -198,8 +263,13 @@ func TestStoreDifferential(t *testing.T) {
 	})
 	sameMultiset(t, "Scan", scanned, ref.tuples)
 	sameMultiset(t, "All", s.All(), ref.tuples)
-	for i := 0; i < 50; i++ {
-		checkIndex(steady, true)
+	if len(steady) > 0 {
+		sameStorageSet(t, "All", s.All(), ref.tuples)
+	}
+	for _, idx := range steady {
+		for i := 0; i < 50; i++ {
+			checkIndex(idx, true)
+		}
 	}
 	for _, idx := range live {
 		for i := 0; i < 50; i++ {

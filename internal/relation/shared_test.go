@@ -12,14 +12,15 @@ func sharedSchema() *tuple.Schema { return tuple.RelationSchema(0, "A", "B") }
 // TestSharedReplayChargeIdentity drives two sharers over one store and checks
 // that each sharer's meter charges exactly what an isolated store would have
 // charged it for the same operation sequence — the physical apply and the
-// replay paths must be tariff-identical, including the unindexed-delete case
-// (a miss charges nothing) and per-index surcharges.
+// replay paths must be tariff-identical, whichever way the delete found its
+// victim (scan, head of a chain, behind a duplicate), including the absent
+// tuple (a miss charges nothing) and per-index surcharges.
 func TestSharedReplayChargeIdentity(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
+	for _, indexed := range [][]string{nil, {"A"}, {"A", "B"}} {
 		mShared := &cost.Meter{}
 		shared := NewStore(0, sharedSchema(), mShared)
-		if indexed {
-			shared.CreateIndex("A")
+		for _, name := range indexed {
+			shared.CreateIndex(name)
 		}
 		a := shared.Share()
 		b := shared.Share()
@@ -31,8 +32,13 @@ func TestSharedReplayChargeIdentity(t *testing.T) {
 		}{
 			{false, tuple.Tuple{1, 10}},
 			{false, tuple.Tuple{2, 20}},
+			{false, tuple.Tuple{1, 11}},
+			{false, tuple.Tuple{1, 10}}, // a duplicate
+			{true, tuple.Tuple{1, 11}},  // behind the head of A's chain
 			{true, tuple.Tuple{1, 10}},
-			{true, tuple.Tuple{7, 70}}, // delete of an absent tuple: no charges
+			{true, tuple.Tuple{1, 10}},
+			{true, tuple.Tuple{1, 10}}, // the duplicates are gone: no charges
+			{true, tuple.Tuple{7, 70}}, // never present: no charges
 			{false, tuple.Tuple{3, 30}},
 		}
 		for _, op := range ops {
@@ -60,9 +66,9 @@ func TestSharedReplayChargeIdentity(t *testing.T) {
 		mA3, mB3 := &cost.Meter{}, &cost.Meter{}
 		twinA := NewStore(0, sharedSchema(), mA3)
 		twinB := NewStore(0, sharedSchema(), mB3)
-		if indexed {
-			twinA.CreateIndex("A")
-			twinB.CreateIndex("A")
+		for _, name := range indexed {
+			twinA.CreateIndex(name)
+			twinB.CreateIndex(name)
 		}
 		for _, op := range ops {
 			if op.del {

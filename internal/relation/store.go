@@ -5,10 +5,12 @@
 //
 // Storage is a slab: tuples live in a dense slice addressed by small integer
 // ids recycled through a free list, scan order is a swap-remove id slice, and
-// both the by-value table and every hash index are open-addressing tables
-// keyed by an inline 64-bit hash of the relevant columns — no key string is
-// materialized on the insert/delete/probe paths, so steady-state window
-// maintenance does not allocate.
+// every hash index is an open-addressing table keyed by an inline 64-bit hash
+// of its key columns — no key string is materialized on the insert/delete/
+// probe paths, so steady-state window maintenance does not allocate. There is
+// no table keyed by the whole tuple: a delete finds its victim on the tuple's
+// key chain in the store's first index, where a window expiry sits at the
+// head, and a store with no index scans (as every probe of it already does).
 package relation
 
 import (
@@ -73,9 +75,6 @@ func newOATable() oaTable {
 
 // find returns the slot index holding hash with eq(head) true, or -1.
 func (t *oaTable) find(hash uint64, eq func(id int32) bool) int {
-	if t.slots == nil {
-		return -1
-	}
 	for i := hash & t.mask; ; i = (i + 1) & t.mask {
 		s := &t.slots[i]
 		if s.head == emptySlot {
@@ -91,9 +90,6 @@ func (t *oaTable) find(hash uint64, eq func(id int32) bool) int {
 // tombstone slot when the key is absent (claimed reports which). The caller
 // must immediately occupy a claimed slot.
 func (t *oaTable) findOrClaim(hash uint64, eq func(id int32) bool) (idx int, claimed bool) {
-	if t.slots == nil {
-		*t = newOATable()
-	}
 	firstFree := -1
 	for i := hash & t.mask; ; i = (i + 1) & t.mask {
 		s := &t.slots[i]
@@ -183,9 +179,6 @@ type Store struct {
 	freeIDs  []int32
 	order    []int32 // ids in scan order (swap-remove)
 	orderPos []int32 // id -> position in order
-
-	byVal   oaTable // full-tuple hash -> duplicate chain
-	valNext []int32 // id -> next id in its byVal chain
 
 	indexes map[string]*HashIndex
 	idxList []*HashIndex // map values as a slice, so hot paths avoid map iteration
@@ -361,23 +354,6 @@ func (s *Store) trimSharedLog() {
 	}
 }
 
-// IndexSignature canonicalizes the store's current index set — the identity
-// under which insert/delete tariffs are determined (each index charges one
-// HashInsert per mutation). Stores are shareable across queries only when
-// their signatures agree, otherwise sharers' charges would diverge from
-// their isolated baselines.
-func (s *Store) IndexSignature() string {
-	if len(s.idxList) == 0 {
-		return ""
-	}
-	ids := make([]string, 0, len(s.indexes))
-	for id := range s.indexes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return strings.Join(ids, ";")
-}
-
 // FilterStats are the cumulative filtered-probe counters of one store, for
 // telemetry and for the re-optimizer's filter on/off decision. Probes and
 // Misses are counted whether or not filters are enabled (the knob needs the
@@ -426,10 +402,6 @@ func (s *Store) Len() int { return len(s.order) }
 // Epoch changes whenever the index set changes; compiled join steps cache
 // the *HashIndex they probe and revalidate it when the epoch moves.
 func (s *Store) Epoch() uint64 { return s.epoch }
-
-// Mutations changes whenever the store's contents change (any Insert or
-// successful Delete). Probe memos record it to detect staleness.
-func (s *Store) Mutations() uint64 { return s.mutations }
 
 // indexName canonicalizes an attribute-name set into an index identifier.
 func indexName(names []string) string {
@@ -508,7 +480,6 @@ func (s *Store) allocID(t tuple.Tuple) int32 {
 		id = int32(len(s.tuples))
 		s.tuples = append(s.tuples, nil)
 		s.orderPos = append(s.orderPos, 0)
-		s.valNext = append(s.valNext, nilID)
 		for _, idx := range s.idxList {
 			idx.next = append(idx.next, nilID)
 		}
@@ -521,36 +492,12 @@ func (s *Store) allocID(t tuple.Tuple) int32 {
 	return id
 }
 
-// rehashByVal rebuilds the byVal table after a grow: chains survive intact
-// (they are linked through valNext), only slot placement changes.
-func (s *Store) rehashByVal() {
-	old := s.byVal.slots
-	s.byVal.reset(s.byVal.live)
-	for i := range old {
-		if old[i].head >= 0 {
-			s.byVal.insertChain(old[i].hash, old[i].head, old[i].tail)
-		}
-	}
-}
-
 // Insert adds t to the store and all indexes.
 func (s *Store) Insert(t tuple.Tuple) {
 	s.mutations++
 	id := s.allocID(t)
 	s.orderPos[id] = int32(len(s.order))
 	s.order = append(s.order, id)
-	h := tuple.HashTuple(t, hashSeed)
-	slot, claimed := s.byVal.findOrClaim(h, func(o int32) bool { return s.tuples[o].Equal(t) })
-	s.valNext[id] = nilID
-	if claimed {
-		if s.byVal.occupy(slot, h, id, id) {
-			s.rehashByVal()
-		}
-	} else {
-		sl := &s.byVal.slots[slot]
-		s.valNext[sl.tail] = id
-		sl.tail = id
-	}
 	s.meter.Charge(cost.HashInsert)
 	s.meter.ChargeN(cost.KeyExtract, len(t))
 	for _, idx := range s.idxList {
@@ -562,42 +509,37 @@ func (s *Store) Insert(t tuple.Tuple) {
 	}
 }
 
-// Delete removes one tuple equal to t. It reports whether a tuple was found;
-// deleting an absent tuple is a no-op (windows only delete what they
-// inserted, so false indicates a driver bug and is surfaced to tests).
-// Among duplicates the most recently inserted tuple is removed.
+// sameStorage reports whether a and b are the same tuple, not merely equal.
+func sameStorage(a, b tuple.Tuple) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// Delete removes t itself when the store holds it (an untiered store aliases
+// the tuples it is given, so a window expiry releases exactly the storage the
+// window released), else the first tuple equal to t on its key chain in the
+// store's first index — the oldest, for an index kept since the store was
+// empty. A store with no index scans for it, as every probe of it does. It
+// reports whether a tuple was found; deleting an absent tuple is a no-op
+// (windows only delete what they inserted, so false indicates a driver bug
+// and is surfaced to tests).
 func (s *Store) Delete(t tuple.Tuple) bool {
-	h := tuple.HashTuple(t, hashSeed)
-	slot := s.byVal.find(h, func(o int32) bool { return s.tuples[o].Equal(t) })
-	if slot < 0 {
+	id := nilID
+	if len(s.idxList) > 0 {
+		id = s.idxList[0].remove(t, nilID)
+	} else {
+		for _, o := range s.order {
+			if sameStorage(s.tuples[o], t) {
+				id = o
+				break
+			} else if id == nilID && s.tuples[o].Equal(t) {
+				id = o
+			}
+		}
+	}
+	if id == nilID {
 		return false
 	}
 	s.mutations++
-	sl := &s.byVal.slots[slot]
-	id := sl.tail
-	if sl.head == id {
-		s.byVal.clearSlot(slot)
-	} else {
-		// The newest id goes, but the oldest storage: each remaining id takes
-		// over its successor's (value-equal) tuple. A window expires its
-		// oldest tuple, so store and window go on holding the same tuples,
-		// and a value that keeps recurring does not pin the ingress chunk
-		// (acache.cloner) its first occurrence was carved from. Tiered stores
-		// hold page copies, placed by id, and skip this.
-		prev := sl.head
-		for {
-			next := s.valNext[prev]
-			if s.tier == nil {
-				s.tuples[prev] = s.tuples[next]
-			}
-			if next == id {
-				break
-			}
-			prev = next
-		}
-		s.valNext[prev] = nilID
-		sl.tail = prev
-	}
 	// Swap-remove from scan order.
 	p := s.orderPos[id]
 	last := s.order[len(s.order)-1]
@@ -605,9 +547,10 @@ func (s *Store) Delete(t tuple.Tuple) bool {
 	s.orderPos[last] = p
 	s.order = s.order[:len(s.order)-1]
 	s.meter.Charge(cost.HashInsert)
-	full := s.tuples[id]
-	for _, idx := range s.idxList {
-		idx.remove(full, id)
+	for i, idx := range s.idxList {
+		if i > 0 { // the first index let go of it above
+			idx.remove(s.tuples[id], id)
+		}
 		s.meter.Charge(cost.HashInsert)
 	}
 	if s.tier != nil {
@@ -638,13 +581,22 @@ func (s *Store) Scan(f func(tuple.Tuple) bool) {
 // tuple's segment-join multiplicity from base-store value counts.
 func (s *Store) CountOf(t tuple.Tuple) int {
 	s.meter.Charge(cost.HashProbe)
-	slot := s.byVal.find(tuple.HashTuple(t, hashSeed), func(o int32) bool { return s.tuples[o].Equal(t) })
-	if slot < 0 {
-		return 0
-	}
 	n := 0
-	for id := s.byVal.slots[slot].head; id != nilID; id = s.valNext[id] {
-		n++
+	if len(s.idxList) == 0 {
+		for _, id := range s.order {
+			if s.tuples[id].Equal(t) {
+				n++
+			}
+		}
+		return n
+	}
+	ix := s.idxList[0]
+	if slot, _ := ix.slotOf(t); slot >= 0 {
+		for id := ix.table.slots[slot].head; id != nilID; id = ix.next[id] {
+			if s.tuples[id].Equal(t) {
+				n++
+			}
+		}
 	}
 	return n
 }
@@ -913,12 +865,6 @@ type HashIndex struct {
 // on. The returned slice is the index's own and must not be modified.
 func (ix *HashIndex) Cols() []int { return ix.cols }
 
-// KeyFor extracts the index key for a tuple of the store's schema.
-func (ix *HashIndex) KeyFor(t tuple.Tuple) tuple.Key { return tuple.KeyOf(t, ix.cols) }
-
-// Buckets returns the number of distinct keys currently indexed.
-func (ix *HashIndex) Buckets() int { return ix.table.live }
-
 // keyEquals reports whether tuple o's key columns equal t's.
 func (ix *HashIndex) keyEquals(o, t tuple.Tuple) bool {
 	for _, c := range ix.cols {
@@ -957,37 +903,57 @@ func (ix *HashIndex) insert(t tuple.Tuple, id int32) {
 	sl.tail = id
 }
 
-func (ix *HashIndex) remove(t tuple.Tuple, id int32) {
+// slotOf returns the table slot of t's key chain, -1 when no stored tuple
+// shares t's key, and the key hash.
+func (ix *HashIndex) slotOf(t tuple.Tuple) (int, uint64) {
 	h := tuple.HashOf(t, ix.cols, hashSeed)
 	s := ix.store
-	slot := ix.table.find(h, func(o int32) bool { return ix.keyEquals(s.tuples[o], t) })
+	return ix.table.find(h, func(o int32) bool { return ix.keyEquals(s.tuples[o], t) }), h
+}
+
+// remove unlinks one tuple from t's key chain and returns its id, nilID when
+// there is none: the tuple stored under id or, asked with nilID, the one
+// Store.Delete(t) is to remove — t itself if the chain holds it, else the
+// first tuple on it equal to t. A window expiry is the head of its chain, so
+// either walk ends at its first step. The last tuple to go takes the chain
+// and its fingerprint along.
+func (ix *HashIndex) remove(t tuple.Tuple, id int32) int32 {
+	slot, h := ix.slotOf(t)
 	if slot < 0 {
-		return
+		return nilID
 	}
-	sl := &ix.table.slots[slot]
-	if sl.head == id {
-		if ix.next[id] == nilID {
-			ix.table.clearSlot(slot)
-			s.chainOps++
-			if ix.fil != nil {
-				ix.fil.Delete(h)
+	s, sl := ix.store, &ix.table.slots[slot]
+	victim, prev := nilID, nilID
+	for p, c := nilID, sl.head; c != nilID; p, c = c, ix.next[c] {
+		if c == id || id == nilID && sameStorage(s.tuples[c], t) {
+			victim, prev = c, p
+			break
+		} else if id == nilID && victim == nilID && s.tuples[c].Equal(t) {
+			victim, prev = c, p
+			if s.tier != nil { // page copies: the chain cannot hold t itself
+				break
 			}
-		} else {
-			sl.head = ix.next[id]
 		}
-		return
 	}
-	prev := sl.head
-	for ix.next[prev] != id {
-		if ix.next[prev] == nilID {
-			return // id not under this key (driver bug; mirror old no-op)
+	if victim == nilID {
+		return nilID
+	}
+	switch next := ix.next[victim]; {
+	case prev != nilID:
+		ix.next[prev] = next
+		if next == nilID {
+			sl.tail = prev
 		}
-		prev = ix.next[prev]
+	case next != nilID:
+		sl.head = next
+	default:
+		ix.table.clearSlot(slot)
+		s.chainOps++
+		if ix.fil != nil {
+			ix.fil.Delete(h)
+		}
 	}
-	ix.next[prev] = ix.next[id]
-	if sl.tail == id {
-		sl.tail = prev
-	}
+	return victim
 }
 
 func (ix *HashIndex) rehash() {

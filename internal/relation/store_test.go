@@ -3,9 +3,12 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"acache/internal/cost"
+	"acache/internal/stream"
+	"acache/internal/tier"
 	"acache/internal/tuple"
 )
 
@@ -50,26 +53,107 @@ func TestDuplicatesAreMultiset(t *testing.T) {
 	}
 }
 
-// TestDeleteLetsGoOfOldestStorage: among equal tuples a delete retires the
-// newest id but the oldest tuple's storage, the one a sliding window is
-// expiring — so a value that recurs forever cannot pin its first occurrence
-// (and the ingress chunk around it) in the store.
-func TestDeleteLetsGoOfOldestStorage(t *testing.T) {
-	s, _ := newTestStore()
-	dups := []tuple.Tuple{{1, 1}, {1, 1}, {1, 1}}
-	for _, d := range dups {
-		s.Insert(d)
+// window is what the slide tests drive a store with: either flavour of
+// count-based window.
+type window interface {
+	Append(tuple.Tuple) []stream.Update
+	Contents() []tuple.Tuple
+}
+
+// slide appends n tuples from a six-value domain — duplicates inside any
+// window, every value recurring forever — and applies the window's updates to
+// the store, which after every append must hold exactly the window's tuples:
+// the same storage on an untiered store (a delete lets go of the tuple the
+// window let go of, so no recurring value pins the ingress chunk its first
+// occurrence was carved from), the same values on a tiered one, which keeps
+// page copies. beforeDelete, when set, sees each expiry before it is applied.
+func slide(t *testing.T, label string, s *Store, w window, n int, beforeDelete func(tuple.Tuple)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < n; i++ {
+		tp := tuple.Tuple{rng.Int63n(3), rng.Int63n(2)}
+		for _, u := range w.Append(tp) {
+			if u.Op == stream.Insert {
+				s.Insert(u.Tuple)
+				continue
+			}
+			if beforeDelete != nil {
+				beforeDelete(u.Tuple)
+			}
+			if !s.Delete(u.Tuple) {
+				t.Fatalf("%s: append %d: expiry of %v not found", label, i, u.Tuple)
+			}
+		}
+		held := w.Contents()
+		if s.TierEnabled() {
+			sameMultiset(t, label, s.All(), held)
+		} else {
+			sameStorageSet(t, label, s.All(), held)
+		}
+		want := 0
+		for _, u := range held {
+			if u.Equal(tp) {
+				want++
+			}
+		}
+		if got := s.CountOf(tp); got != want {
+			t.Fatalf("%s: append %d: CountOf(%v) = %d, the window holds %d", label, i, tp, got, want)
+		}
 	}
-	for oldest := 0; oldest < len(dups)-1; oldest++ {
-		s.Delete(tuple.Tuple{1, 1})
-		for _, kept := range s.All() {
-			if &kept[0] == &dups[oldest][0] {
-				t.Fatalf("after %d deletes the store still holds duplicate %d's storage", oldest+1, oldest)
+}
+
+func TestStoreFollowsSlidingWindow(t *testing.T) {
+	for _, tc := range []struct {
+		size   int
+		tiered bool
+	}{
+		{1, false}, {7, false}, {64, false},
+		{1, true}, {7, true}, {64, true},
+		{600, true}, // three pages, one of them hot: expiries reach demoted pages
+	} {
+		for _, indexes := range [][]string{nil, {"A"}, {"A", "B"}} {
+			label := fmt.Sprintf("window %d, indexes %v, tiered %v", tc.size, indexes, tc.tiered)
+			s, _ := newTestStore()
+			if tc.tiered {
+				dir := t.TempDir()
+				opts := tier.Options{Dir: dir, HotBytes: 4096, PageBytes: 4096}
+				if err := s.EnableTier(opts, filepath.Join(dir, "rel0.spill")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, name := range indexes {
+				s.CreateIndex(name)
+			}
+			slide(t, label, s, stream.NewSlidingWindow(tc.size), 2*tc.size+100, nil)
+			if _, demotions := s.TierCounters(); tc.size == 600 && demotions == 0 {
+				t.Fatalf("%s: nothing was demoted", label)
+			}
+			if err := s.CloseTier(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	if s.Len() != 1 || &s.All()[0][0] != &dups[2][0] {
-		t.Fatal("the surviving tuple is not the newest duplicate")
+}
+
+// A partitioned window expires the oldest tuple of the arriving tuple's
+// partition, which older tuples of other partitions can precede on its key
+// chain: the delete has to walk to it, and still unlink that very tuple.
+func TestStoreFollowsPartitionedWindow(t *testing.T) {
+	s, _ := newTestStore()
+	idx := s.CreateIndex("A")
+	s.CreateIndex("B")
+	behindHead := 0
+	slide(t, "partitioned by B", s, stream.NewPartitionedWindow(3, 1), 200, func(expiring tuple.Tuple) {
+		first := true
+		s.ProbeEach(idx, []tuple.Value{expiring[0]}, func(head tuple.Tuple) {
+			if first && !sameStorage(head, expiring) {
+				behindHead++
+			}
+			first = false
+		})
+	})
+	if behindHead == 0 {
+		t.Fatal("every expiry was the head of its chain: the walk was never exercised")
 	}
 }
 

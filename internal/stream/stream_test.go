@@ -35,6 +35,85 @@ func TestSlidingWindowUnbounded(t *testing.T) {
 	}
 }
 
+// The ring wraps by comparison, not division: against a plain slice queue,
+// appends one by one and in batches must emit the same updates carrying the
+// same tuples (by storage, not just by value) and leave the same contents,
+// while the window fills, at the moment it is full, and over many wraps.
+func TestSlidingWindowRingMatchesQueue(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		size, appends int
+		batch         int // 0: AppendInto; else AppendBatchInto in chunks of batch
+	}{
+		{"unbounded", 0, 20, 0},
+		{"unbounded batch", 0, 20, 6},
+		{"size 1", 1, 9, 0},
+		{"size 1 batch", 1, 9, 4},
+		{"not full", 7, 6, 0},
+		{"just full", 7, 7, 0},
+		{"first wrap", 7, 8, 0},
+		{"many wraps", 7, 40, 0},
+		{"batch below size", 7, 40, 3},
+		{"batch of size", 7, 42, 7},
+		{"batch above size", 7, 40, 16},
+	} {
+		w := NewSlidingWindow(tc.size)
+		var queue []tuple.Tuple
+		var got, want []Update
+		step := tc.batch
+		if step == 0 {
+			step = 1
+		}
+		for i := 0; i < tc.appends; i += step {
+			var ts []tuple.Tuple
+			for j := i; j < i+step && j < tc.appends; j++ {
+				ts = append(ts, tuple.Tuple{int64(j % 5)}) // recurring values
+			}
+			if tc.batch == 0 {
+				got = w.AppendInto(ts[0], got)
+			} else {
+				got = w.AppendBatchInto(ts, got)
+			}
+			// The queue model, with the batch schedule's hoisted expiries:
+			// window-sized chunks, each chunk's deletes before its inserts.
+			for len(ts) > 0 {
+				m := len(ts)
+				if tc.size > 0 && m > tc.size {
+					m = tc.size
+				}
+				for tc.size > 0 && len(queue)+m > tc.size {
+					want = append(want, Update{Op: Delete, Tuple: queue[0]})
+					queue = queue[1:]
+				}
+				for _, x := range ts[:m] {
+					want = append(want, Update{Op: Insert, Tuple: x})
+					if tc.size > 0 {
+						queue = append(queue, x)
+					}
+				}
+				ts = ts[m:]
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d updates, want %d", tc.name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Op != want[i].Op || &got[i].Tuple[0] != &want[i].Tuple[0] {
+				t.Fatalf("%s: update %d is %v, want %v", tc.name, i, got[i], want[i])
+			}
+		}
+		contents := w.Contents()
+		if len(contents) != len(queue) || w.Len() != len(queue) {
+			t.Fatalf("%s: holds %d tuples (Len %d), want %d", tc.name, len(contents), w.Len(), len(queue))
+		}
+		for i := range contents {
+			if &contents[i][0] != &queue[i][0] {
+				t.Fatalf("%s: contents[%d] is %v, want %v", tc.name, i, contents[i], queue[i])
+			}
+		}
+	}
+}
+
 // Property: every inserted tuple is eventually deleted exactly once, in FIFO
 // order, and the window never exceeds its size.
 func TestSlidingWindowInsertDeleteBalance(t *testing.T) {

@@ -50,15 +50,32 @@ func (w *SlidingWindow) AppendInto(t tuple.Tuple, out []Update) []Update {
 		return append(out, Update{Op: Insert, Tuple: t})
 	}
 	if w.n == w.size {
+		// Full: the new tuple takes the slot the oldest one leaves.
 		old := w.buf[w.head]
-		w.buf[w.head] = nil
-		w.head = (w.head + 1) % w.size
-		w.n--
-		out = append(out, Update{Op: Delete, Tuple: old})
+		w.buf[w.head] = t
+		w.head = w.next(w.head)
+		return append(out, Update{Op: Delete, Tuple: old}, Update{Op: Insert, Tuple: t})
 	}
-	w.buf[(w.head+w.n)%w.size] = t
+	w.buf[w.tail()] = t
 	w.n++
 	return append(out, Update{Op: Insert, Tuple: t})
+}
+
+// next is the ring slot after i; tail is the slot past the newest tuple.
+// Both wrap by comparison: size is a run-time value, so % is a division.
+func (w *SlidingWindow) next(i int) int {
+	if i++; i == w.size {
+		return 0
+	}
+	return i
+}
+
+func (w *SlidingWindow) tail() int {
+	i := w.head + w.n
+	if i >= w.size {
+		i -= w.size
+	}
+	return i
 }
 
 // AppendBatch is AppendBatchInto with a fresh output buffer.
@@ -94,15 +111,17 @@ func (w *SlidingWindow) AppendBatchInto(ts []tuple.Tuple, out []Update) []Update
 		for expire := w.n + m - w.size; expire > 0; expire-- {
 			old := w.buf[w.head]
 			w.buf[w.head] = nil
-			w.head = (w.head + 1) % w.size
+			w.head = w.next(w.head)
 			w.n--
 			out = append(out, Update{Op: Delete, Tuple: old})
 		}
+		at := w.tail()
 		for _, t := range chunk {
-			w.buf[(w.head+w.n)%w.size] = t
-			w.n++
+			w.buf[at] = t
+			at = w.next(at)
 			out = append(out, Update{Op: Insert, Tuple: t})
 		}
+		w.n += m
 	}
 	return out
 }
@@ -203,7 +222,7 @@ func (w *PartitionedWindow) AppendBatchInto(ts []tuple.Tuple, out []Update) []Up
 		if win.n > 0 && win.n+w.pend[win] >= win.size {
 			old := win.buf[win.head]
 			win.buf[win.head] = nil
-			win.head = (win.head + 1) % win.size
+			win.head = win.next(win.head)
 			win.n--
 			out = append(out, Update{Op: Delete, Tuple: old})
 		}

@@ -301,7 +301,7 @@ func (e *ShardedEngine) Close() { e.sh.Close() }
 // be called before the first update; the callback runs on shard goroutines
 // and must not call back into the engine.
 func (e *ShardedEngine) OnResult(f func(insert bool, row []int64)) {
-	e.sh.OnResult(func(ins bool, vals []tuple.Value) { f(ins, vals) })
+	e.sh.OnResult(f)
 }
 
 // Stats flushes and returns counters aggregated across shards: Updates is
