@@ -235,9 +235,9 @@ func TestEngineInsertAllocBudget(t *testing.T) {
 // passes. Every sub-benchmark replays the identical row stream; b.N counts
 // tuples. "loop" appends rows one at a time, "batch=K" feeds the same bursts
 // through AppendBatch in chunks of K. ReoptInterval is pushed out so the
-// steady state after the initial cache selection is what's measured. `go run
-// ./cmd/acache-bench -experiment batch` records the same comparison (at the
-// internal/core layer) into BENCH_batch.json.
+// steady state after the initial cache selection is what's measured. The
+// committed wall-clock measurement of the batch path is benchmark/'s
+// shard2_batch workload (join.run_ns_per_update, join.run_len_mean).
 func BenchmarkEngineProcessBatch(b *testing.B) {
 	const nRel, window, domain, burst = 4, 64, 16, 256
 	names := make([]string, nRel)
@@ -309,7 +309,7 @@ func BenchmarkEngineProcessBatch(b *testing.B) {
 // common-attribute workload (6 relations joined on A, window 50, domain
 // 100). On a multi-core host throughput scales with shards; with
 // GOMAXPROCS=1 the shards time-slice one core and the numbers measure
-// sharding overhead instead (see BENCH_sharding.json's gomaxprocs field).
+// sharding overhead instead.
 func BenchmarkShardedInsert(b *testing.B) {
 	const nRel = 6
 	names := make([]string, nRel)

@@ -4,37 +4,25 @@
 //
 // Usage:
 //
-//	acache-bench [-experiment all|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|sharding|hotpath|adaptivity|batch|filter|overload|tiering|recovery|multiquery]
-//	             [-scale quick|medium|full] [-seed N] [-shards 1,2,4,8] [-batch N]
-//	             [-procs 1,2,4]
+//	acache-bench [-experiment all|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|ablations|extensions|multiquery|overload|tiering]
+//	             [-scale quick|medium|full] [-seed N]
 //	             [-cpuprofile FILE] [-memprofile FILE]
 //
 // The full scale matches the paper's horizons and takes a few minutes; quick
 // is suitable for smoke runs.
 //
-// Several experiments are wall-clock (not cost-model) based: sharding
-// measures append throughput of the hash-partitioned engine at each
-// (GOMAXPROCS, shard count) pair of -procs × -shards (with -batch setting
-// the ingress batch size; -procs values above the host's CPU count are
-// skipped) and writes BENCH_sharding.json; hotpath measures the warm
-// per-update ns/op, B/op, and allocs/op of the n-way insert path
-// (n = 3, 5, 7) and writes BENCH_hotpath.json; adaptivity measures the
-// per-update cost of being adaptive — plain MJoin vs the adaptive engine —
-// plus the re-optimizer's amortized wall clock, runs the decision-identity
-// differential against the reference implementation, and writes
-// BENCH_adaptivity.json; batch measures the vectorized ProcessBatch path against
-// the per-update loop at batch sizes 1, 8, 64, 256 and writes
-// BENCH_batch.json; filter measures the fingerprint-filtered probe path
-// against unfiltered execution on miss-heavy and hit-heavy workloads and
-// writes BENCH_filter.json; overload measures throughput and shed rate under
+// Three experiments are wall-clock (not cost-model) based, and cover what
+// the repository's wall-clock benchmark (benchmark/, its own module) does
+// not measure yet: multiquery measures several queries hosted by one Server
+// with cross-query cache sharing against isolated engines and writes
+// BENCH_multiquery.json; overload measures throughput and shed rate under
 // injected worker slowdowns, with and without the cache-first degradation
 // ladder, and writes BENCH_overload.json; tiering measures the mmap-backed
 // cold tier's resident-footprint reduction and hot-path overhead against the
-// in-memory engine and writes BENCH_tiering.json; recovery measures the
-// durability lifecycle — WAL overhead on ingest, checkpoint save time, and
-// the wall clock of replay and warm restarts — and writes
-// BENCH_recovery.json. The JSON files record GOMAXPROCS/NumCPU, since
-// wall-clock numbers do not transfer across hosts.
+// in-memory engine and writes BENCH_tiering.json. The JSON files record
+// GOMAXPROCS/NumCPU, since wall-clock numbers do not transfer across hosts.
+// Everything else wall-clock — hot path, adaptivity overhead, batching,
+// filters, sharding, durability — is a benchmark/ workload (DESIGN.md §17).
 //
 // -cpuprofile and -memprofile write pprof profiles of whatever experiments
 // run, for digging into the hot path itself.
@@ -47,16 +35,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"sync"
 
 	"acache/internal/bench"
 	"acache/internal/bench/multiquery"
 	"acache/internal/bench/overload"
-	"acache/internal/bench/recovery"
 	"acache/internal/plot"
-	"acache/internal/shard"
 )
 
 // writeSVG renders one experiment as an SVG chart file named after its id.
@@ -71,25 +56,8 @@ func writeSVG(dir string, e *bench.Experiment) error {
 	return os.WriteFile(filepath.Join(dir, e.ID+".svg"), []byte(c.SVG()), 0o644)
 }
 
-// parseCounts parses a comma-separated positive-integer list flag, e.g.
-// "1,2,4,8" for -shards or -procs.
-func parseCounts(flagName, s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad %s value %q (want positive integers, e.g. 1,2,4,8)", flagName, part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 func main() {
-	experiment := flag.String("experiment", "all", "experiment id (fig6..fig13), 'ablations', 'extensions', 'sharding', or 'all'")
-	shards := flag.String("shards", "1,2,4,8", "comma-separated shard counts for the sharding experiment")
-	procs := flag.String("procs", "1,2,4", "comma-separated GOMAXPROCS sweep for the sharding experiment (points above NumCPU are skipped)")
-	batch := flag.Int("batch", 0, "sharding experiment ingress batch size (0 = default)")
+	experiment := flag.String("experiment", "all", "experiment id (fig6..fig13), 'ablations', 'extensions', 'multiquery', 'overload', 'tiering', or 'all'")
 	scale := flag.String("scale", "medium", "run scale: quick, medium, or full")
 	seed := flag.Int64("seed", 42, "workload seed")
 	parallel := flag.Bool("parallel", false, "run experiments concurrently (each is self-contained); output stays in order")
@@ -183,56 +151,6 @@ func main() {
 		for _, id := range order {
 			fmt.Println(render(runners[id](cfg)))
 		}
-	case "sharding":
-		counts, err := parseCounts("-shards", *shards)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		procList, err := parseCounts("-procs", *procs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		rep := bench.RunSharding(6, counts, procList, shard.Options{BatchSize: *batch}, cfg)
-		if err := os.WriteFile("BENCH_sharding.json", rep.JSON(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "BENCH_sharding.json:", err)
-			os.Exit(1)
-		}
-		fmt.Println(render(rep.Experiment()))
-		fmt.Println("wrote BENCH_sharding.json")
-	case "batch":
-		rep := bench.RunBatch(4, []int{1, 8, 64, 256}, cfg)
-		if err := os.WriteFile("BENCH_batch.json", rep.JSON(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "BENCH_batch.json:", err)
-			os.Exit(1)
-		}
-		fmt.Println(render(rep.Experiment()))
-		fmt.Println("wrote BENCH_batch.json")
-	case "filter":
-		rep := bench.RunFilter(cfg)
-		if err := os.WriteFile("BENCH_filter.json", rep.JSON(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "BENCH_filter.json:", err)
-			os.Exit(1)
-		}
-		fmt.Println(render(rep.Experiment()))
-		fmt.Println("wrote BENCH_filter.json")
-	case "hotpath":
-		rep := bench.RunHotpath([]int{3, 5, 7}, cfg)
-		if err := os.WriteFile("BENCH_hotpath.json", rep.JSON(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "BENCH_hotpath.json:", err)
-			os.Exit(1)
-		}
-		fmt.Println(render(rep.Experiment()))
-		fmt.Println("wrote BENCH_hotpath.json")
-	case "adaptivity":
-		rep := bench.RunAdaptivity([]int{3, 5}, cfg)
-		if err := os.WriteFile("BENCH_adaptivity.json", rep.JSON(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "BENCH_adaptivity.json:", err)
-			os.Exit(1)
-		}
-		fmt.Println(render(rep.Experiment()))
-		fmt.Println("wrote BENCH_adaptivity.json")
 	case "overload":
 		rep := overload.Run(cfg)
 		if err := os.WriteFile("BENCH_overload.json", rep.JSON(), 0o644); err != nil {
@@ -249,14 +167,6 @@ func main() {
 		}
 		fmt.Println(render(rep.Experiment()))
 		fmt.Println("wrote BENCH_tiering.json")
-	case "recovery":
-		rep := recovery.Run(cfg)
-		if err := os.WriteFile("BENCH_recovery.json", rep.JSON(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "BENCH_recovery.json:", err)
-			os.Exit(1)
-		}
-		fmt.Println(render(rep.Experiment()))
-		fmt.Println("wrote BENCH_recovery.json")
 	case "multiquery":
 		rep := multiquery.Run(4, cfg)
 		if err := os.WriteFile("BENCH_multiquery.json", rep.JSON(), 0o644); err != nil {
@@ -276,7 +186,7 @@ func main() {
 	default:
 		run, ok := runners[*experiment]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (want %s, ablations, extensions, sharding, hotpath, adaptivity, batch, filter, overload, tiering, recovery, multiquery, or all)\n",
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (want %s, ablations, extensions, multiquery, overload, tiering, or all)\n",
 				*experiment, strings.Join(order, "|"))
 			os.Exit(2)
 		}

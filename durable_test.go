@@ -114,6 +114,9 @@ func TestDurableWarmRestartCloseKeep(t *testing.T) {
 	if !warm {
 		t.Fatal("checkpointed directory reported a cold start")
 	}
+	if n := b.Stats().WALRecordsReplayed; n != 0 {
+		t.Fatalf("warm restart after CloseKeep replayed %d records, want 0", n)
+	}
 	got.attach(b)
 	driveDur(b, rng, 300)
 
@@ -171,6 +174,10 @@ func TestDurableKillRestartWAL(t *testing.T) {
 	defer b.Close()
 	if !warm {
 		t.Fatal("checkpoint+WAL directory reported a cold start")
+	}
+	// Exactly the 300 appends logged after the checkpoint replay, to a clean end.
+	if st := b.Stats(); st.WALRecordsReplayed != 300 || st.WALReplayReason != "clean" {
+		t.Fatalf("replayed %d records, reason %q; want 300, clean", st.WALRecordsReplayed, st.WALReplayReason)
 	}
 	got.attach(b)
 	driveDur(b, rng, 300)

@@ -216,26 +216,3 @@ func TestExperimentTableRenders(t *testing.T) {
 		t.Fatalf("table render too small: %q", out)
 	}
 }
-
-func TestFilterReportShape(t *testing.T) {
-	// Tiny horizons: this checks wiring and telemetry, not the headline
-	// ratios (those need the full-scale run behind BENCH_filter.json).
-	rep := RunFilter(RunConfig{Warmup: 500, Measure: 1_000, Seed: 42})
-	if len(rep.Points) != 4 {
-		t.Fatalf("%d points, want 4 (2 workloads × filters on/off)", len(rep.Points))
-	}
-	for _, pt := range rep.Points {
-		if pt.Workload == "miss-heavy" && pt.MissProb < 0.9 {
-			t.Fatalf("miss-heavy miss_prob = %.2f, want ≥ 0.9", pt.MissProb)
-		}
-		if pt.Workload == "miss-heavy" && pt.Filters && pt.ShortCircuits == 0 {
-			t.Fatal("filtered miss-heavy run short-circuited nothing")
-		}
-		if !pt.Filters && (pt.ShortCircuits != 0 || pt.FilterBytes != 0) {
-			t.Fatalf("unfiltered point reports filter activity: %+v", pt)
-		}
-	}
-	if rep.SpeedupMissHeavy <= 0 || rep.Experiment() == nil {
-		t.Fatal("report incomplete")
-	}
-}

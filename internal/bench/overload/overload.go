@@ -24,7 +24,7 @@ import (
 // cache-first degradation ladder — to quantify the paper's §3.2 story as an
 // overload defense: pausing caches is free to switch and keeps results
 // exact, so it is the first thing to sacrifice, before any tuple is dropped.
-// Wall-clock based, like the sharding experiment.
+// Wall-clock based: the numbers do not transfer across hosts.
 
 // OverloadPoint is one (load level, ladder setting) measurement.
 type OverloadPoint struct {

@@ -102,7 +102,9 @@ func wideQuery(n, width int) *query.Query {
 	return mustQuery(schemas, preds)
 }
 
-// wideSource is burstSource generalised to wide tuples: column 0 joins,
+// wideSource is an endless wide-tuple update stream that visits relations
+// round-robin and, per visit, emits the expiry deletes of the oldest window
+// tuples as one run followed by a burst of fresh inserts. Column 0 joins,
 // padding columns take pseudo-random filler. Deletes replay the exact
 // widened tuples previously inserted, so windows stay at the target size.
 type wideSource struct {

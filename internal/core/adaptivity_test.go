@@ -57,6 +57,13 @@ func TestReferenceAdaptivityDifferential(t *testing.T) {
 			cfg:  Config{ReoptInterval: 300, MemoryBudget: 4 * 1024, GCQuota: 6, Seed: 47},
 			n:    8000,
 		},
+		{
+			// Default ordering, as a built engine starts with.
+			name: "fiveWayStar",
+			mk:   func(t *testing.T) *query.Query { return starOnA(t, 5) },
+			cfg:  Config{ReoptInterval: 400, GCQuota: 6, Seed: 53},
+			n:    8000,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -31,11 +31,14 @@ func threeWay(t *testing.T) *query.Query {
 	return q
 }
 
-func fourWayClique(t *testing.T) *query.Query {
+func fourWayClique(t *testing.T) *query.Query { return starOnA(t, 4) }
+
+// starOnA is R0(A) ⋈_A R1(A) ⋈_A … ⋈_A Rn-1(A), every predicate anchored at R0.
+func starOnA(t *testing.T, n int) *query.Query {
 	t.Helper()
-	schemas := make([]*tuple.Schema, 4)
+	schemas := make([]*tuple.Schema, n)
 	var preds []query.Pred
-	for i := 0; i < 4; i++ {
+	for i := 0; i < n; i++ {
 		schemas[i] = tuple.RelationSchema(i, "A")
 		if i > 0 {
 			preds = append(preds, query.Pred{

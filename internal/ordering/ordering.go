@@ -133,10 +133,3 @@ func InitialOrdering(n int) [][]int {
 	}
 	return out
 }
-
-func absF(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}

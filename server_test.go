@@ -203,22 +203,37 @@ func TestServerRebalanceAllocBudget(t *testing.T) {
 // TestServerStatsFilterTelemetry drives a miss-heavy workload and asserts
 // the fingerprint-filter counters surface through Server.Stats(): probes
 // short-circuited by the filters, the false-positive tail, and the filter
-// bytes resident (which MemoryDemand charges against the server budget).
+// bytes resident (which MemoryDemand charges against the server budget) —
+// and that the same workload with DisableFilters reports no filter activity.
 func TestServerStatsFilterTelemetry(t *testing.T) {
 	s := NewServer(32 * 1024)
 	eng, err := s.Register("q", threeWayDecl("q"), Options{Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(24))
+	off, err := s.Register("off", threeWayDecl("off"), Options{Seed: 23, DisableFilters: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Disjoint key ranges per relation: nearly every probe misses, the
 	// regime the filters short-circuit.
-	for i := 0; i < 3_000; i++ {
-		eng.Append("qR", rng.Int63n(1000))
-		eng.Append("qS", 10_000+rng.Int63n(1000), 20_000+rng.Int63n(1000))
-		eng.Append("qT", 30_000+rng.Int63n(1000))
+	for _, arm := range []struct {
+		p string
+		e *Engine
+	}{{"q", eng}, {"off", off}} {
+		rng := rand.New(rand.NewSource(24))
+		for i := 0; i < 3_000; i++ {
+			arm.e.Append(arm.p+"R", rng.Int63n(1000))
+			arm.e.Append(arm.p+"S", 10_000+rng.Int63n(1000), 20_000+rng.Int63n(1000))
+			arm.e.Append(arm.p+"T", 30_000+rng.Int63n(1000))
+		}
 	}
-	st := s.Stats()["q"]
+	stats := s.Stats()
+	if st := stats["off"]; st.FilteredProbes != 0 || st.FilterFalsePositives != 0 || st.FilterBytes != 0 {
+		t.Fatalf("unfiltered query reports filter activity: %d short-circuits, %d false positives, %d bytes",
+			st.FilteredProbes, st.FilterFalsePositives, st.FilterBytes)
+	}
+	st := stats["q"]
 	if st.FilteredProbes == 0 {
 		t.Fatal("miss-heavy workload produced no filter short-circuits")
 	}

@@ -56,6 +56,8 @@ type ShardedEngine struct {
 	timeWins []*stream.TimeWindow
 	partWins []*stream.PartitionedWindow
 	clone    []cloner
+	upsBuf   []stream.Update // Append's window-update scratch, reused per call
+	tsBuf    []tuple.Tuple   // AppendBatch's cloned-row scratch, reused per call
 	seq      uint64
 	server   *Server // non-nil when hosted by a Server
 
@@ -206,16 +208,21 @@ func (e *ShardedEngine) Append(rel string, values ...int64) {
 
 // windowAppend runs the count-window operators for one appended tuple and
 // returns the updates to route: the expiry delete (if the window was full)
-// followed by the insert.
+// followed by the insert. The returned slice is the engine's scratch, reused
+// by the next windowAppend or AppendBatch call — route copies each update
+// into its shard's mailbox by value, so nothing holds it once routed.
 func (e *ShardedEngine) windowAppend(idx int, values []int64, rel string) []stream.Update {
+	var ups []stream.Update
 	switch {
 	case e.partWins[idx] != nil:
-		return e.partWins[idx].Append(e.clone[idx].clone(values))
+		ups = e.partWins[idx].AppendInto(e.clone[idx].clone(values), e.upsBuf[:0])
 	case e.windows[idx] != nil:
-		return e.windows[idx].Append(e.clone[idx].clone(values))
+		ups = e.windows[idx].AppendInto(e.clone[idx].clone(values), e.upsBuf[:0])
 	default:
 		panic(fmt.Sprintf("acache: relation %q is time-windowed; use AppendAt", rel))
 	}
+	e.upsBuf = ups[:0]
+	return ups
 }
 
 // AppendBatch pushes a batch of tuples of a count-windowed relation's
@@ -225,7 +232,7 @@ func (e *ShardedEngine) windowAppend(idx int, values []int64, rel string) []stre
 // produces are what each shard's vectorized batch path digests fastest.
 func (e *ShardedEngine) AppendBatch(rel string, rows [][]int64) {
 	idx := e.q.relIndex(rel)
-	ts := make([]tuple.Tuple, 0, len(rows))
+	ts := e.tsBuf[:0]
 	for _, r := range rows {
 		e.q.checkArity(idx, r)
 		if e.shedIngress(idx) {
@@ -233,15 +240,16 @@ func (e *ShardedEngine) AppendBatch(rel string, rows [][]int64) {
 		}
 		ts = append(ts, e.clone[idx].clone(r))
 	}
+	e.tsBuf = ts
 	if len(ts) == 0 {
 		return
 	}
 	var ups []stream.Update
 	switch {
 	case e.partWins[idx] != nil:
-		ups = e.partWins[idx].AppendBatch(ts)
+		ups = e.partWins[idx].AppendBatchInto(ts, e.upsBuf[:0])
 	case e.windows[idx] != nil:
-		ups = e.windows[idx].AppendBatch(ts)
+		ups = e.windows[idx].AppendBatchInto(ts, e.upsBuf[:0])
 	default:
 		panic(fmt.Sprintf("acache: relation %q is time-windowed; use AppendAt", rel))
 	}
@@ -249,6 +257,7 @@ func (e *ShardedEngine) AppendBatch(rel string, rows [][]int64) {
 		u.Rel = idx
 		e.route(u)
 	}
+	e.upsBuf = ups[:0]
 }
 
 // AppendAt pushes one tuple of a time-windowed relation's stream at
