@@ -163,6 +163,10 @@ func (q *Query) addRelation(name string, window int, span int64, attrs []string)
 		q.err = fmt.Errorf("acache: duplicate relation %q", name)
 		return q
 	}
+	if len(attrs) == 0 { // nothing to join on, and no first value for a window to refer to
+		q.err = fmt.Errorf("acache: relation %q has no attributes", name)
+		return q
+	}
 	idx := len(q.names)
 	q.indexOf[name] = idx
 	q.names = append(q.names, name)

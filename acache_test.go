@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -277,6 +278,17 @@ func TestBuildValidation(t *testing.T) {
 		Build(Options{}); err == nil {
 		t.Fatal("disconnected query accepted")
 	}
+	// A relation with no attributes can join nothing and gives a window no
+	// first value to refer to: every Build names that, not a symptom of it.
+	bare := func() *Query { return NewQuery().WindowedRelation("A", 4).WindowedRelation("B", 4, "X") }
+	_, err := bare().Build(Options{})
+	_, errSharded := bare().BuildSharded(Options{}, ShardOptions{Shards: 2})
+	_, _, errDurable := bare().BuildDurable(Options{Tier: TierOptions{Dir: t.TempDir()}})
+	for _, err := range []error{err, errSharded, errDurable} {
+		if err == nil || !strings.Contains(err.Error(), "no attributes") {
+			t.Fatalf("relation with no attributes: Build error %v", err)
+		}
+	}
 }
 
 func TestArityPanics(t *testing.T) {
@@ -472,6 +484,57 @@ func TestDisableCaching(t *testing.T) {
 	if st := eng.Stats(); len(st.UsedCaches) != 0 {
 		t.Fatal("DisableCaching used caches")
 	}
+}
+
+// TestHeldTupleFootprint is the guard on what a stored tuple costs in heap
+// bytes, all of it: five full width-1 windows of 50 000 behind a plain MJoin
+// — the value itself, the window ring's reference, the store slab's, a chain
+// link, the tuple's share of its index table and filter. It reads 45, and 88
+// when ring and slab held slice headers, the store kept scan-order arrays and
+// tables were sized for tombstones; the bound leaves room for one of the
+// smaller of those, not for a header.
+func TestHeldTupleFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fills 250 000 window slots")
+	}
+	const rels, window, domain, bound = 5, 50_000, 100_000, 56
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	q := NewQuery()
+	names := make([]string, rels)
+	for i := range names {
+		names[i] = fmt.Sprintf("R%d", i)
+		q.WindowedRelation(names[i], window, "A")
+		if i > 0 {
+			q.Join("R0.A", names[i]+".A")
+		}
+	}
+	eng, err := q.Build(Options{DisableCaching: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	cur := make([]int64, rels)
+	for i := 0; i < rels*(window+window/5); i++ { // fill, then slide a fifth further
+		// R2..R4 repeat each value five times in a row, as nway5_mjoin does.
+		if r := i % rels; r < 2 || i/rels%5 == 0 {
+			cur[r] = rng.Int63n(domain)
+		}
+		eng.Append(names[i%rels], cur[i%rels])
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := 0
+	for _, name := range names {
+		held += eng.WindowLen(name)
+	}
+	perTuple := float64(after.HeapAlloc-before.HeapAlloc) / float64(held)
+	t.Logf("%d tuples held, %.1f heap bytes each", held, perTuple)
+	if held != rels*window || perTuple > bound {
+		t.Fatalf("%d tuples held at %.1f heap bytes each, want %d at no more than %d", held, perTuple, rels*window, bound)
+	}
+	runtime.KeepAlive(eng)
 }
 
 func TestExplain(t *testing.T) {

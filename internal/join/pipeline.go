@@ -28,13 +28,9 @@ type step struct {
 	// fills the c-th column of the index key (index columns are the rel's
 	// class attributes sorted by name). probeVals is the probe-key scratch,
 	// sized at compile time; pipelines are single-goroutine so reuse across
-	// run calls is safe (ProbeEach never retains the slice). idx caches the
-	// store's index, revalidated through the store epoch so drops and lazy
-	// rebuilds are honored without a per-run name lookup.
-	indexAttrs    []string
-	indexID       string
+	// run calls is safe (ProbeEach never retains the slice). idx is the
+	// store's index, created at compile time; a store never drops one.
 	idx           *relation.HashIndex
-	idxEpoch      uint64
 	probeFromCols []int
 	probeVals     []tuple.Value
 
@@ -198,10 +194,7 @@ func buildStep(q *query.Query, in *tuple.Schema, prefix []int, r int, store *rel
 	}
 	if useIndex {
 		idx := store.CreateIndex(attrNames...)
-		st.indexAttrs = attrNames
-		st.indexID = relation.IndexNameOf(attrNames)
 		st.idx = idx
-		st.idxEpoch = store.Epoch()
 		// Align probe values with the index's sorted column order: index
 		// col i holds r's attribute at schema column idx.Cols()[i]; its
 		// probe value comes from the input's representative column of
@@ -258,15 +251,6 @@ func buildStep(q *query.Query, in *tuple.Schema, prefix []int, r int, store *rel
 func (st *step) run(batch []tuple.Tuple, store *relation.Store, meter *cost.Meter, arena *valueArena, dst []tuple.Tuple) []tuple.Tuple {
 	out := dst
 	if st.probeFromCols != nil {
-		if st.idx == nil || st.idxEpoch != store.Epoch() {
-			idx := store.IndexNamed(st.indexID)
-			if idx == nil {
-				// Index dropped after compilation; rebuild lazily.
-				idx = store.CreateIndex(st.indexAttrs...)
-			}
-			st.idx = idx
-			st.idxEpoch = store.Epoch()
-		}
 		vals := st.probeVals
 		for _, r := range batch {
 			for i, c := range st.probeFromCols {
@@ -320,14 +304,6 @@ func (st *step) runMemo(batch []tuple.Tuple, store *relation.Store, meter *cost.
 		return st.run(batch, store, meter, arena, dst)
 	}
 	out := dst
-	if st.idx == nil || st.idxEpoch != store.Epoch() {
-		idx := store.IndexNamed(st.indexID)
-		if idx == nil {
-			idx = store.CreateIndex(st.indexAttrs...)
-		}
-		st.idx = idx
-		st.idxEpoch = store.Epoch()
-	}
 	vals := st.probeVals
 	for _, r := range batch {
 		for i, c := range st.probeFromCols {
@@ -356,14 +332,6 @@ func (st *step) runMemo(batch []tuple.Tuple, store *relation.Store, meter *cost.
 // stable for the whole run: the executor defers the updated relation's store
 // mutations to run end, and no other store changes mid-run.
 func (st *step) runGrouped(batch []tuple.Tuple, store *relation.Store, meter *cost.Meter, arena *valueArena, dst []tuple.Tuple) []tuple.Tuple {
-	if st.idx == nil || st.idxEpoch != store.Epoch() {
-		idx := store.IndexNamed(st.indexID)
-		if idx == nil {
-			idx = store.CreateIndex(st.indexAttrs...)
-		}
-		st.idx = idx
-		st.idxEpoch = store.Epoch()
-	}
 	vals := st.probeVals
 	for i, c := range st.probeFromCols {
 		vals[i] = batch[0][c]

@@ -3,14 +3,17 @@
 // indexes on join attributes and an index-free scan path for nested-loop
 // joins (used by the Figure 10 experiment, which drops the index on S.B).
 //
-// Storage is a slab: tuples live in a dense slice addressed by small integer
-// ids recycled through a free list, scan order is a swap-remove id slice, and
-// every hash index is an open-addressing table keyed by an inline 64-bit hash
-// of its key columns — no key string is materialized on the insert/delete/
-// probe paths, so steady-state window maintenance does not allocate. There is
-// no table keyed by the whole tuple: a delete finds its victim on the tuple's
-// key chain in the store's first index, where a window expiry sits at the
-// head, and a store with no index scans (as every probe of it already does).
+// Storage is a slab of 8-byte references: id -> the tuple the caller handed
+// in (a window's own storage, never a copy), ids recycled LIFO through a free
+// list so the slab is as long as the peak live count and a scan is a walk over
+// it that skips the free ids. Every hash index is an open-addressing table
+// keyed by an inline 64-bit hash of its key columns, its deletes closing their
+// gap by backward shift — no key string is materialized and no tombstone left
+// on the insert/delete/probe paths, so steady-state window maintenance neither
+// allocates nor rehashes. There is no table keyed by the whole tuple: a delete
+// finds its victim on the tuple's key chain in the store's first index, where
+// a window expiry sits at the head, and a store with no index scans (as every
+// probe of it already does).
 package relation
 
 import (
@@ -39,11 +42,8 @@ const initialFilterCapacity = 64
 // Chain-link sentinel: end of a bucket chain.
 const nilID int32 = -1
 
-// Open-addressing slot states, stored in oaSlot.head.
-const (
-	emptySlot int32 = -1 // never occupied (probe chains stop here)
-	tombSlot  int32 = -2 // deleted; probe chains continue past it
-)
+// emptySlot, stored in oaSlot.head, marks a free slot: probe chains stop here.
+const emptySlot int32 = -1
 
 // oaSlot is one open-addressing slot: the key hash plus the head tuple id of
 // the chain of tuples sharing that key (chained through a per-table next
@@ -60,16 +60,13 @@ type oaTable struct {
 	slots []oaSlot
 	mask  uint64
 	live  int // occupied slots
-	used  int // occupied + tombstones (drives rehash)
 }
 
 const minTableSize = 8
 
 func newOATable() oaTable {
-	t := oaTable{slots: make([]oaSlot, minTableSize), mask: minTableSize - 1}
-	for i := range t.slots {
-		t.slots[i].head = emptySlot
-	}
+	var t oaTable
+	t.reset(minTableSize)
 	return t
 }
 
@@ -80,30 +77,20 @@ func (t *oaTable) find(hash uint64, eq func(id int32) bool) int {
 		if s.head == emptySlot {
 			return -1
 		}
-		if s.head != tombSlot && s.hash == hash && eq(s.head) {
+		if s.hash == hash && eq(s.head) {
 			return int(i)
 		}
 	}
 }
 
-// findOrClaim returns the slot index for hash/eq, claiming an empty or
-// tombstone slot when the key is absent (claimed reports which). The caller
-// must immediately occupy a claimed slot.
+// findOrClaim returns the slot index for hash/eq, or the empty slot that ends
+// its probe sequence when the key is absent (claimed reports which). The
+// caller must immediately occupy a claimed slot.
 func (t *oaTable) findOrClaim(hash uint64, eq func(id int32) bool) (idx int, claimed bool) {
-	firstFree := -1
 	for i := hash & t.mask; ; i = (i + 1) & t.mask {
 		s := &t.slots[i]
 		if s.head == emptySlot {
-			if firstFree >= 0 {
-				return firstFree, true
-			}
 			return int(i), true
-		}
-		if s.head == tombSlot {
-			if firstFree < 0 {
-				firstFree = int(i)
-			}
-			continue
 		}
 		if s.hash == hash && eq(s.head) {
 			return int(i), false
@@ -111,59 +98,47 @@ func (t *oaTable) findOrClaim(hash uint64, eq func(id int32) bool) (idx int, cla
 	}
 }
 
-// occupy marks a claimed slot live, growing the table when it passes the
-// load threshold. rehash is invoked after a grow to re-insert every chain
-// (the caller owns chain storage, so it drives the rebuild).
-func (t *oaTable) occupy(idx int, hash uint64, head, tail int32) (grew bool) {
-	s := &t.slots[idx]
-	if s.head == emptySlot {
-		t.used++
-	}
-	s.hash = hash
-	s.head = head
-	s.tail = tail
+// occupy marks a claimed slot live and reports whether the table has reached
+// 3/4 load: the caller then rehashes into one twice the size (it owns chain
+// storage, so it drives the rebuild).
+func (t *oaTable) occupy(idx int, hash uint64, head, tail int32) (full bool) {
+	t.slots[idx] = oaSlot{hash: hash, head: head, tail: tail}
 	t.live++
-	// Grow at 3/4 load (counting tombstones, which lengthen probe chains).
-	return t.used*4 >= len(t.slots)*3
+	return t.live*4 >= len(t.slots)*3
 }
 
-// clearSlot removes a slot's chain, leaving a tombstone.
+// clearSlot removes a slot's chain and closes the gap by backward shift: each
+// later slot of the cluster whose home lies at or before the gap moves into
+// it, so every probe sequence stays unbroken and no tombstone is left to count
+// against the load.
 func (t *oaTable) clearSlot(idx int) {
-	t.slots[idx].head = tombSlot
+	gap := uint64(idx)
+	for j := (gap + 1) & t.mask; t.slots[j].head != emptySlot; j = (j + 1) & t.mask {
+		if home := t.slots[j].hash & t.mask; (j-home)&t.mask >= (j-gap)&t.mask {
+			t.slots[gap] = t.slots[j]
+			gap = j
+		}
+	}
+	t.slots[gap].head = emptySlot
 	t.live--
 }
 
-// reset re-allocates the slot array for at least capacity chains; the caller
-// re-inserts every chain afterwards.
-func (t *oaTable) reset(capacity int) {
-	size := minTableSize
-	for size*3 < capacity*4 { // inverse of the 3/4 load threshold
-		size *= 2
-	}
-	size *= 2 // headroom so a rehash isn't immediately re-triggered
+// reset re-allocates the slot array at the given power-of-two size; the
+// caller re-inserts every chain afterwards.
+func (t *oaTable) reset(size int) {
 	t.slots = make([]oaSlot, size)
 	t.mask = uint64(size - 1)
 	for i := range t.slots {
 		t.slots[i].head = emptySlot
 	}
 	t.live = 0
-	t.used = 0
 }
 
 // insertChain re-inserts a whole chain during a rehash: no equality check is
 // needed because chains are unique per key.
 func (t *oaTable) insertChain(hash uint64, head, tail int32) {
-	for i := hash & t.mask; ; i = (i + 1) & t.mask {
-		s := &t.slots[i]
-		if s.head == emptySlot {
-			s.hash = hash
-			s.head = head
-			s.tail = tail
-			t.live++
-			t.used++
-			return
-		}
-	}
+	idx, _ := t.findOrClaim(hash, func(int32) bool { return false })
+	t.occupy(idx, hash, head, tail)
 }
 
 // Store holds the current contents of one relation's sliding window.
@@ -173,16 +148,15 @@ func (t *oaTable) insertChain(hash uint64, head, tail int32) {
 type Store struct {
 	rel    int
 	schema *tuple.Schema
+	width  int // schema.Len(): the one arity every stored tuple has
 	meter  *cost.Meter
 
-	tuples   []tuple.Tuple // slab: id -> tuple (nil when free)
-	freeIDs  []int32
-	order    []int32 // ids in scan order (swap-remove)
-	orderPos []int32 // id -> position in order
+	tuples  []tuple.Ref // slab: id -> tuple (zero when free)
+	freeIDs []int32     // reused LIFO
+	live    int         // ids in use
 
 	indexes map[string]*HashIndex
 	idxList []*HashIndex // map values as a slice, so hot paths avoid map iteration
-	epoch   uint64       // bumped on index create/drop so compiled steps revalidate
 
 	mutations uint64 // bumped on every Insert/Delete; validates probe memos
 
@@ -379,6 +353,7 @@ func NewStore(rel int, schema *tuple.Schema, meter *cost.Meter) *Store {
 	return &Store{
 		rel:       rel,
 		schema:    schema,
+		width:     schema.Len(),
 		meter:     meter,
 		indexes:   make(map[string]*HashIndex),
 		filtersOn: true,
@@ -397,11 +372,19 @@ func (s *Store) Rel() int { return s.rel }
 func (s *Store) Schema() *tuple.Schema { return s.schema }
 
 // Len returns the number of tuples currently stored.
-func (s *Store) Len() int { return len(s.order) }
+func (s *Store) Len() int { return s.live }
 
-// Epoch changes whenever the index set changes; compiled join steps cache
-// the *HashIndex they probe and revalidate it when the epoch moves.
-func (s *Store) Epoch() uint64 { return s.epoch }
+// at returns the tuple stored under a live id.
+func (s *Store) at(id int32) tuple.Tuple { return s.tuples[id].Tuple(s.width) }
+
+// eachLive visits the live ids in slab order until f returns false.
+func (s *Store) eachLive(f func(id int32) bool) {
+	for id, r := range s.tuples {
+		if r != (tuple.Ref{}) && !f(int32(id)) {
+			return
+		}
+	}
+}
 
 // indexName canonicalizes an attribute-name set into an index identifier.
 func indexName(names []string) string {
@@ -414,7 +397,7 @@ func indexName(names []string) string {
 }
 
 // IndexNameOf returns the canonical index identifier for an attribute-name
-// set, for callers that cache it and look indexes up with IndexNamed.
+// set.
 func IndexNameOf(names []string) string { return indexName(names) }
 
 // CreateIndex builds (or returns) a hash index on the given attribute names.
@@ -436,50 +419,32 @@ func (s *Store) CreateIndex(names ...string) *HashIndex {
 	if s.filtersOn {
 		idx.fil = filter.New(initialFilterCapacity)
 	}
-	for _, tid := range s.order {
-		idx.insert(s.tuples[tid], tid)
-	}
+	s.eachLive(func(tid int32) bool {
+		idx.insert(s.at(tid), tid)
+		return true
+	})
 	s.indexes[id] = idx
 	s.idxList = append(s.idxList, idx)
-	s.epoch++
 	return idx
-}
-
-// DropIndex removes the index on the given attribute names, if present.
-// Joins on those attributes fall back to nested-loop scans.
-func (s *Store) DropIndex(names ...string) {
-	id := indexName(names)
-	if idx, ok := s.indexes[id]; ok {
-		delete(s.indexes, id)
-		for i, other := range s.idxList {
-			if other == idx {
-				s.idxList = append(s.idxList[:i], s.idxList[i+1:]...)
-				break
-			}
-		}
-		s.epoch++
-	}
 }
 
 // Index returns the index on the given attribute names, or nil when absent.
 func (s *Store) Index(names ...string) *HashIndex { return s.indexes[indexName(names)] }
 
-// IndexNamed returns the index with the given canonical identifier (from
-// IndexNameOf), or nil — the allocation-free lookup for compiled steps.
-func (s *Store) IndexNamed(id string) *HashIndex { return s.indexes[id] }
-
 // allocID claims a slab id for t, growing every per-id side array in step.
 // Untired stores alias the caller's tuple; tiered stores copy it into the
 // id's page slot so the bytes live in pageable storage.
 func (s *Store) allocID(t tuple.Tuple) int32 {
+	if len(t) != s.width || s.width == 0 {
+		panic(fmt.Sprintf("relation: %v given a tuple of %d values, its schema has %d", s, len(t), s.width))
+	}
 	var id int32
 	if n := len(s.freeIDs); n > 0 {
 		id = s.freeIDs[n-1]
 		s.freeIDs = s.freeIDs[:n-1]
 	} else {
 		id = int32(len(s.tuples))
-		s.tuples = append(s.tuples, nil)
-		s.orderPos = append(s.orderPos, 0)
+		s.tuples = append(s.tuples, tuple.Ref{})
 		for _, idx := range s.idxList {
 			idx.next = append(idx.next, nilID)
 		}
@@ -487,8 +452,9 @@ func (s *Store) allocID(t tuple.Tuple) int32 {
 	if s.tier != nil {
 		s.tuples[id] = s.tier.place(s, id, t)
 	} else {
-		s.tuples[id] = t
+		s.tuples[id] = tuple.RefOf(t)
 	}
+	s.live++
 	return id
 }
 
@@ -496,8 +462,6 @@ func (s *Store) allocID(t tuple.Tuple) int32 {
 func (s *Store) Insert(t tuple.Tuple) {
 	s.mutations++
 	id := s.allocID(t)
-	s.orderPos[id] = int32(len(s.order))
-	s.order = append(s.order, id)
 	s.meter.Charge(cost.HashInsert)
 	s.meter.ChargeN(cost.KeyExtract, len(t))
 	for _, idx := range s.idxList {
@@ -507,11 +471,6 @@ func (s *Store) Insert(t tuple.Tuple) {
 	if s.tier != nil {
 		s.tier.maintain(s) // demote LRU pages past the hot watermark
 	}
-}
-
-// sameStorage reports whether a and b are the same tuple, not merely equal.
-func sameStorage(a, b tuple.Tuple) bool {
-	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
 // Delete removes t itself when the store holds it (an untiered store aliases
@@ -527,37 +486,34 @@ func (s *Store) Delete(t tuple.Tuple) bool {
 	if len(s.idxList) > 0 {
 		id = s.idxList[0].remove(t, nilID)
 	} else {
-		for _, o := range s.order {
-			if sameStorage(s.tuples[o], t) {
+		held := tuple.RefOf(t)
+		s.eachLive(func(o int32) bool {
+			if s.tuples[o] == held {
 				id = o
-				break
-			} else if id == nilID && s.tuples[o].Equal(t) {
+				return false
+			} else if id == nilID && s.at(o).Equal(t) {
 				id = o
 			}
-		}
+			return true
+		})
 	}
 	if id == nilID {
 		return false
 	}
 	s.mutations++
-	// Swap-remove from scan order.
-	p := s.orderPos[id]
-	last := s.order[len(s.order)-1]
-	s.order[p] = last
-	s.orderPos[last] = p
-	s.order = s.order[:len(s.order)-1]
 	s.meter.Charge(cost.HashInsert)
 	for i, idx := range s.idxList {
 		if i > 0 { // the first index let go of it above
-			idx.remove(s.tuples[id], id)
+			idx.remove(s.at(id), id)
 		}
 		s.meter.Charge(cost.HashInsert)
 	}
 	if s.tier != nil {
 		s.tier.unplace(id)
 	}
-	s.tuples[id] = nil
+	s.tuples[id] = tuple.Ref{}
 	s.freeIDs = append(s.freeIDs, id)
+	s.live--
 	return true
 }
 
@@ -565,15 +521,13 @@ func (s *Store) Delete(t tuple.Tuple) bool {
 // nested-loop scan cost per tuple visited. The callback returns false to
 // stop early. Tuples must not be retained or mutated by the callback.
 func (s *Store) Scan(f func(tuple.Tuple) bool) {
-	for _, id := range s.order {
+	s.eachLive(func(id int32) bool {
 		s.meter.Charge(cost.ScanStep)
 		if s.tier != nil {
-			s.tier.touch(s, id)
+			s.tier.touch(s, id) // may move id's page: read its ref after
 		}
-		if !f(s.tuples[id]) {
-			return
-		}
-	}
+		return f(s.at(id))
+	})
 }
 
 // CountOf returns the number of stored tuples equal to t (windows may hold
@@ -583,17 +537,18 @@ func (s *Store) CountOf(t tuple.Tuple) int {
 	s.meter.Charge(cost.HashProbe)
 	n := 0
 	if len(s.idxList) == 0 {
-		for _, id := range s.order {
-			if s.tuples[id].Equal(t) {
+		s.eachLive(func(id int32) bool {
+			if s.at(id).Equal(t) {
 				n++
 			}
-		}
+			return true
+		})
 		return n
 	}
 	ix := s.idxList[0]
 	if slot, _ := ix.slotOf(t); slot >= 0 {
 		for id := ix.table.slots[slot].head; id != nilID; id = ix.next[id] {
-			if s.tuples[id].Equal(t) {
+			if s.at(id).Equal(t) {
 				n++
 			}
 		}
@@ -601,18 +556,18 @@ func (s *Store) CountOf(t tuple.Tuple) int {
 	return n
 }
 
-// All returns the current tuples (copy of the slice headers, shared values;
-// tiered stores clone the values so the result survives page moves); for
-// tests and oracles.
+// All returns the current tuples (shared values; tiered stores clone them so
+// the result survives page moves); for tests and oracles.
 func (s *Store) All() []tuple.Tuple {
-	out := make([]tuple.Tuple, len(s.order))
-	for i, id := range s.order {
+	out := make([]tuple.Tuple, 0, s.live)
+	s.eachLive(func(id int32) bool {
+		t := s.at(id)
 		if s.tier != nil {
-			out[i] = s.tuples[id].Clone()
-		} else {
-			out[i] = s.tuples[id]
+			t = t.Clone()
 		}
-	}
+		out = append(out, t)
+		return true
+	})
 	return out
 }
 
@@ -763,7 +718,7 @@ func (s *Store) ProbeEachMemo(idx *HashIndex, vals []tuple.Value, memo *ProbeMem
 				if s.tier != nil {
 					s.tier.touch(s, id)
 				}
-				f(s.tuples[id])
+				f(s.at(id))
 			}
 			return
 		}
@@ -776,7 +731,7 @@ func (s *Store) ProbeEachMemo(idx *HashIndex, vals []tuple.Value, memo *ProbeMem
 	}
 	off := int32(len(memo.ids))
 	slot := idx.table.find(h, func(o int32) bool {
-		return idx.valsEqual(s.tuples[o], vals)
+		return idx.valsEqual(s.at(o), vals)
 	})
 	if slot >= 0 {
 		for id := idx.table.slots[slot].head; id != nilID; id = idx.next[id] {
@@ -784,7 +739,7 @@ func (s *Store) ProbeEachMemo(idx *HashIndex, vals []tuple.Value, memo *ProbeMem
 			if s.tier != nil {
 				s.tier.touch(s, id)
 			}
-			f(s.tuples[id])
+			f(s.at(id))
 		}
 	}
 	koff := int32(len(memo.keys))
@@ -799,7 +754,7 @@ func (s *Store) ProbeEachMemo(idx *HashIndex, vals []tuple.Value, memo *ProbeMem
 
 // MemoryBytes returns the store's tuple footprint (window contents only; the
 // paper's memory experiments budget join subresults, not base windows).
-func (s *Store) MemoryBytes() int { return len(s.order) * TupleBytes }
+func (s *Store) MemoryBytes() int { return s.live * TupleBytes }
 
 // SetFiltersEnabled toggles the per-index fingerprint filters. Enabling
 // rebuilds each index's filter from its table; disabling frees them. Like
@@ -888,7 +843,7 @@ func (ix *HashIndex) valsEqual(o tuple.Tuple, vals []tuple.Value) bool {
 func (ix *HashIndex) insert(t tuple.Tuple, id int32) {
 	h := tuple.HashOf(t, ix.cols, hashSeed)
 	s := ix.store
-	slot, claimed := ix.table.findOrClaim(h, func(o int32) bool { return ix.keyEquals(s.tuples[o], t) })
+	slot, claimed := ix.table.findOrClaim(h, func(o int32) bool { return ix.keyEquals(s.at(o), t) })
 	ix.next[id] = nilID
 	if claimed {
 		if ix.table.occupy(slot, h, id, id) {
@@ -908,7 +863,7 @@ func (ix *HashIndex) insert(t tuple.Tuple, id int32) {
 func (ix *HashIndex) slotOf(t tuple.Tuple) (int, uint64) {
 	h := tuple.HashOf(t, ix.cols, hashSeed)
 	s := ix.store
-	return ix.table.find(h, func(o int32) bool { return ix.keyEquals(s.tuples[o], t) }), h
+	return ix.table.find(h, func(o int32) bool { return ix.keyEquals(s.at(o), t) }), h
 }
 
 // remove unlinks one tuple from t's key chain and returns its id, nilID when
@@ -922,13 +877,13 @@ func (ix *HashIndex) remove(t tuple.Tuple, id int32) int32 {
 	if slot < 0 {
 		return nilID
 	}
-	s, sl := ix.store, &ix.table.slots[slot]
+	s, sl, held := ix.store, &ix.table.slots[slot], tuple.RefOf(t)
 	victim, prev := nilID, nilID
 	for p, c := nilID, sl.head; c != nilID; p, c = c, ix.next[c] {
-		if c == id || id == nilID && sameStorage(s.tuples[c], t) {
+		if c == id || id == nilID && s.tuples[c] == held {
 			victim, prev = c, p
 			break
-		} else if id == nilID && victim == nilID && s.tuples[c].Equal(t) {
+		} else if id == nilID && victim == nilID && s.at(c).Equal(t) {
 			victim, prev = c, p
 			if s.tier != nil { // page copies: the chain cannot hold t itself
 				break
@@ -958,9 +913,9 @@ func (ix *HashIndex) remove(t tuple.Tuple, id int32) int32 {
 
 func (ix *HashIndex) rehash() {
 	old := ix.table.slots
-	ix.table.reset(ix.table.live)
+	ix.table.reset(2 * len(old))
 	for i := range old {
-		if old[i].head >= 0 {
+		if old[i].head != emptySlot {
 			ix.table.insertChain(old[i].hash, old[i].head, old[i].tail)
 		}
 	}
@@ -970,7 +925,7 @@ func (ix *HashIndex) rehash() {
 // whether a chain was found.
 func (ix *HashIndex) each(hash uint64, vals []tuple.Value, f func(t tuple.Tuple)) bool {
 	s := ix.store
-	slot := ix.table.find(hash, func(o int32) bool { return ix.valsEqual(s.tuples[o], vals) })
+	slot := ix.table.find(hash, func(o int32) bool { return ix.valsEqual(s.at(o), vals) })
 	if slot < 0 {
 		return false
 	}
@@ -978,7 +933,7 @@ func (ix *HashIndex) each(hash uint64, vals []tuple.Value, f func(t tuple.Tuple)
 		if s.tier != nil {
 			s.tier.touch(s, id)
 		}
-		f(s.tuples[id])
+		f(s.at(id))
 	}
 	return true
 }
@@ -1004,7 +959,7 @@ func (ix *HashIndex) rebuildFilter(capacity int) {
 		nf := filter.New(capacity)
 		ok := true
 		for i := range ix.table.slots {
-			if ix.table.slots[i].head >= 0 && !nf.Insert(ix.table.slots[i].hash) {
+			if ix.table.slots[i].head != emptySlot && !nf.Insert(ix.table.slots[i].hash) {
 				ok = false
 				break
 			}

@@ -11,7 +11,7 @@ import (
 // Tiered slab storage: the store's id-addressed slab is partitioned into
 // fixed-width pages (perPage tuples of the relation's arity each). Hot pages
 // are heap value arrays; pages demoted past the hot-bytes watermark are
-// copied into a slot of a memory-mapped spill file and the slab headers of
+// copied into a slot of a memory-mapped spill file and the slab refs of
 // their ids are rewritten to point into the mapping. Because mapped memory
 // is directly addressable, every probe, scan, and chain walk works on cold
 // tuples unchanged — a cold access simply faults the page in — and the
@@ -23,13 +23,12 @@ import (
 // with tiering on or off. Only HotMemoryBytes — what the engine reports to
 // the memory allocator — and wall-clock time change.
 //
-// Concurrency: a page move rewrites s.tuples headers in place, so moves are
-// only legal from the goroutine owning the store. Headers are always
-// re-fetched through s.tuples[id] at use time, and a page keeps its spill
-// slot for life once assigned —
-// demoting page P only ever rewrites P's own slot — so a header value read
-// before a move stays readable until the same page cycles through another
-// promote+demote, which cannot happen within one store operation.
+// Concurrency: a page move rewrites the slab's refs in place, so moves are
+// only legal from the goroutine owning the store. Refs are always re-fetched
+// through s.tuples[id] at use time, and a page keeps its spill slot for life
+// once assigned — demoting page P only ever rewrites P's own slot — so a
+// tuple read before a move stays readable until the same page cycles through
+// another promote+demote, which cannot happen within one store operation.
 
 // tierPage is one slab page's table entry.
 type tierPage struct {
@@ -137,8 +136,8 @@ func (tr *storeTier) page(id int32) *tierPage {
 
 // place copies t into id's page slot (promoting the page first if it is
 // cold, allocating heap storage if the page is new) and returns the slab
-// header for the stored copy.
-func (tr *storeTier) place(s *Store, id int32, t tuple.Tuple) tuple.Tuple {
+// ref to the stored copy.
+func (tr *storeTier) place(s *Store, id int32, t tuple.Tuple) tuple.Ref {
 	p := tr.page(id)
 	if p.cold {
 		tr.promote(s, p, int(id)/tr.perPage)
@@ -152,12 +151,11 @@ func (tr *storeTier) place(s *Store, id int32, t tuple.Tuple) tuple.Tuple {
 	p.live++
 	tr.hotLive++
 	off := (int(id) % tr.perPage) * tr.width
-	w := p.vals[off : off+tr.width : off+tr.width]
-	copy(w, t)
-	return w
+	copy(p.vals[off:off+tr.width], t)
+	return tuple.RefOf(p.vals[off:])
 }
 
-// unplace records id's removal for the resident accounting (the header is
+// unplace records id's removal for the resident accounting (the ref is
 // cleared by the caller).
 func (tr *storeTier) unplace(id int32) {
 	p := tr.page(id)
@@ -186,7 +184,7 @@ func (tr *storeTier) touch(s *Store, id int32) {
 }
 
 // promote copies a cold page back to the heap and rewrites its ids'
-// headers. The page keeps its spill slot (reused at the next demotion).
+// refs. The page keeps its spill slot (reused at the next demotion).
 func (tr *storeTier) promote(s *Store, p *tierPage, pi int) {
 	vals := make([]tuple.Value, tr.perPage*tr.width)
 	copy(vals, pageValues(tr.sp.Bytes(p.slot), tr.perPage*tr.width))
@@ -200,7 +198,7 @@ func (tr *storeTier) promote(s *Store, p *tierPage, pi int) {
 }
 
 // demote copies a hot page into its spill slot and rewrites its ids'
-// headers into the mapping.
+// refs into the mapping.
 func (tr *storeTier) demote(s *Store, p *tierPage, pi int) error {
 	if p.slot < 0 {
 		slot, err := tr.sp.Alloc()
@@ -221,7 +219,7 @@ func (tr *storeTier) demote(s *Store, p *tierPage, pi int) error {
 	return nil
 }
 
-// rewrite repoints the slab headers of every live id on page pi into vals.
+// rewrite repoints the slab refs of every live id on page pi into vals.
 func (tr *storeTier) rewrite(s *Store, p *tierPage, pi int, vals []tuple.Value) {
 	lo := pi * tr.perPage
 	hi := lo + tr.perPage
@@ -229,11 +227,9 @@ func (tr *storeTier) rewrite(s *Store, p *tierPage, pi int, vals []tuple.Value) 
 		hi = len(s.tuples)
 	}
 	for id := lo; id < hi; id++ {
-		if s.tuples[id] == nil {
-			continue
+		if s.tuples[id] != (tuple.Ref{}) {
+			s.tuples[id] = tuple.RefOf(vals[(id-lo)*tr.width:])
 		}
-		off := (id - lo) * tr.width
-		s.tuples[id] = vals[off : off+tr.width : off+tr.width]
 	}
 }
 
@@ -284,7 +280,7 @@ func (s *Store) ColdMemoryBytes() int {
 	if s.tier == nil {
 		return 0
 	}
-	return (len(s.order) - s.tier.hotLive) * TupleBytes
+	return (s.live - s.tier.hotLive) * TupleBytes
 }
 
 // TierCounters returns cumulative page promotions and demotions.
@@ -315,19 +311,14 @@ func (s *Store) TierDegraded() bool {
 // tuples pass their spill slot and index within the page (the checkpoint
 // records the ref; the spill file carries the bytes).
 func (s *Store) EachDurable(f func(t tuple.Tuple, slot int32, idx int)) {
-	for _, id := range s.order {
-		t := s.tuples[id]
-		if s.tier == nil {
-			f(t, -1, 0)
-			continue
-		}
-		p := s.tier.page(id)
-		if p.cold {
-			f(t, p.slot, int(id)%s.tier.perPage)
+	s.eachLive(func(id int32) bool {
+		if s.tier != nil && s.tier.page(id).cold {
+			f(s.at(id), s.tier.page(id).slot, int(id)%s.tier.perPage)
 		} else {
-			f(t, -1, 0)
+			f(s.at(id), -1, 0)
 		}
-	}
+		return true
+	})
 }
 
 // TierWidth returns the tuple width recorded in the spill codec header, or

@@ -11,10 +11,32 @@ import (
 	"acache/internal/tuple"
 )
 
+// visitsLive checks that Scan, All and EachDurable each visit exactly the
+// multiset want: the slab walk under them skips every freed id and nothing
+// else, whichever tier a tuple's page is in.
+func visitsLive(t *testing.T, label string, s *Store, want []tuple.Tuple) {
+	t.Helper()
+	var scanned, durable []tuple.Tuple
+	s.Scan(func(u tuple.Tuple) bool {
+		scanned = append(scanned, u.Clone())
+		return true
+	})
+	s.EachDurable(func(u tuple.Tuple, slot int32, idx int) {
+		if slot >= 0 {
+			u = ColdTuple(s.tier.sp, slot, idx, s.TierWidth())
+		}
+		durable = append(durable, u.Clone())
+	})
+	sameMultiset(t, label+": Scan", scanned, want)
+	sameMultiset(t, label+": All", s.All(), want)
+	sameMultiset(t, label+": EachDurable", durable, want)
+}
+
 // Differential test: a tiered store against an untired twin fed the same
 // randomized operation stream. Results, contents, and meter totals must be
 // bit-identical — tiering only moves bytes, never behavior — while the
-// constrained watermark forces real demotion traffic.
+// constrained watermark forces real demotion traffic. Both are held to a
+// slice model of what is live.
 func TestStoreTierDifferential(t *testing.T) {
 	for _, hot := range []int{4096, 16384, 1 << 20} {
 		dir := t.TempDir()
@@ -29,6 +51,7 @@ func TestStoreTierDifferential(t *testing.T) {
 		idxT := tiered.CreateIndex("A")
 		idxM := mem.CreateIndex("A")
 		rng := rand.New(rand.NewSource(int64(hot)))
+		ref := &refStore{}
 
 		randTuple := func() tuple.Tuple {
 			return tuple.Tuple{int64(rng.Intn(64)), int64(rng.Intn(8)), int64(rng.Intn(8))}
@@ -39,10 +62,11 @@ func TestStoreTierDifferential(t *testing.T) {
 				u := randTuple()
 				tiered.Insert(u.Clone())
 				mem.Insert(u)
+				ref.insert(u)
 			case op < 75:
 				u := randTuple()
-				if got, want := tiered.Delete(u), mem.Delete(u); got != want {
-					t.Fatalf("hot=%d step %d: Delete = %v, want %v", hot, step, got, want)
+				if got, want := tiered.Delete(u), mem.Delete(u); got != want || got != ref.delete(u) {
+					t.Fatalf("hot=%d step %d: Delete = %v, untiered %v", hot, step, got, want)
 				}
 			case op < 90:
 				vals := []tuple.Value{int64(rng.Intn(64))}
@@ -59,11 +83,14 @@ func TestStoreTierDifferential(t *testing.T) {
 			if tiered.Len() != mem.Len() {
 				t.Fatalf("hot=%d step %d: Len %d vs %d", hot, step, tiered.Len(), mem.Len())
 			}
+			if step%1000 == 0 { // the scan promotes what it reads; later inserts demote again
+				visitsLive(t, "tiered", tiered, ref.tuples)
+				visitsLive(t, "untiered", mem, ref.tuples)
+			}
 		}
 		if mt.Total() != mm.Total() {
 			t.Fatalf("hot=%d: meter totals diverge: tiered %v, in-memory %v", hot, mt.Total(), mm.Total())
 		}
-		sameMultiset(t, "All", tiered.All(), mem.All())
 		if tiered.HotMemoryBytes()+tiered.ColdMemoryBytes() != tiered.MemoryBytes() {
 			t.Fatalf("hot=%d: tier accounting: hot %d + cold %d != logical %d", hot,
 				tiered.HotMemoryBytes(), tiered.ColdMemoryBytes(), tiered.MemoryBytes())
@@ -76,6 +103,8 @@ func TestStoreTierDifferential(t *testing.T) {
 			t.Fatalf("constrained watermark left everything hot: %d of %d bytes",
 				tiered.HotMemoryBytes(), tiered.MemoryBytes())
 		}
+		visitsLive(t, "tiered", tiered, ref.tuples)
+		visitsLive(t, "untiered", mem, ref.tuples)
 		path := filepath.Join(dir, "rel0.spill")
 		if err := tiered.CloseTier(); err != nil {
 			t.Fatal(err)

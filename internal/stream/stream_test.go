@@ -67,7 +67,7 @@ func TestSlidingWindowRingMatchesQueue(t *testing.T) {
 		for i := 0; i < tc.appends; i += step {
 			var ts []tuple.Tuple
 			for j := i; j < i+step && j < tc.appends; j++ {
-				ts = append(ts, tuple.Tuple{int64(j % 5)}) // recurring values
+				ts = append(ts, tuple.Tuple{int64(j % 5), int64(j)}) // recurring values
 			}
 			if tc.batch == 0 {
 				got = w.AppendInto(ts[0], got)
@@ -98,7 +98,7 @@ func TestSlidingWindowRingMatchesQueue(t *testing.T) {
 			t.Fatalf("%s: %d updates, want %d", tc.name, len(got), len(want))
 		}
 		for i := range got {
-			if got[i].Op != want[i].Op || &got[i].Tuple[0] != &want[i].Tuple[0] {
+			if got[i].Op != want[i].Op || &got[i].Tuple[0] != &want[i].Tuple[0] || !got[i].Tuple.Equal(want[i].Tuple) {
 				t.Fatalf("%s: update %d is %v, want %v", tc.name, i, got[i], want[i])
 			}
 		}
@@ -107,7 +107,7 @@ func TestSlidingWindowRingMatchesQueue(t *testing.T) {
 			t.Fatalf("%s: holds %d tuples (Len %d), want %d", tc.name, len(contents), w.Len(), len(queue))
 		}
 		for i := range contents {
-			if &contents[i][0] != &queue[i][0] {
+			if &contents[i][0] != &queue[i][0] || !contents[i].Equal(queue[i]) {
 				t.Fatalf("%s: contents[%d] is %v, want %v", tc.name, i, contents[i], queue[i])
 			}
 		}
@@ -264,6 +264,29 @@ func TestPartitionedWindow(t *testing.T) {
 	}
 	if w.Len() != 3 || w.Partitions() != 2 {
 		t.Fatalf("len=%d partitions=%d", w.Len(), w.Partitions())
+	}
+}
+
+// A window keeps one width for all its tuples and a reference to each one's
+// first value: a tuple of another width, or with no values, is refused.
+func TestWindowWidthMisusePanics(t *testing.T) {
+	for name, misuse := range map[string]func(){
+		"sliding, wider":   func() { w := NewSlidingWindow(3); w.Append(tuple.Tuple{1}); w.Append(tuple.Tuple{1, 2}) },
+		"sliding, empty":   func() { NewSlidingWindow(3).Append(tuple.Tuple{}) },
+		"batch, narrower":  func() { NewSlidingWindow(3).AppendBatch([]tuple.Tuple{{1, 2}, {1}}) },
+		"load, narrower":   func() { w := NewSlidingWindow(3); w.Append(tuple.Tuple{1, 2}); w.Load([]tuple.Tuple{{1}}) },
+		"time, wider":      func() { w := NewTimeWindow(5); w.Append(tuple.Tuple{1}, 1); w.Append(tuple.Tuple{1, 2}, 2) },
+		"time, nil":        func() { NewTimeWindow(5).Append(nil, 1) },
+		"partition, wider": func() { w := NewPartitionedWindow(2, 0); w.Append(tuple.Tuple{1}); w.Append(tuple.Tuple{1, 2}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: accepted", name)
+				}
+			}()
+			misuse()
+		}()
 	}
 }
 

@@ -12,15 +12,16 @@ import "acache/internal/tuple"
 // timestamp ≤ t − Span, emitting their deletes oldest-first, then emits the
 // insert.
 type TimeWindow struct {
-	span int64
-	buf  []timedTuple
-	head int
-	n    int
-	last int64
+	span  int64
+	width int // values per tuple; 0 until the first append
+	buf   []timedTuple
+	head  int
+	n     int
+	last  int64
 }
 
 type timedTuple struct {
-	t  tuple.Tuple
+	t  tuple.Ref
 	ts int64
 }
 
@@ -52,7 +53,7 @@ func (w *TimeWindow) Append(t tuple.Tuple, ts int64) []Update {
 	if w.n == len(w.buf) {
 		w.grow()
 	}
-	w.buf[(w.head+w.n)%len(w.buf)] = timedTuple{t: t, ts: ts}
+	w.buf[(w.head+w.n)%len(w.buf)] = timedTuple{t: refOf(&w.width, t), ts: ts}
 	w.n++
 	return append(out, Update{Op: Insert, Tuple: t})
 }
@@ -67,7 +68,7 @@ func (w *TimeWindow) AdvanceTo(ts int64) []Update {
 	cutoff := ts - w.span
 	var out []Update
 	for w.n > 0 && w.buf[w.head].ts <= cutoff {
-		out = append(out, Update{Op: Delete, Tuple: w.buf[w.head].t})
+		out = append(out, Update{Op: Delete, Tuple: w.buf[w.head].t.Tuple(w.width)})
 		w.buf[w.head] = timedTuple{}
 		w.head = (w.head + 1) % len(w.buf)
 		w.n--
@@ -86,7 +87,7 @@ func (w *TimeWindow) ContentsTimed() ([]tuple.Tuple, []int64) {
 	stamps := make([]int64, 0, w.n)
 	for i := 0; i < w.n; i++ {
 		tt := w.buf[(w.head+i)%len(w.buf)]
-		ts = append(ts, tt.t)
+		ts = append(ts, tt.t.Tuple(w.width))
 		stamps = append(stamps, tt.ts)
 	}
 	return ts, stamps
@@ -112,7 +113,7 @@ func (w *TimeWindow) Load(ts []tuple.Tuple, stamps []int64, clock int64) {
 			panic("stream: Load timestamps must be non-decreasing")
 		}
 		prev = stamps[i]
-		w.buf[i] = timedTuple{t: t, ts: stamps[i]}
+		w.buf[i] = timedTuple{t: refOf(&w.width, t), ts: stamps[i]}
 	}
 	w.last = clock
 }
@@ -121,7 +122,7 @@ func (w *TimeWindow) Load(ts []tuple.Tuple, stamps []int64, clock int64) {
 func (w *TimeWindow) Contents() []tuple.Tuple {
 	out := make([]tuple.Tuple, 0, w.n)
 	for i := 0; i < w.n; i++ {
-		out = append(out, w.buf[(w.head+i)%len(w.buf)].t)
+		out = append(out, w.buf[(w.head+i)%len(w.buf)].t.Tuple(w.width))
 	}
 	return out
 }

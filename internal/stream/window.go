@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"sort"
 
 	"acache/internal/tuple"
@@ -13,11 +14,15 @@ import (
 //
 // An unbounded window (Size ≤ 0) never expires tuples, which models
 // conventional materialized-view maintenance where deletes arrive explicitly.
+//
+// The ring holds 8-byte references, not slice headers: one stream has one
+// arity, learned from the first tuple appended.
 type SlidingWindow struct {
-	size int
-	buf  []tuple.Tuple // ring buffer of current window contents
-	head int           // index of oldest tuple
-	n    int
+	size  int
+	width int         // values per tuple; 0 until the first append
+	buf   []tuple.Ref // ring buffer of current window contents
+	head  int         // index of oldest tuple
+	n     int
 }
 
 // NewSlidingWindow creates a count-based window of the given size.
@@ -25,7 +30,7 @@ type SlidingWindow struct {
 func NewSlidingWindow(size int) *SlidingWindow {
 	w := &SlidingWindow{size: size}
 	if size > 0 {
-		w.buf = make([]tuple.Tuple, size)
+		w.buf = make([]tuple.Ref, size)
 	}
 	return w
 }
@@ -49,16 +54,39 @@ func (w *SlidingWindow) AppendInto(t tuple.Tuple, out []Update) []Update {
 	if w.size <= 0 {
 		return append(out, Update{Op: Insert, Tuple: t})
 	}
+	r := refOf(&w.width, t)
 	if w.n == w.size {
 		// Full: the new tuple takes the slot the oldest one leaves.
-		old := w.buf[w.head]
-		w.buf[w.head] = t
+		old := w.buf[w.head].Tuple(w.width)
+		w.buf[w.head] = r
 		w.head = w.next(w.head)
 		return append(out, Update{Op: Delete, Tuple: old}, Update{Op: Insert, Tuple: t})
 	}
-	w.buf[w.tail()] = t
+	w.buf[w.tail()] = r
 	w.n++
 	return append(out, Update{Op: Insert, Tuple: t})
+}
+
+// refOf returns the reference a window keeps for t, fixing the window's width
+// at its first tuple. A tuple of another width would be read back at the
+// wrong length, and an empty one has nothing to refer to, so both are refused.
+func refOf(width *int, t tuple.Tuple) tuple.Ref {
+	if *width == 0 {
+		*width = len(t)
+	}
+	if len(t) != *width || len(t) == 0 {
+		panic(fmt.Sprintf("stream: window of %d-value tuples given one of %d", *width, len(t)))
+	}
+	return tuple.RefOf(t)
+}
+
+// pop removes and returns the oldest tuple.
+func (w *SlidingWindow) pop() tuple.Tuple {
+	old := w.buf[w.head].Tuple(w.width)
+	w.buf[w.head] = tuple.Ref{}
+	w.head = w.next(w.head)
+	w.n--
+	return old
 }
 
 // next is the ring slot after i; tail is the slot past the newest tuple.
@@ -109,15 +137,11 @@ func (w *SlidingWindow) AppendBatchInto(ts []tuple.Tuple, out []Update) []Update
 		chunk := ts[:m]
 		ts = ts[m:]
 		for expire := w.n + m - w.size; expire > 0; expire-- {
-			old := w.buf[w.head]
-			w.buf[w.head] = nil
-			w.head = w.next(w.head)
-			w.n--
-			out = append(out, Update{Op: Delete, Tuple: old})
+			out = append(out, Update{Op: Delete, Tuple: w.pop()})
 		}
 		at := w.tail()
 		for _, t := range chunk {
-			w.buf[at] = t
+			w.buf[at] = refOf(&w.width, t)
 			at = w.next(at)
 			out = append(out, Update{Op: Insert, Tuple: t})
 		}
@@ -130,8 +154,8 @@ func (w *SlidingWindow) AppendBatchInto(ts []tuple.Tuple, out []Update) []Update
 // for tests, invariant checks, and checkpointing.
 func (w *SlidingWindow) Contents() []tuple.Tuple {
 	out := make([]tuple.Tuple, 0, w.n)
-	for i := 0; i < w.n; i++ {
-		out = append(out, w.buf[(w.head+i)%w.size])
+	for i, at := 0, w.head; i < w.n; i, at = i+1, w.next(at) {
+		out = append(out, w.buf[at].Tuple(w.width))
 	}
 	return out
 }
@@ -150,7 +174,9 @@ func (w *SlidingWindow) Load(ts []tuple.Tuple) {
 	clear(w.buf)
 	w.head = 0
 	w.n = len(ts)
-	copy(w.buf, ts)
+	for i, t := range ts {
+		w.buf[i] = refOf(&w.width, t)
+	}
 }
 
 // PartitionedWindow is CQL's `[PARTITION BY attr ROWS n]`: the stream is
@@ -220,11 +246,7 @@ func (w *PartitionedWindow) AppendBatchInto(ts []tuple.Tuple, out []Update) []Up
 			w.rows[key] = win
 		}
 		if win.n > 0 && win.n+w.pend[win] >= win.size {
-			old := win.buf[win.head]
-			win.buf[win.head] = nil
-			win.head = win.next(win.head)
-			win.n--
-			out = append(out, Update{Op: Delete, Tuple: old})
+			out = append(out, Update{Op: Delete, Tuple: win.pop()})
 		}
 		w.pend[win]++
 	}
@@ -268,7 +290,7 @@ func (w *PartitionedWindow) Load(ts []tuple.Tuple) {
 		if win.n == win.size {
 			panic("stream: Load exceeds partition window size")
 		}
-		win.buf[(win.head+win.n)%win.size] = t
+		win.buf[win.tail()] = refOf(&win.width, t)
 		win.n++
 	}
 }

@@ -105,3 +105,31 @@ func TestNegativeValuesRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+func TestRefRoundTrip(t *testing.T) {
+	var none Ref
+	for width := 1; width <= 8; width++ {
+		chunk := make([]Value, 3*width) // a tuple carved from the middle of a chunk
+		tup := Tuple(chunk[width : 2*width : 2*width])
+		for i := range tup {
+			tup[i] = Value(100*width + i)
+		}
+		r := RefOf(tup)
+		if r == none {
+			t.Fatalf("width %d: a held tuple reads as the zero Ref", width)
+		}
+		got := r.Tuple(width)
+		if !got.Equal(tup) || &got[0] != &tup[0] || len(got) != width || cap(got) != width {
+			t.Fatalf("width %d: Ref gave back %v (len %d cap %d), want the storage of %v", width, got, len(got), cap(got), tup)
+		}
+		if RefOf(tup.Clone()) == r {
+			t.Fatalf("width %d: a copy shares the original's Ref", width)
+		}
+		if RefOf(got) != r {
+			t.Fatalf("width %d: Ref of the round-tripped tuple differs", width)
+		}
+	}
+	if RefOf(nil) != none {
+		t.Fatal("a nil tuple must read as the zero Ref")
+	}
+}
