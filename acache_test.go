@@ -614,7 +614,11 @@ func TestOnResultRowLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := oracle.New(eng.core.Exec().Query())
+	iq, err := query.NewWithThetas(eng.q.schemas, eng.q.preds, eng.q.thetas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := oracle.New(iq)
 	var kept [][]int64      // the slices as handed out
 	got := map[string]int{} // signed multiset of copies (formatted in the callback)
 	eng.OnResult(func(ins bool, row []int64) {

@@ -350,7 +350,7 @@ func BenchmarkCacheProbeHit(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Probe(keys[i%len(keys)])
+		c.ProbeBytes([]byte(keys[i%len(keys)]))
 	}
 }
 
@@ -364,8 +364,8 @@ func BenchmarkCacheMaintenance(b *testing.B) {
 	tp := tuple.Tuple{1, 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u := keys[i%len(keys)]
-		c.Insert(u, tp)
-		c.Delete(u, tp)
+		u := []byte(keys[i%len(keys)])
+		c.InsertBytes(u, tp)
+		c.DeleteBytes(u, tp)
 	}
 }

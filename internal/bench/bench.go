@@ -247,13 +247,3 @@ func ratioSeries(x []float64, mjoin, caching []float64) Series {
 	}
 	return Series{Label: "time ratio C/M", X: x, Y: y}
 }
-
-// WorkloadOf, QueryOf, and SourceOf expose workload internals for the
-// diagnostic tooling in cmd/.
-func WorkloadOf(pt SamplePoint, seed int64) *workload { return pt.workload(seed) }
-
-// QueryOf returns the workload's query.
-func QueryOf(w *workload) *query.Query { return w.q }
-
-// SourceOf builds a fresh source for the workload.
-func SourceOf(w *workload) *stream.Source { return w.source() }

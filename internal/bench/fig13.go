@@ -80,11 +80,3 @@ func Fig13(cfg RunConfig) *Experiment {
 		},
 	}
 }
-
-// All runs every experiment at the given scale, in paper order.
-func All(cfg RunConfig) []*Experiment {
-	return []*Experiment{
-		Fig6(cfg), Fig7(cfg), Fig8(cfg), Fig9(cfg),
-		Fig10(cfg), Fig11(cfg), Fig12(cfg), Fig13(cfg),
-	}
-}

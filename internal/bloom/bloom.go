@@ -59,47 +59,20 @@ const (
 // this package carried before deduplication, so profiler estimates — and
 // every cached figure derived from them — are unchanged.
 
-func (f *Filter) hash2(key string) (uint64, uint64) {
-	h1 := tuple.MixWord(tuple.HashRawString(key, seed1), uint64(len(key)))
-	h2 := tuple.MixWord(tuple.HashRawString(key, seed2), uint64(len(key)))
-	// Guarantee h2 is odd so all k probes differ even when nbits is a
-	// power of two.
-	return h1, h2 | 1
-}
-
-func (f *Filter) hash2Bytes(key []byte) (uint64, uint64) {
-	return HashBytes(key)
-}
-
 // HashBytes computes the double-hashing base pair (h1, h2) for a key. The
 // pair is filter-independent — every filter derives its k probe positions
 // from it — so a caller feeding the same key to several filters can hash
-// once and pass the pair to AddHash on each, with bit-identical outcomes to
-// calling AddBytes on every filter separately.
+// once and pass the pair to AddHash on each.
 func HashBytes(key []byte) (uint64, uint64) {
 	h1 := tuple.MixWord(tuple.HashRawBytes(key, seed1), uint64(len(key)))
 	h2 := tuple.MixWord(tuple.HashRawBytes(key, seed2), uint64(len(key)))
 	return h1, h2 | 1
 }
 
-// Add inserts key and reports whether it was possibly present before the
-// insertion (true = all its bits were already set).
-func (f *Filter) Add(key string) bool {
-	h1, h2 := f.hash2(key)
-	return f.add(h1, h2)
-}
-
-// AddBytes is Add for a key supplied as bytes (a scratch buffer on hot
-// paths); it allocates nothing and matches Add for equal bytes.
-func (f *Filter) AddBytes(key []byte) bool {
-	h1, h2 := f.hash2Bytes(key)
-	return f.add(h1, h2)
-}
-
-// AddHash inserts a key given its precomputed HashBytes pair, equivalent to
-// AddBytes on the key that produced it. It lets a hot path that maintains
-// several filters over the same key stream pay for one hash instead of one
-// per filter.
+// AddHash inserts a key given its precomputed HashBytes pair and reports
+// whether it was possibly present before the insertion (true = all its bits
+// were already set). It lets a hot path that maintains several filters over
+// the same key stream pay for one hash instead of one per filter.
 func (f *Filter) AddHash(h1, h2 uint64) bool {
 	return f.add(h1, h2)
 }
@@ -125,33 +98,8 @@ func (f *Filter) pos(h uint64) uint64 {
 	return h % f.nbits
 }
 
-// Contains reports whether key is possibly in the filter.
-func (f *Filter) Contains(key string) bool {
-	h1, h2 := f.hash2(key)
-	return f.contains(h1, h2)
-}
-
-// ContainsBytes is Contains for a key supplied as bytes.
-func (f *Filter) ContainsBytes(key []byte) bool {
-	h1, h2 := f.hash2Bytes(key)
-	return f.contains(h1, h2)
-}
-
-func (f *Filter) contains(h1, h2 uint64) bool {
-	for i := 0; i < f.k; i++ {
-		pos := f.pos(h1 + uint64(i)*h2)
-		if f.bits[pos/64]&(uint64(1)<<(pos%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // SetBits returns the number of set bits.
 func (f *Filter) SetBits() int { return f.nset }
-
-// Bits returns the filter size in bits.
-func (f *Filter) Bits() int { return int(f.nbits) }
 
 // Hashes returns the number of hash functions k.
 func (f *Filter) Hashes() int { return f.k }

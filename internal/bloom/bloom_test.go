@@ -6,13 +6,17 @@ import (
 	"testing"
 )
 
+// add drives AddHash, the one insertion the program performs, from a string
+// key; its result is the only membership report the filter gives.
+func add(f *Filter, key string) bool { return f.AddHash(HashBytes([]byte(key))) }
+
 func TestNoFalseNegatives(t *testing.T) {
 	f := New(1024, 3)
 	for i := 0; i < 50; i++ {
-		f.Add(fmt.Sprintf("key-%d", i))
+		add(f, fmt.Sprintf("key-%d", i))
 	}
 	for i := 0; i < 50; i++ {
-		if !f.Contains(fmt.Sprintf("key-%d", i)) {
+		if !add(f, fmt.Sprintf("key-%d", i)) {
 			t.Fatalf("false negative for key-%d", i)
 		}
 	}
@@ -20,10 +24,10 @@ func TestNoFalseNegatives(t *testing.T) {
 
 func TestAddReportsPresence(t *testing.T) {
 	f := New(4096, 2)
-	if f.Add("x") {
+	if add(f, "x") {
 		t.Fatal("first Add must report absent")
 	}
-	if !f.Add("x") {
+	if !add(f, "x") {
 		t.Fatal("second Add must report present")
 	}
 }
@@ -33,12 +37,14 @@ func TestFalsePositiveRate(t *testing.T) {
 	// ≈ 2.2%. Allow generous slack.
 	f := New(8000, 2)
 	for i := 0; i < 1000; i++ {
-		f.Add(fmt.Sprintf("in-%d", i))
+		add(f, fmt.Sprintf("in-%d", i))
 	}
+	// A presence report inserts, so the trials stay few against the 1000
+	// keys already in: the filter ends at 1200 keys, FPR ≈ 3%.
 	fp := 0
-	const trials = 5000
+	const trials = 200
 	for i := 0; i < trials; i++ {
-		if f.Contains(fmt.Sprintf("out-%d", i)) {
+		if add(f, fmt.Sprintf("out-%d", i)) {
 			fp++
 		}
 	}
@@ -51,8 +57,8 @@ func TestEstimateDistinct(t *testing.T) {
 	f := New(1<<14, 2)
 	const n = 800
 	for i := 0; i < n; i++ {
-		f.Add(fmt.Sprintf("k-%d", i))
-		f.Add(fmt.Sprintf("k-%d", i)) // duplicates must not inflate
+		add(f, fmt.Sprintf("k-%d", i))
+		add(f, fmt.Sprintf("k-%d", i)) // duplicates must not inflate
 	}
 	est := f.EstimateDistinct()
 	if math.Abs(est-n)/n > 0.15 {
@@ -62,7 +68,7 @@ func TestEstimateDistinct(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	f := New(256, 2)
-	f.Add("a")
+	add(f, "a")
 	if f.SetBits() == 0 {
 		t.Fatal("no bits set after Add")
 	}
@@ -70,14 +76,14 @@ func TestReset(t *testing.T) {
 	if f.SetBits() != 0 {
 		t.Fatal("Reset left bits set")
 	}
-	if f.Contains("a") {
+	if add(f, "a") {
 		t.Fatal("Reset did not clear key")
 	}
 	// Seeds survive Reset: re-adding yields the same bit pattern.
-	f.Add("a")
+	add(f, "a")
 	before := f.SetBits()
 	f.Reset()
-	f.Add("a")
+	add(f, "a")
 	if f.SetBits() != before {
 		t.Fatal("hash seeds changed across Reset")
 	}
@@ -86,7 +92,7 @@ func TestReset(t *testing.T) {
 func TestSaturation(t *testing.T) {
 	f := New(8, 1)
 	for i := 0; i < 100; i++ {
-		f.Add(fmt.Sprintf("k-%d", i))
+		add(f, fmt.Sprintf("k-%d", i))
 	}
 	if est := f.EstimateDistinct(); est != 8 {
 		t.Fatalf("saturated estimate = %v, want bit count", est)
@@ -95,12 +101,12 @@ func TestSaturation(t *testing.T) {
 
 func TestDegenerateSizes(t *testing.T) {
 	f := New(0, 0) // clamps to 1 bit, 1 hash
-	f.Add("x")
-	if !f.Contains("x") {
+	add(f, "x")
+	if !add(f, "x") {
 		t.Fatal("degenerate filter lost key")
 	}
-	if f.Bits() != 1 || f.Hashes() != 1 {
-		t.Fatalf("clamps wrong: bits=%d k=%d", f.Bits(), f.Hashes())
+	if f.nbits != 1 || f.Hashes() != 1 {
+		t.Fatalf("clamps wrong: bits=%d k=%d", f.nbits, f.Hashes())
 	}
 }
 

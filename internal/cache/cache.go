@@ -286,18 +286,14 @@ func entryBytes(keyBytes int, val []tuple.Tuple) int {
 	return keyBytes + RefBytes*len(val)
 }
 
-// Each operation below exists once, on the key packed as bytes (a scratch
-// buffer filled by tuple.AppendKey; hashing and comparison work directly on
-// the bytes, and nothing is allocated beyond entry growth), with a thin
-// tuple.Key form delegating to it.
+// Each operation below takes the key packed as bytes (a scratch buffer
+// filled by tuple.AppendKey; hashing and comparison work directly on the
+// bytes, and nothing is allocated beyond entry growth).
 
-// Probe looks up key u. On a hit it returns (value, true); the value may be
-// an empty set, which is still a hit — it asserts no segment tuples join
-// with u. On a miss it returns (nil, false). The value is the entry's own
+// ProbeBytes looks up key k. On a hit it returns (value, true); the value may
+// be an empty set, which is still a hit — it asserts no segment tuples join
+// with k. On a miss it returns (nil, false). The value is the entry's own
 // storage, valid until the cache is next modified.
-func (c *Cache) Probe(u tuple.Key) ([]tuple.Tuple, bool) { return c.ProbeBytes([]byte(u)) }
-
-// ProbeBytes is Probe for a packed key supplied as bytes.
 func (c *Cache) ProbeBytes(k []byte) ([]tuple.Tuple, bool) {
 	c.meter.Charge(cost.HashProbe)
 	c.stats.Probes++
@@ -370,13 +366,10 @@ func (c *Cache) claim(k []byte, size int) *slot {
 	return s
 }
 
-// Insert adds tuple r to the entry for key u, if present; otherwise it is
-// ignored (Section 3.2). If growing the entry would exceed the budget, the
+// InsertBytes adds tuple r to the entry for key k, if present; otherwise it
+// is ignored (Section 3.2). If growing the entry would exceed the budget, the
 // entire entry is dropped instead — absence never violates consistency,
 // while a silently incomplete entry would.
-func (c *Cache) Insert(u tuple.Key, r tuple.Tuple) { c.InsertColsBytes([]byte(u), r, nil) }
-
-// InsertBytes is Insert for a packed key supplied as bytes.
 func (c *Cache) InsertBytes(k []byte, r tuple.Tuple) { c.InsertColsBytes(k, r, nil) }
 
 // InsertColsBytes is InsertBytes of t's projection on cols (nil: of t), which
@@ -401,11 +394,8 @@ func (c *Cache) InsertColsBytes(k []byte, t tuple.Tuple, cols []int) {
 	c.maybeMaintain()
 }
 
-// Delete removes one tuple equal to r from the entry for key u, if the entry
-// is present; otherwise it is ignored.
-func (c *Cache) Delete(u tuple.Key, r tuple.Tuple) { c.DeleteBytes([]byte(u), r) }
-
-// DeleteBytes is Delete for a packed key supplied as bytes.
+// DeleteBytes removes one tuple equal to r from the entry for key k, if the
+// entry is present; otherwise it is ignored.
 func (c *Cache) DeleteBytes(k []byte, r tuple.Tuple) {
 	c.meter.Charge(cost.HashProbe)
 	s := c.residentSlot(k)
@@ -436,19 +426,6 @@ func (c *Cache) dropSlot(s *slot) {
 	*s = slot{}
 }
 
-// Drop removes the entry for key u, if resident. Invalidation-mode caches
-// use it when a segment update touches a cached key: absence never violates
-// consistency, so dropping is always safe.
-func (c *Cache) Drop(u tuple.Key) { c.DropBytes([]byte(u)) }
-
-// DropBytes is Drop for a packed key supplied as bytes.
-func (c *Cache) DropBytes(k []byte) {
-	c.meter.Charge(cost.HashProbe)
-	if s := c.residentSlot(k); s != nil {
-		c.dropSlot(s)
-	}
-}
-
 // Clear drops every entry, keeping the bucket array. Used when a cache's
 // statistics have gone stale (e.g. after a pipeline reordering).
 func (c *Cache) Clear() {
@@ -473,9 +450,6 @@ func (c *Cache) SetBudget(budget int) {
 	}
 }
 
-// Budget returns the current byte budget (<0 = unlimited).
-func (c *Cache) Budget() int { return c.budget }
-
 // UsedBytes returns the currently accounted memory, excluding the fixed
 // bucket array (see FixedBytes).
 func (c *Cache) UsedBytes() int { return c.usedBytes }
@@ -485,12 +459,6 @@ func (c *Cache) FixedBytes() int { return c.nbuckets * BucketBytes }
 
 // Entries returns the number of resident entries.
 func (c *Cache) Entries() int { return c.numEntries }
-
-// Buckets returns the configured bucket count.
-func (c *Cache) Buckets() int { return c.nbuckets }
-
-// KeyBytes returns the packed key size.
-func (c *Cache) KeyBytes() int { return c.keyBytes }
 
 // SetFilterEnabled toggles the residency filter. Enabling rebuilds it from
 // the resident entries; disabling frees it. Consistency never depends on the
@@ -505,9 +473,6 @@ func (c *Cache) SetFilterEnabled(on bool) {
 	}
 	c.rebuildFilter(c.numEntries)
 }
-
-// FilterEnabled reports whether the residency filter is on.
-func (c *Cache) FilterEnabled() bool { return c.fil != nil }
 
 // FilterBytes returns the filter's resident footprint. It is charged against
 // the server memory budget but kept out of UsedBytes so eviction behavior is
@@ -535,8 +500,10 @@ func (c *Cache) HitRate() float64 {
 	return float64(c.stats.Hits) / float64(c.stats.Probes)
 }
 
-// Each visits every resident entry; for tests and invariant checks. Cold
-// entries are promoted so the callback sees materialized values.
+// Each visits every resident entry. Nothing in the program calls it: it is
+// what the tests of the consistency invariant (Definition 3.1) walk the
+// cache with, here and in internal/join and internal/core. Cold entries are
+// promoted so the callback sees materialized values.
 func (c *Cache) Each(f func(u tuple.Key, v []tuple.Tuple)) {
 	for i := range c.slots {
 		s := &c.slots[i]

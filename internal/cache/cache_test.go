@@ -15,11 +15,11 @@ func newCache(buckets, budget int) *Cache {
 func TestProbeMissHitAndEmptyHit(t *testing.T) {
 	c := newCache(16, -1)
 	u := tuple.KeyOfValues([]tuple.Value{1})
-	if _, hit := c.Probe(u); hit {
+	if _, hit := c.ProbeBytes([]byte(u)); hit {
 		t.Fatal("probe of empty cache hit")
 	}
 	c.Create(u, nil) // negative caching: empty value is a valid entry
-	v, hit := c.Probe(u)
+	v, hit := c.ProbeBytes([]byte(u))
 	if !hit || len(v) != 0 {
 		t.Fatal("empty entry must hit with empty value")
 	}
@@ -33,32 +33,32 @@ func TestInsertDeleteSemantics(t *testing.T) {
 	c := newCache(16, -1)
 	u := tuple.KeyOfValues([]tuple.Value{1})
 	// Insert to an absent key is ignored (Section 3.2).
-	c.Insert(u, tuple.Tuple{1, 2})
-	if _, hit := c.Probe(u); hit {
+	c.InsertBytes([]byte(u), tuple.Tuple{1, 2})
+	if _, hit := c.ProbeBytes([]byte(u)); hit {
 		t.Fatal("insert must not create entries")
 	}
 	c.Create(u, []tuple.Tuple{{1, 2}})
-	c.Insert(u, tuple.Tuple{1, 3})
-	v, _ := c.Probe(u)
+	c.InsertBytes([]byte(u), tuple.Tuple{1, 3})
+	v, _ := c.ProbeBytes([]byte(u))
 	if len(v) != 2 {
 		t.Fatalf("value = %v", v)
 	}
-	c.Delete(u, tuple.Tuple{1, 2})
-	v, _ = c.Probe(u)
+	c.DeleteBytes([]byte(u), tuple.Tuple{1, 2})
+	v, _ = c.ProbeBytes([]byte(u))
 	if len(v) != 1 || !v[0].Equal(tuple.Tuple{1, 3}) {
 		t.Fatalf("after delete: %v", v)
 	}
 	// Deleting an absent tuple or key is a no-op.
-	c.Delete(u, tuple.Tuple{9, 9})
-	c.Delete(tuple.KeyOfValues([]tuple.Value{42}), tuple.Tuple{1})
+	c.DeleteBytes([]byte(u), tuple.Tuple{9, 9})
+	c.DeleteBytes([]byte(tuple.KeyOfValues([]tuple.Value{42})), tuple.Tuple{1})
 }
 
 func TestMultisetValues(t *testing.T) {
 	c := newCache(16, -1)
 	u := tuple.KeyOfValues([]tuple.Value{1})
 	c.Create(u, []tuple.Tuple{{7}, {7}})
-	c.Delete(u, tuple.Tuple{7})
-	v, _ := c.Probe(u)
+	c.DeleteBytes([]byte(u), tuple.Tuple{7})
+	v, _ := c.ProbeBytes([]byte(u))
 	if len(v) != 1 {
 		t.Fatalf("multiset delete removed %d copies", 2-len(v))
 	}
@@ -70,10 +70,10 @@ func TestDirectMappedEviction(t *testing.T) {
 	u2 := tuple.KeyOfValues([]tuple.Value{2})
 	c.Create(u1, []tuple.Tuple{{1}})
 	c.Create(u2, []tuple.Tuple{{2}})
-	if _, hit := c.Probe(u1); hit {
+	if _, hit := c.ProbeBytes([]byte(u1)); hit {
 		t.Fatal("evicted key still resident")
 	}
-	if _, hit := c.Probe(u2); !hit {
+	if _, hit := c.ProbeBytes([]byte(u2)); !hit {
 		t.Fatal("new key not resident")
 	}
 	if c.Stats().Evictions != 1 {
@@ -89,7 +89,7 @@ func TestCreateReplacesSameKey(t *testing.T) {
 	u := tuple.KeyOfValues([]tuple.Value{1})
 	c.Create(u, []tuple.Tuple{{1}, {2}})
 	c.Create(u, []tuple.Tuple{{3}})
-	v, _ := c.Probe(u)
+	v, _ := c.ProbeBytes([]byte(u))
 	if len(v) != 1 || !v[0].Equal(tuple.Tuple{3}) {
 		t.Fatalf("re-create value = %v", v)
 	}
@@ -111,7 +111,7 @@ func TestBudgetDropsCreates(t *testing.T) {
 		t.Fatal("fitting create dropped")
 	}
 	// Growing past the budget drops the whole entry (never a partial one).
-	c.Insert(u, tuple.Tuple{2})
+	c.InsertBytes([]byte(u), tuple.Tuple{2})
 	if c.Entries() != 0 || c.Stats().MemoryDrops != 2 {
 		t.Fatalf("over-budget insert must drop the entry: %+v", c.Stats())
 	}
@@ -136,12 +136,6 @@ func TestDropAndClear(t *testing.T) {
 	c := newCache(16, -1)
 	u := tuple.KeyOfValues([]tuple.Value{1})
 	c.Create(u, []tuple.Tuple{{1}})
-	c.Drop(u)
-	if c.Entries() != 0 || c.UsedBytes() != 0 {
-		t.Fatal("drop incomplete")
-	}
-	c.Drop(u) // idempotent
-	c.Create(u, []tuple.Tuple{{1}})
 	c.Clear()
 	if c.Entries() != 0 || c.UsedBytes() != 0 {
 		t.Fatal("clear incomplete")
@@ -160,7 +154,7 @@ func TestMemoryAccountingInvariant(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		u := tuple.KeyOfValues([]tuple.Value{rng.Int63n(50)})
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			var v []tuple.Tuple
 			for j := 0; j < rng.Intn(4); j++ {
@@ -168,11 +162,9 @@ func TestMemoryAccountingInvariant(t *testing.T) {
 			}
 			c.Create(u, v)
 		case 1:
-			c.Insert(u, tuple.Tuple{rng.Int63n(5)})
+			c.InsertBytes([]byte(u), tuple.Tuple{rng.Int63n(5)})
 		case 2:
-			c.Delete(u, tuple.Tuple{rng.Int63n(5)})
-		case 3:
-			c.Drop(u)
+			c.DeleteBytes([]byte(u), tuple.Tuple{rng.Int63n(5)})
 		}
 		if c.UsedBytes() != recompute() {
 			t.Fatalf("step %d: accounted %d, actual %d", i, c.UsedBytes(), recompute())
@@ -186,9 +178,9 @@ func TestHitRate(t *testing.T) {
 	if c.HitRate() != 0 {
 		t.Fatal("hit rate with no probes")
 	}
-	c.Probe(u)
+	c.ProbeBytes([]byte(u))
 	c.Create(u, nil)
-	c.Probe(u)
+	c.ProbeBytes([]byte(u))
 	if c.HitRate() != 0.5 {
 		t.Fatalf("hit rate = %v", c.HitRate())
 	}
@@ -206,19 +198,19 @@ func TestCountedEntries(t *testing.T) {
 	u := tuple.KeyOfValues([]tuple.Value{1})
 	mult := func(n int) func() int { return func() int { return n } }
 	c.CreateCounted(u, []tuple.Tuple{{1}}, []int{2}, []int{6})
-	tuples, mults, hit := c.ProbeCounted(u)
+	tuples, mults, hit := c.ProbeCountedBytes([]byte(u))
 	if !hit || len(tuples) != 1 || mults[0] != 2 {
 		t.Fatalf("probe counted: %v %v %v", tuples, mults, hit)
 	}
 	// Support decays to zero → element removed.
 	c.ApplyCountedDelta(u, tuple.Tuple{1}, -6, mult(0))
-	tuples, _, _ = c.ProbeCounted(u)
+	tuples, _, _ = c.ProbeCountedBytes([]byte(u))
 	if len(tuples) != 0 {
 		t.Fatal("zero-support tuple still resident")
 	}
 	// New support for an absent tuple adds it with the recomputed mult.
 	c.ApplyCountedDelta(u, tuple.Tuple{2}, 3, mult(5))
-	tuples, mults, _ = c.ProbeCounted(u)
+	tuples, mults, _ = c.ProbeCountedBytes([]byte(u))
 	if len(tuples) != 1 || mults[0] != 5 {
 		t.Fatalf("re-added: %v %v", tuples, mults)
 	}
@@ -240,8 +232,8 @@ func TestCountedBadLengthsPanic(t *testing.T) {
 	newCache(4, -1).CreateCounted(tuple.KeyOfValues([]tuple.Value{1}), []tuple.Tuple{{1}}, []int{1}, nil)
 }
 
-// TestEntriesMatchDirectMappedModel replays random creates, inserts, deletes
-// and drops against a model that keeps what the cache is specified to keep:
+// TestEntriesMatchDirectMappedModel replays random creates, inserts and
+// deletes against a model that keeps what the cache is specified to keep:
 // per bucket hash mod nbuckets (24 buckets take the modulo path, 32 the
 // mask), the last key created there and its tuples in order, a delete moving
 // the last tuple into the hole. Every argument is scratch, overwritten after
@@ -267,7 +259,7 @@ func TestEntriesMatchDirectMappedModel(t *testing.T) {
 			}
 			r := tuple.Tuple{wide[1], wide[3]}
 			m := model[b]
-			switch rng.Intn(8) {
+			switch rng.Intn(7) {
 			case 0:
 				v := make([]tuple.Tuple, rng.Intn(5))
 				e := &entry{key: u}
@@ -295,11 +287,6 @@ func TestEntriesMatchDirectMappedModel(t *testing.T) {
 							break
 						}
 					}
-				}
-			case 7:
-				c.DropBytes(key)
-				if m != nil && m.key == u {
-					delete(model, b)
 				}
 			}
 			got, hit := c.ProbeBytes(key)

@@ -51,13 +51,8 @@ func (c *Cache) CreateCounted(u tuple.Key, tuples []tuple.Tuple, mults, supports
 	}
 }
 
-// ProbeCounted looks up key u on a counted cache, returning the distinct
+// ProbeCountedBytes looks up key k on a counted cache, returning the distinct
 // tuples and their multiplicities on a hit.
-func (c *Cache) ProbeCounted(u tuple.Key) (tuples []tuple.Tuple, mults []int, ok bool) {
-	return c.ProbeCountedBytes([]byte(u))
-}
-
-// ProbeCountedBytes is ProbeCounted for a packed key supplied as bytes.
 func (c *Cache) ProbeCountedBytes(k []byte) (tuples []tuple.Tuple, mults []int, ok bool) {
 	c.meter.Charge(cost.HashProbe)
 	c.stats.Probes++
@@ -130,7 +125,7 @@ func (c *Cache) ApplyCountedDelta(u tuple.Key, r tuple.Tuple, n int, recomputeMu
 }
 
 // EachCounted visits every resident counted entry with its multiplicities
-// and supports.
+// and supports — Each for the global-consistency invariant (Definition 6.1).
 func (c *Cache) EachCounted(f func(u tuple.Key, v []tuple.Tuple, mults, supports []int)) {
 	for i := range c.slots {
 		if !c.slots[i].occupied {

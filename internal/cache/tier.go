@@ -80,16 +80,6 @@ func (t *Tier) WriteErrors() uint64 { return t.writeErrs }
 // resident. Results are unaffected — only the memory win is lost.
 func (t *Tier) Degraded() bool { return t.disabled }
 
-// ColdBytes returns the logical bytes currently spilled across all attached
-// caches.
-func (t *Tier) ColdBytes() int {
-	n := 0
-	for _, c := range t.caches {
-		n += c.coldBytes
-	}
-	return n
-}
-
 // AttachTier registers the cache with the shared cold tier. Call once,
 // before the cache holds entries worth spilling (attaching later is safe —
 // existing entries simply become demotion candidates).
@@ -130,7 +120,7 @@ func (c *Cache) DetachTier() {
 }
 
 // HotUsedBytes is the resident portion of UsedBytes — what the engine
-// reports to the memory allocator. Equal to UsedBytes on an untired cache.
+// reports as its tier's hot bytes. Equal to UsedBytes on an untired cache.
 func (c *Cache) HotUsedBytes() int { return c.usedBytes - c.coldBytes }
 
 // ColdUsedBytes is the logical bytes of this cache's spilled payloads.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"acache/internal/planner"
@@ -88,7 +87,7 @@ func TestReferenceAdaptivityDifferential(t *testing.T) {
 			if a.Reopts == 0 {
 				t.Error("workload never re-optimized; differential vacuous")
 			}
-			if as, bs := fmt.Sprint(ref.CacheStates()), fmt.Sprint(fast.CacheStates()); as != bs {
+			if as, bs := cacheStates(ref), cacheStates(fast); as != bs {
 				t.Errorf("cache states mismatch:\nreference %s\nfast      %s", as, bs)
 			}
 		})

@@ -46,7 +46,6 @@ func (en *Engine) ProcessBatch(ups []stream.Update) int {
 		}
 		limit := en.runLimit(u.Rel)
 		if profiled || limit <= 1 {
-			en.batchSerial++
 			en.meter.Charge(cost.WindowMaint)
 			total += en.processUpdate(u, profiled)
 			i++
@@ -62,15 +61,12 @@ func (en *Engine) ProcessBatch(ups []stream.Update) int {
 		}
 		if j == i+1 {
 			// A run of one gains nothing over the serial path.
-			en.batchSerial++
 			en.meter.Charge(cost.WindowMaint)
 			total += en.processUpdate(u, false)
 			i++
 			continue
 		}
 		k := j - i
-		en.batchRuns++
-		en.batchRunUpdates += uint64(k)
 		en.meter.ChargeN(cost.WindowMaint, k)
 		res := en.exec.ProcessRun(ups[i:j])
 		if !en.cfg.DisableCaching {
@@ -102,13 +98,6 @@ func (en *Engine) ProcessBatch(ups []stream.Update) int {
 		}
 	}
 	return total
-}
-
-// BatchStats reports how ProcessBatch admitted its input since construction:
-// vectorized runs (count and total updates), serially processed updates, and
-// the executor's duplicate-replay count within runs.
-func (en *Engine) BatchStats() (runs, runUpdates, serial, dupReplays uint64) {
-	return en.batchRuns, en.batchRunUpdates, en.batchSerial, en.exec.DupReplays()
 }
 
 // runLimit bounds the length of a batched run starting at an update to rel so

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"acache/internal/join"
 	"acache/internal/planner"
 	"acache/internal/query"
 	"acache/internal/stream"
@@ -89,7 +90,7 @@ func captureState(en *Engine) engineState {
 	st.snap.FilterFalsePositives = 0
 	// ReoptNanos is wall-clock time, not logical work.
 	st.snap.ReoptNanos = 0
-	st.states = fmt.Sprint(en.CacheStates())
+	st.states = cacheStates(en)
 	for rel := 0; rel < en.q.N(); rel++ {
 		st.stores = append(st.stores, fmt.Sprint(en.exec.Store(rel).All()))
 	}
@@ -98,13 +99,19 @@ func captureState(en *Engine) engineState {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	counted := make(map[*join.Instance]bool) // incrementally maintained GC caches
+	for _, c := range en.cands {
+		if c.inst != nil {
+			counted[c.inst] = c.spec.GC && !c.spec.SelfMaint
+		}
+	}
 	for _, id := range ids {
 		inst := en.instances[id]
 		c := inst.Cache()
 		cs := c.Stats()
 		cs.FilterShortCircuits, cs.FilterFalsePositives = 0, 0 // physical, path-dependent
 		dump := fmt.Sprintf("%s entries=%d used=%d stats=%+v;", id, c.Entries(), c.UsedBytes(), cs)
-		if inst.GC() && !inst.SelfMaintained() {
+		if counted[inst] {
 			c.EachCounted(func(u tuple.Key, v []tuple.Tuple, mults, supports []int) {
 				dump += fmt.Sprintf(" %v=%v*%v/%v", u, v, mults, supports)
 			})

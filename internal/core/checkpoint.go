@@ -1,16 +1,14 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"acache/internal/cost"
 	"acache/internal/tuple"
 )
 
-// Checkpoint is a serializable snapshot of the engine state a restart must
-// preserve: the relation windows (the only state join results depend on) and
-// the headline counters at capture time. Caches, profiler statistics, and
+// Checkpoint is a snapshot of the engine state a restart must preserve: the
+// relation windows (the only state join results depend on) and the headline
+// counters at capture time. Caches, profiler statistics, and
 // adaptivity phase are deliberately excluded — the paper's central property
 // (Section 3.2: caches obey consistency but not completeness) means a
 // restored engine can start cache-cold and repopulate adaptively while every
@@ -33,9 +31,8 @@ func (en *Engine) Checkpoint() *Checkpoint {
 	n := en.q.N()
 	ck := &Checkpoint{Snap: en.Snapshot(), Rels: make([][]tuple.Tuple, n)}
 	// Adaptivity telemetry is process-local instrumentation, not replay
-	// state: it is neither encoded by MarshalBinary nor meaningful after a
-	// restore (the restored engine re-measures from scratch), so a
-	// checkpoint carries it at zero.
+	// state: it means nothing after a restore (the restored engine
+	// re-measures from scratch), so a checkpoint carries it at zero.
 	ck.Snap.ReoptNanos = 0
 	ck.Snap.SampledUpdates = 0
 	ck.Snap.CandidateRescores = 0
@@ -76,137 +73,6 @@ func (en *Engine) RestoreWindows(ck *Checkpoint) error {
 			}
 			st.Insert(t)
 		}
-	}
-	return nil
-}
-
-// Binary checkpoint format: a magic+version header, the six counters, then
-// per relation a tuple count, arity, and the row values, all little-endian
-// fixed-width — trivially portable and versionable.
-const ckptMagic = uint32(0xacac_0002)
-
-// MarshalBinary serializes the checkpoint.
-func (ck *Checkpoint) MarshalBinary() ([]byte, error) {
-	size := 4 + 11*8 + 4
-	for _, ts := range ck.Rels {
-		size += 8
-		for _, t := range ts {
-			size += 8 * len(t)
-		}
-	}
-	buf := make([]byte, 0, size)
-	u32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
-	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	u32(ckptMagic)
-	u64(uint64(ck.Snap.Updates))
-	u64(ck.Snap.Outputs)
-	u64(uint64(ck.Snap.Work))
-	u64(uint64(ck.Snap.Reopts))
-	u64(uint64(ck.Snap.SkippedReopts))
-	u64(uint64(ck.Snap.CacheMemoryBytes))
-	u64(uint64(ck.Snap.FilterBytes))
-	u64(ck.Snap.FilteredProbes)
-	u64(ck.Snap.FilterFalsePositives)
-	u64(uint64(ck.Snap.WindowBytes))
-	u64(uint64(ck.Snap.SharedStores))
-	u32(uint32(len(ck.Rels)))
-	for _, ts := range ck.Rels {
-		u32(uint32(len(ts)))
-		arity := 0
-		if len(ts) > 0 {
-			arity = len(ts[0])
-		}
-		u32(uint32(arity))
-		for _, t := range ts {
-			if len(t) != arity {
-				return nil, fmt.Errorf("core: ragged checkpoint relation (arity %d vs %d)", len(t), arity)
-			}
-			for _, v := range t {
-				u64(uint64(v))
-			}
-		}
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary deserializes a checkpoint produced by MarshalBinary.
-func (ck *Checkpoint) UnmarshalBinary(data []byte) error {
-	pos := 0
-	u32 := func() (uint32, error) {
-		if pos+4 > len(data) {
-			return 0, fmt.Errorf("core: truncated checkpoint at byte %d", pos)
-		}
-		v := binary.LittleEndian.Uint32(data[pos:])
-		pos += 4
-		return v, nil
-	}
-	u64 := func() (uint64, error) {
-		if pos+8 > len(data) {
-			return 0, fmt.Errorf("core: truncated checkpoint at byte %d", pos)
-		}
-		v := binary.LittleEndian.Uint64(data[pos:])
-		pos += 8
-		return v, nil
-	}
-	magic, err := u32()
-	if err != nil {
-		return err
-	}
-	if magic != ckptMagic {
-		return fmt.Errorf("core: bad checkpoint magic %#x", magic)
-	}
-	var fields [11]uint64
-	for i := range fields {
-		if fields[i], err = u64(); err != nil {
-			return err
-		}
-	}
-	ck.Snap = Snapshot{
-		Updates:              int(fields[0]),
-		Outputs:              fields[1],
-		Work:                 cost.Units(fields[2]),
-		Reopts:               int(fields[3]),
-		SkippedReopts:        int(fields[4]),
-		CacheMemoryBytes:     int(fields[5]),
-		FilterBytes:          int(fields[6]),
-		FilteredProbes:       fields[7],
-		FilterFalsePositives: fields[8],
-		WindowBytes:          int(fields[9]),
-		SharedStores:         int(fields[10]),
-	}
-	nrels, err := u32()
-	if err != nil {
-		return err
-	}
-	ck.Rels = make([][]tuple.Tuple, nrels)
-	for rel := range ck.Rels {
-		count, err := u32()
-		if err != nil {
-			return err
-		}
-		arity, err := u32()
-		if err != nil {
-			return err
-		}
-		if uint64(count)*uint64(arity)*8 > uint64(len(data)-pos) {
-			return fmt.Errorf("core: checkpoint relation %d claims %d×%d values beyond buffer", rel, count, arity)
-		}
-		ts := make([]tuple.Tuple, count)
-		for i := range ts {
-			t := make(tuple.Tuple, arity)
-			for j := range t {
-				v, err := u64()
-				if err != nil {
-					return err
-				}
-				t[j] = tuple.Value(v)
-			}
-			ts[i] = t
-		}
-		ck.Rels[rel] = ts
-	}
-	if pos != len(data) {
-		return fmt.Errorf("core: %d trailing bytes after checkpoint", len(data)-pos)
 	}
 	return nil
 }
@@ -268,6 +134,3 @@ func (en *Engine) SetCachingPaused(paused bool) {
 	en.refreshCandidates()
 	en.startProfilingPhase()
 }
-
-// CachingPaused reports whether adaptive caching is paused.
-func (en *Engine) CachingPaused() bool { return en.pausedCaching }

@@ -9,7 +9,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -139,8 +138,8 @@ type Config struct {
 	// epoch-memoized readiness poll, the candidate-set memo, and reusable
 	// selection workspaces — so every poll and selection recomputes from
 	// scratch. Decisions, cost figures, and results are identical either
-	// way; this exists (like DisableFilters) for differential testing and
-	// the adaptivity experiment's decision-identity cross-check.
+	// way; this exists (like DisableFilters) for differential testing
+	// (TestReferenceAdaptivityDifferential).
 	ReferenceAdaptivity bool
 }
 
@@ -231,12 +230,11 @@ type Engine struct {
 	// a plain MJoin benefits from them the most.
 	sinceFilterAdapt int
 	filterSnaps      []filterSnap
-	// allocateMemory's and MemoryDemand's scratch, reused so a host
-	// server's periodic rebalance allocates nothing at steady state.
+	// allocateMemory's scratch, reused so a host server's periodic
+	// rebalance allocates nothing at steady state.
 	allocInfos  map[string]allocInfo
 	allocReqs   []memory.Request
 	allocGrants map[string]int
-	demandSeen  map[string]bool
 	// MemoryDemandDetail's scratch plus the CrossID memo (keyed by the
 	// engine-local SharingID, which pins the cross-query identity for a
 	// fixed Config.RelTokens).
@@ -298,11 +296,6 @@ type Engine struct {
 	outputs uint64
 	// Reopts counts selection runs; SkippedReopts counts p-threshold skips.
 	reopts, skippedReopts int
-
-	// Batch-path observability: how ProcessBatch admitted its input. Runs of
-	// length ≥ 2 go through the vectorized executor (batchRuns/batchRunUpdates);
-	// everything else takes the serial per-update path (batchSerial).
-	batchRuns, batchRunUpdates, batchSerial uint64
 
 	// resultSinks receive canonicalized join-result deltas; resultTaps
 	// tracks the executor tap id per pipeline (−1 = none) so pipeline
@@ -413,12 +406,6 @@ func (en *Engine) installResultTaps() {
 		})
 	}
 }
-
-// Profiler exposes the online statistics.
-func (en *Engine) Profiler() *profiler.Profiler { return en.pf }
-
-// Outputs returns the total join-result updates emitted.
-func (en *Engine) Outputs() uint64 { return en.outputs }
 
 // Reopts returns (selection runs, p-threshold skips).
 func (en *Engine) Reopts() (int, int) { return en.reopts, en.skippedReopts }
@@ -723,16 +710,6 @@ func (en *Engine) SetMemoryBudget(bytes int) {
 	en.allocateMemory()
 }
 
-// CacheStates returns a snapshot of every known candidate's state, for
-// tests, tools, and the demo CLI.
-func (en *Engine) CacheStates() map[string]State {
-	out := make(map[string]State, len(en.cands))
-	for _, c := range en.cands {
-		out[c.spec.String()] = c.state
-	}
-	return out
-}
-
 // UsedCaches returns the specs currently in the Used state.
 func (en *Engine) UsedCaches() []*planner.Spec {
 	var out []*planner.Spec
@@ -743,9 +720,6 @@ func (en *Engine) UsedCaches() []*planner.Spec {
 	}
 	return out
 }
-
-// Ordering returns the executor's current pipeline ordering.
-func (en *Engine) Ordering() planner.Ordering { return en.exec.Ordering() }
 
 // PlanDescription describes the engine's current physical plan: per
 // pipeline, the join order and the caches spliced in.
@@ -800,17 +774,6 @@ func (en *Engine) Plan() PlanDescription {
 	return d
 }
 
-// Diagnose renders each candidate's latest estimate — a debugging and
-// observability aid used by the demo CLI.
-func (en *Engine) Diagnose() string {
-	out := ""
-	for _, c := range en.cands {
-		out += fmt.Sprintf("%v[%s: ben=%.4f cost=%.4f miss=%.2f entries=%.0f ready=%v demoted=%d] ",
-			c.spec, c.state, c.est.Benefit, c.est.Cost, c.est.MissProb, c.est.ExpectedEntries, c.est.Ready, c.demotions)
-	}
-	return out
-}
-
 // CandidateInfo is one candidate cache's state and latest cost-model
 // evaluation, for the Explain API.
 type CandidateInfo struct {
@@ -857,7 +820,7 @@ func (en *Engine) CacheMemoryBytes() int {
 // FilterMemoryBytes returns the resident footprint of every fingerprint
 // filter — store indexes plus cache instances. Reported separately from
 // CacheMemoryBytes (filters are not cache contents) but charged against the
-// same server budget through MemoryDemand.
+// same server budget through MemoryDemandDetail.
 func (en *Engine) FilterMemoryBytes() int {
 	total := en.exec.StoreFilterBytes()
 	for _, inst := range en.instances {
@@ -883,42 +846,6 @@ func (en *Engine) FilterTelemetry() (shortCircuits, falsePositives uint64) {
 // (<0 = unlimited).
 func (en *Engine) MemoryBudgetBytes() int { return en.mem.Budget() }
 
-// MemoryDemand summarizes the engine's appetite for cache memory: the bytes
-// its used caches want (the larger of expected and actual usage, summed per
-// instance) and their aggregate net benefit per unit time. A DSMS hosting
-// many continuous queries uses these to divide a global budget across
-// queries by priority — the cross-query generalization of Section 5.
-func (en *Engine) MemoryDemand() (bytes int, netBenefit float64) {
-	if en.demandSeen == nil {
-		en.demandSeen = make(map[string]bool)
-	}
-	clear(en.demandSeen)
-	seen := en.demandSeen
-	for _, c := range en.cands {
-		if c.state != Used {
-			continue
-		}
-		id := c.spec.SharingID()
-		netBenefit += c.est.Benefit
-		if !seen[id] {
-			seen[id] = true
-			netBenefit -= c.est.Cost
-			b := int(c.est.ExpectedBytes)
-			// Hot bytes only: spilled entries are not resident, and the
-			// allocator divides resident memory. Identical to UsedBytes when
-			// tiering is off.
-			if actual := c.inst.Cache().HotUsedBytes(); actual > b {
-				b = actual
-			}
-			bytes += b
-		}
-	}
-	// Filters are server-budgeted memory too: small, but a host dividing a
-	// global budget across queries must see them.
-	bytes += en.FilterMemoryBytes()
-	return bytes, netBenefit
-}
-
 // WindowBytes returns the tuple footprint of the relation window stores
 // (shared stores included at full size; a host discounts duplicates through
 // its sharing registry).
@@ -929,9 +856,6 @@ func (en *Engine) WindowBytes() int {
 	}
 	return n
 }
-
-// SharedStores returns the number of relations on cross-query shared stores.
-func (en *Engine) SharedStores() int { return en.exec.SharedStores() }
 
 // GroupDemand is one used cache sharing group's memory appetite, identified
 // by its cross-query canonical identity so a hosting server can pool demand
@@ -949,9 +873,12 @@ type GroupDemand struct {
 	Net float64
 }
 
-// MemoryDemandDetail is MemoryDemand broken down per sharing group, plus the
-// engine's filter footprint (store-index and cache filters), for hosts that
-// pool demand across queries. The returned slice is reused across calls.
+// MemoryDemandDetail reports the engine's appetite for cache memory per
+// sharing group — the cross-query generalization of Section 5, by which a
+// DSMS hosting many continuous queries divides a global budget by priority —
+// plus the engine's filter footprint (store-index and cache filters), for
+// hosts that pool demand across queries. The returned slice is reused across
+// calls.
 func (en *Engine) MemoryDemandDetail() (groups []GroupDemand, filterBytes int) {
 	if en.demandDetailIdx == nil {
 		en.demandDetailIdx = make(map[string]int)

@@ -33,7 +33,7 @@ func TestPlanSnapshot(t *testing.T) {
 		}
 	}
 	if len(plan.Caches) == 0 {
-		t.Fatalf("expected used caches in the snapshot; states: %v", en.CacheStates())
+		t.Fatalf("expected used caches in the snapshot; states: %v", cacheStates(en))
 	}
 	c := plan.Caches[0]
 	if c.State != Used || c.Entries == 0 || c.Bytes == 0 {

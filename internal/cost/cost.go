@@ -78,11 +78,8 @@ func (m *Meter) Charge(n Units) { m.total += n }
 // ChargeN adds count occurrences of an n-unit operation.
 func (m *Meter) ChargeN(n Units, count int) { m.total += n * Units(count) }
 
-// Total returns the cumulative work since construction or the last Reset.
+// Total returns the cumulative work since construction.
 func (m *Meter) Total() Units { return m.total }
-
-// Reset zeroes the meter.
-func (m *Meter) Reset() { m.total = 0 }
 
 // Seconds converts units to simulated seconds.
 func Seconds(u Units) float64 { return float64(u) / float64(UnitsPerSecond) }

@@ -108,12 +108,6 @@ func (f *Filter) MayContainHash(h uint64) bool {
 	return hasLane(f.buckets[f.alt(i1, fp)], pat)
 }
 
-// MayContainBytes is MayContainHash over a packed byte key hashed with the
-// owner's seed, matching tuple.HashBytes.
-func (f *Filter) MayContainBytes(k []byte, seed uint64) bool {
-	return f.MayContainHash(tuple.HashBytes(k, seed))
-}
-
 // tryInsert places fp in the first empty lane of bucket i.
 func (f *Filter) tryInsert(i uint64, fp uint16) bool {
 	w := f.buckets[i]
@@ -179,11 +173,6 @@ func (f *Filter) Insert(h uint64) bool {
 	return false
 }
 
-// InsertBytes is Insert over a packed byte key hashed with the owner's seed.
-func (f *Filter) InsertBytes(k []byte, seed uint64) bool {
-	return f.Insert(tuple.HashBytes(k, seed))
-}
-
 // Delete removes one fingerprint occurrence for key hash h, reporting
 // whether one was found. Owners only delete hashes they inserted (and whose
 // Insert succeeded), so false indicates an owner bug.
@@ -201,25 +190,9 @@ func (f *Filter) Delete(h uint64) bool {
 	return false
 }
 
-// DeleteBytes is Delete over a packed byte key hashed with the owner's seed.
-func (f *Filter) DeleteBytes(k []byte, seed uint64) bool {
-	return f.Delete(tuple.HashBytes(k, seed))
-}
-
-// Count returns the number of resident fingerprints.
-func (f *Filter) Count() int { return f.count }
-
 // Capacity returns the total lane count; New(2×Capacity) sizes a rebuild
 // after an Insert overflow.
 func (f *Filter) Capacity() int { return len(f.buckets) * lanesPerBucket }
 
 // MemoryBytes returns the bucket array footprint, for budget accounting.
 func (f *Filter) MemoryBytes() int { return len(f.buckets) * 8 }
-
-// Reset clears every lane, keeping the allocation.
-func (f *Filter) Reset() {
-	for i := range f.buckets {
-		f.buckets[i] = 0
-	}
-	f.count = 0
-}

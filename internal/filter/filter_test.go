@@ -3,8 +3,6 @@ package filter
 import (
 	"math/rand"
 	"testing"
-
-	"acache/internal/tuple"
 )
 
 func TestNoFalseNegatives(t *testing.T) {
@@ -23,8 +21,8 @@ func TestNoFalseNegatives(t *testing.T) {
 			t.Fatalf("false negative for inserted hash %d", i)
 		}
 	}
-	if f.Count() != len(hs) {
-		t.Fatalf("Count = %d, want %d", f.Count(), len(hs))
+	if f.count != len(hs) {
+		t.Fatalf("Count = %d, want %d", f.count, len(hs))
 	}
 }
 
@@ -133,22 +131,6 @@ func TestOverflowSignalsRebuild(t *testing.T) {
 	}
 }
 
-func TestByteKeyWrappersMatchHash(t *testing.T) {
-	f := New(64)
-	const seed = 0x2545f4914f6cdd1d
-	k := []byte{1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0}
-	f.InsertBytes(k, seed)
-	if !f.MayContainHash(tuple.HashBytes(k, seed)) {
-		t.Fatal("byte insert not visible via hash probe")
-	}
-	if !f.MayContainBytes(k, seed) {
-		t.Fatal("byte probe missed byte insert")
-	}
-	if !f.DeleteBytes(k, seed) {
-		t.Fatal("byte delete missed")
-	}
-}
-
 func TestProbeDoesNotAllocate(t *testing.T) {
 	f := New(1024)
 	rng := rand.New(rand.NewSource(5))
@@ -212,8 +194,8 @@ func FuzzFilterVsReference(f *testing.F) {
 				live = append(live, h)
 				total++
 			}
-			if fl.Count() != total {
-				t.Fatalf("count drift: filter %d, reference %d", fl.Count(), total)
+			if fl.count != total {
+				t.Fatalf("count drift: filter %d, reference %d", fl.count, total)
 			}
 		}
 		for h, n := range ref {

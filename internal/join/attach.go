@@ -98,28 +98,9 @@ func (inst *Instance) multOf(e *Exec, x tuple.Tuple, updRel int, op stream.Op) i
 // Cache exposes the underlying associative store (stats, budget control).
 func (inst *Instance) Cache() *cache.Cache { return inst.store }
 
-// Segment returns the sorted cached relation set X.
-func (inst *Instance) Segment() []int { return append([]int(nil), inst.segment...) }
-
-// KeyClasses returns the cache key as sorted attribute equivalence classes.
-func (inst *Instance) KeyClasses() []int { return append([]int(nil), inst.keyClasses...) }
-
-// GC reports whether this is a globally-consistent (X ⋉ Y) cache.
-func (inst *Instance) GC() bool { return inst.gc }
-
-// SelfMaintained reports whether this cache uses mini-join maintenance
-// (GC fallback for segments with no host-free closure).
-func (inst *Instance) SelfMaintained() bool { return inst.selfMaint }
-
 // counted reports whether entries carry (mult, support) counts — only true
 // for incrementally maintained GC caches.
 func (inst *Instance) counted() bool { return inst.gc && !inst.selfMaint }
-
-// Y returns the reduction set of a GC cache (nil for prefix caches).
-func (inst *Instance) Y() []int { return append([]int(nil), inst.y...) }
-
-// SegSchema returns the canonical segment schema cached values use.
-func (inst *Instance) SegSchema() *tuple.Schema { return inst.segSchema }
 
 // attachment is one CacheLookup/CacheUpdate placement in a using pipeline.
 type attachment struct {

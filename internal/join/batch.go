@@ -277,7 +277,6 @@ func (e *Exec) ProcessRun(ups []stream.Update) Result {
 				// are excluded: their misses mutate cache state, so every
 				// update probes for real there.
 				d := dup[j]
-				e.dupReplays++
 				e.meter.Charge(cc[d])
 				cc[j] = cc[d]
 				o0 := int32(0)
@@ -321,52 +320,14 @@ func (e *Exec) ProcessRun(ups []stream.Update) Result {
 func (e *Exec) applyLookupRun(p *pipeline, att *attachment, arrivals [][]tuple.Tuple, bounds [][]int32, pos, k int, op stream.Op) {
 	batch := arrivals[pos]
 	dst := att.end + 1
-	counted := att.inst.counted()
-	emit := func(r, s tuple.Tuple) {
-		e.meter.Charge(cost.OutputTuple)
-		out := e.arena.alloc(len(r) + len(att.permCols))
-		copy(out, r)
-		for i, c := range att.permCols {
-			out[len(r)+i] = s[c]
-		}
-		arrivals[dst] = append(arrivals[dst], out)
-	}
-	misses := e.missBuf[:0]
 	prev := int32(0)
 	for j := 0; j < k; j++ {
 		end := bounds[pos][j]
-		misses = misses[:0]
-		for _, r := range batch[prev:end] {
-			e.meter.ChargeN(cost.KeyExtract, len(att.keyCols))
-			e.keyBuf = tuple.AppendKey(e.keyBuf[:0], r, att.keyCols)
-			if counted {
-				tuples, mults, hit := att.inst.store.ProbeCountedBytes(e.keyBuf)
-				if !hit {
-					misses = append(misses, r)
-					continue
-				}
-				for i, s := range tuples {
-					for m := 0; m < mults[i]; m++ {
-						emit(r, s)
-					}
-				}
-				continue
-			}
-			v, hit := att.inst.store.ProbeBytes(e.keyBuf)
-			if !hit {
-				misses = append(misses, r)
-				continue
-			}
-			for _, s := range v {
-				emit(r, s)
-			}
-		}
-		if len(misses) > 0 {
+		if misses := e.applyLookup(p, att, batch[prev:end], arrivals); len(misses) > 0 {
 			segOut := e.runMissSegment(p, att, misses, op, true)
 			arrivals[dst] = append(arrivals[dst], segOut...)
 		}
 		bounds[dst][j] = int32(len(arrivals[dst]))
 		prev = end
 	}
-	e.missBuf = misses[:0]
 }

@@ -99,8 +99,6 @@ type Exec struct {
 	dupOf    []int32
 	dupSlots []dupSlot
 	dupEpoch uint32
-	// dupReplays counts replayed duplicate-update step segments (telemetry).
-	dupReplays uint64
 
 	// sharerIDs[r] is this executor's sharer id on relation r's store when
 	// that store is cross-query shared (−1 otherwise); sharedCount is the
@@ -112,10 +110,6 @@ type Exec struct {
 	sharedCount int
 	preApplied  bool
 }
-
-// DupReplays reports how many step segments ProcessRun replayed for
-// duplicate updates instead of re-probing.
-func (e *Exec) DupReplays() uint64 { return e.dupReplays }
 
 // NewExec builds an executor for q with the given pipeline ordering.
 func NewExec(q *query.Query, ord planner.Ordering, meter *cost.Meter, opts Options) (*Exec, error) {
@@ -232,20 +226,6 @@ func IndexSignature(q *query.Query, ord planner.Ordering, scanOnly map[tuple.Att
 // cross-query shared.
 func (e *Exec) SharedStores() int { return e.sharedCount }
 
-// SharedStoreBytes sums the tuple and filter footprint of the shared stores.
-func (e *Exec) SharedStoreBytes() int {
-	if e.sharedCount == 0 {
-		return 0
-	}
-	n := 0
-	for r, id := range e.sharerIDs {
-		if id >= 0 {
-			n += e.stores[r].MemoryBytes() + e.stores[r].FilterBytes()
-		}
-	}
-	return n
-}
-
 // ReleaseSharedStores detaches this executor from every shared store. The
 // stores (and their contents) survive for the remaining sharers. Idempotent.
 func (e *Exec) ReleaseSharedStores() {
@@ -290,12 +270,6 @@ func (e *Exec) buildPipelines() {
 		e.pipes[i] = buildPipeline(e.q, i, e.ord[i], e.stores, e.scanOnly)
 	}
 }
-
-// Query returns the executed query.
-func (e *Exec) Query() *query.Query { return e.q }
-
-// Meter returns the shared cost meter.
-func (e *Exec) Meter() *cost.Meter { return e.meter }
 
 // Store returns relation rel's windowed store.
 func (e *Exec) Store(rel int) *relation.Store { return e.stores[rel] }

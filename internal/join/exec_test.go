@@ -63,13 +63,13 @@ func fourWayClique(t *testing.T) (*query.Query, planner.Ordering) {
 // canonical result tuples.
 func collectOutputs(e *Exec) *[]tuple.Tuple {
 	out := &[]tuple.Tuple{}
-	n := e.Query().N()
+	n := e.q.N()
 	for i := 0; i < n; i++ {
 		p := e.pipes[i]
 		schema := p.schemas[len(p.steps)]
 		pipe := i
 		e.Tap(pipe, len(p.steps), func(batch []tuple.Tuple, _ stream.Op) {
-			*out = append(*out, canonicalize(e.Query(), schema, batch)...)
+			*out = append(*out, canonicalize(e.q, schema, batch)...)
 		})
 	}
 	return out
@@ -149,7 +149,7 @@ func TestExecMatchesOracleScanOnly(t *testing.T) {
 func checkConsistency(t *testing.T, q *query.Query, o *testOracle, inst *Instance, seq int) {
 	t.Helper()
 	segJoin := o.SegmentJoin(inst.segment)
-	keyCols := q.RepresentativeCols(inst.SegSchema(), inst.keyClasses)
+	keyCols := q.RepresentativeCols(inst.segSchema, inst.keyClasses)
 	byKey := make(map[tuple.Key][]tuple.Tuple)
 	for _, s := range segJoin {
 		byKey[tuple.KeyOf(s, keyCols)] = append(byKey[tuple.KeyOf(s, keyCols)], s)
@@ -206,10 +206,9 @@ func TestExecWithSharedCachesMatchesOracle(t *testing.T) {
 	cands := planner.Candidates(q, ord)
 	// The {R1,R2} cache (positions 1..2 of ΔR3's and wherever else) may be
 	// shared; attach every placement of one sharing group to one instance.
-	groups := planner.Groups(cands)
-	byGroup := make(map[int][]*planner.Spec)
-	for i, c := range cands {
-		byGroup[groups[i]] = append(byGroup[groups[i]], c)
+	byGroup := make(map[string][]*planner.Spec)
+	for _, c := range cands {
+		byGroup[c.SharingID()] = append(byGroup[c.SharingID()], c)
 	}
 	var shared []*planner.Spec
 	for _, specs := range byGroup {
@@ -239,15 +238,15 @@ func TestExecWithSharedCachesMatchesOracle(t *testing.T) {
 func checkGCConsistency(t *testing.T, q *query.Query, o *testOracle, inst *Instance, seq int) {
 	t.Helper()
 	segJoin := o.SegmentJoin(inst.segment)
-	keyCols := q.RepresentativeCols(inst.SegSchema(), inst.keyClasses)
+	keyCols := q.RepresentativeCols(inst.segSchema, inst.keyClasses)
 	// Semijoin-reduce: keep X tuples with at least one Y combination; count
 	// the combinations.
 	support := func(x tuple.Tuple) int {
-		rels := append(inst.Segment(), inst.Y()...)
+		rels := append(append([]int(nil), inst.segment...), inst.y...)
 		sort.Ints(rels)
 		full := o.SegmentJoin(rels)
 		fullSchema := canonicalSchema(q, rels)
-		cols := segExtractCols(fullSchema, inst.SegSchema())
+		cols := segExtractCols(fullSchema, inst.segSchema)
 		n := 0
 		for _, f := range full {
 			if extract(f, cols).Equal(x) {

@@ -40,7 +40,7 @@ func TestExecWithSelfMaintCacheMatchesOracle(t *testing.T) {
 		t.Fatalf("NewExec: %v", err)
 	}
 	inst := NewInstance(q, spec, 64, -1, meter)
-	if !inst.SelfMaintained() {
+	if !inst.selfMaint {
 		t.Fatal("instance must be in self-maintenance mode")
 	}
 	if err := e.AttachCache(spec, inst); err != nil {

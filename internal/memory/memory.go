@@ -49,21 +49,14 @@ func pages(bytes int) int {
 	return (bytes + PageBytes - 1) / PageBytes * PageBytes
 }
 
-// Allocate grants memory greedily by descending priority: each request gets
-// its full (page-rounded) ask while the budget lasts; the first request that
-// does not fit gets the remainder (a cache degrades gracefully under a
+// AllocateInto grants memory greedily by descending priority: each request
+// gets its full (page-rounded) ask while the budget lasts; the first request
+// that does not fit gets the remainder (a cache degrades gracefully under a
 // partial budget thanks to the replacement scheme), and later ones get
-// nothing. With an unlimited budget every request is granted in full.
-// The returned map holds granted bytes per request ID.
-func (m *Manager) Allocate(reqs []Request) map[string]int {
-	out := make(map[string]int, len(reqs))
-	m.AllocateInto(out, reqs)
-	return out
-}
-
-// AllocateInto is Allocate with caller-owned result storage: dst is cleared
-// and refilled with the grants, and the priority-sort buffer lives on the
-// Manager, so a steady-state rebalance loop allocates nothing.
+// nothing. With an unlimited budget every request is granted in full. dst is
+// cleared and refilled with the granted bytes per request ID, and the
+// priority-sort buffer lives on the Manager, so a steady-state rebalance loop
+// allocates nothing.
 func (m *Manager) AllocateInto(dst map[string]int, reqs []Request) {
 	clear(dst)
 	if m.budget < 0 {

@@ -4,7 +4,8 @@ import "testing"
 
 func TestUnlimitedBudget(t *testing.T) {
 	m := NewManager(-1)
-	out := m.Allocate([]Request{{ID: "a", Priority: 1, Bytes: 100}})
+	out := map[string]int{}
+	m.AllocateInto(out, []Request{{ID: "a", Priority: 1, Bytes: 100}})
 	if out["a"] != -1 {
 		t.Fatalf("unlimited grant = %d", out["a"])
 	}
@@ -12,7 +13,8 @@ func TestUnlimitedBudget(t *testing.T) {
 
 func TestGreedyByPriority(t *testing.T) {
 	m := NewManager(3 * PageBytes)
-	out := m.Allocate([]Request{
+	out := map[string]int{}
+	m.AllocateInto(out, []Request{
 		{ID: "low", Priority: 0.1, Bytes: 2 * PageBytes},
 		{ID: "high", Priority: 0.9, Bytes: 2 * PageBytes},
 	})
@@ -26,11 +28,12 @@ func TestGreedyByPriority(t *testing.T) {
 
 func TestPageRounding(t *testing.T) {
 	m := NewManager(10 * PageBytes)
-	out := m.Allocate([]Request{{ID: "a", Priority: 1, Bytes: PageBytes + 1}})
+	out := map[string]int{}
+	m.AllocateInto(out, []Request{{ID: "a", Priority: 1, Bytes: PageBytes + 1}})
 	if out["a"] != 2*PageBytes {
 		t.Fatalf("grant = %d, want rounded to 2 pages", out["a"])
 	}
-	out = m.Allocate([]Request{{ID: "b", Priority: 1, Bytes: 0}})
+	m.AllocateInto(out, []Request{{ID: "b", Priority: 1, Bytes: 0}})
 	if out["b"] != 0 {
 		t.Fatalf("zero-byte ask granted %d", out["b"])
 	}
@@ -38,7 +41,8 @@ func TestPageRounding(t *testing.T) {
 
 func TestExhaustionGrantsNothing(t *testing.T) {
 	m := NewManager(PageBytes)
-	out := m.Allocate([]Request{
+	out := map[string]int{}
+	m.AllocateInto(out, []Request{
 		{ID: "a", Priority: 3, Bytes: PageBytes},
 		{ID: "b", Priority: 2, Bytes: PageBytes},
 		{ID: "c", Priority: 1, Bytes: PageBytes},
@@ -51,7 +55,8 @@ func TestExhaustionGrantsNothing(t *testing.T) {
 func TestDeterministicTieBreak(t *testing.T) {
 	m := NewManager(PageBytes)
 	for trial := 0; trial < 10; trial++ {
-		out := m.Allocate([]Request{
+		out := map[string]int{}
+		m.AllocateInto(out, []Request{
 			{ID: "b", Priority: 1, Bytes: PageBytes},
 			{ID: "a", Priority: 1, Bytes: PageBytes},
 		})

@@ -161,14 +161,6 @@ func (s *Spec) Overlaps(t *Spec) bool {
 	return s.Pipeline == t.Pipeline && s.Start <= t.End && t.Start <= s.End
 }
 
-// Contains reports whether s's segment strictly contains t's within the same
-// pipeline.
-func (s *Spec) Contains(t *Spec) bool {
-	return s.Pipeline == t.Pipeline &&
-		s.Start <= t.Start && t.End <= s.End &&
-		(s.End-s.Start) > (t.End-t.Start)
-}
-
 // segmentSet returns the sorted relations at positions start..end of pipe.
 func segmentSet(pipe []int, start, end int) []int {
 	seg := append([]int(nil), pipe[start:end+1]...)
@@ -414,48 +406,4 @@ func searchClosure(ord Ordering, seg, others []int, size int) []int {
 			idx[j] = idx[j-1] + 1
 		}
 	}
-}
-
-// Groups partitions specs into sharing groups (Definition 4.1). The returned
-// slice maps each spec index to its group id; group ids are dense from 0.
-func Groups(specs []*Spec) []int {
-	ids := make(map[string]int)
-	out := make([]int, len(specs))
-	for i, s := range specs {
-		id := s.SharingID()
-		g, ok := ids[id]
-		if !ok {
-			g = len(ids)
-			ids[id] = g
-		}
-		out[i] = g
-	}
-	return out
-}
-
-// Forest computes, for the specs of a single pipeline, each spec's parent:
-// the smallest spec strictly containing it, or −1 for roots. It panics if
-// two specs partially overlap, which Theorem 4.1's premise (and the prefix
-// invariant) rules out.
-func Forest(specs []*Spec) []int {
-	parent := make([]int, len(specs))
-	for i := range parent {
-		parent[i] = -1
-	}
-	for i, a := range specs {
-		for j, b := range specs {
-			if i == j || !a.Overlaps(b) {
-				continue
-			}
-			if !a.Contains(b) && !b.Contains(a) && !(a.Start == b.Start && a.End == b.End) {
-				panic(fmt.Sprintf("planner: partially overlapping candidates %v and %v", a, b))
-			}
-			if b.Contains(a) {
-				if parent[i] == -1 || specs[parent[i]].Contains(b) {
-					parent[i] = j
-				}
-			}
-		}
-	}
-	return parent
 }

@@ -270,16 +270,6 @@ func (pf *Profiler) TrafficShareReady(pipe int) bool {
 		pf.relTicks[pipe]*50 < pf.totalTicks
 }
 
-// Ready reports whether every pipeline is ready.
-func (pf *Profiler) Ready() bool {
-	for i := range pf.pipes {
-		if !pf.PipelineReady(i) {
-			return false
-		}
-	}
-	return true
-}
-
 // ResetPipeline discards a pipeline's statistics (after reordering,
 // Section 4.5 step 5) and the memoized probe-key columns of specs on it
 // (their schema prefix just changed).
@@ -412,16 +402,6 @@ func (pf *Profiler) StartShadow(spec *planner.Spec) {
 	})
 	pf.shadows[key] = sh
 	pf.statsEpoch++
-}
-
-// ShadowWindowedMissProb returns the paper's per-window Appendix-A estimate
-// (kept for ablation benchmarks) and whether a full window backs it.
-func (pf *Profiler) ShadowWindowedMissProb(spec *planner.Spec) (float64, bool) {
-	sh, ok := pf.shadows[shadowKey(spec)]
-	if !ok {
-		return 0, false
-	}
-	return sh.windowedWin.Mean(), sh.windowedWin.Full()
 }
 
 // StopShadow removes a candidate's shadow estimator, keeping nothing. The

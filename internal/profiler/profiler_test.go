@@ -70,11 +70,14 @@ func drive(e *join.Exec, pf *Profiler, n int) {
 
 func TestStatisticsFillAndReady(t *testing.T) {
 	_, e, pf, _ := setup(t, Config{SampleProb: 0.5, RateSpan: 20, Seed: 1})
-	if pf.Ready() {
+	ready := func() bool {
+		return pf.PipelineReady(0) && pf.PipelineReady(1) && pf.PipelineReady(2)
+	}
+	if ready() {
 		t.Fatal("fresh profiler ready")
 	}
 	drive(e, pf, 2000)
-	if !pf.Ready() {
+	if !ready() {
 		t.Fatal("profiler not ready after 2000 appends")
 	}
 	for pipe := 0; pipe < 3; pipe++ {
@@ -157,11 +160,12 @@ func TestShadowMissProbConvergesForCyclicKeys(t *testing.T) {
 	if miss > 0.05 {
 		t.Fatalf("retention-aware miss estimate %v, want ≈ 0", miss)
 	}
-	windowed, ok := pf.ShadowWindowedMissProb(spec)
-	if !ok {
+	// What ShadowMissProb reports under Config.PaperMissEstimator.
+	paper := pf.shadows[shadowKey(spec)].windowedWin
+	if !paper.Full() {
 		t.Fatal("windowed estimate not ready")
 	}
-	if windowed < 0.1 {
+	if windowed := paper.Mean(); windowed < 0.1 {
 		t.Fatalf("the paper's windowed estimator should read ≈ 10/50 here, got %v", windowed)
 	}
 	if d, ok := pf.ShadowDistinct(spec); !ok || d < 5 || d > 20 {
@@ -179,7 +183,7 @@ func TestShadowFreshKeysStayMissy(t *testing.T) {
 	spec := cands[0]
 	pf.StartShadow(spec)
 	// Every probe key is brand new: true miss probability is 1.
-	gen := synth.Seq(0)
+	gen := synth.Counter(0, 0, 1)
 	for i := 0; i < 3000; i++ {
 		e.Process(stream.Update{Op: stream.Insert, Rel: 0, Tuple: tuple.Tuple{gen.Next()}})
 	}

@@ -95,7 +95,6 @@ func (p ThetaPred) String() string { return fmt.Sprintf("%v %v %v", p.Left, p.Op
 // residual theta predicates.
 type Query struct {
 	schemas []*tuple.Schema
-	preds   []Pred
 	thetas  []ThetaPred
 
 	classOf    map[tuple.Attr]int
@@ -112,7 +111,7 @@ func New(schemas []*tuple.Schema, preds []Pred) (*Query, error) {
 	if len(schemas) < 2 {
 		return nil, fmt.Errorf("query: need at least 2 relations, got %d", len(schemas))
 	}
-	q := &Query{schemas: schemas, preds: append([]Pred(nil), preds...), classOf: make(map[tuple.Attr]int)}
+	q := &Query{schemas: schemas, classOf: make(map[tuple.Attr]int)}
 
 	// Union-find over predicate attributes.
 	parent := make(map[tuple.Attr]tuple.Attr)
@@ -277,9 +276,6 @@ func (q *Query) N() int { return len(q.schemas) }
 // Schema returns relation rel's schema.
 func (q *Query) Schema(rel int) *tuple.Schema { return q.schemas[rel] }
 
-// Preds returns the original predicate list.
-func (q *Query) Preds() []Pred { return append([]Pred(nil), q.preds...) }
-
 // NumClasses returns the number of attribute equivalence classes.
 func (q *Query) NumClasses() int { return len(q.classAttrs) }
 
@@ -293,27 +289,6 @@ func (q *Query) ClassOf(a tuple.Attr) (int, bool) {
 // ClassAttrs returns the member attributes of class c, sorted canonically.
 func (q *Query) ClassAttrs(c int) []tuple.Attr {
 	return append([]tuple.Attr(nil), q.classAttrs[c]...)
-}
-
-// RelClasses returns the sorted class ids having at least one attribute in
-// relation rel.
-func (q *Query) RelClasses(rel int) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, members := range q.classAttrs {
-		for _, a := range members {
-			if a.Rel == rel {
-				c := q.classOf[a]
-				if !seen[c] {
-					seen[c] = true
-					out = append(out, c)
-				}
-				break
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // ClassAttrsOf returns relation rel's attribute names in class c, sorted.

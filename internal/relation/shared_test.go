@@ -120,8 +120,8 @@ func TestSharedRefcountAndTrim(t *testing.T) {
 	st := NewStore(0, sharedSchema(), m)
 	a := st.Share()
 	b := st.Share()
-	if st.Sharers() != 2 {
-		t.Fatalf("Sharers() = %d, want 2", st.Sharers())
+	if len(st.shared.cursors) != 2 {
+		t.Fatalf("sharers = %d, want 2", len(st.shared.cursors))
 	}
 
 	st.ApplyShared(a, SharedInsert, tuple.Tuple{1, 10})
@@ -144,8 +144,8 @@ func TestSharedRefcountAndTrim(t *testing.T) {
 	}
 	// ...until b detaches: the log drains and a keeps working alone.
 	st.Unshare(b)
-	if st.Sharers() != 1 {
-		t.Fatalf("Sharers() after Unshare = %d, want 1", st.Sharers())
+	if len(st.shared.cursors) != 1 {
+		t.Fatalf("sharers after Unshare = %d, want 1", len(st.shared.cursors))
 	}
 	if len(st.shared.log) != 0 {
 		t.Fatalf("log holds %d entries after the laggard detached, want 0", len(st.shared.log))
@@ -157,7 +157,7 @@ func TestSharedRefcountAndTrim(t *testing.T) {
 	// Unshare is idempotent.
 	st.Unshare(b)
 	st.Unshare(a)
-	if st.Sharers() != 0 {
-		t.Fatalf("Sharers() after full teardown = %d, want 0", st.Sharers())
+	if len(st.shared.cursors) != 0 {
+		t.Fatalf("sharers after full teardown = %d, want 0", len(st.shared.cursors))
 	}
 }

@@ -223,14 +223,6 @@ func (s *Store) Unshare(id int) {
 	s.trimSharedLog()
 }
 
-// Sharers returns the number of executors currently attached.
-func (s *Store) Sharers() int {
-	if s.shared == nil {
-		return 0
-	}
-	return len(s.shared.cursors)
-}
-
 // SharedSeq returns the number of shared updates physically applied so far.
 func (s *Store) SharedSeq() uint64 {
 	if s.shared == nil {
@@ -364,12 +356,6 @@ func NewStore(rel int, schema *tuple.Schema, meter *cost.Meter) *Store {
 // store is rebound to the executor about to run a pass over it, so each
 // sharer charges its own tariff against the common structure.
 func (s *Store) SetMeter(m *cost.Meter) { s.meter = m }
-
-// Rel returns the relation index this store holds.
-func (s *Store) Rel() int { return s.rel }
-
-// Schema returns the relation schema.
-func (s *Store) Schema() *tuple.Schema { return s.schema }
 
 // Len returns the number of tuples currently stored.
 func (s *Store) Len() int { return s.live }

@@ -56,7 +56,7 @@ func TestDuplicatesAreMultiset(t *testing.T) {
 // window is what the slide tests drive a store with: either flavour of
 // count-based window.
 type window interface {
-	Append(tuple.Tuple) []stream.Update
+	AppendInto(tuple.Tuple, []stream.Update) []stream.Update
 	Contents() []tuple.Tuple
 }
 
@@ -72,7 +72,7 @@ func slide(t *testing.T, label string, s *Store, w window, n int, beforeDelete f
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < n; i++ {
 		tp := tuple.Tuple{rng.Int63n(3), rng.Int63n(2)}
-		for _, u := range w.Append(tp) {
+		for _, u := range w.AppendInto(tp, nil) {
 			if u.Op == stream.Insert {
 				s.Insert(u.Tuple)
 				continue
@@ -213,7 +213,7 @@ func TestScanEarlyStopAndCost(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		s.Insert(tuple.Tuple{i, i})
 	}
-	m.Reset()
+	sw := cost.NewStopwatch(m)
 	n := 0
 	s.Scan(func(tuple.Tuple) bool {
 		n++
@@ -222,8 +222,8 @@ func TestScanEarlyStopAndCost(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("early stop visited %d", n)
 	}
-	if m.Total() != 3*cost.ScanStep {
-		t.Fatalf("scan charged %d units, want %d", m.Total(), 3*cost.ScanStep)
+	if sw.Elapsed() != 3*cost.ScanStep {
+		t.Fatalf("scan charged %d units, want %d", sw.Elapsed(), 3*cost.ScanStep)
 	}
 }
 

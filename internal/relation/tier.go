@@ -320,12 +320,3 @@ func (s *Store) EachDurable(f func(t tuple.Tuple, slot int32, idx int)) {
 		return true
 	})
 }
-
-// TierWidth returns the tuple width recorded in the spill codec header, or
-// 0 for untired stores.
-func (s *Store) TierWidth() int {
-	if s.tier == nil {
-		return 0
-	}
-	return s.tier.width
-}

@@ -23,7 +23,7 @@ func visitsLive(t *testing.T, label string, s *Store, want []tuple.Tuple) {
 	})
 	s.EachDurable(func(u tuple.Tuple, slot int32, idx int) {
 		if slot >= 0 {
-			u = ColdTuple(s.tier.sp, slot, idx, s.TierWidth())
+			u = ColdTuple(s.tier.sp, slot, idx, s.tier.width)
 		}
 		durable = append(durable, u.Clone())
 	})
@@ -136,7 +136,7 @@ func TestStoreTierEachDurable(t *testing.T) {
 			all = append(all, u.Clone())
 		} else {
 			cold++
-			all = append(all, ColdTuple(s.tier.sp, slot, idx, s.TierWidth()))
+			all = append(all, ColdTuple(s.tier.sp, slot, idx, s.tier.width))
 		}
 	})
 	if cold == 0 {

@@ -61,35 +61,35 @@ func benchProblem(m int, sharing bool) *Problem {
 func BenchmarkExhaustive12(b *testing.B) {
 	p := benchProblem(12, true)
 	for i := 0; i < b.N; i++ {
-		Exhaustive(p)
+		new(Workspace).Exhaustive(p)
 	}
 }
 
 func BenchmarkExhaustive18(b *testing.B) {
 	p := benchProblem(18, true)
 	for i := 0; i < b.N; i++ {
-		Exhaustive(p)
+		new(Workspace).Exhaustive(p)
 	}
 }
 
 func BenchmarkGreedy18(b *testing.B) {
 	p := benchProblem(18, true)
 	for i := 0; i < b.N; i++ {
-		Greedy(p)
+		new(Workspace).Greedy(p)
 	}
 }
 
 func BenchmarkGreedy60(b *testing.B) {
 	p := benchProblem(60, true)
 	for i := 0; i < b.N; i++ {
-		Greedy(p)
+		new(Workspace).Greedy(p)
 	}
 }
 
 func BenchmarkOptimalNoSharing60(b *testing.B) {
 	p := benchProblem(60, false)
 	for i := 0; i < b.N; i++ {
-		OptimalNoSharing(p)
+		new(Workspace).OptimalNoSharing(p)
 	}
 }
 

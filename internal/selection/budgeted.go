@@ -7,8 +7,8 @@ import "sort"
 // priorities), noting the full integrated problem as future work. This file
 // provides the integrated variant for comparison: choose a nonoverlapping
 // candidate subset maximizing net benefit subject to a memory budget over
-// the chosen sharing groups. The ablation tests show where the paper's
-// modular pipeline leaves benefit on the table.
+// the chosen sharing groups. The ext-budget experiment (internal/bench) runs
+// the engine both ways across tight budgets.
 
 // BudgetedProblem extends Problem with per-group memory footprints.
 type BudgetedProblem struct {
@@ -140,43 +140,4 @@ func bytesOr1(b float64) float64 {
 		return 1
 	}
 	return b
-}
-
-// ModularBaseline reproduces the paper's two-phase pipeline on a budgeted
-// instance, for comparison: select assuming infinite memory, then keep
-// groups in descending priority while they fit (groups that do not fit are
-// dropped entirely — a cache granted no memory is pure overhead).
-func ModularBaseline(p *BudgetedProblem) Result {
-	sel := Select(&p.Problem)
-	// Group the selection.
-	byGroup := make(map[int][]int)
-	var order []int
-	benefit := make(map[int]float64)
-	for _, i := range sel.Chosen {
-		g := p.Cands[i].Group
-		if _, ok := byGroup[g]; !ok {
-			order = append(order, g)
-		}
-		byGroup[g] = append(byGroup[g], i)
-		benefit[g] += p.Cands[i].Benefit
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa := (benefit[order[a]] - p.GroupCosts[order[a]]) / bytesOr1(p.GroupBytes[order[a]])
-		pb := (benefit[order[b]] - p.GroupCosts[order[b]]) / bytesOr1(p.GroupBytes[order[b]])
-		if pa != pb {
-			return pa > pb
-		}
-		return order[a] < order[b]
-	})
-	remaining := p.Budget
-	var chosen []int
-	for _, g := range order {
-		if p.GroupBytes[g] > remaining {
-			continue
-		}
-		remaining -= p.GroupBytes[g]
-		chosen = append(chosen, byGroup[g]...)
-	}
-	sort.Ints(chosen)
-	return Result{Chosen: chosen, Value: p.objective(chosen)}
 }

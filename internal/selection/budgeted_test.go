@@ -43,24 +43,6 @@ func TestBudgetedExhaustiveRespectsBudget(t *testing.T) {
 	}
 }
 
-func TestModularBaselineStrandsBudget(t *testing.T) {
-	// With a budget of 12 the big cache fits and the modular pipeline is
-	// fine; at 8 it selects the big cache under infinite memory, cannot
-	// fund it, and ends with nothing — the integrated optimizer's win.
-	p := budgetedInstance()
-	mod := ModularBaseline(p)
-	integ := BudgetedExhaustive(p)
-	if mod.Value >= integ.Value {
-		t.Fatalf("expected the modular pipeline to strand benefit here: modular %v vs integrated %v",
-			mod.Value, integ.Value)
-	}
-	p.Budget = 12
-	mod = ModularBaseline(p)
-	if math.Abs(mod.Value-25) > 1e-9 {
-		t.Fatalf("with a fitting budget the modular value = %v, want 25", mod.Value)
-	}
-}
-
 func TestBudgetedGreedyFeasibleAndBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 200; trial++ {
@@ -86,13 +68,6 @@ func TestBudgetedGreedyFeasibleAndBounded(t *testing.T) {
 		}
 		if gr.Value > opt.Value+1e-6 {
 			t.Fatalf("trial %d: greedy %v beats exhaustive %v", trial, gr.Value, opt.Value)
-		}
-		mod := ModularBaseline(bp)
-		if !bp.feasible(mod.Chosen) || !bp.validate(mod.Chosen) {
-			t.Fatalf("trial %d: modular infeasible %v", trial, mod.Chosen)
-		}
-		if mod.Value > opt.Value+1e-6 {
-			t.Fatalf("trial %d: modular %v beats exhaustive %v", trial, mod.Value, opt.Value)
 		}
 	}
 }

@@ -38,13 +38,6 @@ type gLive struct {
 // in Appendix B shows a prefix is optimal), picks the best group, covers its
 // operators, and repeats; overlapping choices are resolved afterwards by
 // keeping the widest cache.
-func Greedy(p *Problem) Result {
-	var w Workspace
-	return w.Greedy(p)
-}
-
-// Greedy is the Workspace-backed greedy covering; see the package function
-// for the algorithm.
 func (w *Workspace) Greedy(p *Problem) Result {
 	// Build items and groups; group indexes are dense (0..len(GroupCosts)),
 	// so the group lookup is a slice, not a map.

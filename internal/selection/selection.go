@@ -93,46 +93,6 @@ func (p *Problem) hasSharing() bool {
 	return false
 }
 
-// validate panics on overlapping chosen candidates; used by tests.
-func (p *Problem) validate(chosen []int) bool {
-	for a := 0; a < len(chosen); a++ {
-		for b := a + 1; b < len(chosen); b++ {
-			if p.Cands[chosen[a]].overlaps(&p.Cands[chosen[b]]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Select chooses the algorithm the way the implementation described in
-// Section 4.4 does: the optimal forest DP when no candidate caches are
-// shared; otherwise exhaustive search while 2^m stays cheap (m ≤
-// exhaustiveLimit), falling back to the greedy approximation beyond that.
-func Select(p *Problem) Result {
-	var w Workspace
-	return w.Select(p)
-}
-
 // exhaustiveLimit caps exhaustive search at 2^18 subsets; the paper reports
 // exhaustive overhead is negligible for n ≤ 6 (m = O(n²)).
 const exhaustiveLimit = 18
-
-// OptimalNoSharing solves instances whose groups are all singletons
-// optimally in O(m) per pipeline (Theorem 4.1): candidates within a
-// pipeline form a containment forest, and each subtree's optimum is the
-// better of its root's net benefit and the sum of its children's optima.
-// With sharing present the result is still a feasible solution but carries
-// no optimality guarantee (each shared group's cost is charged to every
-// member).
-func OptimalNoSharing(p *Problem) Result {
-	var w Workspace
-	return w.OptimalNoSharing(p)
-}
-
-// Exhaustive enumerates every nonoverlapping candidate subset and returns
-// the best; exact for any instance, exponential in m.
-func Exhaustive(p *Problem) Result {
-	var w Workspace
-	return w.Exhaustive(p)
-}

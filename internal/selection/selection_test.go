@@ -6,6 +6,18 @@ import (
 	"testing"
 )
 
+// validate reports whether no two chosen candidates overlap.
+func (p *Problem) validate(chosen []int) bool {
+	for a := 0; a < len(chosen); a++ {
+		for b := a + 1; b < len(chosen); b++ {
+			if p.Cands[chosen[a]].overlaps(&p.Cands[chosen[b]]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // simpleProblem: one pipeline of 3 operators (costs 10, 10, 10), two nested
 // candidates: small {0,1} benefit 12 cost 5 (net 7), big {0,1,2} benefit 18
 // cost 12 (net 6). Optimal = small alone.
@@ -21,7 +33,7 @@ func simpleProblem() *Problem {
 }
 
 func TestOptimalNoSharingPicksBestNested(t *testing.T) {
-	r := OptimalNoSharing(simpleProblem())
+	r := new(Workspace).OptimalNoSharing(simpleProblem())
 	if len(r.Chosen) != 1 || r.Chosen[0] != 0 {
 		t.Fatalf("chose %v, want [0]", r.Chosen)
 	}
@@ -33,7 +45,7 @@ func TestOptimalNoSharingPicksBestNested(t *testing.T) {
 func TestOptimalNoSharingNegativeNetDropsAll(t *testing.T) {
 	p := simpleProblem()
 	p.GroupCosts = []float64{20, 30}
-	r := OptimalNoSharing(p)
+	r := new(Workspace).OptimalNoSharing(p)
 	if len(r.Chosen) != 0 || r.Value != 0 {
 		t.Fatalf("chose %v value %v, want nothing", r.Chosen, r.Value)
 	}
@@ -51,7 +63,7 @@ func TestOptimalNoSharingSiblings(t *testing.T) {
 		},
 		GroupCosts: []float64{5, 2, 2},
 	}
-	r := OptimalNoSharing(p)
+	r := new(Workspace).OptimalNoSharing(p)
 	if len(r.Chosen) != 2 || r.Chosen[0] != 1 || r.Chosen[1] != 2 {
 		t.Fatalf("chose %v, want [1 2]", r.Chosen)
 	}
@@ -64,8 +76,8 @@ func TestExhaustiveMatchesOptimalOnNoSharing(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
 		p := randomProblem(rng, false)
-		a := OptimalNoSharing(p)
-		b := Exhaustive(p)
+		a := new(Workspace).OptimalNoSharing(p)
+		b := new(Workspace).Exhaustive(p)
 		if !p.validate(a.Chosen) {
 			t.Fatalf("trial %d: DP chose overlapping caches %v", trial, a.Chosen)
 		}
@@ -87,14 +99,14 @@ func TestSharedCachesFavoured(t *testing.T) {
 		},
 		GroupCosts: []float64{10},
 	}
-	r := Exhaustive(p)
+	r := new(Workspace).Exhaustive(p)
 	if len(r.Chosen) != 2 {
 		t.Fatalf("chose %v, want both shared placements", r.Chosen)
 	}
 	if math.Abs(r.Value-2) > 1e-9 {
 		t.Fatalf("value %v, want 2", r.Value)
 	}
-	g := Greedy(p)
+	g := new(Workspace).Greedy(p)
 	if len(g.Chosen) != 2 {
 		t.Fatalf("greedy chose %v, want both shared placements", g.Chosen)
 	}
@@ -104,8 +116,8 @@ func TestGreedyWithinLogFactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 300; trial++ {
 		p := randomProblem(rng, true)
-		opt := Exhaustive(p)
-		g := Greedy(p)
+		opt := new(Workspace).Exhaustive(p)
+		g := new(Workspace).Greedy(p)
 		if !p.validate(g.Chosen) {
 			t.Fatalf("trial %d: greedy chose overlapping caches %v", trial, g.Chosen)
 		}
@@ -134,7 +146,7 @@ func TestRandomizedFeasibleAndBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 100; trial++ {
 		p := randomProblem(rng, true)
-		opt := Exhaustive(p)
+		opt := new(Workspace).Exhaustive(p)
 		r, err := Randomized(p, rng)
 		if err != nil {
 			t.Fatalf("trial %d: Randomized: %v\n%+v", trial, err, p)
@@ -151,7 +163,7 @@ func TestRandomizedFeasibleAndBounded(t *testing.T) {
 func TestSelectDispatch(t *testing.T) {
 	// No sharing → DP (optimal); sharing and small m → exhaustive.
 	p := simpleProblem()
-	r := Select(p)
+	r := new(Workspace).Select(p)
 	if math.Abs(r.Value-7) > 1e-9 {
 		t.Fatalf("Select on no-sharing: value %v, want 7", r.Value)
 	}
@@ -163,7 +175,7 @@ func TestSelectDispatch(t *testing.T) {
 		},
 		GroupCosts: []float64{10},
 	}
-	r = Select(shared)
+	r = new(Workspace).Select(shared)
 	if len(r.Chosen) != 2 {
 		t.Fatalf("Select on shared: chose %v, want both", r.Chosen)
 	}

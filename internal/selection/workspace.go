@@ -7,10 +7,7 @@ import "sort"
 // buffers are warm. The zero value is ready to use.
 //
 // Contract: a Result returned by a Workspace method aliases the workspace's
-// buffers and is valid only until the next call on the same Workspace. The
-// package-level functions (Select, Exhaustive, Greedy, OptimalNoSharing)
-// wrap a fresh Workspace per call and keep the old independent-result
-// behavior.
+// buffers and is valid only until the next call on the same Workspace.
 type Workspace struct {
 	// Shared result buffers.
 	chosen []int // best/selected set under construction
@@ -38,7 +35,10 @@ type Workspace struct {
 	groupSum  []float64
 }
 
-// Select is Workspace-backed selection dispatch; see the package function.
+// Select chooses the algorithm the way the implementation described in
+// Section 4.4 does: the optimal forest DP when no candidate caches are
+// shared; otherwise exhaustive search while 2^m stays cheap (m ≤
+// exhaustiveLimit), falling back to the greedy approximation beyond that.
 func (w *Workspace) Select(p *Problem) Result {
 	if !p.hasSharing() {
 		return w.OptimalNoSharing(p)
@@ -49,8 +49,13 @@ func (w *Workspace) Select(p *Problem) Result {
 	return w.Greedy(p)
 }
 
-// OptimalNoSharing is the Workspace-backed forest DP; see the package
-// function for the algorithm.
+// OptimalNoSharing solves instances whose groups are all singletons
+// optimally in O(m) per pipeline (Theorem 4.1): candidates within a
+// pipeline form a containment forest, and each subtree's optimum is the
+// better of its root's net benefit and the sum of its children's optima.
+// With sharing present the result is still a feasible solution but carries
+// no optimality guarantee (each shared group's cost is charged to every
+// member).
 func (w *Workspace) OptimalNoSharing(p *Problem) Result {
 	nPipes := len(p.OpCosts)
 	for _, c := range p.Cands {
@@ -132,8 +137,8 @@ func (w *Workspace) optimalPipeline(p *Problem, idxs []int, out []int) []int {
 	return out
 }
 
-// Exhaustive is the Workspace-backed exhaustive search; see the package
-// function.
+// Exhaustive enumerates every nonoverlapping candidate subset and returns
+// the best; exact for any instance, exponential in m.
 func (w *Workspace) Exhaustive(p *Problem) Result {
 	w.exBest = 0
 	w.chosen = w.chosen[:0]

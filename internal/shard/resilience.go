@@ -511,10 +511,6 @@ func (e *Engine) Shed() uint64 {
 	return total
 }
 
-// FilteredDeletes returns how many deletes were dropped because the insert
-// they retract had been shed.
-func (e *Engine) FilteredDeletes() uint64 { return e.filteredDeletes.Load() }
-
 // QueueDepth returns the updates buffered between the ingress and the shard
 // engines: ingress batches, deferred deletes, and mailbox backlogs. Ingress
 // goroutine only (it reads the batcher).

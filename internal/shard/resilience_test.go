@@ -125,7 +125,7 @@ func TestPanicRecoveryMatchesSerial(t *testing.T) {
 	if sharded.Shed() != 0 {
 		t.Fatalf("shed %d updates with blocking admission", sharded.Shed())
 	}
-	if got, want := sharded.Outputs(), serial.Outputs(); got != want {
+	if got, want := sharded.Snapshot().Outputs, serial.Snapshot().Outputs; got != want {
 		t.Fatalf("outputs: sharded %d, serial %d", got, want)
 	}
 	if !refLog.equal(gotLog) {
@@ -226,7 +226,7 @@ func TestCallbackPanicIsolation(t *testing.T) {
 				})
 			}
 			sharded.Flush()
-			out := sharded.Outputs()
+			out := sharded.Snapshot().Outputs
 			if out == 0 {
 				t.Fatal("no results; test is vacuous")
 			}
@@ -330,7 +330,7 @@ func TestShedOldestKeepsDeletes(t *testing.T) {
 		}
 	}
 	sharded.Flush()
-	shed, filtered := sharded.Shed(), sharded.FilteredDeletes()
+	shed, filtered := sharded.Shed(), sharded.filteredDeletes.Load()
 	if shed == 0 {
 		t.Fatal("overload produced no shedding; tighten the workload")
 	}
@@ -455,7 +455,7 @@ func chaosSweep(t *testing.T, seed int64) {
 	defer sharded.Close()
 	shed := sharded.Shed()
 	if shed == 0 {
-		if got, want := sharded.Outputs(), serial.Outputs(); got != want {
+		if got, want := sharded.Snapshot().Outputs, serial.Snapshot().Outputs; got != want {
 			t.Fatalf("seed %d: outputs %d, serial %d with nothing shed", seed, got, want)
 		}
 		if !refLog.equal(gotLog) {
@@ -463,7 +463,7 @@ func chaosSweep(t *testing.T, seed int64) {
 		}
 		return
 	}
-	if got, want := sharded.Outputs(), serial.Outputs(); got > want {
+	if got, want := sharded.Snapshot().Outputs, serial.Snapshot().Outputs; got > want {
 		t.Fatalf("seed %d: sharded emitted %d results, more than serial's %d", seed, got, want)
 	}
 	quarantined := false

@@ -366,9 +366,6 @@ func (e *Engine) worker(i int) {
 	}
 }
 
-// Plan returns the partitioning plan in effect.
-func (e *Engine) Plan() Plan { return e.plan }
-
 // NumShards returns P.
 func (e *Engine) NumShards() int { return len(e.shards) }
 
@@ -481,11 +478,6 @@ func sumSnapshots(snaps []core.Snapshot) core.Snapshot {
 	return total
 }
 
-// Outputs flushes and returns the total join-result updates emitted across
-// shards. Note that a broadcast relation's update may emit results in
-// several shards; the sum is the same total a serial engine would emit.
-func (e *Engine) Outputs() uint64 { return e.Snapshot().Outputs }
-
 // OnResult registers a merged result callback: every shard's join-result
 // deltas are funneled through one mutex into f. Per-shard emission order is
 // preserved; cross-shard interleaving is unspecified. Must be called before
@@ -541,22 +533,6 @@ func (e *Engine) MemoryDemandDetail() (groups []core.GroupDemand, filterBytes in
 		filterBytes += fb
 	}
 	return e.demandDetail, filterBytes
-}
-
-// MemoryDemand flushes and sums the shards' cache-memory demand — the
-// sharded engine's appetite when a server divides a global budget across
-// queries. Quarantined shards are skipped.
-func (e *Engine) MemoryDemand() (bytes int, netBenefit float64) {
-	e.Flush()
-	for i, en := range e.shards {
-		if e.res && e.states[i].getHealth() == Quarantined {
-			continue
-		}
-		b, net := en.MemoryDemand()
-		bytes += b
-		netBenefit += net
-	}
-	return bytes, netBenefit
 }
 
 // SetMemoryBudget flushes and divides a cache-memory budget evenly across

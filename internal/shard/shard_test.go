@@ -151,7 +151,7 @@ func driveBoth(t *testing.T, q *query.Query, shards, appends int, arity func(rel
 			sharded.Offer(u)
 		}
 	}
-	return serial.Outputs(), sharded.Outputs()
+	return serial.Snapshot().Outputs, sharded.Snapshot().Outputs
 }
 
 func TestShardedOutputsMatchSerialStar(t *testing.T) {
@@ -210,7 +210,7 @@ func TestMergedOnResultPreservesPerShardCounts(t *testing.T) {
 			Seq:   seq,
 		})
 	}
-	want := sharded.Outputs() // flushes
+	want := sharded.Snapshot().Outputs // flushes
 	mu.Lock()
 	defer mu.Unlock()
 	if uint64(got) != want {

@@ -65,9 +65,6 @@ func (w *Window) RecentMean(k int) float64 {
 // Len returns the number of observations currently held.
 func (w *Window) Len() int { return w.n }
 
-// Cap returns the window capacity W.
-func (w *Window) Cap() int { return len(w.buf) }
-
 // Full reports whether W observations have been collected — the profiler's
 // readiness criterion before a cache's statistics are trusted (Section 4.5
 // step 2).
@@ -110,9 +107,3 @@ func (r *RateEstimator) Rate() float64 {
 
 // Ready reports whether the estimator has a full window of spans.
 func (r *RateEstimator) Ready() bool { return r.counts.Full() }
-
-// Reset discards all spans.
-func (r *RateEstimator) Reset() {
-	r.counts.Reset()
-	r.elapsed.Reset()
-}

@@ -83,7 +83,7 @@ func TestSlidingWindowAppendBatchGroupsOps(t *testing.T) {
 	for i := range ts {
 		ts[i] = tuple.Tuple{tuple.Value(100 + i)}
 	}
-	ups := w.AppendBatch(ts)
+	ups := w.AppendBatchInto(ts, nil)
 	if len(ups) != 10 {
 		t.Fatalf("got %d updates, want 10", len(ups))
 	}
@@ -120,9 +120,9 @@ func TestPartitionedWindowAppendBatchMatchesSerial(t *testing.T) {
 			batchUps = batched.AppendBatchInto(ts, batchUps)
 		}
 		label := fmt.Sprintf("batch=%d", batch)
-		if serial.Len() != batched.Len() || serial.Partitions() != batched.Partitions() {
+		if len(serial.Contents()) != len(batched.Contents()) || len(serial.rows) != len(batched.rows) {
 			t.Fatalf("%s: len/partitions diverge: %d/%d vs %d/%d",
-				label, serial.Len(), serial.Partitions(), batched.Len(), batched.Partitions())
+				label, len(serial.Contents()), len(serial.rows), len(batched.Contents()), len(batched.rows))
 		}
 		sm := applyToMultiset(t, label+" serial", serialUps)
 		bm := applyToMultiset(t, label+" batch", batchUps)

@@ -38,9 +38,6 @@ func (iv *Interleaver) SetRates(rates []float64) {
 	iv.total = total
 }
 
-// Rates returns a copy of the current relative rates.
-func (iv *Interleaver) Rates() []float64 { return append([]float64(nil), iv.rates...) }
-
 // Next returns the index of the stream that emits the next tuple.
 func (iv *Interleaver) Next() int {
 	best, bestCredit := -1, 0.0

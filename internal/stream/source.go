@@ -75,6 +75,3 @@ func (s *Source) Appends(rel int) uint64 { return s.appends[rel] }
 
 // TotalAppends returns the total appends across all relations.
 func (s *Source) TotalAppends() uint64 { return s.total }
-
-// WindowLen returns the current number of tuples in rel's window.
-func (s *Source) WindowLen(rel int) int { return s.windows[rel].Len() }

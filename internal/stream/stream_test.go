@@ -103,8 +103,8 @@ func TestSlidingWindowRingMatchesQueue(t *testing.T) {
 			}
 		}
 		contents := w.Contents()
-		if len(contents) != len(queue) || w.Len() != len(queue) {
-			t.Fatalf("%s: holds %d tuples (Len %d), want %d", tc.name, len(contents), w.Len(), len(queue))
+		if len(contents) != len(queue) || w.n != len(queue) {
+			t.Fatalf("%s: holds %d tuples (Len %d), want %d", tc.name, len(contents), w.n, len(queue))
 		}
 		for i := range contents {
 			if &contents[i][0] != &queue[i][0] || !contents[i].Equal(queue[i]) {
@@ -136,11 +136,11 @@ func TestSlidingWindowInsertDeleteBalance(t *testing.T) {
 					expectedDeletes = expectedDeletes[1:]
 				}
 			}
-			if w.Len() > size {
+			if w.n > size {
 				return false
 			}
 		}
-		return inserts == len(vals) && deletes == len(vals)-w.Len()
+		return inserts == len(vals) && deletes == len(vals)-w.n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -236,8 +236,8 @@ func TestSourceGlobalOrdering(t *testing.T) {
 		if inserts[rel] == 0 || deletes[rel] == 0 {
 			t.Fatalf("rel %d: inserts %d deletes %d", rel, inserts[rel], deletes[rel])
 		}
-		if src.WindowLen(rel) > 2 {
-			t.Fatalf("window overflow: %d", src.WindowLen(rel))
+		if n := src.windows[rel].n; n > 2 {
+			t.Fatalf("window overflow: %d", n)
 		}
 	}
 	if src.TotalAppends() != src.Appends(0)+src.Appends(1) {
@@ -255,15 +255,15 @@ func TestUpdateString(t *testing.T) {
 func TestPartitionedWindow(t *testing.T) {
 	w := NewPartitionedWindow(2, 0)
 	// Partition 1 fills independently of partition 2.
-	w.Append(tuple.Tuple{1, 10})
-	w.Append(tuple.Tuple{1, 11})
-	w.Append(tuple.Tuple{2, 20})
-	u := w.Append(tuple.Tuple{1, 12}) // expires (1,10) only
+	w.AppendInto(tuple.Tuple{1, 10}, nil)
+	w.AppendInto(tuple.Tuple{1, 11}, nil)
+	w.AppendInto(tuple.Tuple{2, 20}, nil)
+	u := w.AppendInto(tuple.Tuple{1, 12}, nil) // expires (1,10) only
 	if len(u) != 2 || u[0].Op != Delete || !u[0].Tuple.Equal(tuple.Tuple{1, 10}) {
 		t.Fatalf("partition expiry: %v", u)
 	}
-	if w.Len() != 3 || w.Partitions() != 2 {
-		t.Fatalf("len=%d partitions=%d", w.Len(), w.Partitions())
+	if len(w.Contents()) != 3 || len(w.rows) != 2 {
+		t.Fatalf("len=%d partitions=%d", len(w.Contents()), len(w.rows))
 	}
 }
 
@@ -271,13 +271,17 @@ func TestPartitionedWindow(t *testing.T) {
 // first value: a tuple of another width, or with no values, is refused.
 func TestWindowWidthMisusePanics(t *testing.T) {
 	for name, misuse := range map[string]func(){
-		"sliding, wider":   func() { w := NewSlidingWindow(3); w.Append(tuple.Tuple{1}); w.Append(tuple.Tuple{1, 2}) },
-		"sliding, empty":   func() { NewSlidingWindow(3).Append(tuple.Tuple{}) },
-		"batch, narrower":  func() { NewSlidingWindow(3).AppendBatch([]tuple.Tuple{{1, 2}, {1}}) },
-		"load, narrower":   func() { w := NewSlidingWindow(3); w.Append(tuple.Tuple{1, 2}); w.Load([]tuple.Tuple{{1}}) },
-		"time, wider":      func() { w := NewTimeWindow(5); w.Append(tuple.Tuple{1}, 1); w.Append(tuple.Tuple{1, 2}, 2) },
-		"time, nil":        func() { NewTimeWindow(5).Append(nil, 1) },
-		"partition, wider": func() { w := NewPartitionedWindow(2, 0); w.Append(tuple.Tuple{1}); w.Append(tuple.Tuple{1, 2}) },
+		"sliding, wider":  func() { w := NewSlidingWindow(3); w.Append(tuple.Tuple{1}); w.Append(tuple.Tuple{1, 2}) },
+		"sliding, empty":  func() { NewSlidingWindow(3).Append(tuple.Tuple{}) },
+		"batch, narrower": func() { NewSlidingWindow(3).AppendBatchInto([]tuple.Tuple{{1, 2}, {1}}, nil) },
+		"load, narrower":  func() { w := NewSlidingWindow(3); w.Append(tuple.Tuple{1, 2}); w.Load([]tuple.Tuple{{1}}) },
+		"time, wider":     func() { w := NewTimeWindow(5); w.Append(tuple.Tuple{1}, 1); w.Append(tuple.Tuple{1, 2}, 2) },
+		"time, nil":       func() { NewTimeWindow(5).Append(nil, 1) },
+		"partition, wider": func() {
+			w := NewPartitionedWindow(2, 0)
+			w.AppendInto(tuple.Tuple{1}, nil)
+			w.AppendInto(tuple.Tuple{1, 2}, nil)
+		},
 	} {
 		func() {
 			defer func() {

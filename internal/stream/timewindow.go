@@ -34,12 +34,6 @@ func NewTimeWindow(span int64) *TimeWindow {
 	return &TimeWindow{span: span, buf: make([]timedTuple, 8)}
 }
 
-// Span returns the configured window span.
-func (w *TimeWindow) Span() int64 { return w.span }
-
-// Len returns the number of tuples currently in the window.
-func (w *TimeWindow) Len() int { return w.n }
-
 // Append pushes a stream tuple with timestamp ts and returns the resulting
 // window updates: deletes of every expired tuple (oldest first), then the
 // insert of t. It panics on a timestamp regression, which would violate the
@@ -116,15 +110,6 @@ func (w *TimeWindow) Load(ts []tuple.Tuple, stamps []int64, clock int64) {
 		w.buf[i] = timedTuple{t: refOf(&w.width, t), ts: stamps[i]}
 	}
 	w.last = clock
-}
-
-// Contents returns the window's current tuples, oldest first (tests).
-func (w *TimeWindow) Contents() []tuple.Tuple {
-	out := make([]tuple.Tuple, 0, w.n)
-	for i := 0; i < w.n; i++ {
-		out = append(out, w.buf[(w.head+i)%len(w.buf)].t.Tuple(w.width))
-	}
-	return out
 }
 
 func (w *TimeWindow) grow() {

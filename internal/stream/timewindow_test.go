@@ -19,8 +19,8 @@ func TestTimeWindowBasics(t *testing.T) {
 	if len(u) != 2 || u[0].Op != Delete || !u[0].Tuple.Equal(tuple.Tuple{1}) {
 		t.Fatalf("expiring append: %v", u)
 	}
-	if w.Len() != 2 {
-		t.Fatalf("len = %d", w.Len())
+	if w.n != 2 {
+		t.Fatalf("len = %d", w.n)
 	}
 }
 
@@ -48,8 +48,8 @@ func TestTimeWindowAdvanceTo(t *testing.T) {
 	if u3 := w.AdvanceTo(100); len(u3) != 1 {
 		t.Fatalf("final advance: %v", u3)
 	}
-	if w.Len() != 0 {
-		t.Fatalf("len = %d", w.Len())
+	if w.n != 0 {
+		t.Fatalf("len = %d", w.n)
 	}
 }
 
@@ -79,10 +79,10 @@ func TestTimeWindowGrowthAndOrder(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		w.Append(tuple.Tuple{i}, i)
 	}
-	if w.Len() != 100 {
-		t.Fatalf("len = %d", w.Len())
+	if w.n != 100 {
+		t.Fatalf("len = %d", w.n)
 	}
-	got := w.Contents()
+	got, _ := w.ContentsTimed()
 	for i := range got {
 		if got[i][0] != int64(i) {
 			t.Fatalf("contents out of order at %d: %v", i, got[i])
@@ -132,8 +132,8 @@ func TestTimeWindowProperty(t *testing.T) {
 				t.Fatalf("step %d: stale tuple ts=%d at t=%d", i, r.ts, ts)
 			}
 		}
-		if w.Len() != len(live) {
-			t.Fatalf("step %d: len %d vs %d", i, w.Len(), len(live))
+		if w.n != len(live) {
+			t.Fatalf("step %d: len %d vs %d", i, w.n, len(live))
 		}
 	}
 }

@@ -38,9 +38,6 @@ func NewSlidingWindow(size int) *SlidingWindow {
 // Size returns the configured window size (≤ 0 for unbounded).
 func (w *SlidingWindow) Size() int { return w.size }
 
-// Len returns the number of tuples currently in the window.
-func (w *SlidingWindow) Len() int { return w.n }
-
 // Append pushes a new stream tuple and returns the resulting window updates:
 // a Delete of the expired tuple first, if the window was full, then the
 // Insert of t. Rel and Seq fields are left zero for the caller to fill.
@@ -104,11 +101,6 @@ func (w *SlidingWindow) tail() int {
 		i -= w.size
 	}
 	return i
-}
-
-// AppendBatch is AppendBatchInto with a fresh output buffer.
-func (w *SlidingWindow) AppendBatch(ts []tuple.Tuple) []Update {
-	return w.AppendBatchInto(ts, nil)
 }
 
 // AppendBatchInto pushes a batch of stream tuples and returns the resulting
@@ -200,14 +192,9 @@ func NewPartitionedWindow(size, col int) *PartitionedWindow {
 	return &PartitionedWindow{size: size, col: col, rows: make(map[tuple.Value]*SlidingWindow)}
 }
 
-// Append pushes a stream tuple, returning the partition's window updates:
-// the expiry delete of its partition's oldest tuple (when full), then the
-// insert.
-func (w *PartitionedWindow) Append(t tuple.Tuple) []Update {
-	return w.AppendInto(t, nil)
-}
-
-// AppendInto is Append accumulating into a caller-owned buffer.
+// AppendInto pushes a stream tuple, appending the partition's window updates
+// to out: the expiry delete of its partition's oldest tuple (when full), then
+// the insert.
 func (w *PartitionedWindow) AppendInto(t tuple.Tuple, out []Update) []Update {
 	key := t[w.col]
 	win, ok := w.rows[key]
@@ -216,11 +203,6 @@ func (w *PartitionedWindow) AppendInto(t tuple.Tuple, out []Update) []Update {
 		w.rows[key] = win
 	}
 	return win.AppendInto(t, out)
-}
-
-// AppendBatch is AppendBatchInto with a fresh output buffer.
-func (w *PartitionedWindow) AppendBatch(ts []tuple.Tuple) []Update {
-	return w.AppendBatchInto(ts, nil)
 }
 
 // AppendBatchInto pushes a batch of stream tuples and returns the window
@@ -294,15 +276,3 @@ func (w *PartitionedWindow) Load(ts []tuple.Tuple) {
 		win.n++
 	}
 }
-
-// Len returns the total tuples across all partitions.
-func (w *PartitionedWindow) Len() int {
-	total := 0
-	for _, win := range w.rows {
-		total += win.Len()
-	}
-	return total
-}
-
-// Partitions returns the number of partitions seen so far.
-func (w *PartitionedWindow) Partitions() int { return len(w.rows) }

@@ -110,17 +110,6 @@ func (r *repeatGen) Next() tuple.Value {
 	return r.cur
 }
 
-// Const always returns v.
-func Const(v tuple.Value) ValueGen { return constGen(v) }
-
-type constGen tuple.Value
-
-func (c constGen) Next() tuple.Value { return tuple.Value(c) }
-
-// Seq returns an always-incrementing generator starting at base. It is used
-// for payload columns that never join.
-func Seq(base int64) ValueGen { return Counter(base, 0, 1) }
-
 // Tuples assembles a stream.TupleGen emitting one value per generator, in
 // order, matching a relation schema's columns.
 func Tuples(gens ...ValueGen) stream.TupleGen {

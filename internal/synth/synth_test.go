@@ -62,18 +62,18 @@ func TestZipfSkew(t *testing.T) {
 }
 
 func TestConstAndSeq(t *testing.T) {
-	c := Const(42)
+	c := Counter(42, 1, 1) // a one-value domain never moves
 	if c.Next() != 42 || c.Next() != 42 {
 		t.Fatal("const broken")
 	}
-	s := Seq(5)
+	s := Counter(5, 0, 1) // no domain: never wraps
 	if s.Next() != 5 || s.Next() != 6 {
 		t.Fatal("seq broken")
 	}
 }
 
 func TestTuplesAssembly(t *testing.T) {
-	g := Tuples(Const(1), Seq(10))
+	g := Tuples(Counter(1, 1, 1), Counter(10, 0, 1))
 	tp := g()
 	if len(tp) != 2 || tp[0] != 1 || tp[1] != 10 {
 		t.Fatalf("tuple = %v", tp)

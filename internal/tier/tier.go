@@ -171,14 +171,8 @@ func Open(path string, pageBytes int, meta uint64, fsys fault.FS) (*Spill, error
 	return sp, nil
 }
 
-// Path returns the spill file's path.
-func (sp *Spill) Path() string { return sp.path }
-
 // PageBytes returns the page slot size.
 func (sp *Spill) PageBytes() int { return sp.pageBytes }
-
-// LivePages returns the number of allocated (not freed) page slots.
-func (sp *Spill) LivePages() int { return sp.nPages - len(sp.free) }
 
 // Pages returns the total page slots the file holds (allocated or free) —
 // the bound a checkpoint page reference must validate against on reopen.

@@ -29,12 +29,12 @@ func TestSpillAllocWriteReopen(t *testing.T) {
 		}
 		slots = append(slots, s)
 	}
-	if got := sp.LivePages(); got != segPages+3 {
-		t.Fatalf("LivePages = %d", got)
+	if got := sp.nPages - len(sp.free); got != segPages+3 {
+		t.Fatalf("live pages = %d", got)
 	}
 	sp.Free(slots[1])
-	if got := sp.LivePages(); got != segPages+2 {
-		t.Fatalf("LivePages after free = %d", got)
+	if got := sp.nPages - len(sp.free); got != segPages+2 {
+		t.Fatalf("live pages after free = %d", got)
 	}
 	if s, _ := sp.Alloc(); s != slots[1] {
 		t.Fatalf("free slot not reused: got %d want %d", s, slots[1])

@@ -11,12 +11,12 @@ import "encoding/binary"
 //   - HashBytes (tuple.go) consumes whole 8-byte words and folds the word
 //     count in as a finalizer — the variant for packed keys, which are always
 //     a multiple of 8 bytes.
-//   - HashRawBytes / HashRawString below consume arbitrary-length input with
-//     a zero-padded tail and *no* length finalizer — the Bloom-filter
-//     variant, whose callers fold the length themselves via MixWord so the
-//     two double-hashing seeds share one pass over the bytes.
+//   - HashRawBytes below consumes arbitrary-length input with a zero-padded
+//     tail and *no* length finalizer — the Bloom-filter variant, whose
+//     callers fold the length themselves via MixWord so the two
+//     double-hashing seeds share one pass over the bytes.
 //
-// The raw variants must stay bit-identical to the kernel internal/bloom
+// The raw variant must stay bit-identical to the kernel internal/bloom
 // carried before it was deduplicated here: profiler estimates (and therefore
 // every cached figure) depend on the exact bit patterns.
 
@@ -33,8 +33,7 @@ func MixWord(h, v uint64) uint64 {
 
 // HashRawBytes hashes arbitrary bytes: 8-byte little-endian words with a
 // zero-padded tail and no length finalizer (callers fold the length in via
-// MixWord when they need it). HashRawString produces identical values for
-// identical bytes.
+// MixWord when they need it).
 func HashRawBytes(b []byte, seed uint64) uint64 {
 	h := seed
 	for len(b) >= 8 {
@@ -46,25 +45,6 @@ func HashRawBytes(b []byte, seed uint64) uint64 {
 		var v uint64
 		for j := 0; j < n; j++ {
 			v |= uint64(b[j]) << (8 * j)
-		}
-		h = MixWord(h, v)
-	}
-	return h
-}
-
-// HashRawString is HashRawBytes for a string, allocating nothing.
-func HashRawString(s string, seed uint64) uint64 {
-	h := seed
-	i := 0
-	for ; i+8 <= len(s); i += 8 {
-		v := uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
-			uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
-		h = MixWord(h, v)
-	}
-	if i < len(s) {
-		var v uint64
-		for j := 0; i+j < len(s); j++ {
-			v |= uint64(s[i+j]) << (8 * j)
 		}
 		h = MixWord(h, v)
 	}

@@ -69,28 +69,9 @@ func (s *Schema) MustColOf(a Attr) int {
 	return i
 }
 
-// Has reports whether any column of relation rel is present.
-func (s *Schema) Has(rel int) bool {
-	for _, a := range s.cols {
-		if a.Rel == rel {
-			return true
-		}
-	}
-	return false
-}
-
 // Concat returns the schema of t.Concat(u) for tuples with schemas s and u.
 func (s *Schema) Concat(u *Schema) *Schema {
 	return NewSchema(append(s.Cols(), u.Cols()...)...)
-}
-
-// Project returns the column indexes of the given attributes, in order.
-func (s *Schema) Project(attrs []Attr) []int {
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		cols[i] = s.MustColOf(a)
-	}
-	return cols
 }
 
 // Relations returns the distinct relation indexes present, in column order of

@@ -186,18 +186,8 @@ func HashTuple(t Tuple, seed uint64) uint64 {
 	return hashWord(h, uint64(len(t)))
 }
 
-// HashKey hashes a packed key, word by word. HashKey(KeyOf(t, cols), seed)
-// equals HashOf(t, cols, seed); HashBytes over the same bytes matches too.
-func HashKey(k Key, seed uint64) uint64 {
-	h := seed
-	n := len(k) / 8
-	for i := 0; i < n; i++ {
-		h = hashWord(h, binary.LittleEndian.Uint64([]byte(k[8*i:8*i+8])))
-	}
-	return hashWord(h, uint64(n))
-}
-
-// HashBytes hashes packed key bytes, matching HashKey for equal bytes.
+// HashBytes hashes packed key bytes, word by word. HashBytes over the bytes
+// of KeyOf(t, cols) equals HashOf(t, cols, seed).
 func HashBytes(b []byte, seed uint64) uint64 {
 	h := seed
 	n := len(b) / 8

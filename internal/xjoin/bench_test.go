@@ -15,7 +15,7 @@ func BenchmarkXJoinProcess(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x := New(q, LeftDeep(0, 1, 2, 3), &cost.Meter{})
+	x := New(q, leftDeep(0, 1, 2, 3), &cost.Meter{})
 	rng := rand.New(rand.NewSource(1))
 	live := make([][]tuple.Tuple, 4)
 	var ups []stream.Update
@@ -36,7 +36,7 @@ func BenchmarkXJoinProcess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if i > 0 && i%len(ups) == 0 {
 			b.StopTimer()
-			x = New(q, LeftDeep(0, 1, 2, 3), &cost.Meter{})
+			x = New(q, leftDeep(0, 1, 2, 3), &cost.Meter{})
 			b.StartTimer()
 		}
 		x.Process(ups[i%len(ups)])

@@ -50,16 +50,6 @@ func (t *Tree) String() string {
 	return fmt.Sprintf("(%s ⋈ %s)", t.Left.String(), t.Right.String())
 }
 
-// LeftDeep builds the left-deep tree joining rels in the given order —
-// Figure 1(b)'s plan shape.
-func LeftDeep(rels ...int) *Tree {
-	t := &Tree{Rel: rels[0]}
-	for _, r := range rels[1:] {
-		t = &Tree{Left: t, Right: &Tree{Rel: r}}
-	}
-	return t
-}
-
 // Enumerate returns every binary tree shape over the given relation set
 // ((2n−3)!! trees: 15 for n = 4). Trees that differ only by swapping a
 // node's children are enumerated once (left subtree always holds the
@@ -97,10 +87,8 @@ func Enumerate(rels []int) []*Tree {
 // mat is a materialized join subresult: a multiset of composite tuples with
 // one hash index keyed on the classes its parent joins on.
 type mat struct {
-	schema  *tuple.Schema
 	keyCols []int // parent-probe key columns; nil at the root
 	buckets map[tuple.Key][]tuple.Tuple
-	byVal   map[tuple.Key]int // value multiset, for memory-free counting
 	count   int
 }
 
@@ -212,7 +200,6 @@ func (x *XJoin) compile(t *Tree, parent *node) *node {
 	if parent != nil {
 		pClasses := x.parentClasses(parent)
 		n.m = &mat{
-			schema:  n.schema,
 			keyCols: x.q.RepresentativeCols(n.schema, pClasses),
 			buckets: make(map[tuple.Key][]tuple.Tuple),
 		}
@@ -354,11 +341,5 @@ func (x *XJoin) MemoryBytes() int {
 	return total
 }
 
-// Store exposes a relation store (tests).
-func (x *XJoin) Store(rel int) *relation.Store { return x.stores[rel] }
-
 // Meter returns the cost meter all of this XJoin's work is charged to.
 func (x *XJoin) Meter() *cost.Meter { return x.meter }
-
-// Tree returns the executed tree.
-func (x *XJoin) Tree() *Tree { return x.root.tree }

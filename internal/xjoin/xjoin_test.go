@@ -85,8 +85,18 @@ func TestEnumerateCounts(t *testing.T) {
 	}
 }
 
+// leftDeep builds the left-deep tree joining rels in the given order —
+// Figure 1(b)'s plan shape.
+func leftDeep(rels ...int) *Tree {
+	t := &Tree{Rel: rels[0]}
+	for _, r := range rels[1:] {
+		t = &Tree{Left: t, Right: &Tree{Rel: r}}
+	}
+	return t
+}
+
 func TestLeftDeepShape(t *testing.T) {
-	tr := LeftDeep(0, 1, 2)
+	tr := leftDeep(0, 1, 2)
 	if tr.String() != "((R1 ⋈ R2) ⋈ R3)" {
 		t.Fatalf("tree = %s", tr.String())
 	}
@@ -134,7 +144,7 @@ func TestXJoinMatchesOracle4WayBushy(t *testing.T) {
 
 func TestXJoinMemoryAccounting(t *testing.T) {
 	q := threeWay(t)
-	tr := LeftDeep(0, 1, 2)
+	tr := leftDeep(0, 1, 2)
 	meter := &cost.Meter{}
 	x := New(q, tr, meter)
 	if x.MemoryBytes() != 0 {

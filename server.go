@@ -2,7 +2,6 @@ package acache
 
 import (
 	"fmt"
-	"sort"
 
 	"acache/internal/core"
 	"acache/internal/cost"
@@ -223,15 +222,21 @@ func (s *Server) RegisterSharded(name string, q *Query, opts Options, sopts Shar
 // replay cursor is dropped and the store's pending log trimmed; the last
 // sharer's departure removes the store from the registry entirely, releasing
 // its memory.
+//
+// The engine is the caller's again: it no longer drives the server's
+// rebalance cadence. One that was attached to shared window stores must not
+// be fed afterwards — its replay cursor is gone.
 func (s *Server) Deregister(name string) {
 	if !s.registered(name) {
 		return
 	}
 	if eng, ok := s.sharded[name]; ok {
 		eng.Close()
+		eng.server = nil
 	}
 	if eng, ok := s.engines[name]; ok {
 		eng.core.Exec().ReleaseSharedStores()
+		eng.server = nil
 	}
 	for _, ent := range s.attached[name] {
 		for i, n := range ent.sharers {
@@ -405,23 +410,6 @@ func (s *Server) dupSharedFilterBytes(name string) int {
 		}
 	}
 	return n
-}
-
-// demandOf returns the named query's cache-memory demand and aggregate net
-// benefit, floored at one page per shard so new caches can start.
-func (s *Server) demandOf(name string) (bytes int, net float64) {
-	floor := memory.PageBytes
-	if eng, ok := s.engines[name]; ok {
-		bytes, net = eng.core.MemoryDemand()
-	} else {
-		eng := s.sharded[name]
-		bytes, net = eng.memoryDemand() // quiesces the shards
-		floor *= eng.NumShards()
-	}
-	if bytes < floor {
-		bytes = floor
-	}
-	return bytes, net
 }
 
 // SetBudget changes the global budget and rebalances immediately.
@@ -605,24 +593,4 @@ func (s *Server) tick() {
 	if s.sinceRebalance >= s.RebalanceEvery {
 		s.Rebalance()
 	}
-}
-
-// sortedByPriority is a testing aid: query names by descending current
-// priority.
-func (s *Server) sortedByPriority() []string {
-	type pq struct {
-		name string
-		prio float64
-	}
-	var ps []pq
-	for _, name := range s.order {
-		bytes, net := s.demandOf(name)
-		ps = append(ps, pq{name, net / float64(bytes)})
-	}
-	sort.SliceStable(ps, func(a, b int) bool { return ps[a].prio > ps[b].prio })
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.name
-	}
-	return out
 }

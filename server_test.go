@@ -41,6 +41,42 @@ func TestServerRegisterAndDeregister(t *testing.T) {
 	s.Deregister("a") // idempotent
 }
 
+// A deregistered engine is no longer the server's: feeding it must neither
+// advance the server's rebalance cadence nor move the remaining query's grant.
+// AdaptOrdering keeps both queries' stores private, so the detached engine is
+// still safe to feed.
+func TestDeregisteredEngineLeavesServerAlone(t *testing.T) {
+	s := NewServer(64 * 1024)
+	s.RebalanceEvery = 10
+	a, err := s.Register("a", threeWayDecl("a"), Options{Seed: 1, AdaptOrdering: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Register("b", threeWayDecl("b"), Options{Seed: 2, AdaptOrdering: true}); err != nil {
+		t.Fatal(err)
+	}
+	s.Deregister("a")
+	cadence, grant := s.sinceRebalance, s.Budgets()["b"]
+	for i := int64(0); i < 7; i++ {
+		a.Append("aR", i)
+	}
+	a.AppendBatch("aT", [][]int64{{1}, {2}})
+	if s.sinceRebalance != cadence {
+		t.Fatalf("appends to a deregistered engine moved the server's cadence %d → %d", cadence, s.sinceRebalance)
+	}
+	if got := s.Budgets()["b"]; got != grant {
+		t.Fatalf("remaining query's grant moved %d → %d", grant, got)
+	}
+	sq, err := s.RegisterSharded("sq", threeWayDecl("s"), Options{Seed: 3}, ShardOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Deregister("sq")
+	if sq.server != nil {
+		t.Fatal("a deregistered sharded engine still points at the server")
+	}
+}
+
 func TestServerDividesBudgetByPriority(t *testing.T) {
 	// Query "hot" has a high-benefit, small-footprint cache (few repeating
 	// probe keys); query "cold" only benefits from negative caching over a
@@ -109,16 +145,6 @@ func TestServerStatsAggregation(t *testing.T) {
 	st := s.Stats()
 	if st["a"].Updates != 3 || st["a"].Outputs != 1 {
 		t.Fatalf("stats = %+v", st["a"])
-	}
-}
-
-func TestServerPriorityOrdering(t *testing.T) {
-	s := NewServer(16 * 1024)
-	s.Register("a", threeWayDecl("a"), Options{Seed: 8})
-	s.Register("b", threeWayDecl("b"), Options{Seed: 9})
-	names := s.sortedByPriority()
-	if len(names) != 2 {
-		t.Fatalf("priority order = %v", names)
 	}
 }
 

@@ -477,12 +477,6 @@ func (e *ShardedEngine) SetMemoryBudget(bytes int) {
 	e.sh.SetMemoryBudget(bytes)
 }
 
-// memoryDemand flushes and sums the shards' cache-memory demand, for the
-// hosting server's cross-query rebalance.
-func (e *ShardedEngine) memoryDemand() (bytes int, net float64) {
-	return e.sh.MemoryDemand()
-}
-
 // memoryDemandDetail flushes and concatenates the shards' per-group demand
 // detail (group identities are already shard-scoped, see BuildSharded), for
 // the hosting server's pooled rebalance.
