@@ -268,8 +268,7 @@ type Options struct {
 	// meaningful with a finite MemoryBudget.
 	BudgetAware bool
 	// DisableFilters turns off the fingerprint filters in front of the
-	// relation indexes and cache tables (for ablation and differential
-	// testing). Results and simulated cost are identical either way; the
+	// relation indexes (for ablation and differential testing). Results and simulated cost are identical either way; the
 	// filters only short-circuit real slot searches on guaranteed misses.
 	DisableFilters bool
 	// storeProvider and relTokens are injected by Server.Register before it
@@ -701,14 +700,14 @@ type Stats struct {
 	CandidateRescores uint64
 	// CacheMemoryBytes is the total bytes held by used caches.
 	CacheMemoryBytes int
-	// FilterBytes is the memory resident in fingerprint filters (store
-	// indexes plus cache tables), charged against the server budget.
+	// FilterBytes is the memory resident in the fingerprint filters in front
+	// of the relation indexes, charged against the server budget.
 	FilterBytes int
-	// FilteredProbes counts probes the filters short-circuited: guaranteed
-	// misses answered without touching a bucket.
+	// FilteredProbes counts relation-index probes the filters
+	// short-circuited: guaranteed misses answered without touching a bucket.
 	FilteredProbes uint64
-	// FilterFalsePositives counts probes the filters passed that then
-	// missed anyway (the cuckoo false-positive tail).
+	// FilterFalsePositives counts relation-index probes the filters passed
+	// that then missed anyway (the cuckoo false-positive tail).
 	FilterFalsePositives uint64
 
 	// WindowBytes is the tuple footprint of the relation window stores

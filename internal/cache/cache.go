@@ -3,21 +3,31 @@
 // for that key, with the paper's create/probe/insert/delete operations, a
 // low-overhead direct-mapped replacement scheme, and explicit byte-level
 // memory accounting for the adaptive memory allocator (Section 5).
+//
+// The layout is the paper's: a direct-mapped array of 4-byte hash pointer
+// slots over a dense slab of entries that grows with residency, keys inline
+// in one byte slab, each entry's tuples in one value buffer walked by the
+// cache's tuple width. The accounting is the paper's too (BucketBytes per
+// bucket, RefBytes per tuple — figure 11 is byte-equal across layouts), so
+// accounted and held bytes still differ; making budgets true bytes is the
+// open part of ROADMAP item 3.
 package cache
 
 import (
 	"acache/internal/cost"
-	"acache/internal/filter"
 	"acache/internal/tuple"
 )
 
 // RefBytes is the accounted size of one cached tuple. The paper's
 // implementation stores sets of references to relation tuples rather than
 // copies; entries here own copies of the values (see slot) but are accounted
-// the paper's way, each tuple at pointer size.
+// the paper's way, each tuple at pointer size: a resident entry holds about
+// 1.5 heap bytes per accounted byte (TestCacheEntryFootprint).
 const RefBytes = 8
 
-// BucketBytes is the accounted per-bucket overhead (hash pointer slot).
+// BucketBytes is the accounted per-bucket overhead (hash pointer slot). The
+// bucket array holds 4 bytes per bucket; the rest of the accounted 8 stands
+// for the bucket's share of the entry slab.
 const BucketBytes = 8
 
 // Stats are cumulative counters, exposed for the profiler and for tests.
@@ -30,13 +40,6 @@ type Stats struct {
 	Deletes     int64
 	Evictions   int64 // direct-mapped collisions that replaced a resident entry
 	MemoryDrops int64 // creates or inserts abandoned for lack of memory
-
-	// FilterShortCircuits counts residency checks (probes and maintenance
-	// lookups) answered "guaranteed absent" by the fingerprint filter without
-	// touching the slots; FilterFalsePositives counts filter-passed checks
-	// that then missed anyway.
-	FilterShortCircuits  int64
-	FilterFalsePositives int64
 }
 
 // Cache is a direct-mapped associative store satisfying the consistency
@@ -47,143 +50,169 @@ type Stats struct {
 type Cache struct {
 	nbuckets int
 	mask     uint64 // nbuckets−1 when nbuckets is a power of two ≥ 2, else 0
-	slots    []slot
 	meter    *cost.Meter
+
+	// buckets[b] is the slab index of bucket b's entry plus one, 0 when the
+	// bucket is empty — which makes the array its own guaranteed-miss filter:
+	// at the engine's 1/8 load, 7 of 8 absent keys end at that one load.
+	// Entry e lives in ents[e] with its key at keys[e*keyBytes:]; released
+	// indices wait on free. claim is the only grower of ents and keys, so no
+	// *slot may be held across it. Every whole-cache walk goes by bucket, not
+	// by slab index: victim order is placement order, whatever the slab's
+	// allocation history.
+	buckets []int32
+	ents    []slot
+	keys    []byte
+	free    []int32
+
+	// width is the length of every cached tuple, set by the first one (−1
+	// before it). hdr is the scratch the probes rebuild tuple headers into.
+	width int
+	hdr   []tuple.Tuple
 
 	keyBytes   int // packed key size, constant per cache
 	budget     int // memory budget in bytes; <0 = unlimited
 	usedBytes  int
 	numEntries int
 
-	version uint64 // bumped on every entry mutation; validates probe memos
-
 	// tr, when non-nil, is the engine's shared cold tier (see tier.go):
 	// entry payloads past the hot watermark spill to a mapped file while
-	// keys, filters, and all logical byte accounting stay resident.
+	// buckets, keys, and all logical byte accounting stay resident.
 	// coldBytes is the spilled portion of usedBytes.
 	tr        *Tier
 	coldBytes int
 
-	// fil, when non-nil, fronts every residency check with a fingerprint
-	// filter holding one fingerprint per resident entry, keyed by the same
-	// cacheSeed hash as slot placement. A filter-negative check is a
-	// guaranteed miss answered without touching the slot arrays; charges and
-	// results are identical either way. Its bytes are reported by
-	// FilterBytes, deliberately outside usedBytes, so eviction behavior and
-	// cached cost figures are unchanged by the filter's presence.
-	fil *filter.Filter
-
 	stats Stats
 }
 
-// slot is one bucket. The entry owns its storage: key, val and flat are
-// slot-owned buffers, and the cache copies every tuple it is given into
-// them, so callers may pass scratch- or arena-backed tuples. A create over a
-// resident entry refills the buffers in place; a drop releases them.
+// slot is one resident entry. The entry owns its storage: the cache copies
+// every tuple it is given into flat, so callers may pass scratch- or
+// arena-backed tuples. A create over a resident entry refills the buffer in
+// place; a drop releases it (reclaiming budget must free memory) and
+// recycles only the struct.
 type slot struct {
-	occupied bool
-
 	// Tier state (see tier.go): a cold entry's payload lives in spill page
 	// cslot and accounts for cbytes of the logical entry size; ref is the
-	// demotion clock's reference bit.
+	// demotion clock's reference bit, kept only on a tiered cache.
 	cold   bool
 	ref    bool
 	cslot  int32
-	cbytes int
+	cbytes int32
 
-	key []byte
-	// val holds the entry's tuples: val[i] aliases flat, in storage order and
-	// with no spare capacity, and all tuples of an entry share one width.
-	val  []tuple.Tuple
+	// flat holds the entry's n tuples back to back, in storage order, each
+	// of the cache's width.
+	n    int32
 	flat []tuple.Value
 	// ct is non-nil exactly for counted entries.
 	ct *counts
 }
 
-// counts are a counted entry's slices parallel to val: mult is each distinct
-// tuple's X-join multiplicity, cnt its total Y-support.
+// counts are a counted entry's slices parallel to its tuples: mult is each
+// distinct tuple's X-join multiplicity, cnt its total Y-support.
 type counts struct{ mult, cnt []int }
 
+// at returns tuple i of the entry, aliasing flat.
+func (s *slot) at(i, w int) tuple.Tuple { return s.flat[i*w : (i+1)*w : (i+1)*w] }
+
 // fill replaces the entry's tuples with copies of v. Only a first fill, or
-// one larger than any before it in this slot, allocates.
-func (s *slot) fill(v []tuple.Tuple) {
-	n := 0
+// one larger than any before it in this entry, allocates.
+func (c *Cache) fill(s *slot, v []tuple.Tuple) {
+	s.n, s.flat = 0, s.flat[:0]
+	if len(v) > 0 && cap(s.flat) < len(v)*len(v[0]) {
+		s.flat = make([]tuple.Value, 0, len(v)*len(v[0]))
+	}
 	for _, t := range v {
-		n += len(t)
-	}
-	if cap(s.flat) < n {
-		s.flat = make([]tuple.Value, 0, n)
-	}
-	if cap(s.val) < len(v) {
-		s.val = make([]tuple.Tuple, 0, len(v))
-	}
-	s.val, s.flat = s.val[:0], s.flat[:0]
-	for _, t := range v {
-		s.push(t, nil)
+		c.push(s, t, nil)
 	}
 }
 
 // push appends a copy of t — of t's columns cols, when cols is non-nil — to
-// the entry, doubling the backing (and re-pointing val into it) when full.
-func (s *slot) push(t tuple.Tuple, cols []int) {
+// the entry, doubling the backing when full.
+func (c *Cache) push(s *slot, t tuple.Tuple, cols []int) {
 	w := len(t)
 	if cols != nil {
 		w = len(cols)
 	}
-	if len(s.val) > 0 && w != len(s.val[0]) {
-		panic("cache: tuples of one entry must share a width")
+	if w != c.width {
+		if c.width >= 0 {
+			panic("cache: tuples of one cache must share a width")
+		}
+		c.width = w
 	}
-	off := len(s.flat)
-	if off+w > cap(s.flat) {
+	if off := len(s.flat); off+w > cap(s.flat) {
 		grown := make([]tuple.Value, off, 2*(off+w))
 		copy(grown, s.flat)
-		for i := range s.val {
-			s.val[i] = grown[i*w : (i+1)*w : (i+1)*w]
-		}
 		s.flat = grown
 	}
 	if cols == nil {
 		s.flat = append(s.flat, t...)
 	} else {
-		for _, c := range cols {
-			s.flat = append(s.flat, t[c])
+		for _, col := range cols {
+			s.flat = append(s.flat, t[col])
 		}
 	}
-	s.val = append(s.val, s.flat[off:off+w:off+w])
+	s.n++
+}
+
+// find returns the index of the first tuple of the entry equal to r, or −1.
+func (c *Cache) find(s *slot, r tuple.Tuple) int {
+	if len(r) != c.width {
+		return -1
+	}
+	for i := 0; i < int(s.n); i++ {
+		if s.at(i, c.width).Equal(r) {
+			return i
+		}
+	}
+	return -1
 }
 
 // remove deletes tuple i by moving the last tuple's values into its place.
-func (s *slot) remove(i int) {
-	last := len(s.val) - 1
-	copy(s.val[i], s.val[last])
-	s.flat = s.flat[:len(s.flat)-len(s.val[last])]
-	s.val = s.val[:last]
+func (c *Cache) remove(s *slot, i int) {
+	last := int(s.n) - 1
+	copy(s.at(i, c.width), s.at(last, c.width))
+	s.flat = s.flat[:last*c.width]
+	s.n--
+}
+
+// headers rebuilds the entry's tuple headers into the cache's scratch slice:
+// what the probes return, valid until the next call on this cache.
+func (c *Cache) headers(s *slot) []tuple.Tuple {
+	n, w := int(s.n), c.width
+	if cap(c.hdr) < n {
+		c.hdr = make([]tuple.Tuple, 2*n)
+	}
+	h, flat := c.hdr[:n], s.flat
+	for i := range h {
+		h[i], flat = flat[:w:w], flat[w:]
+	}
+	return h
 }
 
 // New creates a cache with nbuckets direct-mapped buckets for keys of
-// keyBytes packed bytes. budget < 0 means unlimited memory.
+// keyBytes packed bytes. budget < 0 means unlimited memory. The entry slab
+// starts at nbuckets/8 — the population the engine sizes the buckets for —
+// and doubles up to nbuckets as entries arrive.
 func New(nbuckets, keyBytes, budget int, meter *cost.Meter) *Cache {
 	if nbuckets < 1 {
 		nbuckets = 1
 	}
+	n := max(nbuckets/8, 1)
 	c := &Cache{
 		nbuckets: nbuckets,
-		slots:    make([]slot, nbuckets),
+		buckets:  make([]int32, nbuckets),
+		ents:     make([]slot, 0, n),
+		keys:     make([]byte, 0, n*keyBytes),
 		meter:    meter,
+		width:    -1,
 		keyBytes: keyBytes,
 		budget:   budget,
-		fil:      filter.New(initialFilterCapacity),
 	}
 	if nbuckets&(nbuckets-1) == 0 {
 		c.mask = uint64(nbuckets - 1)
 	}
 	return c
 }
-
-// initialFilterCapacity sizes a fresh cache filter; filAdd rebuilds at
-// doubled capacity on overflow, so footprint tracks resident entries rather
-// than the (possibly much larger) bucket count.
-const initialFilterCapacity = 64
 
 // cacheSeed is a fixed hash seed: slot placement — and therefore eviction
 // patterns and every cached-mode cost figure — is identical across runs for
@@ -192,99 +221,41 @@ const cacheSeed uint64 = 0x2545f4914f6cdd1d
 
 func hashOf(k []byte) uint64 { return tuple.HashBytes(k, cacheSeed) }
 
-// keyEq compares a resident key against packed key bytes (the compiler
-// elides the conversion allocations in a string==string comparison).
-func keyEq(key, k []byte) bool { return string(key) == string(k) }
-
-// slotAt returns the bucket of key hash h. The engine only ever sizes caches
-// to powers of two, where the modulo is a mask; any other count (tests, the
-// benchmark's probes) places slots by the same h mod nbuckets.
-func (c *Cache) slotAt(h uint64) *slot {
+// bucketAt returns the bucket of key hash h. The engine only ever sizes
+// caches to powers of two, where the modulo is a mask; any other count
+// (tests, the benchmark's probes) places entries by the same h mod nbuckets.
+func (c *Cache) bucketAt(h uint64) int {
 	if c.mask != 0 {
-		return &c.slots[h&c.mask]
+		return int(h & c.mask)
 	}
-	return &c.slots[h%uint64(c.nbuckets)]
+	return int(h % uint64(c.nbuckets))
 }
 
-// filAdd records a newly resident key (by hash) in the filter. An overflowed
-// cuckoo insert invalidates the filter, so it is rebuilt larger from the
-// slots — which at this point already hold the new key.
-func (c *Cache) filAdd(h uint64) {
-	if c.fil == nil || c.fil.Insert(h) {
-		return
-	}
-	c.rebuildFilter(c.fil.Capacity() * 2)
+// keyOf returns the resident key of entry e.
+func (c *Cache) keyOf(e int32) []byte {
+	return c.keys[int(e)*c.keyBytes : (int(e)+1)*c.keyBytes]
 }
 
-// filDel removes a no-longer-resident key's fingerprint.
-func (c *Cache) filDel(h uint64) {
-	if c.fil != nil {
-		c.fil.Delete(h)
+// lookup returns the entry currently holding packed key k and its bucket, or
+// nil (the compiler elides the conversion allocations in the string==string
+// key comparison).
+func (c *Cache) lookup(k []byte) (*slot, int) {
+	b := c.bucketAt(hashOf(k))
+	e := c.buckets[b] - 1
+	if e < 0 || string(c.keyOf(e)) != string(k) {
+		return nil, b
 	}
+	s := &c.ents[e]
+	if s.cold {
+		c.promoteSlot(s)
+	}
+	if c.tr != nil {
+		s.ref = true // only the tier's clock reads it
+	}
+	return s, b
 }
 
-// rebuildFilter builds a fresh filter of at least the given capacity holding
-// one fingerprint per resident entry, doubling until everything fits.
-func (c *Cache) rebuildFilter(capacity int) {
-	if capacity < initialFilterCapacity {
-		capacity = initialFilterCapacity
-	}
-	for {
-		nf := filter.New(capacity)
-		ok := true
-		for i := range c.slots {
-			if c.slots[i].occupied && !nf.Insert(hashOf(c.slots[i].key)) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			c.fil = nf
-			return
-		}
-		capacity *= 2
-	}
-}
-
-// filterAbsent reports a guaranteed miss for key hash h, counting the
-// short-circuit. A false return means the caller must check the slots.
-func (c *Cache) filterAbsent(h uint64) bool {
-	if c.fil != nil && !c.fil.MayContainHash(h) {
-		c.stats.FilterShortCircuits++
-		return true
-	}
-	return false
-}
-
-// noteMiss records a probe that reached the slots and missed — a false
-// positive when the filter vouched for the key first.
-func (c *Cache) noteMiss() {
-	c.stats.Misses++
-	if c.fil != nil {
-		c.stats.FilterFalsePositives++
-	}
-}
-
-// residentSlot returns the slot currently holding packed key k, or nil — the
-// lookup for Insert/Delete/Drop. The filter answers the absent case first;
-// the unfiltered lookup returns the same nil, so callers behave identically
-// either way.
-func (c *Cache) residentSlot(k []byte) *slot {
-	h := hashOf(k)
-	if c.filterAbsent(h) {
-		return nil
-	}
-	s := c.slotAt(h)
-	if s.occupied && keyEq(s.key, k) {
-		c.touchSlot(s)
-		return s
-	}
-	return nil
-}
-
-func entryBytes(keyBytes int, val []tuple.Tuple) int {
-	return keyBytes + RefBytes*len(val)
-}
+func entryBytes(keyBytes, n int) int { return keyBytes + RefBytes*n }
 
 // Each operation below takes the key packed as bytes (a scratch buffer
 // filled by tuple.AppendKey; hashing and comparison work directly on the
@@ -292,28 +263,23 @@ func entryBytes(keyBytes int, val []tuple.Tuple) int {
 
 // ProbeBytes looks up key k. On a hit it returns (value, true); the value may
 // be an empty set, which is still a hit — it asserts no segment tuples join
-// with k. On a miss it returns (nil, false). The value is the entry's own
-// storage, valid until the cache is next modified.
+// with k. On a miss it returns (nil, false). The value's tuples alias the
+// entry's storage and its headers are the cache's scratch: both are valid
+// only until the next call on this cache, so a caller that keeps them copies.
 func (c *Cache) ProbeBytes(k []byte) ([]tuple.Tuple, bool) {
 	c.meter.Charge(cost.HashProbe)
 	c.stats.Probes++
-	h := hashOf(k)
-	if c.filterAbsent(h) {
+	s, _ := c.lookup(k)
+	if s == nil {
 		c.stats.Misses++
 		return nil, false
 	}
-	s := c.slotAt(h)
-	if s.occupied && keyEq(s.key, k) {
-		c.stats.Hits++
-		c.touchSlot(s)
-		return s.val, true
-	}
-	c.noteMiss()
-	return nil, false
+	c.stats.Hits++
+	return c.headers(s), true
 }
 
 // Create installs the complete value v for key u, replacing whatever entry
-// occupied the slot (the direct-mapped scheme of Section 3.3: collisions
+// occupied the bucket (the direct-mapped scheme of Section 3.3: collisions
 // simply evict the resident entry, which never violates consistency). If the
 // new entry does not fit in the remaining budget the create is dropped; the
 // resident entry, if any, is kept.
@@ -324,46 +290,67 @@ func (c *Cache) Create(u tuple.Key, v []tuple.Tuple) { c.CreateBytes([]byte(u), 
 func (c *Cache) CreateBytes(k []byte, v []tuple.Tuple) {
 	c.meter.Charge(cost.HashInsert)
 	c.meter.ChargeN(cost.CacheInsertTuple, len(v))
-	if s := c.claim(k, entryBytes(c.keyBytes, v)); s != nil {
-		s.fill(v)
+	if s := c.claim(k, entryBytes(c.keyBytes, len(v))); s != nil {
+		c.fill(s, v)
 		s.ct = nil
 		c.maybeMaintain()
 	}
 }
 
-// claim makes the slot of key k hold a new entry of the given accounted size
-// for it, evicting the resident entry, and returns the slot for the caller to
-// fill; or it returns nil, the resident entry untouched, when the new entry
-// does not fit the budget.
+// claim makes the bucket of key k hold a new entry of the given accounted
+// size for it, evicting the resident entry, and returns the entry for the
+// caller to fill; or it returns nil, the resident entry untouched, when the
+// new entry does not fit the budget.
 func (c *Cache) claim(k []byte, size int) *slot {
-	h := hashOf(k)
-	s := c.slotAt(h)
+	if len(k) != c.keyBytes {
+		panic("cache: key is not keyBytes long")
+	}
+	b := c.bucketAt(hashOf(k))
+	e := c.buckets[b] - 1
 	freed := 0
-	if s.occupied {
-		freed = c.slotBytes(s)
+	if e >= 0 {
+		freed = c.slotBytes(&c.ents[e])
 	}
 	if c.budget >= 0 && c.usedBytes-freed+size > c.budget {
 		c.stats.MemoryDrops++
 		return nil
 	}
-	c.version++
-	if s.occupied {
-		if !keyEq(s.key, k) {
+	if e >= 0 {
+		if string(c.keyOf(e)) != string(k) {
 			c.stats.Evictions++
 		}
-		c.filDel(hashOf(s.key))
-		c.freeCold(s)
+		c.freeCold(&c.ents[e])
 		c.usedBytes -= freed
 		c.numEntries--
+	} else {
+		e = c.alloc()
+		c.buckets[b] = e + 1
 	}
-	s.occupied = true
-	s.key = append(s.key[:0], k...)
-	s.ref = true
+	copy(c.keyOf(e), k)
+	s := &c.ents[e]
+	s.ref = c.tr != nil
 	c.usedBytes += size
 	c.numEntries++
 	c.stats.Creates++
-	c.filAdd(h)
 	return s
+}
+
+// alloc returns the index of an unused slab entry: a released one, else the
+// next of the slab, which doubles (up to one entry per bucket) when full.
+func (c *Cache) alloc() int32 {
+	if n := len(c.free); n > 0 {
+		e := c.free[n-1]
+		c.free = c.free[:n-1]
+		return e
+	}
+	if len(c.ents) == cap(c.ents) {
+		n := min(2*cap(c.ents), c.nbuckets)
+		c.ents = append(make([]slot, 0, n), c.ents...)
+		c.keys = append(make([]byte, 0, n*c.keyBytes), c.keys...)
+	}
+	c.ents = append(c.ents, slot{})
+	c.keys = c.keys[:len(c.ents)*c.keyBytes]
+	return int32(len(c.ents) - 1)
 }
 
 // InsertBytes adds tuple r to the entry for key k, if present; otherwise it
@@ -377,18 +364,17 @@ func (c *Cache) InsertBytes(k []byte, r tuple.Tuple) { c.InsertColsBytes(k, r, n
 // never materializes the segment tuple on the absent path.
 func (c *Cache) InsertColsBytes(k []byte, t tuple.Tuple, cols []int) {
 	c.meter.Charge(cost.HashProbe)
-	s := c.residentSlot(k)
+	s, b := c.lookup(k)
 	if s == nil {
 		return
 	}
 	c.meter.Charge(cost.CacheInsertTuple)
 	if c.budget >= 0 && c.usedBytes+RefBytes > c.budget {
-		c.dropSlot(s)
+		c.dropBucket(b)
 		c.stats.MemoryDrops++
 		return
 	}
-	c.version++
-	s.push(t, cols)
+	c.push(s, t, cols)
 	c.usedBytes += RefBytes
 	c.stats.Inserts++
 	c.maybeMaintain()
@@ -398,55 +384,55 @@ func (c *Cache) InsertColsBytes(k []byte, t tuple.Tuple, cols []int) {
 // entry is present; otherwise it is ignored.
 func (c *Cache) DeleteBytes(k []byte, r tuple.Tuple) {
 	c.meter.Charge(cost.HashProbe)
-	s := c.residentSlot(k)
+	s, _ := c.lookup(k)
 	if s == nil {
 		return
 	}
 	c.meter.Charge(cost.CacheInsertTuple)
-	for i, t := range s.val {
-		if t.Equal(r) {
-			c.version++
-			s.remove(i)
-			c.usedBytes -= RefBytes
-			c.stats.Deletes++
-			return
-		}
+	if i := c.find(s, r); i >= 0 {
+		c.remove(s, i)
+		c.usedBytes -= RefBytes
+		c.stats.Deletes++
 	}
 }
 
-func (c *Cache) dropSlot(s *slot) {
-	if !s.occupied {
+// dropBucket drops bucket b's entry, if it has one: the value buffer is
+// released, the entry struct goes on the free list.
+func (c *Cache) dropBucket(b int) {
+	e := c.buckets[b] - 1
+	if e < 0 {
 		return
 	}
-	c.filDel(hashOf(s.key))
-	c.version++
+	s := &c.ents[e]
 	c.usedBytes -= c.slotBytes(s)
 	c.freeCold(s)
 	c.numEntries--
 	*s = slot{}
+	c.buckets[b] = 0
+	c.free = append(c.free, e)
 }
 
 // Clear drops every entry, keeping the bucket array. Used when a cache's
 // statistics have gone stale (e.g. after a pipeline reordering).
 func (c *Cache) Clear() {
-	for i := range c.slots {
-		c.dropSlot(&c.slots[i])
+	for b := range c.buckets {
+		c.dropBucket(b)
 	}
 }
 
 // SetBudget changes the memory budget. Shrinking below current usage evicts
-// entries (in slot order) until usage fits; this is how the adaptive memory
-// allocator reclaims pages from low-priority caches.
+// entries (in bucket order) until usage fits; this is how the adaptive
+// memory allocator reclaims pages from low-priority caches.
 func (c *Cache) SetBudget(budget int) {
 	c.budget = budget
 	if budget < 0 {
 		return
 	}
-	for i := range c.slots {
+	for b := range c.buckets {
 		if c.usedBytes <= budget {
 			return
 		}
-		c.dropSlot(&c.slots[i])
+		c.dropBucket(b)
 	}
 }
 
@@ -459,30 +445,6 @@ func (c *Cache) FixedBytes() int { return c.nbuckets * BucketBytes }
 
 // Entries returns the number of resident entries.
 func (c *Cache) Entries() int { return c.numEntries }
-
-// SetFilterEnabled toggles the residency filter. Enabling rebuilds it from
-// the resident entries; disabling frees it. Consistency never depends on the
-// filter, so the re-optimizer toggles this as a cheap plan knob at any point.
-func (c *Cache) SetFilterEnabled(on bool) {
-	if on == (c.fil != nil) {
-		return
-	}
-	if !on {
-		c.fil = nil
-		return
-	}
-	c.rebuildFilter(c.numEntries)
-}
-
-// FilterBytes returns the filter's resident footprint. It is charged against
-// the server memory budget but kept out of UsedBytes so eviction behavior is
-// independent of the filter.
-func (c *Cache) FilterBytes() int {
-	if c.fil == nil {
-		return 0
-	}
-	return c.fil.MemoryBytes()
-}
 
 // Stats returns a snapshot of the cumulative counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -500,19 +462,20 @@ func (c *Cache) HitRate() float64 {
 	return float64(c.stats.Hits) / float64(c.stats.Probes)
 }
 
-// Each visits every resident entry. Nothing in the program calls it: it is
-// what the tests of the consistency invariant (Definition 3.1) walk the
-// cache with, here and in internal/join and internal/core. Cold entries are
-// promoted so the callback sees materialized values.
+// Each visits every resident entry, in bucket order. Nothing in the program
+// calls it: it is what the tests of the consistency invariant (Definition
+// 3.1) walk the cache with, here and in internal/join and internal/core. Cold
+// entries are promoted so the callback sees materialized values; v is the
+// probes' scratch, valid until the callback returns or probes.
 func (c *Cache) Each(f func(u tuple.Key, v []tuple.Tuple)) {
-	for i := range c.slots {
-		s := &c.slots[i]
-		if !s.occupied {
+	for _, e := range c.buckets {
+		if e == 0 {
 			continue
 		}
+		s := &c.ents[e-1]
 		if s.cold {
 			c.promoteSlot(s)
 		}
-		f(tuple.Key(s.key), s.val)
+		f(tuple.Key(c.keyOf(e-1)), c.headers(s))
 	}
 }

@@ -2,6 +2,8 @@ package cache
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"acache/internal/cost"
@@ -232,6 +234,19 @@ func TestCountedBadLengthsPanic(t *testing.T) {
 	newCache(4, -1).CreateCounted(tuple.KeyOfValues([]tuple.Value{1}), []tuple.Tuple{{1}}, []int{1}, nil)
 }
 
+// The tuple width is a property of the cache, fixed by the first tuple it is
+// given: entries are walked by stride, so a second width cannot be stored.
+func TestSecondWidthPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a tuple of a second width must panic")
+		}
+	}()
+	c := newCache(4, -1)
+	c.Create(tuple.KeyOfValues([]tuple.Value{1}), []tuple.Tuple{{1, 2}})
+	c.Create(tuple.KeyOfValues([]tuple.Value{2}), []tuple.Tuple{{1}})
+}
+
 // TestEntriesMatchDirectMappedModel replays random creates, inserts and
 // deletes against a model that keeps what the cache is specified to keep:
 // per bucket hash mod nbuckets (24 buckets take the modulo path, 32 the
@@ -309,5 +324,199 @@ func TestEntriesMatchDirectMappedModel(t *testing.T) {
 		if c.Stats().Evictions == 0 {
 			t.Fatalf("%d buckets: no create ever replaced a resident entry", nbuckets)
 		}
+
+		// Two probes in a row: the headers a probe returns are the cache's
+		// one scratch slice, rebuilt by the next probe. What a caller copied
+		// out before that stays good; the first slice itself must not be read
+		// again (join.applyLookup, the one program caller, emits before it
+		// probes the next key).
+		var full []uint64
+		for b := uint64(0); b < uint64(nbuckets); b++ {
+			if m := model[b]; m != nil && len(m.vals) > 0 {
+				full = append(full, b)
+			}
+		}
+		if len(full) < 2 {
+			t.Fatalf("%d buckets: model left %d non-empty entries", nbuckets, len(full))
+		}
+		first, second := model[full[0]], model[full[1]]
+		got1, _ := c.ProbeBytes([]byte(first.key))
+		kept := make([]tuple.Tuple, len(got1))
+		for j := range got1 {
+			kept[j] = got1[j].Clone()
+		}
+		got2, _ := c.ProbeBytes([]byte(second.key))
+		if &got1[0] != &got2[0] {
+			t.Fatalf("%d buckets: two probes returned distinct header slices; the contract is one scratch", nbuckets)
+		}
+		for j := range kept {
+			if !kept[j].Equal(first.vals[j]) {
+				t.Fatalf("%d buckets: copied-out tuple %d = %v, model %v", nbuckets, j, kept[j], first.vals[j])
+			}
+		}
+		for j := range got2 {
+			if !got2[j].Equal(second.vals[j]) {
+				t.Fatalf("%d buckets: second probe tuple %d = %v, model %v", nbuckets, j, got2[j], second.vals[j])
+			}
+		}
+
+		// Victims go in bucket order, not slab order (the slab is in order
+		// of first creation, and after the first shrink partly recycled):
+		// every simulated figure and the tier differential rest on it.
+		shrink := func(budget int) {
+			t.Helper()
+			used := c.UsedBytes()
+			for b := uint64(0); b < uint64(nbuckets) && used > budget; b++ {
+				if m := model[b]; m != nil {
+					used -= 8 + RefBytes*len(m.vals)
+					delete(model, b)
+				}
+			}
+			c.SetBudget(budget)
+			c.SetBudget(-1)
+			if c.UsedBytes() != used || c.Entries() != len(model) {
+				t.Fatalf("%d buckets: shrink to %d left %d bytes in %d entries, model %d in %d",
+					nbuckets, budget, c.UsedBytes(), c.Entries(), used, len(model))
+			}
+			var order []uint64
+			c.Each(func(u tuple.Key, v []tuple.Tuple) {
+				b := tuple.HashBytes([]byte(u), cacheSeed) % uint64(nbuckets)
+				order = append(order, b)
+				if m := model[b]; m == nil || m.key != u || len(m.vals) != len(v) {
+					t.Fatalf("%d buckets: shrink to %d kept %q in bucket %d, model %+v", nbuckets, budget, u, b, m)
+				}
+			})
+			for j := 1; j < len(order); j++ {
+				if order[j-1] >= order[j] {
+					t.Fatalf("%d buckets: Each visited buckets %v, not ascending", nbuckets, order)
+				}
+			}
+		}
+		shrink(c.UsedBytes() / 2)
+		slab := len(c.ents)
+		for i := int64(100); i < 130; i++ {
+			key = tuple.AppendKeyValues(key[:0], []tuple.Value{i})
+			c.CreateBytes(key, []tuple.Tuple{{i, i}})
+			model[tuple.HashBytes(key, cacheSeed)%uint64(nbuckets)] = &entry{key: tuple.Key(key), vals: []tuple.Tuple{{i, i}}}
+		}
+		if len(c.ents) != slab {
+			t.Fatalf("%d buckets: creates after a shrink grew the slab %d → %d instead of reusing freed entries", nbuckets, slab, len(c.ents))
+		}
+		shrink(c.UsedBytes() / 3)
+
+		var want []int32
+		for _, e := range c.buckets {
+			if e != 0 {
+				want = append(want, e-1)
+			}
+		}
+		freed := len(c.free)
+		c.Clear()
+		if c.Entries() != 0 || c.UsedBytes() != 0 {
+			t.Fatalf("%d buckets: Clear left %d entries, %d bytes", nbuckets, c.Entries(), c.UsedBytes())
+		}
+		if got := c.free[freed:]; !slices.Equal(got, want) {
+			t.Fatalf("%d buckets: Clear released entries %v, bucket order is %v", nbuckets, got, want)
+		}
+	}
+}
+
+// TestCacheEntryFootprint measures what a cache really holds on the heap
+// against what it is accounted at. The shapes are the ones a selected cache
+// has in the benchmark's workloads: buckets at 8× the resident entries. A
+// slot struct per bucket, a key allocation per entry or a header per tuple
+// reads several times these bounds (929 / 1 237 / 1 007 bytes per entry and
+// 786 KB empty before the bucket array became 4-byte indices over a slab).
+func TestCacheEntryFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap measurement")
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // a sync.Pool's victim cache (fmt, testing) lives one cycle more
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	key := make([]byte, 0, 8)
+	for _, sh := range []struct {
+		buckets, entries, tuples, width int
+		bound                           int
+	}{
+		{8192, 940, 2, 2, 160},
+		{4096, 386, 5, 2, 240},
+		{4096, 470, 4, 2, 190},
+	} {
+		v := make([]tuple.Tuple, sh.tuples)
+		for j := range v {
+			v[j] = make(tuple.Tuple, sh.width)
+		}
+		before := heap()
+		c := newCache(sh.buckets, -1)
+		for i := int64(0); c.Entries() < sh.entries; i++ {
+			key = tuple.AppendKeyValues(key[:0], []tuple.Value{i})
+			c.CreateBytes(key, v)
+		}
+		per := int(heap()-before) / c.Entries()
+		runtime.KeepAlive(c)
+		t.Logf("%d buckets, %d entries of %d×%d values: %d heap bytes per entry (accounted %d)",
+			sh.buckets, sh.entries, sh.tuples, sh.width, per, (c.UsedBytes()+c.FixedBytes())/c.Entries())
+		if per > sh.bound {
+			t.Errorf("%d buckets, %d entries: %d heap bytes per resident entry, bound %d", sh.buckets, sh.entries, per, sh.bound)
+		}
+	}
+	before := heap()
+	c := newCache(8192, -1)
+	empty := int(heap() - before)
+	runtime.KeepAlive(c)
+	if empty > 112<<10 {
+		t.Errorf("empty 8192-bucket cache holds %d heap bytes, bound %d", empty, 112<<10)
+	}
+}
+
+// TestCacheSteadyStateAllocFree: on a table with every bucket occupied, the
+// maintenance cycle the engine runs — create over a resident entry, insert,
+// delete, probe — allocates nothing once buffers have reached their size,
+// and an entry freed by a budget drop is the one the next create takes.
+func TestCacheSteadyStateAllocFree(t *testing.T) {
+	const nbuckets = 64
+	c := newCache(nbuckets, -1)
+	var keys [][]byte
+	for i := int64(0); c.Entries() < nbuckets; i++ {
+		k := tuple.AppendKeyValues(nil, []tuple.Value{i})
+		c.CreateBytes(k, []tuple.Tuple{{i, i}, {i, i + 1}})
+		keys = append(keys, k)
+	}
+	v := []tuple.Tuple{{1, 2}, {3, 4}}
+	r := tuple.Tuple{5, 6}
+	i := 0
+	cycle := func() {
+		k := keys[i%len(keys)]
+		i++
+		c.CreateBytes(k, v)
+		c.InsertBytes(k, r)
+		c.DeleteBytes(k, r)
+		if got, hit := c.ProbeBytes(k); !hit || len(got) != 2 {
+			t.Fatalf("probe after the cycle: %v, %v", got, hit)
+		}
+	}
+	for range keys {
+		cycle() // warm-up: every entry's buffer reaches three tuples
+	}
+	if a := testing.AllocsPerRun(4*len(keys), cycle); a != 0 {
+		t.Fatalf("steady-state cycle allocates %v times per op, want 0", a)
+	}
+
+	slab := len(c.ents)
+	c.SetBudget(c.UsedBytes() - 1) // drops the first bucket's entry
+	c.SetBudget(-1)
+	if c.Entries() != nbuckets-1 || len(c.free) != 1 {
+		t.Fatalf("budget drop left %d entries, %d free", c.Entries(), len(c.free))
+	}
+	for _, k := range keys {
+		c.CreateBytes(k, v) // one of them lands in the emptied bucket
+	}
+	if c.Entries() != nbuckets || len(c.free) != 0 || len(c.ents) != slab {
+		t.Fatalf("refill: %d entries, %d free, slab %d → %d", c.Entries(), len(c.free), slab, len(c.ents))
 	}
 }

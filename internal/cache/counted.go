@@ -27,7 +27,7 @@ import (
 // global-consistency invariant (Definition 6.1), the strongest point of its
 // allowed range.
 //
-// Counted entries reuse the same slots as plain entries; a cache must be
+// Counted entries reuse the same slab as plain entries; a cache must be
 // used in exactly one mode — the engine never mixes them.
 
 // countedElemBytes is the accounted per-element overhead beyond the tuple
@@ -45,30 +45,25 @@ func (c *Cache) CreateCounted(u tuple.Key, tuples []tuple.Tuple, mults, supports
 	c.meter.Charge(cost.HashInsert)
 	c.meter.ChargeN(cost.CacheInsertTuple, len(tuples))
 	if s := c.claim([]byte(u), c.keyBytes+countedElemBytes*len(tuples)); s != nil {
-		s.fill(tuples)
+		c.fill(s, tuples)
 		s.ct = &counts{mult: append([]int(nil), mults...), cnt: append([]int(nil), supports...)}
 		c.maybeMaintain()
 	}
 }
 
 // ProbeCountedBytes looks up key k on a counted cache, returning the distinct
-// tuples and their multiplicities on a hit.
+// tuples and their multiplicities on a hit, valid like ProbeBytes' value
+// until the next call on this cache.
 func (c *Cache) ProbeCountedBytes(k []byte) (tuples []tuple.Tuple, mults []int, ok bool) {
 	c.meter.Charge(cost.HashProbe)
 	c.stats.Probes++
-	h := hashOf(k)
-	if c.filterAbsent(h) {
+	s, _ := c.lookup(k)
+	if s == nil {
 		c.stats.Misses++
 		return nil, nil, false
 	}
-	s := c.slotAt(h)
-	if s.occupied && keyEq(s.key, k) {
-		c.stats.Hits++
-		c.touchSlot(s)
-		return s.val, s.ct.mult, true
-	}
-	c.noteMiss()
-	return nil, nil, false
+	c.stats.Hits++
+	return c.headers(s), s.ct.mult, true
 }
 
 // ApplyCountedDelta applies a maintenance delta of n support units (n > 0
@@ -80,26 +75,22 @@ func (c *Cache) ProbeCountedBytes(k []byte) (tuples []tuple.Tuple, mults []int, 
 // and removed when its support reaches zero.
 func (c *Cache) ApplyCountedDelta(u tuple.Key, r tuple.Tuple, n int, recomputeMult func() int) {
 	c.meter.Charge(cost.HashProbe)
-	s := c.residentSlot([]byte(u))
+	s, b := c.lookup([]byte(u))
 	if s == nil {
 		return
 	}
 	c.meter.Charge(cost.CacheInsertTuple)
-	c.version++
 	if n > 0 {
 		c.stats.Inserts++
 	} else {
 		c.stats.Deletes++
 	}
-	for i, t := range s.val {
-		if !t.Equal(r) {
-			continue
-		}
+	if i := c.find(s, r); i >= 0 {
 		ct := s.ct
 		ct.cnt[i] += n
 		if ct.cnt[i] <= 0 {
-			last := len(s.val) - 1
-			s.remove(i)
+			last := int(s.n) - 1
+			c.remove(s, i)
 			ct.cnt[i], ct.mult[i] = ct.cnt[last], ct.mult[last]
 			ct.cnt, ct.mult = ct.cnt[:last], ct.mult[:last]
 			c.usedBytes -= countedElemBytes
@@ -112,12 +103,12 @@ func (c *Cache) ApplyCountedDelta(u tuple.Key, r tuple.Tuple, n int, recomputeMu
 		return
 	}
 	if c.budget >= 0 && c.usedBytes+countedElemBytes > c.budget {
-		c.dropSlot(s)
+		c.dropBucket(b)
 		c.stats.MemoryDrops++
 		return
 	}
 	m := recomputeMult()
-	s.push(r, nil)
+	c.push(s, r, nil)
 	s.ct.cnt = append(s.ct.cnt, n)
 	s.ct.mult = append(s.ct.mult, m)
 	c.usedBytes += countedElemBytes
@@ -127,26 +118,27 @@ func (c *Cache) ApplyCountedDelta(u tuple.Key, r tuple.Tuple, n int, recomputeMu
 // EachCounted visits every resident counted entry with its multiplicities
 // and supports — Each for the global-consistency invariant (Definition 6.1).
 func (c *Cache) EachCounted(f func(u tuple.Key, v []tuple.Tuple, mults, supports []int)) {
-	for i := range c.slots {
-		if !c.slots[i].occupied {
+	for _, e := range c.buckets {
+		if e == 0 {
 			continue
 		}
-		if c.slots[i].cold {
-			c.promoteSlot(&c.slots[i])
+		s := &c.ents[e-1]
+		if s.cold {
+			c.promoteSlot(s)
 		}
-		f(tuple.Key(c.slots[i].key), c.slots[i].val, c.slots[i].ct.mult, c.slots[i].ct.cnt)
+		f(tuple.Key(c.keyOf(e-1)), c.headers(s), s.ct.mult, s.ct.cnt)
 	}
 }
 
-// slotBytes returns the accounted size of a slot's entry, counted or plain.
-// Cold entries report the size frozen at demotion (content is immutable
-// while cold).
+// slotBytes returns the accounted size of an entry, counted or plain. Cold
+// entries report the size frozen at demotion (content is immutable while
+// cold).
 func (c *Cache) slotBytes(s *slot) int {
 	if s.cold {
-		return c.keyBytes + s.cbytes
+		return c.keyBytes + int(s.cbytes)
 	}
 	if s.ct != nil {
-		return c.keyBytes + countedElemBytes*len(s.val)
+		return c.keyBytes + countedElemBytes*int(s.n)
 	}
-	return entryBytes(c.keyBytes, s.val)
+	return entryBytes(c.keyBytes, int(s.n))
 }

@@ -9,21 +9,20 @@ import (
 )
 
 // Tiered cache storage: cache tables share one engine-level spill file. A
-// demoted entry keeps its key, filter fingerprint, and logical byte
-// accounting resident — so placement, eviction, budget drops, and every
-// meter charge are bit-identical with tiering on or off — while its payload
-// (the value set, and for counted entries the mult/support arrays) is
-// serialized into one spill page. Any touch of a cold entry promotes it
-// first; the fingerprint filters in front of every residency check keep
-// guaranteed misses from ever faulting a cold page. A clock hand across the
-// attached caches demotes cold-eligible entries while the resident payload
-// footprint exceeds the watermark.
+// demoted entry keeps its bucket, key, and logical byte accounting resident
+// — so placement, eviction, budget drops, and every meter charge are
+// bit-identical with tiering on or off — while its payload (the value set,
+// and for counted entries the mult/support arrays) is serialized into one
+// spill page. Any touch of a cold entry promotes it first; a miss is decided
+// by the resident bucket and key, so it never faults a cold page. A clock
+// hand across the attached caches' buckets demotes cold-eligible entries
+// while the resident payload footprint exceeds the watermark.
 //
 // Unlike relation pages, entries mutate while hot, so a demoted blob does
 // not keep its spill slot: the slot is freed at promotion and a fresh one is
 // allocated at the next demotion. A cold entry is immutable by construction
-// — every mutation path resolves the slot through a residency check that
-// promotes first.
+// — every mutation path resolves the entry through lookup, which promotes
+// first.
 
 // cacheSpillMeta marks a spill file as holding cache entry blobs (the
 // relation spills record their tuple width here instead).
@@ -34,7 +33,7 @@ type Tier struct {
 	sp        *tier.Spill
 	hotBytes  int
 	caches    []*Cache
-	ci, si    int // clock hand: cache index, slot index
+	ci, si    int // clock hand: cache index, bucket index
 	promos    uint64
 	demos     uint64
 	writeErrs uint64 // failed spill writes (each one sets disabled)
@@ -58,9 +57,9 @@ func NewTier(path string, pageBytes, hotBytes int, fsys fault.FS) (*Tier, error)
 // engine teardown where the caches die too.
 func (t *Tier) Close() error {
 	for _, c := range t.caches {
-		for i := range c.slots {
-			if c.slots[i].cold {
-				c.dropSlot(&c.slots[i])
+		for b, e := range c.buckets {
+			if e != 0 && c.ents[e-1].cold {
+				c.dropBucket(b)
 			}
 		}
 		c.tr = nil
@@ -99,9 +98,9 @@ func (c *Cache) DetachTier() {
 	if t == nil {
 		return
 	}
-	for i := range c.slots {
-		if c.slots[i].cold {
-			c.promoteSlot(&c.slots[i])
+	for _, e := range c.buckets {
+		if e != 0 && c.ents[e-1].cold {
+			c.promoteSlot(&c.ents[e-1])
 		}
 	}
 	for i, o := range t.caches {
@@ -126,33 +125,24 @@ func (c *Cache) HotUsedBytes() int { return c.usedBytes - c.coldBytes }
 // ColdUsedBytes is the logical bytes of this cache's spilled payloads.
 func (c *Cache) ColdUsedBytes() int { return c.coldBytes }
 
-// touchSlot records a hit on a resident slot, promoting it first if cold.
-// Advisory only: no charges, no version bump.
-func (c *Cache) touchSlot(s *slot) {
-	if s.cold {
-		c.promoteSlot(s)
-	}
-	s.ref = true
-}
-
-// freeCold releases a slot's spill page without promoting, for eviction and
-// drop paths where the payload dies anyway.
+// freeCold releases an entry's spill page without promoting, for eviction
+// and drop paths where the payload dies anyway.
 func (c *Cache) freeCold(s *slot) {
 	if !s.cold {
 		return
 	}
 	c.tr.sp.Free(s.cslot)
-	c.coldBytes -= s.cbytes
+	c.coldBytes -= int(s.cbytes)
 	s.cold = false
 	s.cbytes = 0
 }
 
-// Blob layout (8-byte words): word 0 is len(val)<<1 | countedBit, word 1 is
+// Blob layout (8-byte words): word 0 is n<<1 | countedBit, word 1 is
 // the tuple width, then the n×w values, then for counted entries the n mult
 // words and n support words. Everything a promotion needs to rebuild the
 // entry exactly; the key never leaves the heap.
 
-// demoteSlot serializes a hot slot's payload into a fresh spill page and
+// demoteSlot serializes a hot entry's payload into a fresh spill page and
 // drops the heap copies. Returns the logical bytes moved cold, or 0 if the
 // entry is not demotable (empty payload, oversized blob).
 func (c *Cache) demoteSlot(s *slot) int {
@@ -160,8 +150,8 @@ func (c *Cache) demoteSlot(s *slot) int {
 	if payload <= 0 {
 		return 0
 	}
-	n := len(s.val)
-	w := len(s.val[0]) // payload > 0: there is one, and all share its width
+	n := int(s.n)
+	w := c.width // payload > 0: a tuple has set it
 	counted := s.ct != nil
 	words := 2 + n*w
 	if counted {
@@ -184,11 +174,9 @@ func (c *Cache) demoteSlot(s *slot) int {
 	binary.LittleEndian.PutUint64(b, head)
 	binary.LittleEndian.PutUint64(b[8:], uint64(w))
 	off := 16
-	for _, u := range s.val {
-		for _, v := range u {
-			binary.LittleEndian.PutUint64(b[off:], uint64(v))
-			off += 8
-		}
+	for _, v := range s.flat {
+		binary.LittleEndian.PutUint64(b[off:], uint64(v))
+		off += 8
 	}
 	if counted {
 		for _, m := range s.ct.mult {
@@ -202,14 +190,14 @@ func (c *Cache) demoteSlot(s *slot) int {
 	}
 	s.cold = true
 	s.cslot = slot
-	s.cbytes = payload
-	s.val, s.flat, s.ct = nil, nil, nil
+	s.cbytes = int32(payload)
+	s.n, s.flat, s.ct = 0, nil, nil
 	c.coldBytes += payload
 	c.tr.demos++
 	return payload
 }
 
-// promoteSlot rebuilds a cold slot's payload from its spill page and frees
+// promoteSlot rebuilds a cold entry's payload from its spill page and frees
 // the page.
 func (c *Cache) promoteSlot(s *slot) {
 	b := c.tr.sp.Bytes(s.cslot)
@@ -223,11 +211,7 @@ func (c *Cache) promoteSlot(s *slot) {
 		back[i] = tuple.Value(binary.LittleEndian.Uint64(b[off:]))
 		off += 8
 	}
-	val := make([]tuple.Tuple, n)
-	for i := range val {
-		val[i] = tuple.Tuple(back[i*w : (i+1)*w : (i+1)*w])
-	}
-	s.val, s.flat = val, back
+	s.n, s.flat = int32(n), back
 	if counted {
 		s.ct = &counts{mult: make([]int, n), cnt: make([]int, n)}
 		for i := range s.ct.mult {
@@ -239,10 +223,7 @@ func (c *Cache) promoteSlot(s *slot) {
 			off += 8
 		}
 	}
-	c.tr.sp.Free(s.cslot)
-	c.coldBytes -= s.cbytes
-	s.cold = false
-	s.cbytes = 0
+	c.freeCold(s)
 	c.tr.promos++
 }
 
@@ -254,7 +235,7 @@ func (c *Cache) maybeMaintain() {
 	}
 }
 
-// maintain advances a clock hand over every attached cache's slots,
+// maintain advances a clock hand over every attached cache's buckets,
 // demoting entries whose reference bit is clear, until the resident payload
 // footprint fits the watermark or the hand has swept twice without finding
 // enough to demote.
@@ -266,19 +247,20 @@ func (t *Tier) maintain() {
 	total := 0
 	for _, c := range t.caches {
 		hot += c.usedBytes - c.coldBytes
-		total += len(c.slots)
+		total += len(c.buckets)
 	}
 	for steps := 0; hot > t.hotBytes && steps < 2*total; steps++ {
 		c := t.caches[t.ci]
-		s := &c.slots[t.si]
+		e := c.buckets[t.si]
 		t.si++
-		if t.si >= len(c.slots) {
+		if t.si >= len(c.buckets) {
 			t.si = 0
 			t.ci = (t.ci + 1) % len(t.caches)
 		}
-		if !s.occupied || s.cold {
+		if e == 0 || c.ents[e-1].cold {
 			continue
 		}
+		s := &c.ents[e-1]
 		if s.ref {
 			s.ref = false
 			continue

@@ -108,9 +108,7 @@ func captureState(en *Engine) engineState {
 	for _, id := range ids {
 		inst := en.instances[id]
 		c := inst.Cache()
-		cs := c.Stats()
-		cs.FilterShortCircuits, cs.FilterFalsePositives = 0, 0 // physical, path-dependent
-		dump := fmt.Sprintf("%s entries=%d used=%d stats=%+v;", id, c.Entries(), c.UsedBytes(), cs)
+		dump := fmt.Sprintf("%s entries=%d used=%d stats=%+v;", id, c.Entries(), c.UsedBytes(), c.Stats())
 		if counted[inst] {
 			c.EachCounted(func(u tuple.Key, v []tuple.Tuple, mults, supports []int) {
 				dump += fmt.Sprintf(" %v=%v*%v/%v", u, v, mults, supports)

@@ -105,7 +105,7 @@ type Config struct {
 	// defers to future work. Only meaningful with a finite MemoryBudget.
 	BudgetAware bool
 	// DisableFilters turns off the fingerprint filters fronting store
-	// indexes and cache slots, and the adaptive knob that manages them.
+	// indexes, and the adaptive knob that manages them.
 	// Results and simulated cost are identical either way (the filters
 	// short-circuit only real CPU work); this exists for differential
 	// testing and ablation.
@@ -181,12 +181,10 @@ type cand struct {
 	// candidates without one keep their previous estimate.
 	shadowOn bool
 	inst     *join.Instance // non-nil while Used
-	// attachedAt is the engine update count when the cache entered the
-	// Used state; warmProbes is how many probes the monitor lets pass
-	// before judging it (a fresh cache starts empty and needs roughly its
-	// expected entry population in probes before its miss rate reflects
-	// steady state).
-	attachedAt int
+	// warmProbes is how many probes the monitor lets pass before judging
+	// the cache (a fresh cache starts empty and needs roughly its expected
+	// entry population in probes before its miss rate reflects steady
+	// state).
 	warmProbes int64
 	warmed     bool
 	// suspended marks a previously-used cache whose lookup is withdrawn
@@ -430,9 +428,6 @@ func (en *Engine) instanceFor(spec *planner.Spec, buckets int) *join.Instance {
 		return inst
 	}
 	inst := join.NewInstance(en.q, spec, buckets, en.mem.Budget(), en.meter)
-	if en.cfg.DisableFilters {
-		inst.Cache().SetFilterEnabled(false)
-	}
 	if t := en.ensureCacheTier(); t != nil {
 		inst.Cache().AttachTier(t)
 	}
@@ -559,8 +554,8 @@ type Snapshot struct {
 	Reopts, SkippedReopts int
 	// CacheMemoryBytes is the bytes held by cache instances.
 	CacheMemoryBytes int
-	// FilterBytes is the resident footprint of the fingerprint filters
-	// (store indexes + cache instances).
+	// FilterBytes is the resident footprint of the fingerprint filters in
+	// front of the relation store indexes.
 	FilterBytes int
 	// FilteredProbes counts residency checks answered "guaranteed miss"
 	// by a filter without touching the backing structure;
@@ -610,7 +605,7 @@ type Snapshot struct {
 // processing. Callers holding a raw *Engine from Shard() must arrange the
 // same quiescence themselves.
 func (en *Engine) Snapshot() Snapshot {
-	sc, fp := en.FilterTelemetry()
+	fs := en.exec.StoreFilterStats()
 	s := Snapshot{
 		Updates:              en.updates,
 		Outputs:              en.outputs,
@@ -618,9 +613,9 @@ func (en *Engine) Snapshot() Snapshot {
 		Reopts:               en.reopts,
 		SkippedReopts:        en.skippedReopts,
 		CacheMemoryBytes:     en.CacheMemoryBytes(),
-		FilterBytes:          en.FilterMemoryBytes(),
-		FilteredProbes:       sc,
-		FilterFalsePositives: fp,
+		FilterBytes:          en.exec.StoreFilterBytes(),
+		FilteredProbes:       fs.ShortCircuits,
+		FilterFalsePositives: fs.FalsePositives,
 		WindowBytes:          en.WindowBytes(),
 		SharedStores:         en.exec.SharedStores(),
 	}
@@ -817,31 +812,6 @@ func (en *Engine) CacheMemoryBytes() int {
 	return total
 }
 
-// FilterMemoryBytes returns the resident footprint of every fingerprint
-// filter — store indexes plus cache instances. Reported separately from
-// CacheMemoryBytes (filters are not cache contents) but charged against the
-// same server budget through MemoryDemandDetail.
-func (en *Engine) FilterMemoryBytes() int {
-	total := en.exec.StoreFilterBytes()
-	for _, inst := range en.instances {
-		total += inst.Cache().FilterBytes()
-	}
-	return total
-}
-
-// FilterTelemetry sums the filter short-circuit and false-positive counters
-// across store indexes and cache instances.
-func (en *Engine) FilterTelemetry() (shortCircuits, falsePositives uint64) {
-	fs := en.exec.StoreFilterStats()
-	shortCircuits, falsePositives = fs.ShortCircuits, fs.FalsePositives
-	for _, inst := range en.instances {
-		cs := inst.Cache().Stats()
-		shortCircuits += uint64(cs.FilterShortCircuits)
-		falsePositives += uint64(cs.FilterFalsePositives)
-	}
-	return shortCircuits, falsePositives
-}
-
 // MemoryBudgetBytes returns the engine's current cache-memory budget
 // (<0 = unlimited).
 func (en *Engine) MemoryBudgetBytes() int { return en.mem.Budget() }
@@ -876,7 +846,7 @@ type GroupDemand struct {
 // MemoryDemandDetail reports the engine's appetite for cache memory per
 // sharing group — the cross-query generalization of Section 5, by which a
 // DSMS hosting many continuous queries divides a global budget by priority —
-// plus the engine's filter footprint (store-index and cache filters), for
+// plus the engine's store-index filter footprint, for
 // hosts that pool demand across queries. The returned slice is reused across
 // calls.
 func (en *Engine) MemoryDemandDetail() (groups []GroupDemand, filterBytes int) {
@@ -907,7 +877,7 @@ func (en *Engine) MemoryDemandDetail() (groups []GroupDemand, filterBytes int) {
 		}
 		en.demandDetail[gi].Net += c.est.Benefit
 	}
-	return en.demandDetail, en.FilterMemoryBytes()
+	return en.demandDetail, en.exec.StoreFilterBytes()
 }
 
 // crossIDOf memoizes planner.CrossID per spec (keyed by the engine-local

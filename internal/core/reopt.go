@@ -495,7 +495,6 @@ func (en *Engine) applySelection(chosen []*cand) {
 			}
 			c.suspended = false
 			c.state = Used
-			c.attachedAt = en.updates
 			st := c.inst.Cache().Stats()
 			c.monStat = monitorSnapshot{probes: st.Probes, hits: st.Hits}
 			continue
@@ -534,7 +533,6 @@ func (en *Engine) applySelection(chosen []*cand) {
 		c.warmed = false
 		c.inst = inst
 		c.state = Used
-		c.attachedAt = en.updates
 		c.warmProbes = 3 * int64(c.est.ExpectedEntries)
 		if c.warmProbes < 100 {
 			c.warmProbes = 100

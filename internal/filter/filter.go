@@ -55,7 +55,6 @@ const (
 type Filter struct {
 	buckets []uint64
 	mask    uint64
-	count   int
 	kick    uint32 // deterministic victim-lane rotation for evictions
 }
 
@@ -144,12 +143,10 @@ func (f *Filter) Insert(h uint64) bool {
 	fp := fingerprintOf(h)
 	i1 := h & f.mask
 	if f.tryInsert(i1, fp) {
-		f.count++
 		return true
 	}
 	i2 := f.alt(i1, fp)
 	if f.tryInsert(i2, fp) {
-		f.count++
 		return true
 	}
 	// Both buckets full: displace a resident fingerprint along the cuckoo
@@ -166,7 +163,6 @@ func (f *Filter) Insert(h uint64) bool {
 		cur = victim
 		i = f.alt(i, cur)
 		if f.tryInsert(i, cur) {
-			f.count++
 			return true
 		}
 	}
@@ -180,11 +176,9 @@ func (f *Filter) Delete(h uint64) bool {
 	fp := fingerprintOf(h)
 	i1 := h & f.mask
 	if f.removeFrom(i1, fp) {
-		f.count--
 		return true
 	}
 	if f.removeFrom(f.alt(i1, fp), fp) {
-		f.count--
 		return true
 	}
 	return false

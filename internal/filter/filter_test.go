@@ -21,9 +21,23 @@ func TestNoFalseNegatives(t *testing.T) {
 			t.Fatalf("false negative for inserted hash %d", i)
 		}
 	}
-	if f.count != len(hs) {
-		t.Fatalf("Count = %d, want %d", f.count, len(hs))
+	if n := occupiedLanes(f); n != len(hs) {
+		t.Fatalf("%d occupied lanes, want %d", n, len(hs))
 	}
+}
+
+// occupiedLanes counts the fingerprints the table holds: one per successful
+// Insert not yet deleted, or the cuckoo walk has lost or duplicated one.
+func occupiedLanes(f *Filter) int {
+	n := 0
+	for _, w := range f.buckets {
+		for lane := 0; lane < lanesPerBucket; lane++ {
+			if uint16(w>>(uint(lane)*laneBits)) != 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func TestDeleteRemovesMembership(t *testing.T) {
@@ -150,8 +164,8 @@ func TestProbeDoesNotAllocate(t *testing.T) {
 }
 
 // FuzzFilterVsReference drives a randomized insert/delete/probe workload
-// against a reference multiset: no false negatives ever, and count tracking
-// stays exact.
+// against a reference multiset: no false negatives ever, and the table
+// holds exactly one fingerprint per live insert.
 func FuzzFilterVsReference(f *testing.F) {
 	f.Add(int64(1), uint8(16))
 	f.Add(int64(42), uint8(64))
@@ -194,8 +208,8 @@ func FuzzFilterVsReference(f *testing.F) {
 				live = append(live, h)
 				total++
 			}
-			if fl.count != total {
-				t.Fatalf("count drift: filter %d, reference %d", fl.count, total)
+			if n := occupiedLanes(fl); n != total {
+				t.Fatalf("count drift: filter holds %d, reference %d", n, total)
 			}
 		}
 		for h, n := range ref {
