@@ -310,23 +310,22 @@ type TierOptions struct {
 // are processed strictly in call order, each to completion, matching the
 // paper's execution model.
 type Engine struct {
-	q        *Query
-	core     *core.Engine
-	windows  []*stream.SlidingWindow
-	timeWins []*stream.TimeWindow        // non-nil for time-windowed relations
-	partWins []*stream.PartitionedWindow // non-nil for partitioned relations
-	seq      uint64
-	server   *Server         // non-nil when hosted by a Server
-	clone    []cloner        // per relation: ingress rows → window tuples
-	upsBuf   []stream.Update // Append's window-update scratch, reused per call
-	tsBuf    []tuple.Tuple   // AppendBatch's cloned-row scratch, reused per call
-	dur      *durable        // non-nil for durable engines (BuildDurable)
+	ingress
+	core *core.Engine
+	dur  *durable // non-nil for durable engines (BuildDurable)
 }
 
-// coreConfig translates the public Options into the core engine's
-// configuration — shared by Build and BuildSharded (where every shard gets
-// the same configuration apart from its seed and budget slice).
-func (opts Options) coreConfig(q *Query) (core.Config, error) {
+// compile validates the query and translates the public Options into the
+// core engine's configuration — shared by Build and BuildSharded (where every
+// shard gets the same configuration apart from its seed and budget slice).
+func (q *Query) compile(opts Options) (*query.Query, core.Config, error) {
+	if q.err != nil {
+		return nil, core.Config{}, q.err
+	}
+	iq, err := query.NewWithThetas(q.schemas, q.preds, q.thetas)
+	if err != nil {
+		return nil, core.Config{}, err
+	}
 	cfg := core.Config{
 		ReoptInterval:  opts.ReoptInterval,
 		MemoryBudget:   opts.MemoryBudget,
@@ -353,11 +352,11 @@ func (opts Options) coreConfig(q *Query) (core.Config, error) {
 	for _, ref := range opts.NoIndex {
 		a, err := q.parseRef(ref)
 		if err != nil {
-			return core.Config{}, err
+			return nil, core.Config{}, err
 		}
 		cfg.ScanOnly = append(cfg.ScanOnly, a)
 	}
-	return cfg, nil
+	return iq, cfg, nil
 }
 
 // winSig renders relation i's window declaration canonically — part of every
@@ -407,60 +406,9 @@ func (q *Query) allRelTokens() []string {
 	return out
 }
 
-// cloneChunkTuples is how many tuples a cloner carves out of one chunk: large
-// enough that ingress costs 1/128 allocations per append, small enough that
-// the partly expired chunk at a window's tail and the partly filled one at
-// its head stay invisible next to the window itself.
-const cloneChunkTuples = 128
-
-// cloner copies ingress rows into tuples bump-allocated from chunks. A chunk
-// is never written again once carved and never recycled — the collector frees
-// it when no tuple in it is referenced — so a cloned tuple is immutable and
-// valid for as long as anyone holds it: the window ring, relation stores,
-// shard mailboxes and replay logs all keep them past the call.
-type cloner struct{ free []tuple.Value }
-
-func (c *cloner) clone(values []int64) tuple.Tuple {
-	n := len(values)
-	if len(c.free) < n {
-		c.free = make([]tuple.Value, cloneChunkTuples*n)
-	}
-	t := c.free[:n:n]
-	c.free = c.free[n:]
-	copy(t, values)
-	return t
-}
-
-// buildWindows constructs the per-relation ingress window operators and row
-// cloners shared by Engine and ShardedEngine.
-func (q *Query) buildWindows() (wins []*stream.SlidingWindow, timeWins []*stream.TimeWindow, partWins []*stream.PartitionedWindow, clone []cloner) {
-	wins = make([]*stream.SlidingWindow, len(q.windows))
-	timeWins = make([]*stream.TimeWindow, len(q.windows))
-	partWins = make([]*stream.PartitionedWindow, len(q.windows))
-	for i, w := range q.windows {
-		switch {
-		case q.spans[i] > 0:
-			timeWins[i] = stream.NewTimeWindow(q.spans[i])
-		case q.partBy[i] != "":
-			col := q.schemas[i].MustColOf(tuple.Attr{Rel: i, Name: q.partBy[i]})
-			partWins[i] = stream.NewPartitionedWindow(w, col)
-		default:
-			wins[i] = stream.NewSlidingWindow(w)
-		}
-	}
-	return wins, timeWins, partWins, make([]cloner, len(q.windows))
-}
-
 // Build validates the query and constructs an Engine.
 func (q *Query) Build(opts Options) (*Engine, error) {
-	if q.err != nil {
-		return nil, q.err
-	}
-	iq, err := query.NewWithThetas(q.schemas, q.preds, q.thetas)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := opts.coreConfig(q)
+	iq, cfg, err := q.compile(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -468,9 +416,7 @@ func (q *Query) Build(opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{q: q, core: en}
-	e.windows, e.timeWins, e.partWins, e.clone = q.buildWindows()
-	return e, nil
+	return &Engine{ingress: newIngress(q), core: en}, nil
 }
 
 func (q *Query) relIndex(name string) int {
@@ -488,45 +434,36 @@ func (q *Query) checkArity(rel int, values []int64) {
 	}
 }
 
-func (e *Engine) relIndex(name string) int { return e.q.relIndex(name) }
-
-func (e *Engine) checkArity(rel int, values []int64) { e.q.checkArity(rel, values) }
-
 // Insert processes an insertion into the named relation and returns the
 // number of join-result updates emitted.
 func (e *Engine) Insert(rel string, values ...int64) int {
-	return e.apply(stream.Insert, e.relIndex(rel), values)
+	return e.apply(stream.Insert, walInsert, rel, values)
 }
 
 // Delete processes a deletion from the named relation and returns the
 // number of join-result updates emitted.
 func (e *Engine) Delete(rel string, values ...int64) int {
-	return e.apply(stream.Delete, e.relIndex(rel), values)
+	return e.apply(stream.Delete, walDelete, rel, values)
 }
 
-func (e *Engine) apply(op stream.Op, rel int, values []int64) int {
-	e.checkArity(rel, values)
-	e.seq++
-	n := e.processOne(stream.Update{
-		Op:    op,
-		Rel:   rel,
-		Tuple: tuple.Tuple(values),
-		Seq:   e.seq,
-	})
-	if e.dur != nil {
-		e.durLogApply(op, rel, values)
-	}
+func (e *Engine) apply(op stream.Op, kind byte, rel string, values []int64) int {
+	idx := e.q.relIndex(rel)
+	n := e.feed(e.update(op, idx, values))
+	e.logOp(kind, idx, 0, values)
 	return n
 }
 
-// processOne pushes one update through the core engine and drives the
-// hosting server's rebalance cadence, if any.
-func (e *Engine) processOne(u stream.Update) int {
-	n := e.core.Process(u)
-	if e.server != nil {
-		e.server.tick()
+// feed pushes an ingress slice through the core engine update by update and
+// drives the hosting server's rebalance cadence, if any.
+func (e *Engine) feed(ups []stream.Update) int {
+	total := 0
+	for _, u := range ups {
+		total += e.core.Process(u)
+		if e.server != nil {
+			e.server.tick()
+		}
 	}
-	return n
+	return total
 }
 
 // Append pushes one tuple of a count-windowed relation's append-only
@@ -538,41 +475,10 @@ func (e *Engine) processOne(u stream.Update) int {
 // it interleaves the expiry delete and the insert across all sharers in the
 // lockstep order the shared store requires.
 func (e *Engine) Append(rel string, values ...int64) int {
-	idx := e.relIndex(rel)
-	ups := e.windowUpdates(idx, values)
-	total := 0
-	for _, u := range ups {
-		e.seq++
-		u.Seq = e.seq
-		total += e.processOne(u)
-	}
-	if e.dur != nil {
-		e.logOp(walAppend, idx, 0, values)
-	}
-	return total
-}
-
-// windowUpdates runs relation idx's count-window operator for one appended
-// tuple and returns the updates to process — the expiry delete (if the
-// window was full) followed by the insert, Rel already stamped. The returned
-// slice aliases the engine's reusable scratch; it is valid until the next
-// windowUpdates or AppendBatch call.
-func (e *Engine) windowUpdates(idx int, values []int64) []stream.Update {
-	e.checkArity(idx, values)
-	var ups []stream.Update
-	switch {
-	case e.partWins[idx] != nil:
-		ups = e.partWins[idx].AppendInto(e.clone[idx].clone(values), e.upsBuf[:0])
-	case e.windows[idx] != nil:
-		ups = e.windows[idx].AppendInto(e.clone[idx].clone(values), e.upsBuf[:0])
-	default:
-		panic(fmt.Sprintf("acache: relation %q is time-windowed; use AppendAt", e.q.names[idx]))
-	}
-	e.upsBuf = ups[:0]
-	for i := range ups {
-		ups[i].Rel = idx
-	}
-	return ups
+	idx := e.q.relIndex(rel)
+	n := e.feed(e.appendRow(idx, values))
+	e.logOp(walAppend, idx, 0, values)
+	return n
 }
 
 // AppendBatch pushes a batch of tuples of a count-windowed relation's
@@ -583,36 +489,16 @@ func (e *Engine) windowUpdates(idx int, values []int64) []stream.Update {
 // same-operation runs it can vectorize instead of alternating singletons.
 // It returns the total join-result updates emitted.
 func (e *Engine) AppendBatch(rel string, rows [][]int64) int {
-	idx := e.relIndex(rel)
-	ts := e.tsBuf[:0]
-	for _, r := range rows {
-		e.checkArity(idx, r)
-		ts = append(ts, e.clone[idx].clone(r))
-	}
-	e.tsBuf = ts
-	var ups []stream.Update
-	switch {
-	case e.partWins[idx] != nil:
-		ups = e.partWins[idx].AppendBatchInto(ts, e.upsBuf[:0])
-	case e.windows[idx] != nil:
-		ups = e.windows[idx].AppendBatchInto(ts, e.upsBuf[:0])
-	default:
-		panic(fmt.Sprintf("acache: relation %q is time-windowed; use AppendAt", rel))
-	}
-	for i := range ups {
-		ups[i].Rel = idx
-		e.seq++
-		ups[i].Seq = e.seq
-	}
+	idx := e.q.relIndex(rel)
+	ups := e.appendRows(idx, rows)
 	total := e.core.ProcessBatch(ups)
 	if e.server != nil {
 		for range ups {
 			e.server.tick()
 		}
 	}
-	e.upsBuf = ups[:0]
 	if e.dur != nil {
-		e.logBatch(idx, rows)
+		e.dur.logBatch(idx, rows)
 	}
 	return total
 }
@@ -624,51 +510,19 @@ func (e *Engine) AppendBatch(rel string, rows [][]int64) int {
 // declaration order). Timestamps must be non-decreasing across the engine.
 // It returns the total join-result updates emitted.
 func (e *Engine) AppendAt(rel string, ts int64, values ...int64) int {
-	idx := e.relIndex(rel)
-	if e.timeWins[idx] == nil {
-		panic(fmt.Sprintf("acache: relation %q is not time-windowed; use Append or Insert", rel))
-	}
-	e.checkArity(idx, values)
-	total := e.advanceTime(ts)
-	for _, u := range e.timeWins[idx].Append(e.clone[idx].clone(values), ts) {
-		u.Rel = idx
-		e.seq++
-		u.Seq = e.seq
-		total += e.processOne(u)
-	}
-	if e.dur != nil {
-		e.logOp(walAppendAt, idx, ts, values)
-	}
-	return total
+	idx := e.q.relIndex(rel)
+	n := e.feed(e.appendAt(idx, ts, values))
+	e.logOp(walAppendAt, idx, ts, values)
+	return n
 }
 
 // AdvanceTime moves the global clock to ts without inserting anything,
 // expiring every time window's old tuples and processing their deletes. It
 // returns the join-result updates emitted by the retractions.
 func (e *Engine) AdvanceTime(ts int64) int {
-	total := e.advanceTime(ts)
-	if e.dur != nil {
-		e.logOp(walAdvance, 0, ts, nil)
-	}
-	return total
-}
-
-// advanceTime is AdvanceTime without the WAL record — AppendAt advances the
-// clock as part of its own (single) logged call.
-func (e *Engine) advanceTime(ts int64) int {
-	total := 0
-	for idx, w := range e.timeWins {
-		if w == nil {
-			continue
-		}
-		for _, u := range w.AdvanceTo(ts) {
-			u.Rel = idx
-			e.seq++
-			u.Seq = e.seq
-			total += e.processOne(u)
-		}
-	}
-	return total
+	n := e.feed(e.advance(ts))
+	e.logOp(walAdvance, 0, ts, nil)
+	return n
 }
 
 // Stats is a snapshot of the engine's state and counters.
@@ -826,15 +680,19 @@ func (e *Engine) Stats() Stats {
 		s.WALBytesIgnored = d.bytesIgnored
 		s.WALReplayReason = d.replayReason
 	}
-	for _, spec := range e.core.UsedCaches() {
-		s.UsedCaches = append(s.UsedCaches, e.describe(spec))
-	}
-	sort.Strings(s.UsedCaches)
+	s.UsedCaches = e.q.usedCaches(e.core)
 	return s
 }
 
-// describe renders a cache spec with the query's relation names.
-func (e *Engine) describe(spec *planner.Spec) string { return e.q.describeSpec(spec) }
+// usedCaches renders one core engine's cache placements, sorted.
+func (q *Query) usedCaches(en *core.Engine) []string {
+	var out []string
+	for _, spec := range en.UsedCaches() {
+		out = append(out, q.describeSpec(spec))
+	}
+	sort.Strings(out)
+	return out
+}
 
 // describeSpec renders a cache spec with the query's relation names.
 func (q *Query) describeSpec(spec *planner.Spec) string {
@@ -883,7 +741,7 @@ func (e *Engine) SetMemoryBudget(bytes int) {
 
 // WindowLen returns the current tuple count of the named relation's window.
 func (e *Engine) WindowLen(rel string) int {
-	return e.core.Exec().Store(e.relIndex(rel)).Len()
+	return e.core.Exec().Store(e.q.relIndex(rel)).Len()
 }
 
 // RelationNames returns the declared relation names in declaration order
@@ -924,11 +782,20 @@ func (q *Query) ResultColumns() []string {
 // its state (used / profiled / unused) and latest benefit, maintenance
 // cost, and miss-probability estimates in unit-time terms — EXPLAIN for a
 // continuously optimized query.
-func (e *Engine) Explain() string {
+func (e *Engine) Explain() string { return e.q.explain(e.core) }
+
+// DescribePlan renders the engine's current physical plan — one line per
+// pipeline with its join order, then one line per cache placement with its
+// mode, occupancy, and hit rate.
+func (e *Engine) DescribePlan() string { return e.q.describePlan(e.core) }
+
+// explain renders one core engine's candidates — Explain's text, and each
+// section of a sharded engine's.
+func (q *Query) explain(en *core.Engine) string {
 	var b strings.Builder
-	for _, c := range e.core.Candidates() {
+	for _, c := range en.Candidates() {
 		fmt.Fprintf(&b, "%-9s %s  benefit=%.4f cost=%.4f miss=%.2f",
-			c.State.String(), e.describe(c.Spec), c.Benefit, c.Cost, c.MissProb)
+			c.State.String(), q.describeSpec(c.Spec), c.Benefit, c.Cost, c.MissProb)
 		if !c.Ready {
 			b.WriteString("  (estimating)")
 		}
@@ -940,16 +807,15 @@ func (e *Engine) Explain() string {
 	return b.String()
 }
 
-// DescribePlan renders the engine's current physical plan — one line per
-// pipeline with its join order, then one line per cache placement with its
-// mode, occupancy, and hit rate.
-func (e *Engine) DescribePlan() string {
-	plan := e.core.Plan()
+// describePlan renders one core engine's physical plan — DescribePlan's
+// text, and each section of a sharded engine's.
+func (q *Query) describePlan(en *core.Engine) string {
+	plan := en.Plan()
 	var b strings.Builder
 	for i, pipe := range plan.Pipelines {
-		fmt.Fprintf(&b, "Δ%s:", e.q.names[i])
+		fmt.Fprintf(&b, "Δ%s:", q.names[i])
 		for _, r := range pipe {
-			fmt.Fprintf(&b, " ⋈ %s", e.q.names[r])
+			fmt.Fprintf(&b, " ⋈ %s", q.names[r])
 		}
 		b.WriteByte('\n')
 	}
@@ -966,7 +832,7 @@ func (e *Engine) DescribePlan() string {
 			shared = ", shared"
 		}
 		fmt.Fprintf(&b, "  cache %s [%s%s]: %d entries, %.1f KB, %.0f%% hits\n",
-			e.describe(c.Spec), mode, shared, c.Entries, float64(c.Bytes)/1024, 100*c.HitRate)
+			q.describeSpec(c.Spec), mode, shared, c.Entries, float64(c.Bytes)/1024, 100*c.HitRate)
 	}
 	return b.String()
 }

@@ -792,11 +792,12 @@ func TestPartitionedRelation(t *testing.T) {
 
 // TestOptionsReachCoreConfig guards the hand-copied Options → core.Config
 // mapping: setting any exported Options field (and any TierOptions field) to
-// a non-zero value must change what coreConfig returns, so a field added or
-// kept without its mapping line fails here instead of being silently ignored.
+// a non-zero value must change the core.Config compile returns, so a field
+// added or kept without its mapping line fails here instead of being
+// silently ignored.
 func TestOptionsReachCoreConfig(t *testing.T) {
 	q := NewQuery().Relation("R", "A").Relation("S", "A").Join("R.A", "S.A")
-	base, err := Options{}.coreConfig(q)
+	_, base, err := q.compile(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -815,7 +816,7 @@ func TestOptionsReachCoreConfig(t *testing.T) {
 		}
 	}
 	check := func(name string, opts Options) {
-		cfg, err := opts.coreConfig(q)
+		_, cfg, err := q.compile(opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

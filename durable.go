@@ -11,7 +11,6 @@ import (
 	"acache/internal/core"
 	"acache/internal/fault"
 	"acache/internal/relation"
-	"acache/internal/stream"
 	"acache/internal/tier"
 	"acache/internal/tuple"
 )
@@ -406,11 +405,17 @@ func (d *durable) writeFrame(payload []byte) {
 	}
 }
 
-// logOp appends one single-tuple ingress call to the WAL. ts is meaningful
-// for walAppendAt and walAdvance only.
+// logOp appends one single-tuple ingress call to a durable engine's WAL. ts
+// is meaningful for walAppendAt and walAdvance only. It inlines into the
+// ingress paths, so a non-durable engine pays one nil check.
 func (e *Engine) logOp(kind byte, rel int, ts int64, values []int64) {
-	d := e.dur
-	if d == nil || d.replay || d.walErr != nil || d.walW == nil {
+	if e.dur != nil {
+		e.dur.logOp(kind, rel, ts, values)
+	}
+}
+
+func (d *durable) logOp(kind byte, rel int, ts int64, values []int64) {
+	if d.replay || d.walErr != nil || d.walW == nil {
 		return
 	}
 	p := d.rec[:0]
@@ -427,9 +432,8 @@ func (e *Engine) logOp(kind byte, rel int, ts int64, values []int64) {
 
 // logBatch appends an AppendBatch call: the batch must replay as one call
 // because its grouped expiry schedule differs from per-row appends.
-func (e *Engine) logBatch(rel int, rows [][]int64) {
-	d := e.dur
-	if d == nil || d.replay || d.walErr != nil || d.walW == nil {
+func (d *durable) logBatch(rel int, rows [][]int64) {
+	if d.replay || d.walErr != nil || d.walW == nil {
 		return
 	}
 	p := d.rec[:0]
@@ -566,10 +570,11 @@ func nextValidFrame(frames []byte, from int) (int, bool) {
 }
 
 // applyWALRecord validates one frame payload against the query — relation
-// range, arity, window kind, timestamp monotonicity — and re-drives it
-// through the engine's public ingress path. Validation failures and any
-// panic out of the dispatch come back as errors: replay never takes the
-// engine down.
+// range, timestamp monotonicity — and re-drives it through the engine's
+// public ingress path. Validation failures and any panic out of the dispatch
+// (a record of the wrong arity or for the wrong window kind panics in the
+// ingress before it touches a window) come back as errors: replay never takes
+// the engine down.
 func (e *Engine) applyWALRecord(p []byte) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -589,9 +594,6 @@ func (e *Engine) applyWALRecord(p []byte) (err error) {
 		rows := int(binary.LittleEndian.Uint32(p[5:]))
 		if rel < 0 || rel >= len(names) {
 			return fmt.Errorf("batch: relation %d out of range (query has %d)", rel, len(names))
-		}
-		if e.timeWins[rel] != nil {
-			return fmt.Errorf("batch: relation %q is time-windowed", names[rel])
 		}
 		arity := e.q.schemas[rel].Len()
 		if len(p) != 9+rows*arity*8 {
@@ -634,9 +636,6 @@ func (e *Engine) applyWALRecord(p []byte) (err error) {
 	if rel < 0 || rel >= len(names) {
 		return fmt.Errorf("relation %d out of range (query has %d)", rel, len(names))
 	}
-	if arity := e.q.schemas[rel].Len(); n != arity {
-		return fmt.Errorf("relation %q: %d values, arity is %d", names[rel], n, arity)
-	}
 	vals := make([]int64, n)
 	for i := range vals {
 		vals[i] = int64(binary.LittleEndian.Uint64(p[17+i*8:]))
@@ -647,14 +646,8 @@ func (e *Engine) applyWALRecord(p []byte) (err error) {
 	case walDelete:
 		e.Delete(names[rel], vals...)
 	case walAppend:
-		if e.timeWins[rel] != nil {
-			return fmt.Errorf("append: relation %q is time-windowed", names[rel])
-		}
 		e.Append(names[rel], vals...)
 	case walAppendAt:
-		if e.timeWins[rel] == nil {
-			return fmt.Errorf("append-at: relation %q is not time-windowed", names[rel])
-		}
 		if ts < e.maxClock() {
 			return fmt.Errorf("append-at: timestamp %d regresses clock %d", ts, e.maxClock())
 		}
@@ -775,18 +768,30 @@ func tupleCRC(t tuple.Tuple) uint32 {
 // time-window clock (durTime only), the live tuples in the order the window
 // operator will expire them, and their timestamps (durTime only).
 func (e *Engine) relState(i int) (kind byte, clock int64, ts []tuple.Tuple, stamps []int64) {
-	switch {
-	case e.timeWins[i] != nil:
+	switch kind = e.winKind(i); kind {
+	case durTime:
 		ts, stamps = e.timeWins[i].ContentsTimed()
-		return durTime, e.timeWins[i].Clock(), ts, stamps
-	case e.partWins[i] != nil:
-		return durPartitioned, 0, e.partWins[i].Contents(), nil
-	case e.windows[i] != nil && e.windows[i].Size() > 0:
-		return durSliding, 0, e.windows[i].Contents(), nil
-	default:
-		// Unbounded: no operator state; the store is the window.
-		return durUnbounded, 0, e.core.Exec().Store(i).All(), nil
+		return kind, e.timeWins[i].Clock(), ts, stamps
+	case durPartitioned:
+		return kind, 0, e.partWins[i].Contents(), nil
+	case durSliding:
+		return kind, 0, e.windows[i].Contents(), nil
 	}
+	// Unbounded: no operator state; the store is the window.
+	return kind, 0, e.core.Exec().Store(i).All(), nil
+}
+
+// winKind is relation i's window kind as the checkpoint records it.
+func (in *ingress) winKind(i int) byte {
+	switch {
+	case in.timeWins[i] != nil:
+		return durTime
+	case in.partWins[i] != nil:
+		return durPartitioned
+	case in.windows[i].Size() > 0:
+		return durSliding
+	}
+	return durUnbounded
 }
 
 // coldRefs maps tuple key → available (slot, idx) spill references for
@@ -992,18 +997,7 @@ func (e *Engine) restoreDur(ck *durCheckpoint) (err error) {
 		}
 	}()
 	for i, kind := range ck.kinds {
-		var want byte
-		switch {
-		case e.timeWins[i] != nil:
-			want = durTime
-		case e.partWins[i] != nil:
-			want = durPartitioned
-		case e.windows[i] != nil && e.windows[i].Size() > 0:
-			want = durSliding
-		default:
-			want = durUnbounded
-		}
-		if kind != want {
+		if want := e.winKind(i); kind != want {
 			return fmt.Errorf("acache: checkpoint relation %q window kind %d, query declares %d",
 				e.q.names[i], kind, want)
 		}
@@ -1023,13 +1017,4 @@ func (e *Engine) restoreDur(ck *durCheckpoint) (err error) {
 	}
 	e.seq = ck.seq
 	return nil
-}
-
-// durLogApply logs a processed Insert/Delete call (stream.Op granularity).
-func (e *Engine) durLogApply(op stream.Op, rel int, values []int64) {
-	kind := walInsert
-	if op == stream.Delete {
-		kind = walDelete
-	}
-	e.logOp(kind, rel, 0, values)
 }

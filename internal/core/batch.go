@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"acache/internal/cost"
 	"acache/internal/stream"
 )
@@ -17,7 +15,7 @@ import (
 // The equivalence rests on where the serial path *observes* shared state:
 //
 //   - The cost meter is read only at profiler rate-span boundaries (the
-//     Tick that rolls a span over), by stopwatches, and by the monitor /
+//     tick that rolls a span over), by stopwatches, and by the monitor /
 //     re-optimization machinery. Run lengths are capped (runLimit) so none
 //     of those observation points falls strictly inside a run; reordering
 //     charges within a run is therefore invisible.
@@ -29,10 +27,14 @@ import (
 //     non-batchable all go through processUpdate — literally the serial
 //     code path.
 //
-// Adaptivity counters advance by the run length at run end, which lands on
-// the same update indices as the serial loop because runLimit never lets a
-// run cross a monitor or re-optimization boundary: a boundary can only
-// coincide with a run's final update.
+// A run ends in the serial loop's own bookkeeping (afterUpdates), with every
+// counter advanced by the run length. The monitor and re-optimization
+// counters land on the same update indices as the serial loop because
+// runLimit never lets a run cross their boundaries: a boundary can only
+// coincide with a run's final update. The filter knob's cadence is not a
+// run boundary: it fires at the end of the run that crosses it, at most one
+// run late. That moves no result or charge, because filters are
+// charge-neutral.
 func (en *Engine) ProcessBatch(ups []stream.Update) int {
 	total := 0
 	carryProfiled := false // ups[i]'s draw already made (and true) while sizing
@@ -69,33 +71,9 @@ func (en *Engine) ProcessBatch(ups []stream.Update) int {
 		k := j - i
 		en.meter.ChargeN(cost.WindowMaint, k)
 		res := en.exec.ProcessRun(ups[i:j])
-		if !en.cfg.DisableCaching {
-			en.pf.TickN(u.Rel, k)
-		}
-		en.updates += k
-		en.outputs += uint64(res.Outputs)
+		en.afterUpdates(u.Rel, k, res.Outputs)
 		total += res.Outputs
 		i = j
-		if len(en.cfg.ForcedCaches) > 0 || en.cfg.DisableCaching || en.pausedCaching {
-			continue
-		}
-		en.sinceMonitor += k
-		if en.sinceMonitor >= en.cfg.MonitorInterval {
-			en.sinceMonitor = 0
-			tm := time.Now()
-			en.monitorUsed()
-			en.reoptNanos += time.Since(tm).Nanoseconds()
-		}
-		// runLimit returned >1, so the engine was not profiling when the run
-		// was admitted, and a run cannot start profiling mid-way: the serial
-		// branch for en.profiling is unreachable here.
-		en.sinceReopt += k
-		if en.sinceReopt >= en.cfg.ReoptInterval {
-			en.sinceReopt = 0
-			tm := time.Now()
-			en.startReopt()
-			en.reoptNanos += time.Since(tm).Nanoseconds()
-		}
 	}
 	return total
 }

@@ -495,14 +495,26 @@ func (en *Engine) processUpdate(u stream.Update, profiled bool) int {
 	} else {
 		outputs = en.exec.Process(u).Outputs
 	}
+	en.afterUpdates(u.Rel, 1, outputs)
+	return outputs
+}
+
+// afterUpdates is the bookkeeping owed after k processed updates to rel that
+// emitted outputs results: one serial update (k = 1) or one batched run
+// (ProcessBatch). The filter knob's tick comes before the forced/disabled
+// early return because filters are orthogonal to cache selection. The
+// profiling arm is reachable only at k = 1: runLimit never admits a run while
+// the engine profiles, and nothing a run's bookkeeping calls starts a phase
+// before the re-optimization check at its end.
+func (en *Engine) afterUpdates(rel, k, outputs int) {
 	if !en.cfg.DisableCaching {
-		en.pf.Tick(u.Rel)
+		en.pf.TickN(rel, k)
 	}
-	en.updates++
+	en.updates += k
 	en.outputs += uint64(outputs)
 
 	if !en.cfg.DisableFilters {
-		en.sinceFilterAdapt++
+		en.sinceFilterAdapt += k
 		if en.sinceFilterAdapt >= en.cfg.MonitorInterval {
 			en.sinceFilterAdapt = 0
 			en.adaptFilters()
@@ -510,10 +522,10 @@ func (en *Engine) processUpdate(u stream.Update, profiled bool) int {
 	}
 
 	if len(en.cfg.ForcedCaches) > 0 || en.cfg.DisableCaching || en.pausedCaching {
-		return outputs
+		return
 	}
 
-	en.sinceMonitor++
+	en.sinceMonitor += k
 	if en.sinceMonitor >= en.cfg.MonitorInterval {
 		en.sinceMonitor = 0
 		tm := time.Now()
@@ -528,16 +540,15 @@ func (en *Engine) processUpdate(u stream.Update, profiled bool) int {
 			en.finishReopt()
 			en.reoptNanos += time.Since(tm).Nanoseconds()
 		}
-		return outputs
+		return
 	}
-	en.sinceReopt++
+	en.sinceReopt += k
 	if en.sinceReopt >= en.cfg.ReoptInterval {
 		en.sinceReopt = 0
 		tm := time.Now()
 		en.startReopt()
 		en.reoptNanos += time.Since(tm).Nanoseconds()
 	}
-	return outputs
 }
 
 // Snapshot is an aggregate of the engine's headline counters. Sharded

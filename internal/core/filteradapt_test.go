@@ -78,8 +78,15 @@ func TestFilterKnobDoesNotFlap(t *testing.T) {
 // with odd keys only (every probe a miss the filter answers: it earns its
 // keep), then with even keys only (every probe a hit: pure overhead), then
 // odd again. The first evidence window after a change may straddle it; the
-// second cannot, so the store switches within two.
+// second cannot, so the store switches within two. The ProcessBatch arm feeds
+// the pairs as runs of 64 inserts then 64 deletes — the shape every shard
+// worker and AppendBatch produce — and must switch within one batch more.
 func TestFilterKnobFollowsTraffic(t *testing.T) {
+	t.Run("Process", func(t *testing.T) { checkFilterKnobFollows(t, 1) })
+	t.Run("ProcessBatch", func(t *testing.T) { checkFilterKnobFollows(t, 64) })
+}
+
+func checkFilterKnobFollows(t *testing.T, batch int64) {
 	const keys = 1_000
 	q := starOnA(t, 2)
 	en, err := NewEngine(q, nil, Config{DisableCaching: true, Seed: 1})
@@ -90,18 +97,32 @@ func TestFilterKnobFollowsTraffic(t *testing.T) {
 		en.Process(stream.Update{Op: stream.Insert, Rel: 1, Tuple: tuple.Tuple{2 * k}})
 	}
 	s := en.exec.Store(1)
+	var ups []stream.Update
 	// until feeds R0 insert+delete pairs — two probes of R1 each, no growth —
 	// with keys of the given parity until R1's knob reads want.
 	until := func(want bool, parity int64) {
 		t.Helper()
-		limit := int64(filterEvidence + en.cfg.MonitorInterval) // pairs: two windows of probes, and the cadence
-		for i := int64(0); s.FiltersEnabled() != want; i++ {
+		limit := int64(filterEvidence + en.cfg.MonitorInterval) // pairs: two windows of probes, the cadence
+		if batch > 1 {
+			limit += batch // a batch of pairs lands whole
+		}
+		for i := int64(0); s.FiltersEnabled() != want; i += batch {
 			if i > limit {
 				t.Fatalf("filters still %v after %d probe pairs of parity %d", !want, i, parity)
 			}
-			u := tuple.Tuple{2*(i%keys) + parity}
-			en.Process(stream.Update{Op: stream.Insert, Rel: 0, Tuple: u})
-			en.Process(stream.Update{Op: stream.Delete, Rel: 0, Tuple: u})
+			if batch == 1 {
+				u := tuple.Tuple{2*(i%keys) + parity}
+				en.Process(stream.Update{Op: stream.Insert, Rel: 0, Tuple: u})
+				en.Process(stream.Update{Op: stream.Delete, Rel: 0, Tuple: u})
+				continue
+			}
+			ups = ups[:0]
+			for _, op := range []stream.Op{stream.Insert, stream.Delete} {
+				for j := i; j < i+batch; j++ {
+					ups = append(ups, stream.Update{Op: op, Rel: 0, Tuple: tuple.Tuple{2*(j%keys) + parity}})
+				}
+			}
+			en.ProcessBatch(ups)
 		}
 	}
 	until(true, 1)  // misses only: on from the start, or soon

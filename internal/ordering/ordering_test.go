@@ -92,9 +92,9 @@ func buildProfiled(t *testing.T) (*Advisor, *profiler.Profiler, *join.Exec) {
 		res, prof := e.ProcessProfiled(u)
 		_ = res
 		pf.Observe(0, prof)
-		pf.Tick(0)
+		pf.TickN(0, 1)
 		e.Process(stream.Update{Op: stream.Delete, Rel: 0, Tuple: u.Tuple})
-		pf.Tick(0)
+		pf.TickN(0, 1)
 	}
 	return New(q, pf), pf, e
 }

@@ -154,28 +154,13 @@ func (pf *Profiler) SampledUpdates() uint64 { return pf.sampledUpdates }
 // Equal epochs guarantee every windowed statistic is unchanged.
 func (pf *Profiler) StatsEpoch() int64 { return pf.statsEpoch }
 
-// Tick records one update to rel for rate estimation. Call it for every
-// update, profiled or not, after processing: span boundaries read the shared
-// cost meter.
-func (pf *Profiler) Tick(rel int) {
-	pf.totalTicks++
-	pf.relTicks[rel]++
-	ps := pf.pipes[rel]
-	ps.spanN++
-	if ps.spanN >= pf.cfg.RateSpan {
-		now := cost.Seconds(pf.meter.Total())
-		ps.rate.ObserveSpan(ps.spanN, now-ps.spanT)
-		ps.spanN = 0
-		ps.spanT = now
-		pf.statsEpoch++
-	}
-}
-
-// TickN records k consecutive updates to rel at once — equivalent to k Tick
-// calls when the caller guarantees k ≤ TicksToSpan(rel), which the engine's
-// batch driver does by capping run lengths there. At most one span boundary
-// can then fire, at the end, after every charge of the run is already in the
-// meter — exactly where the serial loop's boundary Tick would observe it.
+// TickN records k consecutive updates to rel for rate estimation. Call it for
+// every update, profiled or not, after processing (k = 1), or once per
+// batched run: span boundaries read the shared cost meter, so the caller
+// guarantees k ≤ TicksToSpan(rel), which the engine's batch driver does by
+// capping run lengths there. At most one span boundary can then fire, at the
+// end, after every charge of the run is already in the meter — exactly where
+// the serial loop's boundary tick would observe it.
 func (pf *Profiler) TickN(rel, k int) {
 	pf.totalTicks += int64(k)
 	pf.relTicks[rel] += int64(k)

@@ -63,7 +63,7 @@ func drive(e *join.Exec, pf *Profiler, n int) {
 			} else {
 				e.Process(u)
 			}
-			pf.Tick(rel)
+			pf.TickN(rel, 1)
 		}
 	}
 }
@@ -133,7 +133,7 @@ func TestIdlePipelineCountsAsReady(t *testing.T) {
 		} else {
 			e.Process(u)
 		}
-		pf.Tick(rel)
+		pf.TickN(rel, 1)
 	}
 	if !pf.PipelineReady(1) {
 		t.Fatal("idle pipeline must be treated as ready (negligible traffic share)")
@@ -151,7 +151,7 @@ func TestShadowMissProbConvergesForCyclicKeys(t *testing.T) {
 	gen := synth.Counter(0, 10, 1)
 	for i := 0; i < 4000; i++ {
 		e.Process(stream.Update{Op: stream.Insert, Rel: 0, Tuple: tuple.Tuple{gen.Next()}})
-		pf.Tick(0)
+		pf.TickN(0, 1)
 	}
 	miss, ok := pf.ShadowMissProb(spec)
 	if !ok {

@@ -7,7 +7,6 @@ import (
 
 	"acache/internal/fault"
 	"acache/internal/shard"
-	"acache/internal/stream"
 )
 
 // AdmissionPolicy selects what a sharded engine does when a shard's mailbox
@@ -108,7 +107,7 @@ const ladderCheckEvery = 256
 
 // ladderState is the degradation ladder: level 0 runs normally, level 1
 // pauses adaptive caching on every shard, level 2 additionally sheds window
-// input with probability shedProb. Ingress-owned.
+// input with probability shedProb. Only the ingress goroutine touches it.
 type ladderState struct {
 	on         bool
 	high, low  float64
@@ -174,14 +173,18 @@ func (e *ShardedEngine) tickLadder() {
 	}
 }
 
-// shedIngress decides whether a tuple appended to relation idx is dropped by
-// the rung-2 ladder before it enters its window (so no expiry delete is ever
-// generated for it). Counted per relation for Stats.
-func (e *ShardedEngine) shedIngress(idx int) bool {
+// shedIngress decides whether a row appended to relation idx — through
+// AppendAt when timed — is dropped by the rung-2 ladder before it enters its
+// window (so no expiry delete is ever generated for it). Counted per relation
+// for Stats. The row is validated before the draw, so a malformed call panics
+// at every rung.
+func (e *ShardedEngine) shedIngress(idx int, values []int64, timed bool) bool {
 	l := &e.ladder
 	if l.level < 2 {
 		return false
 	}
+	e.q.checkArity(idx, values)
+	e.checkKind(idx, timed)
 	if l.rng.Float64() >= l.shedProb {
 		return false
 	}
@@ -206,38 +209,12 @@ func (e *ShardedEngine) FlushContext(ctx context.Context) error {
 	return e.sh.FlushContext(ctx)
 }
 
-// routeCtx is route bounded by ctx: if admission blocks past the deadline
-// the blocked batch is shed (accounted in Stats) and ctx's error returned.
-func (e *ShardedEngine) routeCtx(ctx context.Context, u stream.Update) error {
-	e.seq++
-	u.Seq = e.seq
-	err := e.sh.OfferContext(ctx, u)
-	if e.server != nil {
-		e.server.tick()
-	}
-	e.tickLadder()
-	return err
-}
-
 // AppendContext is Append bounded by ctx. The window is advanced regardless
 // — every generated update is disposed (admitted or shed, never lost) — so
 // on error the result stream is still a well-defined subset; the error only
 // reports that shedding occurred because of the deadline.
 func (e *ShardedEngine) AppendContext(ctx context.Context, rel string, values ...int64) error {
-	idx := e.q.relIndex(rel)
-	e.q.checkArity(idx, values)
-	if e.shedIngress(idx) {
-		return nil
-	}
-	ups := e.windowAppend(idx, values, rel)
-	var first error
-	for _, u := range ups {
-		u.Rel = idx
-		if err := e.routeCtx(ctx, u); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return e.route(ctx, e.appendRow(e.q.relIndex(rel), values))
 }
 
 // TryAppend is a non-blocking Append: it returns false — without touching

@@ -155,6 +155,50 @@ func TestDegradationLadder(t *testing.T) {
 	}
 }
 
+// TestLadderSheddingValidatesInput: rung 2 drops well-formed rows, but a
+// malformed call — wrong arity, or the wrong entry point for the relation's
+// window kind — panics before the shed draw, exactly as at rung 0.
+func TestLadderSheddingValidatesInput(t *testing.T) {
+	eng, err := conformanceQuery().BuildSharded(Options{Seed: 5}, ShardOptions{
+		Shards:     2,
+		Resilience: ResilienceOptions{DegradeHighWater: 0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	eng.ladder.level, eng.ladder.shedProb = 2, 1 // every draw sheds
+	for name, call := range map[string]func(){
+		"Append wrong arity":          func() { eng.Append("C", 1) },
+		"Append time-windowed":        func() { eng.Append("T", 1) },
+		"AppendContext wrong arity":   func() { eng.AppendContext(context.Background(), "P", 1, 2, 3) },
+		"AppendBatch wrong arity":     func() { eng.AppendBatch("C", [][]int64{{3}, {1, 2}}) },
+		"AppendBatch time-windowed":   func() { eng.AppendBatch("T", [][]int64{{1}}) },
+		"AppendAt wrong arity":        func() { eng.AppendAt("T", 3, 1, 2) },
+		"AppendAt count-windowed":     func() { eng.AppendAt("C", 3, 1, 2) },
+		"AppendBatch empty, timed":    func() { eng.AppendBatch("T", nil) },
+		"AppendAt unbounded relation": func() { eng.AppendAt("U", 3, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s at rung 2: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+	if n := eng.ladder.shedTotal; n != 0 {
+		t.Errorf("malformed calls reached the shed draw %d times", n)
+	}
+	eng.Append("C", 1, 2)
+	eng.AppendBatch("P", [][]int64{{1, 2}, {3, 4}})
+	eng.AppendAt("T", 7, 1)
+	if n := eng.ladder.shedTotal; n != 4 {
+		t.Errorf("rung 2 shed %d well-formed rows, want 4", n)
+	}
+}
+
 // TestTryAppendAndAppendContext exercises the non-blocking and
 // deadline-bounded ingress paths against a stalled shard.
 func TestTryAppendAndAppendContext(t *testing.T) {

@@ -25,8 +25,7 @@ import (
 // contract — the server quiesces them (Flush) before reading their demand.
 type Server struct {
 	mgr     *memory.Manager
-	engines map[string]*Engine
-	sharded map[string]*ShardedEngine
+	queries map[string]hosted // by registered name
 	order   []string
 	// RebalanceEvery is how many processed updates pass between automatic
 	// rebalances (0 disables automatic rebalancing; call Rebalance
@@ -50,10 +49,49 @@ type Server struct {
 	// bytes another query's request already carries.
 	crossGroups map[string]pooledGroup
 	topUps      map[string]int
-	// Append's fan-out scratch, reused per call.
-	feedEngines []*Engine
+	// fanOut's scratch, reused per call.
+	feedQueries []hosted
 	feedUps     [][]stream.Update
 }
+
+// hosted is a registered query's engine, serial or sharded, as the server
+// drives it. Both share one ingress (front). What differs is where updates go
+// (feed) and how memory and health are read and granted: a sharded engine
+// quiesces its shards first and splits grants evenly across them.
+type hosted interface {
+	front() *ingress
+	// appendRow is the ingress's, behind a sharded engine's ladder.
+	appendRow(rel int, values []int64) []stream.Update
+	// feed processes (serial) or routes (sharded) an ingress slice and
+	// returns the join-result updates it emitted (0 when asynchronous).
+	feed(ups []stream.Update) int
+	shards() int
+	// memoryDemandDetail returns the per-group demand detail and filter
+	// footprint (quiescing a sharded engine's shards). The slice aliases
+	// engine scratch: it is valid until the engine's next call.
+	memoryDemandDetail() ([]core.GroupDemand, int)
+	applyGrant(bytes int)
+	budgetBytes() int
+	Stats() Stats
+	health() []ShardHealth
+	// release detaches a deregistered engine: a serial one from its shared
+	// window stores, a sharded one by stopping its shards.
+	release()
+}
+
+func (e *Engine) shards() int { return 1 }
+
+func (e *Engine) memoryDemandDetail() ([]core.GroupDemand, int) {
+	return e.core.MemoryDemandDetail()
+}
+
+func (e *Engine) applyGrant(bytes int) { e.core.SetMemoryBudget(bytes) }
+
+func (e *Engine) budgetBytes() int { return e.core.MemoryBudgetBytes() }
+
+func (e *Engine) health() []ShardHealth { return nil }
+
+func (e *Engine) release() { e.core.Exec().ReleaseSharedStores() }
 
 // sharedStoreEntry is one refcounted shared window store: the queries in
 // sharers feed it in lockstep through the replay protocol (relation.Store's
@@ -85,10 +123,12 @@ func NewServer(memoryBudget int) *Server {
 	}
 	return &Server{
 		mgr:            memory.NewManager(memoryBudget),
-		engines:        make(map[string]*Engine),
-		sharded:        make(map[string]*ShardedEngine),
+		queries:        make(map[string]hosted),
 		shares:         make(map[string]*sharedStoreEntry),
 		attached:       make(map[string][]*sharedStoreEntry),
+		grants:         make(map[string]int),
+		crossGroups:    make(map[string]pooledGroup),
+		topUps:         make(map[string]int),
 		RebalanceEvery: 10_000,
 	}
 }
@@ -109,14 +149,9 @@ func NewServer(memoryBudget int) *Server {
 // registered queries. Engines with AdaptOrdering never share stores (a
 // reordering could change a store's index set mid-stream, changing tariffs).
 func (s *Server) Register(name string, q *Query, opts Options) (*Engine, error) {
-	if s.registered(name) {
-		return nil, fmt.Errorf("acache: query %q already registered", name)
+	if err := s.prepare(name, q, &opts, 1); err != nil {
+		return nil, err
 	}
-	if s.mgr.Budget() >= 0 {
-		// Start minimal; Rebalance grants real budgets by priority.
-		opts.MemoryBudget = memory.PageBytes
-	}
-	opts.relTokens = q.allRelTokens()
 	var handed []providerGrant
 	if !opts.AdaptOrdering {
 		opts.storeProvider = s.shareProvider(q, opts, &handed)
@@ -134,15 +169,35 @@ func (s *Server) Register(name string, q *Query, opts Options) (*Engine, error) 
 		}
 		return nil, err
 	}
-	eng.server = s
-	s.engines[name] = eng
 	for _, g := range handed {
 		g.ent.sharers = append(g.ent.sharers, name)
 		s.attached[name] = append(s.attached[name], g.ent)
 	}
+	s.host(name, eng)
+	return eng, nil
+}
+
+// prepare checks that name is free and readies opts for a hosted build: a
+// minimal start budget of a page per shard (Rebalance grants real budgets by
+// priority) and the relation tokens that give cache specs their cross-query
+// identity for pooled demand accounting.
+func (s *Server) prepare(name string, q *Query, opts *Options, shards int) error {
+	if _, dup := s.queries[name]; dup {
+		return fmt.Errorf("acache: query %q already registered", name)
+	}
+	if s.mgr.Budget() >= 0 {
+		opts.MemoryBudget = memory.PageBytes * max(shards, 1)
+	}
+	opts.relTokens = q.allRelTokens()
+	return nil
+}
+
+// host adds a built engine to the registry and rebalances.
+func (s *Server) host(name string, h hosted) {
+	h.front().server = s
+	s.queries[name] = h
 	s.order = append(s.order, name)
 	s.Rebalance()
-	return eng, nil
 }
 
 // providerGrant records one store the share provider handed to a building
@@ -178,41 +233,23 @@ func (s *Server) shareProvider(q *Query, opts Options, handed *[]providerGrant) 
 	}
 }
 
-func (s *Server) registered(name string) bool {
-	_, e := s.engines[name]
-	_, sh := s.sharded[name]
-	return e || sh
-}
-
 // RegisterSharded builds the query as a hash-partitioned sharded engine and
 // adds it under the given name. The server treats the whole sharded engine
 // as one query for budgeting: Rebalance grants it one budget, which the
 // engine divides evenly across its shards.
 func (s *Server) RegisterSharded(name string, q *Query, opts Options, sopts ShardOptions) (*ShardedEngine, error) {
-	if s.registered(name) {
-		return nil, fmt.Errorf("acache: query %q already registered", name)
-	}
-	if s.mgr.Budget() >= 0 {
-		// Start minimal (one page per shard); Rebalance grants real budgets.
-		shards := sopts.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		opts.MemoryBudget = memory.PageBytes * shards
-	}
 	// Sharded engines never share stores physically (shards run on worker
 	// goroutines; lockstep across engines is impossible), but their caches
 	// participate in pooled demand accounting per shard — BuildSharded
 	// suffixes each shard's tokens with its slice of the partition plan.
-	opts.relTokens = q.allRelTokens()
+	if err := s.prepare(name, q, &opts, sopts.Shards); err != nil {
+		return nil, err
+	}
 	eng, err := q.BuildSharded(opts, sopts)
 	if err != nil {
 		return nil, err
 	}
-	eng.server = s
-	s.sharded[name] = eng
-	s.order = append(s.order, name)
-	s.Rebalance()
+	s.host(name, eng)
 	return eng, nil
 }
 
@@ -227,17 +264,12 @@ func (s *Server) RegisterSharded(name string, q *Query, opts Options, sopts Shar
 // rebalance cadence. One that was attached to shared window stores must not
 // be fed afterwards — its replay cursor is gone.
 func (s *Server) Deregister(name string) {
-	if !s.registered(name) {
+	h, ok := s.queries[name]
+	if !ok {
 		return
 	}
-	if eng, ok := s.sharded[name]; ok {
-		eng.Close()
-		eng.server = nil
-	}
-	if eng, ok := s.engines[name]; ok {
-		eng.core.Exec().ReleaseSharedStores()
-		eng.server = nil
-	}
+	h.release()
+	h.front().server = nil
 	for _, ent := range s.attached[name] {
 		for i, n := range ent.sharers {
 			if n == name {
@@ -250,8 +282,7 @@ func (s *Server) Deregister(name string) {
 		}
 	}
 	delete(s.attached, name)
-	delete(s.engines, name)
-	delete(s.sharded, name)
+	delete(s.queries, name)
 	for i, n := range s.order {
 		if n == name {
 			s.order = append(s.order[:i:i], s.order[i+1:]...)
@@ -263,10 +294,16 @@ func (s *Server) Deregister(name string) {
 
 // Engine returns the named query's serial engine, or nil (sharded queries
 // are reached through Sharded).
-func (s *Server) Engine(name string) *Engine { return s.engines[name] }
+func (s *Server) Engine(name string) *Engine {
+	e, _ := s.queries[name].(*Engine)
+	return e
+}
 
 // Sharded returns the named query's sharded engine, or nil.
-func (s *Server) Sharded(name string) *ShardedEngine { return s.sharded[name] }
+func (s *Server) Sharded(name string) *ShardedEngine {
+	e, _ := s.queries[name].(*ShardedEngine)
+	return e
+}
 
 // Queries returns the registered query names in registration order.
 func (s *Server) Queries() []string {
@@ -293,22 +330,15 @@ func (s *Server) Rebalance() {
 	s.sinceRebalance = 0
 	if s.mgr.Budget() < 0 {
 		for _, name := range s.order {
-			if eng, ok := s.engines[name]; ok {
-				eng.core.SetMemoryBudget(-1)
-				continue
-			}
-			s.sharded[name].applyGrant(-1)
+			s.queries[name].applyGrant(-1)
 		}
 		return
 	}
 	s.poolGroups()
-	if s.topUps == nil {
-		s.topUps = make(map[string]int, len(s.order))
-	}
 	clear(s.topUps)
 	s.reqs = s.reqs[:0]
 	for _, name := range s.order {
-		groups, filterBytes := s.demandDetailOf(name)
+		groups, filterBytes := s.queries[name].memoryDemandDetail()
 		bytes := filterBytes - s.dupSharedFilterBytes(name)
 		net := 0.0
 		for _, g := range groups {
@@ -325,21 +355,12 @@ func (s *Server) Rebalance() {
 				s.topUps[name] += g.Bytes
 			}
 		}
-		floor := memory.PageBytes
-		if eng, ok := s.sharded[name]; ok {
-			floor *= eng.NumShards()
-		}
-		if bytes < floor {
-			bytes = floor
-		}
+		bytes = max(bytes, memory.PageBytes*s.queries[name].shards())
 		s.reqs = append(s.reqs, memory.Request{
 			ID:       name,
 			Priority: net / float64(bytes),
 			Bytes:    bytes,
 		})
-	}
-	if s.grants == nil {
-		s.grants = make(map[string]int, len(s.order))
 	}
 	s.mgr.AllocateInto(s.grants, s.reqs)
 	for _, name := range s.order {
@@ -347,16 +368,12 @@ func (s *Server) Rebalance() {
 		if grant >= 0 {
 			grant += s.topUps[name]
 		}
-		if eng, ok := s.engines[name]; ok {
-			eng.core.SetMemoryBudget(grant)
-			continue
-		}
-		// A sharded engine receives one grant and splits it evenly across
-		// its shards; each shard re-divides its slice among its caches by
-		// the Section 5 priority rule, so the hierarchy is server → query →
-		// shard → cache. A degraded engine defers the grant until its
-		// ladder steps back down (see ShardedEngine.applyGrant).
-		s.sharded[name].applyGrant(grant)
+		// A sharded engine splits its grant evenly across its shards; each
+		// shard re-divides its slice among its caches by the Section 5
+		// priority rule, so the hierarchy is server → query → shard → cache.
+		// A degraded engine defers the grant until its ladder steps back
+		// down (see ShardedEngine.applyGrant).
+		s.queries[name].applyGrant(grant)
 	}
 }
 
@@ -364,12 +381,9 @@ func (s *Server) Rebalance() {
 // registered query's current demand detail, in registration order (the first
 // registrant using a group becomes its carrier).
 func (s *Server) poolGroups() {
-	if s.crossGroups == nil {
-		s.crossGroups = make(map[string]pooledGroup)
-	}
 	clear(s.crossGroups)
 	for _, name := range s.order {
-		groups, _ := s.demandDetailOf(name)
+		groups, _ := s.queries[name].memoryDemandDetail()
 		for _, g := range groups {
 			if g.CrossID == "" {
 				continue
@@ -387,16 +401,6 @@ func (s *Server) poolGroups() {
 			s.crossGroups[g.CrossID] = pool
 		}
 	}
-}
-
-// demandDetailOf returns the named query's per-group demand detail and
-// filter footprint. The returned slice aliases engine scratch: it is valid
-// until the engine's next MemoryDemandDetail call.
-func (s *Server) demandDetailOf(name string) ([]core.GroupDemand, int) {
-	if eng, ok := s.engines[name]; ok {
-		return eng.core.MemoryDemandDetail()
-	}
-	return s.sharded[name].memoryDemandDetail() // quiesces the shards
 }
 
 // dupSharedFilterBytes is the filter memory resident in shared window stores
@@ -427,22 +431,7 @@ func (s *Server) SetBudget(bytes int) {
 func (s *Server) Budgets() map[string]int {
 	out := make(map[string]int, len(s.order))
 	for _, name := range s.order {
-		if eng, ok := s.engines[name]; ok {
-			out[name] = eng.core.MemoryBudgetBytes()
-			continue
-		}
-		eng := s.sharded[name]
-		eng.Flush()
-		total := 0
-		for i := 0; i < eng.NumShards(); i++ {
-			b := eng.sh.Shard(i).MemoryBudgetBytes()
-			if b < 0 {
-				total = -1
-				break
-			}
-			total += b
-		}
-		out[name] = total
+		out[name] = s.queries[name].budgetBytes()
 	}
 	return out
 }
@@ -456,12 +445,7 @@ func (s *Server) Stats() map[string]Stats {
 	s.poolGroups()
 	out := make(map[string]Stats, len(s.order))
 	for _, name := range s.order {
-		var st Stats
-		if eng, ok := s.engines[name]; ok {
-			st = eng.Stats()
-		} else {
-			st = s.sharded[name].Stats()
-		}
+		st := s.queries[name].Stats()
 		for _, ent := range s.attached[name] {
 			if n := len(ent.sharers); n > st.SharerCount {
 				st.SharerCount = n
@@ -470,7 +454,7 @@ func (s *Server) Stats() map[string]Stats {
 				st.SharedBytesSaved += ent.store.MemoryBytes() + ent.store.FilterBytes()
 			}
 		}
-		groups, _ := s.demandDetailOf(name)
+		groups, _ := s.queries[name].memoryDemandDetail()
 		for _, g := range groups {
 			if g.CrossID != "" && s.crossGroups[g.CrossID].users >= 2 {
 				st.SharedCaches++
@@ -485,10 +469,10 @@ func (s *Server) Stats() map[string]Stats {
 // by query name (serial engines have no shards and are omitted), iterating
 // queries in registration order. Safe to call while engines are running.
 func (s *Server) Health() map[string][]ShardHealth {
-	out := make(map[string][]ShardHealth, len(s.sharded))
+	out := make(map[string][]ShardHealth)
 	for _, name := range s.order {
-		if eng, ok := s.sharded[name]; ok {
-			out[name] = eng.Health()
+		if h := s.queries[name].health(); h != nil {
+			out[name] = h
 		}
 	}
 	return out
@@ -497,87 +481,55 @@ func (s *Server) Health() map[string][]ShardHealth {
 // Append pushes one tuple of the named count-windowed stream into every
 // registered query that declares a relation by that name, and returns the
 // total join-result updates emitted across them. The resulting window
-// updates are interleaved per update index — every engine processes the
-// expiry delete before any engine processes the insert — which is the
-// lockstep order queries sharing the stream's window store require (driving
-// the engines' own Append methods one after the other would let the first
-// sharer run a full delete+insert ahead, which the shared store rejects).
-// Queries not sharing anything are fed identically; for them the order is
-// merely deterministic. Sharded engines route their updates asynchronously,
-// as their own Append does.
-func (s *Server) Append(stream string, values ...int64) int {
-	s.feedEngines = s.feedEngines[:0]
-	s.feedUps = s.feedUps[:0]
-	maxUps := 0
-	for _, name := range s.order {
-		if sh, ok := s.sharded[name]; ok {
-			if _, declared := sh.q.indexOf[stream]; declared {
-				sh.Append(stream, values...)
-			}
-			continue
-		}
-		eng := s.engines[name]
-		idx, declared := eng.q.indexOf[stream]
-		if !declared {
-			continue
-		}
-		ups := eng.windowUpdates(idx, values)
-		s.feedEngines = append(s.feedEngines, eng)
-		s.feedUps = append(s.feedUps, ups)
-		if len(ups) > maxUps {
-			maxUps = len(ups)
-		}
-	}
-	total := 0
-	for k := 0; k < maxUps; k++ {
-		for i, eng := range s.feedEngines {
-			if ups := s.feedUps[i]; k < len(ups) {
-				u := ups[k]
-				eng.seq++
-				u.Seq = eng.seq
-				total += eng.processOne(u)
-			}
-		}
-	}
-	return total
+// updates are interleaved per update index (see fanOut) — the lockstep order
+// queries sharing the stream's window store require: driving the engines'
+// own Append methods one after the other would let the first sharer run a
+// full delete+insert ahead, which the shared store rejects. Queries not
+// sharing anything are fed identically; for them the order is merely
+// deterministic. Sharded engines route their updates asynchronously, as
+// their own Append does.
+func (s *Server) Append(name string, values ...int64) int {
+	return s.fanOut(name, func(h hosted, rel int) []stream.Update { return h.appendRow(rel, values) })
 }
 
 // Insert processes an insertion into the named stream in every registered
 // query declaring it, in registration order, and returns the total
 // join-result updates emitted. One call is one update, so sharers stay in
 // lockstep by construction.
-func (s *Server) Insert(stream string, values ...int64) int {
-	return s.applyAll(true, stream, values)
+func (s *Server) Insert(name string, values ...int64) int {
+	return s.fanOut(name, func(h hosted, rel int) []stream.Update { return h.front().update(stream.Insert, rel, values) })
 }
 
 // Delete processes a deletion from the named stream in every registered
 // query declaring it, in registration order, and returns the total
 // join-result updates emitted.
-func (s *Server) Delete(stream string, values ...int64) int {
-	return s.applyAll(false, stream, values)
+func (s *Server) Delete(name string, values ...int64) int {
+	return s.fanOut(name, func(h hosted, rel int) []stream.Update { return h.front().update(stream.Delete, rel, values) })
 }
 
-func (s *Server) applyAll(insert bool, stream string, values []int64) int {
+// fanOut turns one call on the named stream into updates for every registered
+// query declaring it — updates(h, rel) — and feeds them interleaved per
+// update index: every engine takes update k before any engine takes k+1,
+// engines in registration order. It returns the join-result updates emitted.
+func (s *Server) fanOut(name string, updates func(h hosted, rel int) []stream.Update) int {
+	s.feedQueries = s.feedQueries[:0]
+	s.feedUps = s.feedUps[:0]
+	maxUps := 0
+	for _, q := range s.order {
+		h := s.queries[q]
+		if rel, declared := h.front().q.indexOf[name]; declared {
+			ups := updates(h, rel)
+			s.feedQueries = append(s.feedQueries, h)
+			s.feedUps = append(s.feedUps, ups)
+			maxUps = max(maxUps, len(ups))
+		}
+	}
 	total := 0
-	for _, name := range s.order {
-		if sh, ok := s.sharded[name]; ok {
-			if _, declared := sh.q.indexOf[stream]; declared {
-				if insert {
-					sh.Insert(stream, values...)
-				} else {
-					sh.Delete(stream, values...)
-				}
+	for k := 0; k < maxUps; k++ {
+		for i, h := range s.feedQueries {
+			if ups := s.feedUps[i]; k < len(ups) {
+				total += h.feed(ups[k : k+1])
 			}
-			continue
-		}
-		eng := s.engines[name]
-		if _, declared := eng.q.indexOf[stream]; !declared {
-			continue
-		}
-		if insert {
-			total += eng.Insert(stream, values...)
-		} else {
-			total += eng.Delete(stream, values...)
 		}
 	}
 	return total

@@ -1,16 +1,15 @@
 package acache
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"sort"
 	"strings"
 
 	"acache/internal/core"
-	"acache/internal/query"
 	"acache/internal/shard"
 	"acache/internal/stream"
-	"acache/internal/tuple"
 )
 
 // ShardOptions tune hash-partitioned parallel execution.
@@ -48,21 +47,13 @@ type ShardOptions struct {
 // interleaving is unspecified. OnResult callbacks preserve per-shard
 // emission order and interleave arbitrarily across shards.
 type ShardedEngine struct {
-	q    *Query
+	ingress
 	plan shard.Plan
 	sh   *shard.Engine
-
-	windows  []*stream.SlidingWindow
-	timeWins []*stream.TimeWindow
-	partWins []*stream.PartitionedWindow
-	clone    []cloner
-	upsBuf   []stream.Update // Append's window-update scratch, reused per call
-	tsBuf    []tuple.Tuple   // AppendBatch's cloned-row scratch, reused per call
-	seq      uint64
-	server   *Server // non-nil when hosted by a Server
+	kept [][]int64 // AppendBatch's rows the rung-2 ladder did not shed, reused per call
 
 	// Resilience layer (resilience.go). resOn mirrors the shard engine's
-	// mode; the ladder and deferred grant are ingress-owned.
+	// mode; only the ingress goroutine touches the ladder and deferred grant.
 	resOn         bool
 	ladder        ladderState
 	deferredGrant int
@@ -73,14 +64,7 @@ type ShardedEngine struct {
 // memory budget in opts is the whole engine's budget; each shard receives an
 // equal slice.
 func (q *Query) BuildSharded(opts Options, sopts ShardOptions) (*ShardedEngine, error) {
-	if q.err != nil {
-		return nil, q.err
-	}
-	iq, err := query.NewWithThetas(q.schemas, q.preds, q.thetas)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := opts.coreConfig(q)
+	iq, cfg, err := q.compile(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -131,10 +115,13 @@ func (q *Query) BuildSharded(opts Options, sopts ShardOptions) (*ShardedEngine, 
 	if err != nil {
 		return nil, err
 	}
-	e := &ShardedEngine{q: q, plan: plan, sh: sh, resOn: r.enabled()}
-	e.ladder = newLadder(r, len(q.names), cfg.Seed)
-	e.windows, e.timeWins, e.partWins, e.clone = q.buildWindows()
-	return e, nil
+	return &ShardedEngine{
+		ingress: newIngress(q),
+		plan:    plan,
+		sh:      sh,
+		resOn:   r.enabled(),
+		ladder:  newLadder(r, len(q.names), cfg.Seed),
+	}, nil
 }
 
 // NumShards returns the number of worker shards the planner settled on.
@@ -162,32 +149,39 @@ func (e *ShardedEngine) Partitioning() string {
 	return s
 }
 
-// route stamps the global sequence number and hands the update to its
-// shard(s).
-func (e *ShardedEngine) route(u stream.Update) {
-	e.seq++
-	u.Seq = e.seq
-	e.sh.Offer(u)
-	if e.server != nil {
-		e.server.tick()
+// route hands an ingress slice to the shard engine update by update, bounded
+// by ctx: if admission blocks past the deadline the blocked batch is shed
+// (accounted in Stats) and ctx's first error returned.
+func (e *ShardedEngine) route(ctx context.Context, ups []stream.Update) error {
+	var first error
+	for _, u := range ups {
+		if err := e.sh.OfferContext(ctx, u); err != nil && first == nil {
+			first = err
+		}
+		if e.server != nil {
+			e.server.tick()
+		}
+		e.tickLadder()
 	}
-	e.tickLadder()
+	return first
+}
+
+// feed routes an ingress slice without a deadline. Processing is
+// asynchronous, so it reports no results.
+func (e *ShardedEngine) feed(ups []stream.Update) int {
+	e.route(context.Background(), ups)
+	return 0
 }
 
 // Insert routes an insertion into the named relation. Processing is
 // asynchronous; use Flush to wait for completion.
 func (e *ShardedEngine) Insert(rel string, values ...int64) {
-	e.applySharded(stream.Insert, e.q.relIndex(rel), values)
+	e.feed(e.update(stream.Insert, e.q.relIndex(rel), values))
 }
 
 // Delete routes a deletion from the named relation.
 func (e *ShardedEngine) Delete(rel string, values ...int64) {
-	e.applySharded(stream.Delete, e.q.relIndex(rel), values)
-}
-
-func (e *ShardedEngine) applySharded(op stream.Op, rel int, values []int64) {
-	e.q.checkArity(rel, values)
-	e.route(stream.Update{Op: op, Rel: rel, Tuple: tuple.Tuple(values)})
+	e.feed(e.update(stream.Delete, e.q.relIndex(rel), values))
 }
 
 // Append pushes one tuple of a count-windowed relation's append-only stream,
@@ -195,34 +189,17 @@ func (e *ShardedEngine) applySharded(op stream.Op, rel int, values []int64) {
 // The window operators live at the ingress, so window semantics are global —
 // identical to the serial engine — regardless of how tuples are partitioned.
 func (e *ShardedEngine) Append(rel string, values ...int64) {
-	idx := e.q.relIndex(rel)
-	e.q.checkArity(idx, values)
-	if e.shedIngress(idx) {
-		return
-	}
-	for _, u := range e.windowAppend(idx, values, rel) {
-		u.Rel = idx
-		e.route(u)
-	}
+	e.AppendContext(context.Background(), rel, values...)
 }
 
-// windowAppend runs the count-window operators for one appended tuple and
-// returns the updates to route: the expiry delete (if the window was full)
-// followed by the insert. The returned slice is the engine's scratch, reused
-// by the next windowAppend or AppendBatch call — route copies each update
-// into its shard's mailbox by value, so nothing holds it once routed.
-func (e *ShardedEngine) windowAppend(idx int, values []int64, rel string) []stream.Update {
-	var ups []stream.Update
-	switch {
-	case e.partWins[idx] != nil:
-		ups = e.partWins[idx].AppendInto(e.clone[idx].clone(values), e.upsBuf[:0])
-	case e.windows[idx] != nil:
-		ups = e.windows[idx].AppendInto(e.clone[idx].clone(values), e.upsBuf[:0])
-	default:
-		panic(fmt.Sprintf("acache: relation %q is time-windowed; use AppendAt", rel))
+// appendRow is the ingress's appendRow behind the degradation ladder: a
+// tuple the rung-2 ladder sheds never reaches its window, so no expiry delete
+// is ever generated for it.
+func (e *ShardedEngine) appendRow(rel int, values []int64) []stream.Update {
+	if e.shedIngress(rel, values, false) {
+		return nil
 	}
-	e.upsBuf = ups[:0]
-	return ups
+	return e.ingress.appendRow(rel, values)
 }
 
 // AppendBatch pushes a batch of tuples of a count-windowed relation's
@@ -232,32 +209,16 @@ func (e *ShardedEngine) windowAppend(idx int, values []int64, rel string) []stre
 // produces are what each shard's vectorized batch path digests fastest.
 func (e *ShardedEngine) AppendBatch(rel string, rows [][]int64) {
 	idx := e.q.relIndex(rel)
-	ts := e.tsBuf[:0]
-	for _, r := range rows {
-		e.q.checkArity(idx, r)
-		if e.shedIngress(idx) {
-			continue
+	if e.ladder.level >= 2 {
+		kept := e.kept[:0]
+		for _, r := range rows {
+			if !e.shedIngress(idx, r, false) {
+				kept = append(kept, r)
+			}
 		}
-		ts = append(ts, e.clone[idx].clone(r))
+		e.kept, rows = kept, kept
 	}
-	e.tsBuf = ts
-	if len(ts) == 0 {
-		return
-	}
-	var ups []stream.Update
-	switch {
-	case e.partWins[idx] != nil:
-		ups = e.partWins[idx].AppendBatchInto(ts, e.upsBuf[:0])
-	case e.windows[idx] != nil:
-		ups = e.windows[idx].AppendBatchInto(ts, e.upsBuf[:0])
-	default:
-		panic(fmt.Sprintf("acache: relation %q is time-windowed; use AppendAt", rel))
-	}
-	for _, u := range ups {
-		u.Rel = idx
-		e.route(u)
-	}
-	e.upsBuf = ups[:0]
+	e.feed(e.appendRows(idx, rows))
 }
 
 // AppendAt pushes one tuple of a time-windowed relation's stream at
@@ -265,32 +226,17 @@ func (e *ShardedEngine) AppendBatch(rel string, rows [][]int64) {
 // Timestamps must be non-decreasing across the engine.
 func (e *ShardedEngine) AppendAt(rel string, ts int64, values ...int64) {
 	idx := e.q.relIndex(rel)
-	if e.timeWins[idx] == nil {
-		panic(fmt.Sprintf("acache: relation %q is not time-windowed; use Append or Insert", rel))
-	}
-	e.q.checkArity(idx, values)
-	e.AdvanceTime(ts)
-	if e.shedIngress(idx) {
+	if e.shedIngress(idx, values, true) {
+		e.AdvanceTime(ts) // time passes for a shed tuple too
 		return
 	}
-	for _, u := range e.timeWins[idx].Append(e.clone[idx].clone(values), ts) {
-		u.Rel = idx
-		e.route(u)
-	}
+	e.feed(e.appendAt(idx, ts, values))
 }
 
 // AdvanceTime moves the global clock to ts without inserting anything,
 // routing every time window's expiry deletes.
 func (e *ShardedEngine) AdvanceTime(ts int64) {
-	for idx, w := range e.timeWins {
-		if w == nil {
-			continue
-		}
-		for _, u := range w.AdvanceTo(ts) {
-			u.Rel = idx
-			e.route(u)
-		}
-	}
+	e.feed(e.advance(ts))
 }
 
 // Flush blocks until every routed update has been processed by its shard —
@@ -323,8 +269,8 @@ func (e *ShardedEngine) Stats() Stats {
 	s.Updates = e.seq
 	counts := make(map[string]int)
 	for i := 0; i < e.sh.NumShards(); i++ {
-		for _, spec := range e.sh.Shard(i).UsedCaches() {
-			counts[e.q.describeSpec(spec)]++
+		for _, desc := range e.q.usedCaches(e.sh.Shard(i)) {
+			counts[desc]++
 		}
 	}
 	for desc, k := range counts {
@@ -388,10 +334,7 @@ func (e *ShardedEngine) ShardStats() []Stats {
 			s.Shedded = health[i].Shed
 			s.QueueDepth = health[i].Pending
 		}
-		for _, spec := range e.sh.Shard(i).UsedCaches() {
-			s.UsedCaches = append(s.UsedCaches, e.q.describeSpec(spec))
-		}
-		sort.Strings(s.UsedCaches)
+		s.UsedCaches = e.q.usedCaches(e.sh.Shard(i))
 		out[i] = s
 	}
 	return out
@@ -399,53 +342,22 @@ func (e *ShardedEngine) ShardStats() []Stats {
 
 // Explain flushes and renders every shard's adaptive-optimizer view, one
 // section per shard.
-func (e *ShardedEngine) Explain() string {
-	e.Flush()
-	var b strings.Builder
-	for i := 0; i < e.sh.NumShards(); i++ {
-		fmt.Fprintf(&b, "— shard %d —\n", i)
-		for _, c := range e.sh.Shard(i).Candidates() {
-			fmt.Fprintf(&b, "%-9s %s  benefit=%.4f cost=%.4f miss=%.2f",
-				c.State.String(), e.q.describeSpec(c.Spec), c.Benefit, c.Cost, c.MissProb)
-			if !c.Ready {
-				b.WriteString("  (estimating)")
-			}
-			if c.Demotions > 0 {
-				fmt.Fprintf(&b, "  demoted×%d", c.Demotions)
-			}
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}
+func (e *ShardedEngine) Explain() string { return e.perShard("", e.q.explain) }
 
 // DescribePlan flushes and renders every shard's physical plan, one section
 // per shard, prefixed by the partitioning scheme.
 func (e *ShardedEngine) DescribePlan() string {
+	return e.perShard(e.Partitioning()+"\n", e.q.describePlan)
+}
+
+// perShard flushes and renders header, then each shard's section from the
+// serial engine's renderer.
+func (e *ShardedEngine) perShard(header string, render func(*core.Engine) string) string {
 	e.Flush()
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", e.Partitioning())
+	b.WriteString(header)
 	for i := 0; i < e.sh.NumShards(); i++ {
-		fmt.Fprintf(&b, "— shard %d —\n", i)
-		plan := e.sh.Shard(i).Plan()
-		for p, pipe := range plan.Pipelines {
-			fmt.Fprintf(&b, "Δ%s:", e.q.names[p])
-			for _, r := range pipe {
-				fmt.Fprintf(&b, " ⋈ %s", e.q.names[r])
-			}
-			b.WriteByte('\n')
-		}
-		for _, c := range plan.Caches {
-			mode := "prefix"
-			switch {
-			case c.SelfMnt:
-				mode = "self-maintained"
-			case c.Reduced:
-				mode = "reduced"
-			}
-			fmt.Fprintf(&b, "  cache %s [%s]: %d entries, %.1f KB, %.0f%% hits\n",
-				e.q.describeSpec(c.Spec), mode, c.Entries, float64(c.Bytes)/1024, 100*c.HitRate)
-		}
+		fmt.Fprintf(&b, "— shard %d —\n%s", i, render(e.sh.Shard(i)))
 	}
 	return b.String()
 }
@@ -475,6 +387,27 @@ func (e *ShardedEngine) SetMemoryBudget(bytes int) {
 		bytes = -1
 	}
 	e.sh.SetMemoryBudget(bytes)
+}
+
+func (e *ShardedEngine) shards() int { return e.sh.NumShards() }
+
+func (e *ShardedEngine) health() []ShardHealth { return e.sh.Health() }
+
+func (e *ShardedEngine) release() { e.Close() }
+
+// budgetBytes flushes and sums the shards' cache budgets (−1 if any is
+// unlimited).
+func (e *ShardedEngine) budgetBytes() int {
+	e.Flush()
+	total := 0
+	for i := 0; i < e.sh.NumShards(); i++ {
+		b := e.sh.Shard(i).MemoryBudgetBytes()
+		if b < 0 {
+			return -1
+		}
+		total += b
+	}
+	return total
 }
 
 // memoryDemandDetail flushes and concatenates the shards' per-group demand
