@@ -22,11 +22,12 @@ func driveBoth(t *testing.T, q *query.Query, a, b *Engine, n int, window int, do
 }
 
 // TestReferenceAdaptivityDifferential: the adaptivity fast paths — the
-// statistics-epoch readiness gate, the memoized candidate enumeration, and
-// the reused selection workspace — must be invisible: every output, every
-// simulated-cost figure, every re-optimization decision, and every cache
-// state is byte-identical to the reference implementation that recomputes
-// everything from scratch.
+// statistics-epoch readiness gate, the memoized candidate enumeration, the
+// reused selection workspace, and one shadow estimator per probe stream —
+// must be invisible: every output, every simulated-cost figure, every
+// re-optimization decision, and every cache state is byte-identical to the
+// reference implementation that recomputes everything from scratch and
+// runs one shadow per candidate.
 func TestReferenceAdaptivityDifferential(t *testing.T) {
 	cases := []struct {
 		name string
@@ -34,6 +35,9 @@ func TestReferenceAdaptivityDifferential(t *testing.T) {
 		ord  planner.Ordering
 		cfg  Config
 		n    int
+		// shares marks workloads with several candidates on one probe
+		// stream, where the fast side must actually share a shadow.
+		shares bool
 	}{
 		{
 			name: "threeWay",
@@ -43,11 +47,12 @@ func TestReferenceAdaptivityDifferential(t *testing.T) {
 			n:    8000,
 		},
 		{
-			name: "fourWayGC",
-			mk:   fourWayClique,
-			ord:  planner.Ordering{{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {1, 2, 0}},
-			cfg:  Config{ReoptInterval: 400, GCQuota: 6, Seed: 43},
-			n:    8000,
+			name:   "fourWayGC",
+			mk:     fourWayClique,
+			ord:    planner.Ordering{{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {1, 2, 0}},
+			cfg:    Config{ReoptInterval: 400, GCQuota: 6, Seed: 43},
+			n:      8000,
+			shares: true,
 		},
 		{
 			name: "threeWayBudget",
@@ -58,10 +63,11 @@ func TestReferenceAdaptivityDifferential(t *testing.T) {
 		},
 		{
 			// Default ordering, as a built engine starts with.
-			name: "fiveWayStar",
-			mk:   func(t *testing.T) *query.Query { return starOnA(t, 5) },
-			cfg:  Config{ReoptInterval: 400, GCQuota: 6, Seed: 53},
-			n:    8000,
+			name:   "fiveWayStar",
+			mk:     func(t *testing.T) *query.Query { return starOnA(t, 5) },
+			cfg:    Config{ReoptInterval: 400, GCQuota: 6, Seed: 53},
+			n:      8000,
+			shares: true,
 		},
 	}
 	for _, tc := range cases {
@@ -89,6 +95,14 @@ func TestReferenceAdaptivityDifferential(t *testing.T) {
 			}
 			if as, bs := cacheStates(ref), cacheStates(fast); as != bs {
 				t.Errorf("cache states mismatch:\nreference %s\nfast      %s", as, bs)
+			}
+			// A shared shadow bumps the stats epoch once per completed window
+			// where one shadow per sharer bumps it once each; every other bump
+			// is common to both sides. A lower fast-side epoch therefore means
+			// a shared shadow really ran, so the comparison above is not
+			// vacuous for sharing.
+			if re, fe := ref.pf.StatsEpoch(), fast.pf.StatsEpoch(); tc.shares && fe >= re {
+				t.Errorf("no shadow was shared: stats epoch %d fast vs %d reference", fe, re)
 			}
 		})
 	}

@@ -11,7 +11,8 @@ package core
 import (
 	"math/rand"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"acache/internal/cache"
@@ -135,11 +136,12 @@ type Config struct {
 	// to this engine.
 	RelTokens []string
 	// ReferenceAdaptivity disables the adaptivity fast paths — the
-	// epoch-memoized readiness poll, the candidate-set memo, and reusable
-	// selection workspaces — so every poll and selection recomputes from
-	// scratch. Decisions, cost figures, and results are identical either
-	// way; this exists (like DisableFilters) for differential testing
-	// (TestReferenceAdaptivityDifferential).
+	// epoch-memoized readiness poll, the candidate-set memo, reusable
+	// selection workspaces, and one shadow estimator per probe stream — so
+	// every poll and selection recomputes from scratch and every profiled
+	// candidate runs its own shadow. Decisions, cost figures, and results
+	// are identical either way; this exists (like DisableFilters) for
+	// differential testing (TestReferenceAdaptivityDifferential).
 	ReferenceAdaptivity bool
 }
 
@@ -210,7 +212,13 @@ type Engine struct {
 	mem   *memory.Manager
 	rng   *rand.Rand
 
-	cands     map[string]*cand          // by placementKey
+	cands map[string]*cand // by placementKey
+	// sorted holds the same candidates in placement-key order: the
+	// iteration order of every walk whose result depends on order
+	// (selection ties, group benefit sums, pooled demand), so telemetry and
+	// decisions are reproducible across runs. The set changes only in
+	// refreshCandidates and attachForced, which rebuild it.
+	sorted    []*cand
 	instances map[string]*join.Instance // by SharingID, for Used caches
 
 	// cacheTier is the shared cold tier of this engine's cache instances,
@@ -238,7 +246,6 @@ type Engine struct {
 	// fixed Config.RelTokens).
 	demandDetail    []GroupDemand
 	demandDetailIdx map[string]int
-	candKeys        []string
 	crossIDs        map[string]string
 	// pausedCaching suspends all adaptivity (profiling, monitoring,
 	// re-optimization) with caches dropped — the overload degradation
@@ -319,6 +326,9 @@ func NewEngine(q *query.Query, ord planner.Ordering, cfg Config) (*Engine, error
 	}
 	cfg.Profiler.Seed = cfg.Seed + 1
 	pf := profiler.New(q, exec, meter, cfg.Profiler)
+	if cfg.ReferenceAdaptivity {
+		pf.DisableShadowSharing()
+	}
 	en := &Engine{
 		q:           q,
 		cfg:         cfg,
@@ -418,7 +428,19 @@ func (en *Engine) attachForced() error {
 		c := &cand{spec: spec, state: Used, inst: inst}
 		en.cands[placementKey(spec)] = c
 	}
+	en.sortCands()
 	return nil
+}
+
+// sortCands rebuilds en.sorted from the candidate map.
+func (en *Engine) sortCands() {
+	en.sorted = en.sorted[:0]
+	for _, c := range en.cands {
+		en.sorted = append(en.sorted, c)
+	}
+	slices.SortFunc(en.sorted, func(a, b *cand) int {
+		return strings.Compare(placementKey(a.spec), placementKey(b.spec))
+	})
 }
 
 // instanceFor finds or creates the shared instance for a spec.
@@ -758,7 +780,7 @@ func (en *Engine) Plan() PlanDescription {
 			shareCount[c.spec.SharingID()]++
 		}
 	}
-	for _, c := range en.cands {
+	for _, c := range en.sorted {
 		if c.state != Used {
 			continue
 		}
@@ -774,9 +796,6 @@ func (en *Engine) Plan() PlanDescription {
 			Segments: c.spec.Segment,
 		})
 	}
-	sort.Slice(d.Caches, func(a, b int) bool {
-		return placementKey(d.Caches[a].Spec) < placementKey(d.Caches[b].Spec)
-	})
 	return d
 }
 
@@ -795,8 +814,8 @@ type CandidateInfo struct {
 // Candidates snapshots every known candidate cache with its latest
 // estimates, sorted by placement — an EXPLAIN for the adaptive optimizer.
 func (en *Engine) Candidates() []CandidateInfo {
-	out := make([]CandidateInfo, 0, len(en.cands))
-	for _, c := range en.cands {
+	out := make([]CandidateInfo, 0, len(en.sorted))
+	for _, c := range en.sorted {
 		out = append(out, CandidateInfo{
 			Spec:      c.spec,
 			State:     c.state,
@@ -807,9 +826,6 @@ func (en *Engine) Candidates() []CandidateInfo {
 			Demotions: c.demotions,
 		})
 	}
-	sort.Slice(out, func(a, b int) bool {
-		return placementKey(out[a].Spec) < placementKey(out[b].Spec)
-	})
 	return out
 }
 
@@ -866,8 +882,7 @@ func (en *Engine) MemoryDemandDetail() (groups []GroupDemand, filterBytes int) {
 	}
 	clear(en.demandDetailIdx)
 	en.demandDetail = en.demandDetail[:0]
-	for _, key := range en.sortedCandKeys() {
-		c := en.cands[key]
+	for _, c := range en.sorted {
 		if c.state != Used {
 			continue
 		}
@@ -907,17 +922,4 @@ func (en *Engine) crossIDOf(spec *planner.Spec) string {
 	cid := planner.CrossID(en.q, spec, en.cfg.RelTokens)
 	en.crossIDs[id] = cid
 	return cid
-}
-
-// sortedCandKeys returns the candidate placement keys in sorted order (the
-// iteration order of every externally visible walk over candidates, so
-// telemetry and pooled demand are reproducible across runs). The slice is
-// reused across calls.
-func (en *Engine) sortedCandKeys() []string {
-	en.candKeys = en.candKeys[:0]
-	for k := range en.cands {
-		en.candKeys = append(en.candKeys, k)
-	}
-	sort.Strings(en.candKeys)
-	return en.candKeys
 }

@@ -40,6 +40,7 @@ func (en *Engine) refreshCandidates() {
 	}
 	en.spareCands = en.cands
 	en.cands = next
+	en.sortCands()
 }
 
 // candidateSpecs enumerates the candidate placements for ord, memoized by
@@ -400,8 +401,7 @@ func (en *Engine) runSelection() []*cand {
 	prob.Cands = prob.Cands[:0]
 	prob.GroupCosts = prob.GroupCosts[:0]
 	// Deterministic candidate order.
-	for _, k := range en.sortedCandKeys() {
-		c := en.cands[k]
+	for _, c := range en.sorted {
 		if !c.est.Ready {
 			continue
 		}
@@ -646,8 +646,7 @@ func (en *Engine) monitorUsed() {
 	}
 	clear(en.monIdx)
 	evals := en.monEvals[:0]
-	for _, k := range en.sortedCandKeys() {
-		c := en.cands[k]
+	for _, c := range en.sorted {
 		if c.state != Used {
 			continue
 		}

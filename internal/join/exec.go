@@ -3,6 +3,7 @@ package join
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -340,13 +341,15 @@ func (e *Exec) Tap(pipe, pos int, f func(batch []tuple.Tuple, op stream.Op)) int
 	return id
 }
 
-// RemoveTap unregisters a tap by id.
+// RemoveTap unregisters a tap by id. The position's tap slice is compacted
+// in place, keeping its capacity for the next Tap; taps are never removed
+// from inside a tap callback, so no iteration sees the shift.
 func (e *Exec) RemoveTap(id int) {
 	for _, p := range e.pipes {
 		for pos := range p.taps {
 			for i, t := range p.taps[pos] {
 				if t.id == id {
-					p.taps[pos] = append(p.taps[pos][:i:i], p.taps[pos][i+1:]...)
+					p.taps[pos] = slices.Delete(p.taps[pos], i, i+1)
 					return
 				}
 			}

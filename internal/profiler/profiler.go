@@ -9,6 +9,7 @@ package profiler
 
 import (
 	"math/rand"
+	"slices"
 
 	"acache/internal/bloom"
 	"acache/internal/cost"
@@ -80,8 +81,12 @@ type Profiler struct {
 	cfg   Config
 	rng   *rand.Rand
 
-	pipes      []*pipeStats
-	shadows    map[string]*shadow
+	pipes []*pipeStats
+	// shadows maps each profiled spec's key to its estimator; specs on one
+	// probe stream map to the same shared shadow (see StartShadow).
+	shadows map[string]*shadow
+	// unshared gives every spec its own shadow (DisableShadowSharing).
+	unshared   bool
 	totalTicks int64
 	relTicks   []int64
 
@@ -136,6 +141,11 @@ func newPipeStats(n int, cfg Config) *pipeStats {
 	}
 	return ps
 }
+
+// DisableShadowSharing gives every spec its own shadow estimator instead of
+// one per probe stream. Estimates and meter charges are identical either
+// way; this is the differential foil of core's ReferenceAdaptivity.
+func (pf *Profiler) DisableShadowSharing() { pf.unshared = true }
 
 // W returns the configured estimation window.
 func (pf *Profiler) W() int { return pf.cfg.W }
@@ -290,9 +300,19 @@ func (pf *Profiler) ResetPipeline(pipe int) {
 //
 // The horizon filter doubles as the distinct-key population estimate for
 // memory sizing. The first window is treated as warm-up and not recorded.
+//
+// Both estimates depend only on the probe stream — pipeline, lookup position
+// and key columns — so one shadow serves every candidate on that stream;
+// refs counts those sharers.
 type shadow struct {
+	pf *Profiler
+	// tap is observe bound once per pooled shadow, so starting a shadow
+	// allocates no closure.
+	tap         func(batch []tuple.Tuple, op stream.Op)
 	tapID       int
+	pipe, start int
 	keyCols     []int
+	refs        int
 	keyBuf      []byte // packed-key scratch, reused across tap batches
 	filter      *bloom.Filter
 	horizon     *bloom.Filter
@@ -320,93 +340,139 @@ const shadowMaxWindows = 40
 func shadowKey(spec *planner.Spec) string { return spec.Key() }
 
 // StartShadow installs the shadow estimator for a candidate cache. It is a
-// no-op if one is already running. Stopped shadows are recycled from a pool
-// (filters and windows reset), so the profiling phases of a warm engine
-// allocate nothing here; the probe-key columns are memoized per spec until
-// the pipeline reorders.
+// no-op if one is already running. A spec whose probe stream already has a
+// shadow that has seen no key yet joins it: that shadow's estimates are
+// exactly the ones a fresh shadow of its own would produce, so sharing is
+// invisible to every decision (a stream whose shadow has begun observing
+// gets a second, fresh one). Stopped shadows are recycled from a pool
+// (filters and windows reset, tap closure kept), so the profiling phases of
+// a warm engine allocate nothing here; the probe-key columns are memoized
+// per spec until the pipeline reorders.
 func (pf *Profiler) StartShadow(spec *planner.Spec) {
 	key := shadowKey(spec)
 	if _, ok := pf.shadows[key]; ok {
 		return
 	}
-	var sh *shadow
-	if n := len(pf.shadowPool); n > 0 {
-		sh = pf.shadowPool[n-1]
-		pf.shadowPool = pf.shadowPool[:n-1]
-	} else {
-		sh = &shadow{
-			filter:      bloom.New(pf.cfg.Alpha*pf.cfg.Wd, 1),
-			horizon:     bloom.New(1<<16, 2),
-			missWin:     stats.NewWindow(pf.cfg.W),
-			windowedWin: stats.NewWindow(pf.cfg.W),
-			distinct:    stats.NewWindow(pf.cfg.W),
-		}
+	cols := pf.keyColsOf(spec, key)
+	sh := pf.pristineShadow(spec.Pipeline, spec.Start, cols)
+	if sh == nil {
+		sh = pf.newShadow()
+		sh.pipe, sh.start, sh.keyCols = spec.Pipeline, spec.Start, cols
+		sh.warm = true
+		sh.tapID = pf.e.Tap(sh.pipe, sh.start, sh.tap)
 	}
-	sh.warm = true
-	// Key columns in the schema arriving at the lookup position.
-	if pf.colsMemo == nil {
-		pf.colsMemo = make(map[string]colsEntry)
-	}
-	if e, ok := pf.colsMemo[key]; ok {
-		sh.keyCols = e.cols
-	} else {
-		sh.keyCols = pf.q.RepresentativeCols(pf.schemaAt(spec.Pipeline, spec.Start), spec.KeyClasses)
-		pf.colsMemo[key] = colsEntry{pipe: spec.Pipeline, cols: sh.keyCols}
-	}
-	sh.tapID = pf.e.Tap(spec.Pipeline, spec.Start, func(batch []tuple.Tuple, _ stream.Op) {
-		// One hash per key feeds both filters (their probe positions derive
-		// from the same base pair), and the whole batch's hash work is
-		// charged in one ChargeN: no meter read can interleave inside a tap
-		// callback, so simulated time at every observation point is
-		// identical to per-tuple charging.
-		perKey := sh.filter.Hashes() + sh.horizon.Hashes()
-		for _, t := range batch {
-			sh.keyBuf = tuple.AppendKey(sh.keyBuf[:0], t, sh.keyCols)
-			h1, h2 := bloom.HashBytes(sh.keyBuf)
-			sh.filter.AddHash(h1, h2)
-			if !sh.horizon.AddHash(h1, h2) {
-				sh.newKeys++
-			}
-			sh.seen++
-			if sh.seen >= pf.cfg.Wd {
-				if !sh.warm {
-					sh.missWin.Observe(minF(1, float64(sh.newKeys)/float64(pf.cfg.Wd)))
-					sh.windows++
-				}
-				sh.warm = false
-				b := float64(sh.filter.SetBits())
-				sh.windowedWin.Observe(minF(1, b/float64(pf.cfg.Wd)))
-				sh.distinct.Observe(sh.filter.EstimateDistinct())
-				sh.filter.Reset()
-				sh.seen = 0
-				sh.newKeys = 0
-				pf.statsEpoch++
-			}
-		}
-		pf.meter.ChargeN(cost.BloomHash, perKey*len(batch))
-	})
+	sh.refs++
 	pf.shadows[key] = sh
 	pf.statsEpoch++
 }
 
-// StopShadow removes a candidate's shadow estimator, keeping nothing. The
-// estimator's filters and windows are reset and pooled for the next
-// StartShadow.
+// keyColsOf returns the spec's key columns in the schema arriving at its
+// lookup position, memoized per spec.
+func (pf *Profiler) keyColsOf(spec *planner.Spec, key string) []int {
+	if e, ok := pf.colsMemo[key]; ok {
+		return e.cols
+	}
+	if pf.colsMemo == nil {
+		pf.colsMemo = make(map[string]colsEntry)
+	}
+	cols := pf.q.RepresentativeCols(pf.schemaAt(spec.Pipeline, spec.Start), spec.KeyClasses)
+	pf.colsMemo[key] = colsEntry{pipe: spec.Pipeline, cols: cols}
+	return cols
+}
+
+// pristineShadow finds a running shadow on the probe stream (pipe, start,
+// cols) that has not seen a key yet, or returns nil. There is at most one:
+// a second shadow on a stream is only ever started once the first has
+// observed something.
+func (pf *Profiler) pristineShadow(pipe, start int, cols []int) *shadow {
+	if pf.unshared {
+		return nil
+	}
+	for _, sh := range pf.shadows {
+		if sh.warm && sh.seen == 0 && sh.pipe == pipe && sh.start == start && slices.Equal(sh.keyCols, cols) {
+			return sh
+		}
+	}
+	return nil
+}
+
+// newShadow takes a reset shadow from the pool, or builds one.
+func (pf *Profiler) newShadow() *shadow {
+	if n := len(pf.shadowPool); n > 0 {
+		sh := pf.shadowPool[n-1]
+		pf.shadowPool = pf.shadowPool[:n-1]
+		return sh
+	}
+	sh := &shadow{
+		pf:          pf,
+		filter:      bloom.New(pf.cfg.Alpha*pf.cfg.Wd, 1),
+		horizon:     bloom.New(1<<16, 2),
+		missWin:     stats.NewWindow(pf.cfg.W),
+		windowedWin: stats.NewWindow(pf.cfg.W),
+		distinct:    stats.NewWindow(pf.cfg.W),
+	}
+	sh.tap = sh.observe
+	return sh
+}
+
+// observe is the shadow's CacheLookup tap. One hash per key feeds both
+// filters (their probe positions derive from the same base pair), and the
+// whole batch's hash work is charged in one ChargeN — once per sharer, as
+// if each ran its own shadow: no meter read can interleave inside a tap
+// callback, so simulated time at every observation point is identical to
+// per-tuple, per-candidate charging.
+func (sh *shadow) observe(batch []tuple.Tuple, _ stream.Op) {
+	pf := sh.pf
+	perKey := sh.filter.Hashes() + sh.horizon.Hashes()
+	for _, t := range batch {
+		sh.keyBuf = tuple.AppendKey(sh.keyBuf[:0], t, sh.keyCols)
+		h1, h2 := bloom.HashBytes(sh.keyBuf)
+		sh.filter.AddHash(h1, h2)
+		if !sh.horizon.AddHash(h1, h2) {
+			sh.newKeys++
+		}
+		sh.seen++
+		if sh.seen >= pf.cfg.Wd {
+			if !sh.warm {
+				sh.missWin.Observe(minF(1, float64(sh.newKeys)/float64(pf.cfg.Wd)))
+				sh.windows++
+			}
+			sh.warm = false
+			b := float64(sh.filter.SetBits())
+			sh.windowedWin.Observe(minF(1, b/float64(pf.cfg.Wd)))
+			sh.distinct.Observe(sh.filter.EstimateDistinct())
+			sh.filter.Reset()
+			sh.seen = 0
+			sh.newKeys = 0
+			pf.statsEpoch++
+		}
+	}
+	pf.meter.ChargeN(cost.BloomHash, perKey*len(batch)*sh.refs)
+}
+
+// StopShadow removes a candidate's shadow estimator, keeping nothing. When
+// its last sharer stops, the estimator's tap is removed and its filters and
+// windows are reset and pooled for the next StartShadow.
 func (pf *Profiler) StopShadow(spec *planner.Spec) {
 	key := shadowKey(spec)
-	if sh, ok := pf.shadows[key]; ok {
-		pf.e.RemoveTap(sh.tapID)
-		delete(pf.shadows, key)
-		sh.filter.Reset()
-		sh.horizon.Reset()
-		sh.missWin.Reset()
-		sh.windowedWin.Reset()
-		sh.distinct.Reset()
-		sh.seen, sh.newKeys, sh.windows = 0, 0, 0
-		sh.keyCols = nil
-		pf.shadowPool = append(pf.shadowPool, sh)
-		pf.statsEpoch++
+	sh, ok := pf.shadows[key]
+	if !ok {
+		return
 	}
+	delete(pf.shadows, key)
+	pf.statsEpoch++
+	if sh.refs--; sh.refs > 0 {
+		return
+	}
+	pf.e.RemoveTap(sh.tapID)
+	sh.filter.Reset()
+	sh.horizon.Reset()
+	sh.missWin.Reset()
+	sh.windowedWin.Reset()
+	sh.distinct.Reset()
+	sh.seen, sh.newKeys, sh.windows = 0, 0, 0
+	sh.keyCols = nil
+	pf.shadowPool = append(pf.shadowPool, sh)
 }
 
 // ShadowMissProb returns the shadow's miss-probability estimate and whether

@@ -238,3 +238,85 @@ func TestProbeAndUpdateCostFormulas(t *testing.T) {
 		t.Fatal("update cost vs key width inverted")
 	}
 }
+
+// twoSpecsOnOneStream returns two placements probed at ΔR1's first
+// CacheLookup on R1.A: the R2⋈R3 candidate and an R2-only span.
+func twoSpecsOnOneStream(q *query.Query) (*planner.Spec, *planner.Spec) {
+	a := planner.Candidates(q, [][]int{{1, 2}, {2, 0}, {1, 0}})[0]
+	b := &planner.Spec{Pipeline: a.Pipeline, Start: a.Start, End: a.Start, Segment: []int{1}, KeyClasses: a.KeyClasses}
+	return a, b
+}
+
+// TestShadowSharedPerProbeStream: specs on one probe stream share one
+// estimator whose estimates and meter charges equal those of one estimator
+// per spec; stopping one sharer leaves the other's estimate live; and a
+// stream whose shadow has begun observing is not joined.
+func TestShadowSharedPerProbeStream(t *testing.T) {
+	cfg := Config{SampleProb: 0, Wd: 50, RateSpan: 20, Seed: 7}
+	q, e, pf, meter := setup(t, cfg)
+	_, eRef, ref, meterRef := setup(t, cfg)
+	ref.DisableShadowSharing()
+	a, b := twoSpecsOnOneStream(q)
+	for _, p := range []*Profiler{pf, ref} {
+		p.StartShadow(a)
+		p.StartShadow(b)
+	}
+	if pf.shadows[a.Key()] != pf.shadows[b.Key()] {
+		t.Fatal("two specs on one probe stream got two shadows")
+	}
+	if ref.shadows[a.Key()] == ref.shadows[b.Key()] {
+		t.Fatal("DisableShadowSharing still shares")
+	}
+	gen := synth.Counter(0, 30, 1)
+	for i := 0; i < 2000; i++ {
+		k := gen.Next()
+		e.Process(stream.Update{Op: stream.Insert, Rel: 0, Tuple: tuple.Tuple{k}})
+		eRef.Process(stream.Update{Op: stream.Insert, Rel: 0, Tuple: tuple.Tuple{k}})
+	}
+	if meter.Total() != meterRef.Total() {
+		t.Fatalf("meter %d shared vs %d unshared: the tap must charge once per sharer", meter.Total(), meterRef.Total())
+	}
+	for _, s := range []*planner.Spec{a, b} {
+		m, ok := pf.ShadowMissProb(s)
+		mRef, okRef := ref.ShadowMissProb(s)
+		d, dOK := pf.ShadowDistinct(s)
+		dRef, dRefOK := ref.ShadowDistinct(s)
+		if !ok || m != mRef || ok != okRef || d != dRef || dOK != dRefOK {
+			t.Fatalf("%s: shared miss %v/%v distinct %v/%v, unshared %v/%v %v/%v", s, m, ok, d, dOK, mRef, okRef, dRef, dRefOK)
+		}
+	}
+
+	missB, _ := pf.ShadowMissProb(b)
+	pf.StopShadow(a)
+	if _, ok := pf.ShadowMissProb(a); ok {
+		t.Fatal("stopped spec still reporting")
+	}
+	if m, ok := pf.ShadowMissProb(b); !ok || m != missB {
+		t.Fatalf("remaining sharer reads %v (ok=%v), want %v", m, ok, missB)
+	}
+	pf.StartShadow(a)
+	if pf.shadows[a.Key()] == pf.shadows[b.Key()] {
+		t.Fatal("a spec joined a shadow that had already observed keys")
+	}
+	if _, ok := pf.ShadowMissProb(a); ok {
+		t.Fatal("fresh shadow reports a ready estimate")
+	}
+}
+
+// TestWarmShadowCycleAllocFree: a pooled shadow keeps its tap closure, and
+// the executor's tap slice keeps its capacity, so a warm profiling phase's
+// shadow start and stop allocate nothing.
+func TestWarmShadowCycleAllocFree(t *testing.T) {
+	q, _, pf, _ := setup(t, Config{SampleProb: 0, Wd: 50, RateSpan: 20, Seed: 8})
+	a, b := twoSpecsOnOneStream(q)
+	cycle := func() {
+		pf.StartShadow(a)
+		pf.StartShadow(b)
+		pf.StopShadow(a)
+		pf.StopShadow(b)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs > 0 {
+		t.Errorf("warm shadow start/stop allocates %.1f objects/cycle, want 0", allocs)
+	}
+}
