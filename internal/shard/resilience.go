@@ -16,8 +16,8 @@ type AdmissionPolicy int
 
 const (
 	// AdmitBlock blocks the ingress until the mailbox drains (optionally
-	// bounded by Options.OfferTimeout, after which the batch is shed) — the
-	// pre-resilience behaviour when no timeout is set.
+	// bounded by Options.OfferTimeout, after which the batch is shed) —
+	// classic backpressure when no timeout is set.
 	AdmitBlock AdmissionPolicy = iota
 	// AdmitReject sheds the new batch instead of blocking.
 	AdmitReject
@@ -98,30 +98,43 @@ type staged struct {
 // owned by the shard's worker goroutine (or by the ingress between a Flush
 // and the next Offer).
 type shardState struct {
+	// enq / done count updates handed to / retired by the worker (processed
+	// or shed); their difference is the mailbox backlog. waitNs accumulates
+	// ingress time spent blocked on this mailbox. The ingress writes enq per
+	// batch and the worker writes done and beat per batch: the pad keeps the
+	// two sides off one cache line, which would otherwise cross between cores
+	// twice per Append+Flush round trip.
+	enq    atomic.Int64
+	waitNs atomic.Int64
+	_      [64]byte
+	done   atomic.Int64
+	// filtered counts the deletes guardDeletes dropped on this route; the
+	// ingress reads it only once the route has shed an insert.
+	filtered atomic.Int64
+
 	health     atomic.Int32
 	recoveries atomic.Int64
 	lastErr    atomic.Value // string
 	// beat increments on every worker progress step — the watchdog's
 	// heartbeat.
 	beat atomic.Uint64
-	// enq / done count updates handed to / retired by the worker (processed
-	// or shed); their difference is the mailbox backlog.
-	enq  atomic.Int64
-	done atomic.Int64
-	// waitNs accumulates ingress time spent blocked on this mailbox.
-	waitNs atomic.Int64
 	// shed counts updates dropped for this shard.
 	shed atomic.Uint64
 
 	// Worker-owned recovery state.
 	ckpt      *core.Checkpoint
-	wal       []stream.Update // updates applied (and delivered) since ckpt
+	wal       []stream.Update // updates applied since ckpt; kept only with CheckpointEvery > 0
 	sinceCkpt int
 	admitted  uint64        // updates admitted to the engine, the fault-index clock
+	paused    bool          // cache-pause state applied to the current engine
 	stage     []staged      // results of the in-flight sub-batch
 	stageVals []tuple.Value // flat backing of stage's rows, reset with it
 	mute      bool          // discard results (checkpoint replay re-processing)
 	snapBase  core.Snapshot
+	// guardHead / guardNext chain a guarded batch's kept updates by tuple
+	// hash (1-based indexes into kept, 0 ends a chain), reset per batch.
+	guardHead map[uint64]int32
+	guardNext []int32
 	// fragileFlag marks a shard that recovered since its last clean
 	// checkpoint (worker writes, watchdog reads → atomic).
 	fragileFlag atomic.Bool
@@ -210,28 +223,13 @@ func (e *Engine) MaxOccupancy() float64 {
 	return worst
 }
 
-// PauseCaching asks every live shard to pause (or resume) adaptive caching —
-// the degradation ladder's cache-first rung. The request rides a non-blocking
-// control channel so a loaded ingress never waits on a busy worker; a full
-// control channel drops the request (the ladder re-issues it on its next
-// pressure check).
-func (e *Engine) PauseCaching(paused bool) {
-	for i := range e.ctrl {
-		select {
-		case e.ctrl[i] <- func(en *core.Engine) { en.SetCachingPaused(paused) }:
-		default:
-		}
-	}
-}
+// PauseCaching asks every serving shard to pause (or resume) adaptive
+// caching — the degradation ladder's cache-first rung. It records the desired
+// state; each worker applies it before its next sub-batch, so a loaded
+// ingress never waits on a busy worker and no request is lost.
+func (e *Engine) PauseCaching(paused bool) { e.pauseWant.Store(paused) }
 
 // ── Ingress side: admission, shedding, context-bounded flushing ──────────────
-
-// shedKey identifies a tuple instance for insert/delete pairing across the
-// shed filter: relation id then the tuple's values, byte-encoded.
-func shedKey(rel int, t tuple.Tuple) string {
-	b := tuple.AppendKeyTuple(nil, tuple.Tuple{tuple.Value(rel)})
-	return string(tuple.AppendKeyTuple(b, t))
-}
 
 func (e *Engine) countShed(rel int) {
 	if rel >= 0 && rel < len(e.shedByRel) {
@@ -242,55 +240,35 @@ func (e *Engine) countShed(rel int) {
 // The disposition model: every update's fate — submitted to its shard or
 // shed — is decided exactly once, on the ingress goroutine, in per-route
 // stream order (submission order; under shed-oldest, deque order with
-// evictions taken front-first, which precede every later disposition).
-// live[route] counts per tuple key the instances submitted minus the deletes
-// submitted; a delete disposed while its key has no live instance is dropped
-// — its insert was shed — so a shard never runs the join pipeline for a
-// retraction of a tuple it does not hold. Because dispositions are strictly
-// ordered and multiset windows make equal-valued instances interchangeable,
-// every submitted delete finds its tuple present: shard windows are exact
-// multisets of the admitted subset.
+// evictions taken front-first, which precede every later disposition). A shed
+// insert's expiry delete may still be submitted, so after a route sheds an
+// insert its batches carry batchMsg.guard, and the worker drops each delete
+// whose tuple its shard does not hold (guardDeletes) — a shard never runs the
+// join pipeline for a retraction of a tuple it does not hold. Because
+// dispositions are strictly ordered and multiset windows make equal-valued
+// instances interchangeable, every processed delete finds its tuple present:
+// shard windows are exact multisets of the admitted subset. Each shed insert
+// has exactly one expiry delete and only those are dropped, so the guard ends
+// on its own: a route's batches carry it only while its shed inserts
+// (shedIns) outnumber the deletes its worker dropped (filtered).
 
-// send disposes a batch as admitted — stripping deletes whose key has no
-// live instance — and hands it to the shard's mailbox. The send blocks only
-// if the caller did not first observe space (single producer: an observed
-// len < cap cannot be invalidated by anyone but this goroutine).
+// send hands a batch to the shard's mailbox. The send blocks only if the
+// caller did not first observe space (single producer: an observed len < cap
+// cannot be invalidated by anyone but this goroutine).
 func (e *Engine) send(route int, ups []stream.Update) {
-	lv := e.live[route]
-	cleaned := ups[:0]
-	for _, u := range ups {
-		k := shedKey(u.Rel, u.Tuple)
-		if u.Op == stream.Insert {
-			if lv == nil {
-				lv = make(map[string]int)
-				e.live[route] = lv
-			}
-			lv[k]++
-			cleaned = append(cleaned, u)
-			continue
-		}
-		if n := lv[k]; n > 0 {
-			if n == 1 {
-				delete(lv, k)
-			} else {
-				lv[k] = n - 1
-			}
-			cleaned = append(cleaned, u)
-		} else {
-			e.filteredDeletes.Add(1)
-		}
-	}
-	if len(cleaned) == 0 {
+	if len(ups) == 0 {
 		return
 	}
-	e.states[route].enq.Add(int64(len(cleaned)))
-	e.mail[route] <- batchMsg{ups: cleaned}
+	ws := e.states[route]
+	ws.enq.Add(int64(len(ups)))
+	guard := e.shedIns[route] > 0 && e.shedIns[route] > ws.filtered.Load()
+	e.mail[route] <- batchMsg{ups: ups, guard: guard}
 }
 
 // evict disposes a batch's inserts as shed and returns its deletes
-// undisposed: a dropped insert never reaches the live map, so its eventual
-// expiry delete is stripped by send; deletes of admitted tuples must still
-// shrink the window and are decided at their eventual disposition.
+// undisposed: deletes of admitted tuples must still shrink the window, and
+// the shed inserts are counted so the worker guards the route's later
+// deletes against their expiries.
 func (e *Engine) evict(route int, ups []stream.Update) []stream.Update {
 	ws := e.states[route]
 	var kept []stream.Update
@@ -298,6 +276,7 @@ func (e *Engine) evict(route int, ups []stream.Update) []stream.Update {
 		if u.Op == stream.Insert {
 			e.countShed(u.Rel)
 			ws.shed.Add(1)
+			e.shedIns[route]++
 			continue
 		}
 		kept = append(kept, u)
@@ -338,9 +317,8 @@ func (e *Engine) waitSpace(route int, timeoutC <-chan time.Time, done <-chan str
 	return true
 }
 
-// submit is the resilient Batcher emit callback: it prepends deferred
-// deletes, then disposes the batch under the admission policy. Ingress
-// goroutine only.
+// submit is the Batcher emit callback: it prepends deferred deletes, then
+// disposes the batch under the admission policy. Ingress goroutine only.
 func (e *Engine) submit(route int, ups []stream.Update) {
 	if e.admission == AdmitShedOldest {
 		e.submitShedOldest(route, ups)
@@ -451,49 +429,12 @@ func (e *Engine) drainDeferred(ctx context.Context) error {
 	return nil
 }
 
-// flushResilient is the recoverable-path flush: submit buffered batches
-// (admission policy applies), drain deferred work, then run the ack barrier
-// — every step bounded by ctx.
-func (e *Engine) flushResilient(ctx context.Context) error {
-	e.subCtx, e.subErr = ctx, nil
-	e.ing.Flush()
-	err := e.subErr
-	e.subCtx, e.subErr = nil, nil
-	if err != nil {
-		return err
-	}
-	if err := e.drainDeferred(ctx); err != nil {
-		return err
-	}
-	done := ctx.Done()
-	ack := make(chan struct{}, len(e.mail))
-	for _, m := range e.mail {
-		select {
-		case m <- batchMsg{ack: ack}:
-		case <-done:
-			return ctx.Err()
-		}
-	}
-	for range e.mail {
-		select {
-		case <-ack:
-		case <-done:
-			return ctx.Err()
-		}
-	}
-	return nil
-}
-
 // OfferContext is Offer bounded by ctx: if admitting the update blocks on a
 // full mailbox past the context's deadline, the blocked batch is shed
 // (counted, with its deletes deferred) and the context's error is returned.
 // The update itself is still accounted: either admitted or part of the shed
 // batch.
 func (e *Engine) OfferContext(ctx context.Context, u stream.Update) error {
-	if !e.res {
-		e.Offer(u)
-		return nil
-	}
 	e.subCtx, e.subErr = ctx, nil
 	e.Offer(u)
 	err := e.subErr
@@ -532,58 +473,81 @@ func (e *Engine) QueueDepth() int {
 
 // ── Worker side: panic isolation, checkpoint/replay recovery, quarantine ─────
 
-// resilientWorker is the recoverable variant of worker: control messages are
-// interleaved with mailbox batches, processing is panic-isolated, and a
+// worker drains shard i's mailbox: processing is panic-isolated, and a
 // quarantined shard keeps consuming (shedding) so flushes never wedge.
-func (e *Engine) resilientWorker(i int) {
+func (e *Engine) worker(i int) {
 	defer e.wg.Done()
 	// Close whatever engine holds the slot when the mailbox drains — rebuilds
 	// replace e.shards[i], so resolve it at exit, not entry.
 	defer func() { e.shards[i].Close() }()
 	ws := e.states[i]
-	for {
-		select {
-		case fn := <-e.ctrl[i]:
-			e.runCtrl(i, ws, fn)
-		case m, ok := <-e.mail[i]:
-			if !ok {
-				return
+	for m := range e.mail[i] {
+		if len(m.ups) > 0 {
+			switch {
+			case ws.getHealth() == Quarantined:
+				e.shedUpdates(ws, m.ups)
+			case m.guard:
+				e.process(i, ws, e.guardDeletes(i, ws, m.ups))
+			default:
+				e.process(i, ws, m.ups)
 			}
-			if len(m.ups) > 0 {
-				if ws.getHealth() == Quarantined {
-					e.shedUpdates(ws, m.ups)
-				} else {
-					e.processResilient(i, ws, m.ups)
+		}
+		if m.ack != nil {
+			ws.beat.Add(1)
+			m.ack <- struct{}{}
+		}
+	}
+}
+
+// guardDeletes drops, in place, each delete of a tuple shard i does not hold
+// — the expiry of an insert its route shed. A tuple's holding is the batch's
+// earlier kept inserts minus its earlier kept deletes (found by a hash chain
+// over kept), plus the store's count when those alone do not settle it,
+// counted without charging the meter. Dropped deletes are retired (done) and
+// counted in filtered and filteredDeletes.
+func (e *Engine) guardDeletes(i int, ws *shardState, ups []stream.Update) []stream.Update {
+	exec := e.shards[i].Exec()
+	if ws.guardHead == nil {
+		ws.guardHead = make(map[uint64]int32)
+	}
+	clear(ws.guardHead)
+	ws.guardNext = ws.guardNext[:0]
+	kept := ups[:0]
+	for _, u := range ups {
+		h := tuple.HashTuple(u.Tuple, uint64(u.Rel))
+		if u.Op == stream.Delete {
+			held := 0
+			for k := ws.guardHead[h]; k > 0; k = ws.guardNext[k-1] {
+				if p := kept[k-1]; p.Rel == u.Rel && p.Tuple.Equal(u.Tuple) {
+					if p.Op == stream.Insert {
+						held++
+					} else {
+						held--
+					}
 				}
 			}
-			if m.ack != nil {
-				ws.beat.Add(1)
-				m.ack <- struct{}{}
+			if held <= 0 {
+				held += exec.Store(u.Rel).Holding(u.Tuple)
+			}
+			if held <= 0 {
+				e.filteredDeletes.Add(1)
+				ws.filtered.Add(1)
+				ws.done.Add(1)
+				continue
 			}
 		}
+		ws.guardNext = append(ws.guardNext, ws.guardHead[h])
+		kept = append(kept, u)
+		ws.guardHead[h] = int32(len(kept))
 	}
+	return kept
 }
 
-// runCtrl applies a control function (e.g. pause caching) to the shard's
-// engine, panic-contained so a control action can never take a worker down.
-func (e *Engine) runCtrl(i int, ws *shardState, fn func(*core.Engine)) {
-	if ws.getHealth() == Quarantined {
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			ws.lastErr.Store(fmt.Sprintf("control: %v", r))
-		}
-	}()
-	fn(e.shards[i])
-	ws.beat.Add(1)
-}
-
-// processResilient feeds a mailbox batch to the shard engine in committed
+// process feeds a mailbox batch to the shard engine in committed
 // sub-batches, splitting at injector trigger indexes so faults land at exact
 // update positions, and shedding the remainder if the shard quarantines
 // mid-batch.
-func (e *Engine) processResilient(i int, ws *shardState, ups []stream.Update) {
+func (e *Engine) process(i int, ws *shardState, ups []stream.Update) {
 	pos := 0
 	for pos < len(ups) {
 		if ws.getHealth() == Quarantined {
@@ -615,24 +579,25 @@ func (e *Engine) processResilient(i int, ws *shardState, ups []stream.Update) {
 }
 
 // applySeg processes one sub-batch transactionally: on success it delivers
-// the staged results, logs the sub-batch for replay, and checkpoints when
-// due; on panic it discards the staged results and either recovers (rebuild
-// from checkpoint + replay; the caller retries the sub-batch) or
-// quarantines. Returns whether the sub-batch committed.
+// the staged results and, with recovery enabled, logs the sub-batch for
+// replay and checkpoints when due; on panic it discards the staged results
+// and either recovers (rebuild from checkpoint + replay; the caller retries
+// the sub-batch) or quarantines. Returns whether the sub-batch committed.
 func (e *Engine) applySeg(i int, ws *shardState, seg []stream.Update, fireAt uint64, fire bool) bool {
-	err := e.tryProcess(i, seg, fireAt, fire)
+	err := e.tryProcess(i, ws, seg, fireAt, fire)
 	if _, deg := e.shards[i].DurabilityStats(); deg {
 		ws.durDegraded.Store(true)
 	}
 	if err == nil {
 		e.deliverStage(ws)
-		ws.wal = append(ws.wal, seg...)
-		ws.sinceCkpt += len(seg)
 		ws.admitted += uint64(len(seg))
 		ws.done.Add(int64(len(seg)))
 		ws.beat.Add(1)
-		if e.ckptEvery > 0 && ws.sinceCkpt >= e.ckptEvery {
-			e.takeCheckpoint(i, ws)
+		if e.ckptEvery > 0 {
+			ws.wal = append(ws.wal, seg...)
+			if ws.sinceCkpt += len(seg); ws.sinceCkpt >= e.ckptEvery {
+				e.takeCheckpoint(i, ws)
+			}
 		}
 		return true
 	}
@@ -655,15 +620,20 @@ func (e *Engine) applySeg(i int, ws *shardState, seg []stream.Update, fireAt uin
 	return false
 }
 
-// tryProcess runs one sub-batch under a recover barrier. An armed fault
-// fires before the sub-batch (matching the injector's "before the nth
-// update" contract); a Collapse fault zeroes the shard's cache budget.
-func (e *Engine) tryProcess(i int, seg []stream.Update, fireAt uint64, fire bool) (err error) {
+// tryProcess runs one sub-batch under a recover barrier. The ladder's
+// desired cache-pause state is applied first. An armed fault fires before the
+// sub-batch (matching the injector's "before the nth update" contract); a
+// Collapse fault zeroes the shard's cache budget.
+func (e *Engine) tryProcess(i int, ws *shardState, seg []stream.Update, fireAt uint64, fire bool) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("shard %d: panic: %v", i, r)
 		}
 	}()
+	if want := e.pauseWant.Load(); want != ws.paused {
+		e.shards[i].SetCachingPaused(want)
+		ws.paused = want
+	}
 	if fire {
 		if e.inj.Fire(i, fireAt) {
 			e.shards[i].SetMemoryBudget(0)
@@ -687,12 +657,22 @@ func (e *Engine) deliverStage(ws *shardState) {
 	ws.stage, ws.stageVals = ws.stage[:0], ws.stageVals[:0]
 }
 
-// attachSink wires a shard engine's result callback to the shard's stage
-// buffer (muted during checkpoint replay, whose results were already
-// delivered before the crash). The engine's row is valid only during the
-// callback, so the stage copies it into stageVals; a row staged before
-// stageVals grew keeps pointing at the old backing, which still holds it.
+// attachSink wires a shard engine's result callback. Without recovery no
+// sub-batch is ever retried, so results go straight to the user callback.
+// With it they go to the shard's stage buffer (muted during checkpoint
+// replay, whose results were already delivered before the crash). The
+// engine's row is valid only during the callback, so the stage copies it
+// into stageVals; a row staged before stageVals grew keeps pointing at the
+// old backing, which still holds it.
 func (e *Engine) attachSink(i int, en *core.Engine) {
+	if e.ckptEvery <= 0 {
+		en.OnResult(func(ins bool, vals []tuple.Value) {
+			e.resMu.Lock()
+			e.safeCall(ins, vals)
+			e.resMu.Unlock()
+		})
+		return
+	}
 	ws := e.states[i]
 	en.OnResult(func(ins bool, vals []tuple.Value) {
 		if ws.mute {
@@ -741,12 +721,7 @@ func (e *Engine) rebuild(i int, ws *shardState) error {
 		return err
 	}
 	if ws.ckpt != nil {
-		base := ws.ckpt.Snap
-		base.CacheMemoryBytes = 0 // a dead engine's gauge must not linger
-		base.FilterBytes = 0      // likewise
-		base.TierHotBytes = 0
-		base.TierColdBytes = 0
-		ws.snapBase = base
+		ws.snapBase = ws.ckpt.Snap
 	} else {
 		ws.snapBase = core.Snapshot{}
 	}
@@ -754,6 +729,7 @@ func (e *Engine) rebuild(i int, ws *shardState) error {
 		e.attachSink(i, en)
 	}
 	e.shards[i] = en
+	ws.paused = false // the next sub-batch re-applies the ladder's pause
 	if len(ws.wal) > 0 {
 		ws.mute = true
 		err := func() (err error) {

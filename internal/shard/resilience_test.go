@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -189,10 +190,41 @@ func TestStackedPanicsQuarantine(t *testing.T) {
 	sharded.Flush()
 }
 
+// TestPanicWithoutRecoveryQuarantines pins what a shard panic does without
+// recovery (CheckpointEvery = 0, as in the zero options): the shard is
+// quarantined at once, the other shards keep serving and flushing, and the
+// loss shows in Health and Shed only — no call returns an error, while the
+// delivered results fall short of the serial reference.
+func TestPanicWithoutRecoveryQuarantines(t *testing.T) {
+	inj := fault.New().PanicAt(1, 50)
+	_, sharded, refLog, gotLog := driveWindowed(t, 4, 900, 20, Options{BatchSize: 16, Injector: inj})
+	defer sharded.Close()
+
+	h := sharded.Health()
+	if h[1].State != Quarantined || h[1].Recoveries != 0 || h[1].LastError == "" {
+		t.Fatalf("shard 1 health = %+v, want quarantined with no recovery and its panic as LastError", h[1])
+	}
+	if h[1].Shed == 0 || sharded.Shed() != h[1].Shed {
+		t.Fatalf("shed: shard 1 %d, engine %d; want the quarantined shard's input, and only it", h[1].Shed, sharded.Shed())
+	}
+	for i := range h {
+		if i != 1 && h[i].State != Healthy {
+			t.Fatalf("shard %d state = %v, want healthy", i, h[i].State)
+		}
+	}
+	if gotLog.n == 0 || gotLog.n >= refLog.n {
+		t.Fatalf("delivered %d results, serial %d: want some, and fewer", gotLog.n, refLog.n)
+	}
+	if err := sharded.FlushContext(context.Background()); err != nil {
+		t.Fatalf("FlushContext after quarantine: %v", err)
+	}
+}
+
 // TestCallbackPanicIsolation feeds a callback that panics on every third
 // result and asserts the workers survive, the panics are counted, and the
-// engine's own result count is unaffected — in both plain and resilient
-// modes.
+// engine's own result count is unaffected — both with direct delivery
+// (plain: no recovery, results go straight to the callback) and through the
+// result stage that recovery (CheckpointEvery > 0) puts in front of it.
 func TestCallbackPanicIsolation(t *testing.T) {
 	for _, res := range []bool{false, true} {
 		name := "plain"
@@ -238,6 +270,73 @@ func TestCallbackPanicIsolation(t *testing.T) {
 			}
 			if want := uint64(delivered / 3); sharded.CallbackPanics() != want {
 				t.Fatalf("CallbackPanics = %d, want %d", sharded.CallbackPanics(), want)
+			}
+		})
+	}
+}
+
+// TestResilienceReplayLogBounded guards the cost of switching on a
+// resilience feature other than recovery: with only a stall watchdog, or only
+// reject admission and no slowdown, no shard keeps a replay log of the stream
+// it has processed, and an appended row costs no more allocations than on
+// the zero options.
+func TestResilienceReplayLogBounded(t *testing.T) {
+	const rows, warm = 100_000, 10_000
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"stall watchdog", Options{StallTimeout: time.Hour}},
+		{"reject admission", Options{Admission: AdmitReject}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := starQuery(t, 5)
+			sharded, err := New(PlanPartitions(q, 2), tc.opts, mkEngine(q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sharded.Close()
+			rng := rand.New(rand.NewSource(3))
+			vals := make([]tuple.Value, rows)
+			for i := range vals {
+				vals[i] = rng.Int63n(500)
+			}
+			wins := make([]*stream.SlidingWindow, q.N())
+			for i := range wins {
+				wins[i] = stream.NewSlidingWindow(1000)
+			}
+			var buf []stream.Update
+			seq := uint64(0)
+			feed := func(lo, hi int) {
+				for r := lo; r < hi; r++ {
+					rel := r % q.N()
+					buf = wins[rel].AppendInto(tuple.Tuple(vals[r:r+1:r+1]), buf[:0])
+					for _, u := range buf {
+						u.Rel = rel
+						seq++
+						u.Seq = seq
+						sharded.Offer(u)
+					}
+					if (r+1)%256 == 0 {
+						sharded.Flush() // keep the mailboxes short of full: nothing sheds
+					}
+				}
+				sharded.Flush()
+			}
+			feed(0, warm) // windows fill, caches and buffers reach steady state
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			feed(warm, rows)
+			runtime.ReadMemStats(&after)
+			for i, ws := range sharded.states {
+				if n := len(ws.wal); n != 0 {
+					t.Errorf("shard %d holds %d updates in its replay log without recovery", i, n)
+				}
+			}
+			per := float64(after.Mallocs-before.Mallocs) / float64(rows-warm)
+			t.Logf("%.3f allocations per appended row", per)
+			if per > 0.2 {
+				t.Errorf("%.2f allocations per appended row, want ≤ 0.2", per)
 			}
 		})
 	}
@@ -346,6 +445,94 @@ func TestShedOldestKeepsDeletes(t *testing.T) {
 	if want := (inserts - shed) - (deletes - filtered); inWindows != want {
 		t.Fatalf("conservation violated: %d in windows, want %d (I=%d D=%d shed=%d filtered=%d)",
 			inWindows, want, inserts, deletes, shed, filtered)
+	}
+}
+
+// TestShedGuardEnds stalls one shard of a scan-only engine (no index, so
+// each guarded delete's holding check walks the store) under reject
+// admission, then turns every window over without overload: each shed
+// insert's expiry delete is dropped, the delete guard switches itself off,
+// and the windows hold exactly the admitted subset.
+func TestShedGuardEnds(t *testing.T) {
+	q := starQuery(t, 3)
+	var scan []tuple.Attr
+	for rel := 0; rel < q.N(); rel++ {
+		scan = append(scan, tuple.Attr{Rel: rel, Name: "A"})
+	}
+	inj := fault.New().StallAt(0, 40)
+	sharded, err := New(PlanPartitions(q, 2), Options{
+		BatchSize: 4,
+		Admission: AdmitReject,
+		Injector:  inj,
+	}, func(i int) (*core.Engine, error) {
+		return core.NewEngine(q, nil, core.Config{Seed: int64(1 + i), ScanOnly: scan})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+
+	rng := rand.New(rand.NewSource(9))
+	wins := make([]*stream.SlidingWindow, q.N())
+	for i := range wins {
+		wins[i] = stream.NewSlidingWindow(12)
+	}
+	inserts, deletes := uint64(0), uint64(0)
+	seq := uint64(0)
+	feed := func(appends int, flush bool) {
+		for i := 0; i < appends; i++ {
+			rel := rng.Intn(q.N())
+			for _, u := range wins[rel].Append(tuple.Tuple{rng.Int63n(30)}) {
+				u.Rel = rel
+				seq++
+				u.Seq = seq
+				if u.Op == stream.Insert {
+					inserts++
+				} else {
+					deletes++
+				}
+				sharded.Offer(u)
+			}
+			if flush {
+				sharded.Flush()
+			}
+		}
+	}
+	feed(600, false) // shard 0 stalls: its mailbox fills and its batches shed
+	inj.Release()
+	sharded.Flush()
+	shed := sharded.Shed()
+	if shed == 0 {
+		t.Fatal("the stall produced no shedding; tighten the workload")
+	}
+	feed(300, true) // every window turns over; a flush per append sheds nothing
+	if sharded.Shed() != shed {
+		t.Fatalf("shed %d more updates after the stall", sharded.Shed()-shed)
+	}
+	filtered := sharded.filteredDeletes.Load()
+	if filtered != shed {
+		t.Fatalf("filtered %d deletes, want one per shed insert (%d)", filtered, shed)
+	}
+	for r, ws := range sharded.states {
+		if n, f := sharded.shedIns[r], ws.filtered.Load(); n != f {
+			t.Fatalf("route %d: %d shed inserts, %d filtered deletes: guard still on", r, n, f)
+		}
+		ws.guardHead = nil // quiescent after Flush; guardDeletes sets it again
+	}
+	feed(100, true)
+	for r, ws := range sharded.states {
+		if ws.guardHead != nil {
+			t.Fatalf("route %d still sends guarded batches after every shed expiry was dropped", r)
+		}
+	}
+	inWindows := uint64(0)
+	for i := 0; i < sharded.NumShards(); i++ {
+		for rel := 0; rel < q.N(); rel++ {
+			inWindows += uint64(sharded.Shard(i).Exec().Store(rel).Len())
+		}
+	}
+	if want := (inserts - shed) - (deletes - filtered); inWindows != want {
+		t.Fatalf("conservation violated: %d in windows, want %d", inWindows, want)
 	}
 }
 

@@ -28,13 +28,13 @@
 // Result callbacks preserve per-shard emission order; emissions from
 // different shards interleave arbitrarily.
 //
-// Resilience: the zero Options value runs the engine exactly as described
-// above. Setting any resilience option (admission policy, offer timeout,
-// checkpointing, stall watchdog, fault injector) switches the workers to the
-// recoverable path in resilience.go: bounded admission with shed accounting,
-// panic-isolated workers that rebuild their engine from a windows checkpoint
-// plus a replay log, quarantine when recovery is exhausted, and a per-shard
-// Health report.
+// Resilience: every shard runs the same recoverable worker (resilience.go):
+// bounded admission with shed accounting, panic-isolated processing that
+// rebuilds a shard's engine from a windows checkpoint plus a replay log,
+// quarantine when recovery is exhausted, and a per-shard Health report. Each
+// feature costs nothing until its option is set: the replay log and the
+// result stage exist only with CheckpointEvery > 0, the delete guard only on
+// a route whose shed inserts still await their expiry deletes.
 package shard
 
 import (
@@ -173,9 +173,8 @@ const mailboxDepth = 8
 const DefaultBatchSize = 128
 
 // Options tune the mailbox machinery between the ingress and the shards. The
-// zero value (plus BatchSize) reproduces the non-resilient engine
-// exactly; setting any of the remaining fields switches the workers to the
-// recoverable path (see resilience.go).
+// zero value (plus BatchSize) blocks the ingress on a full mailbox,
+// quarantines a panicking shard, and runs no watchdog.
 type Options struct {
 	// BatchSize is how many updates the ingress buffers per shard before
 	// handing the batch to the shard's mailbox (≤ 0 uses DefaultBatchSize).
@@ -190,8 +189,8 @@ type Options struct {
 	// CheckpointEvery enables panic recovery: each shard checkpoints its
 	// window contents every CheckpointEvery committed updates, keeps a
 	// replay log of updates since, and after a worker panic rebuilds its
-	// engine from checkpoint + replay. ≤ 0 disables recovery: a panicking
-	// shard is quarantined immediately.
+	// engine from checkpoint + replay. ≤ 0 disables recovery (and the replay
+	// log): a panicking shard is quarantined immediately.
 	CheckpointEvery int
 	// MaxRecoveries caps successful recoveries per shard before it is
 	// quarantined (0 with CheckpointEvery > 0 defaults to 3; < 0 disables
@@ -201,26 +200,19 @@ type Options struct {
 	// mailbox is non-empty but its worker makes no progress for this long.
 	StallTimeout time.Duration
 	// Injector arms deterministic faults for chaos tests and overload
-	// benchmarks. Nil in production; the plain path never consults it.
+	// benchmarks. Nil in production; a nil injector is one nil check per
+	// mailbox batch.
 	Injector *fault.Injector
-	// ForceResilient switches to the recoverable path even when no other
-	// resilience option is set — callers that need live occupancy telemetry
-	// or cache pausing (the degradation ladder) require the resilient
-	// workers' progress counters and control channels.
-	ForceResilient bool
 }
 
-// resilient reports whether any resilience option is set, switching the
-// engine from the plain (pre-resilience, bit-identical) code path to the
-// recoverable one.
-func (o Options) resilient() bool {
-	return o.Admission != AdmitBlock || o.OfferTimeout > 0 || o.CheckpointEvery > 0 ||
-		o.MaxRecoveries != 0 || o.StallTimeout > 0 || o.Injector != nil || o.ForceResilient
-}
-
+// batchMsg is one mailbox message: a batch of updates, a flush ack request,
+// or both. guard marks a batch sent while some of its route's shed inserts
+// still await their expiry deletes: the worker drops its deletes of tuples
+// the shard does not hold (guardDeletes).
 type batchMsg struct {
-	ups []stream.Update
-	ack chan<- struct{}
+	ups   []stream.Update
+	ack   chan<- struct{}
+	guard bool
 }
 
 // Engine fans updates out to per-shard core engines. One ingress goroutine
@@ -241,9 +233,7 @@ type Engine struct {
 	// MemoryDemandDetail's concatenation buffer, reused per call.
 	demandDetail []core.GroupDemand
 
-	// Resilience state (resilience.go). res gates every non-default branch
-	// so the zero-Options engine runs the exact plain code path.
-	res           bool
+	// Resilience state (resilience.go).
 	admission     AdmissionPolicy
 	offerTimeout  time.Duration
 	ckptEvery     int
@@ -251,15 +241,16 @@ type Engine struct {
 	inj           *fault.Injector
 	mk            func(shard int) (*core.Engine, error)
 	states        []*shardState
-	ctrl          []chan func(*core.Engine)
+	// pauseWant is the degradation ladder's desired cache-pause state; each
+	// worker applies it before its next sub-batch.
+	pauseWant atomic.Bool
 	// pending holds per-route deletes deferred by a shed batch; they are
 	// disposed ahead of the route's next submission. Ingress-owned.
 	pending [][]stream.Update
-	// live counts, per route and tuple key, instances submitted to the shard
-	// minus deletes submitted — the disposition-time guard that drops the
-	// expiry deletes of shed inserts so windows never retract tuples they do
-	// not hold. Ingress-owned.
-	live []map[string]int
+	// shedIns counts, per route, the inserts shed by admission; while it
+	// exceeds the worker's shardState.filtered the route's batches carry
+	// batchMsg.guard. Ingress-owned.
+	shedIns []int64
 	// deque buffers per-route undisposed batches under shed-oldest admission
 	// so evictions always precede later dispositions in stream order.
 	// Ingress-owned.
@@ -276,8 +267,8 @@ type Engine struct {
 
 // New builds a sharded engine over plan.Shards core engines constructed by
 // mk (one call per shard, so each shard gets its own meter, profiler, cache
-// set, and seed) and starts the worker goroutines. mk is retained when
-// recovery is enabled: a recovering shard rebuilds its engine with mk(i).
+// set, and seed) and starts the worker goroutines. mk is retained: a
+// recovering shard rebuilds its engine with mk(i).
 func New(plan Plan, opts Options, mk func(shard int) (*core.Engine, error)) (*Engine, error) {
 	if plan.Shards < 1 {
 		return nil, fmt.Errorf("shard: plan has %d shards", plan.Shards)
@@ -289,7 +280,6 @@ func New(plan Plan, opts Options, mk func(shard int) (*core.Engine, error)) (*En
 	e := &Engine{
 		plan:          plan,
 		batchSize:     batchSize,
-		res:           opts.resilient(),
 		admission:     opts.Admission,
 		offerTimeout:  opts.OfferTimeout,
 		ckptEvery:     opts.CheckpointEvery,
@@ -316,29 +306,15 @@ func New(plan Plan, opts Options, mk func(shard int) (*core.Engine, error)) (*En
 		e.states = append(e.states, &shardState{})
 	}
 	e.shedByRel = make([]atomic.Uint64, len(plan.KeyCols))
-	if e.res {
-		e.ctrl = make([]chan func(*core.Engine), plan.Shards)
-		for i := range e.ctrl {
-			e.ctrl[i] = make(chan func(*core.Engine), 4)
-		}
-		e.pending = make([][]stream.Update, plan.Shards)
-		e.live = make([]map[string]int, plan.Shards)
-		if opts.Admission == AdmitShedOldest {
-			e.deque = make([][][]stream.Update, plan.Shards)
-		}
-		e.ing = stream.NewBatcher(plan.Shards, batchSize, e.submit)
-	} else {
-		e.ing = stream.NewBatcher(plan.Shards, batchSize, func(route int, ups []stream.Update) {
-			e.mail[route] <- batchMsg{ups: ups}
-		})
+	e.pending = make([][]stream.Update, plan.Shards)
+	e.shedIns = make([]int64, plan.Shards)
+	if opts.Admission == AdmitShedOldest {
+		e.deque = make([][][]stream.Update, plan.Shards)
 	}
+	e.ing = stream.NewBatcher(plan.Shards, batchSize, e.submit)
 	for i := range e.shards {
 		e.wg.Add(1)
-		if e.res {
-			go e.resilientWorker(i)
-		} else {
-			go e.worker(i)
-		}
+		go e.worker(i)
 	}
 	if opts.StallTimeout > 0 {
 		e.stopWatch = make(chan struct{})
@@ -346,24 +322,6 @@ func New(plan Plan, opts Options, mk func(shard int) (*core.Engine, error)) (*En
 		go e.watchdog(opts.StallTimeout)
 	}
 	return e, nil
-}
-
-func (e *Engine) worker(i int) {
-	defer e.wg.Done()
-	en := e.shards[i]
-	ws := e.states[i]
-	defer en.Close() // unmap and remove spill files when the mailbox drains
-	for m := range e.mail[i] {
-		if len(m.ups) > 0 {
-			en.ProcessBatch(m.ups)
-			if _, deg := en.DurabilityStats(); deg {
-				ws.durDegraded.Store(true)
-			}
-		}
-		if m.ack != nil {
-			m.ack <- struct{}{}
-		}
-	}
 }
 
 // NumShards returns P.
@@ -388,31 +346,56 @@ func (e *Engine) Offer(u stream.Update) {
 // processed everything offered so far — the quiescent point at which
 // per-shard state may be inspected from the ingress goroutine.
 func (e *Engine) Flush() {
-	if e.res {
-		// Background context: cannot expire, so the error is always nil.
-		_ = e.flushResilient(context.Background())
-		return
-	}
-	e.ing.Flush()
-	ack := make(chan struct{}, len(e.mail))
-	for _, m := range e.mail {
-		m <- batchMsg{ack: ack}
-	}
-	for range e.mail {
-		<-ack
-	}
+	// Background context: cannot expire, so the error is always nil.
+	_ = e.FlushContext(context.Background())
 }
 
-// FlushContext is Flush bounded by ctx: it aborts (returning the context's
-// error) if a shard cannot drain in time — a stalled worker no longer wedges
-// the ingress forever. On abort the engine stays usable: unsubmitted batches
-// are retried by the next Offer/Flush, and stray flush acks are ignored.
+// FlushContext is Flush bounded by ctx: submit buffered batches (admission
+// policy applies), drain deferred work, then run the ack barrier — every
+// step bounded by ctx. It aborts (returning the context's error) if a shard
+// cannot drain in time — a stalled worker no longer wedges the ingress
+// forever. On abort the engine stays usable: unsubmitted batches are retried
+// by the next Offer/Flush, and stray flush acks are ignored.
 func (e *Engine) FlushContext(ctx context.Context) error {
-	if !e.res {
-		e.Flush()
+	e.subCtx, e.subErr = ctx, nil
+	e.ing.Flush()
+	err := e.subErr
+	e.subCtx, e.subErr = nil, nil
+	if err != nil {
+		return err
+	}
+	if err := e.drainDeferred(ctx); err != nil {
+		return err
+	}
+	done := ctx.Done()
+	ack := make(chan struct{}, len(e.mail))
+	if done == nil {
+		// A context that cannot expire (Flush's) takes plain channel
+		// operations: on shard2_batch the two-case select costs 8% of the
+		// Append+Flush round trip (DESIGN.md §9).
+		for _, m := range e.mail {
+			m <- batchMsg{ack: ack}
+		}
+		for range e.mail {
+			<-ack
+		}
 		return nil
 	}
-	return e.flushResilient(ctx)
+	for _, m := range e.mail {
+		select {
+		case m <- batchMsg{ack: ack}:
+		case <-done:
+			return ctx.Err()
+		}
+	}
+	for range e.mail {
+		select {
+		case <-ack:
+		case <-done:
+			return ctx.Err()
+		}
+	}
+	return nil
 }
 
 // Close flushes, stops the worker goroutines, and waits for them to exit.
@@ -421,11 +404,7 @@ func (e *Engine) FlushContext(ctx context.Context) error {
 // afterwards.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
-		if e.res {
-			_ = e.flushResilient(context.Background())
-		} else {
-			e.ing.Flush()
-		}
+		e.Flush()
 		if e.stopWatch != nil {
 			close(e.stopWatch)
 		}
@@ -486,23 +465,16 @@ func sumSnapshots(snaps []core.Snapshot) core.Snapshot {
 // and must not call back into the engine. A panic in f is contained: it is swallowed, counted (see
 // CallbackPanics), and processing continues.
 //
-// In resilient mode delivery is transactional: results are staged and handed
-// to f only after their sub-batch commits, so a recovered shard's replay
-// never delivers a result twice and a discarded attempt delivers nothing.
+// With recovery enabled (CheckpointEvery > 0) delivery is transactional:
+// results are staged and handed to f only after their sub-batch commits, so a
+// recovered shard's replay never delivers a result twice and a discarded
+// attempt delivers nothing. Without recovery nothing is retried and results
+// reach f as they are produced; a sub-batch that panics may have delivered
+// part of its results before its shard is quarantined.
 func (e *Engine) OnResult(f func(insert bool, result []tuple.Value)) {
 	e.userCB = f
-	if e.res {
-		for i, en := range e.shards {
-			e.attachSink(i, en)
-		}
-		return
-	}
-	for _, en := range e.shards {
-		en.OnResult(func(ins bool, vals []tuple.Value) {
-			e.resMu.Lock()
-			e.safeCall(ins, vals)
-			e.resMu.Unlock()
-		})
+	for i, en := range e.shards {
+		e.attachSink(i, en)
 	}
 }
 
@@ -525,7 +497,7 @@ func (e *Engine) MemoryDemandDetail() (groups []core.GroupDemand, filterBytes in
 	e.Flush()
 	e.demandDetail = e.demandDetail[:0]
 	for i, en := range e.shards {
-		if e.res && e.states[i].getHealth() == Quarantined {
+		if e.states[i].getHealth() == Quarantined {
 			continue
 		}
 		g, fb := en.MemoryDemandDetail()
@@ -546,7 +518,7 @@ func (e *Engine) SetMemoryBudget(bytes int) {
 		per = bytes / len(e.shards)
 	}
 	for i, en := range e.shards {
-		if e.res && e.states[i].getHealth() == Quarantined {
+		if e.states[i].getHealth() == Quarantined {
 			continue
 		}
 		en.SetMemoryBudget(per)

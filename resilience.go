@@ -50,9 +50,14 @@ type FaultInjector = fault.Injector
 // SlowEvery, StallAt, and CollapseBudgetAt (shard −1 matches every shard).
 func NewFaultInjector() *FaultInjector { return fault.New() }
 
-// ResilienceOptions enable and tune overload and fault handling for sharded
-// execution. The zero value disables all of it: the engine runs the exact
-// pre-resilience code path, bit-identical results included.
+// ResilienceOptions tune overload and fault handling for sharded execution.
+// Every sharded engine runs the same recoverable shard worker; a feature costs
+// nothing until its option is set. The zero value blocks the ingress on a
+// full mailbox (TryAppend and the context-bounded calls still report it),
+// quarantines a panicking shard without keeping a replay log, and runs no
+// watchdog or ladder. A quarantined shard's input is shed for good and no
+// call returns an error for it, so callers that must not serve incomplete
+// results set CheckpointEvery or watch Health and Stats().Shedded.
 //
 // The degradation ladder (DegradeHighWater > 0) follows the paper's order of
 // sacrifice. Caches obey consistency but not completeness (§3.2), so rung 1
@@ -91,13 +96,6 @@ type ResilienceOptions struct {
 	// FaultInjector arms deterministic faults for chaos tests; nil in
 	// production.
 	FaultInjector *FaultInjector
-}
-
-// enabled reports whether any resilience feature is requested.
-func (r ResilienceOptions) enabled() bool {
-	return r.Admission != AdmitBlock || r.OfferTimeout > 0 || r.CheckpointEvery > 0 ||
-		r.MaxRecoveries != 0 || r.StallTimeout > 0 || r.DegradeHighWater > 0 ||
-		r.FaultInjector != nil
 }
 
 // ladderCheckEvery is how many routed (or ladder-shed) updates pass between
@@ -219,10 +217,9 @@ func (e *ShardedEngine) AppendContext(ctx context.Context, rel string, values ..
 
 // TryAppend is a non-blocking Append: it returns false — without touching
 // the window — when the most loaded shard's mailbox is full, letting the
-// caller apply its own policy (retry, spill, drop). Only meaningful with
-// resilience enabled; otherwise it always appends.
+// caller apply its own policy (retry, spill, drop).
 func (e *ShardedEngine) TryAppend(rel string, values ...int64) bool {
-	if e.resOn && e.sh.MaxOccupancy() >= 1 {
+	if e.sh.MaxOccupancy() >= 1 {
 		return false
 	}
 	e.Append(rel, values...)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -267,6 +268,92 @@ func TestTryAppendAndAppendContext(t *testing.T) {
 	if st := eng.Stats(); st.Shedded == 0 {
 		t.Fatalf("Stats.Shedded = 0 after context-shed batches")
 	}
+}
+
+// TestFlushContextWithoutResilienceOptions: with zero ResilienceOptions the
+// engine still runs the one recoverable shard worker, so a result callback
+// that blocks cannot wedge the context-bounded calls. TryAppend reports the
+// full mailboxes, a timed-out FlushContext returns, a cancelled AppendContext
+// sheds and says so, and after the callback is released the engine drains.
+func TestFlushContextWithoutResilienceOptions(t *testing.T) {
+	eng, err := fiveWayStar().BuildSharded(Options{Seed: 9}, ShardOptions{Shards: 2, BatchSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var enterOnce, releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock() // runs before Close
+	eng.OnResult(func(bool, []int64) {
+		enterOnce.Do(func() { close(entered) })
+		<-release
+	})
+
+	ops := randomOps(29, 4000, []string{"R0", "R1", "R2", "R3", "R4"},
+		[]int{2, 2, 2, 2, 2}, 8)
+	// The ingress runs on its own goroutine so an engine that does wedge
+	// fails the test instead of hanging it.
+	done := make(chan error, 1)
+	go func() { done <- blockedCallbackIngress(eng, ops, entered) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		unblock()
+		<-done
+		t.Fatal("ingress wedged behind a blocked result callback")
+	}
+
+	unblock()
+	if err := eng.FlushContext(context.Background()); err != nil {
+		t.Fatalf("flush after release: %v", err)
+	}
+	if st := eng.Stats(); st.Shedded == 0 {
+		t.Fatal("Stats.Shedded = 0 after a context-shed batch")
+	}
+}
+
+// blockedCallbackIngress drives TestFlushContextWithoutResilienceOptions'
+// ingress while every result callback blocks. Until a callback has blocked,
+// a full mailbox is a transient backlog: TryAppend's refusal then just skips
+// the row.
+func blockedCallbackIngress(eng *ShardedEngine, ops []appendOp, entered <-chan struct{}) error {
+	full := false
+	for _, op := range ops {
+		if !eng.TryAppend(op.rel, op.vals...) {
+			select {
+			case <-entered:
+				full = true
+			default:
+				time.Sleep(time.Millisecond)
+			}
+		}
+		if full {
+			break
+		}
+	}
+	if !full {
+		return errors.New("TryAppend never reported the full mailboxes")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := eng.FlushContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("FlushContext behind a blocked callback = %v, want the deadline", err)
+	}
+	cctx, ccancel := context.WithCancel(context.Background())
+	ccancel()
+	for _, op := range ops {
+		if err := eng.AppendContext(cctx, op.rel, op.vals...); err != nil {
+			if !errors.Is(err, context.Canceled) {
+				return fmt.Errorf("AppendContext error = %v, want context.Canceled", err)
+			}
+			return nil
+		}
+	}
+	return errors.New("AppendContext never surfaced the cancelled context")
 }
 
 // TestServerResilience hosts a resilient sharded query, drives a panic

@@ -21,9 +21,14 @@ type ShardOptions struct {
 	// handing the batch to the shard's mailbox (≤ 0 uses a default sized to
 	// amortize channel traffic).
 	BatchSize int
-	// Resilience enables overload and fault handling: bounded admission,
-	// the degradation ladder, checkpoint/replay panic recovery, and the
-	// watchdog. The zero value keeps the exact plain execution path.
+	// Resilience tunes overload and fault handling: bounded admission, the
+	// degradation ladder, checkpoint/replay panic recovery, and the
+	// watchdog. Every shard runs the same recoverable worker; the zero value
+	// blocks on full mailboxes, quarantines a panicking shard, and keeps no
+	// replay log. Without CheckpointEvery a shard panic makes results
+	// silently incomplete: the shard's input is shed from then on, part of
+	// the failing batch's results may already have been delivered, and no
+	// call returns an error — only Health and Stats().Shedded show it.
 	Resilience ResilienceOptions
 }
 
@@ -52,9 +57,8 @@ type ShardedEngine struct {
 	sh   *shard.Engine
 	kept [][]int64 // AppendBatch's rows the rung-2 ladder did not shed, reused per call
 
-	// Resilience layer (resilience.go). resOn mirrors the shard engine's
-	// mode; only the ingress goroutine touches the ladder and deferred grant.
-	resOn         bool
+	// Resilience layer (resilience.go); only the ingress goroutine touches
+	// the ladder and deferred grant.
 	ladder        ladderState
 	deferredGrant int
 	grantDeferred bool
@@ -84,9 +88,6 @@ func (q *Query) BuildSharded(opts Options, sopts ShardOptions) (*ShardedEngine, 
 		MaxRecoveries:   r.MaxRecoveries,
 		StallTimeout:    r.StallTimeout,
 		Injector:        r.FaultInjector,
-		// The ladder needs the resilient workers' occupancy counters and
-		// cache-pause control channels even when nothing else is set.
-		ForceResilient: r.DegradeHighWater > 0,
 	}, func(i int) (*core.Engine, error) {
 		c := cfg
 		// Decorrelate per-shard sampling and randomized selection; shard 0
@@ -119,7 +120,6 @@ func (q *Query) BuildSharded(opts Options, sopts ShardOptions) (*ShardedEngine, 
 		ingress: newIngress(q),
 		plan:    plan,
 		sh:      sh,
-		resOn:   r.enabled(),
 		ladder:  newLadder(r, len(q.names), cfg.Seed),
 	}, nil
 }
@@ -289,9 +289,6 @@ func (e *ShardedEngine) Stats() Stats {
 // including from the ingress while a flush would wedge on a stalled shard.
 func (e *ShardedEngine) fillResilienceStats(s *Stats) {
 	s.CallbackPanics = e.sh.CallbackPanics()
-	if !e.resOn {
-		return
-	}
 	s.Shedded = e.sh.Shed() + e.ladder.shedTotal
 	s.Recoveries = e.sh.Recoveries()
 	s.QueueDepth = e.sh.QueueDepth()
@@ -323,17 +320,12 @@ func (e *ShardedEngine) fillResilienceStats(s *Stats) {
 // that shard's own cache placements; the aggregate view is Stats.
 func (e *ShardedEngine) ShardStats() []Stats {
 	snaps := e.sh.Snapshots() // flushes
-	var health []ShardHealth
-	if e.resOn {
-		health = e.sh.Health()
-	}
+	health := e.sh.Health()
 	out := make([]Stats, len(snaps))
 	for i, snap := range snaps {
 		s := statsFromSnapshot(snap)
-		if health != nil {
-			s.Shedded = health[i].Shed
-			s.QueueDepth = health[i].Pending
-		}
+		s.Shedded = health[i].Shed
+		s.QueueDepth = health[i].Pending
 		s.UsedCaches = e.q.usedCaches(e.sh.Shard(i))
 		out[i] = s
 	}
