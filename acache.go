@@ -44,7 +44,6 @@ import (
 	"acache/internal/planner"
 	"acache/internal/query"
 	"acache/internal/stream"
-	"acache/internal/tier"
 	"acache/internal/tuple"
 )
 
@@ -278,32 +277,21 @@ type Options struct {
 	// callers — sharing is meaningless without the server's registry.
 	storeProvider join.StoreProvider
 	relTokens     []string
-	// fs is the filesystem seam durability I/O (WAL, checkpoint, spill
-	// files) goes through; nil uses the real filesystem. Set only by tests,
-	// which inject a fault.DiskInjector to exercise disk-failure paths
-	// deterministically.
+	// fs is the filesystem seam durability I/O (WAL and checkpoint) goes
+	// through; nil uses the real filesystem. Set only by tests, which inject
+	// a fault.DiskInjector to exercise disk-failure paths deterministically.
 	fs fault.FS
-	// Tier enables tiered slab storage: relation-window pages and cache-entry
-	// payloads past a hot-bytes watermark spill to memory-mapped files under
-	// Tier.Dir, with access-tracked promotion back to the hot tier. Results,
-	// window contents, and simulated cost totals are bit-identical with
-	// tiering on or off — the cost meter always charges the in-memory tariff
-	// — while the resident footprint reported to the memory allocator shrinks
-	// to the hot tier. Sharded engines give each shard a subdirectory. The
-	// zero value keeps everything in memory.
+	// Tier names the directory BuildDurable keeps its checkpoint and
+	// write-ahead log in. Build and BuildSharded ignore it: every engine
+	// holds its state in memory.
 	Tier TierOptions
 }
 
-// TierOptions configure tiered (mmap-backed cold tier) storage.
+// TierOptions holds BuildDurable's directory. The name outlived the cold
+// tier it once also configured (DESIGN.md §13).
 type TierOptions struct {
-	// Dir is the spill directory; empty disables tiering.
+	// Dir is the durable engine's directory (engine.ckpt and wal.log).
 	Dir string
-	// HotBytes is the hot-tier watermark per store and per engine's cache
-	// pool, in bytes (≤ 0 uses a default).
-	HotBytes int
-	// PageBytes is the spill page size (≤ 0 uses a default; rounded up to
-	// the OS page granularity).
-	PageBytes int
 }
 
 // Engine executes a built query. It is not safe for concurrent use: updates
@@ -336,12 +324,6 @@ func (q *Query) compile(opts Options) (*query.Query, core.Config, error) {
 		DisableFilters: opts.DisableFilters,
 		StoreProvider:  opts.storeProvider,
 		RelTokens:      opts.relTokens,
-		Tier: tier.Options{
-			Dir:       opts.Tier.Dir,
-			HotBytes:  opts.Tier.HotBytes,
-			PageBytes: opts.Tier.PageBytes,
-			FS:        opts.fs,
-		},
 	}
 	if cfg.MemoryBudget <= 0 {
 		cfg.MemoryBudget = -1
@@ -569,16 +551,16 @@ type Stats struct {
 	// SharedBytesSaved for the server-scope discount).
 	WindowBytes int
 
-	// Tiered-storage telemetry (zero with tiering off): TierHotBytes /
-	// TierColdBytes split the window and cache footprint into the resident
-	// hot tier and the spilled cold tier; TierPromotions / TierDemotions
-	// count moves between them.
-	TierHotBytes   int
-	TierColdBytes  int
+	// Deprecated: the cold tier was removed; always zero.
+	TierHotBytes int
+	// Deprecated: the cold tier was removed; always zero.
+	TierColdBytes int
+	// Deprecated: the cold tier was removed; always zero.
 	TierPromotions uint64
-	TierDemotions  uint64
+	// Deprecated: the cold tier was removed; always zero.
+	TierDemotions uint64
 
-	// Durability telemetry (zero for non-durable, untiered engines).
+	// Durability telemetry (zero for non-durable engines).
 
 	// WALErrors counts durability I/O failures (failed WAL writes, flushes,
 	// and syncs); the first one poisons the WAL — see SyncWAL.
@@ -591,11 +573,6 @@ type Stats struct {
 	WALRecordsReplayed uint64
 	WALBytesIgnored    uint64
 	WALReplayReason    string
-	// TierWriteErrors counts failed spill writes; DurabilityDegraded is
-	// true once a store or the cache tier has dropped to hot-only operation
-	// (results stay exact, the cold-tier memory win is lost).
-	TierWriteErrors    uint64
-	DurabilityDegraded bool
 
 	// Cross-query sharing telemetry, populated for engines hosted by a
 	// Server (see Server.Register); zero elsewhere.
@@ -661,12 +638,6 @@ func statsFromSnapshot(snap core.Snapshot) Stats {
 		FilterFalsePositives: snap.FilterFalsePositives,
 		WindowBytes:          snap.WindowBytes,
 		SharedStores:         snap.SharedStores,
-		TierHotBytes:         snap.TierHotBytes,
-		TierColdBytes:        snap.TierColdBytes,
-		TierPromotions:       snap.TierPromotions,
-		TierDemotions:        snap.TierDemotions,
-		TierWriteErrors:      snap.TierWriteErrors,
-		DurabilityDegraded:   snap.DurDegraded,
 	}
 }
 
@@ -717,13 +688,10 @@ func (q *Query) describeSpec(spec *planner.Spec) string {
 	return b.String()
 }
 
-// Close releases the engine's tiered-storage spill files, if any. Engines
-// built with Options.Tier zero-valued need no Close; calling it is a harmless
-// no-op. Idempotent. For durable engines Close discards the on-disk state
-// (checkpoint, WAL, spills) — use CloseKeep to preserve it for a warm
-// restart.
+// Close discards a durable engine's on-disk state (checkpoint and WAL) — use
+// CloseKeep to preserve it for a warm restart. On any other engine it does
+// nothing. Idempotent.
 func (e *Engine) Close() {
-	e.core.Close()
 	if e.dur != nil {
 		e.dur.discard()
 		e.dur = nil

@@ -4,22 +4,20 @@
 //
 // Usage:
 //
-//	acache-bench [-experiment all|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|ablations|extensions|multiquery|overload|tiering]
+//	acache-bench [-experiment all|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|ablations|extensions|multiquery|overload]
 //	             [-scale quick|medium|full] [-seed N]
 //	             [-cpuprofile FILE] [-memprofile FILE]
 //
 // The full scale matches the paper's horizons and takes a few minutes; quick
 // is suitable for smoke runs.
 //
-// Three experiments are wall-clock (not cost-model) based, and cover what
-// the repository's wall-clock benchmark (benchmark/, its own module) does
-// not measure yet: multiquery measures several queries hosted by one Server
-// with cross-query cache sharing against isolated engines and writes
+// Two experiments are wall-clock (not cost-model) based, and cover what the
+// repository's wall-clock benchmark (benchmark/, its own module) does not
+// measure yet: multiquery measures several queries hosted by one Server with
+// cross-query cache sharing against isolated engines and writes
 // BENCH_multiquery.json; overload measures throughput and shed rate under
 // injected worker slowdowns, with and without the cache-first degradation
-// ladder, and writes BENCH_overload.json; tiering measures the mmap-backed
-// cold tier's resident-footprint reduction and hot-path overhead against the
-// in-memory engine and writes BENCH_tiering.json. The JSON files record
+// ladder, and writes BENCH_overload.json. The JSON files record
 // GOMAXPROCS/NumCPU, since wall-clock numbers do not transfer across hosts.
 // Everything else wall-clock — hot path, adaptivity overhead, batching,
 // filters, sharding, durability — is a benchmark/ workload (DESIGN.md §17).
@@ -57,7 +55,7 @@ func writeSVG(dir string, e *bench.Experiment) error {
 }
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment id (fig6..fig13), 'ablations', 'extensions', 'multiquery', 'overload', 'tiering', or 'all'")
+	experiment := flag.String("experiment", "all", "experiment id (fig6..fig13), 'ablations', 'extensions', 'multiquery', 'overload', or 'all'")
 	scale := flag.String("scale", "medium", "run scale: quick, medium, or full")
 	seed := flag.Int64("seed", 42, "workload seed")
 	parallel := flag.Bool("parallel", false, "run experiments concurrently (each is self-contained); output stays in order")
@@ -159,14 +157,6 @@ func main() {
 		}
 		fmt.Println(render(rep.Experiment()))
 		fmt.Println("wrote BENCH_overload.json")
-	case "tiering":
-		rep := bench.RunTiering(3, cfg)
-		if err := os.WriteFile("BENCH_tiering.json", rep.JSON(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "BENCH_tiering.json:", err)
-			os.Exit(1)
-		}
-		fmt.Println(render(rep.Experiment()))
-		fmt.Println("wrote BENCH_tiering.json")
 	case "multiquery":
 		rep := multiquery.Run(4, cfg)
 		if err := os.WriteFile("BENCH_multiquery.json", rep.JSON(), 0o644); err != nil {
@@ -186,7 +176,7 @@ func main() {
 	default:
 		run, ok := runners[*experiment]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (want %s, ablations, extensions, multiquery, overload, tiering, or all)\n",
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (want %s, ablations, extensions, multiquery, overload, or all)\n",
 				*experiment, strings.Join(order, "|"))
 			os.Exit(2)
 		}

@@ -295,7 +295,7 @@ func TestCrashCorruptCheckpoint(t *testing.T) {
 
 	// Bit flips: restore the byte after each trial. A trial that wrongly
 	// succeeds fails the test immediately, so in-place mutation is safe —
-	// parse rejects before Build ever touches the spills.
+	// parse rejects before Build runs.
 	for off := 0; off < len(ck); off += 7 {
 		ck[off] ^= 0x04
 		if err := os.WriteFile(ckPath, ck, 0o644); err != nil {
@@ -328,68 +328,6 @@ func TestCrashCorruptCheckpoint(t *testing.T) {
 		t.Fatal("pristine restore diverges from reference")
 	}
 	b.Close()
-}
-
-// TestCrashCorruptSpill proves cold-page integrity: with a by-reference
-// checkpoint, flipped bytes inside a spill file are caught by the per-tuple
-// CRC (clean error) or land outside any referenced page (exact recovery).
-func TestCrashCorruptSpill(t *testing.T) {
-	ops := genDurOps(55, 900)
-	src := t.TempDir()
-	e, _, err := durQuery().BuildDurable(durOpts(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	applyDurOps(e, ops)
-	if st := e.Stats(); st.TierDemotions == 0 {
-		t.Fatal("no demotions; spill corruption test needs cold pages")
-	}
-	if err := e.CloseKeep(); err != nil {
-		t.Fatal(err)
-	}
-	refs := newRefStates(t, ops)
-
-	errors, exact := 0, 0
-	for rel := 0; rel < 3; rel++ {
-		name := fmt.Sprintf("rel%d.spill", rel)
-		spill, err := os.ReadFile(filepath.Join(src, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Sample the header, the first few data pages (where cold tuples
-		// live), and the sparse tail.
-		offs := []int{0, 5, 9, 17, 25}
-		for o := 4096; o < min(len(spill), 4096*5); o += 512 {
-			offs = append(offs, o+3)
-		}
-		if len(spill) > 64 {
-			offs = append(offs, len(spill)-64)
-		}
-		for _, off := range offs {
-			if off >= len(spill) {
-				continue
-			}
-			dir := copyDurDir(t, src)
-			mut := append([]byte(nil), spill...)
-			mut[off] ^= 0x20
-			if err := os.WriteFile(filepath.Join(dir, name), mut, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			b, _, err := durQuery().BuildDurable(durOpts(dir))
-			if err != nil {
-				errors++
-				continue
-			}
-			if got, want := relContents(b), refs.at(len(ops)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s flip at %d: silent state divergence", name, off)
-			}
-			exact++
-			b.Close()
-		}
-	}
-	if errors == 0 {
-		t.Fatalf("spill sweep never tripped a checksum (%d exact)", exact)
-	}
 }
 
 // TestCrashBetweenCheckpointAndTruncate is the double-apply regression: a
@@ -597,84 +535,6 @@ func TestCloseKeepCheckpointFailureKeepsWAL(t *testing.T) {
 		t.Fatal("failed-checkpoint shutdown lost operations")
 	}
 	b.Close()
-}
-
-// TestSpillWriteFailureDegrades: ENOSPC on a spill grow degrades that store
-// to hot-only — results stay exact, and the failure is visible in Stats.
-func TestSpillWriteFailureDegrades(t *testing.T) {
-	ctrl, err := durQuery().Build(Options{ReoptInterval: 100, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want resultLog
-	want.attach(ctrl)
-	driveDur(ctrl, rand.New(rand.NewSource(5)), 900)
-
-	dir := t.TempDir()
-	inj := fault.NewDisk(nil).FailAt("rel0.spill", fault.OpTruncate, 1, fault.NoSpace)
-	opts := durOpts(dir)
-	opts.fs = inj
-	e, err := durQuery().Build(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got resultLog
-	got.attach(e)
-	driveDur(e, rand.New(rand.NewSource(5)), 900)
-	sameDeltas(t, &got, &want)
-
-	st := e.Stats()
-	if st.TierWriteErrors == 0 {
-		t.Fatal("spill ENOSPC not counted in TierWriteErrors")
-	}
-	if !st.DurabilityDegraded {
-		t.Fatal("spill ENOSPC did not set DurabilityDegraded")
-	}
-	if len(inj.Fired()) != 1 {
-		t.Fatalf("injector fired %v, want exactly once", inj.Fired())
-	}
-	ctrl.Close()
-	e.Close()
-}
-
-// TestShardHealthDurabilityDegraded: the degraded flag propagates through a
-// sharded engine into per-shard health and aggregated stats.
-func TestShardHealthDurabilityDegraded(t *testing.T) {
-	dir := t.TempDir()
-	inj := fault.NewDisk(nil).FailAt("rel0.spill", fault.OpTruncate, 1, fault.NoSpace)
-	opts := durOpts(dir)
-	opts.fs = inj
-	se, err := durQuery().BuildSharded(opts, ShardOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer se.Close()
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 1800; i++ {
-		switch rng.Intn(3) {
-		case 0:
-			se.Append("R", rng.Int63n(60), 0, 0, 0)
-		case 1:
-			se.Append("S", rng.Int63n(60), rng.Int63n(60), 0, 0)
-		default:
-			se.Append("T", rng.Int63n(60), 0, 0, 0)
-		}
-	}
-	se.Flush()
-	st := se.Stats()
-	if st.TierWriteErrors == 0 {
-		t.Fatal("sharded stats missed the spill write error")
-	}
-	if !st.DurabilityDegraded {
-		t.Fatal("sharded stats missed the degraded flag")
-	}
-	degraded := false
-	for _, h := range se.Health() {
-		degraded = degraded || h.DurabilityDegraded
-	}
-	if !degraded {
-		t.Fatal("no shard reports DurabilityDegraded in Health()")
-	}
 }
 
 // validFramePrefix mirrors the WAL scanner: the number of leading frames with

@@ -10,18 +10,14 @@ import (
 
 	"acache/internal/core"
 	"acache/internal/fault"
-	"acache/internal/relation"
-	"acache/internal/tier"
 	"acache/internal/tuple"
 )
 
 // Durable engine state generalizes the shard-recovery checkpoint/WAL pair to
-// whole-daemon restarts: with tiering enabled, the spill files plus a
-// checkpoint file plus a write-ahead log of ingress calls form the engine's
-// durable state on disk, and BuildDurable reconstructs the engine from them
-// — remapping the spill files (header codec verification included), bulk
-// loading the windows, and replaying the WAL tail — instead of re-streaming
-// the source.
+// whole-daemon restarts: a checkpoint file plus a write-ahead log of ingress
+// calls form the engine's durable state on disk, and BuildDurable
+// reconstructs the engine from them — bulk loading the windows and replaying
+// the WAL tail — instead of re-streaming the source.
 //
 // Crash consistency rests on three mechanisms:
 //
@@ -32,26 +28,19 @@ import (
 //     front of a later valid frame — which no single crash can produce — is a
 //     clean error, never a silent truncation and never a panic.
 //   - The checkpoint carries the same epoch, bumped on every save, plus a
-//     whole-file CRC32-C and a per-cold-ref tuple CRC, and is published
-//     atomically (write temp, fsync, rename, fsync directory). A crash
-//     between the checkpoint publish and the WAL truncate leaves a WAL whose
-//     epoch is behind the checkpoint's; replay detects that and ignores the
-//     stale records instead of double-applying them.
+//     whole-file CRC32-C, and is published atomically (write temp, fsync,
+//     rename, fsync directory). A crash between the checkpoint publish and
+//     the WAL truncate leaves a WAL whose epoch is behind the checkpoint's;
+//     replay detects that and ignores the stale records instead of
+//     double-applying them.
 //   - Durability I/O failures are sticky and loud: the first failed WAL write
 //     or sync poisons the log (logging stops, SyncWAL / SaveCheckpoint /
 //     CloseKeep return the sticky error), so a fault can never silently widen
 //     the loss window. Restart recovers the durable prefix.
 //
-// Two checkpoint flavors share one format:
-//
-//   - SaveCheckpoint (callable any time) inlines every tuple's values, so the
-//     checkpoint alone is sufficient even if the engine keeps mutating the
-//     spill files afterwards.
-//   - CloseKeep (clean shutdown) records cold tuples as (page slot, index)
-//     references into the spill files — nothing mutates them after shutdown,
-//     so the mmap files carry the cold bytes and the checkpoint stays small.
-//
-// Caches are deliberately absent from both: the paper's
+// A checkpoint, SaveCheckpoint's at any time or CloseKeep's at shutdown,
+// inlines every window tuple, so it alone restores the windows. Caches are
+// deliberately absent: the paper's
 // consistency-without-completeness property (Section 3.2) makes a cache-cold
 // restart exact, just temporarily slower.
 const (
@@ -82,12 +71,9 @@ const (
 	durTime
 )
 
-// Entry tags: values inline, or a (slot, idx) reference into the relation's
-// spill file.
-const (
-	durInline  byte = 0
-	durColdRef byte = 1
-)
+// durInline tags a checkpoint entry whose values follow inline, the only
+// kind there is: parseDurCheckpoint rejects any other tag.
+const durInline byte = 0
 
 // WAL record kinds — one per ingress entry point, so replay re-drives the
 // exact public calls (window operators included) rather than raw updates.
@@ -103,19 +89,18 @@ const (
 // durable is the engine's durability sidecar: the WAL writer plus the paths
 // that make up the on-disk state.
 type durable struct {
-	dir      string
-	ckPath   string
-	walPath  string
-	fs       fault.FS
-	walF     fault.File
-	walW     *bufio.Writer
-	replay   bool   // suppress logging while the WAL tail re-drives the engine
-	walErr   error  // sticky durability failure; poisons the WAL (see fail)
-	walErrs  uint64 // durability I/O failures observed (Stats.WALErrors)
-	epoch    uint64 // generation of the checkpoint this WAL extends
-	seq      uint64 // sequence of the last frame appended to the current WAL
-	rec      []byte // frame payload scratch, reused per record
-	pageSize int    // spill page geometry, for restore-time ref resolution
+	dir     string
+	ckPath  string
+	walPath string
+	fs      fault.FS
+	walF    fault.File
+	walW    *bufio.Writer
+	replay  bool   // suppress logging while the WAL tail re-drives the engine
+	walErr  error  // sticky durability failure; poisons the WAL (see fail)
+	walErrs uint64 // durability I/O failures observed (Stats.WALErrors)
+	epoch   uint64 // generation of the checkpoint this WAL extends
+	seq     uint64 // sequence of the last frame appended to the current WAL
+	rec     []byte // frame payload scratch, reused per record
 
 	// Replay report, set once by BuildDurable (Stats.WALRecordsReplayed,
 	// WALBytesIgnored, WALReplayReason).
@@ -138,15 +123,13 @@ func (d *durable) fail(err error) error {
 }
 
 // BuildDurable builds the query with durable engine state rooted at
-// opts.Tier.Dir (tiering is required — the spill files are part of the
-// state). If the directory holds a checkpoint or a WAL from a previous run,
-// the engine restarts warm: windows are restored from the checkpoint (cold
-// tuples read through the remapped, codec-verified spill files) and the
-// WAL's valid frame prefix is replayed through the normal ingress paths with
-// result delivery unattached (those results were delivered before the
-// shutdown). Corrupted state — a failed checksum, a mid-log tear, a WAL from
-// the wrong epoch direction — is a clean error, never a panic and never a
-// silently wrong window. It returns the engine and whether the start was
+// opts.Tier.Dir, which it creates if needed. If the directory holds a
+// checkpoint or a WAL from a previous run, the engine restarts warm: windows
+// are restored from the checkpoint and the WAL's valid frame prefix is
+// replayed through the normal ingress paths with result delivery unattached
+// (those results were delivered before the shutdown). Corrupted state — a
+// failed checksum, a mid-log tear, a WAL from the wrong epoch direction — is
+// a clean error, never a panic and never a silently wrong window. It returns the engine and whether the start was
 // warm.
 //
 // After a warm or cold start the engine logs every ingress call to the WAL;
@@ -162,18 +145,18 @@ func (q *Query) BuildDurable(opts Options) (*Engine, bool, error) {
 		return nil, false, fmt.Errorf("acache: BuildDurable requires Options.Tier.Dir")
 	}
 	fs := fault.Sys(opts.fs)
-	to := tier.Options{Dir: opts.Tier.Dir, HotBytes: opts.Tier.HotBytes, PageBytes: opts.Tier.PageBytes}.WithDefaults()
 	dir := opts.Tier.Dir
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
+		return nil, false, err
+	}
 	ckPath := filepath.Join(dir, ckptName)
 	walPath := filepath.Join(dir, walName)
 
-	// Read (and for cold refs, resolve) the prior state before Build: the
-	// fresh engine re-creates the spill files, truncating them.
 	var ck *durCheckpoint
 	ckData, err := fs.ReadFile(ckPath)
 	switch {
 	case err == nil:
-		if ck, err = parseDurCheckpoint(ckData, q, dir, to.PageBytes, fs); err != nil {
+		if ck, err = parseDurCheckpoint(ckData, q, dir); err != nil {
 			return nil, false, err
 		}
 	case !os.IsNotExist(err):
@@ -188,14 +171,12 @@ func (q *Query) BuildDurable(opts Options) (*Engine, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	// abort tears the engine down without discarding the on-disk state: the
+	// abort gives the engine up without discarding the on-disk state: the
 	// checkpoint and WAL stay put for inspection or a repaired retry.
 	abort := func(err error) (*Engine, bool, error) {
 		if e.dur != nil && e.dur.walF != nil {
 			e.dur.walF.Close()
 		}
-		e.dur = nil
-		e.Close()
 		return nil, false, err
 	}
 	warm := false
@@ -207,7 +188,7 @@ func (q *Query) BuildDurable(opts Options) (*Engine, bool, error) {
 		ckEpoch = ck.epoch
 		warm = true
 	}
-	d := &durable{dir: dir, ckPath: ckPath, walPath: walPath, fs: fs, epoch: ckEpoch, pageSize: to.PageBytes}
+	d := &durable{dir: dir, ckPath: ckPath, walPath: walPath, fs: fs, epoch: ckEpoch}
 	e.dur = d
 	rep, err := e.recoverWAL(walData, ckEpoch)
 	if err != nil {
@@ -255,7 +236,7 @@ func (e *Engine) SaveCheckpoint() error {
 	if e.dur.walErr != nil {
 		return e.dur.walErr
 	}
-	if err := e.writeCheckpoint(false); err != nil {
+	if err := e.writeCheckpoint(); err != nil {
 		return err
 	}
 	return e.dur.resetWAL()
@@ -272,33 +253,22 @@ func (e *Engine) SyncWAL() error {
 }
 
 // CloseKeep shuts a durable engine down for a warm restart: it writes a
-// shutdown checkpoint whose cold tuples are (page, index) references into
-// the spill files, flushes and keeps those files on disk, resets the WAL the
-// checkpoint subsumed, and releases workers and file handles. The engine
-// must not be used afterwards. Use Close instead to discard the durable
-// state.
+// shutdown checkpoint (SaveCheckpoint, which resets the WAL the checkpoint
+// subsumed) and closes the WAL, leaving exactly the checkpoint and the empty
+// WAL in the directory. The engine must not be used afterwards. Use Close
+// instead to discard the durable state.
 //
 // If the checkpoint cannot be written, the WAL is kept (flushed as far as
 // the disk allows) instead of being truncated — the prior checkpoint plus
-// the WAL remain the durable record. On a poisoned WAL, CloseKeep releases
-// resources and returns the sticky error.
+// the WAL remain the durable record. On a poisoned WAL, CloseKeep closes the
+// WAL and returns the sticky error.
 func (e *Engine) CloseKeep() error {
 	if e.dur == nil {
 		return fmt.Errorf("acache: CloseKeep on a non-durable engine (use BuildDurable)")
 	}
 	d := e.dur
-	if d.walErr != nil {
-		e.core.CloseKeep()
-		d.closeWAL()
-		return d.walErr
-	}
-	// Checkpoint first (cold refs need the live page table), then flush and
-	// unmap the spills, then retire the WAL the checkpoint just subsumed.
-	err := e.writeCheckpoint(true)
-	e.core.CloseKeep()
-	if err == nil {
-		err = d.resetWAL()
-	} else {
+	err := e.SaveCheckpoint()
+	if err != nil {
 		// No checkpoint landed: the WAL is the durable record. Keep it.
 		d.sync()
 	}
@@ -670,13 +640,11 @@ func (e *Engine) maxClock() int64 {
 
 // ── Checkpoint writer ────────────────────────────────────────────────────────
 
-// writeCheckpoint serializes the engine's window state under epoch+1 and
-// publishes it atomically: temp file, fsync, rename, directory fsync. With
-// byRef set (shutdown path) cold tuples are written as spill page references
-// — each guarded by a tuple CRC so spill-page corruption surfaces at restore
-// — and the caller guarantees the spill files stop mutating afterwards. The
-// sidecar's epoch advances only after the checkpoint is fully published.
-func (e *Engine) writeCheckpoint(byRef bool) error {
+// writeCheckpoint serializes the engine's window state, every tuple inline,
+// under epoch+1 and publishes it atomically: temp file, fsync, rename,
+// directory fsync. The sidecar's epoch advances only after the checkpoint is
+// fully published.
+func (e *Engine) writeCheckpoint() error {
 	d := e.dur
 	epoch := d.epoch + 1
 	var buf []byte
@@ -695,30 +663,10 @@ func (e *Engine) writeCheckpoint(byRef bool) error {
 		}
 		u32(uint32(e.q.schemas[i].Len()))
 		u32(uint32(len(ts)))
-		refs := map[string][][2]uint32{}
-		if byRef {
-			refs = e.coldRefs(i)
-		}
 		for j, t := range ts {
-			var entryTS int64
-			if kind == durTime {
-				entryTS = stamps[j]
-			}
-			if rs := refs[string(tuple.AppendKeyTuple(nil, t))]; len(rs) > 0 {
-				r := rs[len(rs)-1]
-				refs[string(tuple.AppendKeyTuple(nil, t))] = rs[:len(rs)-1]
-				buf = append(buf, durColdRef)
-				if kind == durTime {
-					u64(uint64(entryTS))
-				}
-				u32(r[0])
-				u32(r[1])
-				u32(tupleCRC(t))
-				continue
-			}
 			buf = append(buf, durInline)
 			if kind == durTime {
-				u64(uint64(entryTS))
+				u64(uint64(stamps[j]))
 			}
 			for _, v := range t {
 				u64(uint64(v))
@@ -752,18 +700,6 @@ func (e *Engine) writeCheckpoint(byRef bool) error {
 	return nil
 }
 
-// tupleCRC checksums a tuple's value bytes — the per-cold-ref guard that
-// catches spill-page corruption the spill header cannot see.
-func tupleCRC(t tuple.Tuple) uint32 {
-	var b [8]byte
-	crc := uint32(0)
-	for _, v := range t {
-		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		crc = crc32.Update(crc, crcTable, b[:])
-	}
-	return crc
-}
-
 // relState returns relation i's checkpointable window state: its kind, the
 // time-window clock (durTime only), the live tuples in the order the window
 // operator will expire them, and their timestamps (durTime only).
@@ -794,30 +730,9 @@ func (in *ingress) winKind(i int) byte {
 	return durUnbounded
 }
 
-// coldRefs maps tuple key → available (slot, idx) spill references for
-// relation i's cold tuples. Multiset matching: equal-valued instances are
-// interchangeable, so any assignment of refs to checkpoint entries is exact.
-func (e *Engine) coldRefs(i int) map[string][][2]uint32 {
-	st := e.core.Exec().Store(i)
-	if !st.TierEnabled() {
-		return map[string][][2]uint32{}
-	}
-	refs := make(map[string][][2]uint32)
-	st.EachDurable(func(t tuple.Tuple, slot int32, idx int) {
-		if slot < 0 {
-			return
-		}
-		k := string(tuple.AppendKeyTuple(nil, t))
-		refs[k] = append(refs[k], [2]uint32{uint32(slot), uint32(idx)})
-	})
-	return refs
-}
-
 // ── Checkpoint reader ────────────────────────────────────────────────────────
 
-// durCheckpoint is a parsed checkpoint with every cold reference already
-// resolved to values (the spills are remapped, read, and released during
-// parsing, before the new engine re-creates them).
+// durCheckpoint is a parsed checkpoint.
 type durCheckpoint struct {
 	epoch  uint64
 	seq    uint64
@@ -829,11 +744,8 @@ type durCheckpoint struct {
 
 // parseDurCheckpoint decodes and validates a checkpoint against the query.
 // The whole-file CRC is verified before anything else, so every later parse
-// error means a codec or query mismatch, not bit rot. Cold references are
-// resolved by reopening the relation spill files (header magic, codec
-// version, page geometry, and tuple width all verified by tier.Open), and
-// each resolved tuple is checked against its stored CRC before use.
-func parseDurCheckpoint(data []byte, q *Query, dir string, pageBytes int, fsys fault.FS) (*durCheckpoint, error) {
+// error means a codec or query mismatch, not bit rot.
+func parseDurCheckpoint(data []byte, q *Query, dir string) (*durCheckpoint, error) {
 	pos := 0
 	fail := func(f string, args ...any) (*durCheckpoint, error) {
 		return nil, fmt.Errorf("acache: checkpoint %s: %s", filepath.Join(dir, ckptName), fmt.Sprintf(f, args...))
@@ -888,8 +800,6 @@ func parseDurCheckpoint(data []byte, q *Query, dir string, pageBytes int, fsys f
 		rels:   make([][]tuple.Tuple, nrels),
 		stamps: make([][]int64, nrels),
 	}
-	// Spill files are opened lazily per relation and closed (kept on disk)
-	// once their refs are resolved.
 	for i := 0; i < int(nrels); i++ {
 		if pos >= len(data) {
 			return fail("truncated at relation %d", i)
@@ -915,7 +825,6 @@ func parseDurCheckpoint(data []byte, q *Query, dir string, pageBytes int, fsys f
 		if !ok {
 			return fail("relation %d: truncated count", i)
 		}
-		var sp *tier.Spill
 		ts := make([]tuple.Tuple, 0, count)
 		var stamps []int64
 		for j := 0; j < int(count); j++ {
@@ -943,31 +852,6 @@ func parseDurCheckpoint(data []byte, q *Query, dir string, pageBytes int, fsys f
 					t[c] = tuple.Value(v)
 				}
 				ts = append(ts, t)
-			case durColdRef:
-				slot, ok1 := u32()
-				idx, ok2 := u32()
-				want, ok3 := u32()
-				if !ok1 || !ok2 || !ok3 {
-					return fail("relation %d: truncated ref", i)
-				}
-				if sp == nil {
-					var err error
-					sp, err = tier.Open(filepath.Join(dir, fmt.Sprintf("rel%d.spill", i)), pageBytes, uint64(arity), fsys)
-					if err != nil {
-						return nil, err
-					}
-					defer sp.CloseKeep()
-				}
-				perPage := pageBytes / (8 * int(arity))
-				if int(slot) >= sp.Pages() || int(idx) >= perPage {
-					return fail("relation %d: ref (%d,%d) out of range", i, slot, idx)
-				}
-				t := relation.ColdTuple(sp, int32(slot), int(idx), int(arity))
-				if got := tupleCRC(t); got != want {
-					return fail("relation %d: ref (%d,%d): spill tuple checksum %#x, want %#x: spill page corrupted",
-						i, slot, idx, got, want)
-				}
-				ts = append(ts, t)
 			default:
 				return fail("relation %d: unknown entry tag %d", i, tag)
 			}
@@ -985,8 +869,8 @@ func parseDurCheckpoint(data []byte, q *Query, dir string, pageBytes int, fsys f
 }
 
 // restoreDur bulk-loads a parsed checkpoint into a freshly built engine:
-// tuples go into the relation stores (RestoreWindows, which re-demotes past
-// the watermark as it fills) and into the ingress window operators, and the
+// tuples go into the relation stores (RestoreWindows) and into the ingress
+// window operators, and the
 // update sequence resumes where it left off. Structural invariants the
 // loaders enforce by panicking (window overflow, timestamp regressions)
 // come back as errors — corrupted state never takes the process down.

@@ -1,18 +1,17 @@
 package acache
 
 import (
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 )
 
-// durQuery pads every relation to width 4 so a 300-tuple window spans
-// several 4096-byte spill pages (128 tuples each) and the small test
-// watermark actually forces demotions.
+// durQuery pads every relation to width 4, so checkpoint entries and WAL
+// records carry several values per tuple.
 func durQuery() *Query {
 	return NewQuery().
 		WindowedRelation("R", 300, "A", "P1", "P2", "P3").
@@ -41,7 +40,7 @@ func durOpts(dir string) Options {
 	return Options{
 		ReoptInterval: 100,
 		Seed:          7,
-		Tier:          TierOptions{Dir: dir, HotBytes: 4096, PageBytes: 4096},
+		Tier:          TierOptions{Dir: dir},
 	}
 }
 
@@ -67,8 +66,8 @@ func sameDeltas(t *testing.T, got, want *resultLog) {
 }
 
 // TestDurableWarmRestartCloseKeep checks the clean-shutdown path: CloseKeep
-// writes a by-reference checkpoint, the spill files stay on disk, and the
-// reopened engine continues producing exactly the output stream an
+// leaves a self-contained checkpoint and an emptied WAL and nothing else, and
+// the reopened engine continues producing exactly the output stream an
 // uninterrupted engine produces.
 func TestDurableWarmRestartCloseKeep(t *testing.T) {
 	dir := t.TempDir()
@@ -95,16 +94,21 @@ func TestDurableWarmRestartCloseKeep(t *testing.T) {
 	got.attach(a)
 	rng := rand.New(rand.NewSource(99))
 	driveDur(a, rng, 600)
-	if st := a.Stats(); st.TierColdBytes == 0 || st.TierDemotions == 0 {
-		t.Fatalf("watermark produced no cold state: %+v", st)
-	}
 	if err := a.CloseKeep(); err != nil {
 		t.Fatal(err)
 	}
-	// The shutdown checkpoint should be by-reference: smaller than the full
-	// inlined window footprint would be, and the spill files must remain.
-	if _, err := os.Stat(filepath.Join(dir, "rel0.spill")); err != nil {
-		t.Fatalf("CloseKeep removed spill: %v", err)
+	// The checkpoint stands alone: a warm restart needs no file beside it
+	// and the WAL.
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, ent := range ents {
+		files = append(files, ent.Name())
+	}
+	if want := []string{ckptName, walName}; !slices.Equal(files, want) {
+		t.Fatalf("CloseKeep left %v, want exactly %v", files, want)
 	}
 
 	b, warm, err := durQuery().BuildDurable(durOpts(dir))
@@ -163,9 +167,8 @@ func TestDurableKillRestartWAL(t *testing.T) {
 	if err := a.SyncWAL(); err != nil {
 		t.Fatal(err)
 	}
-	// Kill: no Close, no CloseKeep. The checkpoint is self-contained and the
-	// WAL tail is on disk, so the abandoned engine's spill files (which a
-	// fresh build truncates) are not needed.
+	// Kill: no Close, no CloseKeep. The checkpoint and the synced WAL tail
+	// are on disk.
 
 	b, warm, err := durQuery().BuildDurable(durOpts(dir))
 	if err != nil {
@@ -259,41 +262,9 @@ func TestDurableTimeAndPartitionedRestart(t *testing.T) {
 	sameDeltas(t, &got, &want)
 }
 
-// TestDurableCodecMismatch: a checkpoint referencing a spill file whose
-// header does not verify must fail the restore loudly, not silently restart
-// cold.
-func TestDurableCodecMismatch(t *testing.T) {
-	dir := t.TempDir()
-	a, _, err := durQuery().BuildDurable(durOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	driveDur(a, rng, 600)
-	if err := a.CloseKeep(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt every spill's header version field (offset 4, little-endian
-	// u32); the restore must reject whichever file the checkpoint references.
-	for i := 0; i < 3; i++ {
-		path := filepath.Join(dir, fmt.Sprintf("rel%d.spill", i))
-		f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt([]byte{0xff}, 4); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-	}
-	if _, _, err := durQuery().BuildDurable(durOpts(dir)); err == nil {
-		t.Fatal("corrupted spill codec version did not fail the restore")
-	}
-}
-
 // TestDurableFDLeak cycles durable engines and asserts the process's open
-// file-descriptor count returns to its baseline — the mmap fds, WAL handle,
-// and checkpoint temp files must all be released by Close and CloseKeep.
+// file-descriptor count returns to its baseline — the WAL handle and the
+// checkpoint temp files must all be released by Close and CloseKeep.
 func TestDurableFDLeak(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("fd accounting via /proc/self/fd")

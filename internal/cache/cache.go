@@ -75,13 +75,6 @@ type Cache struct {
 	usedBytes  int
 	numEntries int
 
-	// tr, when non-nil, is the engine's shared cold tier (see tier.go):
-	// entry payloads past the hot watermark spill to a mapped file while
-	// buckets, keys, and all logical byte accounting stay resident.
-	// coldBytes is the spilled portion of usedBytes.
-	tr        *Tier
-	coldBytes int
-
 	stats Stats
 }
 
@@ -91,14 +84,6 @@ type Cache struct {
 // place; a drop releases it (reclaiming budget must free memory) and
 // recycles only the struct.
 type slot struct {
-	// Tier state (see tier.go): a cold entry's payload lives in spill page
-	// cslot and accounts for cbytes of the logical entry size; ref is the
-	// demotion clock's reference bit, kept only on a tiered cache.
-	cold   bool
-	ref    bool
-	cslot  int32
-	cbytes int32
-
 	// flat holds the entry's n tuples back to back, in storage order, each
 	// of the cache's width.
 	n    int32
@@ -245,14 +230,7 @@ func (c *Cache) lookup(k []byte) (*slot, int) {
 	if e < 0 || string(c.keyOf(e)) != string(k) {
 		return nil, b
 	}
-	s := &c.ents[e]
-	if s.cold {
-		c.promoteSlot(s)
-	}
-	if c.tr != nil {
-		s.ref = true // only the tier's clock reads it
-	}
-	return s, b
+	return &c.ents[e], b
 }
 
 func entryBytes(keyBytes, n int) int { return keyBytes + RefBytes*n }
@@ -293,7 +271,6 @@ func (c *Cache) CreateBytes(k []byte, v []tuple.Tuple) {
 	if s := c.claim(k, entryBytes(c.keyBytes, len(v))); s != nil {
 		c.fill(s, v)
 		s.ct = nil
-		c.maybeMaintain()
 	}
 }
 
@@ -319,7 +296,6 @@ func (c *Cache) claim(k []byte, size int) *slot {
 		if string(c.keyOf(e)) != string(k) {
 			c.stats.Evictions++
 		}
-		c.freeCold(&c.ents[e])
 		c.usedBytes -= freed
 		c.numEntries--
 	} else {
@@ -327,12 +303,10 @@ func (c *Cache) claim(k []byte, size int) *slot {
 		c.buckets[b] = e + 1
 	}
 	copy(c.keyOf(e), k)
-	s := &c.ents[e]
-	s.ref = c.tr != nil
 	c.usedBytes += size
 	c.numEntries++
 	c.stats.Creates++
-	return s
+	return &c.ents[e]
 }
 
 // alloc returns the index of an unused slab entry: a released one, else the
@@ -377,7 +351,6 @@ func (c *Cache) InsertColsBytes(k []byte, t tuple.Tuple, cols []int) {
 	c.push(s, t, cols)
 	c.usedBytes += RefBytes
 	c.stats.Inserts++
-	c.maybeMaintain()
 }
 
 // DeleteBytes removes one tuple equal to r from the entry for key k, if the
@@ -405,7 +378,6 @@ func (c *Cache) dropBucket(b int) {
 	}
 	s := &c.ents[e]
 	c.usedBytes -= c.slotBytes(s)
-	c.freeCold(s)
 	c.numEntries--
 	*s = slot{}
 	c.buckets[b] = 0
@@ -464,18 +436,12 @@ func (c *Cache) HitRate() float64 {
 
 // Each visits every resident entry, in bucket order. Nothing in the program
 // calls it: it is what the tests of the consistency invariant (Definition
-// 3.1) walk the cache with, here and in internal/join and internal/core. Cold
-// entries are promoted so the callback sees materialized values; v is the
-// probes' scratch, valid until the callback returns or probes.
+// 3.1) walk the cache with, here and in internal/join and internal/core. v is
+// the probes' scratch, valid until the callback returns or probes.
 func (c *Cache) Each(f func(u tuple.Key, v []tuple.Tuple)) {
 	for _, e := range c.buckets {
-		if e == 0 {
-			continue
+		if e != 0 {
+			f(tuple.Key(c.keyOf(e-1)), c.headers(&c.ents[e-1]))
 		}
-		s := &c.ents[e-1]
-		if s.cold {
-			c.promoteSlot(s)
-		}
-		f(tuple.Key(c.keyOf(e-1)), c.headers(s))
 	}
 }

@@ -362,7 +362,7 @@ func TestEntriesMatchDirectMappedModel(t *testing.T) {
 
 		// Victims go in bucket order, not slab order (the slab is in order
 		// of first creation, and after the first shrink partly recycled):
-		// every simulated figure and the tier differential rest on it.
+		// every simulated figure rests on it.
 		shrink := func(budget int) {
 			t.Helper()
 			used := c.UsedBytes()

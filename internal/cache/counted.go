@@ -47,7 +47,6 @@ func (c *Cache) CreateCounted(u tuple.Key, tuples []tuple.Tuple, mults, supports
 	if s := c.claim([]byte(u), c.keyBytes+countedElemBytes*len(tuples)); s != nil {
 		c.fill(s, tuples)
 		s.ct = &counts{mult: append([]int(nil), mults...), cnt: append([]int(nil), supports...)}
-		c.maybeMaintain()
 	}
 }
 
@@ -112,7 +111,6 @@ func (c *Cache) ApplyCountedDelta(u tuple.Key, r tuple.Tuple, n int, recomputeMu
 	s.ct.cnt = append(s.ct.cnt, n)
 	s.ct.mult = append(s.ct.mult, m)
 	c.usedBytes += countedElemBytes
-	c.maybeMaintain()
 }
 
 // EachCounted visits every resident counted entry with its multiplicities
@@ -123,20 +121,12 @@ func (c *Cache) EachCounted(f func(u tuple.Key, v []tuple.Tuple, mults, supports
 			continue
 		}
 		s := &c.ents[e-1]
-		if s.cold {
-			c.promoteSlot(s)
-		}
 		f(tuple.Key(c.keyOf(e-1)), c.headers(s), s.ct.mult, s.ct.cnt)
 	}
 }
 
-// slotBytes returns the accounted size of an entry, counted or plain. Cold
-// entries report the size frozen at demotion (content is immutable while
-// cold).
+// slotBytes returns the accounted size of an entry, counted or plain.
 func (c *Cache) slotBytes(s *slot) int {
-	if s.cold {
-		return c.keyBytes + int(s.cbytes)
-	}
 	if s.ct != nil {
 		return c.keyBytes + countedElemBytes*int(s.n)
 	}

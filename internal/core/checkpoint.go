@@ -79,9 +79,8 @@ func (en *Engine) RestoreWindows(ck *Checkpoint) error {
 
 // AddSnapshot accumulates another snapshot's cumulative counters into s —
 // the supervisor-side merge when totals span engine rebuilds.
-// CacheMemoryBytes, FilterBytes, WindowBytes, SharedStores, TierHotBytes and
-// TierColdBytes are point-in-time gauges, not cumulative counters, so they
-// are not summed.
+// CacheMemoryBytes, FilterBytes, WindowBytes and SharedStores are
+// point-in-time gauges, not cumulative counters, so they are not summed.
 func (s *Snapshot) AddSnapshot(o Snapshot) {
 	s.Updates += o.Updates
 	s.Outputs += o.Outputs
@@ -90,10 +89,6 @@ func (s *Snapshot) AddSnapshot(o Snapshot) {
 	s.SkippedReopts += o.SkippedReopts
 	s.FilteredProbes += o.FilteredProbes
 	s.FilterFalsePositives += o.FilterFalsePositives
-	s.TierPromotions += o.TierPromotions
-	s.TierDemotions += o.TierDemotions
-	s.TierWriteErrors += o.TierWriteErrors
-	s.DurDegraded = s.DurDegraded || o.DurDegraded
 	s.ReoptNanos += o.ReoptNanos
 	s.SampledUpdates += o.SampledUpdates
 	s.CandidateRescores += o.CandidateRescores

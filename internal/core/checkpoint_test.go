@@ -48,7 +48,7 @@ func drive(t *testing.T, en *Engine, n int, seed int64) {
 func storeMultiset(en *Engine, rel int) map[string]int {
 	out := make(map[string]int)
 	for _, tp := range en.Exec().Store(rel).All() {
-		out[string(tuple.AppendKeyTuple(nil, tp))]++
+		out[string(tuple.Encode(tp))]++
 	}
 	return out
 }

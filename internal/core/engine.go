@@ -10,12 +10,10 @@ package core
 
 import (
 	"math/rand"
-	"path/filepath"
 	"slices"
 	"strings"
 	"time"
 
-	"acache/internal/cache"
 	"acache/internal/cost"
 	"acache/internal/join"
 	"acache/internal/memory"
@@ -25,7 +23,6 @@ import (
 	"acache/internal/query"
 	"acache/internal/selection"
 	"acache/internal/stream"
-	"acache/internal/tier"
 	"acache/internal/tuple"
 )
 
@@ -122,13 +119,6 @@ type Config struct {
 	// cross-query shared window stores for this engine's relations at build
 	// time. See join.Options.StoreProvider.
 	StoreProvider join.StoreProvider
-	// Tier enables tiered slab storage: relation-store pages and cache-entry
-	// payloads past the hot watermark spill to memory-mapped files under
-	// Tier.Dir. Results, window contents, and meter totals are bit-identical
-	// with tiering on or off (the meter always charges the in-memory tariff);
-	// only the resident footprint reported to the memory allocator and
-	// wall-clock time change. The zero value disables tiering.
-	Tier tier.Options
 	// RelTokens, when non-nil, gives each relation a host-scope identity
 	// token (stream name, arity, window shape). They anchor the cross-query
 	// canonical cache identities (planner.CrossID) that a hosting server
@@ -220,10 +210,6 @@ type Engine struct {
 	// refreshCandidates and attachForced, which rebuild it.
 	sorted    []*cand
 	instances map[string]*join.Instance // by SharingID, for Used caches
-
-	// cacheTier is the shared cold tier of this engine's cache instances,
-	// created lazily at the first instance when Config.Tier is enabled.
-	cacheTier *cache.Tier
 
 	updates      int
 	sinceReopt   int
@@ -317,7 +303,7 @@ func NewEngine(q *query.Query, ord planner.Ordering, cfg Config) (*Engine, error
 		ord = ordering.InitialOrdering(q.N())
 	}
 	meter := &cost.Meter{}
-	exec, err := join.NewExec(q, ord, meter, join.Options{ScanOnly: cfg.ScanOnly, StoreProvider: cfg.StoreProvider, Tier: cfg.Tier})
+	exec, err := join.NewExec(q, ord, meter, join.Options{ScanOnly: cfg.ScanOnly, StoreProvider: cfg.StoreProvider})
 	if err != nil {
 		return nil, err
 	}
@@ -450,41 +436,8 @@ func (en *Engine) instanceFor(spec *planner.Spec, buckets int) *join.Instance {
 		return inst
 	}
 	inst := join.NewInstance(en.q, spec, buckets, en.mem.Budget(), en.meter)
-	if t := en.ensureCacheTier(); t != nil {
-		inst.Cache().AttachTier(t)
-	}
 	en.instances[id] = inst
 	return inst
-}
-
-// ensureCacheTier lazily creates the engine's shared cache spill. A creation
-// failure disables cache tiering for the engine's lifetime (caches simply
-// stay fully resident, which is always correct).
-func (en *Engine) ensureCacheTier() *cache.Tier {
-	if en.cacheTier != nil || !en.cfg.Tier.Enabled() {
-		return en.cacheTier
-	}
-	o := en.cfg.Tier.WithDefaults()
-	t, err := cache.NewTier(filepath.Join(o.Dir, "cache.spill"), o.PageBytes, o.HotBytes, o.FS)
-	if err != nil {
-		en.cfg.Tier = tier.Options{}
-		return nil
-	}
-	en.cacheTier = t
-	return t
-}
-
-// releaseInstance forgets an instance; under tiering its entries are cleared
-// first so the shared spill's slots come back, and the cache unregisters
-// from the tier's demotion clock.
-func (en *Engine) releaseInstance(id string) {
-	if inst, ok := en.instances[id]; ok {
-		if en.cacheTier != nil {
-			inst.Cache().Clear()
-			inst.Cache().DetachTier()
-		}
-		delete(en.instances, id)
-	}
 }
 
 // Process runs one update through the engine: profiling decision, join
@@ -600,22 +553,6 @@ type Snapshot struct {
 	// SharedStores is the number of relations whose window store is
 	// cross-query shared (attached through a hosting server's registry).
 	SharedStores int
-	// TierHotBytes / TierColdBytes split the engine's tuple and cache-entry
-	// footprint into the resident hot tier and the spilled cold tier;
-	// TierPromotions / TierDemotions count page and entry moves between the
-	// tiers. All four are zero with tiering off (they are not persisted in
-	// binary checkpoints — a restored engine re-measures them).
-	TierHotBytes   int
-	TierColdBytes  int
-	TierPromotions uint64
-	TierDemotions  uint64
-	// TierWriteErrors counts failed spill writes across the relation stores
-	// and the shared cache tier; DurDegraded is true once any of them has
-	// fallen back to hot-only operation (results stay exact, the memory win
-	// and — for store spills — by-ref checkpointing of the failed store are
-	// lost).
-	TierWriteErrors uint64
-	DurDegraded     bool
 	// ReoptNanos is cumulative wall-clock time inside the re-optimizer
 	// (used-cache monitoring, profiling-phase transitions, selection) —
 	// the adaptivity tax off the per-tuple path. Always measured.
@@ -625,8 +562,8 @@ type Snapshot struct {
 	// CandidateRescores counts cost-model re-evaluations of candidate
 	// caches.
 	CandidateRescores uint64
-	// Like the tier gauges, the three adaptivity counters are not persisted
-	// in binary checkpoints — a restored engine re-measures them.
+	// The three adaptivity counters are not persisted in checkpoints — a
+	// restored engine re-measures them.
 }
 
 // Snapshot returns the engine's current counters. The method takes no locks:
@@ -652,84 +589,15 @@ func (en *Engine) Snapshot() Snapshot {
 		WindowBytes:          en.WindowBytes(),
 		SharedStores:         en.exec.SharedStores(),
 	}
-	s.TierHotBytes, s.TierColdBytes, s.TierPromotions, s.TierDemotions = en.TierStats()
-	s.TierWriteErrors, s.DurDegraded = en.DurabilityStats()
 	s.ReoptNanos = en.reoptNanos
 	s.SampledUpdates = en.pf.SampledUpdates()
 	s.CandidateRescores = en.candRescores
 	return s
 }
 
-// TierStats reports the hot/cold byte split and cumulative tier traffic
-// across the relation stores and cache instances. With tiering off all four
-// are zero, so snapshots of untiered engines are unchanged by the tier
-// fields (and survive binary checkpoint round trips, which do not carry
-// them).
-func (en *Engine) TierStats() (hotBytes, coldBytes int, promotions, demotions uint64) {
-	if !en.cfg.Tier.Enabled() {
-		return 0, 0, 0, 0
-	}
-	for r := 0; r < en.q.N(); r++ {
-		st := en.exec.Store(r)
-		hotBytes += st.HotMemoryBytes()
-		coldBytes += st.ColdMemoryBytes()
-		p, d := st.TierCounters()
-		promotions += p
-		demotions += d
-	}
-	for _, inst := range en.instances {
-		hotBytes += inst.Cache().HotUsedBytes()
-		coldBytes += inst.Cache().ColdUsedBytes()
-	}
-	if en.cacheTier != nil {
-		p, d := en.cacheTier.Counters()
-		promotions += p
-		demotions += d
-	}
-	return hotBytes, coldBytes, promotions, demotions
-}
-
-// DurabilityStats reports spill-write failures across the relation stores
-// and the shared cache tier. writeErrors counts individual failed writes;
-// degraded is true once any store or the cache tier has dropped to hot-only
-// operation. Cheap (O(relations)) — the shard worker polls it after every
-// batch to keep its health flag current.
-func (en *Engine) DurabilityStats() (writeErrors uint64, degraded bool) {
-	if !en.cfg.Tier.Enabled() && en.cacheTier == nil {
-		return 0, false
-	}
-	for r := 0; r < en.q.N(); r++ {
-		st := en.exec.Store(r)
-		writeErrors += st.TierWriteErrors()
-		degraded = degraded || st.TierDegraded()
-	}
-	if en.cacheTier != nil {
-		writeErrors += en.cacheTier.WriteErrors()
-		degraded = degraded || en.cacheTier.Degraded()
-	}
-	return writeErrors, degraded
-}
-
-// Close unmaps and removes every spill file (relation stores and the shared
-// cache spill) when tiering is enabled. Engines built without tiering need no
-// Close; calling it is a no-op. Idempotent.
-func (en *Engine) Close() {
-	en.exec.Close()
-	if en.cacheTier != nil {
-		en.cacheTier.Close()
-	}
-}
-
-// CloseKeep is Close for a durable shutdown: the relation-store spill files
-// stay on disk (their cold pages back a checkpoint's page references) while
-// the cache spill is still removed — caches restart cold by design
-// (consistency without completeness keeps results exact).
-func (en *Engine) CloseKeep() {
-	en.exec.CloseTiersKeep()
-	if en.cacheTier != nil {
-		en.cacheTier.Close()
-	}
-}
+// Close is a no-op, kept for API stability: an engine holds nothing but
+// memory.
+func (en *Engine) Close() {}
 
 // SetMemoryBudget changes the cache memory budget at run time (Figure 13)
 // and immediately re-divides it among the used caches by priority.

@@ -524,7 +524,7 @@ func (en *Engine) applySelection(chosen []*cand) {
 					}
 				}
 				if orphan {
-					en.releaseInstance(id)
+					delete(en.instances, id)
 				}
 			}
 			c.state = Unused
@@ -561,7 +561,7 @@ func (en *Engine) detach(c *cand) {
 		}
 	}
 	if !inUse {
-		en.releaseInstance(id)
+		delete(en.instances, id)
 	}
 	c.inst = nil
 	c.suspended = false

@@ -2,7 +2,6 @@ package join
 
 import (
 	"fmt"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -12,7 +11,6 @@ import (
 	"acache/internal/query"
 	"acache/internal/relation"
 	"acache/internal/stream"
-	"acache/internal/tier"
 	"acache/internal/tuple"
 )
 
@@ -31,12 +29,6 @@ type Options struct {
 	// whose tariff structure would differ. A hosting Server uses this to
 	// share one window store across equivalent registered queries.
 	StoreProvider StoreProvider
-	// Tier enables tiered slab storage for the private relation stores:
-	// pages past the hot watermark spill to memory-mapped files under
-	// Tier.Dir (one per relation). Shared provider stores are never tiered —
-	// their lifetime belongs to the host. Results and meter charges are
-	// bit-identical with tiering on or off.
-	Tier tier.Options
 }
 
 // StoreProvider resolves a relation to a pre-existing shared store, or nil.
@@ -138,49 +130,16 @@ func NewExec(q *query.Query, ord planner.Ordering, meter *cost.Meter, opts Optio
 				continue
 			}
 		}
-		st := relation.NewStore(i, q.Schema(i), meter)
-		if opts.Tier.Enabled() {
-			if err := st.EnableTier(opts.Tier, filepath.Join(opts.Tier.Dir, fmt.Sprintf("rel%d.spill", i))); err != nil {
-				e.Close()
-				return nil, err
-			}
-		}
-		e.stores[i] = st
+		e.stores[i] = relation.NewStore(i, q.Schema(i), meter)
 	}
 	e.buildPipelines()
 	e.refreshBatchable()
 	return e, nil
 }
 
-// Close unmaps and removes every private store's spill file (transient
-// teardown). Idempotent; a no-op for untiered executors. Shared provider
-// stores are untouched.
-func (e *Exec) Close() {
-	for r, st := range e.stores {
-		if st == nil || e.sharerIDs[r] >= 0 {
-			continue
-		}
-		// The spill is scratch state being discarded: a failed unmap or
-		// remove leaves nothing the caller could act on.
-		_ = st.CloseTier()
-	}
-}
-
-// CloseTiersKeep unmaps every private store's spill but keeps the files on
-// disk — the durable-shutdown path, where a checkpoint references cold pages
-// by slot and a warm restart remaps them.
-func (e *Exec) CloseTiersKeep() error {
-	var err error
-	for r, st := range e.stores {
-		if st == nil || e.sharerIDs[r] >= 0 {
-			continue
-		}
-		if cerr := st.CloseTierKeep(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
+// Close is a no-op, kept for API stability: an executor holds nothing but
+// memory.
+func (e *Exec) Close() {}
 
 // IndexSignature computes, without building anything, the canonical signature
 // of the hash indexes pipeline compilation will create on relation rel's

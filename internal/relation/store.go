@@ -172,11 +172,6 @@ type Store struct {
 	// shared, when non-nil, marks a store attached to more than one executor
 	// (cross-query window sharing). See ApplyShared for the protocol.
 	shared *sharedState
-
-	// tier, when non-nil, runs the slab on tiered pages: hot pages on the
-	// heap, pages past the hot watermark demoted to a memory-mapped spill
-	// file (see tier.go). Never charged; results are identical either way.
-	tier *storeTier
 }
 
 // sharedState is the bookkeeping of a cross-query shared store: every sharer
@@ -418,8 +413,7 @@ func (s *Store) CreateIndex(names ...string) *HashIndex {
 func (s *Store) Index(names ...string) *HashIndex { return s.indexes[indexName(names)] }
 
 // allocID claims a slab id for t, growing every per-id side array in step.
-// Untired stores alias the caller's tuple; tiered stores copy it into the
-// id's page slot so the bytes live in pageable storage.
+// The slab aliases the caller's tuple.
 func (s *Store) allocID(t tuple.Tuple) int32 {
 	if len(t) != s.width || s.width == 0 {
 		panic(fmt.Sprintf("relation: %v given a tuple of %d values, its schema has %d", s, len(t), s.width))
@@ -435,11 +429,7 @@ func (s *Store) allocID(t tuple.Tuple) int32 {
 			idx.next = append(idx.next, nilID)
 		}
 	}
-	if s.tier != nil {
-		s.tuples[id] = s.tier.place(s, id, t)
-	} else {
-		s.tuples[id] = tuple.RefOf(t)
-	}
+	s.tuples[id] = tuple.RefOf(t)
 	s.live++
 	return id
 }
@@ -454,14 +444,11 @@ func (s *Store) Insert(t tuple.Tuple) {
 		idx.insert(t, id)
 		s.meter.Charge(cost.HashInsert)
 	}
-	if s.tier != nil {
-		s.tier.maintain(s) // demote LRU pages past the hot watermark
-	}
 }
 
-// Delete removes t itself when the store holds it (an untiered store aliases
-// the tuples it is given, so a window expiry releases exactly the storage the
-// window released), else the first tuple equal to t on its key chain in the
+// Delete removes t itself when the store holds it (a store aliases the tuples
+// it is given, so a window expiry releases exactly the storage the window
+// released), else the first tuple equal to t on its key chain in the
 // store's first index — the oldest, for an index kept since the store was
 // empty. A store with no index scans for it, as every probe of it does. It
 // reports whether a tuple was found; deleting an absent tuple is a no-op
@@ -494,9 +481,6 @@ func (s *Store) Delete(t tuple.Tuple) bool {
 		}
 		s.meter.Charge(cost.HashInsert)
 	}
-	if s.tier != nil {
-		s.tier.unplace(id)
-	}
 	s.tuples[id] = tuple.Ref{}
 	s.freeIDs = append(s.freeIDs, id)
 	s.live--
@@ -509,9 +493,6 @@ func (s *Store) Delete(t tuple.Tuple) bool {
 func (s *Store) Scan(f func(tuple.Tuple) bool) {
 	s.eachLive(func(id int32) bool {
 		s.meter.Charge(cost.ScanStep)
-		if s.tier != nil {
-			s.tier.touch(s, id) // may move id's page: read its ref after
-		}
 		return f(s.at(id))
 	})
 }
@@ -548,16 +529,12 @@ func (s *Store) Holding(t tuple.Tuple) int {
 	return n
 }
 
-// All returns the current tuples (shared values; tiered stores clone them so
-// the result survives page moves); for tests and oracles.
+// All returns the current tuples (shared values); for checkpoints, tests and
+// oracles.
 func (s *Store) All() []tuple.Tuple {
 	out := make([]tuple.Tuple, 0, s.live)
 	s.eachLive(func(id int32) bool {
-		t := s.at(id)
-		if s.tier != nil {
-			t = t.Clone()
-		}
-		out = append(out, t)
+		out = append(out, s.at(id))
 		return true
 	})
 	return out
@@ -707,9 +684,6 @@ func (s *Store) ProbeEachMemo(idx *HashIndex, vals []tuple.Value, memo *ProbeMem
 				s.noteProbeMiss(idx)
 			}
 			for _, id := range memo.ids[e.off : e.off+e.n] {
-				if s.tier != nil {
-					s.tier.touch(s, id)
-				}
 				f(s.at(id))
 			}
 			return
@@ -728,9 +702,6 @@ func (s *Store) ProbeEachMemo(idx *HashIndex, vals []tuple.Value, memo *ProbeMem
 	if slot >= 0 {
 		for id := idx.table.slots[slot].head; id != nilID; id = idx.next[id] {
 			memo.ids = append(memo.ids, id)
-			if s.tier != nil {
-				s.tier.touch(s, id)
-			}
 			f(s.at(id))
 		}
 	}
@@ -877,9 +848,6 @@ func (ix *HashIndex) remove(t tuple.Tuple, id int32) int32 {
 			break
 		} else if id == nilID && victim == nilID && s.at(c).Equal(t) {
 			victim, prev = c, p
-			if s.tier != nil { // page copies: the chain cannot hold t itself
-				break
-			}
 		}
 	}
 	if victim == nilID {
@@ -922,9 +890,6 @@ func (ix *HashIndex) each(hash uint64, vals []tuple.Value, f func(t tuple.Tuple)
 		return false
 	}
 	for id := ix.table.slots[slot].head; id != nilID; id = ix.next[id] {
-		if s.tier != nil {
-			s.tier.touch(s, id)
-		}
 		f(s.at(id))
 	}
 	return true

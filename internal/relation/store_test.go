@@ -3,12 +3,10 @@ package relation
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"acache/internal/cost"
 	"acache/internal/stream"
-	"acache/internal/tier"
 	"acache/internal/tuple"
 )
 
@@ -62,11 +60,10 @@ type window interface {
 
 // slide appends n tuples from a six-value domain — duplicates inside any
 // window, every value recurring forever — and applies the window's updates to
-// the store, which after every append must hold exactly the window's tuples:
-// the same storage on an untiered store (a delete lets go of the tuple the
-// window let go of, so no recurring value pins the ingress chunk its first
-// occurrence was carved from), the same values on a tiered one, which keeps
-// page copies. beforeDelete, when set, sees each expiry before it is applied.
+// the store, which after every append must hold exactly the window's tuples,
+// the same storage (a delete lets go of the tuple the window let go of, so no
+// recurring value pins the ingress chunk its first occurrence was carved
+// from). beforeDelete, when set, sees each expiry before it is applied.
 func slide(t *testing.T, label string, s *Store, w window, n int, beforeDelete func(tuple.Tuple)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
@@ -85,11 +82,7 @@ func slide(t *testing.T, label string, s *Store, w window, n int, beforeDelete f
 			}
 		}
 		held := w.Contents()
-		if s.TierEnabled() {
-			sameMultiset(t, label, s.All(), held)
-		} else {
-			sameStorageSet(t, label, s.All(), held)
-		}
+		sameStorageSet(t, label, s.All(), held)
 		want := 0
 		for _, u := range held {
 			if u.Equal(tp) {
@@ -103,34 +96,14 @@ func slide(t *testing.T, label string, s *Store, w window, n int, beforeDelete f
 }
 
 func TestStoreFollowsSlidingWindow(t *testing.T) {
-	for _, tc := range []struct {
-		size   int
-		tiered bool
-	}{
-		{1, false}, {7, false}, {64, false},
-		{1, true}, {7, true}, {64, true},
-		{600, true}, // three pages, one of them hot: expiries reach demoted pages
-	} {
+	for _, size := range []int{1, 7, 64} {
 		for _, indexes := range [][]string{nil, {"A"}, {"A", "B"}} {
-			label := fmt.Sprintf("window %d, indexes %v, tiered %v", tc.size, indexes, tc.tiered)
+			label := fmt.Sprintf("window %d, indexes %v", size, indexes)
 			s, _ := newTestStore()
-			if tc.tiered {
-				dir := t.TempDir()
-				opts := tier.Options{Dir: dir, HotBytes: 4096, PageBytes: 4096}
-				if err := s.EnableTier(opts, filepath.Join(dir, "rel0.spill")); err != nil {
-					t.Fatal(err)
-				}
-			}
 			for _, name := range indexes {
 				s.CreateIndex(name)
 			}
-			slide(t, label, s, stream.NewSlidingWindow(tc.size), 2*tc.size+100, nil)
-			if _, demotions := s.TierCounters(); tc.size == 600 && demotions == 0 {
-				t.Fatalf("%s: nothing was demoted", label)
-			}
-			if err := s.CloseTier(); err != nil {
-				t.Fatal(err)
-			}
+			slide(t, label, s, stream.NewSlidingWindow(size), 2*size+100, nil)
 		}
 	}
 }

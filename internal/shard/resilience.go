@@ -81,10 +81,6 @@ type ShardHealth struct {
 	Shed uint64
 	// LastError is the most recent recovered panic message, if any.
 	LastError string
-	// DurabilityDegraded is true once a spill-write failure has dropped this
-	// shard's engine to hot-only tiering (results stay exact; the cold-tier
-	// memory win and by-ref checkpointing of the failed store are lost).
-	DurabilityDegraded bool
 }
 
 // staged is one join-result delta held back until its sub-batch commits.
@@ -138,9 +134,6 @@ type shardState struct {
 	// fragileFlag marks a shard that recovered since its last clean
 	// checkpoint (worker writes, watchdog reads → atomic).
 	fragileFlag atomic.Bool
-	// durDegraded mirrors the shard engine's spill-write degradation flag
-	// (worker refreshes it after every batch, Health reads → atomic).
-	durDegraded atomic.Bool
 }
 
 func (ws *shardState) pending() int {
@@ -159,12 +152,11 @@ func (e *Engine) Health() []ShardHealth {
 	out := make([]ShardHealth, len(e.states))
 	for i, ws := range e.states {
 		h := ShardHealth{
-			Shard:              i,
-			State:              ws.getHealth(),
-			Recoveries:         int(ws.recoveries.Load()),
-			Pending:            ws.pending(),
-			Shed:               ws.shed.Load(),
-			DurabilityDegraded: ws.durDegraded.Load(),
+			Shard:      i,
+			State:      ws.getHealth(),
+			Recoveries: int(ws.recoveries.Load()),
+			Pending:    ws.pending(),
+			Shed:       ws.shed.Load(),
 		}
 		if msg, ok := ws.lastErr.Load().(string); ok {
 			h.LastError = msg
@@ -477,9 +469,6 @@ func (e *Engine) QueueDepth() int {
 // quarantined shard keeps consuming (shedding) so flushes never wedge.
 func (e *Engine) worker(i int) {
 	defer e.wg.Done()
-	// Close whatever engine holds the slot when the mailbox drains — rebuilds
-	// replace e.shards[i], so resolve it at exit, not entry.
-	defer func() { e.shards[i].Close() }()
 	ws := e.states[i]
 	for m := range e.mail[i] {
 		if len(m.ups) > 0 {
@@ -585,9 +574,6 @@ func (e *Engine) process(i int, ws *shardState, ups []stream.Update) {
 // the sub-batch) or quarantines. Returns whether the sub-batch committed.
 func (e *Engine) applySeg(i int, ws *shardState, seg []stream.Update, fireAt uint64, fire bool) bool {
 	err := e.tryProcess(i, ws, seg, fireAt, fire)
-	if _, deg := e.shards[i].DurabilityStats(); deg {
-		ws.durDegraded.Store(true)
-	}
 	if err == nil {
 		e.deliverStage(ws)
 		ws.admitted += uint64(len(seg))
@@ -706,18 +692,11 @@ func (e *Engine) takeCheckpoint(i int, ws *shardState) {
 // paper's consistency-without-completeness property makes that exact, just
 // temporarily slower.
 func (e *Engine) rebuild(i int, ws *shardState) error {
-	// Close the panicked engine before building its replacement: with tiering
-	// enabled both own the same spill paths, and the old engine's Close would
-	// otherwise delete the files the new engine just created. Close is
-	// idempotent, so the worker's deferred Close stays safe even when the
-	// rebuild fails below and the slot keeps the closed engine.
-	e.shards[i].Close()
 	en, err := e.mk(i)
 	if err != nil {
 		return err
 	}
 	if err := en.RestoreWindows(ws.ckpt); err != nil {
-		en.Close()
 		return err
 	}
 	if ws.ckpt != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"math/rand"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -36,7 +37,7 @@ func (l *resultLog) add(ins bool, vals []tuple.Value) {
 		k = "+"
 	}
 	l.mu.Lock()
-	l.seen[k+string(tuple.AppendKeyTuple(nil, vals))]++
+	l.seen[k+string(tuple.Encode(vals))]++
 	l.n++
 	l.mu.Unlock()
 }
@@ -96,12 +97,36 @@ func driveWindowed(t *testing.T, shards, appends, window int, opts Options) (ser
 	return serial, sharded, refLog, gotLog
 }
 
+// checkGoroutines waits for the goroutine count to return to the baseline,
+// failing the test if shard workers leak.
+func checkGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d goroutines, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// countFDs returns the number of open file descriptors, or -1 where
+// /proc/self/fd does not exist.
+func countFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
+}
+
 // TestPanicRecoveryMatchesSerial injects a panic into one of four shards
 // mid-stream and asserts the engine keeps serving, recovers the shard from
 // its checkpoint, reports the recovery in Health, and converges to exactly
 // the serial reference: same output count and same delivered-result multiset
 // (exactly-once across the crash).
 func TestPanicRecoveryMatchesSerial(t *testing.T) {
+	base, fds := runtime.NumGoroutine(), countFDs()
 	inj := fault.New().PanicAt(1, 50)
 	serial, sharded, refLog, gotLog := driveWindowed(t, 4, 900, 20, Options{
 		BatchSize:       16,
@@ -146,6 +171,13 @@ func TestPanicRecoveryMatchesSerial(t *testing.T) {
 			t.Fatalf("relation %d: sharded windows hold %d tuples, serial %d", rel, got, want)
 		}
 	}
+	// Shard 1 runs a rebuilt engine: Close must still stop every worker and
+	// leave no descriptor open.
+	sharded.Close()
+	if got := countFDs(); got > fds {
+		t.Fatalf("fd leak: %d open after recovery and Close, baseline %d", got, fds)
+	}
+	checkGoroutines(t, base)
 }
 
 // TestStackedPanicsQuarantine arms more consecutive panics at one update
@@ -586,6 +618,7 @@ func TestFlushContextTimeoutOnStall(t *testing.T) {
 // TestCloseIdempotentAndConcurrent closes engines twice sequentially and
 // from several goroutines at once, in both modes.
 func TestCloseIdempotentAndConcurrent(t *testing.T) {
+	base := runtime.NumGoroutine()
 	for _, res := range []bool{false, true} {
 		opts := Options{BatchSize: 8}
 		if res {
@@ -611,6 +644,7 @@ func TestCloseIdempotentAndConcurrent(t *testing.T) {
 		}
 		wg.Wait()
 		sharded.Close() // and once more after shutdown
+		checkGoroutines(t, base)
 	}
 }
 

@@ -296,9 +296,6 @@ func New(plan Plan, opts Options, mk func(shard int) (*core.Engine, error)) (*En
 	for i := 0; i < plan.Shards; i++ {
 		en, err := mk(i)
 		if err != nil {
-			for _, built := range e.shards {
-				built.Close()
-			}
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		e.shards = append(e.shards, en)
@@ -451,8 +448,6 @@ func sumSnapshots(snaps []core.Snapshot) core.Snapshot {
 		total.FilterBytes += s.FilterBytes
 		total.WindowBytes += s.WindowBytes
 		total.SharedStores += s.SharedStores
-		total.TierHotBytes += s.TierHotBytes
-		total.TierColdBytes += s.TierColdBytes
 	}
 	return total
 }

@@ -123,17 +123,6 @@ func AppendKey(dst []byte, t Tuple, cols []int) []byte {
 	return dst
 }
 
-// AppendKeyTuple appends the packed encoding of the entire tuple to dst,
-// matching Encode(t) byte for byte.
-func AppendKeyTuple(dst []byte, t Tuple) []byte {
-	var w [8]byte
-	for _, v := range t {
-		binary.LittleEndian.PutUint64(w[:], uint64(v))
-		dst = append(dst, w[:]...)
-	}
-	return dst
-}
-
 // AppendKeyValues appends the packed encoding of raw values to dst, matching
 // KeyOfValues(vals) byte for byte.
 func AppendKeyValues(dst []byte, vals []Value) []byte {

@@ -3,7 +3,6 @@ package acache
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -93,12 +92,6 @@ func (q *Query) BuildSharded(opts Options, sopts ShardOptions) (*ShardedEngine, 
 		// Decorrelate per-shard sampling and randomized selection; shard 0
 		// keeps the caller's seed so P=1 reproduces the serial engine.
 		c.Seed = cfg.Seed + int64(i)*1_000_003
-		// Each shard spills into its own subdirectory: shards are rebuilt
-		// independently on panic recovery, and a rebuild must be able to
-		// remove and recreate its spill files without touching its siblings'.
-		if cfg.Tier.Enabled() {
-			c.Tier.Dir = filepath.Join(cfg.Tier.Dir, fmt.Sprintf("shard%d", i))
-		}
 		// Scope cross-query cache identities to the shard's slice of the
 		// partition plan: shard i of one sharded query pools only with
 		// shard i of another partitioned the same way — different slices
