@@ -427,6 +427,8 @@ func TestEntriesMatchDirectMappedModel(t *testing.T) {
 // slot struct per bucket, a key allocation per entry or a header per tuple
 // reads several times these bounds (929 / 1 237 / 1 007 bytes per entry and
 // 786 KB empty before the bucket array became 4-byte indices over a slab).
+// The bounds sit a few bytes above the 40-byte entry's readings (119 / 189 /
+// 153); the 48-byte entry read 133 / 203 / 165 and fails every one.
 func TestCacheEntryFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap measurement")
@@ -443,24 +445,33 @@ func TestCacheEntryFootprint(t *testing.T) {
 		buckets, entries, tuples, width int
 		bound                           int
 	}{
-		{8192, 940, 2, 2, 160},
-		{4096, 386, 5, 2, 240},
-		{4096, 470, 4, 2, 190},
+		{8192, 940, 2, 2, 130},
+		{4096, 386, 5, 2, 196},
+		{4096, 470, 4, 2, 160},
 	} {
 		v := make([]tuple.Tuple, sh.tuples)
 		for j := range v {
 			v[j] = make(tuple.Tuple, sh.width)
 		}
-		before := heap()
-		c := newCache(sh.buckets, -1)
-		for i := int64(0); c.Entries() < sh.entries; i++ {
-			key = tuple.AppendKeyValues(key[:0], []tuple.Value{i})
-			c.CreateBytes(key, v)
+		// The least of three builds: a runtime allocation landing between
+		// the two heap reads (one in ~10 fresh processes, +5–11 bytes per
+		// entry) is in one build, a per-entry cost is in all three.
+		per, accounted := 0, 0
+		for rep := 0; rep < 3; rep++ {
+			before := heap()
+			c := newCache(sh.buckets, -1)
+			for i := int64(0); c.Entries() < sh.entries; i++ {
+				key = tuple.AppendKeyValues(key[:0], []tuple.Value{i})
+				c.CreateBytes(key, v)
+			}
+			if n := int(heap()-before) / c.Entries(); rep == 0 || n < per {
+				per = n
+			}
+			accounted = (c.UsedBytes() + c.FixedBytes()) / c.Entries()
+			runtime.KeepAlive(c)
 		}
-		per := int(heap()-before) / c.Entries()
-		runtime.KeepAlive(c)
 		t.Logf("%d buckets, %d entries of %d×%d values: %d heap bytes per entry (accounted %d)",
-			sh.buckets, sh.entries, sh.tuples, sh.width, per, (c.UsedBytes()+c.FixedBytes())/c.Entries())
+			sh.buckets, sh.entries, sh.tuples, sh.width, per, accounted)
 		if per > sh.bound {
 			t.Errorf("%d buckets, %d entries: %d heap bytes per resident entry, bound %d", sh.buckets, sh.entries, per, sh.bound)
 		}

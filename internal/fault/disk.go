@@ -9,13 +9,13 @@ import (
 	"syscall"
 )
 
-// Disk-fault layer: the durability code (the engine WAL / checkpoint writer
-// and the spill files of the cold tier) performs all file I/O through the FS
-// seam below, so tests can interpose a DiskInjector that fails specific
-// operations deterministically — a write error on the third WAL flush, ENOSPC
-// on a spill grow, a torn write of a checkpoint — without touching the real
-// filesystem's behavior. Production code passes nil / OS() and pays one
-// interface call per I/O operation, which is noise next to the syscall.
+// Disk-fault layer: the durability code (the engine WAL and checkpoint
+// writer) performs all file I/O through the FS seam below, so tests can
+// interpose a DiskInjector that fails specific operations deterministically
+// — a write error on the third WAL flush, a failed WAL reset, a torn write
+// of a checkpoint — without touching the real filesystem's behavior.
+// Production code passes nil / OS() and pays one interface call per I/O
+// operation, which is noise next to the syscall.
 //
 // Like the process-fault Injector above, schedules are deterministic: a fault
 // fires as a pure function of the per-(file, operation) call count, so a
@@ -108,7 +108,7 @@ const (
 	OpWrite DiskOp = iota
 	// OpSync is File.Sync.
 	OpSync
-	// OpTruncate is File.Truncate — the spill-grow path.
+	// OpTruncate is File.Truncate — the WAL reset and tail trim.
 	OpTruncate
 	// OpRename is FS.Rename — the checkpoint publish step.
 	OpRename

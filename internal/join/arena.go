@@ -17,6 +17,11 @@ type valueArena struct {
 	chunks [][]tuple.Value
 	cur    int // chunk being allocated from
 	off    int // next free value in chunks[cur]
+
+	// matches is the match-list scratch of step.runGrouped: one per
+	// executor, reused by every step, since no step call runs inside
+	// another.
+	matches []tuple.Tuple
 }
 
 // arenaChunkValues is sized so a typical update (a few hundred composite

@@ -137,14 +137,22 @@ type maintOp struct {
 // targets — the relation of the pipeline hosting this operator.
 func (m *maintOp) apply(e *Exec, updRel int, batch []tuple.Tuple, op stream.Op) {
 	if m.smSteps != nil {
-		// Self-maintenance: batch is the raw update tuple; the mini-join
+		// Self-maintenance: batch holds the raw update tuples — one under
+		// Process, one per update of the run under ProcessRun; the mini-join
 		// computes the exact segment-join delta, which then flows through
-		// the ordinary plain-cache maintenance below.
+		// the ordinary plain-cache maintenance below. Only a single-rooted
+		// batch may share one probe per key (step.run); a run's batch mixes
+		// roots, so it probes per composite.
+		rooted := len(batch) == 1
 		for _, st := range m.smSteps {
 			if len(batch) == 0 {
 				return
 			}
-			batch = st.run(batch, e.stores[st.rel], e.meter, &e.arena, nil)
+			if rooted {
+				batch = st.run(batch, e.stores[st.rel], e.meter, &e.arena, nil)
+			} else {
+				batch = st.runEach(batch, e.stores[st.rel], e.meter, &e.arena, nil)
+			}
 		}
 	}
 	if !m.inst.counted() {

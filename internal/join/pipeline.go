@@ -43,25 +43,24 @@ type step struct {
 	thetas []thetaCheck
 
 	// memo caches index probe chains across the updates of one batch run
-	// (ProcessRun). Only runMemo uses it; the serial run path never does, so
-	// per-update processing stays structurally untouched. Validity is checked
-	// against the store's mutation counter on every probe, so the memo can
-	// simply persist here across runs. memoable gates it to steps whose probe
-	// key is a strict projection of the input tuple — when the key covers
-	// every input column, distinct inputs never share a key, so the memo
-	// would pay its bookkeeping without ever hitting (duplicate inputs are
-	// already replayed wholesale by ProcessRun's runDups).
+	// (ProcessRun). Only runMemo uses it: the stores a run probes stay
+	// unchanged for its whole length, which is what lets a recorded chain
+	// pay for itself. Validity is checked against the store's mutation
+	// counter on every probe, so the memo can simply persist here across
+	// runs. memoable gates it to steps whose probe key is a strict
+	// projection of the input tuple — when the key covers every input
+	// column, distinct inputs never share a key, so the memo would pay its
+	// bookkeeping without ever hitting (duplicate inputs are already
+	// replayed wholesale by ProcessRun's runDups).
 	memo     relation.ProbeMemo
 	memoable bool
 
 	// keyFromRoot marks index steps whose probe-key columns all come from the
 	// pipeline root's schema (columns 0..rootWidth−1 of every composite). A
-	// composite's key then equals its root tuple's key, so within one update's
-	// sub-batch — where every composite extends the same root tuple — the key
-	// is constant and runGrouped probes the index once for the whole
-	// sub-batch. groupBuf is its match-list scratch.
+	// composite's key then equals its root tuple's key, so in a batch whose
+	// composites all extend one root tuple the key is constant and run
+	// probes the index once for the whole batch (runGrouped).
 	keyFromRoot bool
-	groupBuf    []tuple.Tuple
 
 	in, out *tuple.Schema
 }
@@ -248,7 +247,21 @@ func buildStep(q *query.Query, in *tuple.Schema, prefix []int, r int, store *rel
 // outputs to dst and charging all probe/scan/output work to the meter.
 // Output tuples are carved from the arena, so they are valid only until the
 // owning executor's next update; callers that keep them must copy.
+//
+// The batch must be single-rooted: every composite extends the same root
+// tuple, as in every batch one update produces. A keyFromRoot step then
+// probes its index once for the whole batch (runGrouped); other steps probe
+// per composite (runEach). A caller whose batch mixes roots calls runEach.
 func (st *step) run(batch []tuple.Tuple, store *relation.Store, meter *cost.Meter, arena *valueArena, dst []tuple.Tuple) []tuple.Tuple {
+	if st.keyFromRoot && len(batch) > 1 {
+		return st.runGrouped(batch, store, meter, arena, dst)
+	}
+	return st.runEach(batch, store, meter, arena, dst)
+}
+
+// runEach is the per-composite kernel: one index probe, or one scan, per
+// composite of the batch.
+func (st *step) runEach(batch []tuple.Tuple, store *relation.Store, meter *cost.Meter, arena *valueArena, dst []tuple.Tuple) []tuple.Tuple {
 	out := dst
 	if st.probeFromCols != nil {
 		vals := st.probeVals
@@ -285,22 +298,54 @@ func (st *step) run(batch []tuple.Tuple, store *relation.Store, meter *cost.Mete
 	return out
 }
 
+// runGrouped is run for a batch whose probe key is constant (keyFromRoot, all
+// composites extending one root tuple): the index is probed once into the
+// arena's match scratch and the match list crossed with the batch. Charges
+// equal runEach's — one KeyExtract per key column and one IndexProbe per
+// composite (ProbeEach charges the real probe's, the rest are charged in
+// bulk), and per-match theta and output charges for every composite — only
+// their order within the call differs, and the meter is an integer
+// accumulator read only between step calls. The matches reference the
+// store's slab, which nothing mutates during a step call; the scratch is
+// free again on return, since no step call runs inside another.
+func (st *step) runGrouped(batch []tuple.Tuple, store *relation.Store, meter *cost.Meter, arena *valueArena, dst []tuple.Tuple) []tuple.Tuple {
+	vals := st.probeVals
+	for i, c := range st.probeFromCols {
+		vals[i] = batch[0][c]
+	}
+	matches := arena.matches[:0]
+	store.ProbeEach(st.idx, vals, func(m tuple.Tuple) {
+		matches = append(matches, m)
+	})
+	arena.matches = matches[:0]
+	meter.ChargeN(cost.KeyExtract, len(vals)*len(batch))
+	meter.ChargeN(cost.IndexProbe, len(batch)-1)
+	if len(matches) == 0 {
+		return dst
+	}
+	out := dst
+	for _, r := range batch {
+		for _, m := range matches {
+			if !st.passesThetas(r, m, meter) {
+				continue
+			}
+			meter.Charge(cost.OutputTuple)
+			out = append(out, arena.concat(r, m))
+		}
+	}
+	return out
+}
+
 // runMemo is run with the step's probe memo engaged: equal probe keys within
 // a batch run resolve the index chain once and replay it, with charges
 // identical to run (the memo charges one IndexProbe per logical probe, and
 // the replayed matches pass through the same theta and output charging here).
-// Only the batch path (Exec.ProcessRun) calls it; the serial path keeps the
-// plain run so per-update processing is structurally untouched. The scan path
-// has no memo, and steps whose probe key covers the whole input tuple never
-// benefit (see memoable); both fall through to run.
+// Only the batch path (Exec.ProcessRun) calls it. keyFromRoot steps already
+// probe once per sub-batch in run; the scan path has no memo, and steps whose
+// probe key covers the whole input tuple never benefit (see memoable); all
+// three fall through to run.
 func (st *step) runMemo(batch []tuple.Tuple, store *relation.Store, meter *cost.Meter, arena *valueArena, dst []tuple.Tuple) []tuple.Tuple {
-	if st.keyFromRoot {
-		if len(batch) > 1 {
-			return st.runGrouped(batch, store, meter, arena, dst)
-		}
-		return st.run(batch, store, meter, arena, dst)
-	}
-	if st.probeFromCols == nil || !st.memoable {
+	if st.keyFromRoot || st.probeFromCols == nil || !st.memoable {
 		return st.run(batch, store, meter, arena, dst)
 	}
 	out := dst
@@ -318,42 +363,5 @@ func (st *step) runMemo(batch []tuple.Tuple, store *relation.Store, meter *cost.
 			out = append(out, arena.concat(r, m))
 		})
 	}
-	return out
-}
-
-// runGrouped is run for a sub-batch whose probe key is constant (keyFromRoot,
-// all composites extending one root tuple): the index is probed once and the
-// match list cross-producted with the sub-batch. Charge totals are identical
-// to run — ProbeEach charges the single real probe's IndexProbe, every other
-// composite charges its own, and each composite pays its KeyExtract and
-// per-match theta/output charges — only their order within the sub-batch
-// shifts, which no observation point can see (observations happen at run
-// boundaries only). The match tuples reference the store's slab, which is
-// stable for the whole run: the executor defers the updated relation's store
-// mutations to run end, and no other store changes mid-run.
-func (st *step) runGrouped(batch []tuple.Tuple, store *relation.Store, meter *cost.Meter, arena *valueArena, dst []tuple.Tuple) []tuple.Tuple {
-	vals := st.probeVals
-	for i, c := range st.probeFromCols {
-		vals[i] = batch[0][c]
-	}
-	matches := st.groupBuf[:0]
-	store.ProbeEach(st.idx, vals, func(m tuple.Tuple) {
-		matches = append(matches, m)
-	})
-	out := dst
-	for bi, r := range batch {
-		meter.ChargeN(cost.KeyExtract, len(vals))
-		if bi > 0 { // ProbeEach above charged the first composite's IndexProbe
-			meter.Charge(cost.IndexProbe)
-		}
-		for _, m := range matches {
-			if !st.passesThetas(r, m, meter) {
-				continue
-			}
-			meter.Charge(cost.OutputTuple)
-			out = append(out, arena.concat(r, m))
-		}
-	}
-	st.groupBuf = matches[:0]
 	return out
 }
