@@ -14,15 +14,21 @@ import (
 // Wall-clock micro-benchmarks of the executor's hot paths. The simulated
 // cost model measures plan quality; these measure the implementation.
 
-func benchExec(b testing.TB, attach bool) (*Exec, []stream.Update) {
+// benchExec builds the three-way executor the benchmarks drive; scan makes
+// every join a nested loop, as Figure 10 does to S.B.
+func benchExec(b testing.TB, attach, scan bool) (*Exec, []stream.Update) {
 	b.Helper()
 	q, err := threeWayBench()
 	if err != nil {
 		b.Fatal(err)
 	}
 	ord := planner.Ordering{{1, 2}, {0, 2}, {1, 0}}
+	var opts Options
+	if scan {
+		opts.ScanOnly = []tuple.Attr{{Rel: 0, Name: "A"}, {Rel: 1, Name: "A"}, {Rel: 1, Name: "B"}, {Rel: 2, Name: "B"}}
+	}
 	meter := &cost.Meter{}
-	e, err := NewExec(q, ord, meter, Options{})
+	e, err := NewExec(q, ord, meter, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,14 +83,14 @@ func threeWayBench() (*query.Query, error) {
 // runBench cycles the prepared update sequence; each full cycle replays
 // inserts of already-present tuples, so state is rebuilt between cycles
 // with the timer paused to keep per-op numbers meaningful at any b.N.
-func runBench(b *testing.B, attach bool, profiled bool) {
+func runBench(b *testing.B, attach, profiled, scan bool) {
 	b.Helper()
-	e, ups := benchExec(b, attach)
+	e, ups := benchExec(b, attach, scan)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i > 0 && i%len(ups) == 0 {
 			b.StopTimer()
-			e, ups = benchExec(b, attach)
+			e, ups = benchExec(b, attach, scan)
 			b.StartTimer()
 		}
 		if profiled {
@@ -95,32 +101,39 @@ func runBench(b *testing.B, attach bool, profiled bool) {
 	}
 }
 
-func BenchmarkProcessNoCaches(b *testing.B) { runBench(b, false, false) }
+func BenchmarkProcessNoCaches(b *testing.B) { runBench(b, false, false, false) }
 
-func BenchmarkProcessWithCache(b *testing.B) { runBench(b, true, false) }
+// BenchmarkProcessScan is BenchmarkProcessNoCaches with every join a nested
+// loop: the dense scan kernel (Store.ScanEq) at windows of about 50 tuples.
+func BenchmarkProcessScan(b *testing.B) { runBench(b, false, false, true) }
 
-func BenchmarkProcessProfiled(b *testing.B) { runBench(b, true, true) }
+func BenchmarkProcessWithCache(b *testing.B) { runBench(b, true, false, false) }
+
+func BenchmarkProcessProfiled(b *testing.B) { runBench(b, true, true, false) }
 
 // TestWarmExecAllocFree pins the executor's share of an allocation-free
 // Append: a warm Process (cache hits, misses and creates) and a warm
 // ProcessProfiled (Profile out of executor scratch) allocate nothing per
-// update. AllocsPerRun rounds down, which lets through a cache entry's
+// update, nor does a warm scan-only executor's (nested loops over dense scan
+// columns). AllocsPerRun rounds down, which lets through a cache entry's
 // backing growing now and then.
 func TestWarmExecAllocFree(t *testing.T) {
-	e, ups := benchExec(t, true)
-	i := 0
-	step := func() {
-		if i%2 == 0 {
-			e.Process(ups[i])
-		} else if _, prof := e.ProcessProfiled(ups[i]); len(prof.StepUnits) != 2 {
-			t.Fatalf("profile of %d steps, want 2", len(prof.StepUnits))
+	for _, scan := range []bool{false, true} {
+		e, ups := benchExec(t, !scan, scan)
+		i := 0
+		step := func() {
+			if i%2 == 0 {
+				e.Process(ups[i])
+			} else if _, prof := e.ProcessProfiled(ups[i]); len(prof.StepUnits) != 2 {
+				t.Fatalf("profile of %d steps, want 2", len(prof.StepUnits))
+			}
+			i++
 		}
-		i++
-	}
-	for i < 2000 {
-		step()
-	}
-	if got := testing.AllocsPerRun(2000, step); got != 0 {
-		t.Fatalf("warm Process/ProcessProfiled: %.0f allocs per update, want 0", got)
+		for i < 2000 {
+			step()
+		}
+		if got := testing.AllocsPerRun(2000, step); got != 0 {
+			t.Fatalf("warm Process/ProcessProfiled (scan-only %v): %.0f allocs per update, want 0", scan, got)
+		}
 	}
 }

@@ -63,15 +63,20 @@ func fourWayClique(t *testing.T) (*query.Query, planner.Ordering) {
 // canonical result tuples.
 func collectOutputs(e *Exec) *[]tuple.Tuple {
 	out := &[]tuple.Tuple{}
-	n := e.q.N()
-	for i := 0; i < n; i++ {
-		p := e.pipes[i]
-		schema := p.schemas[len(p.steps)]
-		pipe := i
-		e.Tap(pipe, len(p.steps), func(batch []tuple.Tuple, _ stream.Op) {
-			*out = append(*out, canonicalize(e.q, schema, batch)...)
-		})
+	for i := 0; i < e.q.N(); i++ {
+		tapOutput(e, i, out)
 	}
+	return out
+}
+
+// tapOutput appends pipeline pipe's results, canonicalized, to out; it
+// returns out.
+func tapOutput(e *Exec, pipe int, out *[]tuple.Tuple) *[]tuple.Tuple {
+	p := e.pipes[pipe]
+	schema := p.schemas[len(p.steps)]
+	e.Tap(pipe, len(p.steps), func(batch []tuple.Tuple, _ stream.Op) {
+		*out = append(*out, canonicalize(e.q, schema, batch)...)
+	})
 	return out
 }
 

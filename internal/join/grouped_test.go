@@ -37,10 +37,9 @@ func starQuery(t *testing.T) (*query.Query, planner.Ordering) {
 }
 
 // starRuns generates runs of one to five same-relation, same-operation
-// updates over windows of about a dozen tuples. Join keys range over 3
-// values and spoke payloads over 50, so a spoke holds several tuples per key
-// and a hub tuple's partial results fan out before the next spoke.
-func starRuns(rng *rand.Rand, q *query.Query, count int) [][]stream.Update {
+// updates over windows of about a dozen tuples; fill sets a new tuple's
+// values. A quarter of the inserts repeat a live tuple exactly.
+func starRuns(rng *rand.Rand, q *query.Query, count int, fill func(rel int, t tuple.Tuple)) [][]stream.Update {
 	live := make([][]tuple.Tuple, q.N())
 	var runs [][]stream.Update
 	seq := uint64(0)
@@ -59,12 +58,7 @@ func starRuns(rng *rand.Rand, q *query.Query, count int) [][]stream.Update {
 				live[rel] = slices.Delete(live[rel], i, i+1)
 			} else {
 				u.Tuple = make(tuple.Tuple, q.Schema(rel).Len())
-				for c := range u.Tuple {
-					u.Tuple[c] = rng.Int63n(3)
-				}
-				if rel > 0 {
-					u.Tuple[1] = rng.Int63n(50)
-				}
+				fill(rel, u.Tuple)
 				if rng.Intn(4) == 0 && len(live[rel]) > 0 { // an exact duplicate
 					u.Tuple = live[rel][rng.Intn(len(live[rel]))]
 				}
@@ -138,7 +132,19 @@ func TestGroupedProbesMatchPerComposite(t *testing.T) {
 
 			hub := e.pipes[0]
 			grouped, batched := 0, 0
-			for _, run := range starRuns(rand.New(rand.NewSource(17)), q, 3000) {
+			// Join keys range over 3 values and spoke payloads over 50, so
+			// a spoke holds several tuples per key and a hub tuple's
+			// partial results fan out before the next spoke.
+			rng := rand.New(rand.NewSource(17))
+			fill := func(rel int, tp tuple.Tuple) {
+				for c := range tp {
+					tp[c] = rng.Int63n(3)
+				}
+				if rel > 0 {
+					tp[1] = rng.Int63n(50)
+				}
+			}
+			for _, run := range starRuns(rng, q, 3000, fill) {
 				*got, *want = (*got)[:0], (*want)[:0]
 				var naive []tuple.Tuple
 				for _, u := range run {

@@ -35,8 +35,12 @@ type step struct {
 	probeVals     []tuple.Value
 
 	// Scan path (no index or no shared classes): for each check,
-	// input[inCol] must equal relTuple[relCol].
+	// input[inCol] must equal relTuple[relCol]. denseScan marks a step whose
+	// store keeps its first check's relCol as a dense scan column, so the
+	// scan compares that check against packed values (Store.ScanEq); a cross
+	// join has no check and scans every tuple.
 	scanChecks [][2]int
+	denseScan  bool
 
 	// thetas are the residual non-equality predicates between rel and the
 	// prefix, applied to every match: input[inCol] op relTuple[relCol].
@@ -240,6 +244,10 @@ func buildStep(q *query.Query, in *tuple.Schema, prefix []int, r int, store *rel
 			st.scanChecks = append(st.scanChecks, [2]int{inCol, relCol})
 		}
 	}
+	if len(st.scanChecks) > 0 {
+		store.CreateScanColumn(st.scanChecks[0][1])
+		st.denseScan = true
+	}
 	return st
 }
 
@@ -260,7 +268,10 @@ func (st *step) run(batch []tuple.Tuple, store *relation.Store, meter *cost.Mete
 }
 
 // runEach is the per-composite kernel: one index probe, or one scan, per
-// composite of the batch.
+// composite of the batch. A scan with an equality check lets the store
+// compare the first check on its dense column (Store.ScanEq) and tests the
+// rest and the thetas only on the tuples that pass it; its charges equal a
+// full Store.Scan's, ScanStep per tuple merely charged at once.
 func (st *step) runEach(batch []tuple.Tuple, store *relation.Store, meter *cost.Meter, arena *valueArena, dst []tuple.Tuple) []tuple.Tuple {
 	out := dst
 	if st.probeFromCols != nil {
@@ -280,20 +291,28 @@ func (st *step) runEach(batch []tuple.Tuple, store *relation.Store, meter *cost.
 		}
 		return out
 	}
+	checks := st.scanChecks
+	if st.denseScan {
+		checks = checks[1:]
+	}
 	for _, r := range batch {
-		store.Scan(func(m tuple.Tuple) bool {
-			for _, chk := range st.scanChecks {
+		match := func(m tuple.Tuple) {
+			for _, chk := range checks {
 				if r[chk[0]] != m[chk[1]] {
-					return true
+					return
 				}
 			}
 			if !st.passesThetas(r, m, meter) {
-				return true
+				return
 			}
 			meter.Charge(cost.OutputTuple)
 			out = append(out, arena.concat(r, m))
-			return true
-		})
+		}
+		if st.denseScan {
+			store.ScanEq(st.scanChecks[0][1], r[st.scanChecks[0][0]], match)
+		} else {
+			store.Scan(func(m tuple.Tuple) bool { match(m); return true })
+		}
 	}
 	return out
 }

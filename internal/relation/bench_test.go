@@ -63,3 +63,39 @@ func BenchmarkStoreSlide(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreScan is one nested-loop probe of a 1 000-tuple window on a
+// column with about four tuples per value: Scan with the equality test in
+// its callback, as a scan step without a dense column runs it, against
+// ScanEq on the column's dense copy.
+func BenchmarkStoreScan(b *testing.B) {
+	const window = 1_000
+	s := NewStore(0, tuple.RelationSchema(0, "A", "B"), &cost.Meter{})
+	s.CreateScanColumn(0)
+	vals := make([]tuple.Value, 2*window)
+	for i := 0; i < window; i++ {
+		t := vals[2*i : 2*i+2 : 2*i+2]
+		t[0], t[1] = int64(i%(window/4)), int64(i)
+		s.Insert(t)
+	}
+	sunk := 0
+	b.Run("kernel=Scan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			v := int64(i % (window / 4))
+			s.Scan(func(t tuple.Tuple) bool {
+				if t[0] == v {
+					sunk++
+				}
+				return true
+			})
+		}
+	})
+	b.Run("kernel=ScanEq", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s.ScanEq(0, int64(i%(window/4)), func(tuple.Tuple) { sunk++ })
+		}
+	})
+	if sunk == 0 {
+		b.Fatal("no tuple matched")
+	}
+}

@@ -6,14 +6,15 @@
 // Storage is a slab of 8-byte references: id -> the tuple the caller handed
 // in (a window's own storage, never a copy), ids recycled LIFO through a free
 // list so the slab is as long as the peak live count and a scan is a walk over
-// it that skips the free ids. Every hash index is an open-addressing table
-// keyed by an inline 64-bit hash of its key columns, its deletes closing their
-// gap by backward shift — no key string is materialized and no tombstone left
-// on the insert/delete/probe paths, so steady-state window maintenance neither
-// allocates nor rehashes. There is no table keyed by the whole tuple: a delete
-// finds its victim on the tuple's key chain in the store's first index, where
-// a window expiry sits at the head, and a store with no index scans (as every
-// probe of it already does).
+// it that skips the free ids. A column a nested-loop join compares on is also
+// kept dense, one value per slab id beside the slab, for ScanEq. Every hash
+// index is an open-addressing table keyed by an inline 64-bit hash of its key
+// columns, its deletes closing their gap by backward shift — no key string is
+// materialized and no tombstone left on the insert/delete/probe paths, so
+// steady-state window maintenance neither allocates nor rehashes. There is no
+// table keyed by the whole tuple: a delete finds its victim on the tuple's key
+// chain in the store's first index, where a window expiry sits at the head,
+// and a store with no index scans (as every probe of it already does).
 package relation
 
 import (
@@ -172,6 +173,11 @@ type Store struct {
 	// shared, when non-nil, marks a store attached to more than one executor
 	// (cross-query window sharing). See ApplyShared for the protocol.
 	shared *sharedState
+
+	// dense[c], when non-nil, is schema column c's value per slab id (stale
+	// at a free id): the dense scan column ScanEq walks, kept for the
+	// columns CreateScanColumn was asked for. Nil until the first one.
+	dense [][]tuple.Value
 }
 
 // sharedState is the bookkeeping of a cross-query shared store: every sharer
@@ -412,6 +418,27 @@ func (s *Store) CreateIndex(names ...string) *HashIndex {
 // Index returns the index on the given attribute names, or nil when absent.
 func (s *Store) Index(names ...string) *HashIndex { return s.indexes[indexName(names)] }
 
+// CreateScanColumn keeps schema column col dense for ScanEq, back-filling the
+// live tuples; asking again for a kept column is a no-op. A store never drops
+// one.
+func (s *Store) CreateScanColumn(col int) {
+	if col < 0 || col >= s.width {
+		panic(fmt.Sprintf("relation: %v has no column %d", s, col))
+	}
+	if s.dense == nil {
+		s.dense = make([][]tuple.Value, s.width)
+	}
+	if s.dense[col] != nil {
+		return
+	}
+	vals := make([]tuple.Value, len(s.tuples))
+	s.eachLive(func(id int32) bool {
+		vals[id] = s.at(id)[col]
+		return true
+	})
+	s.dense[col] = vals
+}
+
 // allocID claims a slab id for t, growing every per-id side array in step.
 // The slab aliases the caller's tuple.
 func (s *Store) allocID(t tuple.Tuple) int32 {
@@ -430,8 +457,25 @@ func (s *Store) allocID(t tuple.Tuple) int32 {
 		}
 	}
 	s.tuples[id] = tuple.RefOf(t)
+	if s.dense != nil {
+		s.setDense(id, t)
+	}
 	s.live++
 	return id
+}
+
+// setDense writes t's values at id into the dense scan columns, growing them
+// with the slab.
+func (s *Store) setDense(id int32, t tuple.Tuple) {
+	for c, vals := range s.dense {
+		switch {
+		case vals == nil:
+		case int(id) < len(vals):
+			vals[id] = t[c]
+		default:
+			s.dense[c] = append(vals, t[c])
+		}
+	}
 }
 
 // Insert adds t to the store and all indexes.
@@ -489,12 +533,33 @@ func (s *Store) Delete(t tuple.Tuple) bool {
 
 // Scan iterates the store's current tuples in unspecified order, charging
 // nested-loop scan cost per tuple visited. The callback returns false to
-// stop early. Tuples must not be retained or mutated by the callback.
+// stop early. Tuples must not be retained or mutated by the callback. A
+// nested-loop join with an equality check uses ScanEq instead; Scan is the
+// cross product's path and everything else's that reads the whole store.
 func (s *Store) Scan(f func(tuple.Tuple) bool) {
 	s.eachLive(func(id int32) bool {
 		s.meter.Charge(cost.ScanStep)
 		return f(s.at(id))
 	})
+}
+
+// ScanEq is a full Scan that hands f only the tuples whose column col equals
+// v, in the order Scan visits them, for a nested-loop join's first equality
+// check. It charges what that Scan charges, one ScanStep per live tuple, all
+// up front, and then compares v against col's dense column (CreateScanColumn
+// must have been called for col), so a non-matching tuple costs one 8-byte
+// compare instead of a callback and a tuple dereference. A free id's stale
+// value may equal v; its zero slab entry keeps it from matching. Tuples must
+// not be retained or mutated by f.
+func (s *Store) ScanEq(col int, v tuple.Value, f func(tuple.Tuple)) {
+	s.meter.ChargeN(cost.ScanStep, s.live)
+	vals := s.dense[col]
+	refs := s.tuples[:len(vals)]
+	for id, x := range vals {
+		if x == v && refs[id] != (tuple.Ref{}) {
+			f(refs[id].Tuple(s.width))
+		}
+	}
 }
 
 // CountOf returns the number of stored tuples equal to t (windows may hold

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"acache/internal/cost"
@@ -197,6 +198,85 @@ func TestScanEarlyStopAndCost(t *testing.T) {
 	}
 	if sw.Elapsed() != 3*cost.ScanStep {
 		t.Fatalf("scan charged %d units, want %d", sw.Elapsed(), 3*cost.ScanStep)
+	}
+}
+
+// TestScanEqMatchesScan checks ScanEq against a full Scan filtered on the
+// same column, over random inserts and deletes whose freed ids are reused:
+// the same tuples in the same order, and the same meter charge. Column A's
+// dense copy is kept from the empty store on, column C's is back-filled over
+// a populated one with free ids in the slab. Probes hit values that are
+// live, absent, and left behind only at freed ids.
+func TestScanEqMatchesScan(t *testing.T) {
+	m := &cost.Meter{}
+	s := NewStore(0, tuple.RelationSchema(0, "A", "B", "C"), m)
+	s.CreateScanColumn(0)
+	rng := rand.New(rand.NewSource(11))
+	var live []tuple.Tuple
+	var gone []tuple.Value // column values of deleted tuples, most recent last
+	freedOnly := 0
+	check := func(col int, v tuple.Value) {
+		t.Helper()
+		var want, got []tuple.Ref
+		sw := cost.NewStopwatch(m)
+		s.Scan(func(tp tuple.Tuple) bool {
+			if tp[col] == v {
+				want = append(want, tuple.RefOf(tp))
+			}
+			return true
+		})
+		scanCost := sw.Elapsed()
+		sw = cost.NewStopwatch(m)
+		s.ScanEq(col, v, func(tp tuple.Tuple) { got = append(got, tuple.RefOf(tp)) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("ScanEq(col %d, %d) visited %d tuples, Scan %d (or another order)", col, v, len(got), len(want))
+		}
+		if sw.Elapsed() != scanCost {
+			t.Fatalf("ScanEq(col %d, %d) charged %d units, Scan %d", col, v, sw.Elapsed(), scanCost)
+		}
+		if len(want) == 0 && slices.ContainsFunc(s.freeIDs, func(id int32) bool { return s.dense[col][id] == v }) {
+			freedOnly++
+		}
+	}
+	for i := 0; i < 4000; i++ {
+		if i == 1500 {
+			s.CreateScanColumn(2)
+			if len(s.freeIDs) == 0 {
+				t.Fatal("no free id in the slab when the back-filled column is created")
+			}
+		}
+		if len(live) > 40 || len(live) > 0 && rng.Intn(2) == 0 {
+			j := rng.Intn(len(live))
+			tp := live[j]
+			live = slices.Delete(live, j, j+1)
+			if !s.Delete(tp) {
+				t.Fatalf("delete of live tuple %v failed", tp)
+			}
+			gone = append(gone, tp[0], tp[2])
+		} else {
+			// Small domains give duplicates; a one-off value, once
+			// deleted, is left only at a freed id.
+			tp := tuple.Tuple{rng.Int63n(8), rng.Int63n(8), rng.Int63n(8)}
+			if rng.Intn(3) == 0 {
+				tp[0], tp[2] = int64(100+i), int64(100+i)
+			}
+			live = append(live, tp)
+			s.Insert(tp)
+		}
+		cols := []int{0}
+		if i >= 1500 {
+			cols = append(cols, 2)
+		}
+		for _, col := range cols {
+			check(col, rng.Int63n(8)) // usually live
+			check(col, -1)            // never stored
+			if len(gone) > 0 {        // live again, or only at a freed id
+				check(col, gone[len(gone)-1-rng.Intn(min(len(gone), 4))])
+			}
+		}
+	}
+	if freedOnly < 100 {
+		t.Fatalf("only %d probes hit a value stored only at freed ids", freedOnly)
 	}
 }
 
