@@ -255,8 +255,6 @@ type Options struct {
 	// (Section 4); by default globally-consistent caches (Section 6) are
 	// considered with the paper's quota m = 6.
 	DisableGlobalCaches bool
-	// AdaptOrdering enables adaptive pipeline reordering.
-	AdaptOrdering bool
 	// Seed fixes sampling randomness for reproducible runs.
 	Seed int64
 	// NoIndex lists "Rel.Attr" references that must not use hash indexes
@@ -318,7 +316,6 @@ func (q *Query) compile(opts Options) (*query.Query, core.Config, error) {
 		ReoptInterval:  opts.ReoptInterval,
 		MemoryBudget:   opts.MemoryBudget,
 		DisableCaching: opts.DisableCaching,
-		AdaptOrdering:  opts.AdaptOrdering,
 		BudgetAware:    opts.BudgetAware,
 		Seed:           opts.Seed,
 		DisableFilters: opts.DisableFilters,

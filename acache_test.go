@@ -2,6 +2,7 @@ package acache
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -288,6 +289,88 @@ func TestBuildValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "no attributes") {
 			t.Fatalf("relation with no attributes: Build error %v", err)
 		}
+	}
+}
+
+// TestBuildRejectsImpliedSelfJoin: R.B = S.B and R.B = S.B2 equate two
+// attributes of S through R, a self-join predicate no pipeline rooted at S
+// would check; every Build rejects it, as it rejects S.B = S.B2.
+func TestBuildRejectsImpliedSelfJoin(t *testing.T) {
+	decl := func() *Query {
+		return NewQuery().
+			WindowedRelation("R", 8, "B").
+			WindowedRelation("S", 8, "B", "B2").
+			Join("R.B", "S.B").
+			Join("R.B", "S.B2")
+	}
+	_, err := decl().Build(Options{})
+	_, errSharded := decl().BuildSharded(Options{}, ShardOptions{Shards: 2})
+	_, _, errDurable := decl().BuildDurable(Options{Tier: TierOptions{Dir: t.TempDir()}})
+	for _, err := range []error{err, errSharded, errDurable} {
+		if err == nil || !strings.Contains(err.Error(), "self-join") {
+			t.Fatalf("implied self-join: Build error %v", err)
+		}
+	}
+}
+
+// TestDeclarationOrderIrrelevant: the §7.2 query R(A) ⋈ S(A,B) ⋈ T(B) at
+// window 1 000 and a 1:1:5 mix, declared R, S, T (ascending order would give
+// ΔT the cross product [R, S]) and hub-first S, R, T, yields the same result
+// multiset for the same stream at the same simulated work, within 1%.
+func TestDeclarationOrderIrrelevant(t *testing.T) {
+	type run struct {
+		rows map[[5]int64]int
+		work float64
+	}
+	drive := func(order []string) run {
+		attrs := map[string][]string{"R": {"A"}, "S": {"A", "B"}, "T": {"B"}}
+		q := NewQuery()
+		for _, name := range order {
+			q.WindowedRelation(name, 1000, attrs[name]...)
+		}
+		eng, err := q.Join("R.A", "S.A").Join("S.B", "T.B").Build(Options{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Canonical rows list relations in declaration order; key each delta
+		// by (R.A, S.A, S.B, T.B, insert) whatever that order was.
+		at := make(map[string]int)
+		col := 0
+		for _, name := range order {
+			at[name] = col
+			col += len(attrs[name])
+		}
+		out := run{rows: make(map[[5]int64]int)}
+		eng.OnResult(func(insert bool, row []int64) {
+			k := [5]int64{row[at["R"]], row[at["S"]], row[at["S"]+1], row[at["T"]]}
+			if insert {
+				k[4] = 1
+			}
+			out.rows[k]++
+		})
+		rng := rand.New(rand.NewSource(72))
+		for i := 0; i < 30_000; i++ {
+			switch i % 7 {
+			case 0:
+				eng.Append("R", rng.Int63n(1000))
+			case 1:
+				eng.Append("S", rng.Int63n(1000), rng.Int63n(1000))
+			default:
+				eng.Append("T", rng.Int63n(1000))
+			}
+		}
+		out.work = eng.Stats().WorkSeconds
+		return out
+	}
+	rst, srt := drive([]string{"R", "S", "T"}), drive([]string{"S", "R", "T"})
+	if len(srt.rows) == 0 {
+		t.Fatal("the stream produced no results")
+	}
+	if !maps.Equal(rst.rows, srt.rows) {
+		t.Fatalf("result multisets differ: %d distinct rows declared R, S, T vs %d hub-first", len(rst.rows), len(srt.rows))
+	}
+	if r := rst.work / srt.work; r < 0.99 || r > 1.01 {
+		t.Fatalf("declared R, S, T does %.2f× the hub-first simulated work (%.4g vs %.4g s)", r, rst.work, srt.work)
 	}
 }
 
@@ -669,8 +752,9 @@ func TestOnResultRowLifetime(t *testing.T) {
 	}
 }
 
-// TestOnResultSurvivesReordering: with adaptive ordering on, pipeline
-// rebuilds must not drop the result taps.
+// TestOnResultSurvivesReordering: over an adaptive run on a query declared
+// R, S, T — whose pipelines the join-graph ordering reorders away from the
+// declaration — every result delta reaches the callback.
 func TestOnResultSurvivesReordering(t *testing.T) {
 	eng, err := NewQuery().
 		WindowedRelation("R", 40, "A").
@@ -678,7 +762,7 @@ func TestOnResultSurvivesReordering(t *testing.T) {
 		WindowedRelation("T", 40, "B").
 		Join("R.A", "S.A").
 		Join("S.B", "T.B").
-		Build(Options{ReoptInterval: 400, AdaptOrdering: true, Seed: 41})
+		Build(Options{ReoptInterval: 400, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}

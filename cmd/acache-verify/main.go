@@ -1,8 +1,9 @@
 // Command acache-verify fuzzes the adaptive engine against the naive
-// recomputation oracle: random queries, random plans and adaptivity
-// settings, random insert/delete streams — every update's result-delta
-// multiset compared. It is the repository's standalone correctness gate
-// (the same oracle the test suite uses), usable for long soak runs:
+// recomputation oracle: random queries, random pipeline orderings and
+// adaptivity settings, random insert/delete streams — every update's
+// result-delta multiset compared. It is the repository's standalone
+// correctness gate (the same oracle the test suite uses), usable for long
+// soak runs:
 //
 //	acache-verify -trials 200 -updates 2000 -seed 1
 //
@@ -17,6 +18,7 @@ import (
 
 	"acache/internal/core"
 	"acache/internal/oracle"
+	"acache/internal/planner"
 	"acache/internal/profiler"
 	"acache/internal/query"
 	"acache/internal/stream"
@@ -24,27 +26,31 @@ import (
 )
 
 func buildQuery(rng *rand.Rand) *query.Query {
-	// 3–5 relations; a random connected equijoin graph over 1–2 attribute
-	// classes.
+	// 3–5 relations; a random connected equijoin graph: one class on A, A
+	// plus a B class, or a chain with one class per link.
 	n := 3 + rng.Intn(3)
 	schemas := make([]*tuple.Schema, n)
 	var preds []query.Pred
 	twoAttr := rng.Intn(2) == 0
+	links := !twoAttr && rng.Intn(2) == 0
 	for i := 0; i < n; i++ {
 		// Every relation carries a C attribute that joins nothing — free
 		// for residual theta predicates.
-		if twoAttr && i%2 == 1 {
+		if links || twoAttr && i%2 == 1 {
 			schemas[i] = tuple.RelationSchema(i, "A", "B", "C")
 		} else {
 			schemas[i] = tuple.RelationSchema(i, "A", "C")
 		}
 	}
-	// Spanning chain on A keeps the graph connected.
+	// A spanning chain keeps the graph connected: on A, or R(i−1).B =
+	// R(i).A, whose classes a random ordering can step across, joining a
+	// relation that shares no class with its prefix (a cross product).
 	for i := 1; i < n; i++ {
-		preds = append(preds, query.Pred{
-			Left:  tuple.Attr{Rel: i - 1, Name: "A"},
-			Right: tuple.Attr{Rel: i, Name: "A"},
-		})
+		left := tuple.Attr{Rel: i - 1, Name: "A"}
+		if links {
+			left.Name = "B"
+		}
+		preds = append(preds, query.Pred{Left: left, Right: tuple.Attr{Rel: i, Name: "A"}})
 	}
 	// Occasionally connect B attributes into their own class.
 	if twoAttr {
@@ -78,13 +84,29 @@ func buildQuery(rng *rand.Rand) *query.Query {
 	return q
 }
 
+// drawOrdering returns nil, the engine's join-graph ordering, or half the
+// time a uniformly random valid ordering.
+func drawOrdering(rng *rand.Rand, n int) planner.Ordering {
+	if rng.Intn(2) == 0 {
+		return nil
+	}
+	ord := make(planner.Ordering, n)
+	for i := range ord {
+		for _, r := range rng.Perm(n) {
+			if r != i {
+				ord[i] = append(ord[i], r)
+			}
+		}
+	}
+	return ord
+}
+
 func trial(seed int64, updates int, verbose bool) error {
 	rng := rand.New(rand.NewSource(seed))
 	q := buildQuery(rng)
 	cfg := core.Config{
 		ReoptInterval:  100 + rng.Intn(400),
 		GCQuota:        rng.Intn(8),
-		AdaptOrdering:  rng.Intn(2) == 0,
 		BudgetAware:    rng.Intn(3) == 0,
 		DisableFilters: rng.Intn(2) == 0,
 		Selection:      core.SelectionMode(rng.Intn(4)),
@@ -98,7 +120,8 @@ func trial(seed int64, updates int, verbose bool) error {
 	if rng.Intn(4) == 0 {
 		cfg.MemoryBudget = 1024 * (1 + rng.Intn(8))
 	}
-	en, err := core.NewEngine(q, nil, cfg)
+	ord := drawOrdering(rng, q.N())
+	en, err := core.NewEngine(q, ord, cfg)
 	if err != nil {
 		return fmt.Errorf("seed %d: NewEngine: %v", seed, err)
 	}

@@ -84,8 +84,8 @@ func (p SamplePoint) workload(seed int64) *workload {
 }
 
 // Fig11 — "Performance of stream-join plans": the four plan families at the
-// eight Table 2 sample points. M = best MJoin (adaptive ordering, no
-// caches), X = best XJoin (exhaustive tree search), P = caching with the
+// eight Table 2 sample points. M = MJoin with the engine's fixed
+// join-graph ordering (no caches), X = best XJoin (exhaustive tree search), P = caching with the
 // prefix invariant, G = caching with globally-consistent candidates
 // (quota m = 6). The paper's findings: X, P, G ≫ M almost always; X > P at
 // D1–D3 (the prefix invariant blocks a high-benefit cache); G ≈ X; and G >
@@ -102,7 +102,6 @@ func Fig11(cfg RunConfig) *Experiment {
 
 		mEn, err := core.NewEngine(w.q, nil, core.Config{
 			DisableCaching: true,
-			AdaptOrdering:  false, // static A-Greedy-style ordering; online reordering resets caches and only adds noise on these near-symmetric workloads
 			ReoptInterval:  cfg.Measure / 8,
 			Seed:           cfg.Seed,
 		})
@@ -116,7 +115,6 @@ func Fig11(cfg RunConfig) *Experiment {
 		x = append(x, measureXJoin(xj, w.source(), cfg))
 
 		pEn, err := core.NewEngine(w.q, nil, core.Config{
-			AdaptOrdering: false,
 			ReoptInterval: cfg.Measure / 8,
 			Selection:     core.SelectExhaustive,
 			Seed:          cfg.Seed,
@@ -127,7 +125,6 @@ func Fig11(cfg RunConfig) *Experiment {
 		pp = append(pp, measureEngine(pEn, w.source(), cfg))
 
 		gEn, err := core.NewEngine(w.q, nil, core.Config{
-			AdaptOrdering: false,
 			ReoptInterval: cfg.Measure / 8,
 			GCQuota:       6,
 			Selection:     core.SelectExhaustive,

@@ -21,7 +21,6 @@ func Fig13(cfg RunConfig) *Experiment {
 	// MJoin: memory-insensitive; measure once.
 	mEn, err := core.NewEngine(w.q, nil, core.Config{
 		DisableCaching: true,
-		AdaptOrdering:  false, // static A-Greedy-style ordering; online reordering resets caches and only adds noise on these near-symmetric workloads
 		ReoptInterval:  cfg.Measure / 8,
 		Seed:           cfg.Seed,
 	})
@@ -48,7 +47,6 @@ func Fig13(cfg RunConfig) *Experiment {
 			x = append(x, 0) // infeasible region
 		}
 		aEn, err := core.NewEngine(w.q, nil, core.Config{
-			AdaptOrdering: false,
 			ReoptInterval: cfg.Measure / 8,
 			GCQuota:       6,
 			MemoryBudget:  int(kb * 1024),

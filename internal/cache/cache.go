@@ -384,8 +384,8 @@ func (c *Cache) dropBucket(b int) {
 	c.free = append(c.free, e)
 }
 
-// Clear drops every entry, keeping the bucket array. Used when a cache's
-// statistics have gone stale (e.g. after a pipeline reordering).
+// Clear drops every entry, keeping the bucket array. Used when the last
+// lookup of a cache detaches and its maintenance stops.
 func (c *Cache) Clear() {
 	for b := range c.buckets {
 		c.dropBucket(b)

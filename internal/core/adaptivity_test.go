@@ -22,8 +22,8 @@ func driveBoth(t *testing.T, q *query.Query, a, b *Engine, n int, window int, do
 }
 
 // TestReferenceAdaptivityDifferential: the adaptivity fast paths — the
-// statistics-epoch readiness gate, the memoized candidate enumeration, the
-// reused selection workspace, and one shadow estimator per probe stream —
+// statistics-epoch readiness gate, the reused selection workspace, and one
+// shadow estimator per probe stream —
 // must be invisible: every output, every simulated-cost figure, every
 // re-optimization decision, and every cache state is byte-identical to the
 // reference implementation that recomputes everything from scratch and
@@ -108,13 +108,11 @@ func TestReferenceAdaptivityDifferential(t *testing.T) {
 	}
 }
 
-// TestWarmReoptAllocFree pins the tentpole's allocation budget: once the
-// engine's buffers are warm, re-running selection and re-enumerating
-// candidates allocates nothing.
+// TestWarmReoptAllocFree pins the allocation budget: once the engine's
+// buffers are warm, re-running selection allocates nothing.
 func TestWarmReoptAllocFree(t *testing.T) {
 	q := threeWay(t)
-	ordA := planner.Ordering{{1, 2}, {2, 0}, {1, 0}}
-	en, err := NewEngine(q, ordA, Config{ReoptInterval: 300, GCQuota: 6, Seed: 81})
+	en, err := NewEngine(q, planner.Ordering{{1, 2}, {2, 0}, {1, 0}}, Config{ReoptInterval: 300, GCQuota: 6, Seed: 81})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,22 +127,5 @@ func TestWarmReoptAllocFree(t *testing.T) {
 	en.runSelection() // warm the workspace at the current candidate shape
 	if allocs := testing.AllocsPerRun(50, func() { en.runSelection() }); allocs > 0 {
 		t.Errorf("warm runSelection allocates %.1f objects/run, want 0", allocs)
-	}
-
-	// Satellite: candidate-spec enumeration is memoized per ordering, so
-	// flipping between seen orderings re-enumerates (and allocates) nothing.
-	ordB := planner.Ordering{{1, 2}, {0, 2}, {1, 0}}
-	sa, sb := en.candidateSpecs(ordA), en.candidateSpecs(ordB)
-	if len(sa) == 0 || len(sb) == 0 {
-		t.Fatal("no candidate specs enumerated")
-	}
-	if sa2 := en.candidateSpecs(ordA); &sa2[0] != &sa[0] {
-		t.Error("candidateSpecs re-enumerated a seen ordering")
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		en.candidateSpecs(ordA)
-		en.candidateSpecs(ordB)
-	}); allocs > 0 {
-		t.Errorf("warm candidateSpecs allocates %.1f objects/run, want 0", allocs)
 	}
 }

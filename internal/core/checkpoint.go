@@ -108,8 +108,8 @@ func (en *Engine) DropCaches() {
 // SetCachingPaused pauses (or resumes) adaptive caching at run time — the
 // first rung of the overload degradation ladder. Pausing drops every cache
 // and stops all adaptivity work (profiling, monitoring, re-optimization),
-// shedding their overhead while results stay exact; resuming recomputes the
-// candidate set and starts a fresh profiling phase so caches can return.
+// shedding their overhead while results stay exact; resuming starts a fresh
+// profiling phase so caches can return.
 // No-op in forced-cache or caching-disabled modes, and when the state does
 // not change.
 func (en *Engine) SetCachingPaused(paused bool) {
@@ -126,6 +126,5 @@ func (en *Engine) SetCachingPaused(paused bool) {
 	}
 	en.sinceReopt = 0
 	en.sinceMonitor = 0
-	en.refreshCandidates()
 	en.startProfilingPhase()
 }

@@ -87,8 +87,6 @@ type Config struct {
 	// MemoryBudget is the bytes available for caches; ≤ 0 is unlimited
 	// (Section 5, Figure 13) — withDefaults maps 0 to −1.
 	MemoryBudget int
-	// AdaptOrdering enables the A-Greedy-style ordering advisor.
-	AdaptOrdering bool
 	// DisableCaching runs a plain MJoin (the baseline M of Section 7.3).
 	DisableCaching bool
 	// ForcedCaches, when non-empty, pins exactly these caches in place and
@@ -126,10 +124,10 @@ type Config struct {
 	// to this engine.
 	RelTokens []string
 	// ReferenceAdaptivity disables the adaptivity fast paths — the
-	// epoch-memoized readiness poll, the candidate-set memo, reusable
-	// selection workspaces, and one shadow estimator per probe stream — so
-	// every poll and selection recomputes from scratch and every profiled
-	// candidate runs its own shadow. Decisions, cost figures, and results
+	// epoch-memoized readiness poll, reusable selection workspaces, and one
+	// shadow estimator per probe stream — so every poll and selection
+	// recomputes from scratch and every profiled candidate runs its own
+	// shadow. Decisions, cost figures, and results
 	// are identical either way; this exists (like DisableFilters) for
 	// differential testing (TestReferenceAdaptivityDifferential).
 	ReferenceAdaptivity bool
@@ -197,8 +195,8 @@ type Engine struct {
 	cfg   Config
 	meter *cost.Meter
 	exec  *join.Exec
+	ord   planner.Ordering // fixed at build time; never reordered
 	pf    *profiler.Profiler
-	adv   *ordering.Advisor
 	mem   *memory.Manager
 	rng   *rand.Rand
 
@@ -206,8 +204,8 @@ type Engine struct {
 	// sorted holds the same candidates in placement-key order: the
 	// iteration order of every walk whose result depends on order
 	// (selection ties, group benefit sums, pooled demand), so telemetry and
-	// decisions are reproducible across runs. The set changes only in
-	// refreshCandidates and attachForced, which rebuild it.
+	// decisions are reproducible across runs. The set is fixed at build
+	// time, by buildCandidates or attachForced.
 	sorted    []*cand
 	instances map[string]*join.Instance // by SharingID, for Used caches
 
@@ -259,14 +257,6 @@ type Engine struct {
 	readyEpochOK bool
 	unreadyPipe  int
 
-	// Candidate-set memo: planner.Candidates/GCCandidates are pure in
-	// (query, ordering), so refreshCandidates memoizes the spec slice per
-	// ordering key and ping-pongs the cands map, making ordering flips
-	// allocation-free once both orderings have been seen.
-	candSpecMemo map[string][]*planner.Spec
-	ordKeyBuf    []byte
-	spareCands   map[string]*cand
-
 	// Re-optimization scratch, reused across intervals so a warm
 	// re-optimization allocates nothing: the selection problem and
 	// workspace, the chosen set, and monitorUsed's group table.
@@ -288,19 +278,17 @@ type Engine struct {
 	// Reopts counts selection runs; SkippedReopts counts p-threshold skips.
 	reopts, skippedReopts int
 
-	// resultSinks receive canonicalized join-result deltas; resultTaps
-	// tracks the executor tap id per pipeline (−1 = none) so pipeline
-	// rebuilds can re-register.
+	// resultSinks receive canonicalized join-result deltas.
 	resultSinks []func(insert bool, result []tuple.Value)
-	resultTaps  []int
 }
 
-// NewEngine builds an engine for q starting from the given pipeline
-// ordering (nil for the neutral initial ordering).
+// NewEngine builds an engine for q with the given pipeline ordering, fixed
+// for the engine's life (nil for the join-graph ordering,
+// ordering.FromJoinGraph).
 func NewEngine(q *query.Query, ord planner.Ordering, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if ord == nil {
-		ord = ordering.InitialOrdering(q.N())
+		ord = ordering.FromJoinGraph(q)
 	}
 	meter := &cost.Meter{}
 	exec, err := join.NewExec(q, ord, meter, join.Options{ScanOnly: cfg.ScanOnly, StoreProvider: cfg.StoreProvider})
@@ -320,8 +308,8 @@ func NewEngine(q *query.Query, ord planner.Ordering, cfg Config) (*Engine, error
 		cfg:         cfg,
 		meter:       meter,
 		exec:        exec,
+		ord:         exec.Ordering(),
 		pf:          pf,
-		adv:         ordering.New(q, pf),
 		mem:         memory.NewManager(cfg.MemoryBudget),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		cands:       make(map[string]*cand),
@@ -333,7 +321,7 @@ func NewEngine(q *query.Query, ord planner.Ordering, cfg Config) (*Engine, error
 			return nil, err
 		}
 	} else if !cfg.DisableCaching {
-		en.refreshCandidates()
+		en.buildCandidates()
 		en.startProfilingPhase()
 	}
 	return en, nil
@@ -351,34 +339,22 @@ func (en *Engine) Exec() *join.Exec { return en.exec }
 // result slice is the engine's row buffer: it is valid only for the duration
 // of the callback and overwritten by the next result, so a callback that
 // keeps a row copies it. The callback runs synchronously inside update
-// processing and must not call back into the engine. Reordering-induced
-// pipeline rebuilds re-register the taps automatically.
+// processing and must not call back into the engine.
 func (en *Engine) OnResult(f func(insert bool, result []tuple.Value)) {
 	en.resultSinks = append(en.resultSinks, f)
-	en.installResultTaps()
+	if len(en.resultSinks) == 1 {
+		en.installResultTaps()
+	}
 }
 
-// installResultTaps (re)wires output-position taps on every pipeline that
-// canonicalize and fan out to the registered sinks.
+// installResultTaps wires an output-position tap on every pipeline that
+// canonicalizes and fans out to the registered sinks.
 func (en *Engine) installResultTaps() {
-	if len(en.resultSinks) == 0 {
-		return
-	}
 	n := en.q.N()
-	for i := 0; i < n; i++ {
-		if en.resultTaps == nil {
-			en.resultTaps = make([]int, n)
-			for j := range en.resultTaps {
-				en.resultTaps[j] = -1
-			}
-		}
-		if en.resultTaps[i] != -1 {
-			continue
-		}
-		pipe := i
+	for pipe := 0; pipe < n; pipe++ {
 		// Canonicalization columns for this pipeline's output schema.
 		schema := en.q.Schema(pipe)
-		for _, r := range en.exec.Ordering()[pipe] {
+		for _, r := range en.ord[pipe] {
 			schema = schema.Concat(en.q.Schema(r))
 		}
 		var cols []int
@@ -388,7 +364,7 @@ func (en *Engine) installResultTaps() {
 			}
 		}
 		out := make([]tuple.Value, len(cols)) // this tap's row buffer, refilled per result
-		en.resultTaps[i] = en.exec.Tap(pipe, en.q.N()-1, func(batch []tuple.Tuple, op stream.Op) {
+		en.exec.Tap(pipe, n-1, func(batch []tuple.Tuple, op stream.Op) {
 			for _, t := range batch {
 				for j, c := range cols {
 					out[j] = t[c]
@@ -416,6 +392,21 @@ func (en *Engine) attachForced() error {
 	}
 	en.sortCands()
 	return nil
+}
+
+// buildCandidates enumerates the candidate caches: the prefix-invariant
+// candidates plus, when enabled, the Section 6 globally-consistent quota.
+// Both are pure functions of (query, ordering), and the ordering is fixed,
+// so this runs once.
+func (en *Engine) buildCandidates() {
+	specs := planner.Candidates(en.q, en.ord)
+	if en.cfg.GCQuota > 0 {
+		specs = append(specs, planner.GCCandidates(en.q, en.ord, specs, en.cfg.GCQuota)...)
+	}
+	for _, spec := range specs {
+		en.cands[placementKey(spec)] = &cand{spec: spec, state: Unused}
+	}
+	en.sortCands()
 }
 
 // sortCands rebuilds en.sorted from the candidate map.
@@ -641,7 +632,7 @@ type CacheDescription struct {
 
 // Plan snapshots the current physical plan for introspection.
 func (en *Engine) Plan() PlanDescription {
-	d := PlanDescription{Pipelines: en.exec.Ordering()}
+	d := PlanDescription{Pipelines: en.ord.Clone()}
 	shareCount := make(map[string]int)
 	for _, c := range en.cands {
 		if c.state == Used {

@@ -123,20 +123,6 @@ func TestEngineAdaptiveMatchesOracle4WayWithGC(t *testing.T) {
 	runVsOracle(t, q, en, windowSource(q, 30, 8, 4), 6000)
 }
 
-func TestEngineAdaptiveMatchesOracleWithOrderingAdaptivity(t *testing.T) {
-	q := fourWayClique(t)
-	en, err := NewEngine(q, nil, Config{
-		ReoptInterval: 500,
-		AdaptOrdering: true,
-		GCQuota:       6,
-		Seed:          5,
-	})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	runVsOracle(t, q, en, windowSource(q, 25, 6, 6), 6000)
-}
-
 func TestEngineUnderMemoryPressureMatchesOracle(t *testing.T) {
 	q := threeWay(t)
 	en, err := NewEngine(q, planner.Ordering{{1, 2}, {2, 0}, {1, 0}}, Config{

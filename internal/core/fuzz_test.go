@@ -5,14 +5,16 @@ import (
 	"testing"
 
 	"acache/internal/oracle"
+	"acache/internal/planner"
 	"acache/internal/query"
 	"acache/internal/stream"
 	"acache/internal/tuple"
 )
 
 // TestFuzzEngineVsOracle is the in-test version of cmd/acache-verify:
-// randomized queries (with theta predicates), adaptivity settings, and
-// update streams, every output delta compared against the naive oracle.
+// randomized queries (with theta predicates), starting orderings,
+// adaptivity settings, and update streams, every output delta compared
+// against the naive oracle.
 func TestFuzzEngineVsOracle(t *testing.T) {
 	trials := 12
 	if testing.Short() {
@@ -25,7 +27,6 @@ func TestFuzzEngineVsOracle(t *testing.T) {
 		cfg := Config{
 			ReoptInterval: 100 + rng.Intn(400),
 			GCQuota:       rng.Intn(8),
-			AdaptOrdering: rng.Intn(2) == 0,
 			BudgetAware:   rng.Intn(3) == 0,
 			MemoryBudget:  -1,
 			Seed:          seed,
@@ -33,7 +34,20 @@ func TestFuzzEngineVsOracle(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			cfg.MemoryBudget = 1024 * (1 + rng.Intn(8))
 		}
-		en, err := NewEngine(q, nil, cfg)
+		// The join-graph ordering, or half the time a random valid one,
+		// whose steps may be cross products.
+		var ord planner.Ordering
+		if rng.Intn(2) == 0 {
+			ord = make(planner.Ordering, q.N())
+			for i := range ord {
+				for _, r := range rng.Perm(q.N()) {
+					if r != i {
+						ord[i] = append(ord[i], r)
+					}
+				}
+			}
+		}
+		en, err := NewEngine(q, ord, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: NewEngine: %v", trial, err)
 		}
@@ -58,8 +72,8 @@ func TestFuzzEngineVsOracle(t *testing.T) {
 			got := en.Process(u)
 			want := len(o.Process(u))
 			if got != want {
-				t.Fatalf("trial %d (seed %d) update %d %v: engine %d, oracle %d\nconfig %+v",
-					trial, seed, i, u, got, want, cfg)
+				t.Fatalf("trial %d (seed %d) update %d %v: engine %d, oracle %d\nconfig %+v\nordering %v",
+					trial, seed, i, u, got, want, cfg, ord)
 			}
 		}
 	}
@@ -67,16 +81,19 @@ func TestFuzzEngineVsOracle(t *testing.T) {
 
 func fuzzQuery(t *testing.T, rng *rand.Rand) *query.Query {
 	t.Helper()
+	// A chain on A (one class), or R(i−1).B = R(i).A (one class per link).
 	n := 3 + rng.Intn(3)
+	links := rng.Intn(2) == 0
 	schemas := make([]*tuple.Schema, n)
 	var preds []query.Pred
 	for i := 0; i < n; i++ {
-		schemas[i] = tuple.RelationSchema(i, "A", "C")
+		schemas[i] = tuple.RelationSchema(i, "A", "B", "C")
 		if i > 0 {
-			preds = append(preds, query.Pred{
-				Left:  tuple.Attr{Rel: i - 1, Name: "A"},
-				Right: tuple.Attr{Rel: i, Name: "A"},
-			})
+			left := tuple.Attr{Rel: i - 1, Name: "A"}
+			if links {
+				left.Name = "B"
+			}
+			preds = append(preds, query.Pred{Left: left, Right: tuple.Attr{Rel: i, Name: "A"}})
 		}
 	}
 	var thetas []query.ThetaPred

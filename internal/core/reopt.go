@@ -2,128 +2,23 @@ package core
 
 import (
 	"acache/internal/memory"
-	"acache/internal/planner"
 	"acache/internal/profiler"
 	"acache/internal/selection"
 )
-
-// refreshCandidates recomputes the candidate cache set for the current
-// ordering: prefix-invariant candidates plus, when enabled, the Section 6
-// globally-consistent quota. Existing candidate entries survive when their
-// placement is still valid; the rest are dropped (detaching used ones).
-// The spec enumeration is memoized per ordering (candidateSpecs) and the
-// two candidate maps ping-pong, so an ordering flip back to a seen ordering
-// allocates only the fresh cand entries it actually needs.
-func (en *Engine) refreshCandidates() {
-	ord := en.exec.OrderingRef()
-	specs := en.candidateSpecs(ord)
-	next := en.spareCands
-	if next == nil {
-		next = make(map[string]*cand, len(specs))
-	}
-	clear(next)
-	for _, spec := range specs {
-		k := placementKey(spec)
-		if old, ok := en.cands[k]; ok && old.spec.SharingID() == spec.SharingID() {
-			next[k] = old
-			continue
-		}
-		next[k] = &cand{spec: spec, state: Unused}
-	}
-	for k, old := range en.cands {
-		if _, keep := next[k]; !keep && old.state == Used {
-			en.detach(old)
-		}
-		if _, keep := next[k]; !keep && old.state == Profiled {
-			en.pf.StopShadow(old.spec)
-		}
-	}
-	en.spareCands = en.cands
-	en.cands = next
-	en.sortCands()
-}
-
-// candidateSpecs enumerates the candidate placements for ord, memoized by
-// ordering key: planner.Candidates and GCCandidates are pure functions of
-// (query, ordering), and an adapting engine revisits a small set of
-// orderings, so a flip back to a seen ordering re-enumerates nothing. The
-// memoized specs are shared across orderings' candidate maps — specs are
-// immutable and their Key/SharingID memos warm exactly once.
-// ReferenceAdaptivity recomputes every time (the memo's differential foil).
-func (en *Engine) candidateSpecs(ord planner.Ordering) []*planner.Spec {
-	en.ordKeyBuf = en.ordKeyBuf[:0]
-	for _, pipe := range ord {
-		for _, r := range pipe {
-			en.ordKeyBuf = append(en.ordKeyBuf, byte(r))
-		}
-		en.ordKeyBuf = append(en.ordKeyBuf, 0xff)
-	}
-	if !en.cfg.ReferenceAdaptivity {
-		if specs, ok := en.candSpecMemo[string(en.ordKeyBuf)]; ok {
-			return specs
-		}
-	}
-	specs := planner.Candidates(en.q, ord)
-	if en.cfg.GCQuota > 0 {
-		specs = append(specs, planner.GCCandidates(en.q, ord, specs, en.cfg.GCQuota)...)
-	}
-	if en.candSpecMemo == nil {
-		en.candSpecMemo = make(map[string][]*planner.Spec)
-	}
-	en.candSpecMemo[string(en.ordKeyBuf)] = specs
-	return specs
-}
 
 // fullProfileEvery is the profiling duty cycle: every Nth re-optimization
 // pays the full price (suspending used caches that cover profiled subset
 // candidates); the rest profile only unobstructed candidates.
 const fullProfileEvery = 4
 
-// startReopt begins a re-optimization (Section 4.5 steps 2–4): apply any
-// ordering change, then move candidates into the profiled state so their
-// statistics can be (re)collected, suspending used caches only when they
-// deny an unused subset candidate its full probe stream (Section 4.5(b)) —
-// and only on full-profile rounds.
+// startReopt begins a re-optimization (Section 4.5 steps 2–4): move
+// candidates into the profiled state so their statistics can be
+// (re)collected, suspending used caches only when they deny an unused
+// subset candidate its full probe stream (Section 4.5(b)) — and only on
+// full-profile rounds.
 func (en *Engine) startReopt() {
-	if en.cfg.AdaptOrdering {
-		en.adaptOrdering()
-	}
 	en.reoptCount++
 	en.startProfilingPhase()
-}
-
-// adaptOrdering applies the ordering advisor per pipeline. A reordered
-// pipeline invalidates every cache whose probes or maintenance flow through
-// it, so all caches are detached and candidates recomputed (Section 4.5
-// step 5; we widen "caches used in that pipeline" to all caches because
-// maintenance operators of other pipelines' caches may also live in the
-// reordered pipeline).
-func (en *Engine) adaptOrdering() {
-	ord := en.exec.Ordering()
-	changed := false
-	for i := 0; i < en.q.N(); i++ {
-		next, ch := en.adv.Advise(i, ord[i])
-		if !ch {
-			continue
-		}
-		if !changed {
-			for _, c := range en.cands {
-				if c.state == Used {
-					en.detach(c)
-				}
-			}
-			changed = true
-		}
-		_ = en.exec.SetOrdering(i, next)
-		en.pf.ResetPipeline(i)
-		if en.resultTaps != nil {
-			en.resultTaps[i] = -1 // pipeline rebuilt; tap is gone
-		}
-	}
-	if changed {
-		en.refreshCandidates()
-		en.installResultTaps()
-	}
 }
 
 // startProfilingPhase starts shadow estimators and enters the profiling
@@ -367,7 +262,6 @@ func relChange(now, then float64) float64 {
 // from scratch each time (identical results, the reuse's differential
 // foil). The returned slice is valid until the next selection.
 func (en *Engine) runSelection() []*cand {
-	ord := en.exec.OrderingRef()
 	ref := en.cfg.ReferenceAdaptivity
 	prob := &en.selProb
 	ws := &en.selWS
@@ -393,7 +287,7 @@ func (en *Engine) runSelection() []*cand {
 	prob.OpCosts = prob.OpCosts[:n]
 	for i := 0; i < n; i++ {
 		costs := prob.OpCosts[i][:0]
-		for j := range ord[i] {
+		for j := range en.ord[i] {
 			costs = append(costs, en.pf.OpCost(i, j))
 		}
 		prob.OpCosts[i] = costs

@@ -267,29 +267,6 @@ func (e *Exec) StoreFilterStats() relation.FilterStats {
 // Ordering returns a copy of the current pipeline ordering.
 func (e *Exec) Ordering() planner.Ordering { return e.ord.Clone() }
 
-// OrderingRef returns the current ordering without copying. Read-only for
-// the caller, and stable: SetOrdering replaces the ordering wholesale
-// (copy-on-write) rather than mutating it, so a borrowed reference stays
-// internally consistent — it just goes stale. For the re-optimizer's
-// allocation-free hot path; everyone else wants Ordering.
-func (e *Exec) OrderingRef() planner.Ordering { return e.ord }
-
-// SetOrdering replaces pipeline ord for one relation and recompiles it.
-// All cache attachments in that pipeline are implicitly dropped — the caller
-// (the adaptive engine) must detach caches first; any attachment state left
-// in the pipeline is discarded, matching Section 4.5 step 5.
-func (e *Exec) SetOrdering(rel int, order []int) error {
-	next := e.ord.Clone()
-	next[rel] = append([]int(nil), order...)
-	if err := next.Validate(e.q.N()); err != nil {
-		return err
-	}
-	e.ord = next
-	e.pipes[rel] = buildPipeline(e.q, rel, order, e.stores, e.scanOnly)
-	e.refreshBatchable()
-	return nil
-}
-
 // Tap registers an observer at (pipeline, pos); pos ranges 0..n−1 where
 // n−1 is the output position. It returns an id for RemoveTap.
 func (e *Exec) Tap(pipe, pos int, f func(batch []tuple.Tuple, op stream.Op)) int {

@@ -506,27 +506,3 @@ func TestPaperExamples32Through35(t *testing.T) {
 		t.Fatalf("outputs after maintenance = %d, want 2", res.Outputs)
 	}
 }
-
-func TestSetOrderingRebuildsPipeline(t *testing.T) {
-	q, ord := threeWay(t)
-	meter := &cost.Meter{}
-	e, _ := NewExec(q, ord, meter, Options{})
-	if err := e.SetOrdering(0, []int{2, 1}); err != nil {
-		t.Fatalf("SetOrdering: %v", err)
-	}
-	if err := e.SetOrdering(0, []int{0, 1}); err == nil {
-		t.Fatal("invalid ordering must be rejected")
-	}
-	o := newOracle(q)
-	got := collectOutputs(e)
-	rng := rand.New(rand.NewSource(7))
-	for seq, u := range randomUpdates(rng, q, 300, 5) {
-		u.Seq = uint64(seq)
-		*got = (*got)[:0]
-		res := e.Process(u)
-		want := o.Process(u)
-		if res.Outputs != len(want) {
-			t.Fatalf("update %d: got %d outputs, oracle %d", seq, res.Outputs, len(want))
-		}
-	}
-}

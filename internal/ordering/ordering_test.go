@@ -1,14 +1,12 @@
 package ordering
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
-	"acache/internal/cost"
-	"acache/internal/join"
-	"acache/internal/profiler"
 	"acache/internal/query"
-	"acache/internal/stream"
-	"acache/internal/synth"
 	"acache/internal/tuple"
 )
 
@@ -24,114 +22,142 @@ func TestInitialOrdering(t *testing.T) {
 	}
 }
 
-func TestRank(t *testing.T) {
-	if rank(0.5, 2) != -0.25 {
-		t.Fatalf("rank(0.5,2) = %v", rank(0.5, 2))
-	}
-	if rank(2, 1) != 1 {
-		t.Fatalf("rank(2,1) = %v", rank(2, 1))
-	}
-	if rank(5, 0) != 0 {
-		t.Fatal("zero-cost rank must be 0")
-	}
+// rel is one relation declaration for mkQuery: a name and its attributes.
+type rel struct {
+	name  string
+	attrs []string
 }
 
-func TestModelCost(t *testing.T) {
-	steps := []stepStat{
-		{fanout: 0.5, cost: 2},
-		{fanout: 2, cost: 4},
-	}
-	// 1×2 + 0.5×4 = 4
-	if c := modelCost(steps); c != 4 {
-		t.Fatalf("modelCost = %v", c)
-	}
-	// Reversed: 1×4 + 2×2 = 8 — the reducer-first order is cheaper.
-	rev := []stepStat{steps[1], steps[0]}
-	if c := modelCost(rev); c != 8 {
-		t.Fatalf("modelCost reversed = %v", c)
-	}
-}
-
-// buildProfiled constructs a 3-way workload where ΔR1's pipeline joins an
-// expensive expanding relation first — the advisor must recommend swapping.
-func buildProfiled(t *testing.T) (*Advisor, *profiler.Profiler, *join.Exec) {
+// mkQuery declares rels in the given order and equates every pair of
+// "Rel.Attr" references in joins.
+func mkQuery(t *testing.T, rels []rel, joins [][2]string) *query.Query {
 	t.Helper()
-	q, err := query.New(
-		[]*tuple.Schema{
-			tuple.RelationSchema(0, "A"),
-			tuple.RelationSchema(1, "A"),
-			tuple.RelationSchema(2, "A"),
-		},
-		[]query.Pred{
-			{Left: tuple.Attr{Rel: 0, Name: "A"}, Right: tuple.Attr{Rel: 1, Name: "A"}},
-			{Left: tuple.Attr{Rel: 0, Name: "A"}, Right: tuple.Attr{Rel: 2, Name: "A"}},
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
+	idx := make(map[string]int)
+	schemas := make([]*tuple.Schema, len(rels))
+	for i, r := range rels {
+		idx[r.name] = i
+		schemas[i] = tuple.RelationSchema(i, r.attrs...)
 	}
-	meter := &cost.Meter{}
-	// ΔR1: joins R2 (fanout ~8) before R3 (fanout ~1) — clearly bad.
-	e, err := join.NewExec(q, [][]int{{1, 2}, {0, 2}, {0, 1}}, meter, join.Options{})
-	if err != nil {
-		t.Fatal(err)
+	attr := func(ref string) tuple.Attr {
+		name, a, _ := strings.Cut(ref, ".")
+		return tuple.Attr{Rel: idx[name], Name: a}
 	}
-	pf := profiler.New(q, e, meter, profiler.Config{SampleProb: 1, RateSpan: 10, Seed: 1})
-	// R2 holds 8 copies of each key; R3 one copy.
-	for i := 0; i < 8; i++ {
-		for v := int64(0); v < 10; v++ {
-			e.Process(stream.Update{Op: stream.Insert, Rel: 1, Tuple: tuple.Tuple{v}})
+	var preds []query.Pred
+	for _, j := range joins {
+		preds = append(preds, query.Pred{Left: attr(j[0]), Right: attr(j[1])})
+	}
+	q, err := query.New(schemas, preds)
+	if err != nil {
+		t.Fatalf("query.New: %v", err)
+	}
+	return q
+}
+
+// connected reports whether every step of pipeline pipe shares an
+// equivalence class with the relations before it (the root included).
+func connected(q *query.Query, root int, pipe []int) bool {
+	prefix := []int{root}
+	for _, r := range pipe {
+		if len(q.SharedClasses(prefix, []int{r})) == 0 {
+			return false
+		}
+		prefix = append(prefix, r)
+	}
+	return true
+}
+
+func permutations(xs []rel) [][]rel {
+	if len(xs) <= 1 {
+		return [][]rel{slices.Clone(xs)}
+	}
+	var out [][]rel
+	for i := range xs {
+		rest := append(slices.Clone(xs[:i]), xs[i+1:]...)
+		for _, p := range permutations(rest) {
+			out = append(out, append([]rel{xs[i]}, p...))
 		}
 	}
-	for v := int64(0); v < 10; v++ {
-		e.Process(stream.Update{Op: stream.Insert, Rel: 2, Tuple: tuple.Tuple{v}})
-	}
-	gen := synth.Counter(0, 10, 1)
-	for i := 0; i < 400; i++ {
-		u := stream.Update{Op: stream.Insert, Rel: 0, Tuple: tuple.Tuple{gen.Next()}}
-		res, prof := e.ProcessProfiled(u)
-		_ = res
-		pf.Observe(0, prof)
-		pf.TickN(0, 1)
-		e.Process(stream.Update{Op: stream.Delete, Rel: 0, Tuple: u.Tuple})
-		pf.TickN(0, 1)
-	}
-	return New(q, pf), pf, e
+	return out
 }
 
-func TestAdvisorRecommendsReducerFirst(t *testing.T) {
-	adv, pf, _ := buildProfiled(t)
-	if !pf.PipelineReady(0) {
-		t.Fatal("pipeline 0 not ready")
+// TestFromJoinGraph checks, on every declaration order of the chain
+// R(A) ⋈ S(A,B) ⋈ T(B) and on the chain, single-class and hub shapes the
+// figures and the benchmark workloads use, that every pipeline step of the
+// join-graph ordering shares a class with its prefix, and that each
+// pipeline equals InitialOrdering's whenever that one is already connected.
+// On the hub-first and single-class shapes that is every pipeline, which
+// pins the plans those workloads and figures run.
+func TestFromJoinGraph(t *testing.T) {
+	type shape struct {
+		name string
+		q    *query.Query
+		// same demands the whole ordering equal InitialOrdering.
+		same bool
 	}
-	got, changed := adv.Advise(0, []int{1, 2})
-	if !changed {
-		t.Fatal("advisor must recommend reordering the expander-first pipeline")
+	var shapes []shape
+	chain := []rel{{"R", []string{"A"}}, {"S", []string{"A", "B"}}, {"T", []string{"B"}}}
+	for _, p := range permutations(chain) {
+		name := "chain3/"
+		for _, r := range p {
+			name += r.name
+		}
+		shapes = append(shapes, shape{name: name, q: mkQuery(t, p, [][2]string{{"R.A", "S.A"}, {"S.B", "T.B"}}), same: p[0].name == "S"})
 	}
-	if got[0] != 2 || got[1] != 1 {
-		t.Fatalf("advised order = %v, want [2 1]", got)
-	}
-}
-
-func TestAdvisorCooldown(t *testing.T) {
-	adv, _, _ := buildProfiled(t)
-	_, changed := adv.Advise(0, []int{1, 2})
-	if !changed {
-		t.Fatal("first advice must change")
-	}
-	// Immediately after a reorder, the pipeline sits out the cooldown even
-	// though its (stale) statistics still suggest change.
-	for i := 0; i < adv.Cooldown; i++ {
-		if _, ch := adv.Advise(0, []int{1, 2}); ch {
-			t.Fatalf("advice during cooldown step %d", i)
+	// A 5-way chain on distinct attributes, declared end to end and with the
+	// ends first.
+	var chain5 []rel
+	var links [][2]string
+	for i := 0; i < 5; i++ {
+		chain5 = append(chain5, rel{fmt.Sprintf("C%d", i), []string{"L", "R"}})
+		if i > 0 {
+			links = append(links, [2]string{fmt.Sprintf("C%d.R", i-1), fmt.Sprintf("C%d.L", i)})
 		}
 	}
-}
+	shapes = append(shapes,
+		shape{name: "chain5", q: mkQuery(t, chain5, links)},
+		shape{name: "chain5/ends-first", q: mkQuery(t, []rel{chain5[0], chain5[4], chain5[2], chain5[1], chain5[3]}, links)})
+	// nWayQuery(4): R1(A) ⋈_A … ⋈_A R4(A), predicates written as a chain.
+	var nway4 []rel
+	var eq [][2]string
+	for i := 0; i < 4; i++ {
+		nway4 = append(nway4, rel{fmt.Sprintf("R%d", i+1), []string{"A"}})
+		if i > 0 {
+			eq = append(eq, [2]string{fmt.Sprintf("R%d.A", i), fmt.Sprintf("R%d.A", i+1)})
+		}
+	}
+	shapes = append(shapes, shape{name: "nWayQuery(4)", q: mkQuery(t, nway4, eq), same: true})
+	// star3_scan and star3_hit: S(A,B) declared first, then R(A), T(B).
+	shapes = append(shapes, shape{name: "star3", q: mkQuery(t,
+		[]rel{{"S", []string{"A", "B"}}, {"R", []string{"A"}}, {"T", []string{"B"}}},
+		[][2]string{{"R.A", "S.A"}, {"S.B", "T.B"}}), same: true})
+	// nway5_mjoin and nway7_drift: hub R0 with every Ri.A = R0.A.
+	for _, n := range []int{5, 7} {
+		var hub []rel
+		var spokes [][2]string
+		for i := 0; i < n; i++ {
+			hub = append(hub, rel{fmt.Sprintf("H%d", i), []string{"A"}})
+			if i > 0 {
+				spokes = append(spokes, [2]string{"H0.A", fmt.Sprintf("H%d.A", i)})
+			}
+		}
+		shapes = append(shapes, shape{name: fmt.Sprintf("nway%d", n), q: mkQuery(t, hub, spokes), same: true})
+	}
 
-func TestAdvisorStableWhenBalanced(t *testing.T) {
-	adv, _, _ := buildProfiled(t)
-	// Pipeline 1 was never profiled → not ready → no advice.
-	if _, changed := adv.Advise(1, []int{0, 2}); changed {
-		t.Fatal("unprofiled pipeline must not be reordered")
+	for _, s := range shapes {
+		t.Run(s.name, func(t *testing.T) {
+			got := FromJoinGraph(s.q)
+			init := InitialOrdering(s.q.N())
+			for i, pipe := range got {
+				if !connected(s.q, i, pipe) {
+					t.Errorf("pipeline %d = %v has a cross-product step", i, pipe)
+				}
+				if connected(s.q, i, init[i]) && !slices.Equal(pipe, init[i]) {
+					t.Errorf("pipeline %d = %v, want the already connected %v", i, pipe, init[i])
+				}
+				if s.same && !slices.Equal(pipe, init[i]) {
+					t.Errorf("pipeline %d = %v, want InitialOrdering's %v", i, pipe, init[i])
+				}
+			}
+		})
 	}
 }

@@ -93,7 +93,7 @@ type Profiler struct {
 	// statsEpoch counts statistic observations: it is bumped whenever a
 	// value any readiness or estimate check reads can have changed — a
 	// rate-span boundary, a profiled-update Observe, a shadow window
-	// completing, a pipeline reset, or a shadow starting or stopping.
+	// completing, or a shadow starting or stopping.
 	// Between equal epochs, every window-backed statistic is
 	// bitwise unchanged, which lets the engine answer its per-update
 	// readiness poll from a memo instead of rescanning (the traffic-share
@@ -104,10 +104,9 @@ type Profiler struct {
 	sampledUpdates uint64
 	// shadowPool recycles stopped shadow estimators (their Bloom filters
 	// and windows are the profiling phase's only per-phase allocations);
-	// colsMemo caches each spec's probe-key columns, invalidated per
-	// pipeline on reorder.
+	// colsMemo caches each spec's probe-key columns.
 	shadowPool []*shadow
-	colsMemo   map[string]colsEntry
+	colsMemo   map[string][]int
 	// scopeBuf is Estimate's scratch for the widened GC maintenance scope.
 	scopeBuf []int
 }
@@ -265,19 +264,6 @@ func (pf *Profiler) TrafficShareReady(pipe int) bool {
 		pf.relTicks[pipe]*50 < pf.totalTicks
 }
 
-// ResetPipeline discards a pipeline's statistics (after reordering,
-// Section 4.5 step 5) and the memoized probe-key columns of specs on it
-// (their schema prefix just changed).
-func (pf *Profiler) ResetPipeline(pipe int) {
-	pf.pipes[pipe] = newPipeStats(pf.q.N(), pf.cfg)
-	pf.statsEpoch++
-	for k, e := range pf.colsMemo {
-		if e.pipe == pipe {
-			delete(pf.colsMemo, k)
-		}
-	}
-}
-
 // shadow estimates the miss probability of a cache not in use from a
 // CacheLookup-position tap over the full probe-key stream (Appendix A).
 //
@@ -325,13 +311,6 @@ type shadow struct {
 	distinct    *stats.Window
 }
 
-// colsEntry memoizes a spec's probe-key columns (invalidated per pipeline on
-// reorder — the lookup position's schema prefix depends on the ordering).
-type colsEntry struct {
-	pipe int
-	cols []int
-}
-
 // shadowMaxWindows caps how long a shadow keeps refining a still-falling
 // miss estimate before it is declared ready regardless (large key domains
 // decay slowly; at some point the engine must decide with what it has).
@@ -347,7 +326,7 @@ func shadowKey(spec *planner.Spec) string { return spec.Key() }
 // gets a second, fresh one). Stopped shadows are recycled from a pool
 // (filters and windows reset, tap closure kept), so the profiling phases of
 // a warm engine allocate nothing here; the probe-key columns are memoized
-// per spec until the pipeline reorders.
+// per spec.
 func (pf *Profiler) StartShadow(spec *planner.Spec) {
 	key := shadowKey(spec)
 	if _, ok := pf.shadows[key]; ok {
@@ -369,14 +348,14 @@ func (pf *Profiler) StartShadow(spec *planner.Spec) {
 // keyColsOf returns the spec's key columns in the schema arriving at its
 // lookup position, memoized per spec.
 func (pf *Profiler) keyColsOf(spec *planner.Spec, key string) []int {
-	if e, ok := pf.colsMemo[key]; ok {
-		return e.cols
+	if cols, ok := pf.colsMemo[key]; ok {
+		return cols
 	}
 	if pf.colsMemo == nil {
-		pf.colsMemo = make(map[string]colsEntry)
+		pf.colsMemo = make(map[string][]int)
 	}
 	cols := pf.q.RepresentativeCols(pf.schemaAt(spec.Pipeline, spec.Start), spec.KeyClasses)
-	pf.colsMemo[key] = colsEntry{pipe: spec.Pipeline, cols: cols}
+	pf.colsMemo[key] = cols
 	return cols
 }
 

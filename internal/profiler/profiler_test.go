@@ -107,15 +107,6 @@ func TestStatisticsFillAndReady(t *testing.T) {
 	}
 }
 
-func TestResetPipeline(t *testing.T) {
-	_, e, pf, _ := setup(t, Config{SampleProb: 0.5, RateSpan: 20, Seed: 2})
-	drive(e, pf, 2000)
-	pf.ResetPipeline(0)
-	if pf.PipelineReady(0) {
-		t.Fatal("reset pipeline still ready")
-	}
-}
-
 func TestIdlePipelineCountsAsReady(t *testing.T) {
 	_, e, pf, _ := setup(t, Config{SampleProb: 0.5, RateSpan: 20, Seed: 3})
 	// Feed only relations 0 and 2; relation 1 stays idle.

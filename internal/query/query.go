@@ -103,7 +103,9 @@ type Query struct {
 
 // New validates the schemas and predicates and computes attribute
 // equivalence classes. Every predicate attribute must exist in its relation's
-// schema, and every relation must be connected to the rest of the join graph
+// schema, no class may hold two attributes of one relation (a self-join
+// predicate, whether written directly or implied through another relation),
+// and every relation must be connected to the rest of the join graph
 // (the paper's plans never contain cross products by construction; the
 // executor still supports degenerate classes via scans, but an entirely
 // disconnected relation is almost always a specification bug).
@@ -165,6 +167,11 @@ func New(schemas []*tuple.Schema, preds []Pred) (*Query, error) {
 	for _, r := range sortedRoots {
 		members := roots[r]
 		sort.Slice(members, func(i, j int) bool { return attrLess(members[i], members[j]) })
+		for k := 1; k < len(members); k++ {
+			if members[k].Rel == members[k-1].Rel {
+				return nil, fmt.Errorf("query: predicates equate %v and %v, a self-join predicate, not supported", members[k-1], members[k])
+			}
+		}
 		id := len(q.classAttrs)
 		q.classAttrs = append(q.classAttrs, members)
 		for _, a := range members {

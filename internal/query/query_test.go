@@ -1,6 +1,7 @@
 package query
 
 import (
+	"strings"
 	"testing"
 
 	"acache/internal/tuple"
@@ -154,6 +155,24 @@ func TestValidationErrors(t *testing.T) {
 		{Left: tuple.Attr{Rel: 2, Name: "A"}, Right: tuple.Attr{Rel: 2, Name: "B"}},
 	}); err == nil {
 		t.Fatal("self-join predicate accepted")
+	}
+}
+
+// TestImpliedSelfJoinRejected: R.B = S.B and R.B = S.B2 put S.B and S.B2 in
+// one class — the self-join S.B = S.B2, written through R. A pipeline rooted
+// at S would never compare the two, so New rejects it like the direct form.
+func TestImpliedSelfJoinRejected(t *testing.T) {
+	r := tuple.RelationSchema(0, "B")
+	s := tuple.RelationSchema(1, "B", "B2")
+	_, err := New([]*tuple.Schema{r, s}, []Pred{
+		{Left: tuple.Attr{Rel: 0, Name: "B"}, Right: tuple.Attr{Rel: 1, Name: "B"}},
+		{Left: tuple.Attr{Rel: 0, Name: "B"}, Right: tuple.Attr{Rel: 1, Name: "B2"}},
+	})
+	if err == nil {
+		t.Fatal("a class holding two attributes of one relation was accepted")
+	}
+	if !strings.Contains(err.Error(), "self-join") {
+		t.Fatalf("error %q does not name the self-join", err)
 	}
 }
 

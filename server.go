@@ -146,16 +146,13 @@ func NewServer(memoryBudget int) *Server {
 // bit-identical to unshared engines; sharers must then be fed in lockstep —
 // every sharer processes update k of a shared stream before any processes
 // k+1, which is the natural order when one caller fans an update out to all
-// registered queries. Engines with AdaptOrdering never share stores (a
-// reordering could change a store's index set mid-stream, changing tariffs).
+// registered queries.
 func (s *Server) Register(name string, q *Query, opts Options) (*Engine, error) {
 	if err := s.prepare(name, q, &opts, 1); err != nil {
 		return nil, err
 	}
 	var handed []providerGrant
-	if !opts.AdaptOrdering {
-		opts.storeProvider = s.shareProvider(q, opts, &handed)
-	}
+	opts.storeProvider = s.shareProvider(q, opts, &handed)
 	eng, err := q.Build(opts)
 	if err != nil {
 		// Build cannot fail after the store provider has been consulted

@@ -233,14 +233,11 @@ func TestServerSharingReleasesMemoryToRebalance(t *testing.T) {
 	s.Rebalance() // exercises pooled accounting with mixed private/shared
 }
 
-// TestServerSharingIneligibility checks the gates: AdaptOrdering engines and
-// queries with differing windows or filter modes never share stores.
+// TestServerSharingIneligibility checks the gates: queries with differing
+// windows or filter modes never share stores.
 func TestServerSharingIneligibility(t *testing.T) {
 	s := NewServer(0)
 	if _, err := s.Register("base", sharedDecl(32), Options{Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Register("adapt", sharedDecl(32), Options{Seed: 2, AdaptOrdering: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Register("window", sharedDecl(64), Options{Seed: 3}); err != nil {
@@ -250,10 +247,6 @@ func TestServerSharingIneligibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	// AdaptOrdering bypasses the provider entirely: its stores are private.
-	if st["adapt"].SharedStores != 0 {
-		t.Fatalf("adapt shares %d stores, want 0", st["adapt"].SharedStores)
-	}
 	// Differing windows or filter modes get distinct registry keys: each
 	// becomes the sole registrant of its own shareable stores.
 	for _, name := range []string{"window", "nofilter"} {

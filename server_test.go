@@ -43,16 +43,26 @@ func TestServerRegisterAndDeregister(t *testing.T) {
 
 // A deregistered engine is no longer the server's: feeding it must neither
 // advance the server's rebalance cadence nor move the remaining query's grant.
-// AdaptOrdering keeps both queries' stores private, so the detached engine is
-// still safe to feed.
+// Query "a" registers after "w" has filled every store of the same streams,
+// and a late registrant never adopts a warm store, so a's stores are private
+// and the detached engine is still safe to feed.
 func TestDeregisteredEngineLeavesServerAlone(t *testing.T) {
 	s := NewServer(64 * 1024)
 	s.RebalanceEvery = 10
-	a, err := s.Register("a", threeWayDecl("a"), Options{Seed: 1, AdaptOrdering: true})
+	if _, err := s.Register("w", threeWayDecl("a"), Options{Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	s.Append("aR", 1)
+	s.Append("aS", 1, 1)
+	s.Append("aT", 1)
+	a, err := s.Register("a", threeWayDecl("a"), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Register("b", threeWayDecl("b"), Options{Seed: 2, AdaptOrdering: true}); err != nil {
+	if n := a.Stats().SharedStores; n != 0 {
+		t.Fatalf("a shares %d stores, want 0", n)
+	}
+	if _, err := s.Register("b", threeWayDecl("b"), Options{Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
 	s.Deregister("a")
