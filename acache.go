@@ -264,10 +264,6 @@ type Options struct {
 	// rather than the paper's modular select-then-allocate pipeline. Only
 	// meaningful with a finite MemoryBudget.
 	BudgetAware bool
-	// DisableFilters turns off the fingerprint filters in front of the
-	// relation indexes (for ablation and differential testing). Results and simulated cost are identical either way; the
-	// filters only short-circuit real slot searches on guaranteed misses.
-	DisableFilters bool
 	// storeProvider and relTokens are injected by Server.Register before it
 	// builds a hosted engine: the provider lets equivalent relations attach
 	// to the server's shared window stores, and the tokens give cache specs
@@ -318,7 +314,6 @@ func (q *Query) compile(opts Options) (*query.Query, core.Config, error) {
 		DisableCaching: opts.DisableCaching,
 		BudgetAware:    opts.BudgetAware,
 		Seed:           opts.Seed,
-		DisableFilters: opts.DisableFilters,
 		StoreProvider:  opts.storeProvider,
 		RelTokens:      opts.relTokens,
 	}
@@ -533,14 +528,12 @@ type Stats struct {
 	CandidateRescores uint64
 	// CacheMemoryBytes is the total bytes held by used caches.
 	CacheMemoryBytes int
-	// FilterBytes is the memory resident in the fingerprint filters in front
-	// of the relation indexes, charged against the server budget.
+	// Deprecated: the relation indexes no longer carry fingerprint filters
+	// (DESIGN.md §20); always zero, kept for the frozen benchmark surface.
 	FilterBytes int
-	// FilteredProbes counts relation-index probes the filters
-	// short-circuited: guaranteed misses answered without touching a bucket.
+	// Deprecated: always zero, kept for the frozen benchmark surface.
 	FilteredProbes uint64
-	// FilterFalsePositives counts relation-index probes the filters passed
-	// that then missed anyway (the cuckoo false-positive tail).
+	// Deprecated: always zero, kept for the frozen benchmark surface.
 	FilterFalsePositives uint64
 
 	// WindowBytes is the tuple footprint of the relation window stores
@@ -583,9 +576,9 @@ type Stats struct {
 	// SharerCount is the largest number of queries (this one included)
 	// attached to any one of this engine's shared window stores.
 	SharerCount int
-	// SharedBytesSaved is the window-store and filter memory this engine
-	// avoids duplicating by attaching to stores another registered query
-	// already carries (the first registrant's Stats report the bytes;
+	// SharedBytesSaved is the window-store memory this engine avoids
+	// duplicating by attaching to stores another registered query already
+	// carries (the first registrant's Stats report the bytes;
 	// later sharers report the saving).
 	SharedBytesSaved int
 
@@ -630,11 +623,8 @@ func statsFromSnapshot(snap core.Snapshot) Stats {
 		SampledUpdates:    snap.SampledUpdates,
 		CandidateRescores: snap.CandidateRescores,
 
-		FilterBytes:          snap.FilterBytes,
-		FilteredProbes:       snap.FilteredProbes,
-		FilterFalsePositives: snap.FilterFalsePositives,
-		WindowBytes:          snap.WindowBytes,
-		SharedStores:         snap.SharedStores,
+		WindowBytes:  snap.WindowBytes,
+		SharedStores: snap.SharedStores,
 	}
 }
 

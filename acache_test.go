@@ -572,15 +572,16 @@ func TestDisableCaching(t *testing.T) {
 // TestHeldTupleFootprint is the guard on what a stored tuple costs in heap
 // bytes, all of it: five full width-1 windows of 50 000 behind a plain MJoin
 // — the value itself, the window ring's reference, the store slab's, a chain
-// link, the tuple's share of its index table and filter. It reads 45, and 88
-// when ring and slab held slice headers, the store kept scan-order arrays and
-// tables were sized for tombstones; the bound leaves room for one of the
-// smaller of those, not for a header.
+// link, the tuple's share of its index table. It reads 42; 45 while a
+// fingerprint filter fronted each index, and 88 when ring and slab held slice
+// headers, the store kept scan-order arrays and tables were sized for
+// tombstones. The bound keeps the quarter of headroom it had over 45, room
+// for a filter's share again but not for a header.
 func TestHeldTupleFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills 250 000 window slots")
 	}
-	const rels, window, domain, bound = 5, 50_000, 100_000, 56
+	const rels, window, domain, bound = 5, 50_000, 100_000, 52
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -20,7 +20,7 @@
 // ladder, and writes BENCH_overload.json. The JSON files record
 // GOMAXPROCS/NumCPU, since wall-clock numbers do not transfer across hosts.
 // Everything else wall-clock — hot path, adaptivity overhead, batching,
-// filters, sharding, durability — is a benchmark/ workload (DESIGN.md §17).
+// sharding, durability — is a benchmark/ workload (DESIGN.md §17).
 //
 // -cpuprofile and -memprofile write pprof profiles of whatever experiments
 // run, for digging into the hot path itself.

@@ -15,8 +15,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 
 	"acache/internal/core"
+	"acache/internal/join"
 	"acache/internal/oracle"
 	"acache/internal/planner"
 	"acache/internal/profiler"
@@ -105,13 +107,12 @@ func trial(seed int64, updates int, verbose bool) error {
 	rng := rand.New(rand.NewSource(seed))
 	q := buildQuery(rng)
 	cfg := core.Config{
-		ReoptInterval:  100 + rng.Intn(400),
-		GCQuota:        rng.Intn(8),
-		BudgetAware:    rng.Intn(3) == 0,
-		DisableFilters: rng.Intn(2) == 0,
-		Selection:      core.SelectionMode(rng.Intn(4)),
-		MemoryBudget:   -1,
-		Seed:           seed,
+		ReoptInterval: 100 + rng.Intn(400),
+		GCQuota:       rng.Intn(8),
+		BudgetAware:   rng.Intn(3) == 0,
+		Selection:     core.SelectionMode(rng.Intn(4)),
+		MemoryBudget:  -1,
+		Seed:          seed,
 		// Short statistics windows: at the defaults (W=10, 50-update rate
 		// spans, Wd=100) no estimate is ready within a 1500-update trial and
 		// no trial ever adopts a cache; with these, 20 of the default 50 do.
@@ -167,10 +168,23 @@ func trial(seed int64, updates int, verbose bool) error {
 	}
 	if verbose {
 		re, sk := en.Reopts()
-		fmt.Printf("seed %d: n=%d ok (%d reopts, %d skipped, %d caches at peak)\n",
-			seed, q.N(), re, sk, peak)
+		fmt.Printf("seed %d: n=%d ok (%d reopts, %d skipped, %d caches at peak, multi-column index %v)\n",
+			seed, q.N(), re, sk, peak, multiColumnIndex(q, en.Plan().Pipelines))
 	}
 	return nil
+}
+
+// multiColumnIndex reports whether the engine's pipelines key a relation
+// index on two or more columns (an index name joins its attributes with a
+// comma). A one-column index confirms a match on its hash alone and a wider
+// one compares columns, so such a trial checks that path against the oracle.
+func multiColumnIndex(q *query.Query, ord planner.Ordering) bool {
+	for rel := 0; rel < q.N(); rel++ {
+		if strings.Contains(join.IndexSignature(q, ord, nil, rel), ",") {
+			return true
+		}
+	}
+	return false
 }
 
 func main() {

@@ -24,7 +24,7 @@ type Side struct {
 	WallSeconds  float64 `json:"wall_seconds"`
 	TuplesPerSec float64 `json:"tuples_per_sec"`
 	// ResidentBytes is the state footprint after the run: window stores +
-	// used caches + fingerprint filters, counting each shared store once.
+	// used caches, counting each shared store once.
 	ResidentBytes int `json:"resident_bytes"`
 	// Outputs and WorkSeconds aggregate across all queries; both must match
 	// the other side exactly (charge identity).
@@ -114,7 +114,7 @@ func Run(k int, cfg bench.RunConfig) *Report {
 		sharedStats = append(sharedStats, st)
 		rep.Shared.Outputs += st.Outputs
 		rep.Shared.WorkSeconds += st.WorkSeconds
-		rep.Shared.ResidentBytes += st.WindowBytes + st.CacheMemoryBytes + st.FilterBytes - st.SharedBytesSaved
+		rep.Shared.ResidentBytes += st.WindowBytes + st.CacheMemoryBytes - st.SharedBytesSaved
 	}
 
 	// Isolated side: k private engines, the same updates interleaved per
@@ -144,7 +144,7 @@ func Run(k int, cfg bench.RunConfig) *Report {
 		st := e.Stats()
 		rep.Isolated.Outputs += st.Outputs
 		rep.Isolated.WorkSeconds += st.WorkSeconds
-		rep.Isolated.ResidentBytes += st.WindowBytes + st.CacheMemoryBytes + st.FilterBytes
+		rep.Isolated.ResidentBytes += st.WindowBytes + st.CacheMemoryBytes
 		if st.Outputs != sharedStats[i].Outputs || st.WorkSeconds != sharedStats[i].WorkSeconds {
 			rep.IdentityVerified = false
 		}

@@ -31,10 +31,7 @@ import (
 // counter advanced by the run length. The monitor and re-optimization
 // counters land on the same update indices as the serial loop because
 // runLimit never lets a run cross their boundaries: a boundary can only
-// coincide with a run's final update. The filter knob's cadence is not a
-// run boundary: it fires at the end of the run that crosses it, at most one
-// run late. That moves no result or charge, because filters are
-// charge-neutral.
+// coincide with a run's final update.
 func (en *Engine) ProcessBatch(ups []stream.Update) int {
 	total := 0
 	carryProfiled := false // ups[i]'s draw already made (and true) while sizing

@@ -79,15 +79,6 @@ type engineState struct {
 func captureState(en *Engine) engineState {
 	var st engineState
 	st.snap = en.Snapshot()
-	// Fingerprint-filter telemetry measures physical work avoided, which
-	// legitimately differs between the serial and vectorized paths: the
-	// batch executor replays duplicate probes and memoizes chains instead
-	// of re-executing lookups, and cuckoo filter capacity is insertion-
-	// order dependent. Results, charges, and contents — everything compared
-	// below — are identical, which is the equivalence these tests assert.
-	st.snap.FilterBytes = 0
-	st.snap.FilteredProbes = 0
-	st.snap.FilterFalsePositives = 0
 	// ReoptNanos is wall-clock time, not logical work.
 	st.snap.ReoptNanos = 0
 	st.states = cacheStates(en)

@@ -79,7 +79,7 @@ func (en *Engine) RestoreWindows(ck *Checkpoint) error {
 
 // AddSnapshot accumulates another snapshot's cumulative counters into s —
 // the supervisor-side merge when totals span engine rebuilds.
-// CacheMemoryBytes, FilterBytes, WindowBytes and SharedStores are
+// CacheMemoryBytes, WindowBytes and SharedStores are
 // point-in-time gauges, not cumulative counters, so they are not summed.
 func (s *Snapshot) AddSnapshot(o Snapshot) {
 	s.Updates += o.Updates
@@ -87,8 +87,6 @@ func (s *Snapshot) AddSnapshot(o Snapshot) {
 	s.Work += o.Work
 	s.Reopts += o.Reopts
 	s.SkippedReopts += o.SkippedReopts
-	s.FilteredProbes += o.FilteredProbes
-	s.FilterFalsePositives += o.FilterFalsePositives
 	s.ReoptNanos += o.ReoptNanos
 	s.SampledUpdates += o.SampledUpdates
 	s.CandidateRescores += o.CandidateRescores

@@ -100,12 +100,6 @@ type Config struct {
 	// select-then-allocate pipeline — the integrated problem the paper
 	// defers to future work. Only meaningful with a finite MemoryBudget.
 	BudgetAware bool
-	// DisableFilters turns off the fingerprint filters fronting store
-	// indexes, and the adaptive knob that manages them.
-	// Results and simulated cost are identical either way (the filters
-	// short-circuit only real CPU work); this exists for differential
-	// testing and ablation.
-	DisableFilters bool
 	// MaxProfilingUpdates bounds the profiling phase before selection runs
 	// with whatever statistics are available (default 2 × ReoptInterval).
 	MaxProfilingUpdates int
@@ -128,8 +122,8 @@ type Config struct {
 	// shadow estimator per probe stream — so every poll and selection
 	// recomputes from scratch and every profiled candidate runs its own
 	// shadow. Decisions, cost figures, and results
-	// are identical either way; this exists (like DisableFilters) for
-	// differential testing (TestReferenceAdaptivityDifferential).
+	// are identical either way; this exists for differential testing
+	// (TestReferenceAdaptivityDifferential).
 	ReferenceAdaptivity bool
 }
 
@@ -214,12 +208,6 @@ type Engine struct {
 	sinceMonitor int
 	profiling    bool
 	profilingFor int
-	// sinceFilterAdapt drives the filter on/off knob's cadence. It runs on
-	// its own counter, before the forced/disabled-caching early return in
-	// processUpdate, because filters are orthogonal to cache selection —
-	// a plain MJoin benefits from them the most.
-	sinceFilterAdapt int
-	filterSnaps      []filterSnap
 	// allocateMemory's scratch, reused so a host server's periodic
 	// rebalance allocates nothing at steady state.
 	allocInfos  map[string]allocInfo
@@ -294,9 +282,6 @@ func NewEngine(q *query.Query, ord planner.Ordering, cfg Config) (*Engine, error
 	exec, err := join.NewExec(q, ord, meter, join.Options{ScanOnly: cfg.ScanOnly, StoreProvider: cfg.StoreProvider})
 	if err != nil {
 		return nil, err
-	}
-	if cfg.DisableFilters {
-		exec.SetStoreFilters(false)
 	}
 	cfg.Profiler.Seed = cfg.Seed + 1
 	pf := profiler.New(q, exec, meter, cfg.Profiler)
@@ -467,25 +452,16 @@ func (en *Engine) processUpdate(u stream.Update, profiled bool) int {
 
 // afterUpdates is the bookkeeping owed after k processed updates to rel that
 // emitted outputs results: one serial update (k = 1) or one batched run
-// (ProcessBatch). The filter knob's tick comes before the forced/disabled
-// early return because filters are orthogonal to cache selection. The
-// profiling arm is reachable only at k = 1: runLimit never admits a run while
-// the engine profiles, and nothing a run's bookkeeping calls starts a phase
-// before the re-optimization check at its end.
+// (ProcessBatch). The profiling arm is reachable only at k = 1: runLimit
+// never admits a run while the engine profiles, and nothing a run's
+// bookkeeping calls starts a phase before the re-optimization check at its
+// end.
 func (en *Engine) afterUpdates(rel, k, outputs int) {
 	if !en.cfg.DisableCaching {
 		en.pf.TickN(rel, k)
 	}
 	en.updates += k
 	en.outputs += uint64(outputs)
-
-	if !en.cfg.DisableFilters {
-		en.sinceFilterAdapt += k
-		if en.sinceFilterAdapt >= en.cfg.MonitorInterval {
-			en.sinceFilterAdapt = 0
-			en.adaptFilters()
-		}
-	}
 
 	if len(en.cfg.ForcedCaches) > 0 || en.cfg.DisableCaching || en.pausedCaching {
 		return
@@ -531,14 +507,6 @@ type Snapshot struct {
 	Reopts, SkippedReopts int
 	// CacheMemoryBytes is the bytes held by cache instances.
 	CacheMemoryBytes int
-	// FilterBytes is the resident footprint of the fingerprint filters in
-	// front of the relation store indexes.
-	FilterBytes int
-	// FilteredProbes counts residency checks answered "guaranteed miss"
-	// by a filter without touching the backing structure;
-	// FilterFalsePositives counts filter-passed checks that then missed.
-	FilteredProbes       uint64
-	FilterFalsePositives uint64
 	// WindowBytes is the tuple footprint of the relation window stores.
 	WindowBytes int
 	// SharedStores is the number of relations whose window store is
@@ -566,19 +534,15 @@ type Snapshot struct {
 // processing. Callers holding a raw *Engine from Shard() must arrange the
 // same quiescence themselves.
 func (en *Engine) Snapshot() Snapshot {
-	fs := en.exec.StoreFilterStats()
 	s := Snapshot{
-		Updates:              en.updates,
-		Outputs:              en.outputs,
-		Work:                 en.meter.Total(),
-		Reopts:               en.reopts,
-		SkippedReopts:        en.skippedReopts,
-		CacheMemoryBytes:     en.CacheMemoryBytes(),
-		FilterBytes:          en.exec.StoreFilterBytes(),
-		FilteredProbes:       fs.ShortCircuits,
-		FilterFalsePositives: fs.FalsePositives,
-		WindowBytes:          en.WindowBytes(),
-		SharedStores:         en.exec.SharedStores(),
+		Updates:          en.updates,
+		Outputs:          en.outputs,
+		Work:             en.meter.Total(),
+		Reopts:           en.reopts,
+		SkippedReopts:    en.skippedReopts,
+		CacheMemoryBytes: en.CacheMemoryBytes(),
+		WindowBytes:      en.WindowBytes(),
+		SharedStores:     en.exec.SharedStores(),
 	}
 	s.ReoptNanos = en.reoptNanos
 	s.SampledUpdates = en.pf.SampledUpdates()
@@ -597,10 +561,11 @@ func (en *Engine) SetMemoryBudget(bytes int) {
 	en.allocateMemory()
 }
 
-// UsedCaches returns the specs currently in the Used state.
+// UsedCaches returns the specs currently in the Used state, in placement-key
+// order.
 func (en *Engine) UsedCaches() []*planner.Spec {
 	var out []*planner.Spec
-	for _, c := range en.cands {
+	for _, c := range en.sorted {
 		if c.state == Used {
 			out = append(out, c.spec)
 		}
@@ -732,10 +697,9 @@ type GroupDemand struct {
 // MemoryDemandDetail reports the engine's appetite for cache memory per
 // sharing group — the cross-query generalization of Section 5, by which a
 // DSMS hosting many continuous queries divides a global budget by priority —
-// plus the engine's store-index filter footprint, for
-// hosts that pool demand across queries. The returned slice is reused across
-// calls.
-func (en *Engine) MemoryDemandDetail() (groups []GroupDemand, filterBytes int) {
+// for hosts that pool demand across queries. The returned slice is reused
+// across calls.
+func (en *Engine) MemoryDemandDetail() []GroupDemand {
 	if en.demandDetailIdx == nil {
 		en.demandDetailIdx = make(map[string]int)
 	}
@@ -762,7 +726,7 @@ func (en *Engine) MemoryDemandDetail() (groups []GroupDemand, filterBytes int) {
 		}
 		en.demandDetail[gi].Net += c.est.Benefit
 	}
-	return en.demandDetail, en.exec.StoreFilterBytes()
+	return en.demandDetail
 }
 
 // crossIDOf memoizes planner.CrossID per spec (keyed by the engine-local

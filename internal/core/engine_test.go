@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -236,4 +237,51 @@ func TestEngineEventuallyUsesProfitableCache(t *testing.T) {
 	if len(en.UsedCaches()) == 0 {
 		t.Fatalf("engine never adopted the profitable cache; states: %v", cacheStates(en))
 	}
+}
+
+// TestUsedCachesDeterministic runs two identically seeded adaptive engines
+// over one stream until they use several caches, and checks that UsedCaches
+// lists them in one order, in placement-key order, call after call.
+func TestUsedCachesDeterministic(t *testing.T) {
+	q := fourWayClique(t)
+	mk := func() *Engine {
+		en, err := NewEngine(q, planner.Ordering{{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {1, 2, 0}}, Config{
+			ReoptInterval: 400,
+			GCQuota:       6,
+			Seed:          3,
+		})
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		return en
+	}
+	a, b := mk(), mk()
+	src := windowSource(q, 30, 8, 4)
+	keys := func(en *Engine) []string {
+		var out []string
+		for _, spec := range en.UsedCaches() {
+			out = append(out, placementKey(spec))
+		}
+		return out
+	}
+	most := 0
+	for i := 0; i < 6000; i++ {
+		u := src.Next()
+		a.Process(u)
+		b.Process(u)
+		want := keys(a)
+		most = max(most, len(want))
+		if !slices.IsSorted(want) {
+			t.Fatalf("update %d: used caches out of placement order: %v", i, want)
+		}
+		for j := 0; j < 3; j++ {
+			if got, again := keys(b), keys(a); !slices.Equal(got, want) || !slices.Equal(again, want) {
+				t.Fatalf("update %d: used caches %v, then %v, twin engine %v", i, want, again, got)
+			}
+		}
+	}
+	if most < 2 {
+		t.Fatalf("at most %d caches in use: nothing to order", most)
+	}
+	t.Logf("up to %d caches in use", most)
 }

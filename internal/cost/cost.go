@@ -42,22 +42,6 @@ const (
 	BloomHash Units = 1
 	// WindowMaint is charged per window insert or expiry bookkeeping step.
 	WindowMaint Units = 2
-
-	// FilterProbe and FilterMaint split probe_cost for the fingerprint
-	// filters that front index and cache lookups. They are ADVISORY: the
-	// meter never charges them — a filtered structure charges exactly what
-	// its unfiltered twin would, so simulated cost totals are bit-identical
-	// with filters on or off. They feed only the estimate side: the
-	// re-optimizer's filter on/off knob weighs short-circuited misses
-	// (FilterProbe, two bucket-word loads) against maintenance mirrored on
-	// chain creation and clear (FilterMaint, a bounded cuckoo insert or a
-	// lane clear).
-
-	// FilterProbe is the advisory cost of one fingerprint-filter membership
-	// check.
-	FilterProbe Units = 2
-	// FilterMaint is the advisory cost of one fingerprint insert or delete.
-	FilterMaint Units = 3
 )
 
 // UnitsPerSecond converts work units to simulated seconds. The value is

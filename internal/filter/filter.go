@@ -1,15 +1,12 @@
-// Package filter implements the succinct fingerprint filters that front the
-// engine's hash structures: a cuckoo filter (Fan et al., CoNEXT 2014) over
-// 64-bit key hashes supporting Insert, Delete, and MayContain with no
-// allocation on the probe path.
+// Package filter implements a succinct fingerprint filter: a cuckoo filter
+// (Fan et al., CoNEXT 2014) over 64-bit key hashes supporting Insert, Delete,
+// and MayContain with no allocation on the probe path.
 //
-// The paper's cost model makes miss_prob a first-class quantity — a probe
-// that misses pays full probe_cost for zero output. A filter in front of a
-// relation index or cache answers most of those misses from a few cache-
-// resident words instead of a bucket walk. False positives simply fall
-// through to the backing structure, so results are bit-identical with the
-// filter on or off; like the caches of Section 3.2, a filter can be dropped
-// or rebuilt empty at any time without affecting correctness.
+// The engine no longer uses it. The filters that fronted the relation indexes
+// were deleted (DESIGN.md §20): a one-column index answers a guaranteed miss
+// from one slot read, which the filter's two bucket loads did not beat. The
+// package stays because the wall-clock benchmark's contact surface and its
+// filter.* per-layer probes call it.
 //
 // Layout: each bucket is one uint64 holding four 16-bit fingerprint lanes
 // (lane 0 in the low bits). A key hash h maps to fingerprint fp(h) — the top
@@ -21,9 +18,9 @@
 // figures stay reproducible.
 //
 // The filter is a multiset: inserting the same hash twice occupies two lanes
-// and requires two deletes. Owners insert one fingerprint per resident key
-// (or distinct index chain), so membership tracks residency exactly and
-// MayContain == false is a guaranteed miss.
+// and requires two deletes. An owner that inserts one fingerprint per
+// resident key keeps membership tracking residency exactly, and MayContain ==
+// false is a guaranteed miss.
 package filter
 
 import "acache/internal/tuple"
@@ -137,8 +134,7 @@ func (f *Filter) removeFrom(i uint64, fp uint16) bool {
 // bounded eviction walk fails (the table is effectively full); the filter's
 // contents are then INVALID — a displaced fingerprint has been dropped — and
 // the owner must rebuild from its backing structure into a larger filter
-// (New with doubled Capacity, re-inserting every resident hash). Owners can
-// always do this because the backing tables retain the full 64-bit hashes.
+// (New at double the capacity, re-inserting every resident hash).
 func (f *Filter) Insert(h uint64) bool {
 	fp := fingerprintOf(h)
 	i1 := h & f.mask
@@ -183,10 +179,3 @@ func (f *Filter) Delete(h uint64) bool {
 	}
 	return false
 }
-
-// Capacity returns the total lane count; New(2×Capacity) sizes a rebuild
-// after an Insert overflow.
-func (f *Filter) Capacity() int { return len(f.buckets) * lanesPerBucket }
-
-// MemoryBytes returns the bucket array footprint, for budget accounting.
-func (f *Filter) MemoryBytes() int { return len(f.buckets) * 8 }

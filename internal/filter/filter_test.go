@@ -5,6 +5,10 @@ import (
 	"testing"
 )
 
+// lanes returns f's total lane count: New(2 × lanes) sizes a rebuild after an
+// Insert overflow.
+func lanes(f *Filter) int { return len(f.buckets) * lanesPerBucket }
+
 func TestNoFalseNegatives(t *testing.T) {
 	f := New(256)
 	rng := rand.New(rand.NewSource(1))
@@ -120,7 +124,7 @@ func TestOverflowSignalsRebuild(t *testing.T) {
 		if !f.Insert(h) {
 			overflowed = true
 			// Rebuild larger from the retained hashes, as owners do.
-			nf := New(f.Capacity() * 2)
+			nf := New(lanes(f) * 2)
 			for _, old := range inserted {
 				if !nf.Insert(old) {
 					t.Fatal("rebuild at double capacity overflowed")
@@ -191,7 +195,7 @@ func FuzzFilterVsReference(f *testing.F) {
 				h := rng.Uint64() % 512 // force fingerprint duplicates
 				if !fl.Insert(h) {
 					// Owner contract: rebuild from retained membership.
-					nf := New(fl.Capacity() * 2)
+					nf := New(lanes(fl) * 2)
 					for rh, n := range ref {
 						for k := 0; k < n; k++ {
 							if !nf.Insert(rh) {

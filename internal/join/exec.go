@@ -234,36 +234,6 @@ func (e *Exec) buildPipelines() {
 // Store returns relation rel's windowed store.
 func (e *Exec) Store(rel int) *relation.Store { return e.stores[rel] }
 
-// SetStoreFilters toggles the index fingerprint filters of every store.
-// Results and meter charges are unaffected; only wall-clock time moves.
-func (e *Exec) SetStoreFilters(on bool) {
-	for _, s := range e.stores {
-		s.SetFiltersEnabled(on)
-	}
-}
-
-// StoreFilterBytes sums the resident filter footprint across stores.
-func (e *Exec) StoreFilterBytes() int {
-	n := 0
-	for _, s := range e.stores {
-		n += s.FilterBytes()
-	}
-	return n
-}
-
-// StoreFilterStats sums the filtered-probe counters across stores.
-func (e *Exec) StoreFilterStats() relation.FilterStats {
-	var agg relation.FilterStats
-	for _, s := range e.stores {
-		fs := s.FilterStats()
-		agg.Probes += fs.Probes
-		agg.Misses += fs.Misses
-		agg.ShortCircuits += fs.ShortCircuits
-		agg.FalsePositives += fs.FalsePositives
-	}
-	return agg
-}
-
 // Ordering returns a copy of the current pipeline ordering.
 func (e *Exec) Ordering() planner.Ordering { return e.ord.Clone() }
 

@@ -93,7 +93,17 @@ func perComposite(e *Exec) {
 	}
 }
 
-func storeProbes(e *Exec) uint64 { return e.StoreFilterStats().Probes }
+// countProbes rebinds the spoke stores of e (every relation but the hub R1)
+// to a meter of their own and returns it. A hub update charges a spoke store
+// nothing but one IndexProbe per real probe, so over a hub update the meter
+// moves by IndexProbe times the probes made.
+func countProbes(e *Exec) *cost.Meter {
+	m := &cost.Meter{}
+	for rel := 1; rel < len(e.stores); rel++ {
+		e.stores[rel].SetMeter(m)
+	}
+	return m
+}
 
 // TestGroupedProbesMatchPerComposite drives a star query through Process,
 // ProcessProfiled and ProcessRun (with a self-maintained cache, whose
@@ -102,7 +112,9 @@ func storeProbes(e *Exec) uint64 { return e.StoreFilterStats().Probes }
 // outputs, the result multiset, meter charges per update and in total, and
 // the profile's per-step inputs and units all equal a per-composite
 // executor's. In the serial modes it also checks that each hub update
-// probes every non-empty step's index exactly once.
+// probes every non-empty step's index exactly once, on twins of both
+// executors whose spoke stores charge a probe-counting meter (the twins'
+// per-step units leave the probes out, so e and ref keep every charge).
 func TestGroupedProbesMatchPerComposite(t *testing.T) {
 	for _, mode := range []string{"Process", "ProcessProfiled", "ProcessRun"} {
 		t.Run(mode, func(t *testing.T) {
@@ -128,6 +140,10 @@ func TestGroupedProbesMatchPerComposite(t *testing.T) {
 			e, meter, got := build()
 			ref, refMeter, want := build()
 			perComposite(ref)
+			cnt, _, _ := build()
+			refCnt, _, _ := build()
+			perComposite(refCnt)
+			probes, refProbes := countProbes(cnt), countProbes(refCnt)
 			o := newOracle(q)
 
 			hub := e.pipes[0]
@@ -158,7 +174,7 @@ func TestGroupedProbesMatchPerComposite(t *testing.T) {
 					}
 				} else {
 					for _, u := range run {
-						probes, refProbes := storeProbes(e), storeProbes(ref)
+						before, refBefore := probes.Total(), refProbes.Total()
 						var res, refRes Result
 						var inputs []int
 						if mode == "ProcessProfiled" {
@@ -167,12 +183,18 @@ func TestGroupedProbesMatchPerComposite(t *testing.T) {
 							inputs = slices.Clone(prof.StepInputs)
 							units := slices.Clone(prof.StepUnits)
 							refRes, refProf = ref.ProcessProfiled(u)
+							cnt.ProcessProfiled(u)
+							refCnt.ProcessProfiled(u)
 							if !slices.Equal(inputs, refProf.StepInputs) || !slices.Equal(units, refProf.StepUnits) {
 								t.Fatalf("update %d: profile %v / %v, per-composite %v / %v",
 									u.Seq, inputs, units, refProf.StepInputs, refProf.StepUnits)
 							}
 						} else {
 							res, refRes = e.Process(u), ref.Process(u)
+							if mode == "Process" {
+								cnt.Process(u)
+								refCnt.Process(u)
+							}
 							if u.Rel == 0 {
 								for pos := range hub.steps {
 									inputs = append(inputs, len(hub.arrivals[pos]))
@@ -197,10 +219,10 @@ func TestGroupedProbesMatchPerComposite(t *testing.T) {
 							}
 							refWant += n
 						}
-						if d := storeProbes(e) - probes; d != uint64(wantProbes) {
+						if d := (probes.Total() - before) / cost.IndexProbe; d != cost.Units(wantProbes) {
 							t.Fatalf("hub update %d (step inputs %v): %d index probes, want %d", u.Seq, inputs, d, wantProbes)
 						}
-						if d := storeProbes(ref) - refProbes; d != uint64(refWant) {
+						if d := (refProbes.Total() - refBefore) / cost.IndexProbe; d != cost.Units(refWant) {
 							t.Fatalf("hub update %d (step inputs %v): per-composite reference made %d index probes, want %d", u.Seq, inputs, d, refWant)
 						}
 					}

@@ -11,7 +11,10 @@
 // index is an open-addressing table keyed by an inline 64-bit hash of its key
 // columns, its deletes closing their gap by backward shift — no key string is
 // materialized and no tombstone left on the insert/delete/probe paths, so
-// steady-state window maintenance neither allocates nor rehashes. There is no
+// steady-state window maintenance neither allocates nor rehashes. A one-column
+// key is exact: its hash is a bijection of the value, so a slot whose hash
+// matches is the key's chain and no resident tuple is loaded to confirm it;
+// wider keys compare their columns on a hash match. There is no
 // table keyed by the whole tuple: a delete finds its victim on the tuple's key
 // chain in the store's first index, where a window expiry sits at the head,
 // and a store with no index scans (as every probe of it already does).
@@ -24,7 +27,6 @@ import (
 	"strings"
 
 	"acache/internal/cost"
-	"acache/internal/filter"
 	"acache/internal/tuple"
 )
 
@@ -35,10 +37,6 @@ const TupleBytes = 32
 // hashSeed is the fixed seed for the store's inline hashing. Deterministic
 // across runs so fixed-seed workloads reproduce bit-identically.
 const hashSeed uint64 = 0x9e3779b97f4a7c15
-
-// initialFilterCapacity sizes a fresh index filter; filterAdd rebuilds at
-// doubled capacity whenever an insert overflows, so this is only a floor.
-const initialFilterCapacity = 64
 
 // Chain-link sentinel: end of a bucket chain.
 const nilID int32 = -1
@@ -56,7 +54,8 @@ type oaSlot struct {
 
 // oaTable is a linear-probing open-addressing table from 64-bit key hashes
 // to tuple-id chains. Equality on hash collisions is delegated to the caller
-// through an eq callback that compares the probe key against a resident id.
+// through an eq callback that compares the probe key against a resident id;
+// a nil eq matches on the hash alone, for keys the hash cannot collide on.
 type oaTable struct {
 	slots []oaSlot
 	mask  uint64
@@ -71,14 +70,15 @@ func newOATable() oaTable {
 	return t
 }
 
-// find returns the slot index holding hash with eq(head) true, or -1.
+// find returns the slot index holding hash with eq(head) true (or eq nil),
+// or -1.
 func (t *oaTable) find(hash uint64, eq func(id int32) bool) int {
 	for i := hash & t.mask; ; i = (i + 1) & t.mask {
 		s := &t.slots[i]
 		if s.head == emptySlot {
 			return -1
 		}
-		if s.hash == hash && eq(s.head) {
+		if s.hash == hash && (eq == nil || eq(s.head)) {
 			return int(i)
 		}
 	}
@@ -93,7 +93,7 @@ func (t *oaTable) findOrClaim(hash uint64, eq func(id int32) bool) (idx int, cla
 		if s.head == emptySlot {
 			return int(i), true
 		}
-		if s.hash == hash && eq(s.head) {
+		if s.hash == hash && (eq == nil || eq(s.head)) {
 			return int(i), false
 		}
 	}
@@ -160,15 +160,6 @@ type Store struct {
 	idxList []*HashIndex // map values as a slice, so hot paths avoid map iteration
 
 	mutations uint64 // bumped on every Insert/Delete; validates probe memos
-
-	// filtersOn enables the per-index fingerprint filters that answer
-	// guaranteed-miss probes without a bucket walk. Results and meter
-	// charges are identical either way — the filter short-circuits only
-	// real CPU work — so the re-optimizer can toggle it like any other
-	// cheap plan knob.
-	filtersOn bool
-	fstats    FilterStats
-	chainOps  uint64 // index chain creations + clears (filter-maintenance proxy)
 
 	// shared, when non-nil, marks a store attached to more than one executor
 	// (cross-query window sharing). See ApplyShared for the protocol.
@@ -321,35 +312,15 @@ func (s *Store) trimSharedLog() {
 	}
 }
 
-// FilterStats are the cumulative filtered-probe counters of one store, for
-// telemetry and for the re-optimizer's filter on/off decision. Probes and
-// Misses are counted whether or not filters are enabled (the knob needs the
-// observed miss rate in both states); ShortCircuits and FalsePositives move
-// only while filters are on.
-type FilterStats struct {
-	// Probes counts index probes (Probe/ProbeEach/ProbeEachMemo calls).
-	Probes uint64
-	// Misses counts probes that found no matching chain (including
-	// short-circuited ones).
-	Misses uint64
-	// ShortCircuits counts probes answered "guaranteed miss" by a filter
-	// without touching the index table.
-	ShortCircuits uint64
-	// FalsePositives counts probes the filter passed through that then
-	// missed in the index.
-	FalsePositives uint64
-}
-
 // NewStore creates an empty store for relation rel with the given schema.
 // meter may be shared across stores; it must not be nil.
 func NewStore(rel int, schema *tuple.Schema, meter *cost.Meter) *Store {
 	return &Store{
-		rel:       rel,
-		schema:    schema,
-		width:     schema.Len(),
-		meter:     meter,
-		indexes:   make(map[string]*HashIndex),
-		filtersOn: true,
+		rel:     rel,
+		schema:  schema,
+		width:   schema.Len(),
+		meter:   meter,
+		indexes: make(map[string]*HashIndex),
 	}
 }
 
@@ -400,12 +371,9 @@ func (s *Store) CreateIndex(names ...string) *HashIndex {
 	for i, n := range sorted {
 		cols[i] = s.schema.MustColOf(tuple.Attr{Rel: s.rel, Name: n})
 	}
-	idx := &HashIndex{store: s, cols: cols}
+	idx := &HashIndex{store: s, cols: cols, exact: len(cols) == 1}
 	idx.table = newOATable()
 	idx.next = make([]int32, len(s.tuples))
-	if s.filtersOn {
-		idx.fil = filter.New(initialFilterCapacity)
-	}
 	s.eachLive(func(tid int32) bool {
 		idx.insert(s.at(tid), tid)
 		return true
@@ -584,7 +552,7 @@ func (s *Store) Holding(t tuple.Tuple) int {
 		return n
 	}
 	ix := s.idxList[0]
-	if slot, _ := ix.slotOf(t); slot >= 0 {
+	if slot := ix.slotOf(t); slot >= 0 {
 		for id := ix.table.slots[slot].head; id != nilID; id = ix.next[id] {
 			if s.at(id).Equal(t) {
 				n++
@@ -611,17 +579,8 @@ func (s *Store) All() []tuple.Tuple {
 func (s *Store) Probe(idx *HashIndex, key tuple.Key) []tuple.Tuple {
 	s.meter.Charge(cost.IndexProbe)
 	vals := key.Values()
-	h := tuple.HashValues(vals, hashSeed)
-	s.fstats.Probes++
-	if idx.fil != nil && !idx.fil.MayContainHash(h) {
-		s.fstats.ShortCircuits++
-		s.fstats.Misses++
-		return nil
-	}
 	var out []tuple.Tuple
-	if !idx.each(h, vals, func(t tuple.Tuple) { out = append(out, t) }) {
-		s.noteProbeMiss(idx)
-	}
+	idx.each(tuple.HashValues(vals, hashSeed), vals, func(t tuple.Tuple) { out = append(out, t) })
 	return out
 }
 
@@ -629,33 +588,9 @@ func (s *Store) Probe(idx *HashIndex, key tuple.Key) []tuple.Tuple {
 // insertion order, charging one join probe. Visited tuples must not be
 // retained or mutated. It is the zero-allocation probe path: no key is
 // materialized and no result slice is built.
-//
-// When the index carries a fingerprint filter, a filter-negative probe
-// returns immediately: a guaranteed miss, visiting nothing — exactly what
-// the unfiltered walk would have produced. The meter charge is one
-// IndexProbe in every case, so the simulated cost model cannot tell a
-// short-circuited miss from a walked one; only wall-clock time differs.
 func (s *Store) ProbeEach(idx *HashIndex, vals []tuple.Value, f func(t tuple.Tuple)) {
 	s.meter.Charge(cost.IndexProbe)
-	h := tuple.HashValues(vals, hashSeed)
-	s.fstats.Probes++
-	if idx.fil != nil && !idx.fil.MayContainHash(h) {
-		s.fstats.ShortCircuits++
-		s.fstats.Misses++
-		return
-	}
-	if !idx.each(h, vals, f) {
-		s.noteProbeMiss(idx)
-	}
-}
-
-// noteProbeMiss records a probe that reached the index table and missed —
-// a false positive when a filter vouched for the key first.
-func (s *Store) noteProbeMiss(idx *HashIndex) {
-	s.fstats.Misses++
-	if idx.fil != nil {
-		s.fstats.FalsePositives++
-	}
+	idx.each(tuple.HashValues(vals, hashSeed), vals, f)
 }
 
 // probeMemoSlots sizes a ProbeMemo's open-addressing table. Runs are capped
@@ -724,15 +659,6 @@ func (s *Store) ProbeEachMemo(idx *HashIndex, vals []tuple.Value, memo *ProbeMem
 	}
 	s.meter.Charge(cost.IndexProbe)
 	h := tuple.HashValues(vals, hashSeed)
-	s.fstats.Probes++
-	// Filter first: a guaranteed miss skips the memo machinery entirely
-	// (recording an empty chain would replay to the same nothing). The
-	// IndexProbe charge above is identical to the unfiltered miss.
-	if idx.fil != nil && !idx.fil.MayContainHash(h) {
-		s.fstats.ShortCircuits++
-		s.fstats.Misses++
-		return
-	}
 	memo.keyBuf = tuple.AppendKeyValues(memo.keyBuf[:0], vals)
 	var free *memoEntry
 	for i := h & (probeMemoSlots - 1); ; i = (i + 1) & (probeMemoSlots - 1) {
@@ -745,9 +671,6 @@ func (s *Store) ProbeEachMemo(idx *HashIndex, vals []tuple.Value, memo *ProbeMem
 		}
 		if e.hash == h && int(e.klen) == len(memo.keyBuf) &&
 			bytes.Equal(memo.keys[e.koff:e.koff+e.klen], memo.keyBuf) {
-			if e.n == 0 {
-				s.noteProbeMiss(idx)
-			}
 			for _, id := range memo.ids[e.off : e.off+e.n] {
 				f(s.at(id))
 			}
@@ -755,16 +678,11 @@ func (s *Store) ProbeEachMemo(idx *HashIndex, vals []tuple.Value, memo *ProbeMem
 		}
 	}
 	if free == nil { // table at the fill bound: probe directly, don't record
-		if !idx.each(h, vals, f) {
-			s.noteProbeMiss(idx)
-		}
+		idx.each(h, vals, f)
 		return
 	}
 	off := int32(len(memo.ids))
-	slot := idx.table.find(h, func(o int32) bool {
-		return idx.valsEqual(s.at(o), vals)
-	})
-	if slot >= 0 {
+	if slot := idx.findVals(h, vals); slot >= 0 {
 		for id := idx.table.slots[slot].head; id != nilID; id = idx.next[id] {
 			memo.ids = append(memo.ids, id)
 			f(s.at(id))
@@ -784,47 +702,6 @@ func (s *Store) ProbeEachMemo(idx *HashIndex, vals []tuple.Value, memo *ProbeMem
 // paper's memory experiments budget join subresults, not base windows).
 func (s *Store) MemoryBytes() int { return s.live * TupleBytes }
 
-// SetFiltersEnabled toggles the per-index fingerprint filters. Enabling
-// rebuilds each index's filter from its table; disabling frees them. Like
-// the caches of Section 3.2, filters are consistent without being required,
-// so the re-optimizer toggles this as a cheap plan knob at any point.
-func (s *Store) SetFiltersEnabled(on bool) {
-	if on == s.filtersOn {
-		return
-	}
-	s.filtersOn = on
-	for _, idx := range s.idxList {
-		if on {
-			idx.rebuildFilter(idx.table.live)
-		} else {
-			idx.fil = nil
-		}
-	}
-}
-
-// FiltersEnabled reports whether index filters are currently on.
-func (s *Store) FiltersEnabled() bool { return s.filtersOn }
-
-// FilterBytes returns the resident footprint of every index filter, charged
-// against the server memory budget alongside cache bytes.
-func (s *Store) FilterBytes() int {
-	n := 0
-	for _, idx := range s.idxList {
-		if idx.fil != nil {
-			n += idx.fil.MemoryBytes()
-		}
-	}
-	return n
-}
-
-// FilterStats returns the store's cumulative filtered-probe counters.
-func (s *Store) FilterStats() FilterStats { return s.fstats }
-
-// ChainOps returns the cumulative count of index chain creations and clears —
-// the maintenance events a filter must mirror, which the re-optimizer weighs
-// against short-circuit savings when deciding the filter knob.
-func (s *Store) ChainOps() uint64 { return s.chainOps }
-
 func (s *Store) String() string {
 	return fmt.Sprintf("R%d[%d tuples]", s.rel+1, s.Len())
 }
@@ -838,10 +715,12 @@ type HashIndex struct {
 	table oaTable
 	next  []int32 // id -> next id in its bucket chain
 
-	// fil, when non-nil, holds one fingerprint per distinct key chain so
-	// probes can answer guaranteed misses without a table walk. Membership
-	// is maintained at chain creation (claimed insert) and chain clear.
-	fil *filter.Filter
+	// exact marks a one-column key, which its 64-bit slot hash determines:
+	// HashOf over one value v is MixWord(MixWord(seed, v), 1), and every
+	// step of MixWord (xor, odd multiply, xorshift) is invertible, so equal
+	// hashes mean equal keys. Its chains are confirmed on the hash alone,
+	// without loading a resident tuple; a wider key compares columns.
+	exact bool
 }
 
 // Cols returns the schema columns (sorted by attribute name) the index keys
@@ -870,15 +749,19 @@ func (ix *HashIndex) valsEqual(o tuple.Tuple, vals []tuple.Value) bool {
 
 func (ix *HashIndex) insert(t tuple.Tuple, id int32) {
 	h := tuple.HashOf(t, ix.cols, hashSeed)
-	s := ix.store
-	slot, claimed := ix.table.findOrClaim(h, func(o int32) bool { return ix.keyEquals(s.at(o), t) })
+	var slot int
+	var claimed bool
+	if ix.exact {
+		slot, claimed = ix.table.findOrClaim(h, nil)
+	} else {
+		s := ix.store
+		slot, claimed = ix.table.findOrClaim(h, func(o int32) bool { return ix.keyEquals(s.at(o), t) })
+	}
 	ix.next[id] = nilID
 	if claimed {
 		if ix.table.occupy(slot, h, id, id) {
 			ix.rehash()
 		}
-		s.chainOps++
-		ix.filterAdd(h)
 		return
 	}
 	sl := &ix.table.slots[slot]
@@ -887,11 +770,24 @@ func (ix *HashIndex) insert(t tuple.Tuple, id int32) {
 }
 
 // slotOf returns the table slot of t's key chain, -1 when no stored tuple
-// shares t's key, and the key hash.
-func (ix *HashIndex) slotOf(t tuple.Tuple) (int, uint64) {
+// shares t's key.
+func (ix *HashIndex) slotOf(t tuple.Tuple) int {
 	h := tuple.HashOf(t, ix.cols, hashSeed)
+	if ix.exact {
+		return ix.table.find(h, nil)
+	}
 	s := ix.store
-	return ix.table.find(h, func(o int32) bool { return ix.keyEquals(s.at(o), t) }), h
+	return ix.table.find(h, func(o int32) bool { return ix.keyEquals(s.at(o), t) })
+}
+
+// findVals returns the table slot of the chain keyed on the probe values
+// (whose hash is h), -1 when there is none.
+func (ix *HashIndex) findVals(h uint64, vals []tuple.Value) int {
+	if ix.exact {
+		return ix.table.find(h, nil)
+	}
+	s := ix.store
+	return ix.table.find(h, func(o int32) bool { return ix.valsEqual(s.at(o), vals) })
 }
 
 // remove unlinks one tuple from t's key chain and returns its id, nilID when
@@ -899,9 +795,9 @@ func (ix *HashIndex) slotOf(t tuple.Tuple) (int, uint64) {
 // Store.Delete(t) is to remove — t itself if the chain holds it, else the
 // first tuple on it equal to t. A window expiry is the head of its chain, so
 // either walk ends at its first step. The last tuple to go takes the chain
-// and its fingerprint along.
+// along.
 func (ix *HashIndex) remove(t tuple.Tuple, id int32) int32 {
-	slot, h := ix.slotOf(t)
+	slot := ix.slotOf(t)
 	if slot < 0 {
 		return nilID
 	}
@@ -928,10 +824,6 @@ func (ix *HashIndex) remove(t tuple.Tuple, id int32) int32 {
 		sl.head = next
 	default:
 		ix.table.clearSlot(slot)
-		s.chainOps++
-		if ix.fil != nil {
-			ix.fil.Delete(h)
-		}
 	}
 	return victim
 }
@@ -946,50 +838,14 @@ func (ix *HashIndex) rehash() {
 	}
 }
 
-// each visits the chain for the probe values in insertion order, reporting
-// whether a chain was found.
-func (ix *HashIndex) each(hash uint64, vals []tuple.Value, f func(t tuple.Tuple)) bool {
-	s := ix.store
-	slot := ix.table.find(hash, func(o int32) bool { return ix.valsEqual(s.at(o), vals) })
+// each visits the chain for the probe values in insertion order.
+func (ix *HashIndex) each(hash uint64, vals []tuple.Value, f func(t tuple.Tuple)) {
+	slot := ix.findVals(hash, vals)
 	if slot < 0 {
-		return false
-	}
-	for id := ix.table.slots[slot].head; id != nilID; id = ix.next[id] {
-		f(s.at(id))
-	}
-	return true
-}
-
-// filterAdd records a newly created chain's hash in the filter. When the
-// bounded cuckoo insert overflows the filter's contents are invalid (a
-// displaced fingerprint was dropped), so it is rebuilt larger from the index
-// table — which retains every chain's full 64-bit hash, h included by now.
-func (ix *HashIndex) filterAdd(h uint64) {
-	if ix.fil == nil || ix.fil.Insert(h) {
 		return
 	}
-	ix.rebuildFilter(ix.fil.Capacity() * 2)
-}
-
-// rebuildFilter builds a fresh filter of at least the given capacity holding
-// one fingerprint per live chain, doubling until everything fits.
-func (ix *HashIndex) rebuildFilter(capacity int) {
-	if capacity < initialFilterCapacity {
-		capacity = initialFilterCapacity
-	}
-	for {
-		nf := filter.New(capacity)
-		ok := true
-		for i := range ix.table.slots {
-			if ix.table.slots[i].head != emptySlot && !nf.Insert(ix.table.slots[i].hash) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			ix.fil = nf
-			return
-		}
-		capacity *= 2
+	s := ix.store
+	for id := ix.table.slots[slot].head; id != nilID; id = ix.next[id] {
+		f(s.at(id))
 	}
 }

@@ -323,137 +323,3 @@ func TestRandomizedChurnAgainstNaive(t *testing.T) {
 		}
 	}
 }
-
-// filterWorkload drives inserts, deletes, and probes (half hitting, half on
-// absent keys) through a fresh store with one index and returns the probe
-// results, the meter total, and the store for counter inspection.
-func filterWorkload(t *testing.T, filters bool, n int) ([]string, cost.Units, *Store) {
-	t.Helper()
-	m := &cost.Meter{}
-	s := NewStore(0, tuple.RelationSchema(0, "A", "B"), m)
-	idx := s.CreateIndex("A")
-	if !filters {
-		s.SetFiltersEnabled(false)
-	}
-	rng := rand.New(rand.NewSource(99))
-	var live []tuple.Tuple
-	var out []string
-	for i := 0; i < n; i++ {
-		switch op := rng.Intn(4); {
-		case op == 0 && len(live) > 0:
-			j := rng.Intn(len(live))
-			s.Delete(live[j])
-			live[j] = live[len(live)-1]
-			live = live[:len(live)-1]
-		case op <= 1:
-			tp := tuple.Tuple{tuple.Value(rng.Int63n(50)), tuple.Value(rng.Int63n(50))}
-			s.Insert(tp)
-			live = append(live, tp.Clone())
-		default:
-			key := rng.Int63n(50)
-			if op == 3 {
-				key += 1_000 // guaranteed miss
-			}
-			var hits []tuple.Tuple
-			s.ProbeEach(idx, []tuple.Value{tuple.Value(key)}, func(tp tuple.Tuple) {
-				hits = append(hits, tp.Clone())
-			})
-			out = append(out, fmt.Sprint(key, hits))
-		}
-	}
-	return out, m.Total(), s
-}
-
-// TestFilteredProbesMatchUnfiltered is the store-level differential test:
-// the filters may only short-circuit guaranteed misses, so probe results and
-// the simulated cost total must be bit-identical with filters on and off.
-func TestFilteredProbesMatchUnfiltered(t *testing.T) {
-	on, costOn, s := filterWorkload(t, true, 5_000)
-	off, costOff, _ := filterWorkload(t, false, 5_000)
-	if len(on) != len(off) {
-		t.Fatalf("%d filtered probes vs %d unfiltered", len(on), len(off))
-	}
-	for i := range on {
-		if on[i] != off[i] {
-			t.Fatalf("probe %d diverges: filtered %s, unfiltered %s", i, on[i], off[i])
-		}
-	}
-	if costOn != costOff {
-		t.Fatalf("filters changed the charge: %d vs %d units", costOn, costOff)
-	}
-	fs := s.FilterStats()
-	if fs.ShortCircuits == 0 {
-		t.Fatal("miss-heavy workload produced no short-circuits")
-	}
-	if fs.Misses < fs.ShortCircuits {
-		t.Fatalf("misses (%d) < short-circuits (%d)", fs.Misses, fs.ShortCircuits)
-	}
-	if s.FilterBytes() == 0 {
-		t.Fatal("enabled filters report zero bytes")
-	}
-}
-
-// TestSetFiltersEnabledRebuilds toggles the filters off and on again on a
-// populated store and checks probes stay correct: the re-enable rebuild must
-// reproduce every live chain's membership (no false negatives).
-func TestSetFiltersEnabledRebuilds(t *testing.T) {
-	m := &cost.Meter{}
-	s := NewStore(0, tuple.RelationSchema(0, "A"), m)
-	idx := s.CreateIndex("A")
-	for i := 0; i < 500; i++ {
-		s.Insert(tuple.Tuple{tuple.Value(i)})
-	}
-	s.SetFiltersEnabled(false)
-	if s.FiltersEnabled() || s.FilterBytes() != 0 {
-		t.Fatal("disable left filters resident")
-	}
-	for i := 500; i < 600; i++ { // mutate while off
-		s.Insert(tuple.Tuple{tuple.Value(i)})
-	}
-	s.SetFiltersEnabled(true)
-	if !s.FiltersEnabled() || s.FilterBytes() == 0 {
-		t.Fatal("re-enable did not rebuild")
-	}
-	for i := 0; i < 600; i++ {
-		got := s.Probe(idx, tuple.KeyOfValues([]tuple.Value{tuple.Value(i)}))
-		if len(got) != 1 {
-			t.Fatalf("key %d: %d matches after rebuild, want 1", i, len(got))
-		}
-	}
-}
-
-// TestFilterGrowsWithStore checks maintenance keeps up with churn: the
-// filter must absorb far more distinct chains than its initial capacity
-// (growing by rebuild) and shed membership on delete.
-func TestFilterGrowsWithStore(t *testing.T) {
-	m := &cost.Meter{}
-	s := NewStore(0, tuple.RelationSchema(0, "A"), m)
-	idx := s.CreateIndex("A")
-	n := initialFilterCapacity * 8
-	for i := 0; i < n; i++ {
-		s.Insert(tuple.Tuple{tuple.Value(i)})
-	}
-	if got := s.FilterBytes(); got == 0 {
-		t.Fatal("filter vanished under growth")
-	}
-	for i := 0; i < n; i++ {
-		if len(s.Probe(idx, tuple.KeyOfValues([]tuple.Value{tuple.Value(i)}))) != 1 {
-			t.Fatalf("key %d lost after growth", i)
-		}
-	}
-	for i := 0; i < n; i++ {
-		s.Delete(tuple.Tuple{tuple.Value(i)})
-	}
-	// All chains cleared: every probe is a guaranteed miss the filter should
-	// now short-circuit (it kept no stale fingerprints).
-	before := s.FilterStats().ShortCircuits
-	for i := 0; i < n; i++ {
-		if len(s.Probe(idx, tuple.KeyOfValues([]tuple.Value{tuple.Value(i)}))) != 0 {
-			t.Fatalf("key %d still resident after delete", i)
-		}
-	}
-	fs := s.FilterStats()
-	if fs.ShortCircuits == before {
-		t.Fatal("emptied store short-circuited nothing: deletes left the filter full")
-	}
-}

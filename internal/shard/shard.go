@@ -445,7 +445,6 @@ func sumSnapshots(snaps []core.Snapshot) core.Snapshot {
 	for _, s := range snaps {
 		total.AddSnapshot(s)
 		total.CacheMemoryBytes += s.CacheMemoryBytes
-		total.FilterBytes += s.FilterBytes
 		total.WindowBytes += s.WindowBytes
 		total.SharedStores += s.SharedStores
 	}
@@ -488,18 +487,16 @@ func (e *Engine) safeCall(ins bool, vals []tuple.Value) {
 // detail — shard-scoped group identities never collide across shards, so the
 // concatenation is itself a valid detail. The returned slice is reused
 // across calls. Quarantined shards are skipped.
-func (e *Engine) MemoryDemandDetail() (groups []core.GroupDemand, filterBytes int) {
+func (e *Engine) MemoryDemandDetail() []core.GroupDemand {
 	e.Flush()
 	e.demandDetail = e.demandDetail[:0]
 	for i, en := range e.shards {
 		if e.states[i].getHealth() == Quarantined {
 			continue
 		}
-		g, fb := en.MemoryDemandDetail()
-		e.demandDetail = append(e.demandDetail, g...)
-		filterBytes += fb
+		e.demandDetail = append(e.demandDetail, en.MemoryDemandDetail()...)
 	}
-	return e.demandDetail, filterBytes
+	return e.demandDetail
 }
 
 // SetMemoryBudget flushes and divides a cache-memory budget evenly across

@@ -4,9 +4,9 @@ import "encoding/binary"
 
 // Shared seeded hash kernel. Every fixed-seed hash in the engine — the
 // open-addressing stores and indexes (HashOf and friends in tuple.go), the
-// profiler's Bloom estimators, and the execution-path fingerprint filters —
-// mixes words through the same multiply-xor finalizer so one kernel serves
-// them all. Two byte-level variants exist on purpose:
+// profiler's Bloom estimators, and the fingerprint filter package — mixes
+// words through the same multiply-xor finalizer so one kernel serves them
+// all. Two byte-level variants exist on purpose:
 //
 //   - HashBytes (tuple.go) consumes whole 8-byte words and folds the word
 //     count in as a finalizer — the variant for packed keys, which are always
@@ -21,7 +21,11 @@ import "encoding/binary"
 // every cached figure) depend on the exact bit patterns.
 
 // MixWord folds one 64-bit word into hash state h with the splitmix64-style
-// multiply-xor finalizer used across the engine.
+// multiply-xor finalizer used across the engine. Every step is invertible
+// (xor, multiply by an odd constant, xorshift), so for a fixed h it is a
+// bijection of v and one-column HashOf never collides. The relation indexes
+// rely on that to confirm a one-column key on its hash alone; a change here
+// must keep it.
 func MixWord(h, v uint64) uint64 {
 	h ^= v
 	h *= hashMul1

@@ -39,9 +39,9 @@ type Server struct {
 
 	// Cross-query sharing registry (see DESIGN.md §12). shares holds one
 	// entry per physically shared window store, keyed by the full sharing
-	// identity (stream + attributes + window + index signature + filter
-	// mode); attached lists, per registered query, the entries its engine
-	// is a sharer of. Both are maintained by Register/Deregister only.
+	// identity (stream + attributes + window + index signature); attached
+	// lists, per registered query, the entries its engine is a sharer of.
+	// Both are maintained by Register/Deregister only.
 	shares   map[string]*sharedStoreEntry
 	attached map[string][]*sharedStoreEntry
 	// Pooled-rebalance scratch, reused per call: cross-query cache groups
@@ -66,10 +66,10 @@ type hosted interface {
 	// returns the join-result updates it emitted (0 when asynchronous).
 	feed(ups []stream.Update) int
 	shards() int
-	// memoryDemandDetail returns the per-group demand detail and filter
-	// footprint (quiescing a sharded engine's shards). The slice aliases
-	// engine scratch: it is valid until the engine's next call.
-	memoryDemandDetail() ([]core.GroupDemand, int)
+	// memoryDemandDetail returns the per-group demand detail (quiescing a
+	// sharded engine's shards). The slice aliases engine scratch: it is
+	// valid until the engine's next call.
+	memoryDemandDetail() []core.GroupDemand
 	applyGrant(bytes int)
 	budgetBytes() int
 	Stats() Stats
@@ -81,7 +81,7 @@ type hosted interface {
 
 func (e *Engine) shards() int { return 1 }
 
-func (e *Engine) memoryDemandDetail() ([]core.GroupDemand, int) {
+func (e *Engine) memoryDemandDetail() []core.GroupDemand {
 	return e.core.MemoryDemandDetail()
 }
 
@@ -140,9 +140,9 @@ func NewServer(memoryBudget int) *Server {
 // Registration is where cross-query sharing happens: relations declaring the
 // same stream, attributes, and window as an already registered query attach
 // to that query's window store instead of duplicating it (when the index
-// needs and filter mode match too, and the store hasn't ingested anything
-// yet), and cache sharing groups equivalent across queries pool their memory
-// demand in Rebalance. Results, window contents, and cost totals stay
+// needs match too, and the store hasn't ingested anything yet), and cache
+// sharing groups equivalent across queries pool their memory demand in
+// Rebalance. Results, window contents, and cost totals stay
 // bit-identical to unshared engines; sharers must then be fed in lockstep —
 // every sharer processes update k of a shared stream before any processes
 // k+1, which is the natural order when one caller fans an update out to all
@@ -152,7 +152,7 @@ func (s *Server) Register(name string, q *Query, opts Options) (*Engine, error) 
 		return nil, err
 	}
 	var handed []providerGrant
-	opts.storeProvider = s.shareProvider(q, opts, &handed)
+	opts.storeProvider = s.shareProvider(q, &handed)
 	eng, err := q.Build(opts)
 	if err != nil {
 		// Build cannot fail after the store provider has been consulted
@@ -207,15 +207,15 @@ type providerGrant struct {
 
 // shareProvider returns the join.StoreProvider consulted for each of q's
 // relations while its engine is built. It hands out a registry store when
-// the full sharing identity matches — stream name, attribute names, window,
-// index signature, and filter mode — and the store is still empty (a warm
+// the full sharing identity matches — stream name, attribute names, window
+// and index signature — and the store is still empty (a warm
 // store's ring order cannot be reconstructed for a late joiner, so late
 // registrations fall back to private stores). The first query with a given
 // identity creates the entry; it shares through the same replay protocol as
 // every later sharer.
-func (s *Server) shareProvider(q *Query, opts Options, handed *[]providerGrant) join.StoreProvider {
+func (s *Server) shareProvider(q *Query, handed *[]providerGrant) join.StoreProvider {
 	return func(rel int, schema *tuple.Schema, meter *cost.Meter, indexSig string) *relation.Store {
-		key := fmt.Sprintf("%s|idx=%s|nofil=%v", q.storeToken(rel), indexSig, opts.DisableFilters)
+		key := fmt.Sprintf("%s|idx=%s", q.storeToken(rel), indexSig)
 		ent, ok := s.shares[key]
 		created := false
 		if !ok {
@@ -321,8 +321,7 @@ func (s *Server) Queries() []string {
 // request, with every sharer's net benefit folded in — the greedy selector
 // sees the aggregate benefit and charges the budget once — and the other
 // sharers receive the group's bytes as a free top-up on their grant, so a
-// pooled group never starves a later sharer's copy. Shared window stores'
-// filter bytes are likewise charged only to the store's first sharer.
+// pooled group never starves a later sharer's copy.
 func (s *Server) Rebalance() {
 	s.sinceRebalance = 0
 	if s.mgr.Budget() < 0 {
@@ -335,10 +334,8 @@ func (s *Server) Rebalance() {
 	clear(s.topUps)
 	s.reqs = s.reqs[:0]
 	for _, name := range s.order {
-		groups, filterBytes := s.queries[name].memoryDemandDetail()
-		bytes := filterBytes - s.dupSharedFilterBytes(name)
-		net := 0.0
-		for _, g := range groups {
+		bytes, net := 0, 0.0
+		for _, g := range s.queries[name].memoryDemandDetail() {
 			if g.CrossID == "" {
 				bytes += g.Bytes
 				net += g.Net
@@ -380,8 +377,7 @@ func (s *Server) Rebalance() {
 func (s *Server) poolGroups() {
 	clear(s.crossGroups)
 	for _, name := range s.order {
-		groups, _ := s.queries[name].memoryDemandDetail()
-		for _, g := range groups {
+		for _, g := range s.queries[name].memoryDemandDetail() {
 			if g.CrossID == "" {
 				continue
 			}
@@ -398,19 +394,6 @@ func (s *Server) poolGroups() {
 			s.crossGroups[g.CrossID] = pool
 		}
 	}
-}
-
-// dupSharedFilterBytes is the filter memory resident in shared window stores
-// this query is attached to but does not carry (another live sharer
-// registered first); those bytes are already in the carrier's request.
-func (s *Server) dupSharedFilterBytes(name string) int {
-	n := 0
-	for _, ent := range s.attached[name] {
-		if len(ent.sharers) > 1 && ent.sharers[0] != name {
-			n += ent.store.FilterBytes()
-		}
-	}
-	return n
 }
 
 // SetBudget changes the global budget and rebalances immediately.
@@ -448,11 +431,10 @@ func (s *Server) Stats() map[string]Stats {
 				st.SharerCount = n
 			}
 			if len(ent.sharers) > 1 && ent.sharers[0] != name {
-				st.SharedBytesSaved += ent.store.MemoryBytes() + ent.store.FilterBytes()
+				st.SharedBytesSaved += ent.store.MemoryBytes()
 			}
 		}
-		groups, _ := s.queries[name].memoryDemandDetail()
-		for _, g := range groups {
+		for _, g := range s.queries[name].memoryDemandDetail() {
 			if g.CrossID != "" && s.crossGroups[g.CrossID].users >= 2 {
 				st.SharedCaches++
 			}

@@ -59,8 +59,8 @@ func driveShared(s *Server, twins []*Engine, n int, seed int64) {
 // (shared window stores, pooled cache accounting) and runs isolated twin
 // engines beside them: per-query results, window contents, and simulated
 // cost totals must be bit-identical, shared or not. Options vary per query
-// where charge identity permits (filters off for one sharer would change the
-// store key, so filter mode stays uniform; seeds vary freely).
+// where charge identity permits (seeds, re-optimization intervals and the
+// global-cache switch).
 func TestServerSharingDifferential(t *testing.T) {
 	s := NewServer(0) // unlimited: grants can't diverge between setups
 	s.RebalanceEvery = 0
@@ -191,10 +191,10 @@ func TestServerSharingTeardown(t *testing.T) {
 	}
 }
 
-// TestServerSharingReleasesMemoryToRebalance checks the budget view: while
-// two queries share stores, only the first carries the stores' filter bytes
-// in its request; after the carrier leaves, the remaining query carries them
-// itself — and a fresh registration can adopt nothing from a warm store.
+// TestServerSharingReleasesMemoryToRebalance checks the shared-bytes view:
+// while two queries share stores, the second reports the stores' bytes as
+// saved; after the first leaves, the remaining query saves nothing — and a
+// fresh registration can adopt nothing from a warm store.
 func TestServerSharingReleasesMemoryToRebalance(t *testing.T) {
 	s := NewServer(64 * 1024)
 	s.RebalanceEvery = 0
@@ -233,8 +233,8 @@ func TestServerSharingReleasesMemoryToRebalance(t *testing.T) {
 	s.Rebalance() // exercises pooled accounting with mixed private/shared
 }
 
-// TestServerSharingIneligibility checks the gates: queries with differing
-// windows or filter modes never share stores.
+// TestServerSharingIneligibility checks the gate: queries with differing
+// windows never share stores.
 func TestServerSharingIneligibility(t *testing.T) {
 	s := NewServer(0)
 	if _, err := s.Register("base", sharedDecl(32), Options{Seed: 1}); err != nil {
@@ -243,16 +243,11 @@ func TestServerSharingIneligibility(t *testing.T) {
 	if _, err := s.Register("window", sharedDecl(64), Options{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Register("nofilter", sharedDecl(32), Options{Seed: 4, DisableFilters: true}); err != nil {
-		t.Fatal(err)
-	}
 	st := s.Stats()
-	// Differing windows or filter modes get distinct registry keys: each
-	// becomes the sole registrant of its own shareable stores.
-	for _, name := range []string{"window", "nofilter"} {
-		if st[name].SharerCount != 1 {
-			t.Fatalf("%s has %d sharers, want 1 (distinct store key)", name, st[name].SharerCount)
-		}
+	// A differing window gets a distinct registry key: the query becomes
+	// the sole registrant of its own shareable stores.
+	if st["window"].SharerCount != 1 {
+		t.Fatalf("window has %d sharers, want 1 (distinct store key)", st["window"].SharerCount)
 	}
 	if st["base"].SharedStores != 3 {
 		t.Fatalf("base shares %d stores, want 3 (alone, as first registrant)", st["base"].SharedStores)

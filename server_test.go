@@ -236,53 +236,32 @@ func TestServerRebalanceAllocBudget(t *testing.T) {
 	}
 }
 
-// TestServerStatsFilterTelemetry drives a miss-heavy workload and asserts
-// the fingerprint-filter counters surface through Server.Stats(): probes
-// short-circuited by the filters, the false-positive tail, and the filter
-// bytes resident (which MemoryDemand charges against the server budget) —
-// and that the same workload with DisableFilters reports no filter activity.
+// TestServerStatsFilterTelemetry drives a miss-heavy workload — the regime
+// the removed fingerprint filters short-circuited — and asserts the three
+// filter fields of Stats, kept for the frozen benchmark surface, read zero
+// through Server.Stats() while the query demonstrably probed and held state.
 func TestServerStatsFilterTelemetry(t *testing.T) {
 	s := NewServer(32 * 1024)
 	eng, err := s.Register("q", threeWayDecl("q"), Options{Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := s.Register("off", threeWayDecl("off"), Options{Seed: 23, DisableFilters: true})
-	if err != nil {
-		t.Fatal(err)
+	// Disjoint key ranges per relation: nearly every probe misses.
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 3_000; i++ {
+		eng.Append("qR", rng.Int63n(1000))
+		eng.Append("qS", 10_000+rng.Int63n(1000), 20_000+rng.Int63n(1000))
+		eng.Append("qT", 30_000+rng.Int63n(1000))
 	}
-	// Disjoint key ranges per relation: nearly every probe misses, the
-	// regime the filters short-circuit.
-	for _, arm := range []struct {
-		p string
-		e *Engine
-	}{{"q", eng}, {"off", off}} {
-		rng := rand.New(rand.NewSource(24))
-		for i := 0; i < 3_000; i++ {
-			arm.e.Append(arm.p+"R", rng.Int63n(1000))
-			arm.e.Append(arm.p+"S", 10_000+rng.Int63n(1000), 20_000+rng.Int63n(1000))
-			arm.e.Append(arm.p+"T", 30_000+rng.Int63n(1000))
-		}
+	st := s.Stats()["q"]
+	if st.Updates == 0 || st.WindowBytes == 0 {
+		t.Fatalf("workload did not reach the engine: %d updates, %d window bytes", st.Updates, st.WindowBytes)
 	}
-	stats := s.Stats()
-	if st := stats["off"]; st.FilteredProbes != 0 || st.FilterFalsePositives != 0 || st.FilterBytes != 0 {
-		t.Fatalf("unfiltered query reports filter activity: %d short-circuits, %d false positives, %d bytes",
+	if st.Outputs != 0 {
+		t.Fatalf("disjoint key ranges produced %d results", st.Outputs)
+	}
+	if st.FilteredProbes != 0 || st.FilterFalsePositives != 0 || st.FilterBytes != 0 {
+		t.Fatalf("filter fields must read zero: %d short-circuits, %d false positives, %d bytes",
 			st.FilteredProbes, st.FilterFalsePositives, st.FilterBytes)
-	}
-	st := stats["q"]
-	if st.FilteredProbes == 0 {
-		t.Fatal("miss-heavy workload produced no filter short-circuits")
-	}
-	if st.FilterBytes == 0 {
-		t.Fatal("resident filters report zero bytes")
-	}
-	if st.FilterFalsePositives > st.FilteredProbes {
-		t.Fatalf("false positives (%d) exceed short-circuits (%d): counters miswired",
-			st.FilterFalsePositives, st.FilteredProbes)
-	}
-	// The filters' memory is part of the query's demand, so the server's
-	// grant (page-rounded) must cover at least the filter bytes.
-	if g := s.Budgets()["q"]; g >= 0 && g < st.FilterBytes {
-		t.Fatalf("grant %d bytes does not cover %d filter bytes", g, st.FilterBytes)
 	}
 }

@@ -398,7 +398,7 @@ func (e *ShardedEngine) budgetBytes() int {
 // memoryDemandDetail flushes and concatenates the shards' per-group demand
 // detail (group identities are already shard-scoped, see BuildSharded), for
 // the hosting server's pooled rebalance.
-func (e *ShardedEngine) memoryDemandDetail() ([]core.GroupDemand, int) {
+func (e *ShardedEngine) memoryDemandDetail() []core.GroupDemand {
 	return e.sh.MemoryDemandDetail()
 }
 
