@@ -585,8 +585,10 @@ type Stats struct {
 	// Resilience telemetry, populated by sharded engines (ShardedEngine
 	// with ShardOptions.Resilience set); zero elsewhere.
 
-	// Shedded is the number of input tuples dropped under overload —
-	// admission shedding plus degradation-ladder ingress shedding. Results
+	// Shedded is the number of input tuples dropped under overload: those
+	// the degradation ladder shed at the window ingress plus the input of
+	// quarantined shards. Rows refused by TryAppend or an expired
+	// AppendContext are not counted; they never reached the engine. Results
 	// remain the exact answer over the non-shed subset of the input.
 	Shedded uint64
 	// SheddedByRelation breaks Shedded down by relation name (nil when
@@ -598,8 +600,8 @@ type Stats struct {
 	Recoveries int
 	// QueueDepth is the updates buffered between ingress and shards.
 	QueueDepth int
-	// AdmissionWaitSeconds is the total time the ingress spent blocked on
-	// full shard mailboxes (backpressure).
+	// AdmissionWaitSeconds is the total time the ingress spent waiting for
+	// room in full shard mailboxes (backpressure, AppendContext deadlines).
 	AdmissionWaitSeconds float64
 	// DegradeLevel is the degradation-ladder rung in effect: 0 normal,
 	// 1 caches paused, 2 caches paused + input shedding.

@@ -99,7 +99,7 @@ func (en *Engine) runLimit(rel int) int {
 	if en.profiling {
 		return 1
 	}
-	if m := en.cfg.MonitorInterval - en.sinceMonitor; m < limit {
+	if m := en.monitorEvery - en.sinceMonitor; m < limit {
 		limit = m
 	}
 	if r := en.cfg.ReoptInterval - en.sinceReopt; r < limit {

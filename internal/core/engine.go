@@ -73,13 +73,6 @@ type Config struct {
 	// (default 10 000; Section 7.4 uses 10 000 tuples, Section 7.1 two
 	// seconds).
 	ReoptInterval int
-	// MonitorInterval is how often used caches' net benefit is rechecked
-	// for the immediate-demotion rule of Section 4.5(a) (default I/10).
-	MonitorInterval int
-	// ChangeThreshold is p: re-optimization is skipped unless some used or
-	// profiled cache's benefit or cost moved by more than this fraction
-	// (default 0.2, Section 4.5(c)).
-	ChangeThreshold float64
 	// GCQuota is m: the maximum number of candidate caches considered when
 	// globally-consistent caches are enabled (Section 6). 0 disables GC
 	// candidates.
@@ -100,9 +93,6 @@ type Config struct {
 	// select-then-allocate pipeline — the integrated problem the paper
 	// defers to future work. Only meaningful with a finite MemoryBudget.
 	BudgetAware bool
-	// MaxProfilingUpdates bounds the profiling phase before selection runs
-	// with whatever statistics are available (default 2 × ReoptInterval).
-	MaxProfilingUpdates int
 	// Seed drives sampling and randomized selection.
 	Seed int64
 	// ScanOnly forwards index-free attributes to the executor (Figure 10).
@@ -131,23 +121,16 @@ func (c Config) withDefaults() Config {
 	if c.ReoptInterval == 0 {
 		c.ReoptInterval = 10_000
 	}
-	if c.MonitorInterval == 0 {
-		c.MonitorInterval = c.ReoptInterval / 10
-		if c.MonitorInterval == 0 {
-			c.MonitorInterval = 1
-		}
-	}
-	if c.ChangeThreshold == 0 {
-		c.ChangeThreshold = 0.2
-	}
 	if c.MemoryBudget == 0 {
 		c.MemoryBudget = -1
 	}
-	if c.MaxProfilingUpdates == 0 {
-		c.MaxProfilingUpdates = 2 * c.ReoptInterval
-	}
 	return c
 }
+
+// changeThreshold is p of Section 4.5(c): re-optimization is skipped unless
+// some used or profiled cache's benefit or cost moved by more than this
+// fraction since the last selection.
+const changeThreshold = 0.2
 
 // placementKey identifies one candidate placement (memoized on the spec).
 func placementKey(s *planner.Spec) string { return s.Key() }
@@ -194,14 +177,20 @@ type Engine struct {
 	mem   *memory.Manager
 	rng   *rand.Rand
 
-	cands map[string]*cand // by placementKey
-	// sorted holds the same candidates in placement-key order: the
-	// iteration order of every walk whose result depends on order
-	// (selection ties, group benefit sums, pooled demand), so telemetry and
-	// decisions are reproducible across runs. The set is fixed at build
-	// time, by buildCandidates or attachForced.
-	sorted    []*cand
+	// cands holds the candidate placements in placement-key order, so every
+	// walk — selection ties, group benefit sums, pooled demand, the order
+	// caches are suspended or detached in — is reproducible across runs. The
+	// set is fixed at build time, by buildCandidates or attachForced; keys
+	// are distinct by construction.
+	cands     []*cand
 	instances map[string]*join.Instance // by SharingID, for Used caches
+
+	// monitorEvery is how often used caches' net benefit is rechecked for
+	// the immediate-demotion rule of Section 4.5(a): every I/10 updates.
+	// maxProfiling bounds a profiling phase, 2I updates, before selection
+	// runs with whatever statistics are available.
+	monitorEvery int
+	maxProfiling int
 
 	updates      int
 	sinceReopt   int
@@ -297,10 +286,11 @@ func NewEngine(q *query.Query, ord planner.Ordering, cfg Config) (*Engine, error
 		pf:          pf,
 		mem:         memory.NewManager(cfg.MemoryBudget),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		cands:       make(map[string]*cand),
 		instances:   make(map[string]*join.Instance),
 		unreadyPipe: -1,
 	}
+	en.monitorEvery = max(cfg.ReoptInterval/10, 1)
+	en.maxProfiling = 2 * cfg.ReoptInterval
 	if len(cfg.ForcedCaches) > 0 {
 		if err := en.attachForced(); err != nil {
 			return nil, err
@@ -372,8 +362,7 @@ func (en *Engine) attachForced() error {
 		if err := en.exec.AttachCache(spec, inst); err != nil {
 			return err
 		}
-		c := &cand{spec: spec, state: Used, inst: inst}
-		en.cands[placementKey(spec)] = c
+		en.cands = append(en.cands, &cand{spec: spec, state: Used, inst: inst})
 	}
 	en.sortCands()
 	return nil
@@ -389,18 +378,14 @@ func (en *Engine) buildCandidates() {
 		specs = append(specs, planner.GCCandidates(en.q, en.ord, specs, en.cfg.GCQuota)...)
 	}
 	for _, spec := range specs {
-		en.cands[placementKey(spec)] = &cand{spec: spec, state: Unused}
+		en.cands = append(en.cands, &cand{spec: spec, state: Unused})
 	}
 	en.sortCands()
 }
 
-// sortCands rebuilds en.sorted from the candidate map.
+// sortCands puts the candidates in placement-key order.
 func (en *Engine) sortCands() {
-	en.sorted = en.sorted[:0]
-	for _, c := range en.cands {
-		en.sorted = append(en.sorted, c)
-	}
-	slices.SortFunc(en.sorted, func(a, b *cand) int {
+	slices.SortFunc(en.cands, func(a, b *cand) int {
 		return strings.Compare(placementKey(a.spec), placementKey(b.spec))
 	})
 }
@@ -468,7 +453,7 @@ func (en *Engine) afterUpdates(rel, k, outputs int) {
 	}
 
 	en.sinceMonitor += k
-	if en.sinceMonitor >= en.cfg.MonitorInterval {
+	if en.sinceMonitor >= en.monitorEvery {
 		en.sinceMonitor = 0
 		tm := time.Now()
 		en.monitorUsed()
@@ -477,7 +462,7 @@ func (en *Engine) afterUpdates(rel, k, outputs int) {
 
 	if en.profiling {
 		en.profilingFor++
-		if en.statsReady() || en.profilingFor >= en.cfg.MaxProfilingUpdates {
+		if en.statsReady() || en.profilingFor >= en.maxProfiling {
 			tm := time.Now()
 			en.finishReopt()
 			en.reoptNanos += time.Since(tm).Nanoseconds()
@@ -565,7 +550,7 @@ func (en *Engine) SetMemoryBudget(bytes int) {
 // order.
 func (en *Engine) UsedCaches() []*planner.Spec {
 	var out []*planner.Spec
-	for _, c := range en.sorted {
+	for _, c := range en.cands {
 		if c.state == Used {
 			out = append(out, c.spec)
 		}
@@ -604,7 +589,7 @@ func (en *Engine) Plan() PlanDescription {
 			shareCount[c.spec.SharingID()]++
 		}
 	}
-	for _, c := range en.sorted {
+	for _, c := range en.cands {
 		if c.state != Used {
 			continue
 		}
@@ -638,8 +623,8 @@ type CandidateInfo struct {
 // Candidates snapshots every known candidate cache with its latest
 // estimates, sorted by placement — an EXPLAIN for the adaptive optimizer.
 func (en *Engine) Candidates() []CandidateInfo {
-	out := make([]CandidateInfo, 0, len(en.sorted))
-	for _, c := range en.sorted {
+	out := make([]CandidateInfo, 0, len(en.cands))
+	for _, c := range en.cands {
 		out = append(out, CandidateInfo{
 			Spec:      c.spec,
 			State:     c.state,
@@ -705,7 +690,7 @@ func (en *Engine) MemoryDemandDetail() []GroupDemand {
 	}
 	clear(en.demandDetailIdx)
 	en.demandDetail = en.demandDetail[:0]
-	for _, c := range en.sorted {
+	for _, c := range en.cands {
 		if c.state != Used {
 			continue
 		}

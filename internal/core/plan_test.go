@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"acache/internal/planner"
+	"acache/internal/query"
 	"acache/internal/stream"
 	"acache/internal/synth"
 )
@@ -53,5 +54,28 @@ func TestStateString(t *testing.T) {
 	}
 	if State(99).String() != "unused" {
 		t.Fatal("unknown state should render as unused")
+	}
+}
+
+// TestCandidateKeysDistinct pins what the engine's one candidate slice relies
+// on: the placements it enumerates — prefix candidates plus a GC quota — have
+// distinct keys, so no placement is tracked twice, and sit in key order.
+func TestCandidateKeysDistinct(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		q    *query.Query
+	}{{"3-way chain", threeWay(t)}, {"4-way clique", fourWayClique(t)}, {"6-way star", starOnA(t, 6)}} {
+		en, err := NewEngine(tc.q, nil, Config{GCQuota: 6, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(en.cands) == 0 {
+			t.Fatalf("%s: no candidates; test is vacuous", tc.name)
+		}
+		for i := 1; i < len(en.cands); i++ {
+			if a, b := placementKey(en.cands[i-1].spec), placementKey(en.cands[i].spec); a >= b {
+				t.Fatalf("%s: candidate keys %q, %q not strictly increasing", tc.name, a, b)
+			}
+		}
 	}
 }

@@ -222,7 +222,7 @@ func (en *Engine) estimate(c *cand) profiler.Estimate {
 // selection reruns only when some used or profiled cache's benefit or cost
 // moved more than the configured fraction since the last selection.
 func (en *Engine) changedBeyondThreshold() bool {
-	p := en.cfg.ChangeThreshold
+	const p = changeThreshold
 	for _, c := range en.cands {
 		if !c.selSet || c.est.Ready != c.selEst.Ready {
 			// Never selected with this candidate known, or it became
@@ -294,8 +294,7 @@ func (en *Engine) runSelection() []*cand {
 	}
 	prob.Cands = prob.Cands[:0]
 	prob.GroupCosts = prob.GroupCosts[:0]
-	// Deterministic candidate order.
-	for _, c := range en.sorted {
+	for _, c := range en.cands {
 		if !c.est.Ready {
 			continue
 		}
@@ -531,8 +530,6 @@ type groupEval struct {
 // continuously for used caches via their live hit statistics, and a cache
 // whose group turns unprofitable is moved to Unused immediately. (Gradual
 // reaction — promoting unused caches — happens only at re-optimization.)
-// Candidates are walked in sorted placement order so group benefit sums are
-// deterministic.
 func (en *Engine) monitorUsed() {
 	// Evaluate per sharing group: benefits add up, cost is paid once.
 	if en.monIdx == nil {
@@ -540,7 +537,7 @@ func (en *Engine) monitorUsed() {
 	}
 	clear(en.monIdx)
 	evals := en.monEvals[:0]
-	for _, c := range en.sorted {
+	for _, c := range en.cands {
 		if c.state != Used {
 			continue
 		}

@@ -29,8 +29,6 @@ type Config struct {
 	// Wd is the Bloom window: miss probability is estimated per
 	// nonoverlapping window of Wd probe keys (Appendix A).
 	Wd int
-	// Alpha sizes the Bloom filter at Alpha × Wd bits, Alpha ≥ 1.
-	Alpha int
 	// SampleProb is p_i: the probability of profiling a tuple's complete
 	// pipeline processing.
 	SampleProb float64
@@ -44,6 +42,10 @@ type Config struct {
 	Seed int64
 }
 
+// bloomAlpha sizes a shadow's Bloom filter at bloomAlpha × Wd bits
+// (Appendix A's α).
+const bloomAlpha = 4
+
 // Defaults fills zero fields with the paper's defaults.
 func (c Config) withDefaults() Config {
 	if c.W == 0 {
@@ -51,9 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Wd == 0 {
 		c.Wd = 100
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 4
 	}
 	if c.SampleProb == 0 {
 		c.SampleProb = 0.02
@@ -384,7 +383,7 @@ func (pf *Profiler) newShadow() *shadow {
 	}
 	sh := &shadow{
 		pf:          pf,
-		filter:      bloom.New(pf.cfg.Alpha*pf.cfg.Wd, 1),
+		filter:      bloom.New(bloomAlpha*pf.cfg.Wd, 1),
 		horizon:     bloom.New(1<<16, 2),
 		missWin:     stats.NewWindow(pf.cfg.W),
 		windowedWin: stats.NewWindow(pf.cfg.W),

@@ -151,8 +151,8 @@ func TestTwoColumnCollisionKeepsChains(t *testing.T) {
 		want(k2, probe(s, idx, k2, &memo), ts[1], ts[3])
 	}
 	for _, tp := range ts {
-		if n := s.Holding(tp); n != 1 {
-			t.Fatalf("Holding(%v) = %d, want 1", tp, n)
+		if n := s.CountOf(tp); n != 1 {
+			t.Fatalf("CountOf(%v) = %d, want 1", tp, n)
 		}
 	}
 	if s.Delete(tuple.Tuple{a2, b1, 0}) || s.Delete(tuple.Tuple{a1, b2, 0}) {
@@ -163,8 +163,8 @@ func TestTwoColumnCollisionKeepsChains(t *testing.T) {
 	}
 	want(k1, probe(s, idx, k1, nil), ts[0], ts[2])
 	want(k2, probe(s, idx, k2, &memo), ts[3])
-	if s.Holding(ts[1]) != 0 || s.Holding(ts[0]) != 1 {
-		t.Fatalf("after deleting %v: Holding %d, and %d of %v", ts[1], s.Holding(ts[1]), s.Holding(ts[0]), ts[0])
+	if s.CountOf(ts[1]) != 0 || s.CountOf(ts[0]) != 1 {
+		t.Fatalf("after deleting %v: CountOf %d, and %d of %v", ts[1], s.CountOf(ts[1]), s.CountOf(ts[0]), ts[0])
 	}
 	for _, tp := range []tuple.Tuple{ts[3], ts[0], ts[2]} {
 		if !s.Delete(tp) {
@@ -199,7 +199,7 @@ func countSlots(idx *HashIndex, h uint64) int {
 // one-column relation over a window of 4 096, values from twice the window,
 // each repeated mult times in a row) through an exact index and through the
 // same index with its column compare forced back on, and compares every
-// probe's tuples in order, every Delete result and every Holding count.
+// probe's tuples in order, every Delete result and every CountOf count.
 func TestExactMatchesEqPath(t *testing.T) {
 	for _, mult := range []int{1, 5} {
 		const window, domain = 4096, 2 * 4096
@@ -254,8 +254,8 @@ func TestExactMatchesEqPath(t *testing.T) {
 			// A delete by value, of a key held or not: both sides must agree.
 			if step%7 == 0 {
 				probe := tuple.Tuple{tuple.Value(rng.Int63n(domain))}
-				if a, b := sides[0].s.Holding(probe), sides[1].s.Holding(probe); a != b {
-					t.Fatalf("mult %d step %d: Holding(%v) %d vs %d", mult, step, probe, a, b)
+				if a, b := sides[0].s.CountOf(probe), sides[1].s.CountOf(probe); a != b {
+					t.Fatalf("mult %d step %d: CountOf(%v) %d vs %d", mult, step, probe, a, b)
 				}
 				if step%21 == 0 {
 					a, b := sides[0].s.Delete(probe), sides[1].s.Delete(probe)

@@ -535,12 +535,6 @@ func (s *Store) ScanEq(col int, v tuple.Value, f func(tuple.Tuple)) {
 // tuple's segment-join multiplicity from base-store value counts.
 func (s *Store) CountOf(t tuple.Tuple) int {
 	s.meter.Charge(cost.HashProbe)
-	return s.Holding(t)
-}
-
-// Holding is CountOf without the meter charge, for bookkeeping outside the
-// cost model (the sharded engine's guard against deletes of shed inserts).
-func (s *Store) Holding(t tuple.Tuple) int {
 	n := 0
 	if len(s.idxList) == 0 {
 		s.eachLive(func(id int32) bool {

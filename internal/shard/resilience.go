@@ -11,35 +11,6 @@ import (
 	"acache/internal/tuple"
 )
 
-// AdmissionPolicy decides what happens when a shard's mailbox is full.
-type AdmissionPolicy int
-
-const (
-	// AdmitBlock blocks the ingress until the mailbox drains (optionally
-	// bounded by Options.OfferTimeout, after which the batch is shed) —
-	// classic backpressure when no timeout is set.
-	AdmitBlock AdmissionPolicy = iota
-	// AdmitReject sheds the new batch instead of blocking.
-	AdmitReject
-	// AdmitShedOldest evicts the oldest queued batch to make room for the
-	// new one: fresher data wins under overload. Expiry deletes of evicted
-	// batches are retained (windows must still shrink), so a shard's window
-	// may transiently exceed its nominal size until the re-queued deletes
-	// are processed.
-	AdmitShedOldest
-)
-
-func (p AdmissionPolicy) String() string {
-	switch p {
-	case AdmitReject:
-		return "reject"
-	case AdmitShedOldest:
-		return "shed-oldest"
-	default:
-		return "block"
-	}
-}
-
 // HealthState is a shard's liveness classification.
 type HealthState int32
 
@@ -77,7 +48,7 @@ type ShardHealth struct {
 	Recoveries int
 	// Pending is the shard's current mailbox backlog in updates.
 	Pending int
-	// Shed counts updates dropped for this shard (admission + quarantine).
+	// Shed counts updates dropped for this shard while it was quarantined.
 	Shed uint64
 	// LastError is the most recent recovered panic message, if any.
 	LastError string
@@ -96,7 +67,7 @@ type staged struct {
 type shardState struct {
 	// enq / done count updates handed to / retired by the worker (processed
 	// or shed); their difference is the mailbox backlog. waitNs accumulates
-	// ingress time spent blocked on this mailbox. The ingress writes enq per
+	// ingress time spent waiting for room in this mailbox. The ingress writes enq per
 	// batch and the worker writes done and beat per batch: the pad keeps the
 	// two sides off one cache line, which would otherwise cross between cores
 	// twice per Append+Flush round trip.
@@ -104,9 +75,6 @@ type shardState struct {
 	waitNs atomic.Int64
 	_      [64]byte
 	done   atomic.Int64
-	// filtered counts the deletes guardDeletes dropped on this route; the
-	// ingress reads it only once the route has shed an insert.
-	filtered atomic.Int64
 
 	health     atomic.Int32
 	recoveries atomic.Int64
@@ -114,7 +82,7 @@ type shardState struct {
 	// beat increments on every worker progress step — the watchdog's
 	// heartbeat.
 	beat atomic.Uint64
-	// shed counts updates dropped for this shard.
+	// shed counts updates dropped for this shard while it was quarantined.
 	shed atomic.Uint64
 
 	// Worker-owned recovery state.
@@ -127,10 +95,6 @@ type shardState struct {
 	stageVals []tuple.Value // flat backing of stage's rows, reset with it
 	mute      bool          // discard results (checkpoint replay re-processing)
 	snapBase  core.Snapshot
-	// guardHead / guardNext chain a guarded batch's kept updates by tuple
-	// hash (1-based indexes into kept, 0 ends a chain), reset per batch.
-	guardHead map[uint64]int32
-	guardNext []int32
 	// fragileFlag marks a shard that recovered since its last clean
 	// checkpoint (worker writes, watchdog reads → atomic).
 	fragileFlag atomic.Bool
@@ -178,8 +142,8 @@ func (e *Engine) Recoveries() int {
 // CallbackPanics returns how many OnResult callback panics were swallowed.
 func (e *Engine) CallbackPanics() uint64 { return e.cbPanics.Load() }
 
-// ShedByRelation returns a copy of the per-relation shed-update counters
-// (admission sheds and quarantine drains; counted per update dropped).
+// ShedByRelation returns a copy of the per-relation counters of updates
+// quarantined shards dropped.
 func (e *Engine) ShedByRelation() []uint64 {
 	out := make([]uint64, len(e.shedByRel))
 	for i := range e.shedByRel {
@@ -188,8 +152,8 @@ func (e *Engine) ShedByRelation() []uint64 {
 	return out
 }
 
-// AdmissionWait returns the cumulative time the ingress spent blocked on
-// full mailboxes.
+// AdmissionWait returns the cumulative time the ingress spent waiting for
+// room in full mailboxes.
 func (e *Engine) AdmissionWait() time.Duration {
 	var total int64
 	for _, ws := range e.states {
@@ -221,7 +185,7 @@ func (e *Engine) MaxOccupancy() float64 {
 // ingress never waits on a busy worker and no request is lost.
 func (e *Engine) PauseCaching(paused bool) { e.pauseWant.Store(paused) }
 
-// ── Ingress side: admission, shedding, context-bounded flushing ──────────────
+// ── Ingress side: mailbox room, blocking submission ─────────────────────────
 
 func (e *Engine) countShed(rel int) {
 	if rel >= 0 && rel < len(e.shedByRel) {
@@ -229,213 +193,89 @@ func (e *Engine) countShed(rel int) {
 	}
 }
 
-// The disposition model: every update's fate — submitted to its shard or
-// shed — is decided exactly once, on the ingress goroutine, in per-route
-// stream order (submission order; under shed-oldest, deque order with
-// evictions taken front-first, which precede every later disposition). A shed
-// insert's expiry delete may still be submitted, so after a route sheds an
-// insert its batches carry batchMsg.guard, and the worker drops each delete
-// whose tuple its shard does not hold (guardDeletes) — a shard never runs the
-// join pipeline for a retraction of a tuple it does not hold. Because
-// dispositions are strictly ordered and multiset windows make equal-valued
-// instances interchangeable, every processed delete finds its tuple present:
-// shard windows are exact multisets of the admitted subset. Each shed insert
-// has exactly one expiry delete and only those are dropped, so the guard ends
-// on its own: a route's batches carry it only while its shed inserts
-// (shedIns) outnumber the deletes its worker dropped (filtered).
-
-// send hands a batch to the shard's mailbox. The send blocks only if the
-// caller did not first observe space (single producer: an observed len < cap
-// cannot be invalidated by anyone but this goroutine).
-func (e *Engine) send(route int, ups []stream.Update) {
-	if len(ups) == 0 {
-		return
-	}
+// submit is the Batcher emit callback: it hands a batch to the route's
+// mailbox, blocking while the mailbox is full (backpressure). A caller that
+// must not block checks Room or WaitRoom before it offers. Ingress goroutine
+// only.
+func (e *Engine) submit(route int, ups []stream.Update) {
 	ws := e.states[route]
 	ws.enq.Add(int64(len(ups)))
-	guard := e.shedIns[route] > 0 && e.shedIns[route] > ws.filtered.Load()
-	e.mail[route] <- batchMsg{ups: ups, guard: guard}
-}
-
-// evict disposes a batch's inserts as shed and returns its deletes
-// undisposed: deletes of admitted tuples must still shrink the window, and
-// the shed inserts are counted so the worker guards the route's later
-// deletes against their expiries.
-func (e *Engine) evict(route int, ups []stream.Update) []stream.Update {
-	ws := e.states[route]
-	var kept []stream.Update
-	for _, u := range ups {
-		if u.Op == stream.Insert {
-			e.countShed(u.Rel)
-			ws.shed.Add(1)
-			e.shedIns[route]++
-			continue
-		}
-		kept = append(kept, u)
+	m := batchMsg{ups: ups}
+	if e.free(route) > 0 {
+		e.mail[route] <- m
+		return
 	}
-	return kept
+	start := time.Now()
+	e.mail[route] <- m
+	ws.waitNs.Add(time.Since(start).Nanoseconds())
 }
 
-// shedBatch disposes a batch as shed; its deletes are deferred and ride in
-// front of the route's next submission (so under shedding a window may
-// transiently exceed its nominal size until they land).
-func (e *Engine) shedBatch(route int, ups []stream.Update) {
-	if kept := e.evict(route, ups); len(kept) > 0 {
-		e.pending[route] = append(e.pending[route], kept...)
-	}
-}
+// free returns the route's free mailbox slots. Only the worker frees a slot
+// and only the ingress takes one, so the ingress can rely on what it reads
+// until it sends.
+func (e *Engine) free(route int) int { return cap(e.mail[route]) - len(e.mail[route]) }
 
-// hasSpace reports whether the route's mailbox can take a batch without
-// blocking. Only the worker shrinks the queue, so a true result holds until
-// the ingress itself sends.
-func (e *Engine) hasSpace(route int) bool {
-	return len(e.mail[route]) < cap(e.mail[route])
-}
+// batchesFor returns how many batches n more updates offered to route would
+// complete, counting the updates its ingress batch already holds.
+func (e *Engine) batchesFor(route, n int) int { return (e.ing.Len(route) + n) / e.batchSize }
 
-// waitSpace polls for mailbox space until the timeout or context fires.
-// Polling (rather than a channel send that might have to be retracted) keeps
-// disposition atomic: a batch is disposed only once its fate is certain.
-func (e *Engine) waitSpace(route int, timeoutC <-chan time.Time, done <-chan struct{}) bool {
-	for !e.hasSpace(route) {
-		select {
-		case <-timeoutC:
+// Room reports whether n more updates on every route can be offered without
+// blocking: the batches they would complete fit the free slots of each
+// mailbox. It counts slots, not queued updates, because flush acks a
+// timed-out FlushContext left behind take slots too. Ingress goroutine only.
+func (e *Engine) Room(n int) bool {
+	for route := range e.mail {
+		if e.free(route) < e.batchesFor(route, n) {
 			return false
-		case <-done:
-			return false
-		default:
-			time.Sleep(20 * time.Microsecond)
 		}
 	}
 	return true
 }
 
-// submit is the Batcher emit callback: it prepends deferred deletes, then
-// disposes the batch under the admission policy. Ingress goroutine only.
-func (e *Engine) submit(route int, ups []stream.Update) {
-	if e.admission == AdmitShedOldest {
-		e.submitShedOldest(route, ups)
-		return
+// WaitRoom waits, bounded by ctx, until Room(n) holds, and returns ctx's
+// error if it expires first or had already expired. A context that cannot
+// expire skips the wait: the offers that follow block as Offer does. Time
+// spent waiting counts in AdmissionWait. Ingress goroutine only.
+func (e *Engine) WaitRoom(ctx context.Context, n int) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	if p := e.pending[route]; len(p) > 0 {
-		ups = append(p, ups...)
-		e.pending[route] = nil
-	}
-	if e.hasSpace(route) {
-		e.send(route, ups)
-		return
-	}
-	if e.admission == AdmitReject {
-		e.shedBatch(route, ups)
-		return
-	}
-	// AdmitBlock: backpressure, optionally bounded by OfferTimeout or the
-	// caller's OfferContext/FlushContext deadline.
-	ws := e.states[route]
-	start := time.Now()
-	var timeoutC <-chan time.Time
-	if e.offerTimeout > 0 {
-		timer := time.NewTimer(e.offerTimeout)
-		defer timer.Stop()
-		timeoutC = timer.C
-	}
-	var done <-chan struct{}
-	if e.subCtx != nil {
-		done = e.subCtx.Done()
-	}
-	if timeoutC == nil && done == nil {
-		// Unbounded backpressure: dispose now and block on the channel.
-		e.send(route, ups)
-		ws.waitNs.Add(time.Since(start).Nanoseconds())
-		return
-	}
-	ok := e.waitSpace(route, timeoutC, done)
-	ws.waitNs.Add(time.Since(start).Nanoseconds())
-	if ok {
-		e.send(route, ups)
-		return
-	}
-	if done != nil && e.subCtx.Err() != nil && e.subErr == nil {
-		e.subErr = fmt.Errorf("shard %d: admission blocked, batch shed: %w",
-			route, e.subCtx.Err())
-	}
-	e.shedBatch(route, ups)
-}
-
-// submitShedOldest queues the batch behind the route's deque, drains the
-// deque front into available mailbox space, and evicts the oldest queued
-// batches once the deque exceeds its depth — freshest data wins. The deque
-// sits in front of the mailbox so an eviction always precedes the
-// disposition of every update behind it; the in-flight insert/delete pairs
-// a mailbox eviction would tear cannot exist.
-func (e *Engine) submitShedOldest(route int, ups []stream.Update) {
-	dq := append(e.deque[route], ups)
-	i := 0
-	for i < len(dq) && e.hasSpace(route) {
-		e.send(route, dq[i])
-		i++
-	}
-	dq = dq[i:]
-	for len(dq) > mailboxDepth {
-		kept := e.evict(route, dq[0])
-		dq = dq[1:]
-		if len(kept) == 0 {
-			continue
-		}
-		if len(dq) == 0 {
-			dq = [][]stream.Update{kept}
-		} else {
-			// Retained deletes are older than everything still queued: they
-			// merge into the front so disposition order stays stream order.
-			dq[0] = append(kept, dq[0]...)
-		}
-	}
-	e.deque[route] = dq
-}
-
-// drainDeferred pushes every route's deferred work (shed-oldest deque,
-// deferred deletes) into the mailboxes, bounded by ctx. On abort the
-// remainder stays queued for the next flush.
-func (e *Engine) drainDeferred(ctx context.Context) error {
 	done := ctx.Done()
-	for route, dq := range e.deque {
-		for len(dq) > 0 {
-			if !e.waitSpace(route, nil, done) {
-				e.deque[route] = dq
-				return ctx.Err()
-			}
-			e.send(route, dq[0])
-			dq = dq[1:]
-		}
-		e.deque[route] = nil
+	if done == nil {
+		return nil
 	}
-	for route, p := range e.pending {
-		if len(p) == 0 {
-			continue
-		}
-		if !e.waitSpace(route, nil, done) {
+	for route := range e.mail {
+		if !e.waitFree(route, e.batchesFor(route, n), done) {
 			return ctx.Err()
 		}
-		e.send(route, p)
-		e.pending[route] = nil
 	}
 	return nil
 }
 
-// OfferContext is Offer bounded by ctx: if admitting the update blocks on a
-// full mailbox past the context's deadline, the blocked batch is shed
-// (counted, with its deletes deferred) and the context's error is returned.
-// The update itself is still accounted: either admitted or part of the shed
-// batch.
-func (e *Engine) OfferContext(ctx context.Context, u stream.Update) error {
-	e.subCtx, e.subErr = ctx, nil
-	e.Offer(u)
-	err := e.subErr
-	e.subCtx, e.subErr = nil, nil
-	return err
+// waitFree polls until the route's mailbox has the given free slots or done
+// fires, and reports which came first. Polling rather than a channel send
+// keeps a refused caller's input untouched: nothing is handed over until
+// room is certain.
+func (e *Engine) waitFree(route, slots int, done <-chan struct{}) bool {
+	if e.free(route) >= slots {
+		return true
+	}
+	ws := e.states[route]
+	start := time.Now()
+	for e.free(route) < slots {
+		select {
+		case <-done:
+			ws.waitNs.Add(time.Since(start).Nanoseconds())
+			return false
+		default:
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
+	ws.waitNs.Add(time.Since(start).Nanoseconds())
+	return true
 }
 
-// Shed returns the total updates dropped across shards (admission sheds and
-// quarantine drains; filtered deletes are counted separately).
+// Shed returns the total updates quarantined shards dropped.
 func (e *Engine) Shed() uint64 {
 	var total uint64
 	for _, ws := range e.states {
@@ -445,18 +285,10 @@ func (e *Engine) Shed() uint64 {
 }
 
 // QueueDepth returns the updates buffered between the ingress and the shard
-// engines: ingress batches, deferred deletes, and mailbox backlogs. Ingress
-// goroutine only (it reads the batcher).
+// engines: ingress batches and mailbox backlogs. Ingress goroutine only (it
+// reads the batcher).
 func (e *Engine) QueueDepth() int {
 	n := e.ing.Pending()
-	for _, p := range e.pending {
-		n += len(p)
-	}
-	for _, dq := range e.deque {
-		for _, b := range dq {
-			n += len(b)
-		}
-	}
 	for _, ws := range e.states {
 		n += ws.pending()
 	}
@@ -472,12 +304,9 @@ func (e *Engine) worker(i int) {
 	ws := e.states[i]
 	for m := range e.mail[i] {
 		if len(m.ups) > 0 {
-			switch {
-			case ws.getHealth() == Quarantined:
+			if ws.getHealth() == Quarantined {
 				e.shedUpdates(ws, m.ups)
-			case m.guard:
-				e.process(i, ws, e.guardDeletes(i, ws, m.ups))
-			default:
+			} else {
 				e.process(i, ws, m.ups)
 			}
 		}
@@ -486,50 +315,6 @@ func (e *Engine) worker(i int) {
 			m.ack <- struct{}{}
 		}
 	}
-}
-
-// guardDeletes drops, in place, each delete of a tuple shard i does not hold
-// — the expiry of an insert its route shed. A tuple's holding is the batch's
-// earlier kept inserts minus its earlier kept deletes (found by a hash chain
-// over kept), plus the store's count when those alone do not settle it,
-// counted without charging the meter. Dropped deletes are retired (done) and
-// counted in filtered and filteredDeletes.
-func (e *Engine) guardDeletes(i int, ws *shardState, ups []stream.Update) []stream.Update {
-	exec := e.shards[i].Exec()
-	if ws.guardHead == nil {
-		ws.guardHead = make(map[uint64]int32)
-	}
-	clear(ws.guardHead)
-	ws.guardNext = ws.guardNext[:0]
-	kept := ups[:0]
-	for _, u := range ups {
-		h := tuple.HashTuple(u.Tuple, uint64(u.Rel))
-		if u.Op == stream.Delete {
-			held := 0
-			for k := ws.guardHead[h]; k > 0; k = ws.guardNext[k-1] {
-				if p := kept[k-1]; p.Rel == u.Rel && p.Tuple.Equal(u.Tuple) {
-					if p.Op == stream.Insert {
-						held++
-					} else {
-						held--
-					}
-				}
-			}
-			if held <= 0 {
-				held += exec.Store(u.Rel).Holding(u.Tuple)
-			}
-			if held <= 0 {
-				e.filteredDeletes.Add(1)
-				ws.filtered.Add(1)
-				ws.done.Add(1)
-				continue
-			}
-		}
-		ws.guardNext = append(ws.guardNext, ws.guardHead[h])
-		kept = append(kept, u)
-		ws.guardHead[h] = int32(len(kept))
-	}
-	return kept
 }
 
 // process feeds a mailbox batch to the shard engine in committed

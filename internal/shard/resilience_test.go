@@ -308,18 +308,19 @@ func TestCallbackPanicIsolation(t *testing.T) {
 }
 
 // TestResilienceReplayLogBounded guards the cost of switching on a
-// resilience feature other than recovery: with only a stall watchdog, or only
-// reject admission and no slowdown, no shard keeps a replay log of the stream
-// it has processed, and an appended row costs no more allocations than on
-// the zero options.
+// resilience feature other than recovery: with only a stall watchdog, or with
+// every row offered only after a room check (the TryAppend path), no shard
+// keeps a replay log of the stream it has processed, and an appended row
+// costs no more allocations than on the zero options.
 func TestResilienceReplayLogBounded(t *testing.T) {
 	const rows, warm = 100_000, 10_000
 	for _, tc := range []struct {
-		name string
-		opts Options
+		name      string
+		opts      Options
+		roomCheck bool
 	}{
-		{"stall watchdog", Options{StallTimeout: time.Hour}},
-		{"reject admission", Options{Admission: AdmitReject}},
+		{"stall watchdog", Options{StallTimeout: time.Hour}, false},
+		{"room checked", Options{}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q := starQuery(t, 5)
@@ -341,6 +342,9 @@ func TestResilienceReplayLogBounded(t *testing.T) {
 			seq := uint64(0)
 			feed := func(lo, hi int) {
 				for r := lo; r < hi; r++ {
+					if tc.roomCheck && !sharded.Room(2) {
+						t.Fatalf("row %d refused with flushed mailboxes", r)
+					}
 					rel := r % q.N()
 					buf = wins[rel].AppendInto(tuple.Tuple(vals[r:r+1:r+1]), buf[:0])
 					for _, u := range buf {
@@ -350,7 +354,7 @@ func TestResilienceReplayLogBounded(t *testing.T) {
 						sharded.Offer(u)
 					}
 					if (r+1)%256 == 0 {
-						sharded.Flush() // keep the mailboxes short of full: nothing sheds
+						sharded.Flush() // keep the mailboxes short of full: nothing is refused
 					}
 				}
 				sharded.Flush()
@@ -374,203 +378,11 @@ func TestResilienceReplayLogBounded(t *testing.T) {
 	}
 }
 
-// TestAdmissionRejectAccounting overloads slowed workers with non-blocking
-// admission and asserts exact conservation on an insert-only workload:
-// every offered update is either in a shard window or counted shed.
-func TestAdmissionRejectAccounting(t *testing.T) {
-	q := starQuery(t, 3)
-	inj := fault.New().SlowEvery(-1, 1, 16, 2*time.Millisecond)
-	sharded, err := New(PlanPartitions(q, 2), Options{
-		BatchSize: 4,
-		Admission: AdmitReject,
-		Injector:  inj,
-	}, mkEngine(q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-	const offered = 4000
-	for i := 0; i < offered; i++ {
-		sharded.Offer(stream.Update{
-			Op: stream.Insert, Rel: i % 3, Tuple: tuple.Tuple{int64(i % 40)}, Seq: uint64(i + 1),
-		})
-	}
-	sharded.Flush()
-	shed := sharded.Shed()
-	if shed == 0 {
-		t.Fatal("overload produced no shedding; tighten the workload")
-	}
-	inWindows := 0
-	for i := 0; i < sharded.NumShards(); i++ {
-		for rel := 0; rel < 3; rel++ {
-			inWindows += sharded.Shard(i).Exec().Store(rel).Len()
-		}
-	}
-	if uint64(inWindows)+shed != offered {
-		t.Fatalf("conservation violated: %d in windows + %d shed != %d offered",
-			inWindows, shed, offered)
-	}
-	var byRel uint64
-	for _, n := range sharded.ShedByRelation() {
-		byRel += n
-	}
-	if byRel != shed {
-		t.Fatalf("per-relation shed counters sum to %d, total %d", byRel, shed)
-	}
-	if sharded.AdmissionWait() < 0 {
-		t.Fatal("negative admission wait")
-	}
-}
-
-// TestShedOldestKeepsDeletes runs a windowed (insert+delete) workload under
-// shed-oldest admission and asserts exact conservation: shed inserts never
-// reach windows, their expiry deletes are dropped by the filter, and every
-// retained delete is eventually applied.
-func TestShedOldestKeepsDeletes(t *testing.T) {
-	q := starQuery(t, 3)
-	inj := fault.New().SlowEvery(-1, 1, 16, 2*time.Millisecond)
-	sharded, err := New(PlanPartitions(q, 2), Options{
-		BatchSize: 4,
-		Admission: AdmitShedOldest,
-		Injector:  inj,
-	}, mkEngine(q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-
-	rng := rand.New(rand.NewSource(5))
-	wins := make([]*stream.SlidingWindow, 3)
-	for i := range wins {
-		wins[i] = stream.NewSlidingWindow(12)
-	}
-	inserts, deletes := uint64(0), uint64(0)
-	seq := uint64(0)
-	for i := 0; i < 3000; i++ {
-		rel := rng.Intn(3)
-		for _, u := range wins[rel].Append(tuple.Tuple{rng.Int63n(30)}) {
-			u.Rel = rel
-			seq++
-			u.Seq = seq
-			if u.Op == stream.Insert {
-				inserts++
-			} else {
-				deletes++
-			}
-			sharded.Offer(u)
-		}
-	}
-	sharded.Flush()
-	shed, filtered := sharded.Shed(), sharded.filteredDeletes.Load()
-	if shed == 0 {
-		t.Fatal("overload produced no shedding; tighten the workload")
-	}
-	if filtered > shed {
-		t.Fatalf("filtered %d deletes but shed only %d inserts", filtered, shed)
-	}
-	inWindows := uint64(0)
-	for i := 0; i < sharded.NumShards(); i++ {
-		for rel := 0; rel < 3; rel++ {
-			inWindows += uint64(sharded.Shard(i).Exec().Store(rel).Len())
-		}
-	}
-	if want := (inserts - shed) - (deletes - filtered); inWindows != want {
-		t.Fatalf("conservation violated: %d in windows, want %d (I=%d D=%d shed=%d filtered=%d)",
-			inWindows, want, inserts, deletes, shed, filtered)
-	}
-}
-
-// TestShedGuardEnds stalls one shard of a scan-only engine (no index, so
-// each guarded delete's holding check walks the store) under reject
-// admission, then turns every window over without overload: each shed
-// insert's expiry delete is dropped, the delete guard switches itself off,
-// and the windows hold exactly the admitted subset.
-func TestShedGuardEnds(t *testing.T) {
-	q := starQuery(t, 3)
-	var scan []tuple.Attr
-	for rel := 0; rel < q.N(); rel++ {
-		scan = append(scan, tuple.Attr{Rel: rel, Name: "A"})
-	}
-	inj := fault.New().StallAt(0, 40)
-	sharded, err := New(PlanPartitions(q, 2), Options{
-		BatchSize: 4,
-		Admission: AdmitReject,
-		Injector:  inj,
-	}, func(i int) (*core.Engine, error) {
-		return core.NewEngine(q, nil, core.Config{Seed: int64(1 + i), ScanOnly: scan})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-
-	rng := rand.New(rand.NewSource(9))
-	wins := make([]*stream.SlidingWindow, q.N())
-	for i := range wins {
-		wins[i] = stream.NewSlidingWindow(12)
-	}
-	inserts, deletes := uint64(0), uint64(0)
-	seq := uint64(0)
-	feed := func(appends int, flush bool) {
-		for i := 0; i < appends; i++ {
-			rel := rng.Intn(q.N())
-			for _, u := range wins[rel].Append(tuple.Tuple{rng.Int63n(30)}) {
-				u.Rel = rel
-				seq++
-				u.Seq = seq
-				if u.Op == stream.Insert {
-					inserts++
-				} else {
-					deletes++
-				}
-				sharded.Offer(u)
-			}
-			if flush {
-				sharded.Flush()
-			}
-		}
-	}
-	feed(600, false) // shard 0 stalls: its mailbox fills and its batches shed
-	inj.Release()
-	sharded.Flush()
-	shed := sharded.Shed()
-	if shed == 0 {
-		t.Fatal("the stall produced no shedding; tighten the workload")
-	}
-	feed(300, true) // every window turns over; a flush per append sheds nothing
-	if sharded.Shed() != shed {
-		t.Fatalf("shed %d more updates after the stall", sharded.Shed()-shed)
-	}
-	filtered := sharded.filteredDeletes.Load()
-	if filtered != shed {
-		t.Fatalf("filtered %d deletes, want one per shed insert (%d)", filtered, shed)
-	}
-	for r, ws := range sharded.states {
-		if n, f := sharded.shedIns[r], ws.filtered.Load(); n != f {
-			t.Fatalf("route %d: %d shed inserts, %d filtered deletes: guard still on", r, n, f)
-		}
-		ws.guardHead = nil // quiescent after Flush; guardDeletes sets it again
-	}
-	feed(100, true)
-	for r, ws := range sharded.states {
-		if ws.guardHead != nil {
-			t.Fatalf("route %d still sends guarded batches after every shed expiry was dropped", r)
-		}
-	}
-	inWindows := uint64(0)
-	for i := 0; i < sharded.NumShards(); i++ {
-		for rel := 0; rel < q.N(); rel++ {
-			inWindows += uint64(sharded.Shard(i).Exec().Store(rel).Len())
-		}
-	}
-	if want := (inserts - shed) - (deletes - filtered); inWindows != want {
-		t.Fatalf("conservation violated: %d in windows, want %d", inWindows, want)
-	}
-}
-
-// TestFlushContextTimeoutOnStall stalls a worker, asserts FlushContext times
-// out instead of wedging and the watchdog flags the shard, then releases the
-// stall and asserts the engine drains clean.
+// TestFlushContextTimeoutOnStall stalls a worker, offers updates while the
+// room check allows, and asserts FlushContext times out instead of wedging
+// and the watchdog flags the shard. The timed-out flush sheds nothing: once
+// the stall is released the engine drains clean, every offered update
+// processed and held in a window.
 func TestFlushContextTimeoutOnStall(t *testing.T) {
 	q := starQuery(t, 3)
 	inj := fault.New().StallAt(0, 5)
@@ -584,12 +396,17 @@ func TestFlushContextTimeoutOnStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sharded.Close()
-	// 40 updates (≈20 per shard) fit the stalled shard's mailbox, so Offer
-	// never blocks behind the stall; the flush barrier is what must time out.
-	for i := 0; i < 40; i++ {
+	// Offer until the stalled shard's mailbox has no slot for the next
+	// batch, so Offer never blocks behind the stall and the last partial
+	// batch is one the flush cannot hand over.
+	offered := 0
+	for ; offered < 1000 && sharded.Room(1); offered++ {
 		sharded.Offer(stream.Update{
-			Op: stream.Insert, Rel: i % 3, Tuple: tuple.Tuple{int64(i % 10)}, Seq: uint64(i + 1),
+			Op: stream.Insert, Rel: offered % 3, Tuple: tuple.Tuple{int64(offered % 10)}, Seq: uint64(offered + 1),
 		})
+	}
+	if offered == 1000 {
+		t.Fatal("the room check never refused behind a stalled shard")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -606,12 +423,24 @@ func TestFlushContextTimeoutOnStall(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	if n := sharded.Shed(); n != 0 {
+		t.Fatalf("a timed-out flush shed %d updates", n)
+	}
 	inj.Release()
 	if err := sharded.FlushContext(context.Background()); err != nil {
 		t.Fatalf("flush after release: %v", err)
 	}
-	if got := sharded.Snapshot().Updates; got != 40 {
-		t.Fatalf("processed %d updates after release, want 40", got)
+	if got := sharded.Snapshot().Updates; got != offered {
+		t.Fatalf("processed %d updates after release, want %d", got, offered)
+	}
+	held := 0
+	for i := 0; i < sharded.NumShards(); i++ {
+		for rel := 0; rel < q.N(); rel++ {
+			held += sharded.Shard(i).Exec().Store(rel).Len()
+		}
+	}
+	if held != offered || sharded.Shed() != 0 {
+		t.Fatalf("windows hold %d of %d offered inserts, %d shed", held, offered, sharded.Shed())
 	}
 }
 
@@ -694,6 +523,6 @@ func chaosSweep(t *testing.T, seed int64) {
 		}
 	}
 	if !quarantined {
-		t.Fatalf("seed %d: %d updates shed without a quarantined shard under blocking admission", seed, shed)
+		t.Fatalf("seed %d: %d updates shed without a quarantined shard", seed, shed)
 	}
 }

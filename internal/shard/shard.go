@@ -29,12 +29,13 @@
 // different shards interleave arbitrarily.
 //
 // Resilience: every shard runs the same recoverable worker (resilience.go):
-// bounded admission with shed accounting, panic-isolated processing that
-// rebuilds a shard's engine from a windows checkpoint plus a replay log,
-// quarantine when recovery is exhausted, and a per-shard Health report. Each
-// feature costs nothing until its option is set: the replay log and the
-// result stage exist only with CheckpointEvery > 0, the delete guard only on
-// a route whose shed inserts still await their expiry deletes.
+// bounded mailboxes with a room check for callers that must not block,
+// panic-isolated processing that rebuilds a shard's engine from a windows
+// checkpoint plus a replay log, quarantine when recovery is exhausted, and a
+// per-shard Health report. The engine never drops an update it has been
+// offered, except on a quarantined shard; callers shed before a tuple enters
+// its window. Each feature costs nothing until its option is set: the replay
+// log and the result stage exist only with CheckpointEvery > 0.
 package shard
 
 import (
@@ -180,12 +181,6 @@ type Options struct {
 	// handing the batch to the shard's mailbox (≤ 0 uses DefaultBatchSize).
 	BatchSize int
 
-	// Admission selects the policy applied when a shard's mailbox is full
-	// (default AdmitBlock: block the ingress — classic backpressure).
-	Admission AdmissionPolicy
-	// OfferTimeout bounds how long AdmitBlock may block the ingress before
-	// the batch is shed instead (0 = block indefinitely).
-	OfferTimeout time.Duration
 	// CheckpointEvery enables panic recovery: each shard checkpoints its
 	// window contents every CheckpointEvery committed updates, keeps a
 	// replay log of updates since, and after a worker panic rebuilds its
@@ -205,14 +200,11 @@ type Options struct {
 	Injector *fault.Injector
 }
 
-// batchMsg is one mailbox message: a batch of updates, a flush ack request,
-// or both. guard marks a batch sent while some of its route's shed inserts
-// still await their expiry deletes: the worker drops its deletes of tuples
-// the shard does not hold (guardDeletes).
+// batchMsg is one mailbox message: a batch of updates or a flush ack
+// request.
 type batchMsg struct {
-	ups   []stream.Update
-	ack   chan<- struct{}
-	guard bool
+	ups []stream.Update
+	ack chan<- struct{}
 }
 
 // Engine fans updates out to per-shard core engines. One ingress goroutine
@@ -234,8 +226,6 @@ type Engine struct {
 	demandDetail []core.GroupDemand
 
 	// Resilience state (resilience.go).
-	admission     AdmissionPolicy
-	offerTimeout  time.Duration
 	ckptEvery     int
 	maxRecoveries int
 	inj           *fault.Injector
@@ -244,24 +234,8 @@ type Engine struct {
 	// pauseWant is the degradation ladder's desired cache-pause state; each
 	// worker applies it before its next sub-batch.
 	pauseWant atomic.Bool
-	// pending holds per-route deletes deferred by a shed batch; they are
-	// disposed ahead of the route's next submission. Ingress-owned.
-	pending [][]stream.Update
-	// shedIns counts, per route, the inserts shed by admission; while it
-	// exceeds the worker's shardState.filtered the route's batches carry
-	// batchMsg.guard. Ingress-owned.
-	shedIns []int64
-	// deque buffers per-route undisposed batches under shed-oldest admission
-	// so evictions always precede later dispositions in stream order.
-	// Ingress-owned.
-	deque           [][][]stream.Update
-	shedByRel       []atomic.Uint64
-	filteredDeletes atomic.Uint64
-	cbPanics        atomic.Uint64
-	// subCtx bounds blocking mailbox sends during OfferContext/FlushContext;
-	// subErr carries the abort out of the Batcher emit callback.
-	subCtx    context.Context
-	subErr    error
+	shedByRel []atomic.Uint64
+	cbPanics  atomic.Uint64
 	stopWatch chan struct{}
 }
 
@@ -280,8 +254,6 @@ func New(plan Plan, opts Options, mk func(shard int) (*core.Engine, error)) (*En
 	e := &Engine{
 		plan:          plan,
 		batchSize:     batchSize,
-		admission:     opts.Admission,
-		offerTimeout:  opts.OfferTimeout,
 		ckptEvery:     opts.CheckpointEvery,
 		maxRecoveries: opts.MaxRecoveries,
 		inj:           opts.Injector,
@@ -303,11 +275,6 @@ func New(plan Plan, opts Options, mk func(shard int) (*core.Engine, error)) (*En
 		e.states = append(e.states, &shardState{})
 	}
 	e.shedByRel = make([]atomic.Uint64, len(plan.KeyCols))
-	e.pending = make([][]stream.Update, plan.Shards)
-	e.shedIns = make([]int64, plan.Shards)
-	if opts.Admission == AdmitShedOldest {
-		e.deque = make([][][]stream.Update, plan.Shards)
-	}
 	e.ing = stream.NewBatcher(plan.Shards, batchSize, e.submit)
 	for i := range e.shards {
 		e.wg.Add(1)
@@ -325,9 +292,10 @@ func New(plan Plan, opts Options, mk func(shard int) (*core.Engine, error)) (*En
 func (e *Engine) NumShards() int { return len(e.shards) }
 
 // Offer routes one update to its shard's pending batch (or to every shard's,
-// for a broadcast relation). The update's tuple must not be mutated
-// afterwards: broadcast shards share it, and shards retain tuples in their
-// windows.
+// for a broadcast relation), blocking while a batch it completes finds its
+// mailbox full; Room tells in advance whether it would. The update's tuple
+// must not be mutated afterwards: broadcast shards share it, and shards
+// retain tuples in their windows.
 func (e *Engine) Offer(u stream.Update) {
 	s := e.plan.ShardOf(u)
 	if s >= 0 {
@@ -347,29 +315,22 @@ func (e *Engine) Flush() {
 	_ = e.FlushContext(context.Background())
 }
 
-// FlushContext is Flush bounded by ctx: submit buffered batches (admission
-// policy applies), drain deferred work, then run the ack barrier — every
-// step bounded by ctx. It aborts (returning the context's error) if a shard
-// cannot drain in time — a stalled worker no longer wedges the ingress
-// forever. On abort the engine stays usable: unsubmitted batches are retried
-// by the next Offer/Flush, and stray flush acks are ignored.
+// FlushContext is Flush bounded by ctx: it submits the buffered batches,
+// each waiting for mailbox room, then runs the ack barrier, every wait
+// bounded by ctx. It returns the context's error if a shard cannot drain in
+// time — a stalled worker no longer wedges the ingress forever. On expiry
+// nothing is shed and the engine stays usable: batches it could not submit
+// stay buffered, in order, for the next Offer or Flush, and stray flush acks
+// are ignored (they take mailbox slots until the worker reaches them, which
+// Room counts).
 func (e *Engine) FlushContext(ctx context.Context) error {
-	e.subCtx, e.subErr = ctx, nil
-	e.ing.Flush()
-	err := e.subErr
-	e.subCtx, e.subErr = nil, nil
-	if err != nil {
-		return err
-	}
-	if err := e.drainDeferred(ctx); err != nil {
-		return err
-	}
 	done := ctx.Done()
 	ack := make(chan struct{}, len(e.mail))
 	if done == nil {
 		// A context that cannot expire (Flush's) takes plain channel
 		// operations: on shard2_batch the two-case select costs 8% of the
 		// Append+Flush round trip (DESIGN.md §9).
+		e.ing.Flush()
 		for _, m := range e.mail {
 			m <- batchMsg{ack: ack}
 		}
@@ -377,6 +338,15 @@ func (e *Engine) FlushContext(ctx context.Context) error {
 			<-ack
 		}
 		return nil
+	}
+	for route := range e.mail {
+		if e.ing.Len(route) == 0 {
+			continue
+		}
+		if !e.waitFree(route, 1, done) {
+			return ctx.Err()
+		}
+		e.ing.FlushRoute(route)
 	}
 	for _, m := range e.mail {
 		select {

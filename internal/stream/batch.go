@@ -44,13 +44,22 @@ func (b *Batcher) Add(route int, u Update) {
 
 // Flush emits every non-empty pending batch.
 func (b *Batcher) Flush() {
-	for route, buf := range b.bufs {
-		if len(buf) > 0 {
-			b.emit(route, buf)
-			b.bufs[route] = nil
-		}
+	for route := range b.bufs {
+		b.FlushRoute(route)
 	}
 }
+
+// FlushRoute emits one route's pending batch, if it holds any update.
+func (b *Batcher) FlushRoute(route int) {
+	if buf := b.bufs[route]; len(buf) > 0 {
+		b.emit(route, buf)
+		b.bufs[route] = nil
+	}
+}
+
+// Len returns the number of updates buffered for one route; it is always
+// below the batch size.
+func (b *Batcher) Len(route int) int { return len(b.bufs[route]) }
 
 // Pending returns the number of buffered (not yet emitted) updates.
 func (b *Batcher) Pending() int {

@@ -9,22 +9,6 @@ import (
 	"acache/internal/shard"
 )
 
-// AdmissionPolicy selects what a sharded engine does when a shard's mailbox
-// is full: block the ingress (backpressure), reject the new batch, or evict
-// the oldest queued batch.
-type AdmissionPolicy = shard.AdmissionPolicy
-
-const (
-	// AdmitBlock blocks the ingress until the shard drains — classic
-	// backpressure, the default.
-	AdmitBlock = shard.AdmitBlock
-	// AdmitReject sheds the newly offered batch when the mailbox is full.
-	AdmitReject = shard.AdmitReject
-	// AdmitShedOldest evicts the oldest queued batch to admit the new one —
-	// freshest data wins.
-	AdmitShedOldest = shard.AdmitShedOldest
-)
-
 // HealthState is a shard's coarse condition: Healthy, Degraded (stalled or
 // recently recovered), Recovering (rebuilding from checkpoint), or
 // Quarantined (failed permanently; its slice of the stream is shed).
@@ -53,25 +37,22 @@ func NewFaultInjector() *FaultInjector { return fault.New() }
 // ResilienceOptions tune overload and fault handling for sharded execution.
 // Every sharded engine runs the same recoverable shard worker; a feature costs
 // nothing until its option is set. The zero value blocks the ingress on a
-// full mailbox (TryAppend and the context-bounded calls still report it),
-// quarantines a panicking shard without keeping a replay log, and runs no
-// watchdog or ladder. A quarantined shard's input is shed for good and no
-// call returns an error for it, so callers that must not serve incomplete
-// results set CheckpointEvery or watch Health and Stats().Shedded.
+// full mailbox, quarantines a panicking shard without keeping a replay log,
+// and runs no watchdog or ladder. A quarantined shard's input is shed for
+// good and no call returns an error for it, so callers that must not serve
+// incomplete results set CheckpointEvery or watch Health and Stats().Shedded.
 //
-// The degradation ladder (DegradeHighWater > 0) follows the paper's order of
-// sacrifice. Caches obey consistency but not completeness (§3.2), so rung 1
-// pauses adaptive caching — near-zero switch cost and results stay exact —
-// and only rung 2 sheds input tuples, keeping per-relation counts so results
-// are a well-defined subset. Ladder shedding happens at the window ingress,
-// before a tuple enters its window, so no orphan expiry delete is ever
-// produced.
+// Every drop happens before a tuple enters its window, so windows stay exact
+// multisets of what was accepted and no orphan expiry delete is ever
+// produced. A caller that must not block refuses rows itself: TryAppend
+// returns false and AppendContext returns its context's error, each with the
+// window untouched and no counter moved. The degradation ladder
+// (DegradeHighWater > 0) follows the paper's order of sacrifice. Caches obey
+// consistency but not completeness (§3.2), so rung 1 pauses adaptive caching
+// — near-zero switch cost and results stay exact — and only rung 2 sheds
+// input tuples at the window ingress, keeping per-relation counts so results
+// are a well-defined subset.
 type ResilienceOptions struct {
-	// Admission is the mailbox-full policy (default AdmitBlock).
-	Admission AdmissionPolicy
-	// OfferTimeout bounds how long blocking admission may stall the ingress
-	// before the batch is shed instead (0 = block indefinitely).
-	OfferTimeout time.Duration
 	// CheckpointEvery enables panic recovery: each shard checkpoints its
 	// windows every CheckpointEvery processed updates and, after a worker
 	// panic, rebuilds its engine from checkpoint + replay. ≤ 0 quarantines a
@@ -85,14 +66,9 @@ type ResilienceOptions struct {
 	StallTimeout time.Duration
 	// DegradeHighWater enables the degradation ladder: when the most loaded
 	// shard's mailbox occupancy (0..1) reaches it, the engine climbs one
-	// rung (1: pause caches; 2: shed window input).
+	// rung (1: pause caches; 2: shed window input with probability
+	// ladderShedProb); at half of it, the engine steps back down a rung.
 	DegradeHighWater float64
-	// DegradeLowWater is the occupancy below which the engine steps back
-	// down a rung (default DegradeHighWater/2).
-	DegradeLowWater float64
-	// MaxShedProb is the rung-2 probability of dropping an appended tuple
-	// (default 0.5, capped at 0.95 so the ladder always sees fresh load).
-	MaxShedProb float64
 	// FaultInjector arms deterministic faults for chaos tests; nil in
 	// production.
 	FaultInjector *FaultInjector
@@ -102,6 +78,11 @@ type ResilienceOptions struct {
 // occupancy checks: cheap enough to be negligible, frequent enough to react
 // within a fraction of a mailbox drain.
 const ladderCheckEvery = 256
+
+// ladderShedProb is the rung-2 probability of dropping an appended tuple:
+// high enough to relieve a saturated shard within a few checks, low enough
+// that the ladder keeps seeing the load it must judge.
+const ladderShedProb = 0.5
 
 // ladderState is the degradation ladder: level 0 runs normally, level 1
 // pauses adaptive caching on every shard, level 2 additionally sheds window
@@ -123,17 +104,8 @@ func newLadder(r ResilienceOptions, rels int, seed int64) ladderState {
 		return l
 	}
 	l.high = r.DegradeHighWater
-	l.low = r.DegradeLowWater
-	if l.low <= 0 || l.low >= l.high {
-		l.low = l.high / 2
-	}
-	l.shedProb = r.MaxShedProb
-	if l.shedProb <= 0 {
-		l.shedProb = 0.5
-	}
-	if l.shedProb > 0.95 {
-		l.shedProb = 0.95
-	}
+	l.low = l.high / 2
+	l.shedProb = ladderShedProb
 	l.rng = rand.New(rand.NewSource(seed ^ 0x5eed1adde7))
 	l.shed = make([]uint64, rels)
 	return l
@@ -201,25 +173,41 @@ func (e *ShardedEngine) DegradeLevel() int { return e.ladder.level }
 func (e *ShardedEngine) Health() []ShardHealth { return e.sh.Health() }
 
 // FlushContext is Flush bounded by ctx: it returns ctx's error instead of
-// wedging when a shard is stalled. A timed-out flush leaves the engine
-// usable; updates still queued simply remain queued.
+// wedging when a shard is stalled. A timed-out flush sheds nothing and
+// leaves the engine usable; updates it could not hand over stay queued, in
+// order.
 func (e *ShardedEngine) FlushContext(ctx context.Context) error {
 	return e.sh.FlushContext(ctx)
 }
 
-// AppendContext is Append bounded by ctx. The window is advanced regardless
-// — every generated update is disposed (admitted or shed, never lost) — so
-// on error the result stream is still a well-defined subset; the error only
-// reports that shedding occurred because of the deadline.
+// appendUpdatesPerRoute bounds the updates one appended row sends to a
+// shard: its insert and the expiry delete it forces out, both of which a
+// broadcast relation sends to every shard.
+const appendUpdatesPerRoute = 2
+
+// AppendContext is Append bounded by ctx: before the window advances it
+// waits, bounded by ctx, until every shard's mailbox has room for what the
+// row can send it, so the routing that follows never blocks. (Which shard
+// the expiry delete goes to is known only once the window has advanced, so
+// every shard's room is awaited.) If ctx expires first, or had already, it
+// returns ctx's error and the row is refused: the window is untouched and
+// no counter moves — the caller decides whether to retry, spill or count it
+// as shed. A context that cannot expire makes it Append.
 func (e *ShardedEngine) AppendContext(ctx context.Context, rel string, values ...int64) error {
-	return e.route(ctx, e.appendRow(e.q.relIndex(rel), values))
+	idx := e.q.relIndex(rel)
+	if err := e.sh.WaitRoom(ctx, appendUpdatesPerRoute); err != nil {
+		return err
+	}
+	e.feed(e.appendRow(idx, values))
+	return nil
 }
 
 // TryAppend is a non-blocking Append: it returns false — without touching
-// the window — when the most loaded shard's mailbox is full, letting the
-// caller apply its own policy (retry, spill, drop).
+// the window — when some shard's mailbox lacks room for what the row can
+// send it (the room check AppendContext waits on), letting the caller apply
+// its own policy (retry, spill, drop).
 func (e *ShardedEngine) TryAppend(rel string, values ...int64) bool {
-	if e.sh.MaxOccupancy() >= 1 {
+	if !e.sh.Room(appendUpdatesPerRoute) {
 		return false
 	}
 	e.Append(rel, values...)

@@ -1,7 +1,6 @@
 package acache
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,14 +19,14 @@ type ShardOptions struct {
 	// handing the batch to the shard's mailbox (≤ 0 uses a default sized to
 	// amortize channel traffic).
 	BatchSize int
-	// Resilience tunes overload and fault handling: bounded admission, the
-	// degradation ladder, checkpoint/replay panic recovery, and the
-	// watchdog. Every shard runs the same recoverable worker; the zero value
-	// blocks on full mailboxes, quarantines a panicking shard, and keeps no
-	// replay log. Without CheckpointEvery a shard panic makes results
-	// silently incomplete: the shard's input is shed from then on, part of
-	// the failing batch's results may already have been delivered, and no
-	// call returns an error — only Health and Stats().Shedded show it.
+	// Resilience tunes overload and fault handling: the degradation ladder,
+	// checkpoint/replay panic recovery, and the watchdog. Every shard runs the
+	// same recoverable worker; the zero value blocks on full mailboxes,
+	// quarantines a panicking shard, and keeps no replay log. Without
+	// CheckpointEvery a shard panic makes results silently incomplete: the
+	// shard's input is shed from then on, part of the failing batch's results
+	// may already have been delivered, and no call returns an error — only
+	// Health and Stats().Shedded show it.
 	Resilience ResilienceOptions
 }
 
@@ -81,8 +80,6 @@ func (q *Query) BuildSharded(opts Options, sopts ShardOptions) (*ShardedEngine, 
 	r := sopts.Resilience
 	sh, err := shard.New(plan, shard.Options{
 		BatchSize:       sopts.BatchSize,
-		Admission:       r.Admission,
-		OfferTimeout:    r.OfferTimeout,
 		CheckpointEvery: r.CheckpointEvery,
 		MaxRecoveries:   r.MaxRecoveries,
 		StallTimeout:    r.StallTimeout,
@@ -142,27 +139,17 @@ func (e *ShardedEngine) Partitioning() string {
 	return s
 }
 
-// route hands an ingress slice to the shard engine update by update, bounded
-// by ctx: if admission blocks past the deadline the blocked batch is shed
-// (accounted in Stats) and ctx's first error returned.
-func (e *ShardedEngine) route(ctx context.Context, ups []stream.Update) error {
-	var first error
+// feed routes an ingress slice to the shard engine update by update,
+// blocking while a mailbox is full. Processing is asynchronous, so it
+// reports no results.
+func (e *ShardedEngine) feed(ups []stream.Update) int {
 	for _, u := range ups {
-		if err := e.sh.OfferContext(ctx, u); err != nil && first == nil {
-			first = err
-		}
+		e.sh.Offer(u)
 		if e.server != nil {
 			e.server.tick()
 		}
 		e.tickLadder()
 	}
-	return first
-}
-
-// feed routes an ingress slice without a deadline. Processing is
-// asynchronous, so it reports no results.
-func (e *ShardedEngine) feed(ups []stream.Update) int {
-	e.route(context.Background(), ups)
 	return 0
 }
 
@@ -182,7 +169,7 @@ func (e *ShardedEngine) Delete(rel string, values ...int64) {
 // The window operators live at the ingress, so window semantics are global —
 // identical to the serial engine — regardless of how tuples are partitioned.
 func (e *ShardedEngine) Append(rel string, values ...int64) {
-	e.AppendContext(context.Background(), rel, values...)
+	e.feed(e.appendRow(e.q.relIndex(rel), values))
 }
 
 // appendRow is the ingress's appendRow behind the degradation ladder: a
