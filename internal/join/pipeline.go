@@ -28,7 +28,8 @@ type step struct {
 	// fills the c-th column of the index key (index columns are the rel's
 	// class attributes sorted by name). probeVals is the probe-key scratch,
 	// sized at compile time; pipelines are single-goroutine so reuse across
-	// run calls is safe (ProbeEach never retains the slice). idx is the
+	// run calls is safe (ProbeEach never retains the slice; on a covering
+	// index it hands the slice itself over as each match). idx is the
 	// store's index, created at compile time; a store never drops one.
 	idx           *relation.HashIndex
 	probeFromCols []int
@@ -325,8 +326,9 @@ func (st *step) runEach(batch []tuple.Tuple, store *relation.Store, meter *cost.
 // bulk), and per-match theta and output charges for every composite — only
 // their order within the call differs, and the meter is an integer
 // accumulator read only between step calls. The matches reference the
-// store's slab, which nothing mutates during a step call; the scratch is
-// free again on return, since no step call runs inside another.
+// store's slab, or on a covering index the step's probe values, neither of
+// which changes during a step call; the scratch is free again on return,
+// since no step call runs inside another.
 func (st *step) runGrouped(batch []tuple.Tuple, store *relation.Store, meter *cost.Meter, arena *valueArena, dst []tuple.Tuple) []tuple.Tuple {
 	vals := st.probeVals
 	for i, c := range st.probeFromCols {

@@ -99,3 +99,61 @@ func BenchmarkStoreScan(b *testing.B) {
 		b.Fatal("no tuple matched")
 	}
 }
+
+// BenchmarkStoreProbe is one index probe of a 50 000-tuple window over a
+// 100 000-value domain, the nway5 shape, in an order that defeats the
+// prefetcher: a hit visits about one tuple, a miss none. Width 1 is a
+// covering index, which hands over the probe key; width 2 keys on the same
+// column and loads each match it hands over. Every visit reads its match's
+// key, as a join step does. An iteration must not allocate.
+func BenchmarkStoreProbe(b *testing.B) {
+	const window, domain = 50_000, 100_000
+	const stride = 7_919 // prime, so i·stride mod window visits every key
+	for _, width := range []int{1, 2} {
+		s := NewStore(0, tuple.RelationSchema(0, []string{"A", "B"}[:width]...), &cost.Meter{})
+		idx := s.CreateIndex("A")
+		seed := uint64(42)
+		vals := make([]tuple.Value, width*window)
+		keys := make([]tuple.Value, window)
+		for i := range keys {
+			t := vals[width*i : width*(i+1) : width*(i+1)]
+			for c := range t {
+				seed ^= seed << 13
+				seed ^= seed >> 7
+				seed ^= seed << 17
+				t[c] = int64(seed % domain)
+			}
+			s.Insert(t)
+			keys[i] = t[0]
+		}
+		for _, name := range []string{"hit", "miss"} {
+			hit := name == "hit"
+			b.Run(fmt.Sprintf("width=%d/probe=%s", width, name), func(b *testing.B) {
+				key := make([]tuple.Value, 1)
+				matches, sum := 0, tuple.Value(0)
+				visit := func(m tuple.Tuple) { matches++; sum += m[0] }
+				at := 0
+				probe := func() {
+					if at = (at + stride) % window; hit {
+						key[0] = keys[at]
+					} else {
+						key[0] = domain + tuple.Value(at) // never drawn
+					}
+					s.ProbeEach(idx, key, visit)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					probe()
+				}
+				b.StopTimer()
+				if hit && matches < b.N || !hit && matches != 0 {
+					b.Fatalf("%d matches in %d %s probes (key sum %d)", matches, b.N, name, sum)
+				}
+				if got := testing.AllocsPerRun(1_000, probe); got != 0 {
+					b.Fatalf("%.0f allocs per probe, want 0", got)
+				}
+			})
+		}
+	}
+}

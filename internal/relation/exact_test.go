@@ -12,7 +12,8 @@ import (
 // An index on one column confirms a chain on its 64-bit slot hash alone
 // (HashIndex.exact). These tests prove the shortcut: one-column HashOf has a
 // left inverse, a two-column key does not and keeps its column compare, and an
-// exact index answers every operation exactly as the compare path does.
+// exact index answers every operation exactly as the compare path does — by
+// value, on a one-column relation, whose index is covering.
 
 // The multipliers of tuple.MixWord's finalizer; a wrong copy fails the
 // round trips below.
@@ -195,103 +196,197 @@ func countSlots(idx *HashIndex, h uint64) int {
 	return n
 }
 
-// TestExactMatchesEqPath runs one churn stream of the nway5 shape (a
-// one-column relation over a window of 4 096, values from twice the window,
-// each repeated mult times in a row) through an exact index and through the
-// same index with its column compare forced back on, and compares every
-// probe's tuples in order, every Delete result and every CountOf count.
+// TestExactMatchesEqPath runs one churn stream of the nway5 shape (a key
+// over a window of 4 096, values from twice the window, each repeated mult
+// times in a row) through an exact index and through the same index with its
+// column compare forced back on, and compares every probe's tuples in order,
+// every Delete result and every CountOf count. On a two-column store (A, B)
+// indexed on A — exact, not covering — the probes must hand over the very
+// same resident tuples. On a one-column store the exact index is covering and
+// hands over the probe values instead, so there the matches are compared by
+// value and number.
 func TestExactMatchesEqPath(t *testing.T) {
-	for _, mult := range []int{1, 5} {
-		const window, domain = 4096, 2 * 4096
-		type side struct {
-			s    *Store
-			idx  *HashIndex
-			memo ProbeMemo
+	for _, width := range []int{2, 1} {
+		for _, mult := range []int{1, 5} {
+			exactMatchesEqPath(t, width, mult)
 		}
-		sides := make([]*side, 2)
-		for i := range sides {
-			s := NewStore(0, tuple.RelationSchema(0, "A"), &cost.Meter{})
-			sides[i] = &side{s: s, idx: s.CreateIndex("A")}
-		}
-		if !sides[0].idx.exact {
-			t.Fatal("a one-column index is not marked exact")
-		}
-		sides[1].idx.exact = false
+	}
+}
 
-		rng := rand.New(rand.NewSource(int64(mult)))
-		var ring []tuple.Tuple
-		var cur tuple.Value
-		var got [2][]tuple.Tuple
-		compare := func(step int, what string) {
-			t.Helper()
-			if len(got[0]) != len(got[1]) {
-				t.Fatalf("mult %d step %d %s: exact %d matches, compare path %d", mult, step, what, len(got[0]), len(got[1]))
+func exactMatchesEqPath(t *testing.T, width, mult int) {
+	const window, domain = 4096, 2 * 4096
+	type side struct {
+		s    *Store
+		idx  *HashIndex
+		memo ProbeMemo
+	}
+	schema := tuple.RelationSchema(0, "A", "B")
+	if width == 1 {
+		schema = tuple.RelationSchema(0, "A")
+	}
+	sides := make([]*side, 2)
+	for i := range sides {
+		s := NewStore(0, schema, &cost.Meter{})
+		sides[i] = &side{s: s, idx: s.CreateIndex("A")}
+	}
+	if !sides[0].idx.exact || sides[0].idx.covering != (width == 1) {
+		t.Fatalf("width %d: index on A has exact %v, covering %v", width, sides[0].idx.exact, sides[0].idx.covering)
+	}
+	sides[1].idx.exact, sides[1].idx.covering = false, false
+
+	rng := rand.New(rand.NewSource(int64(mult)))
+	// row draws a tuple with key v; B takes two values, so equal keys can
+	// still be different tuples.
+	row := func(v tuple.Value) tuple.Tuple {
+		if width == 1 {
+			return tuple.Tuple{v}
+		}
+		return tuple.Tuple{v, tuple.Value(rng.Int63n(2))}
+	}
+	var ring []tuple.Tuple
+	var cur tuple.Value
+	var got [2][]tuple.Tuple
+	compare := func(step int, what string) {
+		t.Helper()
+		if len(got[0]) != len(got[1]) {
+			t.Fatalf("width %d mult %d step %d %s: exact %d matches, compare path %d", width, mult, step, what, len(got[0]), len(got[1]))
+		}
+		for i := range got[0] {
+			same := sameStorage(got[0][i], got[1][i])
+			if width == 1 {
+				same = got[0][i].Equal(got[1][i])
 			}
-			for i := range got[0] {
-				if !sameStorage(got[0][i], got[1][i]) {
-					t.Fatalf("mult %d step %d %s: match %d differs: %v vs %v", mult, step, what, i, got[0][i], got[1][i])
+			if !same {
+				t.Fatalf("width %d mult %d step %d %s: match %d differs: %v vs %v", width, mult, step, what, i, got[0][i], got[1][i])
+			}
+		}
+	}
+	for step := 0; step < 4*window; step++ {
+		if step%mult == 0 {
+			cur = tuple.Value(rng.Int63n(domain))
+		}
+		tp := row(cur)
+		ring = append(ring, tp)
+		for _, sd := range sides {
+			sd.s.Insert(tp)
+		}
+		if len(ring) > window { // the window's expiry: its own tuple
+			old := ring[0]
+			ring = ring[1:]
+			for _, sd := range sides {
+				if !sd.s.Delete(old) {
+					t.Fatalf("width %d mult %d step %d: expiry of %v found nothing", width, mult, step, old)
 				}
 			}
 		}
-		for step := 0; step < 4*window; step++ {
-			if step%mult == 0 {
-				cur = tuple.Value(rng.Int63n(domain))
+		// A delete by value, of a tuple held or not: both sides must agree.
+		if step%7 == 0 {
+			probe := row(tuple.Value(rng.Int63n(domain)))
+			if a, b := sides[0].s.CountOf(probe), sides[1].s.CountOf(probe); a != b {
+				t.Fatalf("width %d mult %d step %d: CountOf(%v) %d vs %d", width, mult, step, probe, a, b)
 			}
-			tp := tuple.Tuple{cur}
-			ring = append(ring, tp)
-			for _, sd := range sides {
-				sd.s.Insert(tp)
-			}
-			if len(ring) > window { // the window's expiry: its own tuple
-				old := ring[0]
-				ring = ring[1:]
-				for _, sd := range sides {
-					if !sd.s.Delete(old) {
-						t.Fatalf("mult %d step %d: expiry of %v found nothing", mult, step, old)
-					}
+			if step%21 == 0 {
+				a, b := sides[0].s.Delete(probe), sides[1].s.Delete(probe)
+				if a != b {
+					t.Fatalf("width %d mult %d step %d: Delete(%v) %v vs %v", width, mult, step, probe, a, b)
 				}
-			}
-			// A delete by value, of a key held or not: both sides must agree.
-			if step%7 == 0 {
-				probe := tuple.Tuple{tuple.Value(rng.Int63n(domain))}
-				if a, b := sides[0].s.CountOf(probe), sides[1].s.CountOf(probe); a != b {
-					t.Fatalf("mult %d step %d: CountOf(%v) %d vs %d", mult, step, probe, a, b)
-				}
-				if step%21 == 0 {
-					a, b := sides[0].s.Delete(probe), sides[1].s.Delete(probe)
-					if a != b {
-						t.Fatalf("mult %d step %d: Delete(%v) %v vs %v", mult, step, probe, a, b)
-					}
-					if a { // keep the expiry ring in step with the stores
-						for i, r := range ring {
-							if r.Equal(probe) {
-								ring = append(ring[:i:i], ring[i+1:]...)
-								break
-							}
+				if a { // keep the expiry ring in step with the stores
+					for i, r := range ring {
+						if r.Equal(probe) {
+							ring = append(ring[:i:i], ring[i+1:]...)
+							break
 						}
 					}
 				}
 			}
-			key := []tuple.Value{tuple.Value(rng.Int63n(domain))}
+		}
+		key := []tuple.Value{tuple.Value(rng.Int63n(domain))}
+		for i, sd := range sides {
+			got[i] = got[i][:0]
+			sd.s.ProbeEach(sd.idx, key, func(m tuple.Tuple) { got[i] = append(got[i], m) })
+		}
+		compare(step, "ProbeEach")
+		for i, sd := range sides {
+			got[i] = got[i][:0]
+			sd.s.ProbeEachMemo(sd.idx, []tuple.Value{cur}, &sd.memo, func(m tuple.Tuple) { got[i] = append(got[i], m) })
+		}
+		compare(step, "ProbeEachMemo")
+		if step%64 == 0 {
 			for i, sd := range sides {
-				got[i] = got[i][:0]
-				sd.s.ProbeEach(sd.idx, key, func(m tuple.Tuple) { got[i] = append(got[i], m) })
+				got[i] = sd.s.Probe(sd.idx, tuple.KeyOfValues(key))
 			}
-			compare(step, "ProbeEach")
-			for i, sd := range sides {
-				got[i] = got[i][:0]
-				sd.s.ProbeEachMemo(sd.idx, []tuple.Value{cur}, &sd.memo, func(m tuple.Tuple) { got[i] = append(got[i], m) })
-			}
-			compare(step, "ProbeEachMemo")
-			if step%64 == 0 {
-				for i, sd := range sides {
-					got[i] = sd.s.Probe(sd.idx, tuple.KeyOfValues(key))
-				}
-				compare(step, "Probe")
+			compare(step, "Probe")
+		}
+	}
+	if a, b := sides[0].s.Len(), sides[1].s.Len(); a != b || a != len(ring) {
+		t.Fatalf("width %d mult %d: %d and %d tuples stored, window holds %d", width, mult, a, b, len(ring))
+	}
+}
+
+// TestCoveringProbeLoadsNoTuple checks that a covering index — a one-column
+// relation indexed on its column — answers from the probe key: ProbeEach and
+// ProbeEachMemo (recording and replaying) visit the caller's own probe
+// values once per chain member, Probe hands back its decoded key, no match is
+// a resident tuple, and CountOf is the chain length.
+func TestCoveringProbeLoadsNoTuple(t *testing.T) {
+	s := NewStore(0, tuple.RelationSchema(0, "A"), &cost.Meter{})
+	idx := s.CreateIndex("A")
+	if !idx.covering {
+		t.Fatal("the index of a one-column relation is not covering")
+	}
+	if wide := NewStore(0, tuple.RelationSchema(0, "A", "B"), &cost.Meter{}).CreateIndex("A"); wide.covering {
+		t.Fatal("a one-column index of a two-column relation is covering")
+	}
+	ts := []tuple.Tuple{{3}, {5}, {3}, {7}, {3}}
+	for _, tp := range ts {
+		s.Insert(tp)
+	}
+	resident := func(m tuple.Tuple) bool {
+		for _, tp := range ts {
+			if sameStorage(m, tp) {
+				return true
 			}
 		}
-		if a, b := sides[0].s.Len(), sides[1].s.Len(); a != b || a != len(ring) {
-			t.Fatalf("mult %d: %d and %d tuples stored, window holds %d", mult, a, b, len(ring))
+		return false
+	}
+	check := func(what string, vals []tuple.Value, want int, got []tuple.Tuple) {
+		t.Helper()
+		if len(got) != want {
+			t.Fatalf("%s %v: %d matches, want %d", what, vals, len(got), want)
 		}
+		for i, m := range got {
+			if !sameStorage(m, vals) || resident(m) {
+				t.Fatalf("%s %v: match %d is not the probe's own storage", what, vals, i)
+			}
+		}
+	}
+	var memo ProbeMemo
+	for _, c := range []struct {
+		key  tuple.Value
+		want int
+	}{{3, 3}, {5, 1}, {4, 0}} {
+		vals := []tuple.Value{c.key}
+		var got []tuple.Tuple
+		collect := func(m tuple.Tuple) { got = append(got, m) }
+		s.ProbeEach(idx, vals, collect)
+		check("ProbeEach", vals, c.want, got)
+		for pass := 0; pass < 2; pass++ { // record, then replay
+			got = got[:0]
+			s.ProbeEachMemo(idx, vals, &memo, collect)
+			check("ProbeEachMemo", vals, c.want, got)
+		}
+		got = s.Probe(idx, tuple.KeyOfValues(vals))
+		if len(got) > 0 {
+			check("Probe", got[0], c.want, got)
+			if got[0][0] != c.key {
+				t.Fatalf("Probe %v: match %v", vals, got[0])
+			}
+		}
+		if n := s.CountOf(tuple.Tuple{c.key}); n != c.want {
+			t.Fatalf("CountOf(%d) = %d, want the chain length %d", c.key, n, c.want)
+		}
+	}
+	if !s.Delete(tuple.Tuple{3}) || s.CountOf(tuple.Tuple{3}) != 2 {
+		t.Fatalf("after deleting one 3: CountOf = %d, want 2", s.CountOf(tuple.Tuple{3}))
 	}
 }

@@ -14,7 +14,10 @@
 // steady-state window maintenance neither allocates nor rehashes. A one-column
 // key is exact: its hash is a bijection of the value, so a slot whose hash
 // matches is the key's chain and no resident tuple is loaded to confirm it;
-// wider keys compare their columns on a hash match. There is no
+// wider keys compare their columns on a hash match. An exact index of a
+// one-column relation is covering: every tuple on a chain equals the key, so
+// a probe hands over its own key values once per chain member and never
+// loads a resident tuple. Probe walks stop at a chain's tail. There is no
 // table keyed by the whole tuple: a delete finds its victim on the tuple's key
 // chain in the store's first index, where a window expiry sits at the head,
 // and a store with no index scans (as every probe of it already does).
@@ -371,7 +374,7 @@ func (s *Store) CreateIndex(names ...string) *HashIndex {
 	for i, n := range sorted {
 		cols[i] = s.schema.MustColOf(tuple.Attr{Rel: s.rel, Name: n})
 	}
-	idx := &HashIndex{store: s, cols: cols, exact: len(cols) == 1}
+	idx := &HashIndex{store: s, cols: cols, exact: len(cols) == 1, covering: len(cols) == 1 && s.width == 1}
 	idx.table = newOATable()
 	idx.next = make([]int32, len(s.tuples))
 	s.eachLive(func(tid int32) bool {
@@ -547,9 +550,13 @@ func (s *Store) CountOf(t tuple.Tuple) int {
 	}
 	ix := s.idxList[0]
 	if slot := ix.slotOf(t); slot >= 0 {
-		for id := ix.table.slots[slot].head; id != nilID; id = ix.next[id] {
-			if s.at(id).Equal(t) {
+		sl := ix.table.slots[slot]
+		for id := sl.head; ; id = ix.next[id] {
+			if ix.covering || s.at(id).Equal(t) {
 				n++
+			}
+			if id == sl.tail {
+				break
 			}
 		}
 	}
@@ -580,8 +587,10 @@ func (s *Store) Probe(idx *HashIndex, key tuple.Key) []tuple.Tuple {
 
 // ProbeEach visits the index's tuples whose key columns equal vals, in
 // insertion order, charging one join probe. Visited tuples must not be
-// retained or mutated. It is the zero-allocation probe path: no key is
-// materialized and no result slice is built.
+// retained or mutated. On a covering index (a one-column relation indexed on
+// its column) each visited tuple is vals itself: a value equal to the
+// resident tuple, not its storage. It is the zero-allocation probe path: no
+// key is materialized and no result slice is built.
 func (s *Store) ProbeEach(idx *HashIndex, vals []tuple.Value, f func(t tuple.Tuple)) {
 	s.meter.Charge(cost.IndexProbe)
 	idx.each(tuple.HashValues(vals, hashSeed), vals, f)
@@ -666,7 +675,7 @@ func (s *Store) ProbeEachMemo(idx *HashIndex, vals []tuple.Value, memo *ProbeMem
 		if e.hash == h && int(e.klen) == len(memo.keyBuf) &&
 			bytes.Equal(memo.keys[e.koff:e.koff+e.klen], memo.keyBuf) {
 			for _, id := range memo.ids[e.off : e.off+e.n] {
-				f(s.at(id))
+				f(idx.match(id, vals))
 			}
 			return
 		}
@@ -677,9 +686,13 @@ func (s *Store) ProbeEachMemo(idx *HashIndex, vals []tuple.Value, memo *ProbeMem
 	}
 	off := int32(len(memo.ids))
 	if slot := idx.findVals(h, vals); slot >= 0 {
-		for id := idx.table.slots[slot].head; id != nilID; id = idx.next[id] {
+		sl := idx.table.slots[slot]
+		for id := sl.head; ; id = idx.next[id] {
 			memo.ids = append(memo.ids, id)
-			f(s.at(id))
+			f(idx.match(id, vals))
+			if id == sl.tail {
+				break
+			}
 		}
 	}
 	koff := int32(len(memo.keys))
@@ -715,6 +728,10 @@ type HashIndex struct {
 	// hashes mean equal keys. Its chains are confirmed on the hash alone,
 	// without loading a resident tuple; a wider key compares columns.
 	exact bool
+	// covering marks an exact index of a one-column relation, whose chain
+	// tuples all equal the key: probes hand over their own values and CountOf
+	// counts the chain, loading no tuple (Delete still seeks its storage).
+	covering bool
 }
 
 // Cols returns the schema columns (sorted by attribute name) the index keys
@@ -832,14 +849,29 @@ func (ix *HashIndex) rehash() {
 	}
 }
 
-// each visits the chain for the probe values in insertion order.
+// each visits the chain for the probe values in insertion order. Like every
+// chain walk of a probe, it stops at the slot's tail, so it never loads
+// next[tail]: a covering chain of one costs no load beyond its slot.
 func (ix *HashIndex) each(hash uint64, vals []tuple.Value, f func(t tuple.Tuple)) {
 	slot := ix.findVals(hash, vals)
 	if slot < 0 {
 		return
 	}
-	s := ix.store
-	for id := ix.table.slots[slot].head; id != nilID; id = ix.next[id] {
-		f(s.at(id))
+	sl := ix.table.slots[slot]
+	for id := sl.head; ; id = ix.next[id] {
+		f(ix.match(id, vals))
+		if id == sl.tail {
+			return
+		}
 	}
+}
+
+// match is what a probe with values vals hands over for chain member id: on
+// a covering index the probe values themselves, equal to the resident tuple,
+// else the resident tuple.
+func (ix *HashIndex) match(id int32, vals []tuple.Value) tuple.Tuple {
+	if ix.covering {
+		return vals
+	}
+	return ix.store.at(id)
 }

@@ -74,9 +74,9 @@ type ResilienceOptions struct {
 	FaultInjector *FaultInjector
 }
 
-// ladderCheckEvery is how many routed (or ladder-shed) updates pass between
-// occupancy checks: cheap enough to be negligible, frequent enough to react
-// within a fraction of a mailbox drain.
+// ladderCheckEvery is how many routed updates, ladder-shed rows and refused
+// rows pass between occupancy checks: cheap enough to be negligible, frequent
+// enough to react within a fraction of a mailbox drain.
 const ladderCheckEvery = 256
 
 // ladderShedProb is the rung-2 probability of dropping an appended tuple:
@@ -192,10 +192,12 @@ const appendUpdatesPerRoute = 2
 // every shard's room is awaited.) If ctx expires first, or had already, it
 // returns ctx's error and the row is refused: the window is untouched and
 // no counter moves — the caller decides whether to retry, spill or count it
-// as shed. A context that cannot expire makes it Append.
+// as shed — but the refusal ticks the degradation ladder's clock. A context
+// that cannot expire makes it Append.
 func (e *ShardedEngine) AppendContext(ctx context.Context, rel string, values ...int64) error {
 	idx := e.q.relIndex(rel)
 	if err := e.sh.WaitRoom(ctx, appendUpdatesPerRoute); err != nil {
+		e.tickLadder()
 		return err
 	}
 	e.feed(e.appendRow(idx, values))
@@ -205,9 +207,11 @@ func (e *ShardedEngine) AppendContext(ctx context.Context, rel string, values ..
 // TryAppend is a non-blocking Append: it returns false — without touching
 // the window — when some shard's mailbox lacks room for what the row can
 // send it (the room check AppendContext waits on), letting the caller apply
-// its own policy (retry, spill, drop).
+// its own policy (retry, spill, drop). A refusal ticks the ladder's clock,
+// as a routed update does, so the ladder climbs when every row is refused.
 func (e *ShardedEngine) TryAppend(rel string, values ...int64) bool {
 	if !e.sh.Room(appendUpdatesPerRoute) {
+		e.tickLadder()
 		return false
 	}
 	e.Append(rel, values...)

@@ -173,6 +173,53 @@ func TestDegradationLadder(t *testing.T) {
 	}
 }
 
+// TestLadderClimbsOnRefusals stalls one shard behind small batches, so its
+// mailbox fills after a few hundred accepted rows and TryAppend refuses almost
+// every row after that. Refused rows must still tick the ladder clock: the
+// ladder reaches rung 2 on refusals alone, and steps back to 0 once the
+// stall is released and a trickle keeps occupancy near 0.
+func TestLadderClimbsOnRefusals(t *testing.T) {
+	inj := NewFaultInjector().StallAt(0, 1)
+	eng, err := fiveWayStar().BuildSharded(Options{Seed: 5}, ShardOptions{
+		Shards:    4,
+		BatchSize: 4,
+		Resilience: ResilienceOptions{
+			DegradeHighWater: 0.5,
+			FaultInjector:    inj,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	defer inj.Release() // runs before Close, so a failure cannot wedge it
+
+	ops := randomOps(19, 4000, []string{"R0", "R1", "R2", "R3", "R4"},
+		[]int{2, 2, 2, 2, 2}, 8)
+	refused := 0
+	for _, op := range ops {
+		if !eng.TryAppend(op.rel, op.vals...) {
+			refused++
+		}
+		if eng.DegradeLevel() == 2 {
+			break
+		}
+	}
+	if lvl := eng.DegradeLevel(); lvl != 2 {
+		t.Fatalf("DegradeLevel = %d after %d refused rows behind a stalled shard, want 2", lvl, refused)
+	}
+
+	inj.Release()
+	eng.Flush()
+	for i := 0; i < 4*ladderCheckEvery && eng.DegradeLevel() > 0; i++ {
+		eng.Append("R0", 1, 1)
+		eng.Flush()
+	}
+	if lvl := eng.DegradeLevel(); lvl != 0 {
+		t.Fatalf("DegradeLevel = %d after the stall was released, want 0", lvl)
+	}
+}
+
 // TestLadderSheddingValidatesInput: rung 2 drops well-formed rows, but a
 // malformed call — wrong arity, or the wrong entry point for the relation's
 // window kind — panics before the shed draw, exactly as at rung 0.
