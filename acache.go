@@ -521,7 +521,9 @@ type Stats struct {
 	// or cache maintenance.
 	ReoptNanos int64
 	// SampledUpdates counts the updates on which the profiler drew a
-	// profiling decision: every update of an adaptive engine.
+	// profiling decision. Only an adaptive engine samples: every update
+	// while caching runs, none while the overload ladder pauses caching, and
+	// none with DisableCaching, which builds no profiler (DESIGN.md §23).
 	SampledUpdates uint64
 	// CandidateRescores counts candidate cost-model evaluations across all
 	// re-optimizations.

@@ -1,6 +1,7 @@
-// Command acache-verify fuzzes the adaptive engine against the naive
-// recomputation oracle: random queries, random pipeline orderings and
-// adaptivity settings, random insert/delete streams — every update's
+// Command acache-verify fuzzes the engine against the naive recomputation
+// oracle: random queries, random pipeline orderings, controllers (adaptive,
+// paused and resumed, MJoin, pinned) and adaptivity settings, random
+// insert/delete streams — every update's
 // result-delta multiset compared. It is the repository's standalone
 // correctness gate (the same oracle the test suite uses), usable for long
 // soak runs:
@@ -20,6 +21,7 @@ import (
 	"acache/internal/core"
 	"acache/internal/join"
 	"acache/internal/oracle"
+	"acache/internal/ordering"
 	"acache/internal/planner"
 	"acache/internal/profiler"
 	"acache/internal/query"
@@ -122,6 +124,29 @@ func trial(seed int64, updates int, verbose bool) error {
 		cfg.MemoryBudget = 1024 * (1 + rng.Intn(8))
 	}
 	ord := drawOrdering(rng, q.N())
+	// The controller (DESIGN.md §23): mostly adaptive, else a plain MJoin or
+	// a plan pinned to one candidate cache. Half the adaptive trials pause
+	// caching over a drawn stretch of updates, so the controller is set
+	// aside and put back mid-stream.
+	ctl, pauseAt, resumeAt := "adaptive", -1, -1
+	switch rng.Intn(5) {
+	case 0:
+		ctl, cfg.DisableCaching = "mjoin", true
+	case 1:
+		full := ord
+		if full == nil {
+			full = ordering.FromJoinGraph(q)
+		}
+		if cands := planner.Candidates(q, full); len(cands) > 0 {
+			i := rng.Intn(len(cands))
+			ctl, cfg.ForcedCaches = "pinned", cands[i:i+1]
+		}
+	default:
+		if rng.Intn(2) == 0 {
+			pauseAt = rng.Intn(updates)
+			resumeAt = pauseAt + rng.Intn(updates-pauseAt)
+		}
+	}
 	en, err := core.NewEngine(q, ord, cfg)
 	if err != nil {
 		return fmt.Errorf("seed %d: NewEngine: %v", seed, err)
@@ -155,6 +180,12 @@ func trial(seed int64, updates int, verbose bool) error {
 			u = stream.Update{Op: stream.Insert, Rel: rel, Tuple: tp}
 		}
 		u.Seq = uint64(i)
+		if i == pauseAt {
+			en.SetCachingPaused(true)
+		}
+		if i == resumeAt {
+			en.SetCachingPaused(false)
+		}
 		if k := len(en.UsedCaches()); k > peak {
 			peak = k
 		}
@@ -162,14 +193,14 @@ func trial(seed int64, updates int, verbose bool) error {
 		n := en.Process(u)
 		want := o.Process(u)
 		if n != len(got) || wrongSign || !oracle.MultisetEqual(oracle.Multiset(got), oracle.Multiset(want)) {
-			return fmt.Errorf("seed %d update %d (%v): engine counted %d deltas and emitted %v (sign mismatch: %v), oracle %v\nconfig: %+v\nplan: %+v",
-				seed, i, u, n, got, wrongSign, want, cfg, en.Plan())
+			return fmt.Errorf("seed %d update %d (%v): engine counted %d deltas and emitted %v (sign mismatch: %v), oracle %v\ncontroller: %s (pause window [%d, %d))\nconfig: %+v\nplan: %+v",
+				seed, i, u, n, got, wrongSign, want, ctl, pauseAt, resumeAt, cfg, en.Plan())
 		}
 	}
 	if verbose {
 		re, sk := en.Reopts()
-		fmt.Printf("seed %d: n=%d ok (%d reopts, %d skipped, %d caches at peak, multi-column index %v)\n",
-			seed, q.N(), re, sk, peak, multiColumnIndex(q, en.Plan().Pipelines))
+		fmt.Printf("seed %d: n=%d %s ok (pause window [%d, %d), %d reopts, %d skipped, %d caches at peak, multi-column index %v)\n",
+			seed, q.N(), ctl, pauseAt, resumeAt, re, sk, peak, multiColumnIndex(q, en.Plan().Pipelines))
 	}
 	return nil
 }

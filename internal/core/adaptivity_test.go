@@ -101,7 +101,7 @@ func TestReferenceAdaptivityDifferential(t *testing.T) {
 			// is common to both sides. A lower fast-side epoch therefore means
 			// a shared shadow really ran, so the comparison above is not
 			// vacuous for sharing.
-			if re, fe := ref.pf.StatsEpoch(), fast.pf.StatsEpoch(); tc.shares && fe >= re {
+			if re, fe := ref.ctl.pf.StatsEpoch(), fast.ctl.pf.StatsEpoch(); tc.shares && fe >= re {
 				t.Errorf("no shadow was shared: stats epoch %d fast vs %d reference", fe, re)
 			}
 		})
@@ -124,8 +124,8 @@ func TestWarmReoptAllocFree(t *testing.T) {
 		t.Fatal("engine never re-optimized; nothing is warm")
 	}
 
-	en.runSelection() // warm the workspace at the current candidate shape
-	if allocs := testing.AllocsPerRun(50, func() { en.runSelection() }); allocs > 0 {
+	en.ctl.runSelection() // warm the workspace at the current candidate shape
+	if allocs := testing.AllocsPerRun(50, func() { en.ctl.runSelection() }); allocs > 0 {
 		t.Errorf("warm runSelection allocates %.1f objects/run, want 0", allocs)
 	}
 }

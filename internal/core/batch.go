@@ -20,9 +20,9 @@ import (
 //     of those observation points falls strictly inside a run; reordering
 //     charges within a run is therefore invisible.
 //   - The profiler's random sequence is consumed only by ShouldProfile,
-//     exactly once per update. The driver draws in update order while
-//     sizing a run; a terminating "profile this one" draw is carried to the
-//     next iteration instead of redrawn.
+//     exactly once per update of an adaptive engine. The driver draws in
+//     update order while sizing a run; a terminating "profile this one" draw
+//     is carried to the next iteration instead of redrawn.
 //   - Profiled updates, runs of one, and relations the executor reports as
 //     non-batchable all go through processUpdate — literally the serial
 //     code path.
@@ -33,16 +33,13 @@ import (
 // runLimit never lets a run cross their boundaries: a boundary can only
 // coincide with a run's final update.
 func (en *Engine) ProcessBatch(ups []stream.Update) int {
+	a := en.ad // only the adaptive controller draws
 	total := 0
 	carryProfiled := false // ups[i]'s draw already made (and true) while sizing
 	for i := 0; i < len(ups); {
 		u := ups[i]
-		var profiled bool
-		if carryProfiled {
-			profiled, carryProfiled = true, false
-		} else {
-			profiled = en.shouldProfile(u.Rel)
-		}
+		profiled := carryProfiled || a != nil && a.pf.ShouldProfile(u.Rel)
+		carryProfiled = false
 		limit := en.runLimit(u.Rel)
 		if profiled || limit <= 1 {
 			en.meter.Charge(cost.WindowMaint)
@@ -52,7 +49,7 @@ func (en *Engine) ProcessBatch(ups []stream.Update) int {
 		}
 		j := i + 1
 		for j < len(ups) && j-i < limit && ups[j].Rel == u.Rel && ups[j].Op == u.Op {
-			if en.shouldProfile(ups[j].Rel) {
+			if a != nil && a.pf.ShouldProfile(ups[j].Rel) {
 				carryProfiled = true
 				break
 			}
@@ -75,13 +72,15 @@ func (en *Engine) ProcessBatch(ups []stream.Update) int {
 	return total
 }
 
+// maxRun caps a batched run when no adaptive controller observes the engine
+// between updates (an MJoin, a pinned plan, a paused engine); it bounds the
+// executor's per-run scratch at an adaptive engine's longest run, one default
+// rate span.
+const maxRun = 50
+
 // runLimit bounds the length of a batched run starting at an update to rel so
-// that no state observation point falls strictly inside the run. The profiler
-// caps it at the next rate-span boundary (a whole span away for a plain MJoin,
-// which never ticks); outside the forced / caching-off modes (which skip
-// adaptivity entirely) the monitor and re-optimization intervals cap it too,
-// and profiling phases force fully serial processing so every update's
-// statsReady check happens at its per-update position.
+// that no state observation point falls strictly inside the run; the
+// adaptive controller owns every such point (adaptive.runLimit).
 func (en *Engine) runLimit(rel int) int {
 	if en.exec.SharedStores() > 0 {
 		// Cross-query shared stores require sharers to interleave per
@@ -92,18 +91,8 @@ func (en *Engine) runLimit(rel int) int {
 	if !en.exec.Batchable(rel) {
 		return 1
 	}
-	limit := en.pf.TicksToSpan(rel)
-	if len(en.cfg.ForcedCaches) > 0 || en.cfg.DisableCaching || en.pausedCaching {
-		return limit
+	if a := en.ad; a != nil {
+		return a.runLimit(rel)
 	}
-	if en.profiling {
-		return 1
-	}
-	if m := en.monitorEvery - en.sinceMonitor; m < limit {
-		limit = m
-	}
-	if r := en.cfg.ReoptInterval - en.sinceReopt; r < limit {
-		limit = r
-	}
-	return limit
+	return maxRun
 }

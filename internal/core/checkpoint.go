@@ -92,37 +92,30 @@ func (s *Snapshot) AddSnapshot(o Snapshot) {
 	s.CandidateRescores += o.CandidateRescores
 }
 
-// DropCaches detaches every used (or suspended) cache immediately — the
-// paper's near-zero-cost degradation move: results stay exact, only the
-// work saved by the caches is lost until they are re-selected.
-func (en *Engine) DropCaches() {
+// SetCachingPaused pauses (or resumes) adaptive caching at run time — the
+// first rung of the overload degradation ladder. Pausing drops every cache —
+// the paper's near-zero-cost degradation move: results stay exact, only the
+// work saved by the caches is lost — and sets the adaptive controller aside,
+// so per update the engine does exactly what an MJoin does. The controller's
+// profiler, candidate estimates and counters survive; resuming puts it back
+// with a fresh profiling phase so caches can return (DESIGN.md §23).
+// No-op without an adaptive controller (an MJoin, a pinned plan), and when
+// the state does not change.
+func (en *Engine) SetCachingPaused(paused bool) {
+	a := en.ctl
+	if a == nil || paused == (en.ad == nil) {
+		return
+	}
+	if !paused {
+		en.ad = a
+		a.resume()
+		return
+	}
+	en.ad = nil
+	a.pause()
 	for _, c := range en.cands {
 		if c.state == Used || c.suspended {
 			en.detach(c)
 		}
 	}
-}
-
-// SetCachingPaused pauses (or resumes) adaptive caching at run time — the
-// first rung of the overload degradation ladder. Pausing drops every cache
-// and stops all adaptivity work (profiling, monitoring, re-optimization),
-// shedding their overhead while results stay exact; resuming starts a fresh
-// profiling phase so caches can return.
-// No-op in forced-cache or caching-disabled modes, and when the state does
-// not change.
-func (en *Engine) SetCachingPaused(paused bool) {
-	if len(en.cfg.ForcedCaches) > 0 || en.cfg.DisableCaching || paused == en.pausedCaching {
-		return
-	}
-	en.pausedCaching = paused
-	if paused {
-		en.stopShadows()
-		en.profiling = false
-		en.readyCand = nil
-		en.DropCaches()
-		return
-	}
-	en.sinceReopt = 0
-	en.sinceMonitor = 0
-	en.startProfilingPhase()
 }

@@ -9,10 +9,8 @@
 package core
 
 import (
-	"math/rand"
 	"slices"
 	"strings"
-	"time"
 
 	"acache/internal/cost"
 	"acache/internal/join"
@@ -21,7 +19,6 @@ import (
 	"acache/internal/planner"
 	"acache/internal/profiler"
 	"acache/internal/query"
-	"acache/internal/selection"
 	"acache/internal/stream"
 	"acache/internal/tuple"
 )
@@ -80,11 +77,13 @@ type Config struct {
 	// MemoryBudget is the bytes available for caches; ≤ 0 is unlimited
 	// (Section 5, Figure 13) — withDefaults maps 0 to −1.
 	MemoryBudget int
-	// DisableCaching runs a plain MJoin (the baseline M of Section 7.3).
+	// DisableCaching runs a plain MJoin (the baseline M of Section 7.3): no
+	// candidates, no profiler, no sampling.
 	DisableCaching bool
-	// ForcedCaches, when non-empty, pins exactly these caches in place and
-	// disables adaptive selection — Figures 6–8 force the single candidate
-	// cache to be used.
+	// ForcedCaches, when non-empty, pins exactly these caches in place for
+	// the engine's life — Figures 6–8 force the single candidate cache to be
+	// used. A pinned plan is static: it builds no profiler and samples no
+	// update. It takes precedence over DisableCaching.
 	ForcedCaches []*planner.Spec
 	// Selection picks the offline algorithm.
 	Selection SelectionMode
@@ -127,11 +126,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// changeThreshold is p of Section 4.5(c): re-optimization is skipped unless
-// some used or profiled cache's benefit or cost moved by more than this
-// fraction since the last selection.
-const changeThreshold = 0.2
-
 // placementKey identifies one candidate placement (memoized on the spec).
 func placementKey(s *planner.Spec) string { return s.Key() }
 
@@ -166,16 +160,16 @@ type monitorSnapshot struct {
 	probes, hits int64
 }
 
-// Engine is the adaptive stream-join engine.
+// Engine is the stream-join engine: the Executor of Figure 4 with its
+// candidate caches, plus — for an adaptive engine — the Profiler and
+// Re-optimizer in one adaptive controller.
 type Engine struct {
 	q     *query.Query
 	cfg   Config
 	meter *cost.Meter
 	exec  *join.Exec
 	ord   planner.Ordering // fixed at build time; never reordered
-	pf    *profiler.Profiler
 	mem   *memory.Manager
-	rng   *rand.Rand
 
 	// cands holds the candidate placements in placement-key order, so every
 	// walk — selection ties, group benefit sums, pooled demand, the order
@@ -185,18 +179,15 @@ type Engine struct {
 	cands     []*cand
 	instances map[string]*join.Instance // by SharingID, for Used caches
 
-	// monitorEvery is how often used caches' net benefit is rechecked for
-	// the immediate-demotion rule of Section 4.5(a): every I/10 updates.
-	// maxProfiling bounds a profiling phase, 2I updates, before selection
-	// runs with whatever statistics are available.
-	monitorEvery int
-	maxProfiling int
+	// ctl is the adaptive controller, chosen once in NewEngine: nil for a
+	// plain MJoin (DisableCaching) and for a pinned plan (ForcedCaches). ad
+	// is the per-update hook: ctl while it runs, nil while caching is paused
+	// (SetCachingPaused), so a paused engine does per update exactly what an
+	// MJoin does.
+	ctl, ad *adaptive
 
-	updates      int
-	sinceReopt   int
-	sinceMonitor int
-	profiling    bool
-	profilingFor int
+	updates int
+	outputs uint64
 	// allocateMemory's scratch, reused so a host server's periodic
 	// rebalance allocates nothing at steady state.
 	allocInfos  map[string]allocInfo
@@ -208,52 +199,6 @@ type Engine struct {
 	demandDetail    []GroupDemand
 	demandDetailIdx map[string]int
 	crossIDs        map[string]string
-	// pausedCaching suspends all adaptivity (profiling, monitoring,
-	// re-optimization) with caches dropped — the overload degradation
-	// ladder's first rung (see SetCachingPaused).
-	pausedCaching bool
-	// readyCand caches the candidate whose shadow window statsReady last
-	// found unfilled, so the per-update readiness poll during a profiling
-	// phase re-checks one window instead of scanning all candidates. Purely
-	// a memo: statsReady's answer is unchanged (see the invariant there).
-	readyCand *cand
-	// reoptCount drives the profiling duty cycle: a full profile — which
-	// suspends used caches that deny subset candidates their probe stream
-	// (Section 4.5(b)) — runs only every fullProfileEvery-th
-	// re-optimization; the others profile only candidates whose probe
-	// stream is unobstructed, bounding the throughput lost to profiling.
-	reoptCount int
-
-	// Epoch-memoized readiness poll: statsReady is called once per update
-	// during a profiling phase, but its window-backed inputs change only at
-	// profiler stats epochs. readyEpoch/readyEpochOK memoize a false answer
-	// per epoch; unreadyPipe records the pipeline whose traffic-share early
-	// exit blocked it (−1 when blocked on a window or shadow), the one input
-	// that moves between epochs and must be re-checked per update.
-	readyEpoch   int64
-	readyEpochOK bool
-	unreadyPipe  int
-
-	// Re-optimization scratch, reused across intervals so a warm
-	// re-optimization allocates nothing: the selection problem and
-	// workspace, the chosen set, and monitorUsed's group table.
-	selWS       selection.Workspace
-	selProb     selection.Problem
-	selGroupIDs map[string]int
-	selList     []*cand
-	chosenBuf   []*cand
-	inChosenBuf map[*cand]bool
-	monIdx      map[string]int
-	monEvals    []groupEval
-
-	// Adaptivity telemetry: cumulative wall nanos inside the re-optimizer
-	// (monitor + profiling-phase transitions) and cost-model re-evaluations.
-	reoptNanos   int64
-	candRescores uint64
-
-	outputs uint64
-	// Reopts counts selection runs; SkippedReopts counts p-threshold skips.
-	reopts, skippedReopts int
 
 	// resultSinks receive canonicalized join-result deltas.
 	resultSinks []func(insert bool, result []tuple.Value)
@@ -272,32 +217,23 @@ func NewEngine(q *query.Query, ord planner.Ordering, cfg Config) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
-	cfg.Profiler.Seed = cfg.Seed + 1
-	pf := profiler.New(q, exec, meter, cfg.Profiler)
-	if cfg.ReferenceAdaptivity {
-		pf.DisableShadowSharing()
-	}
 	en := &Engine{
-		q:           q,
-		cfg:         cfg,
-		meter:       meter,
-		exec:        exec,
-		ord:         exec.Ordering(),
-		pf:          pf,
-		mem:         memory.NewManager(cfg.MemoryBudget),
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		instances:   make(map[string]*join.Instance),
-		unreadyPipe: -1,
+		q:         q,
+		cfg:       cfg,
+		meter:     meter,
+		exec:      exec,
+		ord:       exec.Ordering(),
+		mem:       memory.NewManager(cfg.MemoryBudget),
+		instances: make(map[string]*join.Instance),
 	}
-	en.monitorEvery = max(cfg.ReoptInterval/10, 1)
-	en.maxProfiling = 2 * cfg.ReoptInterval
 	if len(cfg.ForcedCaches) > 0 {
-		if err := en.attachForced(); err != nil {
+		if err := en.attachForced(cfg.ForcedCaches); err != nil {
 			return nil, err
 		}
 	} else if !cfg.DisableCaching {
 		en.buildCandidates()
-		en.startProfilingPhase()
+		en.ctl = newAdaptive(en)
+		en.ad = en.ctl
 	}
 	return en, nil
 }
@@ -352,12 +288,18 @@ func (en *Engine) installResultTaps() {
 	}
 }
 
-// Reopts returns (selection runs, p-threshold skips).
-func (en *Engine) Reopts() (int, int) { return en.reopts, en.skippedReopts }
+// Reopts returns (selection runs, p-threshold skips); both stay zero without
+// an adaptive controller.
+func (en *Engine) Reopts() (int, int) {
+	if a := en.ctl; a != nil {
+		return a.reopts, a.skippedReopts
+	}
+	return 0, 0
+}
 
-// attachForced pins the configured caches (Figures 6–8).
-func (en *Engine) attachForced() error {
-	for _, spec := range en.cfg.ForcedCaches {
+// attachForced pins the given caches (Figures 6–8).
+func (en *Engine) attachForced(specs []*planner.Spec) error {
+	for _, spec := range specs {
 		inst := en.instanceFor(spec, 4096)
 		if err := en.exec.AttachCache(spec, inst); err != nil {
 			return err
@@ -401,32 +343,108 @@ func (en *Engine) instanceFor(spec *planner.Spec, buckets int) *join.Instance {
 	return inst
 }
 
+// detach removes a used or suspended placement; when its instance's last
+// placement goes away the instance is released. A suspended placement's
+// shadow is the controller's to stop.
+func (en *Engine) detach(c *cand) {
+	if c.state != Used && !c.suspended {
+		return
+	}
+	en.exec.DetachCache(c.spec)
+	en.release(c)
+	c.inst = nil
+	c.suspended = false
+	c.state = Unused
+}
+
+// release drops c's cache instance unless another used or suspended
+// placement shares it.
+func (en *Engine) release(c *cand) {
+	id := c.spec.SharingID()
+	for _, d := range en.cands {
+		if d != c && (d.state == Used || d.suspended) && d.spec.SharingID() == id {
+			return
+		}
+	}
+	delete(en.instances, id)
+}
+
+// allocInfo aggregates one shared instance's net benefit and byte appetite
+// while allocateMemory groups candidates by sharing identity.
+type allocInfo struct {
+	net   float64
+	bytes float64
+}
+
+// allocateMemory divides the budget among used caches by priority
+// (Section 5) and applies the grants as per-instance byte budgets. Its
+// grouping map, request slice, and grant map live on the engine and are
+// reused, so the periodic rebalance path allocates nothing at steady state.
+func (en *Engine) allocateMemory() {
+	if en.allocInfos == nil {
+		en.allocInfos = make(map[string]allocInfo)
+		en.allocGrants = make(map[string]int)
+	}
+	clear(en.allocInfos)
+	for _, c := range en.cands {
+		if c.state != Used {
+			continue
+		}
+		id := c.spec.SharingID()
+		info, seen := en.allocInfos[id]
+		if !seen {
+			info.net = -c.est.Cost // group cost once
+		}
+		info.net += c.est.Benefit
+		b := c.est.ExpectedBytes
+		if actual := float64(en.instances[id].Cache().UsedBytes()); actual > b {
+			b = actual
+		}
+		if b > info.bytes {
+			info.bytes = b
+		}
+		en.allocInfos[id] = info
+	}
+	en.allocReqs = en.allocReqs[:0]
+	for id, info := range en.allocInfos {
+		bytes := int(info.bytes)
+		if bytes < memory.PageBytes {
+			bytes = memory.PageBytes
+		}
+		en.allocReqs = append(en.allocReqs, memory.Request{
+			ID:       id,
+			Priority: info.net / float64(bytes),
+			Bytes:    bytes,
+		})
+	}
+	en.mem.AllocateInto(en.allocGrants, en.allocReqs)
+	for id, grant := range en.allocGrants {
+		if inst, ok := en.instances[id]; ok {
+			inst.Cache().SetBudget(grant)
+		}
+	}
+}
+
 // Process runs one update through the engine: profiling decision, join
 // computation, adaptivity bookkeeping. It returns the number of join result
 // updates emitted.
 func (en *Engine) Process(u stream.Update) int {
 	en.meter.Charge(cost.WindowMaint)
-	return en.processUpdate(u, en.shouldProfile(u.Rel))
-}
-
-// shouldProfile draws the profiling decision for the next update to rel. A
-// plain MJoin (DisableCaching) never draws, observes or ticks: nothing reads
-// the profiler there — no candidates, no re-optimization, no ordering advice
-// — and a profiled update without caches charges what a plain one does.
-func (en *Engine) shouldProfile(rel int) bool {
-	return !en.cfg.DisableCaching && en.pf.ShouldProfile(rel)
+	a := en.ad
+	return en.processUpdate(u, a != nil && a.pf.ShouldProfile(u.Rel))
 }
 
 // processUpdate is the serial per-update path with the window-maintenance
 // charge and the profiling draw hoisted to the caller: Process draws inline,
 // while the batch driver (ProcessBatch) draws ahead when sizing runs and
 // passes the outcome through so the profiler's random sequence is consumed in
-// exactly the per-update order.
+// exactly the per-update order. Only the adaptive controller draws, so a
+// profiled update implies en.ad is set.
 func (en *Engine) processUpdate(u stream.Update, profiled bool) int {
 	var outputs int
 	if profiled {
 		res, prof := en.exec.ProcessProfiled(u)
-		en.pf.Observe(u.Rel, prof)
+		en.ad.pf.Observe(u.Rel, prof)
 		outputs = res.Outputs
 	} else {
 		outputs = en.exec.Process(u).Outputs
@@ -437,44 +455,12 @@ func (en *Engine) processUpdate(u stream.Update, profiled bool) int {
 
 // afterUpdates is the bookkeeping owed after k processed updates to rel that
 // emitted outputs results: one serial update (k = 1) or one batched run
-// (ProcessBatch). The profiling arm is reachable only at k = 1: runLimit
-// never admits a run while the engine profiles, and nothing a run's
-// bookkeeping calls starts a phase before the re-optimization check at its
-// end.
+// (ProcessBatch).
 func (en *Engine) afterUpdates(rel, k, outputs int) {
-	if !en.cfg.DisableCaching {
-		en.pf.TickN(rel, k)
-	}
 	en.updates += k
 	en.outputs += uint64(outputs)
-
-	if len(en.cfg.ForcedCaches) > 0 || en.cfg.DisableCaching || en.pausedCaching {
-		return
-	}
-
-	en.sinceMonitor += k
-	if en.sinceMonitor >= en.monitorEvery {
-		en.sinceMonitor = 0
-		tm := time.Now()
-		en.monitorUsed()
-		en.reoptNanos += time.Since(tm).Nanoseconds()
-	}
-
-	if en.profiling {
-		en.profilingFor++
-		if en.statsReady() || en.profilingFor >= en.maxProfiling {
-			tm := time.Now()
-			en.finishReopt()
-			en.reoptNanos += time.Since(tm).Nanoseconds()
-		}
-		return
-	}
-	en.sinceReopt += k
-	if en.sinceReopt >= en.cfg.ReoptInterval {
-		en.sinceReopt = 0
-		tm := time.Now()
-		en.startReopt()
-		en.reoptNanos += time.Since(tm).Nanoseconds()
+	if a := en.ad; a != nil {
+		a.afterUpdates(rel, k)
 	}
 }
 
@@ -492,7 +478,9 @@ type Snapshot struct {
 	Reopts, SkippedReopts int
 	// CacheMemoryBytes is the bytes held by cache instances.
 	CacheMemoryBytes int
-	// WindowBytes is the tuple footprint of the relation window stores.
+	// WindowBytes is the tuple footprint of the relation window stores
+	// (shared stores at full size; a host discounts duplicates through its
+	// sharing registry).
 	WindowBytes int
 	// SharedStores is the number of relations whose window store is
 	// cross-query shared (attached through a hosting server's registry).
@@ -501,7 +489,9 @@ type Snapshot struct {
 	// (used-cache monitoring, profiling-phase transitions, selection) —
 	// the adaptivity tax off the per-tuple path. Always measured.
 	ReoptNanos int64
-	// SampledUpdates counts updates that drew a profiling decision.
+	// SampledUpdates counts updates that drew a profiling decision. Only an
+	// adaptive engine samples, and not while caching is paused: an MJoin
+	// or a pinned plan reports zero (DESIGN.md §23).
 	SampledUpdates uint64
 	// CandidateRescores counts cost-model re-evaluations of candidate
 	// caches.
@@ -523,15 +513,18 @@ func (en *Engine) Snapshot() Snapshot {
 		Updates:          en.updates,
 		Outputs:          en.outputs,
 		Work:             en.meter.Total(),
-		Reopts:           en.reopts,
-		SkippedReopts:    en.skippedReopts,
 		CacheMemoryBytes: en.CacheMemoryBytes(),
-		WindowBytes:      en.WindowBytes(),
 		SharedStores:     en.exec.SharedStores(),
 	}
-	s.ReoptNanos = en.reoptNanos
-	s.SampledUpdates = en.pf.SampledUpdates()
-	s.CandidateRescores = en.candRescores
+	for r := 0; r < en.q.N(); r++ {
+		s.WindowBytes += en.exec.Store(r).MemoryBytes()
+	}
+	if a := en.ctl; a != nil {
+		s.Reopts, s.SkippedReopts = a.reopts, a.skippedReopts
+		s.ReoptNanos = a.reoptNanos
+		s.SampledUpdates = a.pf.SampledUpdates()
+		s.CandidateRescores = a.candRescores
+	}
 	return s
 }
 
@@ -651,17 +644,6 @@ func (en *Engine) CacheMemoryBytes() int {
 // MemoryBudgetBytes returns the engine's current cache-memory budget
 // (<0 = unlimited).
 func (en *Engine) MemoryBudgetBytes() int { return en.mem.Budget() }
-
-// WindowBytes returns the tuple footprint of the relation window stores
-// (shared stores included at full size; a host discounts duplicates through
-// its sharing registry).
-func (en *Engine) WindowBytes() int {
-	n := 0
-	for r := 0; r < en.q.N(); r++ {
-		n += en.exec.Store(r).MemoryBytes()
-	}
-	return n
-}
 
 // GroupDemand is one used cache sharing group's memory appetite, identified
 // by its cross-query canonical identity so a hosting server can pool demand

@@ -26,7 +26,16 @@ func cacheStates(en *Engine) string {
 
 func threeWay(t *testing.T) *query.Query {
 	t.Helper()
-	q, err := query.New(
+	q, err := threeWayQuery()
+	if err != nil {
+		t.Fatalf("query.New: %v", err)
+	}
+	return q
+}
+
+// threeWayQuery is R0(A) ⋈_A R1(A, B) ⋈_B R2(B).
+func threeWayQuery() (*query.Query, error) {
+	return query.New(
 		[]*tuple.Schema{
 			tuple.RelationSchema(0, "A"),
 			tuple.RelationSchema(1, "A", "B"),
@@ -37,10 +46,6 @@ func threeWay(t *testing.T) *query.Query {
 			{Left: tuple.Attr{Rel: 1, Name: "B"}, Right: tuple.Attr{Rel: 2, Name: "B"}},
 		},
 	)
-	if err != nil {
-		t.Fatalf("query.New: %v", err)
-	}
-	return q
 }
 
 func fourWayClique(t *testing.T) *query.Query { return starOnA(t, 4) }

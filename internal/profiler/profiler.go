@@ -183,6 +183,19 @@ func (pf *Profiler) TickN(rel, k int) {
 	}
 }
 
+// RestartSpans opens a fresh rate span on every relation at the current
+// meter reading, dropping the partial ones. A caller that stopped ticking for
+// a while (a paused engine) calls it before ticking again: the open span
+// would otherwise divide the ticks after the gap by the time of the whole
+// gap.
+func (pf *Profiler) RestartSpans() {
+	now := cost.Seconds(pf.meter.Total())
+	for _, ps := range pf.pipes {
+		ps.spanN = 0
+		ps.spanT = now
+	}
+}
+
 // TicksToSpan returns how many more Ticks to rel can happen before a
 // rate-span boundary is observed, always ≥ 1 (spanN resets to zero at each
 // boundary). The boundary tick reads the shared cost meter, so the engine's

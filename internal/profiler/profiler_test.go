@@ -311,3 +311,28 @@ func TestWarmShadowCycleAllocFree(t *testing.T) {
 		t.Errorf("warm shadow start/stop allocates %.1f objects/cycle, want 0", allocs)
 	}
 }
+
+// TestRestartSpansSkipsUntickedGap checks that a caller that stops ticking
+// for a stretch (a paused engine) and restarts the spans before ticking
+// again gets the rate of the ticks it made, not one diluted by the gap's
+// meter time.
+func TestRestartSpansSkipsUntickedGap(t *testing.T) {
+	_, _, pf, meter := setup(t, Config{W: 2, RateSpan: 10})
+	tick := func(n int) {
+		for i := 0; i < n; i++ {
+			meter.Charge(cost.WindowMaint)
+			pf.TickN(0, 1)
+		}
+	}
+	tick(40)
+	want := pf.Rate(0)
+	tick(5) // an open, partial span
+	for i := 0; i < 1000; i++ {
+		meter.Charge(cost.WindowMaint) // work no tick accounts for
+	}
+	pf.RestartSpans()
+	tick(20)
+	if got := pf.Rate(0); got < want*(1-1e-9) || got > want*(1+1e-9) {
+		t.Fatalf("rate after the gap %.6g, want %.6g", got, want)
+	}
+}
