@@ -65,14 +65,13 @@ type adaptive struct {
 
 	// Re-optimization scratch, reused across intervals so a warm
 	// re-optimization allocates nothing: the selection problem and
-	// workspace, the chosen set, and monitorUsed's group table.
-	selWS       selection.Workspace
-	selProb     selection.Problem
-	selGroupIDs map[string]int
-	selList     []*cand
-	chosenBuf   []*cand
-	monIdx      map[string]int
-	monEvals    []groupEval
+	// workspace, its group numbering (selection group per sharing group, −1
+	// while unnumbered), and the chosen set.
+	selWS     selection.Workspace
+	selProb   selection.Problem
+	selGroup  []int
+	selList   []*cand
+	chosenBuf []*cand
 
 	// Adaptivity telemetry: cumulative wall nanos inside the re-optimizer
 	// (monitor + profiling-phase transitions) and cost-model re-evaluations.
@@ -98,6 +97,9 @@ func newAdaptive(en *Engine) *adaptive {
 	}
 	if cfg.ReferenceAdaptivity {
 		a.pf.DisableShadowSharing()
+	}
+	for _, c := range en.cands {
+		c.slot = a.pf.AddSlot(c.spec)
 	}
 	a.startProfilingPhase()
 	return a
@@ -197,7 +199,7 @@ func (a *adaptive) startProfilingPhase() {
 					if en.exec.SuspendLookup(c.spec) {
 						c.suspended = true
 						c.state = Profiled
-						a.pf.StartShadow(c.spec)
+						a.pf.StartShadow(c.slot)
 						c.shadowOn = true
 					}
 					break
@@ -219,14 +221,14 @@ func (a *adaptive) startProfilingPhase() {
 			// Miss probability observed directly; reset the observation
 			// window so the estimate is fresh.
 			c.monStat = monitorSnapshot{}
-			c.inst.Cache().ResetStats()
+			en.instOf(c).Cache().ResetStats()
 			continue
 		}
 		if !full && covered(c) {
 			continue // estimate kept from the last full profile
 		}
 		c.state = Profiled
-		a.pf.StartShadow(c.spec)
+		a.pf.StartShadow(c.slot)
 		c.shadowOn = true
 	}
 	a.profiling = true
@@ -267,7 +269,7 @@ func (a *adaptive) statsReady() bool {
 	a.readyEpochOK = false
 	if c := a.readyCand; c != nil {
 		if c.state == Profiled && c.shadowOn {
-			if _, ok := a.pf.ShadowMissProb(c.spec); !ok {
+			if _, ok := a.pf.ShadowMissProb(c.slot); !ok {
 				a.noteUnready(-1)
 				return false
 			}
@@ -284,7 +286,7 @@ func (a *adaptive) statsReady() bool {
 		if c.state != Profiled || !c.shadowOn {
 			continue
 		}
-		if _, ok := a.pf.ShadowMissProb(c.spec); !ok {
+		if _, ok := a.pf.ShadowMissProb(c.slot); !ok {
 			a.readyCand = c
 			a.noteUnready(-1)
 			return false
@@ -335,7 +337,7 @@ func (a *adaptive) finishReopt() {
 func (a *adaptive) stopShadows() {
 	for _, c := range a.en.cands {
 		if c.state == Profiled {
-			a.pf.StopShadow(c.spec)
+			a.pf.StopShadow(c.slot)
 			c.state = Unused
 		}
 		c.shadowOn = false
@@ -351,14 +353,15 @@ func (a *adaptive) estimate(c *cand) profiler.Estimate {
 	var distinct float64
 	switch c.state {
 	case Used:
-		st := c.inst.Cache().Stats()
+		inst := a.en.instOf(c)
+		st := inst.Cache().Stats()
 		if st.Probes > 0 {
 			missProb = float64(st.Misses) / float64(st.Probes)
 		}
-		distinct = float64(c.inst.Cache().Entries())
+		distinct = float64(inst.Cache().Entries())
 	default:
-		missProb, _ = a.pf.ShadowMissProb(c.spec)
-		distinct, _ = a.pf.ShadowDistinct(c.spec)
+		missProb, _ = a.pf.ShadowMissProb(c.slot)
+		distinct, _ = a.pf.ShadowDistinct(c.slot)
 	}
 	return a.pf.Estimate(c.spec, missProb, distinct)
 }
@@ -401,21 +404,25 @@ func relChange(now, then float64) float64 {
 }
 
 // runSelection builds the selection problem from current estimates and runs
-// the configured offline algorithm. The problem, candidate list, group
-// index, and algorithm workspace all live on the engine and are reused, so
-// a warm selection allocates nothing; ReferenceAdaptivity rebuilds them
-// from scratch each time (identical results, the reuse's differential
-// foil). The returned slice is valid until the next selection.
+// the configured offline algorithm. Selection groups are numbered in order
+// of each sharing group's first ready candidate. The problem, candidate
+// list, group numbering, and algorithm workspace all live on the controller
+// and are reused, so a warm selection allocates nothing;
+// ReferenceAdaptivity rebuilds them from scratch each time (identical
+// results, the reuse's differential foil). The returned slice is valid
+// until the next selection.
 func (a *adaptive) runSelection() []*cand {
 	en := a.en
 	if en.cfg.ReferenceAdaptivity {
-		a.selProb, a.selWS, a.selGroupIDs, a.selList = selection.Problem{}, selection.Workspace{}, nil, nil
+		a.selProb, a.selWS, a.selGroup, a.selList = selection.Problem{}, selection.Workspace{}, nil, nil
 	}
-	if a.selGroupIDs == nil {
-		a.selGroupIDs = make(map[string]int)
+	if a.selGroup == nil {
+		a.selGroup = make([]int, len(en.groups))
 	}
-	prob, ws, groupIDs, list := &a.selProb, &a.selWS, a.selGroupIDs, a.selList[:0]
-	clear(groupIDs)
+	prob, ws, selGroup, list := &a.selProb, &a.selWS, a.selGroup, a.selList[:0]
+	for i := range selGroup {
+		selGroup[i] = -1
+	}
 	n := en.q.N()
 	if cap(prob.OpCosts) < n {
 		prob.OpCosts = make([][]float64, n)
@@ -434,10 +441,10 @@ func (a *adaptive) runSelection() []*cand {
 		if !c.est.Ready {
 			continue
 		}
-		gid, ok := groupIDs[c.spec.SharingID()]
-		if !ok {
+		gid := selGroup[c.group]
+		if gid < 0 {
 			gid = len(prob.GroupCosts)
-			groupIDs[c.spec.SharingID()] = gid
+			selGroup[c.group] = gid
 			prob.GroupCosts = append(prob.GroupCosts, c.est.Cost)
 		}
 		prob.Cands = append(prob.Cands, selection.Candidate{
@@ -496,7 +503,7 @@ func (a *adaptive) applySelection(chosen []*cand) {
 	for _, c := range en.cands {
 		if (c.state == Used || c.suspended) && !slices.Contains(chosen, c) {
 			if c.suspended {
-				a.pf.StopShadow(c.spec)
+				a.pf.StopShadow(c.slot)
 			}
 			en.detach(c)
 		}
@@ -506,7 +513,7 @@ func (a *adaptive) applySelection(chosen []*cand) {
 			continue
 		}
 		if c.state == Profiled {
-			a.pf.StopShadow(c.spec)
+			a.pf.StopShadow(c.slot)
 		}
 		if c.suspended {
 			// Resume warm: the instance stayed maintained while suspended.
@@ -519,7 +526,7 @@ func (a *adaptive) applySelection(chosen []*cand) {
 			}
 			c.suspended = false
 			c.state = Used
-			st := c.inst.Cache().Stats()
+			st := en.instOf(c).Cache().Stats()
 			c.monStat = monitorSnapshot{probes: st.Probes, hits: st.Hits}
 			continue
 		}
@@ -530,7 +537,7 @@ func (a *adaptive) applySelection(chosen []*cand) {
 		for buckets < 8*int(c.est.ExpectedEntries) && buckets < 1<<17 {
 			buckets *= 2
 		}
-		inst := en.instanceFor(c.spec, buckets)
+		inst := en.instanceFor(c, buckets)
 		if err := en.exec.AttachCache(c.spec, inst); err != nil {
 			// The executor enforces constraints the selection does not
 			// model — notably that a cache span must not swallow another
@@ -544,7 +551,6 @@ func (a *adaptive) applySelection(chosen []*cand) {
 			continue
 		}
 		c.warmed = false
-		c.inst = inst
 		c.state = Used
 		c.warmProbes = 3 * int64(c.est.ExpectedEntries)
 		if c.warmProbes < 100 {
@@ -555,31 +561,21 @@ func (a *adaptive) applySelection(chosen []*cand) {
 	}
 }
 
-// groupEval aggregates one sharing group's monitored net benefit; the
-// engine's monEvals slice reuses these (and their member slices) across
-// monitor runs so the periodic check allocates nothing at steady state.
-type groupEval struct {
-	net     float64
-	members []*cand
-}
-
 // monitorUsed implements Section 4.5(a): benefit(C) − cost(C) is monitored
 // continuously for used caches via their live hit statistics, and a cache
 // whose group turns unprofitable is moved to Unused immediately. (Gradual
 // reaction — promoting unused caches — happens only at re-optimization.)
+// A group is judged on its members this pass re-estimated (c.judged),
+// groups in order of their first such member.
 func (a *adaptive) monitorUsed() {
 	en := a.en
-	// Evaluate per sharing group: benefits add up, cost is paid once.
-	if a.monIdx == nil {
-		a.monIdx = make(map[string]int)
-	}
-	clear(a.monIdx)
-	evals := a.monEvals[:0]
 	for _, c := range en.cands {
+		c.judged = false
 		if c.state != Used {
 			continue
 		}
-		st := c.inst.Cache().Stats()
+		inst := en.instOf(c)
+		st := inst.Cache().Stats()
 		if !c.warmed {
 			// Warm-up grace: a freshly attached cache is still populating;
 			// its cold-start misses must never count against it. Once
@@ -599,34 +595,29 @@ func (a *adaptive) monitorUsed() {
 		missProb := 1 - float64(dh)/float64(dp)
 		c.monStat = monitorSnapshot{probes: st.Probes, hits: st.Hits}
 		a.candRescores++
-		est := a.pf.Estimate(c.spec, missProb, float64(c.inst.Cache().Entries()))
+		est := a.pf.Estimate(c.spec, missProb, float64(inst.Cache().Entries()))
 		if !est.Ready {
 			continue
 		}
 		c.est = est
-		id := c.spec.SharingID()
-		gi, ok := a.monIdx[id]
-		if !ok {
-			gi = len(evals)
-			a.monIdx[id] = gi
-			var members []*cand // reuse the slot's member slice
-			if gi < cap(evals) {
-				members = evals[:gi+1][gi].members[:0]
-			}
-			evals = append(evals, groupEval{net: -est.Cost, members: members})
-		}
-		e := &evals[gi]
-		e.net += est.Benefit
-		e.members = append(e.members, c)
+		c.judged = true
 	}
-	a.monEvals = evals
-	for i := range evals {
-		g := &evals[i]
-		if g.net < 0 {
-			for _, c := range g.members {
-				c.demotions++
-				en.detach(c)
+	// Evaluate per sharing group: benefits add up, cost is paid once.
+	for _, c := range en.cands {
+		if !c.judged {
+			continue
+		}
+		g := &en.groups[c.group]
+		if net, lead := g.net(judged); lead != c || net >= 0 {
+			continue
+		}
+		for _, d := range g.members {
+			if d.judged {
+				d.demotions++
+				en.detach(d)
 			}
 		}
 	}
 }
+
+func judged(c *cand) bool { return c.judged }

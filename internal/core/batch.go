@@ -82,12 +82,6 @@ const maxRun = 50
 // that no state observation point falls strictly inside the run; the
 // adaptive controller owns every such point (adaptive.runLimit).
 func (en *Engine) runLimit(rel int) int {
-	if en.exec.SharedStores() > 0 {
-		// Cross-query shared stores require sharers to interleave per
-		// update (join.Exec's lockstep contract); a vectorized run would
-		// apply a whole stretch before co-sharers observed any of it.
-		return 1
-	}
 	if !en.exec.Batchable(rel) {
 		return 1
 	}

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
-	"acache/internal/join"
 	"acache/internal/planner"
 	"acache/internal/query"
 	"acache/internal/stream"
@@ -85,22 +83,19 @@ func captureState(en *Engine) engineState {
 	for rel := 0; rel < en.q.N(); rel++ {
 		st.stores = append(st.stores, fmt.Sprint(en.exec.Store(rel).All()))
 	}
-	ids := make([]string, 0, len(en.instances))
-	for id := range en.instances {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	counted := make(map[*join.Instance]bool) // incrementally maintained GC caches
-	for _, c := range en.cands {
-		if c.inst != nil {
-			counted[c.inst] = c.spec.GC && !c.spec.SelfMaint
+	for _, g := range en.groups {
+		if g.inst == nil {
+			continue
 		}
-	}
-	for _, id := range ids {
-		inst := en.instances[id]
-		c := inst.Cache()
-		dump := fmt.Sprintf("%s entries=%d used=%d stats=%+v;", id, c.Entries(), c.UsedBytes(), c.Stats())
-		if counted[inst] {
+		counted := false // an incrementally maintained GC cache
+		for _, m := range g.members {
+			if m.state == Used || m.suspended {
+				counted = m.spec.GC && !m.spec.SelfMaint
+			}
+		}
+		c := g.inst.Cache()
+		dump := fmt.Sprintf("%s entries=%d used=%d stats=%+v;", g.id, c.Entries(), c.UsedBytes(), c.Stats())
+		if counted {
 			c.EachCounted(func(u tuple.Key, v []tuple.Tuple, mults, supports []int) {
 				dump += fmt.Sprintf(" %v=%v*%v/%v", u, v, mults, supports)
 			})

@@ -126,9 +126,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// placementKey identifies one candidate placement (memoized on the spec).
-func placementKey(s *planner.Spec) string { return s.Key() }
-
 // cand tracks one candidate placement's state and statistics.
 type cand struct {
 	spec  *planner.Spec
@@ -141,7 +138,9 @@ type cand struct {
 	// shadowOn marks a live shadow estimator for this profiling phase;
 	// candidates without one keep their previous estimate.
 	shadowOn bool
-	inst     *join.Instance // non-nil while Used
+	// group indexes the candidate's sharing group in Engine.groups, and slot
+	// its probe stream in the profiler; both are fixed at build time.
+	group, slot int
 	// warmProbes is how many probes the monitor lets pass before judging
 	// the cache (a fresh cache starts empty and needs roughly its expected
 	// entry population in probes before its miss rate reflects steady
@@ -154,11 +153,63 @@ type cand struct {
 	suspended bool
 	monStat   monitorSnapshot
 	demotions int
+	// judged marks a used cache the current monitor pass re-estimated.
+	judged bool
 }
 
 type monitorSnapshot struct {
 	probes, hits int64
 }
+
+// group is one sharing group: the candidate placements whose caches share
+// one instance (equal Spec.SharingID), the unit of selection's group costs
+// (Section 4.4), the monitor's immediate drop (Section 4.5(a)) and memory
+// allocation (Section 5). The table is fixed at build time.
+type group struct {
+	id      string  // Spec.SharingID: the memory manager's request ID
+	crossID string  // planner.CrossID ("" without Config.RelTokens)
+	members []*cand // in placement order
+	// inst is the shared instance, non-nil while a member is used or
+	// suspended.
+	inst *join.Instance
+}
+
+// net sums the members that satisfy in: their benefits minus the
+// maintenance cost, paid once and read from the first of them, lead (nil
+// when none does).
+func (g *group) net(in func(*cand) bool) (net float64, lead *cand) {
+	for _, c := range g.members {
+		if !in(c) {
+			continue
+		}
+		if lead == nil {
+			lead, net = c, -c.est.Cost
+		}
+		net += c.est.Benefit
+	}
+	return net, lead
+}
+
+// bytes is the group's memory appetite: the largest of every used member's
+// expected bytes and the instance's actual bytes.
+func (g *group) bytes() float64 {
+	var bytes float64
+	for _, c := range g.members {
+		if c.state != Used {
+			continue
+		}
+		b := c.est.ExpectedBytes
+		if actual := float64(g.inst.Cache().UsedBytes()); actual > b {
+			b = actual
+		}
+		if b > bytes {
+			bytes = b
+		}
+	}
+	return bytes
+}
+
+func used(c *cand) bool { return c.state == Used }
 
 // Engine is the stream-join engine: the Executor of Figure 4 with its
 // candidate caches, plus — for an adaptive engine — the Profiler and
@@ -173,11 +224,12 @@ type Engine struct {
 
 	// cands holds the candidate placements in placement-key order, so every
 	// walk — selection ties, group benefit sums, pooled demand, the order
-	// caches are suspended or detached in — is reproducible across runs. The
-	// set is fixed at build time, by buildCandidates or attachForced; keys
+	// caches are suspended or detached in — is reproducible across runs.
+	// groups holds their sharing groups, numbered in order of first member.
+	// Both are fixed at build time, by buildCandidates or attachForced; keys
 	// are distinct by construction.
-	cands     []*cand
-	instances map[string]*join.Instance // by SharingID, for Used caches
+	cands  []*cand
+	groups []group
 
 	// ctl is the adaptive controller, chosen once in NewEngine: nil for a
 	// plain MJoin (DisableCaching) and for a pinned plan (ForcedCaches). ad
@@ -188,17 +240,11 @@ type Engine struct {
 
 	updates int
 	outputs uint64
-	// allocateMemory's scratch, reused so a host server's periodic
-	// rebalance allocates nothing at steady state.
-	allocInfos  map[string]allocInfo
-	allocReqs   []memory.Request
-	allocGrants map[string]int
-	// MemoryDemandDetail's scratch plus the CrossID memo (keyed by the
-	// engine-local SharingID, which pins the cross-query identity for a
-	// fixed Config.RelTokens).
-	demandDetail    []GroupDemand
-	demandDetailIdx map[string]int
-	crossIDs        map[string]string
+	// allocateMemory's and MemoryDemandDetail's scratch, reused so a host
+	// server's periodic rebalance allocates nothing at steady state.
+	allocReqs    []memory.Request
+	allocGrants  map[string]int
+	demandDetail []GroupDemand
 
 	// resultSinks receive canonicalized join-result deltas.
 	resultSinks []func(insert bool, result []tuple.Value)
@@ -218,13 +264,13 @@ func NewEngine(q *query.Query, ord planner.Ordering, cfg Config) (*Engine, error
 		return nil, err
 	}
 	en := &Engine{
-		q:         q,
-		cfg:       cfg,
-		meter:     meter,
-		exec:      exec,
-		ord:       exec.Ordering(),
-		mem:       memory.NewManager(cfg.MemoryBudget),
-		instances: make(map[string]*join.Instance),
+		q:           q,
+		cfg:         cfg,
+		meter:       meter,
+		exec:        exec,
+		ord:         exec.Ordering(),
+		mem:         memory.NewManager(cfg.MemoryBudget),
+		allocGrants: make(map[string]int),
 	}
 	if len(cfg.ForcedCaches) > 0 {
 		if err := en.attachForced(cfg.ForcedCaches); err != nil {
@@ -297,16 +343,19 @@ func (en *Engine) Reopts() (int, int) {
 	return 0, 0
 }
 
-// attachForced pins the given caches (Figures 6–8).
+// attachForced pins the given caches (Figures 6–8), attaching them in the
+// order given.
 func (en *Engine) attachForced(specs []*planner.Spec) error {
 	for _, spec := range specs {
-		inst := en.instanceFor(spec, 4096)
-		if err := en.exec.AttachCache(spec, inst); err != nil {
+		en.cands = append(en.cands, &cand{spec: spec, state: Used})
+	}
+	given := slices.Clone(en.cands)
+	en.buildTable()
+	for _, c := range given {
+		if err := en.exec.AttachCache(c.spec, en.instanceFor(c, 4096)); err != nil {
 			return err
 		}
-		en.cands = append(en.cands, &cand{spec: spec, state: Used, inst: inst})
 	}
-	en.sortCands()
 	return nil
 }
 
@@ -322,26 +371,42 @@ func (en *Engine) buildCandidates() {
 	for _, spec := range specs {
 		en.cands = append(en.cands, &cand{spec: spec, state: Unused})
 	}
-	en.sortCands()
+	en.buildTable()
 }
 
-// sortCands puts the candidates in placement-key order.
-func (en *Engine) sortCands() {
+// buildTable puts the candidates in placement-key order and groups them by
+// sharing identity.
+func (en *Engine) buildTable() {
 	slices.SortFunc(en.cands, func(a, b *cand) int {
-		return strings.Compare(placementKey(a.spec), placementKey(b.spec))
+		return strings.Compare(a.spec.Key(), b.spec.Key())
 	})
+	for _, c := range en.cands {
+		id := c.spec.SharingID()
+		gi := slices.IndexFunc(en.groups, func(g group) bool { return g.id == id })
+		if gi < 0 {
+			gi = len(en.groups)
+			g := group{id: id}
+			if len(en.cfg.RelTokens) > 0 {
+				g.crossID = planner.CrossID(en.q, c.spec, en.cfg.RelTokens)
+			}
+			en.groups = append(en.groups, g)
+		}
+		c.group = gi
+		en.groups[gi].members = append(en.groups[gi].members, c)
+	}
 }
 
-// instanceFor finds or creates the shared instance for a spec.
-func (en *Engine) instanceFor(spec *planner.Spec, buckets int) *join.Instance {
-	id := spec.SharingID()
-	if inst, ok := en.instances[id]; ok {
-		return inst
+// instanceFor finds or creates c's shared instance.
+func (en *Engine) instanceFor(c *cand, buckets int) *join.Instance {
+	g := &en.groups[c.group]
+	if g.inst == nil {
+		g.inst = join.NewInstance(en.q, c.spec, buckets, en.mem.Budget(), en.meter)
 	}
-	inst := join.NewInstance(en.q, spec, buckets, en.mem.Budget(), en.meter)
-	en.instances[id] = inst
-	return inst
+	return g.inst
 }
+
+// instOf returns c's shared instance: non-nil while c is used or suspended.
+func (en *Engine) instOf(c *cand) *join.Instance { return en.groups[c.group].inst }
 
 // detach removes a used or suspended placement; when its instance's last
 // placement goes away the instance is released. A suspended placement's
@@ -352,7 +417,6 @@ func (en *Engine) detach(c *cand) {
 	}
 	en.exec.DetachCache(c.spec)
 	en.release(c)
-	c.inst = nil
 	c.suspended = false
 	c.state = Unused
 }
@@ -360,67 +424,38 @@ func (en *Engine) detach(c *cand) {
 // release drops c's cache instance unless another used or suspended
 // placement shares it.
 func (en *Engine) release(c *cand) {
-	id := c.spec.SharingID()
-	for _, d := range en.cands {
-		if d != c && (d.state == Used || d.suspended) && d.spec.SharingID() == id {
+	g := &en.groups[c.group]
+	for _, d := range g.members {
+		if d != c && (d.state == Used || d.suspended) {
 			return
 		}
 	}
-	delete(en.instances, id)
-}
-
-// allocInfo aggregates one shared instance's net benefit and byte appetite
-// while allocateMemory groups candidates by sharing identity.
-type allocInfo struct {
-	net   float64
-	bytes float64
+	g.inst = nil
 }
 
 // allocateMemory divides the budget among used caches by priority
 // (Section 5) and applies the grants as per-instance byte budgets. Its
-// grouping map, request slice, and grant map live on the engine and are
-// reused, so the periodic rebalance path allocates nothing at steady state.
+// request slice and grant map live on the engine and are reused, so the
+// periodic rebalance path allocates nothing at steady state.
 func (en *Engine) allocateMemory() {
-	if en.allocInfos == nil {
-		en.allocInfos = make(map[string]allocInfo)
-		en.allocGrants = make(map[string]int)
-	}
-	clear(en.allocInfos)
-	for _, c := range en.cands {
-		if c.state != Used {
+	en.allocReqs = en.allocReqs[:0]
+	for i := range en.groups {
+		g := &en.groups[i]
+		net, lead := g.net(used)
+		if lead == nil {
 			continue
 		}
-		id := c.spec.SharingID()
-		info, seen := en.allocInfos[id]
-		if !seen {
-			info.net = -c.est.Cost // group cost once
-		}
-		info.net += c.est.Benefit
-		b := c.est.ExpectedBytes
-		if actual := float64(en.instances[id].Cache().UsedBytes()); actual > b {
-			b = actual
-		}
-		if b > info.bytes {
-			info.bytes = b
-		}
-		en.allocInfos[id] = info
-	}
-	en.allocReqs = en.allocReqs[:0]
-	for id, info := range en.allocInfos {
-		bytes := int(info.bytes)
-		if bytes < memory.PageBytes {
-			bytes = memory.PageBytes
-		}
+		bytes := max(int(g.bytes()), memory.PageBytes)
 		en.allocReqs = append(en.allocReqs, memory.Request{
-			ID:       id,
-			Priority: info.net / float64(bytes),
+			ID:       g.id,
+			Priority: net / float64(bytes),
 			Bytes:    bytes,
 		})
 	}
 	en.mem.AllocateInto(en.allocGrants, en.allocReqs)
-	for id, grant := range en.allocGrants {
-		if inst, ok := en.instances[id]; ok {
-			inst.Cache().SetBudget(grant)
+	for i := range en.groups {
+		if grant, ok := en.allocGrants[en.groups[i].id]; ok {
+			en.groups[i].inst.Cache().SetBudget(grant)
 		}
 	}
 }
@@ -576,23 +611,18 @@ type CacheDescription struct {
 // Plan snapshots the current physical plan for introspection.
 func (en *Engine) Plan() PlanDescription {
 	d := PlanDescription{Pipelines: en.ord.Clone()}
-	shareCount := make(map[string]int)
-	for _, c := range en.cands {
-		if c.state == Used {
-			shareCount[c.spec.SharingID()]++
-		}
-	}
 	for _, c := range en.cands {
 		if c.state != Used {
 			continue
 		}
+		g := &en.groups[c.group]
 		d.Caches = append(d.Caches, CacheDescription{
 			Spec:     c.spec,
 			State:    c.state,
-			Entries:  c.inst.Cache().Entries(),
-			Bytes:    c.inst.Cache().UsedBytes(),
-			HitRate:  c.inst.Cache().HitRate(),
-			Shared:   shareCount[c.spec.SharingID()] > 1,
+			Entries:  g.inst.Cache().Entries(),
+			Bytes:    g.inst.Cache().UsedBytes(),
+			HitRate:  g.inst.Cache().HitRate(),
+			Shared:   slices.ContainsFunc(g.members, func(d *cand) bool { return d != c && used(d) }),
 			SelfMnt:  c.spec.SelfMaint,
 			Reduced:  c.spec.GC && !c.spec.SelfMaint,
 			Segments: c.spec.Segment,
@@ -635,8 +665,10 @@ func (en *Engine) Candidates() []CandidateInfo {
 // instances (shared instances counted once), including bucket arrays.
 func (en *Engine) CacheMemoryBytes() int {
 	total := 0
-	for _, inst := range en.instances {
-		total += inst.Cache().UsedBytes() + inst.Cache().FixedBytes()
+	for i := range en.groups {
+		if inst := en.groups[i].inst; inst != nil {
+			total += inst.Cache().UsedBytes() + inst.Cache().FixedBytes()
+		}
 	}
 	return total
 }
@@ -653,8 +685,9 @@ type GroupDemand struct {
 	// CrossID is the planner.CrossID of the group ("" when the engine was
 	// built without Config.RelTokens — such groups are never pooled).
 	CrossID string
-	// Bytes is the group's memory appetite: max(expected, actual) bytes of
-	// the shared instance.
+	// Bytes is the group's memory appetite: the largest of every used
+	// member's expected bytes and the shared instance's actual bytes, the
+	// size allocateMemory asks for.
 	Bytes int
 	// Net is the group's net benefit: the members' benefits minus the
 	// maintenance cost charged once per engine-local sharing group.
@@ -664,52 +697,18 @@ type GroupDemand struct {
 // MemoryDemandDetail reports the engine's appetite for cache memory per
 // sharing group — the cross-query generalization of Section 5, by which a
 // DSMS hosting many continuous queries divides a global budget by priority —
-// for hosts that pool demand across queries. The returned slice is reused
-// across calls.
+// for hosts that pool demand across queries, in order of each group's first
+// used placement. The returned slice is reused across calls.
 func (en *Engine) MemoryDemandDetail() []GroupDemand {
-	if en.demandDetailIdx == nil {
-		en.demandDetailIdx = make(map[string]int)
-	}
-	clear(en.demandDetailIdx)
 	en.demandDetail = en.demandDetail[:0]
 	for _, c := range en.cands {
 		if c.state != Used {
 			continue
 		}
-		id := c.spec.SharingID()
-		gi, ok := en.demandDetailIdx[id]
-		if !ok {
-			gi = len(en.demandDetail)
-			en.demandDetailIdx[id] = gi
-			b := int(c.est.ExpectedBytes)
-			if actual := c.inst.Cache().UsedBytes(); actual > b {
-				b = actual
-			}
-			en.demandDetail = append(en.demandDetail, GroupDemand{
-				CrossID: en.crossIDOf(c.spec),
-				Bytes:   b,
-				Net:     -c.est.Cost,
-			})
+		g := &en.groups[c.group]
+		if net, lead := g.net(used); lead == c {
+			en.demandDetail = append(en.demandDetail, GroupDemand{CrossID: g.crossID, Bytes: int(g.bytes()), Net: net})
 		}
-		en.demandDetail[gi].Net += c.est.Benefit
 	}
 	return en.demandDetail
-}
-
-// crossIDOf memoizes planner.CrossID per spec (keyed by the engine-local
-// sharing id, which determines it given fixed RelTokens).
-func (en *Engine) crossIDOf(spec *planner.Spec) string {
-	if len(en.cfg.RelTokens) == 0 {
-		return ""
-	}
-	if en.crossIDs == nil {
-		en.crossIDs = make(map[string]string)
-	}
-	id := spec.SharingID()
-	if cid, ok := en.crossIDs[id]; ok {
-		return cid
-	}
-	cid := planner.CrossID(en.q, spec, en.cfg.RelTokens)
-	en.crossIDs[id] = cid
-	return cid
 }

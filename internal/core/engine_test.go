@@ -51,7 +51,7 @@ func threeWayQuery() (*query.Query, error) {
 func fourWayClique(t *testing.T) *query.Query { return starOnA(t, 4) }
 
 // starOnA is R0(A) ⋈_A R1(A) ⋈_A … ⋈_A Rn-1(A), every predicate anchored at R0.
-func starOnA(t *testing.T, n int) *query.Query {
+func starOnA(t testing.TB, n int) *query.Query {
 	t.Helper()
 	schemas := make([]*tuple.Schema, n)
 	var preds []query.Pred
@@ -265,7 +265,7 @@ func TestUsedCachesDeterministic(t *testing.T) {
 	keys := func(en *Engine) []string {
 		var out []string
 		for _, spec := range en.UsedCaches() {
-			out = append(out, placementKey(spec))
+			out = append(out, spec.Key())
 		}
 		return out
 	}

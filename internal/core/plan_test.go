@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"acache/internal/memory"
 	"acache/internal/planner"
 	"acache/internal/query"
 	"acache/internal/stream"
@@ -73,9 +74,44 @@ func TestCandidateKeysDistinct(t *testing.T) {
 			t.Fatalf("%s: no candidates; test is vacuous", tc.name)
 		}
 		for i := 1; i < len(en.cands); i++ {
-			if a, b := placementKey(en.cands[i-1].spec), placementKey(en.cands[i].spec); a >= b {
+			if a, b := en.cands[i-1].spec.Key(), en.cands[i].spec.Key(); a >= b {
 				t.Fatalf("%s: candidate keys %q, %q not strictly increasing", tc.name, a, b)
 			}
 		}
+	}
+}
+
+// TestGroupDemandIsLargestMember: a sharing group's memory demand is the
+// largest of its used members' expected bytes — the size allocateMemory asks
+// the memory manager for — whichever member comes first in placement order.
+func TestGroupDemandIsLargestMember(t *testing.T) {
+	q := starOnA(t, 4)
+	ord := planner.Ordering{{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}}
+	var pair []*planner.Spec
+	specs := planner.Candidates(q, ord)
+	for i, a := range specs {
+		for _, b := range specs[i+1:] {
+			if pair == nil && a.SharingID() == b.SharingID() {
+				pair = []*planner.Spec{a, b}
+			}
+		}
+	}
+	if pair == nil {
+		t.Fatal("no two candidates share a cache; test is vacuous")
+	}
+	en, err := NewEngine(q, ord, Config{ForcedCaches: pair, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first member in placement order expects the smaller cache.
+	en.cands[0].est.ExpectedBytes = 8 * memory.PageBytes
+	en.cands[1].est.ExpectedBytes = 20 * memory.PageBytes
+	en.SetMemoryBudget(100 * memory.PageBytes)
+	d := en.MemoryDemandDetail()
+	if len(d) != 1 || d[0].Bytes != 20*memory.PageBytes {
+		t.Fatalf("demand %+v, want one group of %d bytes", d, 20*memory.PageBytes)
+	}
+	if len(en.allocReqs) != 1 || en.allocReqs[0].Bytes != d[0].Bytes {
+		t.Fatalf("allocateMemory asked for %+v, MemoryDemandDetail reports %d bytes", en.allocReqs, d[0].Bytes)
 	}
 }

@@ -40,17 +40,17 @@ func TestSuspendResumeKeepsCacheWarm(t *testing.T) {
 	if target.state != Used {
 		t.Skip("cache demoted before it warmed; nothing to suspend")
 	}
-	if target.inst.Cache().Entries() == 0 {
+	inst := en.instOf(target)
+	if inst.Cache().Entries() == 0 {
 		t.Fatal("used cache has no entries after warm-up")
 	}
 	// Force a suspension via the executor API and verify contents persist
 	// through further updates (maintenance still attached). A shared
 	// instance may have sibling placements; suspend them all so no probe
 	// path remains.
-	inst := target.inst
 	var suspended []*cand
 	for _, c := range en.cands {
-		if c.state == Used && c.inst == inst {
+		if c.state == Used && c.group == target.group {
 			if !en.exec.SuspendLookup(c.spec) {
 				t.Fatalf("SuspendLookup failed on used placement %v", c.spec)
 			}

@@ -45,7 +45,10 @@ import (
 // Batchable reports whether relation rel's pipeline currently accepts
 // multi-update runs via ProcessRun. When false the engine falls back to the
 // serial per-update path for that relation; results are identical either way.
-func (e *Exec) Batchable(rel int) bool { return e.pipes[rel].batchable }
+// It is false while the executor shares any window store: sharers must
+// interleave per update (the lockstep contract of beginSharedPass), and a run
+// would apply a whole stretch before co-sharers observed any of it.
+func (e *Exec) Batchable(rel int) bool { return e.sharedCount == 0 && e.pipes[rel].batchable }
 
 // refreshBatchable recomputes every pipeline's batch eligibility. It runs
 // when the attachment or maintenance configuration changes — reoptimization

@@ -81,9 +81,11 @@ type Profiler struct {
 	rng   *rand.Rand
 
 	pipes []*pipeStats
-	// shadows maps each profiled spec's key to its estimator; specs on one
-	// probe stream map to the same shared shadow (see StartShadow).
-	shadows map[string]*shadow
+	// streams[slot] is the probe stream of the placement registered at that
+	// slot (AddSlot), and shadows[slot] its running estimator (nil while
+	// none); slots on one probe stream share one shadow (see StartShadow).
+	streams []probeStream
+	shadows []*shadow
 	// unshared gives every spec its own shadow (DisableShadowSharing).
 	unshared   bool
 	totalTicks int64
@@ -102,10 +104,8 @@ type Profiler struct {
 	// sampledUpdates counts updates that drew a profiling decision.
 	sampledUpdates uint64
 	// shadowPool recycles stopped shadow estimators (their Bloom filters
-	// and windows are the profiling phase's only per-phase allocations);
-	// colsMemo caches each spec's probe-key columns.
+	// and windows are the profiling phase's only per-phase allocations).
 	shadowPool []*shadow
-	colsMemo   map[string][]int
 	// scopeBuf is Estimate's scratch for the widened GC maintenance scope.
 	scopeBuf []int
 }
@@ -114,12 +114,11 @@ type Profiler struct {
 func New(q *query.Query, e *join.Exec, meter *cost.Meter, cfg Config) *Profiler {
 	cfg = cfg.withDefaults()
 	pf := &Profiler{
-		q:       q,
-		e:       e,
-		meter:   meter,
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		shadows: make(map[string]*shadow),
+		q:     q,
+		e:     e,
+		meter: meter,
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 	pf.pipes = make([]*pipeStats, q.N())
 	for i := range pf.pipes {
@@ -306,10 +305,9 @@ type shadow struct {
 	pf *Profiler
 	// tap is observe bound once per pooled shadow, so starting a shadow
 	// allocates no closure.
-	tap         func(batch []tuple.Tuple, op stream.Op)
-	tapID       int
-	pipe, start int
-	keyCols     []int
+	tap   func(batch []tuple.Tuple, op stream.Op)
+	tapID int
+	probeStream
 	refs        int
 	keyBuf      []byte // packed-key scratch, reused across tap batches
 	filter      *bloom.Filter
@@ -328,59 +326,59 @@ type shadow struct {
 // decay slowly; at some point the engine must decide with what it has).
 const shadowMaxWindows = 40
 
-func shadowKey(spec *planner.Spec) string { return spec.Key() }
+// probeStream is what a cache placement's shadow observes: the CacheLookup
+// position (pipeline, start) and the probe key's columns in the schema
+// arriving there.
+type probeStream struct {
+	pipe, start int
+	cols        []int
+}
 
-// StartShadow installs the shadow estimator for a candidate cache. It is a
-// no-op if one is already running. A spec whose probe stream already has a
+// AddSlot registers a candidate placement and returns its slot, the handle
+// StartShadow, StopShadow, ShadowMissProb and ShadowDistinct take. The
+// placement's probe stream is resolved here, once.
+func (pf *Profiler) AddSlot(spec *planner.Spec) int {
+	cols := pf.q.RepresentativeCols(pf.schemaAt(spec.Pipeline, spec.Start), spec.KeyClasses)
+	pf.streams = append(pf.streams, probeStream{pipe: spec.Pipeline, start: spec.Start, cols: cols})
+	pf.shadows = append(pf.shadows, nil)
+	return len(pf.shadows) - 1
+}
+
+// StartShadow installs the shadow estimator for a slot's placement. It is a
+// no-op if one is already running. A slot whose probe stream already has a
 // shadow that has seen no key yet joins it: that shadow's estimates are
 // exactly the ones a fresh shadow of its own would produce, so sharing is
 // invisible to every decision (a stream whose shadow has begun observing
 // gets a second, fresh one). Stopped shadows are recycled from a pool
 // (filters and windows reset, tap closure kept), so the profiling phases of
-// a warm engine allocate nothing here; the probe-key columns are memoized
-// per spec.
-func (pf *Profiler) StartShadow(spec *planner.Spec) {
-	key := shadowKey(spec)
-	if _, ok := pf.shadows[key]; ok {
+// a warm engine allocate nothing here.
+func (pf *Profiler) StartShadow(slot int) {
+	if pf.shadows[slot] != nil {
 		return
 	}
-	cols := pf.keyColsOf(spec, key)
-	sh := pf.pristineShadow(spec.Pipeline, spec.Start, cols)
+	ps := pf.streams[slot]
+	sh := pf.pristineShadow(ps)
 	if sh == nil {
 		sh = pf.newShadow()
-		sh.pipe, sh.start, sh.keyCols = spec.Pipeline, spec.Start, cols
+		sh.probeStream = ps
 		sh.warm = true
 		sh.tapID = pf.e.Tap(sh.pipe, sh.start, sh.tap)
 	}
 	sh.refs++
-	pf.shadows[key] = sh
+	pf.shadows[slot] = sh
 	pf.statsEpoch++
 }
 
-// keyColsOf returns the spec's key columns in the schema arriving at its
-// lookup position, memoized per spec.
-func (pf *Profiler) keyColsOf(spec *planner.Spec, key string) []int {
-	if cols, ok := pf.colsMemo[key]; ok {
-		return cols
-	}
-	if pf.colsMemo == nil {
-		pf.colsMemo = make(map[string][]int)
-	}
-	cols := pf.q.RepresentativeCols(pf.schemaAt(spec.Pipeline, spec.Start), spec.KeyClasses)
-	pf.colsMemo[key] = cols
-	return cols
-}
-
-// pristineShadow finds a running shadow on the probe stream (pipe, start,
-// cols) that has not seen a key yet, or returns nil. There is at most one:
+// pristineShadow finds a running shadow on the probe stream ps that has not
+// seen a key yet, or returns nil. There is at most one:
 // a second shadow on a stream is only ever started once the first has
 // observed something.
-func (pf *Profiler) pristineShadow(pipe, start int, cols []int) *shadow {
+func (pf *Profiler) pristineShadow(ps probeStream) *shadow {
 	if pf.unshared {
 		return nil
 	}
 	for _, sh := range pf.shadows {
-		if sh.warm && sh.seen == 0 && sh.pipe == pipe && sh.start == start && slices.Equal(sh.keyCols, cols) {
+		if sh != nil && sh.warm && sh.seen == 0 && sh.pipe == ps.pipe && sh.start == ps.start && slices.Equal(sh.cols, ps.cols) {
 			return sh
 		}
 	}
@@ -416,7 +414,7 @@ func (sh *shadow) observe(batch []tuple.Tuple, _ stream.Op) {
 	pf := sh.pf
 	perKey := sh.filter.Hashes() + sh.horizon.Hashes()
 	for _, t := range batch {
-		sh.keyBuf = tuple.AppendKey(sh.keyBuf[:0], t, sh.keyCols)
+		sh.keyBuf = tuple.AppendKey(sh.keyBuf[:0], t, sh.cols)
 		h1, h2 := bloom.HashBytes(sh.keyBuf)
 		sh.filter.AddHash(h1, h2)
 		if !sh.horizon.AddHash(h1, h2) {
@@ -441,16 +439,15 @@ func (sh *shadow) observe(batch []tuple.Tuple, _ stream.Op) {
 	pf.meter.ChargeN(cost.BloomHash, perKey*len(batch)*sh.refs)
 }
 
-// StopShadow removes a candidate's shadow estimator, keeping nothing. When
-// its last sharer stops, the estimator's tap is removed and its filters and
+// StopShadow removes a slot's shadow estimator, keeping nothing. When its
+// last sharer stops, the estimator's tap is removed and its filters and
 // windows are reset and pooled for the next StartShadow.
-func (pf *Profiler) StopShadow(spec *planner.Spec) {
-	key := shadowKey(spec)
-	sh, ok := pf.shadows[key]
-	if !ok {
+func (pf *Profiler) StopShadow(slot int) {
+	sh := pf.shadows[slot]
+	if sh == nil {
 		return
 	}
-	delete(pf.shadows, key)
+	pf.shadows[slot] = nil
 	pf.statsEpoch++
 	if sh.refs--; sh.refs > 0 {
 		return
@@ -462,7 +459,7 @@ func (pf *Profiler) StopShadow(spec *planner.Spec) {
 	sh.windowedWin.Reset()
 	sh.distinct.Reset()
 	sh.seen, sh.newKeys, sh.windows = 0, 0, 0
-	sh.keyCols = nil
+	sh.cols = nil
 	pf.shadowPool = append(pf.shadowPool, sh)
 }
 
@@ -474,9 +471,9 @@ func (pf *Profiler) StopShadow(spec *planner.Spec) {
 // AND has stopped falling rapidly (or the refinement cap is reached) — a
 // still-decaying estimate would bias the selection against long-lived
 // caches over large key domains.
-func (pf *Profiler) ShadowMissProb(spec *planner.Spec) (float64, bool) {
-	sh, ok := pf.shadows[shadowKey(spec)]
-	if !ok {
+func (pf *Profiler) ShadowMissProb(slot int) (float64, bool) {
+	sh := pf.shadows[slot]
+	if sh == nil {
 		return 0, false
 	}
 	if pf.cfg.PaperMissEstimator {
@@ -492,9 +489,9 @@ func (pf *Profiler) ShadowMissProb(spec *planner.Spec) (float64, bool) {
 
 // ShadowDistinct returns the long-horizon distinct-key estimate: the
 // expected number of cache entries, used for memory sizing (Section 4.3).
-func (pf *Profiler) ShadowDistinct(spec *planner.Spec) (float64, bool) {
-	sh, ok := pf.shadows[shadowKey(spec)]
-	if !ok {
+func (pf *Profiler) ShadowDistinct(slot int) (float64, bool) {
+	sh := pf.shadows[slot]
+	if sh == nil {
 		return 0, false
 	}
 	return sh.horizon.EstimateDistinct(), sh.missWin.Len() > 0

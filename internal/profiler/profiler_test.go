@@ -134,7 +134,7 @@ func TestIdlePipelineCountsAsReady(t *testing.T) {
 func TestShadowMissProbConvergesForCyclicKeys(t *testing.T) {
 	q, e, pf, _ := setup(t, Config{SampleProb: 0, Wd: 50, RateSpan: 20, Seed: 4})
 	cands := planner.Candidates(q, [][]int{{1, 2}, {2, 0}, {1, 0}})
-	spec := cands[0] // R2⋈R3 cache in ΔR1, probed on R1.A
+	spec := pf.AddSlot(cands[0]) // R2⋈R3 cache in ΔR1, probed on R1.A
 	pf.StartShadow(spec)
 	// Probe keys cycle over 10 values: steady-state misses ≈ 0 even though
 	// each 50-probe window sees 10 distinct keys (the paper's windowed
@@ -152,7 +152,7 @@ func TestShadowMissProbConvergesForCyclicKeys(t *testing.T) {
 		t.Fatalf("retention-aware miss estimate %v, want ≈ 0", miss)
 	}
 	// What ShadowMissProb reports under Config.PaperMissEstimator.
-	paper := pf.shadows[shadowKey(spec)].windowedWin
+	paper := pf.shadows[spec].windowedWin
 	if !paper.Full() {
 		t.Fatal("windowed estimate not ready")
 	}
@@ -171,7 +171,7 @@ func TestShadowMissProbConvergesForCyclicKeys(t *testing.T) {
 func TestShadowFreshKeysStayMissy(t *testing.T) {
 	q, e, pf, _ := setup(t, Config{SampleProb: 0, Wd: 50, RateSpan: 20, Seed: 5})
 	cands := planner.Candidates(q, [][]int{{1, 2}, {2, 0}, {1, 0}})
-	spec := cands[0]
+	spec := pf.AddSlot(cands[0])
 	pf.StartShadow(spec)
 	// Every probe key is brand new: true miss probability is 1.
 	gen := synth.Counter(0, 0, 1)
@@ -247,15 +247,17 @@ func TestShadowSharedPerProbeStream(t *testing.T) {
 	q, e, pf, meter := setup(t, cfg)
 	_, eRef, ref, meterRef := setup(t, cfg)
 	ref.DisableShadowSharing()
-	a, b := twoSpecsOnOneStream(q)
+	specA, specB := twoSpecsOnOneStream(q)
+	var a, b int
 	for _, p := range []*Profiler{pf, ref} {
+		a, b = p.AddSlot(specA), p.AddSlot(specB)
 		p.StartShadow(a)
 		p.StartShadow(b)
 	}
-	if pf.shadows[a.Key()] != pf.shadows[b.Key()] {
+	if pf.shadows[a] != pf.shadows[b] {
 		t.Fatal("two specs on one probe stream got two shadows")
 	}
-	if ref.shadows[a.Key()] == ref.shadows[b.Key()] {
+	if ref.shadows[a] == ref.shadows[b] {
 		t.Fatal("DisableShadowSharing still shares")
 	}
 	gen := synth.Counter(0, 30, 1)
@@ -267,13 +269,13 @@ func TestShadowSharedPerProbeStream(t *testing.T) {
 	if meter.Total() != meterRef.Total() {
 		t.Fatalf("meter %d shared vs %d unshared: the tap must charge once per sharer", meter.Total(), meterRef.Total())
 	}
-	for _, s := range []*planner.Spec{a, b} {
+	for _, s := range []int{a, b} {
 		m, ok := pf.ShadowMissProb(s)
 		mRef, okRef := ref.ShadowMissProb(s)
 		d, dOK := pf.ShadowDistinct(s)
 		dRef, dRefOK := ref.ShadowDistinct(s)
 		if !ok || m != mRef || ok != okRef || d != dRef || dOK != dRefOK {
-			t.Fatalf("%s: shared miss %v/%v distinct %v/%v, unshared %v/%v %v/%v", s, m, ok, d, dOK, mRef, okRef, dRef, dRefOK)
+			t.Fatalf("slot %d: shared miss %v/%v distinct %v/%v, unshared %v/%v %v/%v", s, m, ok, d, dOK, mRef, okRef, dRef, dRefOK)
 		}
 	}
 
@@ -286,7 +288,7 @@ func TestShadowSharedPerProbeStream(t *testing.T) {
 		t.Fatalf("remaining sharer reads %v (ok=%v), want %v", m, ok, missB)
 	}
 	pf.StartShadow(a)
-	if pf.shadows[a.Key()] == pf.shadows[b.Key()] {
+	if pf.shadows[a] == pf.shadows[b] {
 		t.Fatal("a spec joined a shadow that had already observed keys")
 	}
 	if _, ok := pf.ShadowMissProb(a); ok {
@@ -299,7 +301,8 @@ func TestShadowSharedPerProbeStream(t *testing.T) {
 // shadow start and stop allocate nothing.
 func TestWarmShadowCycleAllocFree(t *testing.T) {
 	q, _, pf, _ := setup(t, Config{SampleProb: 0, Wd: 50, RateSpan: 20, Seed: 8})
-	a, b := twoSpecsOnOneStream(q)
+	specA, specB := twoSpecsOnOneStream(q)
+	a, b := pf.AddSlot(specA), pf.AddSlot(specB)
 	cycle := func() {
 		pf.StartShadow(a)
 		pf.StartShadow(b)

@@ -112,9 +112,10 @@ func TestSharedOutOfOrderPanics(t *testing.T) {
 	st.ApplyShared(a, SharedInsert, tuple.Tuple{2, 20})
 }
 
-// TestSharedRefcountAndTrim checks Share/Unshare bookkeeping: the replay log
-// grows only while a sharer lags, trims once everyone catches up, and
-// Unshare of a laggard releases the log it was holding back.
+// TestSharedRefcountAndTrim checks Share/Unshare bookkeeping: a sharer one
+// behind replays the last outcome, a sharer two behind panics (the store
+// keeps only the last outcome), and Unshare of a laggard lets the others go
+// on alone.
 func TestSharedRefcountAndTrim(t *testing.T) {
 	m := &cost.Meter{}
 	st := NewStore(0, sharedSchema(), m)
@@ -132,23 +133,27 @@ func TestSharedRefcountAndTrim(t *testing.T) {
 	if lag := st.SharedLag(b); lag != 0 {
 		t.Fatalf("lag of b after replay = %d, want 0", lag)
 	}
-	if st.shared.log != nil && len(st.shared.log) != 0 {
-		t.Fatalf("log not trimmed after all sharers caught up: %d entries", len(st.shared.log))
-	}
 
-	// b stops consuming; the log must retain entries for it...
+	// b stops consuming while a runs two ahead: only the last outcome is
+	// kept, so b's replay of the first one panics, as presenting an update
+	// ahead of the store does...
 	st.ApplyShared(a, SharedInsert, tuple.Tuple{2, 20})
 	st.ApplyShared(a, SharedDelete, tuple.Tuple{1, 10})
-	if len(st.shared.log) != 2 {
-		t.Fatalf("log holds %d entries with a laggard at lag 2, want 2", len(st.shared.log))
+	if lag := st.SharedLag(b); lag != 2 {
+		t.Fatalf("lag of b = %d, want 2", lag)
 	}
-	// ...until b detaches: the log drains and a keeps working alone.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a sharer two behind the store replayed instead of panicking")
+			}
+		}()
+		st.ApplyShared(b, SharedInsert, tuple.Tuple{2, 20})
+	}()
+	// ...until b detaches, and a keeps working alone.
 	st.Unshare(b)
 	if len(st.shared.cursors) != 1 {
 		t.Fatalf("sharers after Unshare = %d, want 1", len(st.shared.cursors))
-	}
-	if len(st.shared.log) != 0 {
-		t.Fatalf("log holds %d entries after the laggard detached, want 0", len(st.shared.log))
 	}
 	st.ApplyShared(a, SharedInsert, tuple.Tuple{3, 30})
 	if st.Len() != 2 {

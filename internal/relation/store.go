@@ -177,12 +177,13 @@ type Store struct {
 // sharedState is the bookkeeping of a cross-query shared store: every sharer
 // feeds the same per-relation update sequence, the first arrival of each
 // update mutates the store, and later arrivals replay only the cost charges.
-// Outcomes are logged so replays charge exactly what the physical application
-// charged (a delete's tariff depends on whether the tuple was found).
+// The outcome is kept so replays charge exactly what the physical application
+// charged (a delete's tariff depends on whether the tuple was found). Under
+// the lockstep contract (see SharedLag) every sharer consumes update k before
+// any presents k+1, so only the last outcome is ever replayed.
 type sharedState struct {
-	baseSeq uint64         // log[0] records the outcome of op baseSeq+1
 	lastSeq uint64         // highest physically applied op sequence
-	log     []sharedOp     // outcomes of ops baseSeq+1 .. lastSeq
+	last    sharedOp       // outcome of op lastSeq
 	cursors map[int]uint64 // sharer id -> last consumed op sequence
 	nextID  int
 }
@@ -215,7 +216,6 @@ func (s *Store) Unshare(id int) {
 		return
 	}
 	delete(s.shared.cursors, id)
-	s.trimSharedLog()
 }
 
 // SharedSeq returns the number of shared updates physically applied so far.
@@ -243,29 +243,29 @@ func (s *Store) SharedLag(id int) uint64 {
 // later sharer replays only the cost charges of that outcome against its own
 // meter (the caller rebinds the store meter per pass), so each sharer's
 // cost totals are bit-identical to an unshared store fed the same sequence.
-// A sharer presenting an update more than one ahead of the log panics: it
-// means the sharers were not fed in per-update lockstep, and earlier join
-// passes already probed windows from the wrong instant.
+// A sharer presenting an update more than one ahead of the store, or two or
+// more behind it, panics: it means the sharers were not fed in per-update
+// lockstep, and earlier join passes already probed windows from the wrong
+// instant.
 func (s *Store) ApplyShared(id int, op sharedOpKind, t tuple.Tuple) {
 	sh := s.shared
 	n := sh.cursors[id] + 1
-	switch {
-	case n == sh.lastSeq+1:
+	switch n {
+	case sh.lastSeq + 1:
 		oc := sharedOp{del: op == SharedDelete, width: len(t)}
 		if oc.del {
 			oc.found = s.Delete(t)
 		} else {
 			s.Insert(t)
 		}
-		sh.log = append(sh.log, oc)
+		sh.last = oc
 		sh.lastSeq = n
-	case n <= sh.lastSeq:
-		s.replayCharges(sh.log[n-sh.baseSeq-1])
+	case sh.lastSeq:
+		s.replayCharges(sh.last)
 	default:
 		panic(fmt.Sprintf("relation: shared store %v fed out of order (sharer %d at seq %d, store at %d); sharers must interleave per update", s, id, n, sh.lastSeq))
 	}
 	sh.cursors[id] = n
-	s.trimSharedLog()
 }
 
 // sharedOpKind tags ApplyShared operations.
@@ -277,7 +277,7 @@ const (
 )
 
 // replayCharges charges the meter exactly what the physical application of
-// the logged op charged, without touching the store.
+// the recorded op charged, without touching the store.
 func (s *Store) replayCharges(oc sharedOp) {
 	if oc.del {
 		if !oc.found {
@@ -290,29 +290,6 @@ func (s *Store) replayCharges(oc sharedOp) {
 	s.meter.Charge(cost.HashInsert)
 	s.meter.ChargeN(cost.KeyExtract, oc.width)
 	s.meter.ChargeN(cost.HashInsert, len(s.idxList))
-}
-
-// trimSharedLog drops log entries every sharer has consumed. Under the
-// lockstep contract the log holds at most one entry, so the fast path resets
-// it in place.
-func (s *Store) trimSharedLog() {
-	sh := s.shared
-	if sh == nil || len(sh.log) == 0 {
-		return
-	}
-	min := sh.lastSeq
-	for _, c := range sh.cursors {
-		if c < min {
-			min = c
-		}
-	}
-	if min >= sh.lastSeq {
-		sh.log = sh.log[:0]
-		sh.baseSeq = sh.lastSeq
-	} else if min > sh.baseSeq {
-		sh.log = append(sh.log[:0], sh.log[min-sh.baseSeq:]...)
-		sh.baseSeq = min
-	}
 }
 
 // NewStore creates an empty store for relation rel with the given schema.
